@@ -1,10 +1,26 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A CycNumber is a vector of phi(N) rationals giving an element of
-Q[x]/Phi_N(x) evaluated at x = zeta_N = exp(2*pi*i/N).  Reduction modulo the
-N-th cyclotomic polynomial is canonical, so equality is coefficient-wise.
-N = 1 gives plain Q (degree-one vectors), which the rest of the package uses
-as the rational base field.
+A CycNumber is an element of Q[x]/Phi_N(x) evaluated at
+x = zeta_N = exp(2*pi*i/N), stored as an integer vector over one common
+denominator:
+
+    (nums[0] + nums[1]*zeta + ... + nums[d-1]*zeta^(d-1)) / den,  d = phi(N).
+
+The form is canonical: den > 0, gcd(den, *nums) == 1, and zero is
+(0, ..., 0)/1.  So two elements of one field are equal exactly when their
+(nums, den) pairs are.
+
+Phi_N is monic with integer coefficients, so every power x^k reduces to an
+integer row; the field keeps one table of these rows.  A product is an integer
+convolution reduced through that table, followed by one gcd.  The inverse of x
+is the product of its Galois conjugates sigma_k(x), over the units k != 1 mod
+N, divided by the norm x * prod, a nonzero rational.
+
+Elements of different fields compare in Q(zeta_lcm(M, N)) and hash by the
+normalised trace Tr(x)/phi(N), which does not depend on the field an element
+is written in; a rational hashes like the Fraction it equals.  N = 1 gives
+plain Q (degree-one vectors), which the rest of the package uses as the
+rational base field.
 """
 
 from __future__ import annotations
@@ -12,28 +28,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-
-def _poly_divmod_int(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # dense ascending coefficients; den leading coefficient must be nonzero
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        factor = num[-1] / dlead
-        shift = len(num) - len(den)
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
 
 
 @lru_cache(maxsize=None)
@@ -41,29 +37,58 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Dense ascending integer coefficients of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return (-1, 1)
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # x^n - 1 divided by the (monic, integer) Phi_d over proper divisors d of n
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            num, rem = _poly_divmod_int(num, phi_d)
-            if rem:
+            div = cyclotomic_polynomial(d)
+            m = len(div) - 1
+            quo = [0] * (len(num) - m)
+            for k in range(len(quo) - 1, -1, -1):
+                c = quo[k] = num[k + m]
+                if c:
+                    for i, a in enumerate(div):
+                        num[k + i] -= c * a
+            if any(num[:m]):
                 raise ArithmeticError(f"cyclotomic division left a remainder at n={n}, d={d}")
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            num = quo
+    return tuple(num)
 
 
-def _euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        a, b = k, n
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count if n > 1 else 1
+def _combine(coeffs: Iterable[int], rows: Iterable[tuple[tuple[int, int], ...]], d: int) -> list[int]:
+    """Sum of coeffs[k] * rows[k] as a dense integer vector of length d; each
+    row lists the nonzero (index, value) pairs of one reduced power."""
+    out = [0] * d
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+def _mul_vec(a: Sequence[int], b: Sequence[int], rows, d: int) -> list[int]:
+    """Integer product of two coefficient vectors, reduced modulo Phi_N."""
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                conv[k] += x * y
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            for i, r in rows[k]:
+                out[i] += c * r
+    return out
+
+
+def _ratio(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or Fraction, else None."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 class CycField:
@@ -84,77 +109,51 @@ class CycField:
         if order < 1:
             raise ValueError("order must be positive")
         self.order = order
-        modulus = cyclotomic_polynomial(order)
-        self.degree = len(modulus) - 1
-        self.modulus = tuple(Fraction(c) for c in modulus)
-        # reduction of x^k on the power basis, for k = 0 .. 2*degree - 2
-        rows: list[tuple[Fraction, ...]] = []
-        d = self.degree
-        for k in range(d):
-            row = [Fraction(0)] * d
-            row[k] = Fraction(1)
-            rows.append(tuple(row))
-        for k in range(d, 2 * d - 1):
-            prev = list(rows[k - 1])
-            shifted = [Fraction(0)] + prev[: d - 1]
-            lead = prev[d - 1]
+        self.modulus = cyclotomic_polynomial(order)
+        d = self.degree = len(self.modulus) - 1
+        # _rows[k]: the nonzero (index, value) pairs of x^k mod Phi_N, for
+        # k < max(N, 2d - 1); x^N = 1, so x^k reduces through _rows[k % N]
+        rows = [((k, 1),) for k in range(d)]
+        prev = [0] * (d - 1) + [1]
+        for _ in range(d, max(order, 2 * d - 1)):
+            lead = prev[-1]
+            prev = [0] + prev[:-1]
             if lead:
-                for i in range(d):
-                    shifted[i] -= lead * self.modulus[i]
-            rows.append(tuple(shifted))
-        self._power_rows = rows
-        self.zero = CycNumber(self, (Fraction(0),) * d)
-        one = [Fraction(0)] * d
-        one[0] = Fraction(1)
-        self.one = CycNumber(self, tuple(one))
+                for i, m in enumerate(self.modulus[:d]):
+                    prev[i] -= lead * m
+            rows.append(tuple((i, c) for i, c in enumerate(prev) if c))
+        self._rows = rows
+        units = [k for k in range(1, order + 1) if gcd(k, order) == 1]
+        assert len(units) == d
+        # sigma_k(zeta^j) = zeta^(jk), for each unit k other than 1
+        self._conjugations = [tuple(rows[j * k % order] for j in range(d)) for k in units if k > 1]
+        # Tr(zeta^j): the constant term of the sum of all conjugates
+        self._trace = tuple(sum(dict(rows[j * k % order]).get(0, 0) for k in units)
+                            for j in range(d))
+        self._zero_tail = (0,) * (d - 1)
+        self.zero = CycNumber(self, (0,) * d)
+        self.one = CycNumber(self, (1,) + self._zero_tail)
         self._ready = True
 
     def __repr__(self) -> str:
         return f"CycField({self.order})"
 
     def element(self, coeffs: Iterable[Fraction | int]) -> CycNumber:
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            # reduce high powers through the cached rows (or long division)
-            out = [Fraction(0)] * self.degree
-            for k, c in enumerate(vec):
-                if c == 0:
-                    continue
-                row = self._power_row(k)
-                for i, r in enumerate(row):
-                    out[i] += c * r
-            return CycNumber(self, tuple(out))
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return CycNumber(self, tuple(vec))
-
-    def _power_row(self, k: int) -> tuple[Fraction, ...]:
-        if k < len(self._power_rows):
-            return self._power_rows[k]
-        # extend lazily
-        while len(self._power_rows) <= k:
-            prev = list(self._power_rows[-1])
-            d = self.degree
-            shifted = [Fraction(0)] + prev[: d - 1]
-            lead = prev[d - 1]
-            if lead:
-                for i in range(d):
-                    shifted[i] -= lead * self.modulus[i]
-            self._power_rows.append(tuple(shifted))
-        return self._power_rows[k]
+        """The element sum_k coeffs[k] * zeta^k; any number of coefficients."""
+        vals = [Fraction(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        n = self.order
+        rows = (self._rows[k % n] for k in range(len(ints)))
+        return CycNumber(self, tuple(_combine(ints, rows, self.degree)), den)
 
     def from_rational(self, a: Fraction | int) -> CycNumber:
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(a)
-        return CycNumber(self, tuple(vec))
+        p, q = _ratio(a) or _ratio(Fraction(a))
+        return CycNumber(self, (p,) + self._zero_tail, q)
 
     def zeta(self, k: int = 1) -> CycNumber:
         """zeta_N^k, reduced."""
-        k %= self.order
-        if self.order == 1:
-            return self.one
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return self.element(vec)
+        return CycNumber(self, tuple(_combine((1,), (self._rows[k % self.order],), self.degree)))
 
     def embed(self, x: "CycNumber") -> "CycNumber":
         """Embed an element of Q(zeta_M) with M | N into this field."""
@@ -164,120 +163,151 @@ class CycField:
         if self.order % src.order != 0:
             raise ValueError(f"no canonical embedding of order {src.order} into {self.order}")
         step = self.order // src.order
-        out = self.zero
-        for k, c in enumerate(x.coeffs):
-            if c:
-                out = out + self.zeta(k * step) * c
-        return out
+        # zeta_M^j = zeta_N^(j * step)
+        rows = [self._rows[j * step % self.order] for j in range(src.degree)]
+        return CycNumber(self, tuple(_combine(x.nums, rows, self.degree)), x.den)
 
 
 class CycNumber:
-    """An element of Q(zeta_N) on the power basis 1, zeta, ..., zeta^(phi(N)-1)."""
+    """An element of Q(zeta_N): integers nums on the power basis
+    1, zeta, ..., zeta^(phi(N)-1), over one common denominator den.
 
-    __slots__ = ("field", "coeffs")
+    The constructor brings (nums, den) to the canonical form: den > 0,
+    gcd(den, *nums) == 1, zero as (0, ..., 0)/1.  nums must be a tuple of
+    phi(N) ints; CycField.element builds an element from any coefficients.
+    ``coeffs`` gives the same element as a tuple of reduced Fractions.
+    """
 
-    def __init__(self, field: CycField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: CycField, nums: tuple[int, ...], den: int = 1):
+        if den != 1:
+            if not den:
+                raise ZeroDivisionError("cyclotomic number with zero denominator")
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = tuple(n // g for n in nums)
+                den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
-    def _coerce(self, other) -> "CycNumber | None":
-        if isinstance(other, CycNumber):
-            if other.field is self.field:
-                return other
-            # mixing with a subfield of compatible order embeds it here; the
-            # caller promotes itself when the other field is the larger one
-            # (Python skips reflected operators for same-class operands)
-            if self.field.order % other.field.order == 0:
-                return self.field.embed(other)
-            return None
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Reduced Fraction coefficients on the power basis."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
-    def _promote(self, other) -> "CycNumber | None":
-        if isinstance(other, CycNumber) and other.field.order % self.field.order == 0:
-            return other.field.embed(self)
-        return None
+    def _mixed(self, other: "CycNumber", op):
+        """op on two elements of nested fields, in the larger field; fields
+        where neither order divides the other do not mix."""
+        m, n = self.field.order, other.field.order
+        if m % n == 0:
+            return op(self, self.field.embed(other))
+        if n % m == 0:
+            return op(other.field.embed(self), other)
+        return NotImplemented
 
     def __add__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        if o is None:
-            lifted = self._promote(other)
-            return NotImplemented if lifted is None else lifted + other
-        return CycNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, CycNumber):
+            if other.field is not self.field:
+                return self._mixed(other, CycNumber.__add__)
+            if not any(other.nums):
+                return self
+            if not any(self.nums):
+                return other
+            a, b = self.den, other.den
+            if a == b:
+                return CycNumber(self.field, tuple(x + y for x, y in zip(self.nums, other.nums)), a)
+            return CycNumber(self.field, tuple(x * b + y * a for x, y in zip(self.nums, other.nums)),
+                             a * b)
+        pq = _ratio(other)
+        if pq is None:
+            return NotImplemented
+        p, q = pq
+        nums = self.nums
+        if q == 1:
+            return CycNumber(self.field, (nums[0] + p * self.den,) + nums[1:], self.den)
+        return CycNumber(self.field, (nums[0] * q + p * self.den,) + tuple(n * q for n in nums[1:]),
+                         self.den * q)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        if o is None:
-            lifted = self._promote(other)
-            return NotImplemented if lifted is None else lifted - other
-        return CycNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if isinstance(other, CycNumber):
+            if other.field is not self.field:
+                return self._mixed(other, CycNumber.__sub__)
+            if not any(other.nums):
+                return self
+            a, b = self.den, other.den
+            if a == b:
+                return CycNumber(self.field, tuple(x - y for x, y in zip(self.nums, other.nums)), a)
+            return CycNumber(self.field, tuple(x * b - y * a for x, y in zip(self.nums, other.nums)),
+                             a * b)
+        pq = _ratio(other)
+        return NotImplemented if pq is None else self + Fraction(-pq[0], pq[1])
 
     def __rsub__(self, other) -> "CycNumber":
         return (-self) + other
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycNumber(self.field, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        if o is None:
-            lifted = self._promote(other)
-            return NotImplemented if lifted is None else lifted * other
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        out = [Fraction(0)] * d
-        rows = self.field._power_rows
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            if k < d:
-                out[k] += c
-            else:
-                row = rows[k]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycNumber(self.field, tuple(out))
+        f = self.field
+        if isinstance(other, CycNumber):
+            if other.field is not f:
+                return self._mixed(other, CycNumber.__mul__)
+            a, b = self.nums, other.nums
+            if not any(a) or not any(b):
+                return f.zero
+            den = self.den * other.den
+            # a rational factor only scales the other vector
+            if not any(b[1:]):
+                return CycNumber(f, tuple(n * b[0] for n in a), den)
+            if not any(a[1:]):
+                return CycNumber(f, tuple(n * a[0] for n in b), den)
+            return CycNumber(f, tuple(_mul_vec(a, b, f._rows, f.degree)), den)
+        pq = _ratio(other)
+        if pq is None:
+            return NotImplemented
+        p, q = pq
+        return CycNumber(f, tuple(n * p for n in self.nums), self.den * q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        if self.is_zero():
+        nums = self.nums
+        if not any(nums):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        a = list(self.field.modulus)
-        b = list(self.coeffs)
-        while b and b[-1] == 0:
-            b.pop()
-        s_prev: list[Fraction] = [Fraction(0)]
-        s_curr: list[Fraction] = [Fraction(1)]
-        while True:
-            q, r = _poly_divmod_int(a, b)
-            if not r:
-                break
-            s_next = _poly_sub(s_prev, _poly_mul(q, s_curr))
-            a, b = b, r
-            s_prev, s_curr = s_curr, s_next
-        # b is now the gcd (a nonzero constant, since the modulus is irreducible)
-        if len(b) != 1:
-            raise ArithmeticError("element is a zero divisor; cyclotomic modulus not irreducible?")
-        inv_scale = 1 / b[0]
-        return self.field.element([c * inv_scale for c in s_curr])
+        f = self.field
+        if not any(nums[1:]):
+            return CycNumber(f, (self.den,) + f._zero_tail, nums[0])
+        d, rows = f.degree, f._rows
+        # prod = prod_k sigma_k(nums) over the units k != 1, so nums * prod is
+        # the integer norm and 1/x = den * prod / norm
+        conjugates = [_combine(nums, conj, d) for conj in f._conjugations]
+        prod = conjugates[0]
+        for c in conjugates[1:]:
+            prod = _mul_vec(prod, c, rows, d)
+        norm = _mul_vec(nums, prod, rows, d)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is not a nonzero rational; cyclotomic modulus not irreducible?")
+        return CycNumber(f, tuple(p * self.den for p in prod), norm[0])
 
     def __truediv__(self, other) -> "CycNumber":
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, CycNumber):
+            if other.field is not self.field:
+                return self._mixed(other, CycNumber.__truediv__)
+            return self * other.inverse()
+        pq = _ratio(other)
+        if pq is None:
             return NotImplemented
-        return self * o.inverse()
+        if not pq[0]:
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        return self * Fraction(pq[1], pq[0])
 
     def __rtruediv__(self, other) -> "CycNumber":
         return self.inverse() * other
@@ -295,44 +325,43 @@ class CycNumber:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, CycNumber):
+        if isinstance(other, CycNumber):
+            if other.field is self.field:
+                return self.den == other.den and self.nums == other.nums
+            common = CycField(lcm(self.field.order, other.field.order))
+            return common.embed(self) == common.embed(other)
+        pq = _ratio(other)
+        if pq is None:
             return NotImplemented
-        if other.field is not self.field:
-            if self.field.order % other.field.order == 0:
-                other = self.field.embed(other)
-            elif other.field.order % self.field.order == 0:
-                return other.field.embed(self).coeffs == other.coeffs
-            elif self.is_rational() and other.is_rational():
-                return self.coeffs[0] == other.coeffs[0]
-            else:
-                return False
-        return self.coeffs == other.coeffs
+        return self.is_rational() and (self.nums[0], self.den) == pq
 
     def __hash__(self) -> int:
-        return hash((self.field.order, self.coeffs))
+        f = self.field
+        trace = sum(t * n for t, n in zip(f._trace, self.nums))
+        return hash(Fraction(trace, self.den * f.degree))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def to_complex(self) -> complex:
         zeta = cmath.exp(2j * cmath.pi / self.field.order)
-        return sum(float(c) * zeta**k for k, c in enumerate(self.coeffs))
+        den = self.den
+        return sum(n / den * zeta**k for k, n in enumerate(self.nums))
 
     def __repr__(self) -> str:
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if c == 0:
                 continue
             if k == 0:
@@ -340,29 +369,6 @@ class CycNumber:
             else:
                 parts.append(f"{c}*z{self.field.order}^{k}" if k > 1 else f"{c}*z{self.field.order}")
         return " + ".join(parts) if parts else "0"
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [Fraction(0)]
 
 
 def cyc_power_sum(order: int, k: int) -> CycNumber:

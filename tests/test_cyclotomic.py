@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +134,263 @@ def test_numeric_embedding_consistency(data):
     lhs = (a * b).to_complex()
     rhs = a.to_complex() * b.to_complex()
     assert abs(lhs - rhs) < 1e-9
+
+
+# --- reference arithmetic on Fraction tuples ------------------------------------
+#
+# The power-basis coefficients as plain Fractions, reduced by long division
+# modulo Phi_N and inverted by the extended Euclidean algorithm in Q[x].  The
+# kernel under test works on integer vectors over one denominator; these are
+# the straightforward definitions it must agree with.
+
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18]
+
+
+def ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_divmod(num, den):
+    num, den = ref_trim(num), ref_trim(den)
+    quo = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    while len(num) >= len(den):
+        factor = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        quo[shift] = factor
+        for i, d in enumerate(den):
+            num[shift + i] -= factor * d
+        num = ref_trim(num)
+    return quo, num
+
+
+def ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_reduce(poly, order):
+    degree = len(cyclotomic_polynomial(order)) - 1
+    _, rem = ref_divmod([Fraction(c) for c in poly], [Fraction(c) for c in cyclotomic_polynomial(order)])
+    return tuple(rem) + (Fraction(0),) * (degree - len(rem))
+
+
+def ref_mul(a, b, order):
+    return ref_reduce(ref_poly_mul(a, b), order)
+
+
+def ref_inverse(a, order):
+    # extended Euclid: s * a = g (mod Phi_N) with g a nonzero constant
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(order)], ref_trim(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = ref_divmod(r0, r1)
+        qs = ref_poly_mul(q, s1)
+        n = max(len(s0), len(qs))
+        s_next = [(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0) for i in range(n)]
+        r0, r1, s0, s1 = r1, rem, s1, s_next
+    return ref_reduce([c / r1[0] for c in s1], order)
+
+
+def ref_pow(a, n, order):
+    if n < 0:
+        a, n = ref_inverse(a, order), -n
+    out = ref_reduce([1], order)
+    for _ in range(n):
+        out = ref_mul(out, a, order)
+    return out
+
+
+def ref_embed(a, src, dst):
+    step = dst // src
+    poly = [Fraction(0)] * (step * (len(a) - 1) + 1)
+    for k, c in enumerate(a):
+        poly[k * step] += c
+    return ref_reduce(poly, dst)
+
+
+def assert_canonical(x):
+    assert len(x.nums) == x.field.degree
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+coeff_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 1, 1, 2, 3, 4, 6, 9, 35]),
+)
+
+
+def ref_vectors(degree):
+    # dense vectors, and sparse ones, so zero coefficients and rationals occur
+    dense = st.lists(coeff_rationals, min_size=degree, max_size=degree)
+    sparse = st.lists(st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+                      min_size=degree, max_size=degree)
+    return st.one_of(dense, sparse).map(tuple)
+
+
+@st.composite
+def field_and_vectors(draw, count):
+    field = CycField(draw(st.sampled_from(ORDERS)))
+    return field, [draw(ref_vectors(field.degree)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_vectors(2))
+def test_kernel_matches_fraction_reference(case):
+    field, (va, vb) = case
+    n = field.order
+    a, b = field.element(va), field.element(vb)
+    assert a.coeffs == va and b.coeffs == vb
+    for got, want in ((a + b, tuple(x + y for x, y in zip(va, vb))),
+                      (a - b, tuple(x - y for x, y in zip(va, vb))),
+                      (-a, tuple(-x for x in va)),
+                      (a * b, ref_mul(va, vb, n))):
+        assert_canonical(got)
+        assert got.coeffs == want
+    if any(vb):
+        assert_canonical(b.inverse())
+        assert b.inverse().coeffs == ref_inverse(vb, n)
+        assert (a / b).coeffs == ref_mul(va, ref_inverse(vb, n), n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_vectors(1), st.integers(min_value=-4, max_value=6))
+def test_power_matches_fraction_reference(case, exponent):
+    field, (va,) = case
+    a = field.element(va)
+    if exponent < 0 and not any(va):
+        with pytest.raises(ZeroDivisionError):
+            a**exponent
+        return
+    got = a**exponent
+    assert_canonical(got)
+    assert got.coeffs == ref_pow(va, exponent, field.order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_vectors(1), coeff_rationals, st.integers(min_value=-7, max_value=7))
+def test_rational_operands_match_fraction_reference(case, c, m):
+    field, (va,) = case
+    a = field.element(va)
+    cvec = ref_reduce([c], field.order)
+    for got, want in ((a + c, tuple(x + y for x, y in zip(va, cvec))),
+                      (c + a, tuple(x + y for x, y in zip(va, cvec))),
+                      (a - c, tuple(x - y for x, y in zip(va, cvec))),
+                      (c - a, tuple(y - x for x, y in zip(va, cvec))),
+                      (a * c, tuple(x * c for x in va)),
+                      (m * a, tuple(x * m for x in va))):
+        assert_canonical(got)
+        assert got.coeffs == want
+    if c:
+        assert (a / c).coeffs == tuple(x / c for x in va)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / c
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_vectors(1))
+def test_predicates_match_fraction_reference(case):
+    field, (va,) = case
+    a = field.element(va)
+    assert_canonical(a)
+    assert a.coeffs == va
+    assert a.is_zero() == (not any(va))
+    assert a.is_rational() == (not any(va[1:]))
+    if a.is_rational():
+        assert a.as_rational() == va[0]
+        assert type(a.as_rational()) is Fraction
+    else:
+        with pytest.raises(ValueError):
+            a.as_rational()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_embed_matches_fraction_reference(data):
+    dst = data.draw(st.sampled_from(ORDERS))
+    src = data.draw(st.sampled_from([m for m in ORDERS if dst % m == 0]))
+    va = data.draw(ref_vectors(CycField(src).degree))
+    got = CycField(dst).embed(CycField(src).element(va))
+    assert_canonical(got)
+    assert got.coeffs == ref_embed(va, src, dst)
+
+
+def test_element_reduces_long_coefficient_lists():
+    for n in ORDERS:
+        field = CycField(n)
+        poly = [Fraction(k * k - 7, k + 1) for k in range(3 * n + 2)]
+        got = field.element(poly)
+        assert_canonical(got)
+        assert got.coeffs == ref_reduce(poly, n)
+
+
+def test_inverse_of_zero_raises():
+    for n in ORDERS:
+        with pytest.raises(ZeroDivisionError):
+            CycField(n).zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            CycField(n).one / CycField(n).zero
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 41):
+        prod = [Fraction(1)]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = ref_poly_mul(prod, [Fraction(c) for c in cyclotomic_polynomial(d)])
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+# --- equality and hashing across fields ------------------------------------------
+
+
+def test_eq_hash_examples_across_fields():
+    assert CycField(1).one == CycField(8).one
+    assert hash(CycField(1).one) == hash(CycField(8).one)
+    assert len({CycField(1).one, CycField(8).one}) == 1
+    assert hash(CycField(5).from_rational(3)) == hash(3)
+    assert hash(CycField(12).from_rational(Fraction(-2, 7))) == hash(Fraction(-2, 7))
+    # zeta_6^2 and zeta_9^3 are both zeta_3, though neither order divides the other
+    assert CycField(6).zeta(2) == CycField(9).zeta(3)
+    assert hash(CycField(6).zeta(2)) == hash(CycField(9).zeta(3))
+    assert CycField(6).zeta(1) != CycField(9).zeta(1)
+    assert CycField(4).zeta() != CycField(3).zeta()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equal_values_in_different_fields_are_equal_and_hash_alike(data):
+    base = data.draw(st.sampled_from(ORDERS))
+    m, n = (base * data.draw(st.sampled_from([1, 2, 3, 4])) for _ in range(2))
+    x = CycField(base).element(data.draw(ref_vectors(CycField(base).degree)))
+    xm, xn = CycField(m).embed(x), CycField(n).embed(x)
+    assert xm == xn and xn == xm
+    assert hash(xm) == hash(xn) == hash(x)
+    assert len({xm, xn, x}) == 1
+    if x.is_rational():
+        assert xm == x.as_rational()
+        assert hash(xm) == hash(x.as_rational())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cross_field_equality_agrees_with_complex_values(data):
+    fa = CycField(data.draw(st.sampled_from(ORDERS)))
+    fb = CycField(data.draw(st.sampled_from(ORDERS)))
+    a = fa.element(data.draw(ref_vectors(fa.degree)))
+    b = fb.element(data.draw(ref_vectors(fb.degree)))
+    close = abs(a.to_complex() - b.to_complex()) < 1e-9
+    assert (a == b) == close == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
