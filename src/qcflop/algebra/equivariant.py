@@ -120,10 +120,13 @@ class EquivScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return self.terms == o.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((e, f.num, f.den) for e, f in self.terms.items())))
+        # a scalar with only a lam^0 term hashes like that RatFunc, so like its constant
+        if self.terms.keys() <= {0}:
+            return hash(self.coefficient(0))
+        return hash(tuple(sorted((e, hash(f)) for e, f in self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

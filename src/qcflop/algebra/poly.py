@@ -2,6 +2,12 @@
 
 Coefficients are stored ascending with trailing zeros trimmed; the zero
 polynomial has an empty coefficient tuple and degree -1.
+
+``gcd`` returns the monic greatest common divisor (zero only for two zeros).
+It first splits off the power of w dividing each side by shifting
+coefficients: the common factor w^min(v_a, v_b) needs no division, and when
+either w-free part is a constant that power of w is the whole answer.  Only
+two w-free parts of positive degree go through Euclid's algorithm.
 """
 
 from __future__ import annotations
@@ -80,6 +86,10 @@ class Poly:
             return self.scale(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.field)
+        if other.degree == 0:
+            return self.scale(other.coeffs[0])
+        if self.degree == 0:
+            return other.scale(self.coeffs[0])
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -92,6 +102,8 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
+        if c == 1:
+            return self
         if isinstance(c, (int, Fraction)):
             c = self.field.from_rational(c)
         return Poly(self.field, [a * c for a in self.coeffs])
@@ -140,13 +152,36 @@ class Poly:
         return self.divmod(other)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        return a.scale(a.lead().inverse())  # monic
+        if self.is_zero() or other.is_zero():
+            g = other if self.is_zero() else self
+            return g if g.is_zero() else g._monic()
+        va, a = self._split_w()
+        vb, b = other._split_w()
+        if a.degree >= 1 and b.degree >= 1:
+            while not b.is_zero():
+                _, r = a.divmod(b)
+                a, b = b, r
+            a = a._monic()
+        else:
+            a = Poly.one(self.field)
+        v = min(va, vb)
+        return Poly(self.field, (self.field.zero,) * v + a.coeffs) if v else a
+
+    def _monic(self) -> "Poly":
+        return self.scale(self.lead().inverse())
+
+    def _split_w(self) -> tuple[int, "Poly"]:
+        """(v, self / w^v) for the largest v with w^v dividing self, which is nonzero."""
+        v = self.monomial_exponent()
+        return v, (Poly(self.field, self.coeffs[v:]) if v else self)
+
+    def _exquo(self, divisor: "Poly") -> "Poly":
+        """The quotient self / divisor, for a monic divisor known to divide self."""
+        if divisor.degree <= 0:
+            return self
+        if divisor.is_monomial():
+            return Poly(self.field, self.coeffs[divisor.degree:])
+        return self.divmod(divisor)[0]
 
     def derivative(self) -> "Poly":
         return Poly(self.field, [c * k for k, c in enumerate(self.coeffs) if k >= 1])

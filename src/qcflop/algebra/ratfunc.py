@@ -5,6 +5,23 @@ cyclotomic field, with the denominator monic.  The parameter ``root_order``
 is the integer u with w^u = q, so q-dependence is recovered by substituting
 w^u; u = 1 simply means w is q itself.  The logarithmic derivative
 delta = q d/dq acts as (w/u) d/dw.
+
+Invariant: gcd(num, den) = 1, den is monic, and zero is 0/1, so equal
+functions have equal (num, den) pairs.  A constant hashes like the CycNumber
+(and hence the Fraction or int) it equals.  The arithmetic keeps the invariant
+without reducing a full product (Henrici 1956; Knuth, TAOCP 2, 4.5.1):
+
+* product of reduced a/b and c/d: cancel across, g1 = gcd(a, d) and
+  g2 = gcd(c, b); (a/g1 * c/g2) / (b/g2 * d/g1) is reduced;
+* sum: g = gcd(b, d).  For g = 1, (ad + cb)/(bd) is reduced; otherwise
+  t = a*(d/g) + c*(b/g) and only gcd(t, g) can be common to t and the
+  denominator (b/g)*d;
+* a scalar factor scales num, the inverse swaps num and den and makes den
+  monic, and a power raises num and den separately.
+
+The constructor with ``reduce=True`` brings any num/den to this form with
+one gcd; the other operations use it only for results not built as above
+(delta, the substitutions, as_q_function).
 """
 
 from __future__ import annotations
@@ -27,6 +44,14 @@ class NotLaurentError(ValueError):
     """Raised when a rational function is not a Laurent polynomial."""
 
 
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(p/g, q/g) for g = gcd(p, q), with q nonzero; a zero p leaves q/g a constant."""
+    g = p.gcd(q)
+    if g.degree < 1:
+        return p, q
+    return p._exquo(g), q._exquo(g)
+
+
 class RatFunc:
     __slots__ = ("field", "root_order", "num", "den")
 
@@ -34,13 +59,9 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce:
-            g = num.gcd(den)
-            if not g.is_zero() and g.degree >= 1:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
+            num, den = _cancel(num, den)
             lead_inv = den.lead().inverse()
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
+            num, den = num.scale(lead_inv), den.scale(lead_inv)
         self.field = field
         self.root_order = root_order
         self.num = num
@@ -67,7 +88,9 @@ class RatFunc:
         """coeff * w^exp, with negative exponents allowed."""
         if exp >= 0:
             return cls(field, root_order, Poly.monomial(field, exp, coeff), Poly.one(field), reduce=False)
-        return cls(field, root_order, Poly(field, [coeff]), Poly.monomial(field, -exp), reduce=False)
+        num = Poly(field, [coeff])
+        den = Poly.monomial(field, -exp) if num.coeffs else Poly.one(field)
+        return cls(field, root_order, num, den, reduce=False)
 
     @classmethod
     def q_power(cls, field: CycField, root_order: int, d: int, coeff=1) -> "RatFunc":
@@ -87,11 +110,29 @@ class RatFunc:
 
     # arithmetic -----------------------------------------------------------
 
+    def _new(self, num: Poly, den: Poly) -> "RatFunc":
+        """A RatFunc in this setting from a num/den already in canonical form."""
+        return RatFunc(self.field, self.root_order, num, den, reduce=False)
+
     def __add__(self, other) -> "RatFunc":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.field, self.root_order, self.num * o.den + o.num * self.den, self.den * o.den)
+        if o.is_zero():
+            return self
+        if self.is_zero():
+            return o
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = b.gcd(d)
+        if g.degree < 1:
+            t, den = a * d + c * b, b * d
+        else:
+            b, d = b._exquo(g), d._exquo(g)
+            t, g = _cancel(a * d + c * b, g)
+            den = b * d * g
+        if t.is_zero():
+            return RatFunc.zero(self.field, self.root_order)
+        return self._new(t, den)
 
     __radd__ = __add__
 
@@ -99,19 +140,25 @@ class RatFunc:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.field, self.root_order, self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + (-o)
 
     def __rsub__(self, other) -> "RatFunc":
         return (-self) + other
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.field, self.root_order, -self.num, self.den, reduce=False)
+        return self._new(-self.num, self.den)
 
     def __mul__(self, other) -> "RatFunc":
+        if isinstance(other, (int, Fraction, CycNumber)):
+            if other == 0:
+                return RatFunc.zero(self.field, self.root_order)
+            return self._new(self.num.scale(other), self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.field, self.root_order, self.num * o.num, self.den * o.den)
+        a, d = _cancel(self.num, o.den)
+        c, b = _cancel(o.num, self.den)
+        return self._new(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -121,7 +168,7 @@ class RatFunc:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.field, self.root_order, self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def __rtruediv__(self, other) -> "RatFunc":
         return self.inverse() * other
@@ -129,28 +176,23 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFunc(self.field, self.root_order, self.den, self.num)
+        lead_inv = self.num.lead().inverse()
+        return self._new(self.den.scale(lead_inv), self.num.scale(lead_inv))
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.one(self.field, self.root_order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._new(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        # cross-multiplication of normalized forms
-        return self.num * o.den == o.num * self.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        if self.is_constant():
+            return hash(self.num.constant())
         return hash((self.num, self.den))
 
     def is_zero(self) -> bool:

@@ -320,7 +320,6 @@ def mat_mul(A: list[list[EquivScalar]], B: list[list[EquivScalar]]) -> list[list
     n = len(A)
     m = len(B[0])
     inner = len(B)
-    zero = None
     out = []
     for i in range(n):
         row = []

@@ -13,7 +13,7 @@ from qcflop.report import Report
 
 def cohomology_suite(r: int) -> Report:
     rep = Report(suite="cohomology")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rank = len(cohomology.basis(r))
     rep.add("cohomology/ring-rank", {"r": r}, rank == (r + 1) * (r + 2), str(rank))
     gram_det = cohomology.det_fraction(cohomology.pairing_matrix(r))
@@ -33,13 +33,13 @@ def cohomology_suite(r: int) -> Report:
         v_swapped = cohomology.c3_minus_c2c1_swapped(1)
         rep.add("cohomology/threefold-chern-number", {"r": 1},
                 v == v_swapped, f"{v} vs {v_swapped}")
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -> Report:
     rep = Report(suite="flop")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep.add("flop/reflection", {"r": r}, flopcheck.verify_reflection(r))
     p1 = flopcheck.delta_g_polynomial(r, 1)
     rep.add("flop/delta-g-closed-form", {"r": r},
@@ -75,13 +75,13 @@ def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -
         for m in (1, 3, 5):
             rep.add("flop/zero-point-series-invariance", {"r": 1, "m": m},
                     flopcheck.fp_generating_invariance(m))
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep = Report(suite="appendix")
-    t0 = time.time()
+    t0 = time.perf_counter()
     frame = canonical.build_spectrum(r)
     residuals = canonical.char_residuals(frame)
     rep.add("appendix/spectrum-char-residual", {"r": r},
@@ -179,18 +179,18 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
             rep.add("appendix/recursion-unitarity", {"r": r, "n": n},
                     info["unitarity_exact"][n],
                     f"diagonal constants: {info['diagonal_mode']}")
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def genus_one_table_suite(r: int, dmax: int) -> Report:
     rep = Report(suite="genus1-table")
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = canonical.genus_one_table(r, dmax)
     ok = all(table[d - 1] == Fraction((-1) ** (d * (r + 1)) * (r + 1), 24 * d)
              for d in range(1, dmax + 1))
     rep.add("appendix/genus-one-table", {"r": r, "dmax": dmax}, ok)
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -198,7 +198,7 @@ def batyrev_suite(r: int, order: int = 10,
                   sample=((Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0))),
                   gap_tol: float = 1e-6, match_tol: float = 1e-9) -> Report:
     rep = Report(suite="batyrev")
-    t0 = time.time()
+    t0 = time.perf_counter()
     relations = batyrev.verify_eigen_relations(r, order)
     rep.add("batyrev/eigen-relations", {"r": r, "order": order},
             not relations["failures"],
@@ -221,13 +221,13 @@ def batyrev_suite(r: int, order: int = 10,
     commute = batyrev.matrices_commute_at(
         r, batyrev.gauss(Fraction(1, 3)), batyrev.gauss(Fraction(1, 7)))
     rep.add("batyrev/multiplication-commutes", {"r": r}, commute)
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     rep = Report(suite="quantization")
-    t0 = time.time()
+    t0 = time.perf_counter()
     K = 5
     P = weyl.hamiltonian_of(weyl.EndoLaurent.scalar_z_power(1, -1), 1, K)
     want_pq = {((0, m), (0, m + 1)): Fraction(-1) for m in range(K)}
@@ -259,5 +259,5 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     rep.add("quantization/dilaton-shift", {"dim": dim},
             shifted == {(0, 1): Fraction(1)}
             and weyl.dilaton_unshift(shifted, dim, cutoff) == {})
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcflop.algebra import CycField, EquivScalar, LimitError, RatFunc
 
@@ -64,3 +66,44 @@ def test_power_and_negative_power():
     a = lam(1, 2)
     assert a ** 3 == lam(3, 8)
     assert a ** (-2) == lam(-2, Fraction(1, 4))
+
+
+# --- equality and hashing ---------------------------------------------------------
+
+small_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=1, max_value=5),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 4, 6, 10]), small_rationals, st.data())
+def test_weight_free_scalars_hash_like_their_values(order, c, data):
+    field = CycField(order)
+    x = field.element(data.draw(st.lists(small_rationals, min_size=1, max_size=field.degree)))
+    for value in (c, x, int(c.numerator)):
+        a = EquivScalar.lam_power(field, 2, 0, value)
+        f = RatFunc.constant(field, 2, value)
+        assert a == value and a == f and f == a
+        assert hash(a) == hash(value) == hash(f)
+        assert len({a, value, f}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-2, max_value=2), small_rationals), max_size=4),
+       st.integers(min_value=-2, max_value=2), small_rationals)
+def test_equal_scalars_compare_by_terms_and_hash_alike(items, e, c):
+    a = EquivScalar.zero(Q, 1)
+    for exp, coeff in items:
+        a = a + lam(exp, coeff) * RatFunc.monomial(Q, 1, exp + 1)
+    b = a + lam(e, c) - lam(e, c)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    if c:
+        assert a + lam(e, c) != a
+        assert (a * lam(e, c)) / lam(e, c) == a
+
+
+def test_zero_scalar_equals_zero():
+    z = lam(3) - lam(3)
+    assert z == 0 and hash(z) == hash(0) == hash(EquivScalar.zero(Q, 1))

@@ -176,3 +176,211 @@ def test_delta_matches_series_shift(n, d):
     shifted = f.delta().series_expand(6)
     for k in range(7):
         assert shifted[k] == base[k] * k
+
+
+# --- structural reduction against a multiply-out-and-Euclid reference ------------
+
+REF_ORDERS = [1, 4, 6, 10, 14]
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by plain Euclid on the whole polynomials (reference)."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    if a.is_zero():
+        return a
+    return a.scale(a.lead().inverse())
+
+
+def ref_reduce(field, u, num, den):
+    """num/den reduced by one Euclidean gcd of the full fraction, den monic."""
+    g = euclid_gcd(num, den)
+    if g.degree >= 1:
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    inv = den.lead().inverse()
+    return RatFunc(field, u, num.scale(inv), den.scale(inv), reduce=False)
+
+
+def ref_mul(f, g):
+    return ref_reduce(f.field, f.root_order, f.num * g.num, f.den * g.den)
+
+
+def ref_add(f, g, sign=1):
+    num = f.num * g.den + g.num * f.den * sign
+    return ref_reduce(f.field, f.root_order, num, f.den * g.den)
+
+
+def ref_inverse(f):
+    return ref_reduce(f.field, f.root_order, f.den, f.num)
+
+
+def ref_pow(f, n):
+    base = ref_inverse(f) if n < 0 else f
+    out = RatFunc.one(f.field, f.root_order)
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def ref_delta(f):
+    w_ = Poly.monomial(f.field, 1)
+    n, d = f.num, f.den
+    return ref_reduce(f.field, f.root_order, w_ * (n.derivative() * d - n * d.derivative()),
+                      d * d * f.root_order)
+
+
+def assert_canonical(f):
+    one = Poly.one(f.field)
+    if f.num.is_zero():
+        assert f.den == one
+    else:
+        assert euclid_gcd(f.num, f.den) == one
+    assert f.den.lead() == 1
+
+
+def assert_same(f, g):
+    assert_canonical(f)
+    assert (f.num, f.den) == (g.num, g.den)
+
+
+def factor_pool(field):
+    """Linear factors w +- xi^i that split over the field, and w^2 + w + 3,
+    which splits over none of REF_ORDERS (it needs sqrt(-11))."""
+    xi = field.zeta()
+    split = [Poly(field, [s * xi**i, 1]) for i in (0, 1, 2) for s in (1, -1)]
+    return split + [Poly(field, [3, 1, 1])]
+
+
+@st.composite
+def ref_polys(draw, field, nonzero=False):
+    """c * w^k * (a few pool factors) * (a small random factor)."""
+    pool = factor_pool(field)
+    c = field.element(draw(st.lists(small_rationals, min_size=1, max_size=field.degree)))
+    if c.is_zero():
+        if not nonzero:
+            return Poly.zero(field)
+        c = field.one
+    p = Poly.monomial(field, draw(st.integers(min_value=0, max_value=3)), c)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=2)):
+        p = p * pool[i]
+    extra = Poly(field, draw(st.lists(small_rationals, min_size=1, max_size=2)))
+    return p if extra.is_zero() else p * extra
+
+
+@st.composite
+def ref_ratfuncs(draw, field, u):
+    num = draw(ref_polys(field))
+    den = draw(ref_polys(field, nonzero=True))
+    return ref_reduce(field, u, num, den)
+
+
+@st.composite
+def ref_setting(draw, count):
+    field = CycField(draw(st.sampled_from(REF_ORDERS)))
+    u = draw(st.sampled_from([1, 2, 3]))
+    return [draw(ref_ratfuncs(field, u)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_setting(2))
+def test_arithmetic_matches_reference(fs):
+    f, g = fs
+    assert_same(f + g, ref_add(f, g))
+    assert_same(f - g, ref_add(f, g, -1))
+    assert_same(f * g, ref_mul(f, g))
+    if not g.is_zero():
+        assert_same(f / g, ref_mul(f, ref_inverse(g)))
+        assert_same(g.inverse(), ref_inverse(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_setting(1), st.integers(min_value=-2, max_value=3))
+def test_power_and_delta_match_reference(fs, n):
+    (f,) = fs
+    if n >= 0 or not f.is_zero():
+        assert_same(f**n, ref_pow(f, n))
+    assert_same(f.delta(), ref_delta(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_setting(1), small_rationals, st.data())
+def test_scalar_operands_match_reference(fs, c, data):
+    (f,) = fs
+    x = f.field.element(data.draw(st.lists(small_rationals, min_size=1, max_size=f.field.degree)))
+    for s in (c, x, int(c.numerator)):
+        const = RatFunc.constant(f.field, f.root_order, s)
+        assert_same(f * s, ref_mul(f, const))
+        assert_same(s * f, ref_mul(f, const))
+        assert_same(f + s, ref_add(f, const))
+        assert_same(f - s, ref_add(f, const, -1))
+        if not const.is_zero():
+            assert_same(f / s, ref_mul(f, ref_inverse(const)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poly_gcd_matches_euclid(data):
+    field = CycField(data.draw(st.sampled_from(REF_ORDERS)))
+    shared = data.draw(ref_polys(field, nonzero=True))
+    a, b = (data.draw(ref_polys(field)) for _ in range(2))
+    shape = data.draw(st.sampled_from(["plain", "shared", "constant", "zero"]))
+    if shape == "shared":
+        a, b = a * shared, b * shared
+    elif shape == "constant":
+        b = Poly(field, [data.draw(small_rationals)])
+    elif shape == "zero":
+        b = Poly.zero(field)
+    # powers of w on one side or both
+    a = a * Poly.monomial(field, data.draw(st.integers(min_value=0, max_value=4)))
+    b = b * Poly.monomial(field, data.draw(st.integers(min_value=0, max_value=4)))
+    for x, y in ((a, b), (b, a)):
+        g = x.gcd(y)
+        assert g == euclid_gcd(x, y)
+        if not g.is_zero():
+            assert g.lead() == 1
+
+
+def test_poly_gcd_examples():
+    w_ = Poly.monomial(Q, 1)
+    one = Poly.one(Q)
+    assert (w_**3).gcd(w_**5) == w_**3
+    assert (w_**3 * (w_ + one)).gcd(w_ * (w_ - one)) == w_
+    assert (w_**2 * (w_ + one)).gcd(w_ * (w_ + one) * 2) == w_**2 + w_
+    assert (w_**4).gcd(Poly(Q, [7])) == one
+    assert (w_**2 * 3).gcd(Poly.zero(Q)) == w_**2
+    assert Poly.zero(Q).gcd(Poly.zero(Q)).is_zero()
+
+
+# --- equality and hashing ---------------------------------------------------------
+
+
+def test_zero_monomial_is_the_canonical_zero():
+    zero = RatFunc.zero(Q, 1)
+    for exp in (-3, -1, 0, 2):
+        for c in (0, Fraction(0), Q.zero):
+            f = RatFunc.monomial(Q, 1, exp, c)
+            assert (f.num, f.den) == (zero.num, zero.den)
+            assert f == zero and hash(f) == hash(zero) == hash(0)
+            assert len({f, zero}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(REF_ORDERS), small_rationals, st.sampled_from([1, 2, 3]), st.data())
+def test_constants_hash_like_their_values(order, c, u, data):
+    field = CycField(order)
+    x = field.element(data.draw(st.lists(small_rationals, min_size=1, max_size=field.degree)))
+    for value in (c, x, int(c.numerator)):
+        f = RatFunc.constant(field, u, value)
+        assert f == value
+        assert hash(f) == hash(value)
+        assert len({f, value}) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_setting(2))
+def test_equal_functions_hash_alike(fs):
+    f, g = fs
+    for h in (f + g - g, (f * g) / g if not g.is_zero() else f, (f**2) / f if not f.is_zero() else f):
+        assert h == f and hash(h) == hash(f)
+        assert len({h, f}) == 1
