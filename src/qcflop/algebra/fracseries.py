@@ -121,7 +121,10 @@ class FracSeries:
         return (self - o).is_zero()
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k, v.coeffs) for k, v in self.terms.items())))
+        # a constant series equals (and so hashes like) its CycNumber
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.constant_term())
+        return hash(tuple(sorted((k, v.nums, v.den) for k, v in self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

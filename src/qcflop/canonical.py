@@ -16,6 +16,21 @@ Conventions:
   roots themselves are never materialized, only the ratios
   d_i/d_j = e_i e_j zeta^(i-j), where e in {+-1}^(r+1) is the branch choice.
 - One-forms are restricted to the t-line and stored as their dt-coefficients.
+
+Caching (per process, never shared between processes or switched off):
+
+- ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
+  a fresh, uncached one.
+- A frame holds, in ``frame.stages``, the stages that do not depend on the
+  branch signs, each computed at most once per frame: ``delta_i``,
+  ``term_log_delta``, ``power_sums`` (extended on demand), ``term_c_minus_one``,
+  the sign-free base of ``connection_form``, the differences p_i - p_j and
+  the symmetric functions of the a_l shared by ``canonical_basis`` and
+  ``m_inverse``.
+- ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
+
+Cached values are immutable or copied on return: ``connection_form`` builds a
+fresh matrix from the base and ``term_c_minus_one`` a fresh ``others`` dict.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ class CanonicalFrame:
     a: list[RatFunc]
     p: list[EquivScalar]
     eps: list[list[EquivScalar]] | None = dataclass_field(default=None)
+    stages: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def u(self) -> int:
@@ -83,6 +99,17 @@ def build_spectrum(r: int) -> CanonicalFrame:
     a = [RatFunc.one(fld, u) + ci for ci in c]
     p = [EquivScalar(fld, u, {1: ai.inverse()}) for ai in a]
     return CanonicalFrame(r=r, field=fld, zeta=zeta, xi=xi, c=c, a=a, p=p)
+
+
+_FRAMES: dict[int, CanonicalFrame] = {}
+
+
+def frame_for(r: int) -> CanonicalFrame:
+    """The frame of rank r shared by every caller in this process."""
+    frame = _FRAMES.get(r)
+    if frame is None:
+        frame = _FRAMES[r] = build_spectrum(r)
+    return frame
 
 
 def char_residuals(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -153,10 +180,10 @@ def pair_p_polynomials(r: int, A: list[EquivScalar], B: list[EquivScalar]) -> Eq
     """Pairing of two elements written on the basis 1, p, ..., p^r."""
     fld = CycField(2 * (r + 1))
     out = EquivScalar.zero(fld, r + 1)
-    for k, ak in enumerate(A):
+    for k, ak in enumerate(A[:r + 1]):
         if ak.is_zero():
             continue
-        for l, bl in enumerate(B):
+        for l, bl in enumerate(B[:r + 1 - k]):  # p^k paired with p^l vanishes for k + l > r
             if bl.is_zero():
                 continue
             out = out + ak * bl * equiv_pairing(r, k, l)
@@ -176,9 +203,14 @@ def lemma_zero_value(r: int, k: int) -> EquivScalar:
     return out
 
 
-def _sym_omitting(values: list[RatFunc], omit: int, one: RatFunc) -> list[RatFunc]:
-    rest = [v for i, v in enumerate(values) if i != omit]
-    return elementary_symmetric(rest, one)
+def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
+    """Elementary symmetric functions S^omit_k(a) of the a_l with l != omit,
+    shared by the idempotent basis and M^-1 and computed once per frame."""
+    if "sym_omitting" not in frame.stages:
+        one = RatFunc.one(frame.field, frame.u)
+        frame.stages["sym_omitting"] = tuple(
+            tuple(elementary_symmetric(frame.a[:i] + frame.a[i + 1:], one)) for i in range(frame.u))
+    return frame.stages["sym_omitting"][omit]
 
 
 def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
@@ -188,12 +220,11 @@ def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """
     r = frame.r
     fld, u = frame.field, frame.u
-    one = RatFunc.one(fld, u)
     q = frame.q()
     out: list[list[EquivScalar]] = []
     for i in range(r + 1):
         prefactor = q * frame.c[i] * Fraction(1, r + 1) * frame.a[i] ** r
-        sym = _sym_omitting(frame.a, i, one)
+        sym = _sym_omitting(frame, i)
         coeffs = []
         for k in range(r + 1):
             rf = prefactor * sym[k] * Fraction((-1) ** k)
@@ -231,13 +262,13 @@ def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
 
 def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
     """Norm-square inverses Delta_i = (r+1) lam q^(-1) c_i^(-1) p_i^(2r)."""
-    r = frame.r
-    out = []
-    qinv = frame.q().inverse()
-    for i in range(r + 1):
-        rf = qinv * frame.c[i].inverse() * Fraction(r + 1)
-        out.append(EquivScalar(frame.field, frame.u, {1: rf}) * frame.p[i] ** (2 * r))
-    return out
+    if "delta_i" not in frame.stages:
+        r = frame.r
+        qinv = frame.q().inverse()
+        frame.stages["delta_i"] = tuple(
+            EquivScalar(frame.field, frame.u, {1: qinv * frame.c[i].inverse() * Fraction(r + 1)})
+            * frame.p[i] ** (2 * r) for i in range(r + 1))
+    return list(frame.stages["delta_i"])
 
 
 def delta_product_closed_form(frame: CanonicalFrame) -> EquivScalar:
@@ -253,24 +284,26 @@ def delta_product_closed_form(frame: CanonicalFrame) -> EquivScalar:
 
 def term_log_delta(frame: CanonicalFrame) -> RatFunc:
     """dt-coefficient of d log(prod Delta_i); equals r (1 - 2(-1)^r G)."""
-    prod = EquivScalar.one(frame.field, frame.u)
-    for d in delta_i(frame):
-        prod = prod * d
-    if not prod.is_simple():
-        raise ValueError("product of norms is not a pure weight power")
-    ((_, f),) = prod.terms.items()
-    return f.delta() / f
+    if "term_log_delta" not in frame.stages:
+        prod = EquivScalar.one(frame.field, frame.u)
+        for d in delta_i(frame):
+            prod = prod * d
+        if not prod.is_simple():
+            raise ValueError("product of norms is not a pure weight power")
+        ((_, f),) = prod.terms.items()
+        frame.stages["term_log_delta"] = f.delta() / f
+    return frame.stages["term_log_delta"]
 
 
 def power_sums(frame: CanonicalFrame, kmax: int) -> list[EquivScalar]:
     """Power sums of the spectrum roots, exactly."""
-    sums = []
-    for k in range(kmax + 1):
+    sums = frame.stages.setdefault("power_sums", [])
+    for k in range(len(sums), kmax + 1):
         acc = EquivScalar.zero(frame.field, frame.u)
         for p_i in frame.p:
             acc = acc + p_i**k
         sums.append(acc)
-    return sums
+    return sums[:kmax + 1]
 
 
 def term_c_minus_one(frame: CanonicalFrame) -> tuple[RatFunc, dict[int, RatFunc]]:
@@ -282,14 +315,15 @@ def term_c_minus_one(frame: CanonicalFrame) -> tuple[RatFunc, dict[int, RatFunc]
     the second-torus bookkeeping, which has no housing here) and is excluded
     from the t-line restriction.
     """
-    r = frame.r
-    sums = power_sums(frame, r)
-    prefactor = frame.lam(-1, Fraction(r + 1, 24))
-    main = (prefactor * sums[1]).nonequivariant_limit()
-    others: dict[int, RatFunc] = {}
-    for k in range(2, r + 1):
-        others[k] = (prefactor * sums[k]).nonequivariant_limit()
-    return main, others
+    if "term_c_minus_one" not in frame.stages:
+        r = frame.r
+        sums = power_sums(frame, r)
+        prefactor = frame.lam(-1, Fraction(r + 1, 24))
+        main = (prefactor * sums[1]).nonequivariant_limit()
+        others = {k: (prefactor * sums[k]).nonequivariant_limit() for k in range(2, r + 1)}
+        frame.stages["term_c_minus_one"] = (main, others)
+    main, others = frame.stages["term_c_minus_one"]
+    return main, dict(others)
 
 
 # --- transition matrix and connection -----------------------------------------
@@ -305,11 +339,10 @@ def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a)."""
     r = frame.r
     fld, u = frame.field, frame.u
-    one = RatFunc.one(fld, u)
     q = frame.q()
     cols = []
     for j in range(r + 1):
-        sym = _sym_omitting(frame.a, j, one)
+        sym = _sym_omitting(frame, j)
         pref = q * frame.c[j] * Fraction(1, r + 1)
         cols.append([EquivScalar(fld, u, {r - mu: pref * sym[mu] * Fraction((-1) ** mu)})
                      for mu in range(r + 1)])
@@ -337,15 +370,6 @@ def mat_transpose(A: list[list]) -> list[list]:
     return [list(row) for row in zip(*A)]
 
 
-def mat_is_identity(A: list[list[EquivScalar]]) -> bool:
-    for i, row in enumerate(A):
-        for j, entry in enumerate(row):
-            want = 1 if i == j else 0
-            if not (entry == want):
-                return False
-    return True
-
-
 def _branch_signs(r: int, signs: list[int] | None) -> list[int]:
     if signs is None:
         return [1] * (r + 1)
@@ -363,29 +387,35 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
     constant, the diagonal vanishes and the matrix is antisymmetric.  A
     ``pair_flip`` flips the square-root branch of one unordered pair only,
     which is still consistent for everything built from pair products.
+
+    The sign-free base (every e_i = 1) is derived and checked once per frame;
+    each call returns a fresh matrix with its own signs applied.
     """
     r = frame.r
     e = _branch_signs(r, signs)
-    M = m_matrix(frame)
-    Minv = m_inverse(frame)
-    dMinv = [[entry.delta() for entry in row] for row in Minv]
-    core = mat_mul(M, dMinv)
-    out: list[list[CycNumber]] = []
-    for i in range(r + 1):
-        row = []
-        for j in range(r + 1):
-            if i == j:
-                entry = core[i][i] - Fraction(r, 2 * (r + 1))
-            else:
-                ratio = frame.zeta ** (i - j) * Fraction(e[i] * e[j])
-                entry = core[i][j] * ratio
-            val = entry.coefficient(0)
-            if entry.lam_degrees() != (0, 0) and not entry.is_zero():
-                raise ValueError("connection entry is not weight-free")
-            if not val.is_constant():
-                raise ValueError("connection entry is not constant in w")
-            row.append(val.constant_value())
-        out.append(row)
+    if "connection" not in frame.stages:
+        M = m_matrix(frame)
+        Minv = m_inverse(frame)
+        dMinv = [[entry.delta() for entry in row] for row in Minv]
+        core = mat_mul(M, dMinv)
+        base = []
+        for i in range(r + 1):
+            row = []
+            for j in range(r + 1):
+                if i == j:
+                    entry = core[i][i] - Fraction(r, 2 * (r + 1))
+                else:
+                    entry = core[i][j] * frame.zeta ** (i - j)
+                val = entry.coefficient(0)
+                if entry.lam_degrees() != (0, 0) and not entry.is_zero():
+                    raise ValueError("connection entry is not weight-free")
+                if not val.is_constant():
+                    raise ValueError("connection entry is not constant in w")
+                row.append(val.constant_value())
+            base.append(tuple(row))
+        frame.stages["connection"] = tuple(base)
+    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)]
+           for i, row in enumerate(frame.stages["connection"])]
     if pair_flip is not None:
         i, j = pair_flip
         if i == j:
@@ -393,6 +423,14 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
         out[i][j] = -out[i][j]
         out[j][i] = -out[j][i]
     return out
+
+
+def _mu_sum(xi: CycNumber, k: int, r: int) -> CycNumber:
+    """sum_{mu=1..r} mu xi^(mu k) for a root of unity xi of its field's order."""
+    s = xi.field.zero
+    for mu in range(1, r + 1):
+        s = s + xi ** (mu * k % xi.field.order) * Fraction(mu)
+    return s
 
 
 def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
@@ -410,9 +448,7 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
             if i == j:
                 row.append(fld.zero)
                 continue
-            s = fld.zero
-            for mu in range(1, r + 1):
-                s = s + frame.xi ** (mu * (j - i)) * Fraction(mu)
+            s = _mu_sum(frame.xi, j - i, r)
             row.append(frame.zeta ** (j - i) * s * Fraction(1, (r + 1) ** 2))
         out.append(row)
     return out
@@ -421,20 +457,33 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 # --- first-order asymptotic matrix --------------------------------------------
 
 
+def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
+    """The matrix of p_i - p_j, computed once per frame."""
+    if "p_differences" not in frame.stages:
+        n = frame.u
+        dp = [[EquivScalar.zero(frame.field, frame.u)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dp[i][j] = frame.p[i] - frame.p[j]
+                dp[j][i] = -dp[i][j]
+        frame.stages["p_differences"] = tuple(map(tuple, dp))
+    return frame.stages["p_differences"]
+
+
 def r1_offdiagonal(frame: CanonicalFrame, signs: list[int] | None = None,
                    pair_flip: tuple[int, int] | None = None) -> list[list[EquivScalar]]:
     """Solve the dt-restricted first-order relation: entry (i,j) is the
     connection dt-coefficient divided by p_i - p_j; diagonal left zero."""
     r = frame.r
     conn = connection_form(frame, signs, pair_flip)
+    dp = _p_differences(frame)
     out = [[EquivScalar.zero(frame.field, frame.u) for _ in range(r + 1)] for _ in range(r + 1)]
     for i in range(r + 1):
         for j in range(r + 1):
             if i == j:
                 continue
-            dp = frame.p[i] - frame.p[j]
             out[i][j] = EquivScalar(frame.field, frame.u,
-                                    {0: frame.rat_const(conn[i][j])}) / dp
+                                    {0: frame.rat_const(conn[i][j])}) / dp[i][j]
     return out
 
 
@@ -449,14 +498,23 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
         for j in range(r + 1):
             if i == j:
                 continue
-            s = fld.zero
-            for mu in range(1, r + 1):
-                s = s + frame.xi ** (mu * (j - i)) * Fraction(mu)
+            s = _mu_sum(frame.xi, j - i, r)
             denom = frame.xi**j - frame.xi**i
             coeff = frame.zeta ** (j - i) * s * denom.inverse() \
                 * Fraction((-1) ** r, (r + 1) ** 2)
             rf = w * frame.a[i] * frame.a[j] * coeff
             out[i][j] = EquivScalar(fld, u, {-1: rf})
+    return out
+
+
+def _xi_g_terms(r: int) -> list[tuple[CycNumber, CycNumber]]:
+    """The pairs (xi^k, g_k(xi)), k = 1..r, in Q(zeta_(r+1)); see xi_constant."""
+    fld = CycField(r + 1)
+    xi = fld.zeta()
+    out = []
+    for k in range(1, r + 1):
+        xi_k = fld.zeta(k)
+        out.append((xi_k, (xi_k - fld.one).inverse() * _mu_sum(xi, k, r) * _mu_sum(xi, -k, r)))
     return out
 
 
@@ -469,16 +527,9 @@ def xi_constant(r: int) -> Fraction:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    fld = CycField(r + 1)
-    total = fld.zero
-    for k in range(1, r + 1):
-        xi_k = fld.zeta(k)
-        s_plus = fld.zero
-        s_minus = fld.zero
-        for mu in range(1, r + 1):
-            s_plus = s_plus + fld.zeta(mu * k) * Fraction(mu)
-            s_minus = s_minus + fld.zeta(-mu * k) * Fraction(mu)
-        total = total + (xi_k - fld.one).inverse() * s_plus * s_minus
+    total = CycField(r + 1).zero
+    for _, g_k in _xi_g_terms(r):
+        total = total + g_k
     if not total.is_rational():
         raise ArithmeticError("diagonal constant failed to reduce to a rational")
     return total.as_rational()
@@ -488,14 +539,7 @@ def xi_constant_pair_identity(r: int) -> bool:
     """The vanishing sum_k (xi^k + 1) g_k(xi) = 0."""
     fld = CycField(r + 1)
     total = fld.zero
-    for k in range(1, r + 1):
-        xi_k = fld.zeta(k)
-        s_plus = fld.zero
-        s_minus = fld.zero
-        for mu in range(1, r + 1):
-            s_plus = s_plus + fld.zeta(mu * k) * Fraction(mu)
-            s_minus = s_minus + fld.zeta(-mu * k) * Fraction(mu)
-        g_k = (xi_k - fld.one).inverse() * s_plus * s_minus
+    for xi_k, g_k in _xi_g_terms(r):
         total = total + (xi_k + fld.one) * g_k
     return total.is_zero()
 
@@ -509,13 +553,14 @@ def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[Equ
     """Integrate the flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j)
     on the t-line, dropping the integration constant."""
     r = frame.r
+    dp = _p_differences(frame)
     out = []
     for i in range(r + 1):
         integrand = EquivScalar.zero(frame.field, frame.u)
         for j in range(r + 1):
             if j == i:
                 continue
-            integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
+            integrand = integrand - off[i][j] * off[j][i] * dp[i][j]
         try:
             out.append(_integrate_scalar(integrand, "drop-constant"))
         except NonIntegrableError as exc:
@@ -541,15 +586,21 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
 # --- the genus-one differential -----------------------------------------------
 
 
+_GENUS_ONE: dict[tuple, tuple[RatFunc, Fraction]] = {}
+
+
 def genus_one_form(r: int, signs: list[int] | None = None,
                    pair_flip: tuple[int, int] | None = None) -> tuple[RatFunc, Fraction]:
     """Assemble dG/dlog q from the three terms and remove the constant.
 
     Returns (the dlog q coefficient as a rational function of q, the dropped
     constant).  Negative weight powers surviving the assembly raise
-    CancellationError.
+    CancellationError.  Memoised per process by (r, signs, pair_flip).
     """
-    frame = build_spectrum(r)
+    key = (r, tuple(_branch_signs(r, signs)), None if pair_flip is None else tuple(pair_flip))
+    if key in _GENUS_ONE:
+        return _GENUS_ONE[key]
+    frame = frame_for(r)
     t_log = term_log_delta(frame)
     t_c, _ = term_c_minus_one(frame)
     off = r1_offdiagonal(frame, signs, pair_flip)
@@ -567,7 +618,8 @@ def genus_one_form(r: int, signs: list[int] | None = None,
     if not const.is_rational():
         raise CancellationError("constant term is not rational")
     value = total_q - RatFunc.constant(total_q.field, 1, const)
-    return value, const.as_rational()
+    _GENUS_ONE[key] = (value, const.as_rational())
+    return _GENUS_ONE[key]
 
 
 def genus_one_expected(r: int) -> RatFunc:
@@ -637,8 +689,9 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         raise ValueError("order must be at least 1")
     if diag_mode not in ("unitarity", "zero"):
         raise ValueError(f"unknown diagonal mode {diag_mode!r}")
-    frame = build_spectrum(r)
+    frame = frame_for(r)
     conn = _scalar_matrix_from_cyc(frame, connection_form(frame, signs))
+    dp = _p_differences(frame)
     size = r + 1
     mats: list[list[list[EquivScalar]]] = [_identity_matrix(frame)]
     constants: dict[tuple[int, int], str] = {}
@@ -652,7 +705,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
             for j in range(size):
                 if i == j:
                     continue
-                new[i][j] = numer[i][j] / (frame.p[i] - frame.p[j])
+                new[i][j] = numer[i][j] / dp[i][j]
         # diagonal from the vanishing-diagonal condition of step n+1
         follow = mat_mul(conn, new)
         for i in range(size):

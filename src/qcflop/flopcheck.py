@@ -95,12 +95,23 @@ def evaluate_g_polynomial(p: GPoly, r: int) -> RatFunc:
     return out
 
 
+_DELTA_LADDERS: dict[int, list[RatFunc]] = {}
+
+
 def delta_g_direct(r: int, m: int) -> RatFunc:
-    """delta^m G by direct rational differentiation (independent route)."""
-    f = g_function(r)
-    for _ in range(m):
-        f = f.delta()
-    return f
+    """delta^m G by direct rational differentiation (independent route).
+
+    The ladder G, delta G, delta^2 G, ... is kept per r for the process and
+    extended on demand, each entry the delta of the one before.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    ladder = _DELTA_LADDERS.get(r)
+    if ladder is None:
+        ladder = _DELTA_LADDERS[r] = [g_function(r)]
+    while len(ladder) <= m:
+        ladder.append(ladder[-1].delta())
+    return ladder[m]
 
 
 def reciprocal_antisymmetry(r: int, m: int) -> bool:

@@ -48,6 +48,23 @@ def test_delta_g_polynomial_matches_direct_differentiation():
             assert fc.evaluate_g_polynomial(p, r) == fc.delta_g_direct(r, m)
 
 
+def test_delta_g_rejects_negative_order():
+    with pytest.raises(ValueError):
+        fc.delta_g_direct(1, -1)
+    with pytest.raises(ValueError):
+        fc.delta_g_polynomial(1, -1)
+
+
+def test_delta_g_ladder_matches_repeated_delta():
+    # r = 6 starts a ladder at a high order; r = 1..3 may be filled already
+    assert fc.delta_g_direct(6, 5) == fc.g_function(6).delta().delta().delta().delta().delta()
+    for r in (1, 2, 3, 6):
+        f = fc.g_function(r)
+        for m in range(8):
+            assert fc.delta_g_direct(r, m) == f
+            f = f.delta()
+
+
 def test_delta_g_polynomial_series_oracle():
     # series of p_m(G) agrees with term-by-term differentiation of the series
     for r in (1, 2):

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcflop.algebra import CycField, FracSeries
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 def make(r=1, trunc=8):
@@ -73,3 +77,32 @@ def test_negative_exponents_rejected():
     field, d1, d2, T = make()
     with pytest.raises(ValueError):
         FracSeries(field, d1, d2, T, {(-1, 0): field.one})
+
+
+@given(c=rationals)
+def test_constant_series_hash_like_their_value(c):
+    field, d1, d2, T = make(trunc=3)
+    s = FracSeries.one(field, d1, d2, T) * c
+    value = field.from_rational(c)
+    assert s == c and s == value
+    assert hash(s) == hash(c) == hash(value)
+    assert len({s, c, value}) == 1
+
+
+def test_one_times_three_dedups_with_three():
+    s = FracSeries.one(CycField(4), 2, 2, 5) * 3
+    assert s == 3 and len({s, 3}) == 1
+
+
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                             max_size=4))
+def test_equal_series_hash_alike(terms):
+    field, d1, d2, T = make(trunc=3)
+    a = FracSeries.zero(field, d1, d2, T)
+    for (n1, n2), c in terms.items():
+        a = a + FracSeries.monomial(field, d1, d2, T, n1, n2, c)
+    b = FracSeries.monomial(field, d1, d2, T, 1, 1, 5)
+    for (n1, n2), c in reversed(list(terms.items())):
+        b = FracSeries.monomial(field, d1, d2, T, n1, n2, c) + b
+    b = b - FracSeries.monomial(field, d1, d2, T, 1, 1, 5)
+    assert a == b and hash(a) == hash(b)
