@@ -31,6 +31,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from qcflop.algebra.power import binary_power
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -315,14 +317,7 @@ class CycNumber:
     def __pow__(self, n: int) -> "CycNumber":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.field.one)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycNumber):

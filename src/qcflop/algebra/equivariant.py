@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qcflop.algebra.cyclotomic import CycField, CycNumber
+from qcflop.algebra.power import binary_power
 from qcflop.algebra.ratfunc import RatFunc
 
 
@@ -91,14 +92,7 @@ class EquivScalar:
     def __pow__(self, n: int) -> "EquivScalar":
         if n < 0:
             return self.inverse_simple() ** (-n)
-        result = EquivScalar.one(self.field, self.root_order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, EquivScalar.one(self.field, self.root_order))
 
     def is_simple(self) -> bool:
         """A single lam-power times a rational function (hence invertible)."""

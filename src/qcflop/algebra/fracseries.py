@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qcflop.algebra.cyclotomic import CycField, CycNumber
+from qcflop.algebra.power import binary_power
 
 
 class FracSeries:
@@ -105,14 +106,7 @@ class FracSeries:
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:
             raise ValueError("negative powers of a truncated series")
-        result = FracSeries.one(self.field, self.den1, self.den2, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, FracSeries.one(self.field, self.den1, self.den2, self.trunc))
 
     def __eq__(self, other) -> bool:
         o = self._lift(other)

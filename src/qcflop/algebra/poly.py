@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from qcflop.algebra.cyclotomic import CycField, CycNumber
+from qcflop.algebra.power import binary_power
 
 
 class Poly:
@@ -111,14 +112,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, Poly.one(self.field))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -1,0 +1,25 @@
+"""Square-and-multiply powers for the exact value types."""
+
+from __future__ import annotations
+
+
+def binary_power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply.
+
+    Scans the bits of n from the lowest.  The first set bit takes the current
+    square as the result instead of multiplying it into ``one``, and the loop
+    stops after the top bit, so no square is formed that the result never
+    uses.  ``one`` is returned only for n == 0.
+    """
+    if n < 0:
+        raise ValueError("binary_power needs a nonnegative exponent")
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base

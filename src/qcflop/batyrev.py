@@ -13,6 +13,21 @@ All engine code is generic over an exact coefficient field: elements need
 Q(q1) (RatFunc over the rational base field) with q2 specialized to rational
 interpolation nodes, and the Gaussian rationals Q(i) for exact complex
 sample points feeding the numeric certificate.
+
+Each check does only the exact work its answer reads:
+
+* Unit columns.  A multiplication matrix takes the column of h^a x^b from
+  the (h, y)-frame image op(h^a x^b).  When that image equals, as an exact
+  dict, the embedding of the basis monomial one step up (h^(a+1) x^b for h,
+  h^a x^(b+1) for x), the column is that unit vector; only the other columns
+  (a = r for h, b = r+1 for x) go through the inverse of the embedding, whose
+  rows keep their nonzero entries only.  The commutator then sums over the
+  nonzero entries of each row.
+* Unit-part product.  Every h-eigenvalue is the monomial
+  q1^(1/(r+1)) q2^(1/(r+2)) times a unit series, and the n = (r+1)(r+2)
+  monomials multiply to q1^(r+2) q2^(r+1), which takes n steps of the q1
+  direction.  So the product identity through order N is the product of the
+  unit parts through order N - n, against -1/(1 + (-1)^r q1).
 """
 
 from __future__ import annotations
@@ -175,14 +190,21 @@ class QuantumRing:
         zero = one - one
         embed_cols = [[self._embed[k].get(mono, zero) for k in range(n)]
                       for mono in self.basis]
-        self._from_y = _matrix_inverse(embed_cols, one)
+        # the rows of the inverse, each as its nonzero (h, y)-monomial entries
+        self._from_y = [[(mono, c) for mono, c in zip(self.basis, row) if not c.is_zero()]
+                        for row in _matrix_inverse(embed_cols, one)]
 
     def _y_to_xi(self, vec: Vec) -> list:
         zero = self.engine.zero
-        coords = [vec.get(mono, zero) for mono in self.basis]
-        n = len(self.basis)
-        return [sum((self._from_y[i][j] * coords[j] for j in range(n)),
-                    start=zero) for i in range(n)]
+        out = []
+        for row in self._from_y:
+            acc = zero
+            for mono, c in row:
+                v = vec.get(mono)
+                if v is not None:
+                    acc = acc + c * v
+            out.append(acc)
+        return out
 
     def reduce(self, raw: dict[tuple[int, int], Fraction]) -> dict:
         """Reduce a raw polynomial in (h, x) to the monomial basis.
@@ -209,8 +231,18 @@ class QuantumRing:
         if which not in ("h", "xi"):
             raise ValueError("operator must be 'h' or 'xi'")
         op = self.engine.mult_h if which == "h" else self.engine.mult_xi
+        da, db = (1, 0) if which == "h" else (0, 1)
+        one, zero = self.engine.one, self.engine.zero
         n = len(self.basis)
-        cols = [self._y_to_xi(op(self._embed[k])) for k in range(n)]
+        cols = []
+        for k, (a, b) in enumerate(self.basis):
+            image = op(self._embed[k])
+            # h^a x^b times h (or x) is often the basis monomial one step up
+            target = self.index.get((a + da, b + db))
+            if target is not None and image == self._embed[target]:
+                cols.append([one if i == target else zero for i in range(n)])
+            else:
+                cols.append(self._y_to_xi(image))
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -345,17 +377,24 @@ def symbolic_matrices_commute(r: int) -> bool:
 def matrices_commute_at(r: int, q1: CycNumber, q2: CycNumber) -> bool:
     """Exact commutator check of the two multiplication matrices at a point."""
     ring = ring_at_point(r, q1, q2)
-    H = ring.mult_matrix("h")
-    X = ring.mult_matrix("xi")
-    n = len(H)
-    for i in range(n):
-        for j in range(n):
-            acc = GAUSS.zero
-            for k in range(n):
-                acc = acc + H[i][k] * X[k][j] - X[i][k] * H[k][j]
-            if not acc.is_zero():
-                return False
+    H = _sparse_rows(ring.mult_matrix("h"))
+    X = _sparse_rows(ring.mult_matrix("xi"))
+    for i in range(len(H)):
+        # row i of HX - XH, summed over the nonzero entries only
+        acc: Vec = {}
+        for k, c in H[i]:
+            for j, d in X[k]:
+                _vec_add(acc, j, c * d)
+        for k, c in X[i]:
+            for j, d in H[k]:
+                _vec_add(acc, j, -(c * d))
+        if acc:
+            return False
     return True
+
+
+def _sparse_rows(mat) -> list[list[tuple[int, object]]]:
+    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in mat]
 
 
 def det_h_closed_form(r: int) -> tuple[int, RatFunc]:
@@ -435,9 +474,9 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
     order = pair.h.trunc
     q1 = FracSeries.monomial(fld, r + 1, r + 2, order, r + 1, 0)
     q2 = FracSeries.monomial(fld, r + 1, r + 2, order, 0, r + 2)
-    diff = pair.xi - pair.h
-    first = pair.h ** (r + 1) - q1 * diff ** (r + 1)
-    second = pair.xi * diff ** (r + 1) - q2
+    diff_power = (pair.xi - pair.h) ** (r + 1)
+    first = pair.h ** (r + 1) - q1 * diff_power
+    second = pair.xi * diff_power - q2
     return first, second
 
 
@@ -460,25 +499,46 @@ def verify_eigen_relations(r: int, order: int) -> dict:
     return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
 
 
-def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:
-    """prod of all h-eigenvalues equals -q1^(r+2) q2^(r+1)/(1+(-1)^r q1)."""
-    if order is None:
-        order = (r + 5) * (r + 1)
+def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
+    """prod of the unit parts h_ij / (q1^(1/(r+1)) q2^(1/(r+2))), through the
+    q1-order that the product of the h_ij at ``order`` determines.
+
+    The (r+1)(r+2) = n monomials multiply to q1^(r+2) q2^(r+1), which takes n
+    steps of the q1 direction, so the unit parts are needed only through
+    order - n: each h_ij is expanded at order - n + 1 and divided exactly.
+    Returns None when some h_ij has a term the monomial does not divide.
+    """
+    n = (r + 1) * (r + 2)
+    if order < n:
+        raise ValueError(f"order {order} is below (r+1)(r+2) = {n}, "
+                         "where both sides of the product identity truncate to zero")
     fld = eigen_field(r)
     d1, d2 = r + 1, r + 2
-    prod = FracSeries.one(fld, d1, d2, order)
+    trunc = order - n
+    prod = FracSeries.one(fld, d1, d2, trunc)
     for i in range(r + 1):
         for j in range(r + 2):
-            prod = prod * eigen_formulas(r, i, j, order).h
-    # closed form expanded: -q1^(r+2) q2^(r+1) sum_k (-(-1)^r q1)^k
-    want = FracSeries.zero(fld, d1, d2, order)
-    k = 0
-    while (r + 2 + k) * (r + 1) <= order:
-        coeff = Fraction(-((-1) ** ((r + 1) * k)))
-        want = want + FracSeries.monomial(fld, d1, d2, order,
-                                          (r + 2 + k) * (r + 1), (r + 1) * (r + 2), coeff)
-        k += 1
-    return prod == want
+            h = eigen_formulas(r, i, j, trunc + 1).h
+            if any(n1 < 1 or n2 < 1 for (n1, n2) in h.terms):
+                return None
+            unit = {(n1 - 1, n2 - 1): c for (n1, n2), c in h.terms.items()}
+            prod = prod * FracSeries(fld, d1, d2, trunc, unit)
+    return prod
+
+
+def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:
+    """prod of all h-eigenvalues equals -q1^(r+2) q2^(r+1)/(1+(-1)^r q1)
+    through the q1-order ``order`` (counted in steps of q1^(1/(r+1)))."""
+    if order is None:
+        order = (r + 5) * (r + 1)
+    prod = eigenvalue_unit_product(r, order)
+    if prod is None:
+        return False
+    # unit part of the closed form: -sum_k (-(-1)^r q1)^k
+    fld = prod.field
+    want = {(k * (r + 1), 0): fld.from_rational(-((-1) ** ((r + 1) * k)))
+            for k in range(prod.trunc // (r + 1) + 1)}
+    return prod == FracSeries(fld, prod.den1, prod.den2, prod.trunc, want)
 
 
 def spectrum_structure_match(r: int) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcflop import batyrev as bat
+from qcflop.algebra import FracSeries
 
 
 def test_quantum_relations_reduce_as_stated():
@@ -168,3 +169,116 @@ def test_certificate_rejects_origin():
 def test_engine_rejects_degeneration_point():
     with pytest.raises(ZeroDivisionError):
         bat.ring_at_point(1, bat.gauss(Fraction(1)), bat.gauss(Fraction(1, 2)))
+
+
+# --- the exact-work shortcuts against the plain computations ------------------
+
+
+def dense_mult_matrix(ring, which):
+    """Every column through the full inverse of the embedding, zeros included."""
+    op = ring.engine.mult_h if which == "h" else ring.engine.mult_xi
+    one, zero = ring.engine.one, ring.engine.zero
+    n = len(ring.basis)
+    embed_cols = [[ring._embed[k].get(mono, zero) for k in range(n)] for mono in ring.basis]
+    from_y = bat._matrix_inverse(embed_cols, one)
+    cols = []
+    for k in range(n):
+        vec = op(ring._embed[k])
+        coords = [vec.get(mono, zero) for mono in ring.basis]
+        cols.append([sum((from_y[i][j] * coords[j] for j in range(n)), start=zero)
+                     for i in range(n)])
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_mult_matrix_matches_dense_reference(r):
+    points = ((Fraction(1, 3), Fraction(1, 7)), (Fraction(-2, 5), Fraction(3, 4)))
+    rings = [bat.ring_at_point(r, bat.gauss(a), bat.gauss(b)) for a, b in points]
+    if r <= 2:
+        rings.append(bat.ring_symbolic_q1(r, Fraction(2, 3)))
+    for ring in rings:
+        for which in ("h", "xi"):
+            assert ring.mult_matrix(which) == dense_mult_matrix(ring, which)
+
+
+def test_mult_matrix_converts_only_the_non_unit_columns(monkeypatch):
+    # h: the r+2 columns h^r x^b; x: the r+1 columns h^a x^(r+1)
+    real = bat.QuantumRing._y_to_xi
+    calls = []
+
+    def counted(self, vec):
+        calls.append(1)
+        return real(self, vec)
+
+    monkeypatch.setattr(bat.QuantumRing, "_y_to_xi", counted)
+    for r in (1, 3):
+        calls.clear()
+        ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
+        ring.mult_matrix("h")
+        ring.mult_matrix("xi")
+        assert len(calls) == 2 * r + 3
+
+
+def full_h_product(r, order):
+    fld = bat.eigen_field(r)
+    prod = FracSeries.one(fld, r + 1, r + 2, order)
+    for i in range(r + 1):
+        for j in range(r + 2):
+            prod = prod * bat.eigen_formulas(r, i, j, order).h
+    return prod
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_unit_product_matches_full_product(r):
+    n = (r + 1) * (r + 2)
+    default = (r + 5) * (r + 1)
+    for order in (default, default - 1):
+        unit = bat.eigenvalue_unit_product(r, order)
+        assert unit.trunc == order - n
+        shifted = FracSeries(unit.field, r + 1, r + 2, order,
+                             {(a + n, b + n): c for (a, b), c in unit.terms.items()})
+        assert shifted == full_h_product(r, order)
+        assert bat.eigenvalue_product_identity(r, order)
+
+
+def test_eigenvalue_product_rejects_orders_below_the_product():
+    for r in (1, 2):
+        n = (r + 1) * (r + 2)
+        with pytest.raises(ValueError):
+            bat.eigenvalue_product_identity(r, n - 1)
+        assert bat.eigenvalue_product_identity(r, n)
+
+
+def test_eigenvalue_product_negative_controls(monkeypatch):
+    real = bat.eigen_formulas
+
+    def corrupt(change):
+        def formulas(r, i, j, order):
+            pair = real(r, i, j, order)
+            if (i, j) == (0, 1):
+                pair.h = change(pair.h)
+            return pair
+        return formulas
+
+    monkeypatch.setattr(bat, "eigen_formulas", corrupt(lambda h: -h))
+    assert not bat.eigenvalue_product_identity(2)
+    # a term the monomial q1^(1/(r+1)) q2^(1/(r+2)) does not divide
+    monkeypatch.setattr(bat, "eigen_formulas", corrupt(lambda h: h + 1))
+    assert not bat.eigenvalue_product_identity(2)
+
+
+def test_commutator_negative_control(monkeypatch):
+    real = bat.QuantumRing._y_to_xi
+    calls = []
+
+    def perturbed(self, vec):
+        out = real(self, vec)
+        if not calls:
+            out[0] = out[0] + self.engine.one
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(bat.QuantumRing, "_y_to_xi", perturbed)
+    for r in (2, 3):
+        calls.clear()
+        assert not bat.matrices_commute_at(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
