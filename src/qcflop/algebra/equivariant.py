@@ -76,6 +76,8 @@ class EquivScalar:
         return EquivScalar(self.field, self.root_order, {e: -f for e, f in self.terms.items()})
 
     def __mul__(self, other) -> "EquivScalar":
+        if isinstance(other, (int, Fraction, CycNumber)):
+            return EquivScalar(self.field, self.root_order, {e: f * other for e, f in self.terms.items()})
         o = self._lift(other)
         if o is None:
             return NotImplemented

@@ -462,8 +462,9 @@ def eigen_formulas(r: int, i: int, j: int, order: int) -> EigenPair:
     X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
     Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
     base = FracSeries.one(fld, d1, d2, order) + X * omega**i
-    h = X * Y * (eta**j * omega**i) * base.binomial_power(Fraction(-1, r + 2))
-    xi = Y * eta**j * base.binomial_power(Fraction(r + 1, r + 2))
+    root = base.binomial_power(Fraction(-1, r + 2))
+    h = X * Y * (eta**j * omega**i) * root
+    xi = Y * eta**j * (base * root)  # base^((r+1)/(r+2)) = base * base^(-1/(r+2))
     return EigenPair(r, i, j, h, xi)
 
 

@@ -17,6 +17,16 @@ Conventions:
   d_i/d_j = e_i e_j zeta^(i-j), where e in {+-1}^(r+1) is the branch choice.
 - One-forms are restricted to the t-line and stored as their dt-coefficients.
 
+The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
+with pref_i = q c_i a_i^r/(r+1) and s_ik = (-1)^k S^i_k(a), the signed
+elementary symmetric functions of the a_l with l != i.  Since the pairing of
+p^k with p^l is C(2r-d, r-d) lam^-(2r+1-d) for d = k + l <= r, every term of
+the pairing of eps_i with eps_j has weight lam^-(2r+1), and ``eps_pairing``
+is pref_i pref_j lam^-(2r+1) sum_d C(2r-d, r-d) [t^d] E_i(t) E_j(t) with
+E_i(t) = sum_k s_ik t^k, one convolution in Q(zeta)(w).  Likewise
+``du_of_eps`` is pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, free of the weight.
+``canonical_basis`` expands the same factors into the coefficient arrays.
+
 Caching (per process, never shared between processes or switched off):
 
 - ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
@@ -24,9 +34,10 @@ Caching (per process, never shared between processes or switched off):
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
   branch signs, each computed at most once per frame: ``delta_i``,
   ``term_log_delta``, ``power_sums`` (extended on demand), ``term_c_minus_one``,
-  the sign-free base of ``connection_form``, the differences p_i - p_j and
-  the symmetric functions of the a_l shared by ``canonical_basis`` and
-  ``m_inverse``.
+  the sign-free base of ``connection_form``, the differences p_i - p_j,
+  the symmetric functions of the a_l shared by the idempotent basis and
+  ``m_inverse``, and the basis factors (``eps_factors``: the pref_i and the
+  s_ik) read by ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
@@ -164,6 +175,12 @@ def charpoly_expected(frame: CanonicalFrame, k: int) -> EquivScalar:
 # --- pairing and canonical basis ----------------------------------------------
 
 
+def _pairing_weight(r: int, d: int) -> int:
+    """C(2r-d, r-d): the pairing of p^k with p^l for d = k + l <= r is this
+    weight times lam^-(2r+1-d)."""
+    return comb(2 * r - d, r - d)
+
+
 def equiv_pairing(r: int, k: int, l: int) -> EquivScalar:
     """The equivariant pairing of p^k with p^l: C(2r-d, r-d) lam^-(2r+1-d)
     for d = k + l <= r, and zero beyond."""
@@ -173,21 +190,7 @@ def equiv_pairing(r: int, k: int, l: int) -> EquivScalar:
     d = k + l
     if d > r:
         return EquivScalar.zero(fld, r + 1)
-    return EquivScalar.lam_power(fld, r + 1, -(2 * r + 1 - d), comb(2 * r - d, r - d))
-
-
-def pair_p_polynomials(r: int, A: list[EquivScalar], B: list[EquivScalar]) -> EquivScalar:
-    """Pairing of two elements written on the basis 1, p, ..., p^r."""
-    fld = CycField(2 * (r + 1))
-    out = EquivScalar.zero(fld, r + 1)
-    for k, ak in enumerate(A[:r + 1]):
-        if ak.is_zero():
-            continue
-        for l, bl in enumerate(B[:r + 1 - k]):  # p^k paired with p^l vanishes for k + l > r
-            if bl.is_zero():
-                continue
-            out = out + ak * bl * equiv_pairing(r, k, l)
-    return out
+    return EquivScalar.lam_power(fld, r + 1, -(2 * r + 1 - d), _pairing_weight(r, d))
 
 
 def lemma_zero_value(r: int, k: int) -> EquivScalar:
@@ -213,44 +216,60 @@ def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
     return frame.stages["sym_omitting"][omit]
 
 
+def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
+    """The idempotent basis in factored form, computed once per frame:
+    eps_i = pref_i sum_k s_ik (p/lam)^k with pref_i = q c_i a_i^r/(r+1) and
+    the signed symmetric functions s_ik = (-1)^k S^i_k(a)."""
+    if "eps_factors" not in frame.stages:
+        r = frame.r
+        q = frame.q()
+        prefs = tuple(q * frame.c[i] * Fraction(1, r + 1) * frame.a[i] ** r for i in range(r + 1))
+        signed = tuple(tuple(s if k % 2 == 0 else -s for k, s in enumerate(_sym_omitting(frame, i)))
+                       for i in range(r + 1))
+        frame.stages["eps_factors"] = (prefs, signed)
+    return frame.stages["eps_factors"]
+
+
 def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """Coefficient arrays of the idempotent basis on 1, p, ..., p^r.
 
-    eps_i = (q c_i/(r+1)) a_i^r prod_{l != i} (1 - a_l p/lam), expanded.
+    eps_i = (q c_i/(r+1)) a_i^r prod_{l != i} (1 - a_l p/lam), expanded from
+    the factors of ``_eps_factors``.
     """
-    r = frame.r
+    prefs, signed = _eps_factors(frame)
     fld, u = frame.field, frame.u
-    q = frame.q()
-    out: list[list[EquivScalar]] = []
-    for i in range(r + 1):
-        prefactor = q * frame.c[i] * Fraction(1, r + 1) * frame.a[i] ** r
-        sym = _sym_omitting(frame, i)
-        coeffs = []
-        for k in range(r + 1):
-            rf = prefactor * sym[k] * Fraction((-1) ** k)
-            coeffs.append(EquivScalar(fld, u, {-k: rf}))
-        out.append(coeffs)
-    frame.eps = out
-    return out
+    frame.eps = [[EquivScalar(fld, u, {-k: pref * s}) for k, s in enumerate(row)]
+                 for pref, row in zip(prefs, signed)]
+    return frame.eps
 
 
 def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
-    """du_j applied to eps_i: substitute p -> p_j in the coefficient array."""
-    if frame.eps is None:
-        canonical_basis(frame)
-    coeffs = frame.eps[i]
-    out = EquivScalar.zero(frame.field, frame.u)
-    pj_pow = EquivScalar.one(frame.field, frame.u)
-    for k in range(len(coeffs)):
-        out = out + coeffs[k] * pj_pow
-        pj_pow = pj_pow * frame.p[j]
-    return out
+    """du_j applied to eps_i: p -> p_j = lam/a_j cancels the weights, leaving
+    pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, summed by Horner."""
+    prefs, signed = _eps_factors(frame)
+    a_j = frame.a[j]
+    acc = signed[i][0]
+    for s in signed[i][1:]:
+        acc = acc * a_j + s
+    return EquivScalar(frame.field, frame.u, {0: prefs[i] * acc / a_j ** frame.r})
 
 
 def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
-    if frame.eps is None:
-        canonical_basis(frame)
-    return pair_p_polynomials(frame.r, frame.eps[i], frame.eps[j])
+    """The pairing of eps_i with eps_j from the factored basis (see the
+    module docstring).  The convolution sum_d C(2r-d, r-d) [t^d] E_i E_j is
+    taken as sum_k s_ik T_k with T_k = sum_(l <= r-k) C(2r-k-l, r-k-l) s_jl,
+    so it needs r+1 products."""
+    r = frame.r
+    prefs, signed = _eps_factors(frame)
+    s_i, s_j = signed[i], signed[j]
+    weights = [_pairing_weight(r, d) for d in range(r + 1)]
+    total = RatFunc.zero(frame.field, frame.u)
+    for k in range(r + 1):
+        t_k = RatFunc.zero(frame.field, frame.u)
+        for l in range(r + 1 - k):
+            t_k = t_k + s_j[l] * weights[k + l]
+        total = total + s_i[k] * t_k
+    return EquivScalar(frame.field, frame.u, {-(2 * r + 1): prefs[i] * prefs[j] * total})
 
 
 def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
@@ -648,23 +667,56 @@ def genus_one_table(r: int, dmax: int) -> list[Fraction]:
 # --- the full order-by-order recursion -----------------------------------------
 
 
-def _scalar_matrix_from_cyc(frame: CanonicalFrame, mat: list[list[CycNumber]]) -> list[list[EquivScalar]]:
-    return [[EquivScalar(frame.field, frame.u, {0: frame.rat_const(c)}) if not c.is_zero()
-             else EquivScalar.zero(frame.field, frame.u) for c in row] for row in mat]
-
-
 def _identity_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     n = frame.r + 1
     return [[EquivScalar.one(frame.field, frame.u) if i == j
              else EquivScalar.zero(frame.field, frame.u) for j in range(n)] for i in range(n)]
 
 
-def _unitarity_sum(mats: list[list[list[EquivScalar]]], n: int) -> list[list[EquivScalar]]:
-    """sum_{a+b=n} (-1)^a R_a^T R_b."""
+def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: int, j: int,
+                zero: EquivScalar) -> EquivScalar:
+    """(conn mat)_{ij} for a constant matrix conn: entries are scaled, zeros skipped."""
+    acc = zero
+    for k, c in enumerate(conn[i]):
+        if not c.is_zero() and not mat[k][j].is_zero():
+            acc = acc + mat[k][j] * c
+    return acc
+
+
+def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, b: int):
+    """R_a^T R_b, memoised by (a, b).
+
+    Only products with 0 < a <= b are multiplied: for a > b the product is
+    the transpose of R_b^T R_a, R_0 = Id makes R_0^T R_b a copy of R_b, and
+    R_a^T R_a is symmetric, so only its upper triangle is formed.
+    """
+    if (a, b) not in memo:
+        if a > b:
+            memo[a, b] = mat_transpose(_transpose_product(mats, memo, b, a))
+        elif a == 0:
+            memo[a, b] = [list(row) for row in mats[b]]
+        else:
+            A, B = mats[a], mats[b]
+            size = len(A)
+            out = [[None] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i if a == b else 0, size):
+                    acc = A[0][i] * B[0][j]
+                    for k in range(1, size):
+                        acc = acc + A[k][i] * B[k][j]
+                    out[i][j] = acc
+                    if a == b:
+                        out[j][i] = acc
+            memo[a, b] = out
+    return memo[a, b]
+
+
+def _unitarity_sum(mats: list[list[list[EquivScalar]]], memo: dict, n: int,
+                   lo: int = 0) -> list[list[EquivScalar]]:
+    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a)."""
     acc = None
-    for a_idx in range(n + 1):
-        b_idx = n - a_idx
-        term = mat_mul(mat_transpose(mats[a_idx]), mats[b_idx])
+    for a_idx in range(lo, n - lo + 1):
+        term = _transpose_product(mats, memo, a_idx, n - a_idx)
         if a_idx % 2 == 1:
             term = [[-x for x in row] for row in term]
         acc = term if acc is None else [[p + t for p, t in zip(pr, tr)]
@@ -682,6 +734,10 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     default) calibrates the even-order constants from the residue pairing so
     that sum_{a+b=n} (-1)^a R_a^T R_b = 0 can hold exactly.
 
+    The connection is a constant matrix, so it scales entries; only the
+    entries of its products that the recursion reads are formed, and each
+    R_a^T R_b is multiplied once for the calibration and the residuals.
+
     Returns ([Id, R_1, ..., R_order], report) where the report collects the
     diagonal constants and the exact unitarity residual status per order.
     """
@@ -690,26 +746,24 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     if diag_mode not in ("unitarity", "zero"):
         raise ValueError(f"unknown diagonal mode {diag_mode!r}")
     frame = frame_for(r)
-    conn = _scalar_matrix_from_cyc(frame, connection_form(frame, signs))
+    conn = connection_form(frame, signs)
     dp = _p_differences(frame)
     size = r + 1
+    zero = EquivScalar.zero(frame.field, frame.u)
     mats: list[list[list[EquivScalar]]] = [_identity_matrix(frame)]
+    products: dict[tuple[int, int], list[list[EquivScalar]]] = {}
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
-        source = mat_mul(conn, prev)
-        d_prev = [[entry.delta() for entry in row] for row in prev]
-        numer = [[source[i][j] + d_prev[i][j] for j in range(size)] for i in range(size)]
-        new = [[EquivScalar.zero(frame.field, frame.u) for _ in range(size)] for _ in range(size)]
+        new = [[zero] * size for _ in range(size)]
         for i in range(size):
             for j in range(size):
-                if i == j:
-                    continue
-                new[i][j] = numer[i][j] / dp[i][j]
+                if i != j:
+                    numer = _conn_entry(conn, prev, i, j, zero) + prev[i][j].delta()
+                    new[i][j] = numer / dp[i][j]
         # diagonal from the vanishing-diagonal condition of step n+1
-        follow = mat_mul(conn, new)
         for i in range(size):
-            integrand = -follow[i][i]
+            integrand = -_conn_entry(conn, new, i, i, zero)
             for e, f in integrand.terms.items():
                 if 0 in f.laurent_items():
                     raise FlatnessError(f"order {n}, diagonal {i}: constant term at weight {e}")
@@ -717,13 +771,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         if diag_mode == "unitarity" and n % 2 == 0:
             # 2 R_n[i][i] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{ii} must vanish;
             # the recursion fixes R_n[i][i] only up to a constant, so align it
-            mid = None
-            for a_idx in range(1, n):
-                term = mat_mul(mat_transpose(mats[a_idx]), mats[n - a_idx])
-                if a_idx % 2 == 1:
-                    term = [[-x for x in row] for row in term]
-                mid = term if mid is None else [[p + t for p, t in zip(pr, tr)]
-                                                for pr, tr in zip(mid, term)]
+            mid = _unitarity_sum(mats, products, n, lo=1)
             for i in range(size):
                 gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
                 for e, f in gap.terms.items():
@@ -739,7 +787,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         mats.append(new)
     residuals = {}
     for n in range(1, order + 1):
-        s = _unitarity_sum(mats, n)
+        s = _unitarity_sum(mats, products, n)
         residuals[n] = all(entry.is_zero() for row in s for entry in row)
     report = {
         "diagonal_mode": diag_mode,

@@ -101,20 +101,24 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep.add("appendix/pairing-closed-form", {"r": r}, pair_ok)
     rep.add("appendix/pairing-vanishing-window", {"r": r},
             all(canonical.lemma_zero_value(r, k).is_zero() for k in range(r)))
-    canonical.canonical_basis(frame)
-    duality = all((canonical.du_of_eps(frame, i, j) == (1 if i == j else 0))
-                  for i in range(r + 1) for j in range(r + 1))
-    rep.add("appendix/idempotent-duality", {"r": r}, duality)
-    ortho = True
+    bad = next((f"first failing (i, j) = {(i, j)}: du_j(eps_i) is not delta_ij"
+                for i in range(r + 1) for j in range(r + 1)
+                if canonical.du_of_eps(frame, i, j) != (1 if i == j else 0)), None)
+    rep.add("appendix/idempotent-duality", {"r": r}, bad is None, bad or "0")
+    bad = None
     norms = []
     for i in range(r + 1):
-        for j in range(r + 1):
+        for j in range(i, r + 1):  # the pairing is symmetric
             got = canonical.eps_pairing(frame, i, j)
             if i == j:
                 norms.append(got)
-            want_zero = got.is_zero() if i != j else got == canonical.eps_norm_closed_form(frame, i)
-            ortho = ortho and want_zero
-    rep.add("appendix/idempotent-orthogonality", {"r": r}, ortho)
+                ok = got == canonical.eps_norm_closed_form(frame, i)
+            else:
+                ok = got.is_zero()
+            if not ok and bad is None:
+                what = "the norm is not the closed form" if i == j else "the pairing is not zero"
+                bad = f"first failing (i, j) = {(i, j)}: {what}"
+    rep.add("appendix/idempotent-orthogonality", {"r": r}, bad is None, bad or "0")
     deltas = canonical.delta_i(frame)
     one = EquivScalar.one(frame.field, frame.u)
     prod = one

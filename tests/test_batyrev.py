@@ -107,6 +107,25 @@ def test_eigen_formula_leading_terms():
     assert not pair12.xi.set_q1_zero().is_zero()
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_eigen_formulas_match_two_binomial_series(r):
+    # xi from base^((r+1)/(r+2)) expanded on its own, as a second series
+    order = 10
+    fld = bat.eigen_field(r)
+    omega, eta = fld.zeta(r + 2), fld.zeta(r + 1)
+    d1, d2 = r + 1, r + 2
+    X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
+    Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
+    for i in range(r + 1):
+        base = FracSeries.one(fld, d1, d2, order) + X * omega**i
+        h_unit = base.binomial_power(Fraction(-1, r + 2))
+        xi_unit = base.binomial_power(Fraction(r + 1, r + 2))
+        for j in range(r + 2):
+            pair = bat.eigen_formulas(r, i, j, order)
+            assert pair.h.terms == (X * Y * (eta**j * omega**i) * h_unit).terms
+            assert pair.xi.terms == (Y * eta**j * xi_unit).terms
+
+
 def test_eigen_relations_exact():
     report = bat.verify_eigen_relations(1, 6)
     assert report["pairs_checked"] == 6

@@ -1,9 +1,13 @@
 """Tests for the canonical-coordinate pipeline on the extremal line."""
 
+import json
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from qcflop import canonical as can
+from qcflop import cli
 from qcflop.algebra import CycField, EquivScalar, RatFunc
 
 RS = (1, 2, 3)
@@ -332,3 +336,160 @@ def test_recursion_branch_independent_diagonal():
     for i in range(3):
         assert mats_a[1][i][i] == mats_b[1][i][i]
         assert mats_a[2][i][i] == mats_b[2][i][i]
+
+
+# --- the factored idempotent basis against the schoolbook forms ----------------
+
+
+def pair_p_polynomials(r, A, B):
+    """Schoolbook pairing of two elements written on the basis 1, p, ..., p^r."""
+    out = EquivScalar.zero(CycField(2 * (r + 1)), r + 1)
+    for k, ak in enumerate(A):
+        for l, bl in enumerate(B):
+            out = out + ak * bl * can.equiv_pairing(r, k, l)
+    return out
+
+
+def substitute_p(frame, coeffs, j):
+    """sum_k coeffs[k] p_j^k, term by term."""
+    out = EquivScalar.zero(frame.field, frame.u)
+    for k, c in enumerate(coeffs):
+        out = out + c * frame.p[j] ** k
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_factored_pairing_and_duality_match_the_expanded_basis(r):
+    frame = can.build_spectrum(r)
+    eps = can.canonical_basis(frame)
+    for i in range(r + 1):
+        for j in range(r + 1):
+            assert can.eps_pairing(frame, i, j) == pair_p_polynomials(r, eps[i], eps[j])
+            assert can.du_of_eps(frame, i, j) == substitute_p(frame, eps[i], j)
+
+
+def plain_r_matrix_recursion(r, order, diag_mode):
+    """The recursion with every product a full mat_mul: the connection as a
+    matrix of scalars, the whole of both connection products, and each
+    R_a^T R_b multiplied wherever it is used."""
+    frame = can.build_spectrum(r)
+    size = r + 1
+    zero = EquivScalar.zero(frame.field, frame.u)
+    conn = [[EquivScalar(frame.field, frame.u, {0: frame.rat_const(c)}) for c in row]
+            for row in can.connection_form(frame)]
+    dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
+
+    def signed_sum(mats, n, lo):
+        acc = [[zero] * size for _ in range(size)]
+        for a in range(lo, n - lo + 1):
+            term = can.mat_mul(can.mat_transpose(mats[a]), mats[n - a])
+            acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
+        return acc
+
+    mats = [[[EquivScalar.one(frame.field, frame.u) if i == j else zero for j in range(size)]
+             for i in range(size)]]
+    constants = {}
+    for n in range(1, order + 1):
+        prev = mats[-1]
+        source = can.mat_mul(conn, prev)
+        new = [[zero if i == j else (source[i][j] + prev[i][j].delta()) / dp[i][j]
+                for j in range(size)] for i in range(size)]
+        follow = can.mat_mul(conn, new)
+        for i in range(size):
+            new[i][i] = can._integrate_scalar(-follow[i][i], "drop-constant")
+        if diag_mode == "unitarity" and n % 2 == 0:
+            mid = signed_sum(mats, n, 1)
+            for i in range(size):
+                gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
+                for e, f in gap.terms.items():
+                    const = f.laurent_items()[0]
+                    new[i][i] = new[i][i] + EquivScalar(frame.field, frame.u,
+                                                        {e: frame.rat_const(const)})
+                    constants[f"{n},{i}"] = repr(const)
+        mats.append(new)
+    residuals = {n: all(x.is_zero() for row in signed_sum(mats, n, 0) for x in row)
+                 for n in range(1, order + 1)}
+    return mats, constants, residuals
+
+
+@pytest.mark.parametrize("diag_mode", ["unitarity", "zero"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
+    mats, report = can.r_matrix_recursion(r, 3, diag_mode)
+    want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, 3, diag_mode)
+    assert mats == want_mats
+    assert report["constants"] == want_constants
+    assert report["unitarity_exact"] == want_residuals
+    assert report["diagonal_mode"] == diag_mode
+
+
+# --- negative controls of the idempotent anchors ---------------------------------
+
+
+def verify_appendix_r2(capsys):
+    code = cli.main(["verify", "appendix", "--r", "2", "--format", "json"])
+    entries = {e["anchor"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    return code, entries
+
+
+def install_frame(monkeypatch, change_factors):
+    """A fresh r = 2 frame whose eps_factors stage is changed before any use."""
+    frame = can.build_spectrum(2)
+    prefs, signed = can._eps_factors(frame)
+    frame.stages["eps_factors"] = change_factors([list(prefs), [list(row) for row in signed]])
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+
+
+def test_idempotent_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {})
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 0
+    for anchor in ("appendix/idempotent-duality", "appendix/idempotent-orthogonality"):
+        assert entries[anchor]["status"] == "pass" and entries[anchor]["residual"] == "0"
+
+
+def test_control_one_signed_symmetric_function(capsys, monkeypatch):
+    def change(factors):
+        factors[1][1][1] = factors[1][1][1] + 1  # s_11
+        return factors
+
+    install_frame(monkeypatch, change)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    duality = entries["appendix/idempotent-duality"]
+    ortho = entries["appendix/idempotent-orthogonality"]
+    assert duality["status"] == "fail"
+    assert duality["residual"].startswith("first failing (i, j) = (1, 0):")
+    assert ortho["status"] == "fail"
+    assert ortho["residual"] == "first failing (i, j) = (0, 1): the pairing is not zero"
+    assert entries["appendix/connection-form"]["status"] == "pass"
+
+
+def test_control_one_prefactor(capsys, monkeypatch):
+    def change(factors):
+        factors[0][1] = factors[0][1] * 2  # pref_1
+        return factors
+
+    install_frame(monkeypatch, change)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    duality = entries["appendix/idempotent-duality"]
+    ortho = entries["appendix/idempotent-orthogonality"]
+    assert duality["status"] == "fail"
+    assert duality["residual"].startswith("first failing (i, j) = (1, 1):")
+    # a scaled prefactor keeps the off-diagonal zeros; only the norm shows it
+    assert ortho["status"] == "fail"
+    assert ortho["residual"] == "first failing (i, j) = (1, 1): the norm is not the closed form"
+
+
+def test_control_pairing_weight_off_by_one(capsys, monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_pairing_weight", lambda r, d: comb(2 * r - d + 1, r - d + 1))
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    ortho = entries["appendix/idempotent-orthogonality"]
+    assert ortho["status"] == "fail"
+    assert ortho["residual"] == "first failing (i, j) = (0, 0): the norm is not the closed form"
+    # the duality never reads the pairing
+    assert entries["appendix/idempotent-duality"]["status"] == "pass"
