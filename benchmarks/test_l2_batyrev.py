@@ -1,11 +1,12 @@
-"""L2 micro-benchmark: the four exact stages of the batyrev suite.
+"""L2 micro-benchmark: the exact stages of the batyrev suite.
 
     PYTHONPATH=src python -m pytest benchmarks/test_l2_batyrev.py --benchmark-only
 
 Each stage runs at r = 3, 4, 5 with the suite's own arguments: the
-eigenvalue product identity at its default order, the multiplication
-matrices of h and x on a ring already built at the commutator's sample
-point, the exact commutator check (ring construction included, as the suite
+eigenvalue product identity at its default order, the construction of the
+ring at the commutator's sample point (where the embedding matrix is
+inverted), the multiplication matrices of h and x on a ring already built
+there, the exact commutator check (ring construction included, as the suite
 calls it) and the eigen relations at the suite's default order 10.  Only the
 public batyrev API is used, so the file times any version of the module.
 """
@@ -23,6 +24,11 @@ Q1, Q2 = Fraction(1, 3), Fraction(1, 7)
 @pytest.mark.parametrize("r", RS)
 def test_eigenvalue_product_identity(benchmark, r):
     assert benchmark(batyrev.eigenvalue_product_identity, r)
+
+
+@pytest.mark.parametrize("r", RS)
+def test_ring_at_point(benchmark, r):
+    benchmark(batyrev.ring_at_point, r, batyrev.gauss(Q1), batyrev.gauss(Q2))
 
 
 @pytest.mark.parametrize("r", RS)

@@ -1,0 +1,124 @@
+"""Exact linear algebra over a field: one sparse Gauss-Jordan elimination.
+
+The scalars may be Fractions, ``CycNumber``s or ``RatFunc``s, anything with
++, -, *, / and ==.  Zero is tested one way, ``x == zero`` with
+``zero = one - one``.  A row is a dict {column: nonzero entry}, and a row
+update touches only the columns where the pivot row is nonzero, so the work
+follows the fill of the matrix rather than its square.
+
+``det``, ``inverse`` and ``solve`` all read the result of ``row_reduce``,
+whose pivot columns give the rank.  ``add_term`` is the matching sparse
+accumulation for Fraction-valued dicts.
+"""
+
+from __future__ import annotations
+
+
+class InconsistentSystemError(ValueError):
+    """Raised when a linear system has no solution."""
+
+
+def add_term(target: dict, key, value) -> None:
+    """target[key] += value, dropping the key when the sum is zero."""
+    cur = target.get(key)
+    new = value if cur is None else cur + value
+    if new:
+        target[key] = new
+    else:
+        target.pop(key, None)
+
+
+def row_reduce(rows: list[dict], one, ncols: int) -> tuple[list[int], object]:
+    """Gauss-Jordan elimination of sparse rows in place, pivoting in columns
+    < ncols; returns (pivot columns, scale).
+
+    Afterwards row k carries a one in column pivots[k] and a zero in every
+    other pivot column, and the rows past len(pivots) are zero in the columns
+    below ``ncols``.  Columns from ``ncols`` on (an augmented part) are
+    carried along but never pivoted on.  ``scale`` is the product of the
+    pivots, sign-corrected for row swaps: the determinant when the matrix is
+    square and regular.
+    """
+    zero = one - one
+    pivots: list[int] = []
+    scale = one
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if col in rows[i]), None)
+        if p is None:
+            continue
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            scale = zero - scale
+        lead = rows[k].pop(col)
+        scale = scale * lead
+        inv = one / lead
+        rest = [(c, v * inv) for c, v in rows[k].items()]
+        rows[k] = dict(rest)
+        rows[k][col] = one
+        for i, row in enumerate(rows):
+            f = row.pop(col, None) if i != k else None
+            if f is None:
+                continue
+            neg = zero - f
+            for c, v in rest:
+                term = neg * v
+                cur = row.get(c)
+                if cur is None:
+                    row[c] = term
+                else:
+                    cur = cur + term
+                    if cur == zero:
+                        del row[c]
+                    else:
+                        row[c] = cur
+        pivots.append(col)
+    return pivots, scale
+
+
+def _sparse(matrix: list[list], zero) -> list[dict]:
+    return [{j: v for j, v in enumerate(row) if v != zero} for row in matrix]
+
+
+def det(matrix: list[list], one):
+    """Determinant of a square matrix given as a list of rows."""
+    n = len(matrix)
+    pivots, scale = row_reduce(_sparse(matrix, one - one), one, n)
+    return scale if len(pivots) == n else one - one
+
+
+def inverse(matrix: list[list], one) -> list[dict]:
+    """The rows of matrix^-1, each as {column: nonzero entry}.
+
+    Raises ZeroDivisionError when the matrix is singular.
+    """
+    n = len(matrix)
+    rows = _sparse(matrix, one - one)
+    for i, row in enumerate(rows):
+        row[n + i] = one
+    pivots, _ = row_reduce(rows, one, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [{c - n: v for c, v in row.items() if c >= n} for row in rows]
+
+
+def solve(matrix: list[list], rhs: list, one) -> tuple[list, list[int]]:
+    """A solution x of matrix . x = rhs, and the pivot columns.
+
+    The number of pivot columns is the rank; unknowns outside them are free
+    and come out as zero.  Raises InconsistentSystemError when no solution
+    exists.
+    """
+    zero = one - one
+    ncols = len(matrix[0])
+    rows = _sparse(matrix, zero)
+    for row, b in zip(rows, rhs):
+        if b != zero:
+            row[ncols] = b
+    pivots, _ = row_reduce(rows, one, ncols)
+    if any(rows[len(pivots):]):
+        raise InconsistentSystemError("the right-hand side is outside the column span")
+    x = [zero] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = row.get(ncols, zero)
+    return x, pivots

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc
+from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc, linalg
 
 Vec = dict  # (a, b) in the active monomial frame -> field scalar
 
@@ -137,46 +137,6 @@ class ReductionEngine:
         return vec
 
 
-def _matrix_inverse(mat, one):
-    n = len(mat)
-    zero = one - one
-    aug = [[mat[i][j] for j in range(n)] + [one if k == i else zero for k in range(n)]
-           for i, _ in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular change-of-basis matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _matrix_det(mat, one):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = one
-    sign = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            return one - one
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        det = det * m[col][col]
-        inv = one / m[col][col]
-        for i in range(col + 1, n):
-            if not m[i][col].is_zero():
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det if sign == 1 else (one - one) - det
-
-
 class QuantumRing:
     """The quantum ring at a fixed exact scalar point (or symbolic q1)."""
 
@@ -191,8 +151,8 @@ class QuantumRing:
         embed_cols = [[self._embed[k].get(mono, zero) for k in range(n)]
                       for mono in self.basis]
         # the rows of the inverse, each as its nonzero (h, y)-monomial entries
-        self._from_y = [[(mono, c) for mono, c in zip(self.basis, row) if not c.is_zero()]
-                        for row in _matrix_inverse(embed_cols, one)]
+        self._from_y = [[(self.basis[j], c) for j, c in row.items()]
+                        for row in linalg.inverse(embed_cols, one)]
 
     def _y_to_xi(self, vec: Vec) -> list:
         zero = self.engine.zero
@@ -286,34 +246,6 @@ def quantum_mult_matrix(r: int, which: str, q1, q2) -> list[list]:
     return ring_at_point(r, q1, q2).mult_matrix(which)
 
 
-def quantum_mult_matrix_symbolic(r: int, which: str,
-                                 q2_degree_bound: int | None = None) -> list[list[list[RatFunc]]]:
-    """Fully symbolic matrix: entry (i, j) is a list of RatFunc-in-q1
-    coefficients ascending in q2, obtained by exact interpolation.
-
-    One extra node checks the degree bound; entries carry the single
-    denominator 1 - (-1)^(r+1) q1.
-    """
-    if q2_degree_bound is None:
-        q2_degree_bound = r + 2
-    nodes = [Fraction(k) for k in range(q2_degree_bound + 2)]
-    mats = [ring_symbolic_q1(r, t).mult_matrix(which) for t in nodes]
-    n = (r + 1) * (r + 2)
-    zero = q1_field_one() - q1_field_one()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            values = [mats[s][i][j] for s in range(len(nodes) - 1)]
-            poly = _lagrange_interpolate(nodes[:-1], values, zero)
-            check = _poly_eval(poly, RatFunc.constant(_QF, 1, nodes[-1]), zero)
-            if not (check == mats[-1][i][j]):
-                raise ArithmeticError("q2-degree bound too small for interpolation")
-            row.append(poly)
-        out.append(row)
-    return out
-
-
 def _lagrange_interpolate(nodes: list[Fraction], values: list, zero) -> list:
     """Coefficient list (ascending) of the interpolating polynomial; values in
     any field containing the rationals."""
@@ -343,35 +275,6 @@ def _poly_eval(poly: list, x, zero):
     for c in reversed(poly):
         acc = acc * x + c
     return acc
-
-
-def _poly_list_mul(a: list, b: list, zero) -> list:
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def symbolic_matrices_commute(r: int) -> bool:
-    """[h*, x*] = 0 with q1 symbolic and q2 symbolic (via coefficient lists)."""
-    H = quantum_mult_matrix_symbolic(r, "h")
-    X = quantum_mult_matrix_symbolic(r, "xi")
-    n = len(H)
-    zero = q1_field_one() - q1_field_one()
-    for i in range(n):
-        for j in range(n):
-            acc: dict[int, RatFunc] = {}
-            for k in range(n):
-                for term in (_poly_list_mul(H[i][k], X[k][j], zero),):
-                    for d, c in enumerate(term):
-                        acc[d] = acc.get(d, zero) + c
-                for term in (_poly_list_mul(X[i][k], H[k][j], zero),):
-                    for d, c in enumerate(term):
-                        acc[d] = acc.get(d, zero) - c
-            if any(not c.is_zero() for c in acc.values()):
-                return False
-    return True
 
 
 def matrices_commute_at(r: int, q1: CycNumber, q2: CycNumber) -> bool:
@@ -416,7 +319,7 @@ def det_h_symbolic(r: int, q2_degree_bound: int | None = None) -> dict[int, RatF
     one = q1_field_one()
     zero = one - one
     nodes = [Fraction(k) for k in range(q2_degree_bound + 2)]
-    dets = [_matrix_det(ring_symbolic_q1(r, t).mult_matrix("h"), one) for t in nodes]
+    dets = [linalg.det(ring_symbolic_q1(r, t).mult_matrix("h"), one) for t in nodes]
     poly = _lagrange_interpolate(nodes[:-1], dets[:-1], zero)
     check = _poly_eval(poly, RatFunc.constant(_QF, 1, nodes[-1]), zero)
     if not (check == dets[-1]):

@@ -14,17 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from qcflop.algebra.linalg import add_term
+
 RawPoly = dict[tuple[int, int], Fraction]
 
 
 def raw_add(p: RawPoly, q: RawPoly) -> RawPoly:
     out = dict(p)
     for key, c in q.items():
-        val = out.get(key, Fraction(0)) + c
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
+        add_term(out, key, c)
     return out
 
 
@@ -32,12 +30,7 @@ def raw_mul(p: RawPoly, q: RawPoly) -> RawPoly:
     out: RawPoly = {}
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
-            key = (a1 + a2, b1 + b2)
-            val = out.get(key, Fraction(0)) + c1 * c2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            add_term(out, (a1 + a2, b1 + b2), c1 * c2)
     return out
 
 
@@ -224,25 +217,3 @@ def pairing_matrix(r: int) -> list[list[Fraction]]:
     """Gram matrix of integrate on products of basis monomials."""
     mons = [monomial(r, a, b) for (a, b) in basis(r)]
     return [[integrate(m1 * m2) for m2 in mons] for m1 in mons]
-
-
-def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            factor = m[i][col] * inv
-            if factor:
-                for j in range(col, n):
-                    m[i][j] -= factor * m[col][j]
-    return det

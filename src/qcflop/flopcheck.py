@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from qcflop.algebra import CycField, RatFunc
+from qcflop.algebra import CycField, RatFunc, linalg
+from qcflop.algebra.linalg import add_term
 from qcflop import cohomology as coh
 
 Q = CycField(1)
@@ -219,23 +220,14 @@ class RingRElement:
     def __add__(self, other: "RingRElement") -> "RingRElement":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            val = out.get(key, Fraction(0)) + c
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            add_term(out, key, c)
         return RingRElement(self.r, out)
 
     def __mul__(self, other: "RingRElement") -> "RingRElement":
         out: dict[tuple[int, int, int], Fraction] = {}
         for (l1, g1, k1), c1 in self.terms.items():
             for (l2, g2, k2), c2 in other.terms.items():
-                key = (l1 + l2, g1 + g2, k1 + k2)
-                val = out.get(key, Fraction(0)) + c1 * c2
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                add_term(out, (l1 + l2, g1 + g2, k1 + k2), c1 * c2)
         return RingRElement(self.r, out)
 
     def scale(self, c) -> "RingRElement":
@@ -310,54 +302,21 @@ def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int)
     """Fit a q^l-series to the form sum_j q^(j l) p_j(G), j = 0..d2.
 
     The linear system in the (d2+1)(degree_bound+1) unknown coefficients is
-    solved exactly; extra series coefficients must be consistent.
+    solved exactly; extra series coefficients must be consistent.  Unknowns
+    that the series leaves free come out as zero.
     """
-    unknowns = [(j, k) for j in range(d2 + 1) for k in range(degree_bound + 1)]
+    width = degree_bound + 1
+    unknowns = [(j, k) for j in range(d2 + 1) for k in range(width)]
     rows = len(series)
     if rows < len(unknowns):
         raise ValueError("not enough series coefficients to determine the fit")
     g = g_function(r)
-    columns = []
-    for (j, k) in unknowns:
-        base = (g ** k).series_expand(rows - 1)
-        col = [Fraction(0)] * rows
-        for d, c in enumerate(base):
-            if j + d < rows:
-                col[j + d] += c.as_rational()
-        columns.append(col)
-    # exact Gaussian elimination on the augmented system
-    aug = [[columns[u][i] for u in range(len(unknowns))] + [Fraction(series[i])]
-           for i in range(rows)]
-    n_unknowns = len(unknowns)
-    pivot_rows: list[int] = []
-    row_at = 0
-    for col in range(n_unknowns):
-        pivot = next((i for i in range(row_at, rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [v * inv for v in aug[row_at]]
-        for i in range(rows):
-            if i != row_at and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row_at])]
-        pivot_rows.append(col)
-        row_at += 1
-    # consistency: all remaining rows must be fully zero
-    for i in range(row_at, rows):
-        if any(v != 0 for v in aug[i]):
-            raise NotOfFiniteFormError("series is not of the finite polynomial-in-G form")
-    if len(pivot_rows) < n_unknowns:
-        # free unknowns: solution exists but is not unique at this bound;
-        # set free ones to zero (columns were dependent, e.g. G itself fits
-        # several ways only if basis degenerates, which it does not)
-        pass
-    solution = {unknowns[c]: Fraction(0) for c in range(n_unknowns)}
-    for row_idx, col in enumerate(pivot_rows):
-        solution[unknowns[col]] = aug[row_idx][-1]
-    polys = []
-    for j in range(d2 + 1):
-        p = [solution[(j, k)] for k in range(degree_bound + 1)]
-        polys.append(_gpoly_trim(p))
-    return polys
+    # the unknown (j, k) multiplies q^(j l) G^k
+    powers = [[c.as_rational() for c in (g ** k).series_expand(rows - 1)] for k in range(width)]
+    matrix = [[powers[k][i - j] if i >= j else Fraction(0) for (j, k) in unknowns]
+              for i in range(rows)]
+    try:
+        x, _ = linalg.solve(matrix, [Fraction(c) for c in series], Fraction(1))
+    except linalg.InconsistentSystemError:
+        raise NotOfFiniteFormError("series is not of the finite polynomial-in-G form") from None
+    return [_gpoly_trim(x[j * width:(j + 1) * width]) for j in range(d2 + 1)]

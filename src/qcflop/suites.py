@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 from qcflop import batyrev, canonical, cohomology, flopcheck, weyl
-from qcflop.algebra import EquivScalar
+from qcflop.algebra import EquivScalar, linalg
 from qcflop.report import Report
 
 
@@ -16,7 +16,7 @@ def cohomology_suite(r: int) -> Report:
     t0 = time.perf_counter()
     rank = len(cohomology.basis(r))
     rep.add("cohomology/ring-rank", {"r": r}, rank == (r + 1) * (r + 2), str(rank))
-    gram_det = cohomology.det_fraction(cohomology.pairing_matrix(r))
+    gram_det = linalg.det(cohomology.pairing_matrix(r), Fraction(1))
     rep.add("cohomology/poincare-unimodular", {"r": r}, abs(gram_det) == 1, str(gram_det))
     c1 = cohomology.chern_class(r, 1)
     rep.add("cohomology/first-chern-fiber-class", {"r": r},

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from qcflop.algebra.linalg import add_term
+
 Var = tuple[int, int]  # (direction index, z-mode index), mode >= 0
 
 
@@ -53,11 +55,7 @@ class LoopVector:
     def __add__(self, other: "LoopVector") -> "LoopVector":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            val = out.get(k, Fraction(0)) + c
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return LoopVector(self.dim, self.cutoff, out)
 
     def scale(self, c) -> "LoopVector":
@@ -103,8 +101,7 @@ class EndoLaurent:
                 for i in range(self.dim):
                     entry = mat[i][j]
                     if entry:
-                        key = (i, m + exp)
-                        out[key] = out.get(key, Fraction(0)) + entry * c
+                        add_term(out, (i, m + exp), entry * c)
         return LoopVector(v.dim, v.cutoff, out)
 
     def commutator(self, other: "EndoLaurent") -> "EndoLaurent":
@@ -229,15 +226,11 @@ def hamiltonian_of(A: EndoLaurent, dim: int, cutoff: int) -> QuadHamiltonian:
                 continue
             (ku, vu), (kv, vv) = u, v
             if ku == "p" and kv == "p":
-                key = tuple(sorted((vu, vv)))
-                pp[key] = pp.get(key, Fraction(0)) + coeff
+                add_term(pp, tuple(sorted((vu, vv))), coeff)
             elif ku == "q" and kv == "q":
-                key = tuple(sorted((vu, vv)))
-                qq[key] = qq.get(key, Fraction(0)) + coeff
+                add_term(qq, tuple(sorted((vu, vv))), coeff)
             else:
-                pvar, qvar = (vu, vv) if ku == "p" else (vv, vu)
-                key = (pvar, qvar)
-                pq[key] = pq.get(key, Fraction(0)) + coeff
+                add_term(pq, (vu, vv) if ku == "p" else (vv, vu), coeff)
     return QuadHamiltonian(dim, cutoff, pp, pq, qq)
 
 
@@ -250,22 +243,14 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def _cp_add(target: ClassicalPoly, key, value) -> None:
-    cur = target.get(key, Fraction(0)) + value
-    if cur:
-        target[key] = cur
-    else:
-        target.pop(key, None)
-
-
 def hamiltonian_to_classical(P: QuadHamiltonian) -> ClassicalPoly:
     out: ClassicalPoly = {}
     for (v, w), c in P.pp.items():
-        _cp_add(out, ((v, w) if v <= w else (w, v), ()), c)
+        add_term(out, ((v, w) if v <= w else (w, v), ()), c)
     for (pv, qv), c in P.pq.items():
-        _cp_add(out, ((pv,), (qv,)), c)
+        add_term(out, ((pv,), (qv,)), c)
     for (v, w), c in P.qq.items():
-        _cp_add(out, ((), (v, w) if v <= w else (w, v)), c)
+        add_term(out, ((), (v, w) if v <= w else (w, v)), c)
     return out
 
 
@@ -277,12 +262,11 @@ def classical_to_hamiltonian(poly: ClassicalPoly, dim: int, cutoff: int) -> Quad
         if len(pm) + len(qm) != 2:
             raise FormalismError("Poisson bracket left a non-quadratic term")
         if len(pm) == 2:
-            pp[tuple(sorted(pm))] = pp.get(tuple(sorted(pm)), Fraction(0)) + c
+            add_term(pp, tuple(sorted(pm)), c)
         elif len(qm) == 2:
-            qq[tuple(sorted(qm))] = qq.get(tuple(sorted(qm)), Fraction(0)) + c
+            add_term(qq, tuple(sorted(qm)), c)
         else:
-            key = (pm[0], qm[0])
-            pq[key] = pq.get(key, Fraction(0)) + c
+            add_term(pq, (pm[0], qm[0]), c)
     return QuadHamiltonian(dim, cutoff, pp, pq, qq)
 
 
@@ -315,7 +299,7 @@ def poisson_bracket(P1: QuadHamiltonian, P2: QuadHamiltonian) -> QuadHamiltonian
                 if n2 == 0:
                     continue
                 key = (_mono_mul(dp1, pm2), _mono_mul(qm1, dq2))
-                _cp_add(out, key, Fraction(n1 * n2) * c1 * c2)
+                add_term(out, key, Fraction(n1 * n2) * c1 * c2)
         for (pm2, qm2), c2 in b.items():
             n2, dp2 = _mono_derivative(pm2, v)
             if n2 == 0:
@@ -325,7 +309,7 @@ def poisson_bracket(P1: QuadHamiltonian, P2: QuadHamiltonian) -> QuadHamiltonian
                 if n1 == 0:
                     continue
                 key = (_mono_mul(pm1, dp2), _mono_mul(dq1, qm2))
-                _cp_add(out, key, -Fraction(n1 * n2) * c1 * c2)
+                add_term(out, key, -Fraction(n1 * n2) * c1 * c2)
     return classical_to_hamiltonian(out, P1.dim, P1.cutoff)
 
 
@@ -358,11 +342,7 @@ class FockPolynomial:
     def __add__(self, other: "FockPolynomial") -> "FockPolynomial":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            val = out.get(k, Fraction(0)) + c
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return FockPolynomial(out)
 
     def __sub__(self, other: "FockPolynomial") -> "FockPolynomial":
@@ -372,12 +352,7 @@ class FockPolynomial:
         out: dict = {}
         for (m1, h1), c1 in self.terms.items():
             for (m2, h2), c2 in other.terms.items():
-                key = (_mono_mul(m1, m2), h1 + h2)
-                val = out.get(key, Fraction(0)) + c1 * c2
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                add_term(out, (_mono_mul(m1, m2), h1 + h2), c1 * c2)
         return FockPolynomial(out)
 
     def scale(self, c) -> "FockPolynomial":
@@ -405,20 +380,12 @@ class FockOperator:
     def __init__(self, terms: dict | None = None):
         self.terms = {}
         for (qm, dm, h), c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                key = (tuple(sorted(qm)), tuple(sorted(dm)), h)
-                self.terms[key] = self.terms.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in self.terms.items() if v}
+            add_term(self.terms, (tuple(sorted(qm)), tuple(sorted(dm)), h), Fraction(c))
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            val = out.get(k, Fraction(0)) + c
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return FockOperator(out)
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
@@ -447,12 +414,7 @@ class FockOperator:
                         nxt[key] = nxt.get(key, Fraction(0)) + w
                     pieces = nxt
                 for (qm, dm), w in pieces.items():
-                    key = (_mono_mul(q1, qm), _mono_mul(dm, d2), h1 + h2)
-                    val = out.get(key, Fraction(0)) + c1 * c2 * w
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (_mono_mul(q1, qm), _mono_mul(dm, d2), h1 + h2), c1 * c2 * w)
         return FockOperator(out)
 
     def commutator(self, other: "FockOperator") -> "FockOperator":
@@ -473,12 +435,7 @@ class FockOperator:
                     coeff *= count
                 if not ok or not coeff:
                     continue
-                key = (_mono_mul(qm, current), h + ph)
-                val = out.get(key, Fraction(0)) + coeff
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                add_term(out, (_mono_mul(qm, current), h + ph), coeff)
         return FockPolynomial(out)
 
     def __eq__(self, other) -> bool:
@@ -502,16 +459,12 @@ class FockOperator:
 def quantize(P: QuadHamiltonian) -> FockOperator:
     """The quantization table: pp -> hbar d d, pq -> q d, qq -> q q / hbar."""
     terms: dict = {}
-
-    def add(key, c):
-        terms[key] = terms.get(key, Fraction(0)) + c
-
     for (v, w), c in P.pp.items():
-        add(((), tuple(sorted((v, w))), 1), c)
+        add_term(terms, ((), tuple(sorted((v, w))), 1), c)
     for (pv, qv), c in P.pq.items():
-        add(((qv,), (pv,), 0), c)
+        add_term(terms, ((qv,), (pv,), 0), c)
     for (v, w), c in P.qq.items():
-        add((tuple(sorted((v, w))), (), -1), c)
+        add_term(terms, (tuple(sorted((v, w))), (), -1), c)
     return FockOperator(terms)
 
 
@@ -547,18 +500,12 @@ def dilaton_shift(coords: dict[Var, Fraction], dim: int, cutoff: int,
     if cutoff < 1:
         raise ValueError("the dilaton shift needs the mode k = 1 inside the cutoff")
     out = {k: Fraction(v) for k, v in coords.items()}
-    key = (unit_index, 1)
-    out[key] = out.get(key, Fraction(0)) + 1
-    if not out[key]:
-        del out[key]
+    add_term(out, (unit_index, 1), Fraction(1))
     return out
 
 
 def dilaton_unshift(coords: dict[Var, Fraction], dim: int, cutoff: int,
                     unit_index: int = 0) -> dict[Var, Fraction]:
     out = {k: Fraction(v) for k, v in coords.items()}
-    key = (unit_index, 1)
-    out[key] = out.get(key, Fraction(0)) - 1
-    if not out[key]:
-        del out[key]
+    add_term(out, (unit_index, 1), Fraction(-1))
     return out

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from qcflop import cohomology as coh
+from qcflop.algebra import linalg
 
 
 def poly_division_reduce_oracle(r, raw):
@@ -103,8 +104,26 @@ def test_ring_rank():
 def test_poincare_duality_unimodular():
     for r in (1, 2, 3):
         gram = coh.pairing_matrix(r)
-        d = coh.det_fraction(gram)
+        d = linalg.det(gram, Fraction(1))
         assert abs(d) == 1
+
+
+def test_poincare_unimodular_negative_control(monkeypatch, capsys):
+    from qcflop import cli, suites
+
+    real = coh.pairing_matrix
+
+    def doubled(r):
+        gram = real(r)
+        gram[0][-1] *= 2  # <1, h^r x^(r+1)>, the only nonzero entry of its row
+        return gram
+
+    monkeypatch.setattr(coh, "pairing_matrix", doubled)
+    entry = next(e for e in suites.cohomology_suite(1).entries
+                 if e.anchor == "cohomology/poincare-unimodular")
+    assert entry.status == "fail" and abs(Fraction(entry.residual)) == 2
+    assert cli.main(["verify", "cohomology", "--r", "1", "--jobs", "1"]) == 1
+    capsys.readouterr()
 
 
 def test_chern_flop_identity():

@@ -1,0 +1,118 @@
+"""Tests for the sparse exact elimination and the sparse accumulation."""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcflop import batyrev as bat
+from qcflop.algebra import linalg
+
+
+def leibniz_det(matrix):
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+# small integers and a few fractions; zeros are common, so singular
+# matrices (repeated or zero rows) turn up often
+entries = st.one_of(st.integers(min_value=-3, max_value=3).map(Fraction),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # force a singular matrix: one row a multiple of another
+        i, j = draw(st.sampled_from([(a, b) for a in range(n) for b in range(n) if a != b]))
+        rows[i] = [c * draw(entries) for c in rows[j]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_matches_leibniz(matrix):
+    assert linalg.det(matrix, Fraction(1)) == leibniz_det(matrix)
+
+
+def embedding_matrix(ring):
+    zero = ring.engine.zero
+    n = len(ring.basis)
+    return [[ring._embed[k].get(mono, zero) for k in range(n)] for mono in ring.basis]
+
+
+def assert_left_inverse(inv_rows, matrix, one):
+    zero = one - one
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k, c in inv_rows[i].items():
+                acc = acc + c * matrix[k][j]
+            assert acc == (one if i == j else zero)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_inverse_of_embedding_over_gaussian_rationals(r):
+    ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3), Fraction(1, 2)),
+                             bat.gauss(Fraction(-2, 5)))
+    matrix = embedding_matrix(ring)
+    assert_left_inverse(linalg.inverse(matrix, bat.GAUSS.one), matrix, bat.GAUSS.one)
+
+
+def test_inverse_of_embedding_over_rational_functions():
+    ring = bat.ring_symbolic_q1(2, Fraction(2, 3))
+    matrix = embedding_matrix(ring)
+    one = bat.q1_field_one()
+    assert_left_inverse(linalg.inverse(matrix, one), matrix, one)
+
+
+def test_inverse_of_singular_matrix_raises():
+    matrix = [[Fraction(1), Fraction(2), Fraction(0)],
+              [Fraction(2), Fraction(4), Fraction(0)],
+              [Fraction(0), Fraction(0), Fraction(1)]]
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse(matrix, Fraction(1))
+    assert linalg.det(matrix, Fraction(1)) == 0
+
+
+def test_solve_reports_rank_of_a_deficient_system():
+    # the third column is the sum of the first two: rank 2 of 3 unknowns
+    matrix = [[Fraction(1), Fraction(0), Fraction(1)],
+              [Fraction(0), Fraction(1), Fraction(1)],
+              [Fraction(1), Fraction(1), Fraction(2)],
+              [Fraction(2), Fraction(-1), Fraction(1)]]
+    rhs = [Fraction(3), Fraction(5), Fraction(8), Fraction(1)]
+    x, pivots = linalg.solve(matrix, rhs, Fraction(1))
+    assert pivots == [0, 1]
+    assert x == [Fraction(3), Fraction(5), Fraction(0)]  # the free unknown is zero
+    for row, b in zip(matrix, rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+
+
+def test_solve_detects_an_inconsistent_system():
+    matrix = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
+    with pytest.raises(linalg.InconsistentSystemError):
+        linalg.solve(matrix, [Fraction(1), Fraction(3)], Fraction(1))
+
+
+def test_add_term_drops_cancelled_entries():
+    acc = {}
+    linalg.add_term(acc, "a", Fraction(1, 2))
+    linalg.add_term(acc, "b", Fraction(2))
+    linalg.add_term(acc, "a", Fraction(-1, 2))
+    assert acc == {"b": Fraction(2)}
+    linalg.add_term(acc, "c", Fraction(0))
+    assert acc == {"b": Fraction(2)}
