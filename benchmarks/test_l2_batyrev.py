@@ -7,8 +7,10 @@ eigenvalue product identity at its default order, the construction of the
 ring at the commutator's sample point (where the embedding matrix is
 inverted), the multiplication matrices of h and x on a ring already built
 there, the exact commutator check (ring construction included, as the suite
-calls it) and the eigen relations at the suite's default order 10.  Only the
-public batyrev API is used, so the file times any version of the module.
+calls it) and the eigen relations at the suite's default order 10.  The
+eigenvalue product and the eigen relations also run at r = 8 and 10, the
+frontier of the per-suite r-ceiling.  Only the public batyrev API is used,
+so the file times any version of the module.
 """
 
 from fractions import Fraction
@@ -18,10 +20,11 @@ import pytest
 from qcflop import batyrev
 
 RS = [3, 4, 5]
+RS_FRONTIER = RS + [8, 10]
 Q1, Q2 = Fraction(1, 3), Fraction(1, 7)
 
 
-@pytest.mark.parametrize("r", RS)
+@pytest.mark.parametrize("r", RS_FRONTIER)
 def test_eigenvalue_product_identity(benchmark, r):
     assert benchmark(batyrev.eigenvalue_product_identity, r)
 
@@ -42,7 +45,7 @@ def test_matrices_commute_at(benchmark, r):
     assert benchmark(batyrev.matrices_commute_at, r, batyrev.gauss(Q1), batyrev.gauss(Q2))
 
 
-@pytest.mark.parametrize("r", RS)
+@pytest.mark.parametrize("r", RS_FRONTIER)
 def test_verify_eigen_relations(benchmark, r):
     report = benchmark(batyrev.verify_eigen_relations, r, 10)
     assert not report["failures"]

@@ -112,7 +112,9 @@ class FracSeries:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        # zero terms are dropped and CycNumbers in one field are canonical,
+        # so equal series have equal term dicts
+        return self.terms == o.terms
 
     def __hash__(self) -> int:
         # a constant series equals (and so hashes like) its CycNumber
@@ -138,13 +140,30 @@ class FracSeries:
 
         Expands (1+x)^alpha with x = self - 1 by the binomial recurrence
         C(alpha, k+1) = C(alpha, k) (alpha - k)/(k + 1); the truncation order
-        bounds the expansion length since x has no constant term.
+        bounds the expansion length since x has no constant term.  When x is
+        a single term c q1^(a/den1) q2^(b/den2), as for the base
+        1 + omega^i q1^(1/(r+1)) of the closed-form eigenvalues, x^k is
+        c^k q1^(ka/den1) q2^(kb/den2) and no series product is formed.
         """
         if not (self.constant_term() == self.field.one):
             raise ValueError("binomial power needs a unit constant term")
         x = self - 1
         if any(n1 == 0 for (n1, _) in x.terms):
             raise ValueError("binomial power requires the q1-direction to carry the expansion")
+        if len(x.terms) == 1:
+            ((a, b), c), = x.terms.items()
+            out = {(0, 0): self.field.one}
+            coeff = Fraction(1)
+            power = self.field.one
+            k = 1
+            while k * a <= self.trunc:
+                coeff = coeff * Fraction(alpha - k + 1, k)
+                if coeff == 0:
+                    break
+                power = power * c
+                out[(k * a, k * b)] = power * coeff
+                k += 1
+            return FracSeries(self.field, self.den1, self.den2, self.trunc, out)
         result = FracSeries.one(self.field, self.den1, self.den2, self.trunc)
         term = FracSeries.one(self.field, self.den1, self.den2, self.trunc)
         coeff = Fraction(1)

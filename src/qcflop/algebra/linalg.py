@@ -7,8 +7,9 @@ update touches only the columns where the pivot row is nonzero, so the work
 follows the fill of the matrix rather than its square.
 
 ``det``, ``inverse`` and ``solve`` all read the result of ``row_reduce``,
-whose pivot columns give the rank.  ``add_term`` is the matching sparse
-accumulation for Fraction-valued dicts.
+whose pivot columns give the rank.  ``det`` and ``solve`` take a matrix as
+a list of dense rows; ``inverse`` takes and returns sparse rows.
+``add_term`` is the matching sparse accumulation for Fraction-valued dicts.
 """
 
 from __future__ import annotations
@@ -87,13 +88,14 @@ def det(matrix: list[list], one):
     return scale if len(pivots) == n else one - one
 
 
-def inverse(matrix: list[list], one) -> list[dict]:
-    """The rows of matrix^-1, each as {column: nonzero entry}.
+def inverse(rows: list[dict], one) -> list[dict]:
+    """The rows of M^-1, each as {column: nonzero entry}, for the square
+    matrix M given by its rows in the same form.
 
     Raises ZeroDivisionError when the matrix is singular.
     """
-    n = len(matrix)
-    rows = _sparse(matrix, one - one)
+    n = len(rows)
+    rows = [dict(row) for row in rows]
     for i, row in enumerate(rows):
         row[n + i] = one
     pivots, _ = row_reduce(rows, one, n)

@@ -28,11 +28,19 @@ Each check does only the exact work its answer reads:
   monomials multiply to q1^(r+2) q2^(r+1), which takes n steps of the q1
   direction.  So the product identity through order N is the product of the
   unit parts through order N - n, against -1/(1 + (-1)^r q1).
+* eta-orbit.  The closed forms give h_ij = eta^j h_i0 and xi_ij = eta^j xi_i0,
+  with eta^(r+2) = 1.  Every pair is still expanded, and each pair found on
+  its orbit by that exact equality costs one scalar multiple: its residuals
+  are those of (i, 0) times a unit, and the r+2 unit parts of a whole orbit
+  multiply to eta^((r+1)(r+2)/2) u_i0^(r+2), one power per orbit.  A pair
+  off its orbit is computed directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -146,13 +154,15 @@ class QuantumRing:
         self.basis = xi_basis(r)
         self.index = {mono: k for k, mono in enumerate(self.basis)}
         self._embed = [self.engine.xi_monomial(a, b) for (a, b) in self.basis]
-        n = len(self.basis)
-        zero = one - one
-        embed_cols = [[self._embed[k].get(mono, zero) for k in range(n)]
-                      for mono in self.basis]
+        # the embedding matrix, row per (h, y)-monomial, column per basis
+        # monomial, as the nonzero entries of each row
+        embed_rows: list[dict] = [{} for _ in self.basis]
+        for k, vec in enumerate(self._embed):
+            for mono, c in vec.items():
+                embed_rows[self.index[mono]][k] = c
         # the rows of the inverse, each as its nonzero (h, y)-monomial entries
         self._from_y = [[(self.basis[j], c) for j, c in row.items()]
-                        for row in linalg.inverse(embed_cols, one)]
+                        for row in linalg.inverse(embed_rows, one)]
 
     def _y_to_xi(self, vec: Vec) -> list:
         zero = self.engine.zero
@@ -385,21 +395,34 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
 
 
 def verify_eigen_relations(r: int, order: int) -> dict:
-    """Check both quantum relations for every index pair through the order."""
+    """Check both quantum relations for every index pair through the order.
+
+    The residuals are formed once per orbit i, at j = 0.  A pair with
+    h_ij = eta^j h_i0 and xi_ij = eta^j xi_i0 exactly has the residuals
+    (eta^(j(r+1)) R1_i0, R2_i0), as eta^(r+2) = 1, and a unit factor keeps
+    the support, so it fails exactly where (i, 0) fails.  Any other pair has
+    its residuals computed directly.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
+    eta = eigen_field(r).zeta(r + 1)
     failures = []
     pairs = 0
     for i in range(r + 1):
+        orbit = eigen_formulas(r, i, 0, order)
+        orbit_residuals = eigen_relation_residuals(orbit)
         for j in range(r + 2):
-            pair = eigen_formulas(r, i, j, order)
-            first, second = eigen_relation_residuals(pair)
+            pair = orbit if j == 0 else eigen_formulas(r, i, j, order)
+            scale = eta**j
+            if pair is orbit or (pair.h == orbit.h * scale and pair.xi == orbit.xi * scale):
+                residuals = orbit_residuals
+            else:
+                residuals = eigen_relation_residuals(pair)
             pairs += 1
-            for name, res in (("spectrum-relation-1", first), ("spectrum-relation-2", second)):
+            for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals):
                 if not res.is_zero():
-                    exps = sorted(res.terms)
                     failures.append({"i": i, "j": j, "relation": name,
-                                     "leading_exponent": list(exps[0])})
+                                     "leading_exponent": list(min(res.terms))})
     return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
 
 
@@ -411,23 +434,37 @@ def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
     steps of the q1 direction, so the unit parts are needed only through
     order - n: each h_ij is expanded at order - n + 1 and divided exactly.
     Returns None when some h_ij has a term the monomial does not divide.
+
+    An orbit i whose unit parts satisfy u_ij = eta^j u_i0 for every j
+    contributes prod_j u_ij = eta^((r+1)(r+2)/2) u_i0^(r+2): the u_i0 of the
+    k such orbits are multiplied, raised to the power r+2 once and scaled by
+    eta^(k(r+1)(r+2)/2).  The unit parts of any other orbit are multiplied
+    in one by one.
     """
     n = (r + 1) * (r + 2)
     if order < n:
         raise ValueError(f"order {order} is below (r+1)(r+2) = {n}, "
                          "where both sides of the product identity truncate to zero")
     fld = eigen_field(r)
+    eta = fld.zeta(r + 1)
     d1, d2 = r + 1, r + 2
     trunc = order - n
-    prod = FracSeries.one(fld, d1, d2, trunc)
+    on_orbit, factors = [], []
     for i in range(r + 1):
+        units = []
         for j in range(r + 2):
             h = eigen_formulas(r, i, j, trunc + 1).h
             if any(n1 < 1 or n2 < 1 for (n1, n2) in h.terms):
                 return None
             unit = {(n1 - 1, n2 - 1): c for (n1, n2), c in h.terms.items()}
-            prod = prod * FracSeries(fld, d1, d2, trunc, unit)
-    return prod
+            units.append(FracSeries(fld, d1, d2, trunc, unit))
+        if all(units[j] == units[0] * eta**j for j in range(1, r + 2)):
+            on_orbit.append(units[0])
+        else:
+            factors.extend(units)
+    if on_orbit:
+        factors.append(reduce(mul, on_orbit) ** (r + 2) * eta**(len(on_orbit) * n // 2))
+    return reduce(mul, factors)
 
 
 def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:

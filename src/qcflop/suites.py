@@ -208,9 +208,14 @@ def batyrev_suite(r: int, order: int = 10,
     rep = Report(suite="batyrev")
     t0 = time.perf_counter()
     relations = batyrev.verify_eigen_relations(r, order)
+    residual = f"{relations['pairs_checked']} pairs checked"
+    if relations["failures"]:
+        first = relations["failures"][0]
+        residual += (f", {len(relations['failures'])} residuals nonzero; first at"
+                     f" (i, j) = ({first['i']}, {first['j']}), {first['relation']},"
+                     f" leading exponent {tuple(first['leading_exponent'])}")
     rep.add("batyrev/eigen-relations", {"r": r, "order": order},
-            not relations["failures"],
-            f"{relations['pairs_checked']} pairs checked")
+            not relations["failures"], residual)
     rep.add("batyrev/eigenvalue-count", {"r": r},
             relations["pairs_checked"] == (r + 1) * (r + 2))
     rep.add("batyrev/eigenvalue-product", {"r": r},

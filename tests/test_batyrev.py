@@ -1,10 +1,12 @@
 """Tests for the small quantum ring and its spectrum."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from qcflop import batyrev as bat
+from qcflop import cli
 from qcflop.algebra import FracSeries, linalg
 
 
@@ -131,6 +133,79 @@ def test_eigen_relations_exact():
     assert report["failures"] == []
 
 
+def reference_eigen_relations(r, order):
+    """Both residuals formed for every pair, one pair at a time."""
+    failures = []
+    pairs = 0
+    for i in range(r + 1):
+        for j in range(r + 2):
+            pair = bat.eigen_formulas(r, i, j, order)
+            first, second = bat.eigen_relation_residuals(pair)
+            pairs += 1
+            for name, res in (("spectrum-relation-1", first), ("spectrum-relation-2", second)):
+                if not res.is_zero():
+                    exps = sorted(res.terms)
+                    failures.append({"i": i, "j": j, "relation": name,
+                                     "leading_exponent": list(exps[0])})
+    return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_eigen_relations_match_per_pair_reference(r):
+    report = bat.verify_eigen_relations(r, 10)
+    assert report == reference_eigen_relations(r, 10)
+    assert report["pairs_checked"] == (r + 1) * (r + 2)
+
+
+def corrupt_one_pair(monkeypatch, target, which="h"):
+    """eigen_formulas with q1^(3/(r+1)) q2^(1/(r+2)) added to h (or xi) at one
+    pair; returns the list of the (i, j) it was called for."""
+    real = bat.eigen_formulas
+    calls = []
+
+    def formulas(r, i, j, order):
+        calls.append((i, j))
+        pair = real(r, i, j, order)
+        if (i, j) == target:
+            extra = FracSeries.monomial(pair.h.field, r + 1, r + 2, order, 3, 1)
+            setattr(pair, which, getattr(pair, which) + extra)
+        return pair
+
+    monkeypatch.setattr(bat, "eigen_formulas", formulas)
+    return calls
+
+
+@pytest.mark.parametrize("target, which", [((1, 2), "h"), ((1, 0), "h"), ((2, 3), "xi")])
+def test_eigen_relations_corrupted_pair_matches_reference(monkeypatch, target, which):
+    # (1, 2) and (2, 3) are off their orbits; (1, 0) corrupts the orbit's own
+    # residuals, which the rest of the orbit must then not inherit
+    calls = corrupt_one_pair(monkeypatch, target, which)
+    report = bat.verify_eigen_relations(2, 10)
+    assert sorted(calls) == [(i, j) for i in range(3) for j in range(4)]
+    assert report["failures"]
+    assert {(f["i"], f["j"]) for f in report["failures"]} == {target}
+    assert report == reference_eigen_relations(2, 10)
+
+
+@pytest.mark.parametrize("target", [(1, 2), (1, 0)])
+def test_eigen_relations_failure_names_the_pair(monkeypatch, capsys, target):
+    corrupt_one_pair(monkeypatch, target)
+    first = reference_eigen_relations(2, 10)["failures"][0]
+    assert cli.main(["verify", "batyrev", "--r", "2"]) == 1
+    err = capsys.readouterr().err
+    line = next(x for x in err.splitlines() if x.startswith("FAIL batyrev/eigen-relations"))
+    assert line.endswith(f"12 pairs checked, 2 residuals nonzero; first at (i, j) = {target},"
+                         f" {first['relation']}, leading exponent"
+                         f" {tuple(first['leading_exponent'])}")
+
+
+def test_eigen_relations_pass_residual(capsys):
+    assert cli.main(["verify", "batyrev", "--r", "1", "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    entry = next(e for e in entries if e["anchor"] == "batyrev/eigen-relations")
+    assert entry["status"] == "pass" and entry["residual"] == "6 pairs checked"
+
+
 def test_eigen_relations_negative_control():
     # flipping one sign must fail, surfacing a leading exponent
     r = 1
@@ -195,7 +270,8 @@ def dense_mult_matrix(ring, which):
     one, zero = ring.engine.one, ring.engine.zero
     n = len(ring.basis)
     embed_cols = [[ring._embed[k].get(mono, zero) for k in range(n)] for mono in ring.basis]
-    from_y = linalg.inverse(embed_cols, one)
+    from_y = linalg.inverse([{k: c for k, c in enumerate(row) if c != zero}
+                             for row in embed_cols], one)
     cols = []
     for k in range(n):
         vec = op(ring._embed[k])
@@ -243,7 +319,7 @@ def full_h_product(r, order):
     return prod
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_unit_product_matches_full_product(r):
     n = (r + 1) * (r + 2)
     default = (r + 5) * (r + 1)
@@ -254,6 +330,28 @@ def test_unit_product_matches_full_product(r):
                              {(a + n, b + n): c for (a, b), c in unit.terms.items()})
         assert shifted == full_h_product(r, order)
         assert bat.eigenvalue_product_identity(r, order)
+
+
+@pytest.mark.parametrize("target", [(1, 2), (1, 0)])
+def test_unit_product_with_an_off_orbit_pair(monkeypatch, target):
+    # a doubled h puts orbit 1 off its eta-orbit; its unit parts are then
+    # multiplied in one by one, beside the power of the other orbits
+    real = bat.eigen_formulas
+
+    def formulas(r, i, j, order):
+        pair = real(r, i, j, order)
+        if (i, j) == target:
+            pair.h = pair.h * 2
+        return pair
+
+    monkeypatch.setattr(bat, "eigen_formulas", formulas)
+    r, order = 2, 21
+    n = (r + 1) * (r + 2)
+    unit = bat.eigenvalue_unit_product(r, order)
+    shifted = FracSeries(unit.field, r + 1, r + 2, order,
+                         {(a + n, b + n): c for (a, b), c in unit.terms.items()})
+    assert shifted == full_h_product(r, order)
+    assert not bat.eigenvalue_product_identity(r, order)
 
 
 def test_eigenvalue_product_rejects_orders_below_the_product():

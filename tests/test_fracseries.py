@@ -106,3 +106,53 @@ def test_equal_series_hash_alike(terms):
         b = FracSeries.monomial(field, d1, d2, T, n1, n2, c) + b
     b = b - FracSeries.monomial(field, d1, d2, T, 1, 1, 5)
     assert a == b and hash(a) == hash(b)
+
+
+def series_binomial(base, alpha):
+    """(1 + x)^alpha by the binomial recurrence on series products of x."""
+    field, T = base.field, base.trunc
+    x = base - 1
+    result = FracSeries.one(field, base.den1, base.den2, T)
+    term = FracSeries.one(field, base.den1, base.den2, T)
+    coeff = Fraction(1)
+    for k in range(T + 1):
+        coeff = coeff * Fraction(alpha - k, k + 1)
+        term = term * x
+        if term.is_zero() or coeff == 0:
+            break
+        result = result + term * field.from_rational(coeff)
+    return result
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("mono", [(1, 0, 1), (2, 1, Fraction(3, 2)), (1, 3, Fraction(-2, 5))])
+def test_binomial_power_of_a_monomial_matches_series_loop(r, mono):
+    field, d1, d2, T = make(r, trunc=9)
+    n1, n2, scale = mono
+    c = field.zeta(r + 2) * scale  # omega * scale, as in the eigenvalue base
+    base = FracSeries.one(field, d1, d2, T) + FracSeries.monomial(field, d1, d2, T, n1, n2, c)
+    for alpha in (Fraction(-1, r + 2), Fraction(r + 1, r + 2), Fraction(3)):
+        got = base.binomial_power(alpha)
+        assert got.terms == series_binomial(base, alpha).terms
+    # an integer exponent ends the expansion where C(3, k) reaches zero
+    cube = base.binomial_power(Fraction(3))
+    assert cube == base ** 3
+    assert max(k[0] for k in cube.terms) == min(3 * n1, T)
+
+
+def test_binomial_power_of_a_monomial_stops_at_the_truncation():
+    field, d1, d2, T = make(trunc=7)
+    base = FracSeries.one(field, d1, d2, T) + FracSeries.monomial(field, d1, d2, T, 3, 1, 2)
+    got = base.binomial_power(Fraction(-1))
+    assert got.terms == {(0, 0): field.one, (3, 1): field.from_rational(-2),
+                         (6, 2): field.from_rational(4)}
+
+
+def test_constant_series_equals_its_value_from_another_field():
+    # zeta_3 = zeta_6^2: the same number in Q(zeta_6) and in Q(zeta_3)
+    field, d1, d2, T = make(r=1, trunc=3)  # Q(zeta_6)
+    value = CycField(3).zeta()
+    s = FracSeries.one(field, d1, d2, T) * field.zeta(2)
+    assert s == value and hash(s) == hash(value)
+    assert not (s + FracSeries.monomial(field, d1, d2, T, 1, 0) == value)
+    assert not (s == CycField(3).zeta(2))
