@@ -136,48 +136,37 @@ class FracSeries:
                           {k: c for k, c in self.terms.items() if k[0] == 0})
 
     def binomial_power(self, alpha: Fraction) -> "FracSeries":
-        """(self)^alpha for a series with unit constant term.
+        """(1 + x)^alpha for self = 1 + x with x = 0 or one term c q1^(a/den1) q2^(b/den2), a > 0.
 
-        Expands (1+x)^alpha with x = self - 1 by the binomial recurrence
-        C(alpha, k+1) = C(alpha, k) (alpha - k)/(k + 1); the truncation order
-        bounds the expansion length since x has no constant term.  When x is
-        a single term c q1^(a/den1) q2^(b/den2), as for the base
-        1 + omega^i q1^(1/(r+1)) of the closed-form eigenvalues, x^k is
-        c^k q1^(ka/den1) q2^(kb/den2) and no series product is formed.
+        That is the base 1 + omega^i q1^(1/(r+1)) of the closed-form
+        eigenvalues.  The binomial recurrence C(alpha, k) = C(alpha, k-1)
+        (alpha - k + 1)/k gives the coefficient of x^k = c^k q1^(ka/den1)
+        q2^(kb/den2), so no series product is formed; the expansion stops at
+        the truncation order, or where C(alpha, k) reaches zero for a
+        nonnegative integer alpha.
         """
         if not (self.constant_term() == self.field.one):
             raise ValueError("binomial power needs a unit constant term")
         x = self - 1
-        if any(n1 == 0 for (n1, _) in x.terms):
-            raise ValueError("binomial power requires the q1-direction to carry the expansion")
-        if len(x.terms) == 1:
-            ((a, b), c), = x.terms.items()
-            out = {(0, 0): self.field.one}
-            coeff = Fraction(1)
-            power = self.field.one
-            k = 1
-            while k * a <= self.trunc:
-                coeff = coeff * Fraction(alpha - k + 1, k)
-                if coeff == 0:
-                    break
-                power = power * c
-                out[(k * a, k * b)] = power * coeff
-                k += 1
+        if len(x.terms) > 1:
+            raise ValueError("binomial power needs self - 1 to be a single term")
+        out = {(0, 0): self.field.one}
+        if not x.terms:
             return FracSeries(self.field, self.den1, self.den2, self.trunc, out)
-        result = FracSeries.one(self.field, self.den1, self.den2, self.trunc)
-        term = FracSeries.one(self.field, self.den1, self.den2, self.trunc)
+        ((a, b), c), = x.terms.items()
+        if a == 0:
+            raise ValueError("binomial power requires the q1-direction to carry the expansion")
         coeff = Fraction(1)
-        k = 0
-        # x^k has q1-exponent at least k (in the fractional-lattice count),
-        # so the loop stops at the truncation order
-        while k <= self.trunc:
-            coeff = coeff * Fraction(alpha - k, k + 1)
-            term = term * x
-            if term.is_zero() or coeff == 0:
+        power = self.field.one
+        k = 1
+        while k * a <= self.trunc:
+            coeff = coeff * Fraction(alpha - k + 1, k)
+            if coeff == 0:
                 break
-            result = result + term * self.field.from_rational(coeff)
+            power = power * c
+            out[(k * a, k * b)] = power * coeff
             k += 1
-        return result
+        return FracSeries(self.field, self.den1, self.den2, self.trunc, out)
 
     def to_complex(self, q1: complex, q2: complex) -> complex:
         """Numeric evaluation with principal fractional powers."""

@@ -73,6 +73,16 @@ def test_binomial_power_requires_unit_constant():
         (u + 2).binomial_power(Fraction(1, 2))
 
 
+def test_binomial_power_needs_a_single_term():
+    field, d1, d2, T = make()
+    one = FracSeries.one(field, d1, d2, T)
+    x = FracSeries.monomial(field, d1, d2, T, 1, 0)
+    with pytest.raises(ValueError):
+        (one + x + x * x).binomial_power(Fraction(1, 2))
+    with pytest.raises(ValueError):  # the q1-direction carries the expansion
+        (one + FracSeries.monomial(field, d1, d2, T, 0, 1)).binomial_power(Fraction(1, 2))
+
+
 def test_negative_exponents_rejected():
     field, d1, d2, T = make()
     with pytest.raises(ValueError):
