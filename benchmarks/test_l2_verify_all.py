@@ -1,0 +1,74 @@
+"""L2 micro-benchmark: stages that ``verify all`` calls repeatedly.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_l2_verify_all.py --benchmark-only
+
+* ``evaluate_g_polynomial`` of delta^7 G as a polynomial in G, at r = 1..3,
+  the largest m of the flop suite.
+* R1 on the default branch of a fresh frame at r = 4..8, its connection
+  already built: ``first_order(frame)``, or ``r1_offdiagonal`` and then
+  ``r1_diagonal`` where a version of the module has no ``first_order``.
+* ``hamiltonian_of`` for the three operator pairs of the quantization
+  suite's homomorphism check at dim 2, cutoff 3 (six operators, the
+  symplectic test included).
+* ``eigen_formulas`` over every (i, j) at r = 3..5 and the batyrev suite's
+  order 10, with any per-process memo of the module emptied before each
+  round, so that a round costs what one eigen check pays.
+
+The file uses the public API of each module, so it times any version of them.
+"""
+
+import pytest
+
+from qcflop import batyrev, canonical, flopcheck, weyl
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_evaluate_g_polynomial(benchmark, r):
+    poly = flopcheck.delta_g_polynomial(r, 7)
+    value = benchmark(flopcheck.evaluate_g_polynomial, poly, r)
+    assert value == flopcheck.delta_g_direct(r, 7)
+
+
+def default_first_order(frame):
+    if hasattr(canonical, "first_order"):
+        return canonical.first_order(frame)
+    off = canonical.r1_offdiagonal(frame)
+    return off, canonical.r1_diagonal(frame, off)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 7, 8])
+def test_first_order(benchmark, r):
+    def fresh_frame():
+        frame = canonical.build_spectrum(r)
+        canonical.connection_form(frame)
+        return (frame,), {}
+
+    _, diag = benchmark.pedantic(default_first_order, setup=fresh_frame, rounds=5)
+    assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
+
+
+def test_hamiltonian_of(benchmark):
+    B = [[1, 2], [2, -1]]
+    C = [[0, 1], [1, 3]]
+    ops = []
+    for exp1, exp2 in ((-1, -1), (-1, -3), (1, 1)):
+        ops.append(weyl.EndoLaurent.matrix_z_power(2, exp1, B))
+        ops.append(weyl.EndoLaurent.matrix_z_power(2, exp2, C))
+
+    def run():
+        return [weyl.hamiltonian_of(A, 2, 3) for A in ops]
+
+    assert all(not P.is_zero() for P in benchmark(run))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_eigen_formulas_all_pairs(benchmark, r):
+    def empty_memo():
+        getattr(batyrev, "_ORBIT_FACTORS", {}).clear()
+        return (), {}
+
+    def run():
+        return [batyrev.eigen_formulas(r, i, j, 10) for i in range(r + 1) for j in range(r + 2)]
+
+    pairs = benchmark.pedantic(run, setup=empty_memo, rounds=10)
+    assert len(pairs) == (r + 1) * (r + 2)

@@ -33,7 +33,11 @@ Each check does only the exact work its answer reads:
   its orbit by that exact equality costs one scalar multiple: its residuals
   are those of (i, 0) times a unit, and the r+2 unit parts of a whole orbit
   multiply to eta^((r+1)(r+2)/2) u_i0^(r+2), one power per orbit.  A pair
-  off its orbit is computed directly.
+  off its orbit is computed directly.  The j-free factors
+  X Y omega^i base^(-1/(r+2)) and Y base^((r+1)/(r+2)) of an orbit are
+  expanded once per (r, i, order) and kept while the same (r, order) is
+  asked for; ``eigen_formulas`` scales them by eta^j, and every check still
+  calls it for every pair.
 """
 
 from __future__ import annotations
@@ -368,17 +372,34 @@ def eigen_formulas(r: int, i: int, j: int, order: int) -> EigenPair:
     """
     if not (0 <= i <= r and 0 <= j <= r + 1):
         raise ValueError("eigenvalue indices out of range")
-    fld = eigen_field(r)
-    omega = fld.zeta(r + 2)  # order r+1
-    eta = fld.zeta(r + 1)    # order r+2
-    d1, d2 = r + 1, r + 2
-    X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
-    Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
-    base = FracSeries.one(fld, d1, d2, order) + X * omega**i
-    root = base.binomial_power(Fraction(-1, r + 2))
-    h = X * Y * (eta**j * omega**i) * root
-    xi = Y * eta**j * (base * root)  # base^((r+1)/(r+2)) = base * base^(-1/(r+2))
-    return EigenPair(r, i, j, h, xi)
+    h_orbit, xi_orbit = _orbit_factors(r, i, order)
+    eta = eigen_field(r).zeta(r + 1)  # order r+2
+    return EigenPair(r, i, j, h_orbit * eta**j, xi_orbit * eta**j)
+
+
+# the factors of each orbit i at the last (r, order) asked for: a check reads
+# every pair at one (r, order), so the factors of an earlier one are dropped
+_ORBIT_FACTORS: dict[tuple[int, int], dict[int, tuple[FracSeries, FracSeries]]] = {}
+
+
+def _orbit_factors(r: int, i: int, order: int) -> tuple[FracSeries, FracSeries]:
+    """X Y omega^i base^(-1/(r+2)) and Y base^((r+1)/(r+2)), the factors of
+    the (i, j) eigenvalues that do not depend on j; never handed out."""
+    orbits = _ORBIT_FACTORS.get((r, order))
+    if orbits is None:
+        _ORBIT_FACTORS.clear()
+        orbits = _ORBIT_FACTORS[r, order] = {}
+    if i not in orbits:
+        fld = eigen_field(r)
+        omega = fld.zeta(r + 2)  # order r+1
+        d1, d2 = r + 1, r + 2
+        X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
+        Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
+        base = FracSeries.one(fld, d1, d2, order) + X * omega**i
+        root = base.binomial_power(Fraction(-1, r + 2))
+        # base^((r+1)/(r+2)) = base * base^(-1/(r+2))
+        orbits[i] = (X * Y * omega**i * root, Y * (base * root))
+    return orbits[i]
 
 
 def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:

@@ -38,10 +38,14 @@ Caching (per process, never shared between processes or switched off):
   the symmetric functions of the a_l shared by the idempotent basis and
   ``m_inverse``, and the basis factors (``eps_factors``: the pref_i and the
   s_ik) read by ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
+- ``first_order`` keeps R1 (off the diagonal and on it) per frame and branch,
+  so the appendix suite and ``genus_one_form(r)`` share the default branch;
+  each distinct branch is still derived once.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
-fresh matrix from the base and ``term_c_minus_one`` a fresh ``others`` dict.
+fresh matrix from the base, ``term_c_minus_one`` a fresh ``others`` dict, and
+``first_order`` returns tuples.
 """
 
 from __future__ import annotations
@@ -570,16 +574,22 @@ def _integrate_scalar(x: EquivScalar, mode: str = "drop-constant") -> EquivScala
 
 def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[EquivScalar]:
     """Integrate the flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j)
-    on the t-line, dropping the integration constant."""
-    r = frame.r
+    on the t-line, dropping the integration constant.
+
+    The term off_ij off_ji (p_i - p_j) is formed once per unordered pair:
+    the (j, i) term is its negative, as p_i - p_j is antisymmetric, whatever
+    ``off`` holds.
+    """
+    n = frame.u
     dp = _p_differences(frame)
+    integrands = [EquivScalar.zero(frame.field, frame.u) for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            term = off[i][j] * off[j][i] * dp[i][j]
+            integrands[i] = integrands[i] - term
+            integrands[j] = integrands[j] + term
     out = []
-    for i in range(r + 1):
-        integrand = EquivScalar.zero(frame.field, frame.u)
-        for j in range(r + 1):
-            if j == i:
-                continue
-            integrand = integrand - off[i][j] * off[j][i] * dp[i][j]
+    for i, integrand in enumerate(integrands):
         try:
             out.append(_integrate_scalar(integrand, "drop-constant"))
         except NonIntegrableError as exc:
@@ -602,6 +612,23 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     return out
 
 
+def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
+                pair_flip: tuple[int, int] | None = None
+                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
+    """(R1 off the diagonal, R1 on it) on one square-root branch.
+
+    Derived once per frame and branch, from ``r1_offdiagonal`` and
+    ``r1_diagonal``, and returned as immutable tuples; every distinct branch
+    is still derived from its own connection.
+    """
+    key = (tuple(_branch_signs(frame.r, signs)), None if pair_flip is None else tuple(pair_flip))
+    branches = frame.stages.setdefault("first_order", {})
+    if key not in branches:
+        off = r1_offdiagonal(frame, signs, pair_flip)
+        branches[key] = (tuple(map(tuple, off)), tuple(r1_diagonal(frame, off)))
+    return branches[key]
+
+
 # --- the genus-one differential -----------------------------------------------
 
 
@@ -622,8 +649,7 @@ def genus_one_form(r: int, signs: list[int] | None = None,
     frame = frame_for(r)
     t_log = term_log_delta(frame)
     t_c, _ = term_c_minus_one(frame)
-    off = r1_offdiagonal(frame, signs, pair_flip)
-    diag = r1_diagonal(frame, off)
+    _, diag = first_order(frame, signs, pair_flip)
     third = EquivScalar.zero(frame.field, frame.u)
     for i in range(r + 1):
         third = third + diag[i] * frame.p[i]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from qcflop.algebra import CycField, RatFunc, linalg
+from qcflop.algebra import CycField, Poly, RatFunc, linalg
 from qcflop.algebra.linalg import add_term
 from qcflop import cohomology as coh
 
@@ -86,14 +86,24 @@ def delta_g_polynomial(r: int, m: int) -> GPoly:
 
 
 def evaluate_g_polynomial(p: GPoly, r: int) -> RatFunc:
+    """p(G), homogenised over the reduced fraction G = a/b.
+
+    With n = deg p, p(G) = (sum_k c_k a^k b^(n-k)) / b^n: the numerator is
+    summed by Horner in a, each c_k beside its power of b, and the quotient
+    is reduced once.
+    """
+    if not p:
+        return RatFunc.zero(Q, 1)
     g = g_function(r)
-    out = RatFunc.zero(Q, 1)
-    power = RatFunc.one(Q, 1)
-    for c in p:
-        if c:
-            out = out + power * c
-        power = power * g
-    return out
+    a, b = g.num, g.den
+    num, b_power = Poly.zero(Q), Poly.one(Q)
+    for k in range(len(p) - 1, -1, -1):
+        num = num * a
+        if p[k]:
+            num = num + b_power.scale(p[k])
+        if k:
+            b_power = b_power * b
+    return RatFunc(Q, 1, num, b_power)
 
 
 _DELTA_LADDERS: dict[int, list[RatFunc]] = {}

@@ -80,6 +80,14 @@ def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -
     return rep
 
 
+def _first_failing_pair(r: int, checks) -> str | None:
+    """The first (i, j), in row order, where one of ``checks(i, j)``, a
+    sequence of (what fails, passed), did not pass."""
+    return next((f"first failing (i, j) = {(i, j)}: {what}"
+                 for i in range(r + 1) for j in range(r + 1)
+                 for what, passed in checks(i, j) if not passed), None)
+
+
 def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep = Report(suite="appendix")
     t0 = time.perf_counter()
@@ -101,9 +109,8 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep.add("appendix/pairing-closed-form", {"r": r}, pair_ok)
     rep.add("appendix/pairing-vanishing-window", {"r": r},
             all(canonical.lemma_zero_value(r, k).is_zero() for k in range(r)))
-    bad = next((f"first failing (i, j) = {(i, j)}: du_j(eps_i) is not delta_ij"
-                for i in range(r + 1) for j in range(r + 1)
-                if canonical.du_of_eps(frame, i, j) != (1 if i == j else 0)), None)
+    bad = _first_failing_pair(r, lambda i, j: (
+        ("du_j(eps_i) is not delta_ij", canonical.du_of_eps(frame, i, j) == (1 if i == j else 0)),))
     rep.add("appendix/idempotent-duality", {"r": r}, bad is None, bad or "0")
     bad = None
     norms = []
@@ -137,32 +144,25 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep.add("appendix/chern-localization-term", {"r": r},
             t_c == g * Fraction((-1) ** r * (r + 1) ** 2, 24)
             and all(v.is_zero() for v in others.values()))
+    branch_note = "derived equals display under the opposite square-root branch"
     conn = canonical.connection_form(frame)
     disp = canonical.connection_display_form(frame)
-    conn_ok = all(conn[i][i].is_zero() for i in range(r + 1))
-    for i in range(r + 1):
-        for j in range(r + 1):
-            conn_ok = conn_ok and (conn[i][j] + conn[j][i]).is_zero()
-            conn_ok = conn_ok and conn[i][j] == -disp[i][j]
-    rep.add("appendix/connection-form", {"r": r}, conn_ok,
-            "derived equals display under the opposite square-root branch")
-    off = canonical.r1_offdiagonal(frame)
+    bad = _first_failing_pair(r, lambda i, j: (
+        ("the diagonal is not zero", i != j or conn[i][i].is_zero()),
+        ("the form is not antisymmetric", (conn[i][j] + conn[j][i]).is_zero()),
+        ("derived is not minus the display", conn[i][j] == -disp[i][j])))
+    rep.add("appendix/connection-form", {"r": r}, bad is None, bad or branch_note)
+    off, diag = canonical.first_order(frame)
     off_disp = canonical.r1_offdiagonal_display(frame)
-    off_ok = True
-    for i in range(r + 1):
-        for j in range(r + 1):
-            if i == j:
-                continue
-            off_ok = off_ok and off[i][j] == -off_disp[i][j]
-            off_ok = off_ok and off[i][j] == off[j][i]
-            off_ok = off_ok and off[i][j].lam_degrees() == (-1, -1)
-    rep.add("appendix/first-order-offdiagonal", {"r": r}, off_ok,
-            "derived equals display under the opposite square-root branch")
+    bad = _first_failing_pair(r, lambda i, j: () if i == j else (
+        ("derived is not minus the display", off[i][j] == -off_disp[i][j]),
+        ("R1 is not symmetric", off[i][j] == off[j][i]),
+        ("the entry is not of weight lam^-1", off[i][j].lam_degrees() == (-1, -1))))
+    rep.add("appendix/first-order-offdiagonal", {"r": r}, bad is None, bad or branch_note)
     xi_val = canonical.xi_constant(r)
     xi_want = Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
     rep.add("appendix/diagonal-constant", {"r": r},
             xi_val == xi_want and canonical.xi_constant_pair_identity(r), str(xi_val))
-    diag = canonical.r1_diagonal(frame, off)
     closed = canonical.r1_diagonal_closed_form(frame)
     rep.add("appendix/first-order-diagonal", {"r": r},
             all(diag[i] == closed[i] for i in range(r + 1)))

@@ -122,6 +122,10 @@ class EndoLaurent:
         return EndoLaurent(self.dim, out)
 
 
+def _pairing(gram, i: int, j: int) -> int | Fraction:
+    return int(i == j) if gram is None else Fraction(gram[i][j])
+
+
 def symplectic_form(f: LoopVector, g: LoopVector, gram: list[list[Fraction]] | None = None) -> Fraction:
     """Omega(f, g) = Res_(z=0) (f(-z), g(z)), with an optional symmetric metric."""
     if f.dim != g.dim or f.cutoff != g.cutoff:
@@ -131,32 +135,45 @@ def symplectic_form(f: LoopVector, g: LoopVector, gram: list[list[Fraction]] | N
         for (j, b), gc in g.coeffs.items():
             if a + b != -1:
                 continue
-            pairing = Fraction(1 if i == j else 0) if gram is None else Fraction(gram[i][j])
+            pairing = _pairing(gram, i, j)
             if pairing:
                 total += Fraction((-1) ** (a % 2)) * pairing * fc * gc
     return total
 
 
+def _by_mode(v: LoopVector) -> dict[int, list[tuple[int, Fraction]]]:
+    """The terms of v grouped by z-mode: mode -> [(direction, coefficient)]."""
+    out: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, m), c in v.coeffs.items():
+        out.setdefault(m, []).append((i, c))
+    return out
+
+
+def _omega_to_basis(f: dict, j: int, b: int, gram=None) -> Fraction:
+    """Omega(f, T_j z^b) for f grouped by ``_by_mode``: only the z^(-1-b) term
+    of f counts, with the sign (-1)^(-1-b)."""
+    total = Fraction(0)
+    for i, c in f.get(-1 - b, ()):
+        pairing = _pairing(gram, i, j)
+        if pairing:
+            total += pairing * c
+    return total if b % 2 else -total
+
+
 def is_infinitesimal_symplectic(A: EndoLaurent, dim: int, cutoff: int,
                                 gram: list[list[Fraction]] | None = None) -> bool:
-    """Omega(Af, g) + Omega(f, Ag) = 0 on all basis pairs within the cutoff."""
-    modes = range(-cutoff - 1, cutoff + 1)
-    images = {}
-    for i in range(dim):
-        for a in modes:
-            f = LoopVector.basis(dim, cutoff, i, a)
-            images[(i, a)] = A.apply(f)
-    for i in range(dim):
-        for a in modes:
-            f = LoopVector.basis(dim, cutoff, i, a)
-            for j in range(dim):
-                for b in modes:
-                    g = LoopVector.basis(dim, cutoff, j, b)
-                    val = symplectic_form(images[(i, a)], g, gram) \
-                        + symplectic_form(f, images[(j, b)], gram)
-                    if val:
-                        return False
-    return True
+    """Omega(Af, g) + Omega(f, Ag) = 0 on all basis pairs within the cutoff.
+
+    Omega(Af, T_j z^b) reads only the z^(-1-b) term of Af, and the metric is
+    symmetric, so the sum for (f, g) is minus that for (g, f): only the pairs
+    where Af reaches the dual mode of g are visited.
+    """
+    basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
+    images = {f: _by_mode(A.apply(LoopVector.basis(dim, cutoff, *f))) for f in basis}
+    pairs = {(f, (j, -1 - m)) for f, image in images.items() for m in image for j in range(dim)}
+    # Omega(f, Ag) = -Omega(Ag, f)
+    return not any(_omega_to_basis(images[f], *g, gram) - _omega_to_basis(images[g], *f, gram)
+                   for f, g in pairs)
 
 
 # --- quadratic hamiltonians -----------------------------------------------------
@@ -210,27 +227,38 @@ def hamiltonian_of(A: EndoLaurent, dim: int, cutoff: int) -> QuadHamiltonian:
         raise NonSymplecticError("operator fails Omega(Af,g) + Omega(f,Ag) = 0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     gens = [("p", v) for v in variables] + [("q", v) for v in variables]
-    vectors = {u: darboux_vector(dim, cutoff, *u) for u in gens}
-    images = {u: A.apply(vec) for u, vec in vectors.items()}
+    vectors = [darboux_vector(dim, cutoff, *u) for u in gens]
+    images = [_by_mode(A.apply(vec)) for vec in vectors]
+    # each generator is a signed basis vector: its (direction, mode) and sign
+    units = [next(iter(vec.coeffs.items())) for vec in vectors]
+    index = {key: idx for idx, (key, _) in enumerate(units)}
+    # Omega(Ax_u, x_v) needs a term of Ax_u at the dual mode of x_v; the
+    # window is closed under m -> -1-m, so that x_v is a generator
+    pairs = set()
+    for idx, image in enumerate(images):
+        for m, terms in image.items():
+            for i, _ in terms:
+                other = index[(i, -1 - m)]
+                pairs.add((min(idx, other), max(idx, other)))
     pp: dict = {}
     pq: dict = {}
     qq: dict = {}
-    for idx, u in enumerate(gens):
-        for v in gens[idx:]:
-            quad = symplectic_form(images[u], vectors[v])
-            quad += symplectic_form(images[v], vectors[u])
-            # from (1/2) Omega(Af, f): the x_u^2 coefficient is quad/4 (quad
-            # double-counts the diagonal), the x_u x_v one (u != v) is quad/2
-            coeff = quad * Fraction(1, 4) * (2 if u != v else 1)
-            if not coeff:
-                continue
-            (ku, vu), (kv, vv) = u, v
-            if ku == "p" and kv == "p":
-                add_term(pp, tuple(sorted((vu, vv))), coeff)
-            elif ku == "q" and kv == "q":
-                add_term(qq, tuple(sorted((vu, vv))), coeff)
-            else:
-                add_term(pq, (vu, vv) if ku == "p" else (vv, vu), coeff)
+    for idx_u, idx_v in sorted(pairs):
+        (key_u, c_u), (key_v, c_v) = units[idx_u], units[idx_v]
+        quad = c_v * _omega_to_basis(images[idx_u], *key_v) \
+            + c_u * _omega_to_basis(images[idx_v], *key_u)
+        # from (1/2) Omega(Af, f): the x_u^2 coefficient is quad/4 (quad
+        # double-counts the diagonal), the x_u x_v one (u != v) is quad/2
+        coeff = quad * Fraction(1, 4) * (2 if idx_u != idx_v else 1)
+        if not coeff:
+            continue
+        (ku, vu), (kv, vv) = gens[idx_u], gens[idx_v]
+        if ku == "p" and kv == "p":
+            add_term(pp, tuple(sorted((vu, vv))), coeff)
+        elif ku == "q" and kv == "q":
+            add_term(qq, tuple(sorted((vu, vv))), coeff)
+        else:
+            add_term(pq, (vu, vv) if ku == "p" else (vv, vu), coeff)
     return QuadHamiltonian(dim, cutoff, pp, pq, qq)
 
 

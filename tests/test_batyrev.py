@@ -124,6 +124,39 @@ def test_eigen_formulas_match_two_binomial_series(r):
             assert pair.xi.terms == (Y * eta**j * xi_unit).terms
 
 
+def direct_eigen_formulas(r, i, j, order):
+    """The (i, j) pair expanded on its own, every factor included."""
+    fld = bat.eigen_field(r)
+    omega, eta = fld.zeta(r + 2), fld.zeta(r + 1)
+    d1, d2 = r + 1, r + 2
+    X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
+    Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
+    base = FracSeries.one(fld, d1, d2, order) + X * omega**i
+    root = base.binomial_power(Fraction(-1, r + 2))
+    return X * Y * (eta**j * omega**i) * root, Y * eta**j * (base * root)
+
+
+@pytest.mark.parametrize("order", [6, 19])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_eigen_formulas_match_the_direct_closed_form(r, order):
+    for i in range(r + 1):
+        for j in range(r + 2):
+            pair = bat.eigen_formulas(r, i, j, order)
+            h, xi = direct_eigen_formulas(r, i, j, order)
+            assert (pair.r, pair.i, pair.j) == (r, i, j)
+            assert pair.h.terms == h.terms and pair.xi.terms == xi.terms
+            assert pair.h.trunc == order
+
+
+def test_eigen_formulas_hand_out_their_own_series():
+    pair = bat.eigen_formulas(2, 1, 0, 6)
+    want = direct_eigen_formulas(2, 1, 0, 6)
+    pair.h.terms.clear()
+    pair.xi.terms[(0, 0)] = pair.xi.field.one
+    again = bat.eigen_formulas(2, 1, 0, 6)
+    assert (again.h.terms, again.xi.terms) == (want[0].terms, want[1].terms)
+
+
 def test_eigen_relations_exact():
     report = bat.verify_eigen_relations(1, 6)
     assert report["pairs_checked"] == 6

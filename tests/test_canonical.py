@@ -493,3 +493,118 @@ def test_control_pairing_weight_off_by_one(capsys, monkeypatch):
     assert ortho["residual"] == "first failing (i, j) = (0, 0): the norm is not the closed form"
     # the duality never reads the pairing
     assert entries["appendix/idempotent-duality"]["status"] == "pass"
+
+
+# --- R1 once per unordered pair and once per branch ---------------------------------
+
+
+def reference_r1_diagonal(frame, off):
+    """The diagonal integrated from every ordered (i, j) term, one i at a time."""
+    r = frame.r
+    out = []
+    for i in range(r + 1):
+        integrand = EquivScalar.zero(frame.field, frame.u)
+        for j in range(r + 1):
+            if j != i:
+                integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
+        out.append(can._integrate_scalar(integrand, "drop-constant"))
+        for e, f in integrand.terms.items():
+            if 0 in f.laurent_items():
+                raise can.FlatnessError(f"diagonal {i} integrand has a constant term at weight {e}")
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except can.FlatnessError as exc:
+        return str(exc)
+
+
+def branches(r):
+    signs = [1] * r + [-1]
+    return [{}, {"pair_flip": (0, 1)}, {"signs": signs}]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_r1_diagonal_matches_the_ordered_pair_reference(r):
+    frame = can.frame_for(r)
+    for branch in branches(r):
+        off = can.r1_offdiagonal(frame, **branch)
+        assert can.r1_diagonal(frame, off) == reference_r1_diagonal(frame, off)
+    # a corrupted entry: at r = 1 a different diagonal, beyond it a constant
+    # term that flatness rejects at the same diagonal
+    off = [list(row) for row in can.r1_offdiagonal(frame)]
+    off[0][1] = off[0][1] * 3
+    got = outcome(can.r1_diagonal, frame, off)
+    assert got == outcome(reference_r1_diagonal, frame, off)
+    assert got != can.r1_diagonal(frame, can.r1_offdiagonal(frame))
+    assert isinstance(got, list) if r == 1 else got.startswith("diagonal 0 ")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_first_order_is_derived_once_per_branch(r):
+    frame = can.build_spectrum(r)
+    for branch in branches(r):
+        off, diag = can.first_order(frame, **branch)
+        assert isinstance(off, tuple) and all(isinstance(row, tuple) for row in off)
+        assert isinstance(diag, tuple)
+        want_off = can.r1_offdiagonal(frame, **branch)
+        assert [list(row) for row in off] == want_off
+        assert list(diag) == can.r1_diagonal(frame, want_off)
+        assert can.first_order(frame, **branch) is can.first_order(frame, **branch)
+    # the default signs written out are the default branch
+    assert can.first_order(frame, signs=[1] * (r + 1)) is can.first_order(frame)
+    assert len(frame.stages["first_order"]) == 3
+    with pytest.raises(ValueError):
+        can.first_order(frame, pair_flip=(1, 1))
+    with pytest.raises(ValueError):
+        can.first_order(frame, signs=[1] * r)
+
+
+# --- negative controls of the connection and first-order anchors ---------------------
+
+
+BRANCH_NOTE = "derived equals display under the opposite square-root branch"
+
+
+def failing_line(capsys, anchor):
+    assert cli.main(["verify", "appendix", "--r", "2"]) == 1
+    err = capsys.readouterr().err
+    return next(x for x in err.splitlines() if x.startswith(f"FAIL {anchor}"))
+
+
+def test_connection_and_first_order_pass_with_the_branch_note(capsys):
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 0
+    for anchor in ("appendix/connection-form", "appendix/first-order-offdiagonal"):
+        assert entries[anchor]["status"] == "pass" and entries[anchor]["residual"] == BRANCH_NOTE
+
+
+def test_control_connection_display_entry(capsys, monkeypatch):
+    real = can.connection_display_form
+
+    def display(frame):
+        out = real(frame)
+        out[1][2] = out[1][2] * 2
+        return out
+
+    monkeypatch.setattr(can, "connection_display_form", display)
+    line = failing_line(capsys, "appendix/connection-form")
+    assert line.endswith("first failing (i, j) = (1, 2): derived is not minus the display")
+
+
+def test_control_first_order_display_entry(capsys, monkeypatch):
+    real = can.r1_offdiagonal_display
+
+    def display(frame):
+        out = real(frame)
+        out[2][1] = -out[2][1]
+        return out
+
+    monkeypatch.setattr(can, "r1_offdiagonal_display", display)
+    line = failing_line(capsys, "appendix/first-order-offdiagonal")
+    assert line.endswith("first failing (i, j) = (2, 1): derived is not minus the display")
+    # the connection itself is untouched
+    _, entries = verify_appendix_r2(capsys)
+    assert entries["appendix/connection-form"]["status"] == "pass"

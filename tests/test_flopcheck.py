@@ -40,6 +40,30 @@ def test_delta_g_polynomial_base_cases():
     assert fc.delta_g_polynomial(1, 2) == [0, 1, 3, 2]
 
 
+def reference_evaluate_g_polynomial(p, r):
+    """p(G) as a sum of RatFunc terms c_k G^k, each reduced on its own."""
+    g = fc.g_function(r)
+    out = RatFunc.zero(fc.Q, 1)
+    power = RatFunc.one(fc.Q, 1)
+    for c in p:
+        if c:
+            out = out + power * c
+        power = power * g
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_evaluate_g_polynomial_matches_the_termwise_reference(r):
+    polys = [fc.delta_g_polynomial(r, m) for m in range(10)]
+    polys += [[], [Fraction(0)], [Fraction(-5, 3)], [Fraction(0), Fraction(0), Fraction(1)],
+              [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(0)]]
+    for p in polys:
+        got = fc.evaluate_g_polynomial(p, r)
+        want = reference_evaluate_g_polynomial(p, r)
+        assert got == want
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
 def test_delta_g_polynomial_matches_direct_differentiation():
     for r in (1, 2, 3, 4, 5):
         for m in range(8):

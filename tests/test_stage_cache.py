@@ -19,6 +19,8 @@ def frame_stages(frame, r):
         "canonical_basis": can.canonical_basis(frame),
         "m_inverse": can.m_inverse(frame),
         "r1_offdiagonal": can.r1_offdiagonal(frame),
+        "first_order": can.first_order(frame),
+        "first_order pair_flip": can.first_order(frame, pair_flip=(0, 1)),
     }
 
 

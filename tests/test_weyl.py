@@ -59,6 +59,87 @@ def test_is_infinitesimal_symplectic():
     assert not weyl.is_infinitesimal_symplectic(sym, 2, 3)
 
 
+def dense_is_infinitesimal_symplectic(A, dim, cutoff, gram=None):
+    """Omega(Af, g) + Omega(f, Ag) over every basis pair."""
+    basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
+    vectors = {f: weyl.LoopVector.basis(dim, cutoff, *f) for f in basis}
+    images = {f: A.apply(vec) for f, vec in vectors.items()}
+    return not any(weyl.symplectic_form(images[f], vectors[g], gram)
+                   + weyl.symplectic_form(vectors[f], images[g], gram)
+                   for f in basis for g in basis)
+
+
+def dense_hamiltonian_of(A, dim, cutoff):
+    """P(A) from every pair of Darboux generators."""
+    if not dense_is_infinitesimal_symplectic(A, dim, cutoff):
+        raise weyl.NonSymplecticError("operator fails Omega(Af,g) + Omega(f,Ag) = 0")
+    variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
+    gens = [("p", v) for v in variables] + [("q", v) for v in variables]
+    vectors = {u: weyl.darboux_vector(dim, cutoff, *u) for u in gens}
+    images = {u: A.apply(vec) for u, vec in vectors.items()}
+    blocks = {"pp": {}, "pq": {}, "qq": {}}
+    for idx, u in enumerate(gens):
+        for v in gens[idx:]:
+            quad = weyl.symplectic_form(images[u], vectors[v]) \
+                + weyl.symplectic_form(images[v], vectors[u])
+            coeff = quad * Fraction(1, 4) * (2 if u != v else 1)
+            (ku, vu), (kv, vv) = u, v
+            if ku == kv:
+                key = tuple(sorted((vu, vv)))
+            else:
+                key = (vu, vv) if ku == "p" else (vv, vu)
+            block = blocks["pq" if ku != kv else ku + kv]
+            block[key] = block.get(key, Fraction(0)) + coeff
+    return weyl.QuadHamiltonian(dim, cutoff, **blocks)
+
+
+def operators(dim):
+    """Symplectic and non-symplectic operators: odd z-powers need symmetric
+    matrices, even ones antisymmetric, and sums mix powers."""
+    sym = [[(i + 1) * (j + 1) + (i == j) for j in range(dim)] for i in range(dim)]
+    anti = [[j - i for j in range(dim)] for i in range(dim)]
+    ops = []
+    for exp in (-3, -2, -1, 0, 1, 2):
+        for mat in (sym, anti):
+            ops.append(weyl.EndoLaurent(dim, {exp: mat}))
+    ops.append(weyl.EndoLaurent(dim, {-1: sym, -2: anti, 1: sym}))
+    ops.append(weyl.EndoLaurent(dim, {-1: sym, -2: sym}))
+    ops.append(weyl.EndoLaurent(dim, {}))
+    return ops
+
+
+@pytest.mark.parametrize("dim, cutoff", [(1, 3), (2, 2), (2, 3), (3, 1)])
+def test_sparse_pairs_match_the_dense_loops(dim, cutoff):
+    gram = [[2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(dim)]
+            for i in range(dim)]
+    verdicts = set()
+    for A in operators(dim):
+        for g in (None, gram):
+            want = dense_is_infinitesimal_symplectic(A, dim, cutoff, g)
+            assert weyl.is_infinitesimal_symplectic(A, dim, cutoff, g) == want
+            verdicts.add(want)
+        try:
+            want = dense_hamiltonian_of(A, dim, cutoff)
+        except weyl.NonSymplecticError:
+            with pytest.raises(weyl.NonSymplecticError):
+                weyl.hamiltonian_of(A, dim, cutoff)
+        else:
+            assert weyl.hamiltonian_of(A, dim, cutoff) == want
+    assert verdicts == {True, False}
+
+
+def test_symplectic_check_under_a_gram_that_is_not_the_identity():
+    # with a metric that couples the directions, only a matrix M with
+    # gram M symmetric (odd z-power) passes
+    gram = [[0, 1], [1, 0]]
+    good = weyl.EndoLaurent.matrix_z_power(2, -1, [[1, 0], [0, 1]])
+    bad = weyl.EndoLaurent.matrix_z_power(2, -1, [[1, 0], [0, 2]])
+    assert weyl.is_infinitesimal_symplectic(good, 2, 2, gram)
+    assert not weyl.is_infinitesimal_symplectic(bad, 2, 2, gram)
+    assert dense_is_infinitesimal_symplectic(bad, 2, 2, gram) is False
+    assert weyl.is_infinitesimal_symplectic(bad, 2, 2)
+
+
 def test_hamiltonian_of_z_inverse():
     # P(1/z) = -q_0^2/2 - sum_m q_(m+1) p_m
     K = 5
