@@ -1,4 +1,4 @@
-"""L1 micro-benchmark: Poly.gcd and RatFunc mul, add and div.
+"""L1 micro-benchmark: Poly product, divmod and gcd, and RatFunc mul, add and div.
 
     PYTHONPATH=src python -m pytest benchmarks/test_l1_ratfunc.py --benchmark-only
 
@@ -9,7 +9,10 @@ denominator is w^k times split factors (w +- xi^i), xi = zeta_N, and a
 numerator is w^j times a small random polynomial, sometimes with one of those
 factors, so that products and sums have something to cancel.  ``test_gcd``
 takes the gcd of a full unreduced product (num_f num_g, den_f den_g), the
-shape a reduction meets.  Order 1 is the rational base field Q, order 10 the
+shape a reduction meets.  ``test_poly_mul`` multiplies the cross products
+num_f den_g and num_g den_f of a sum, and ``test_poly_divmod`` divides
+num_f num_g den_f by den_g times the non-rational scalar zeta + 2 (2 + 1 = 3
+at order 1), so the divisor is not monic and a remainder is left.  Order 1 is the rational base field Q, order 10 the
 field of the appendix suite at r = 4 and order 14 that of genus_one_form(6).
 Only the public Poly/RatFunc API is used, so the file times any version of
 the kernel.
@@ -76,3 +79,17 @@ def test_add(benchmark, order):
 def test_div(benchmark, order):
     pairs = operands(order)
     benchmark(lambda: [f / g for f, g in pairs])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_poly_mul(benchmark, order):
+    pairs = [(f.num * g.den, g.num * f.den) for f, g in operands(order)]
+    benchmark(lambda: [a * b for a, b in pairs])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_poly_divmod(benchmark, order):
+    field = CycField(order)
+    lead = field.zeta() + 2
+    pairs = [(f.num * g.num * f.den, g.den * lead) for f, g in operands(order)]
+    benchmark(lambda: [a.divmod(b) for a, b in pairs])

@@ -87,6 +87,8 @@ class FracSeries:
                           {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other) -> "FracSeries":
+        if isinstance(other, (int, Fraction, CycNumber)):
+            return self._scale(other)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -102,6 +104,26 @@ class FracSeries:
         return FracSeries(self.field, self.den1, self.den2, self.trunc, out)
 
     __rmul__ = __mul__
+
+    def _scale(self, c) -> "FracSeries":
+        """self * c for a scalar c: each term times c, with the same support
+        unless c is zero."""
+        if c == 0:
+            return FracSeries.zero(self.field, self.den1, self.den2, self.trunc)
+        if isinstance(c, CycNumber) and c.field is not self.field:
+            c = self.field.embed(c)
+        return self._with_terms({k: v * c for k, v in self.terms.items()})
+
+    def copy(self) -> "FracSeries":
+        """The same series with its own term dict."""
+        return self._with_terms(dict(self.terms))
+
+    def _with_terms(self, terms: dict[tuple[int, int], CycNumber]) -> "FracSeries":
+        """A series in this setting over terms already nonzero and in range."""
+        out = object.__new__(FracSeries)
+        out.field, out.den1, out.den2, out.trunc = self.field, self.den1, self.den2, self.trunc
+        out.terms = terms
+        return out
 
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:

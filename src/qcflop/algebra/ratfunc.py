@@ -257,17 +257,16 @@ class RatFunc:
         """Taylor coefficients in w through w^order; errors on a pole at 0."""
         if self.is_zero():
             return [self.field.zero] * (order + 1)
-        den0 = self.den.coeffs[0] if self.den.coeffs else self.field.zero
-        if den0.is_zero():
+        num, den = self.num.coeffs, self.den.coeffs
+        if den[0].is_zero():
             raise ExpansionError("pole at w = 0")
-        inv0 = den0.inverse()
+        inv0 = den[0].inverse()
         out: list[CycNumber] = []
         for k in range(order + 1):
-            acc = self.num.coeffs[k] if k < len(self.num.coeffs) else self.field.zero
-            for j in range(1, k + 1):
-                dj = self.den.coeffs[j] if j < len(self.den.coeffs) else None
-                if dj is not None and not dj.is_zero():
-                    acc = acc - dj * out[k - j]
+            acc = num[k] if k < len(num) else self.field.zero
+            for j in range(1, min(k, len(den) - 1) + 1):
+                if not den[j].is_zero():
+                    acc = acc - den[j] * out[k - j]
             out.append(acc * inv0)
         return out
 
@@ -302,12 +301,12 @@ class RatFunc:
         if u == 1:
             return self
         for poly in (self.num, self.den):
-            for k, c in enumerate(poly.coeffs):
-                if not c.is_zero() and k % u != 0:
+            for k, row in enumerate(poly.rows):
+                if any(row) and k % u != 0:
                     raise ValueError("not a function of the integer Novikov variable")
         def compress(poly: Poly) -> Poly:
-            return Poly(self.field, [poly.coeffs[k] if k < len(poly.coeffs) else 0
-                                     for k in range(0, max(poly.degree, 0) + 1, u)])
+            # the rows off the multiples of u are zero, so the form stays canonical
+            return Poly._raw(self.field, poly.rows[::u], poly.den)
         return RatFunc(self.field, 1, compress(self.num), compress(self.den))
 
     def eval_rational(self, x) -> CycNumber:

@@ -373,8 +373,10 @@ def eigen_formulas(r: int, i: int, j: int, order: int) -> EigenPair:
     if not (0 <= i <= r and 0 <= j <= r + 1):
         raise ValueError("eigenvalue indices out of range")
     h_orbit, xi_orbit = _orbit_factors(r, i, order)
-    eta = eigen_field(r).zeta(r + 1)  # order r+2
-    return EigenPair(r, i, j, h_orbit * eta**j, xi_orbit * eta**j)
+    if j == 0:
+        return EigenPair(r, i, j, h_orbit.copy(), xi_orbit.copy())
+    eta_j = eigen_field(r).zeta(j * (r + 1))  # eta^j, eta of order r+2
+    return EigenPair(r, i, j, h_orbit * eta_j, xi_orbit * eta_j)
 
 
 # the factors of each orbit i at the last (r, order) asked for: a check reads

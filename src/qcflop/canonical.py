@@ -38,9 +38,9 @@ Caching (per process, never shared between processes or switched off):
   the symmetric functions of the a_l shared by the idempotent basis and
   ``m_inverse``, and the basis factors (``eps_factors``: the pref_i and the
   s_ik) read by ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
-- ``first_order`` keeps R1 (off the diagonal and on it) per frame and branch,
-  so the appendix suite and ``genus_one_form(r)`` share the default branch;
-  each distinct branch is still derived once.
+- ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
+  per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
+  other branch is derived on each call and not kept.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
@@ -617,16 +617,21 @@ def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
                 ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
     """(R1 off the diagonal, R1 on it) on one square-root branch.
 
-    Derived once per frame and branch, from ``r1_offdiagonal`` and
-    ``r1_diagonal``, and returned as immutable tuples; every distinct branch
-    is still derived from its own connection.
+    Derived from ``r1_offdiagonal`` and ``r1_diagonal`` and returned as
+    immutable tuples.  The default branch (every sign +1, no pair flipped) is
+    derived once per frame, shared by the appendix suite and
+    ``genus_one_form(r)``; any other branch is derived from its own
+    connection on each call and not kept, as only the memoised
+    ``genus_one_form`` asks for one.
     """
-    key = (tuple(_branch_signs(frame.r, signs)), None if pair_flip is None else tuple(pair_flip))
-    branches = frame.stages.setdefault("first_order", {})
-    if key not in branches:
-        off = r1_offdiagonal(frame, signs, pair_flip)
-        branches[key] = (tuple(map(tuple, off)), tuple(r1_diagonal(frame, off)))
-    return branches[key]
+    default = pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs))
+    if default and "first_order" in frame.stages:
+        return frame.stages["first_order"]
+    off = r1_offdiagonal(frame, signs, pair_flip)
+    out = (tuple(map(tuple, off)), tuple(r1_diagonal(frame, off)))
+    if default:
+        frame.stages["first_order"] = out
+    return out
 
 
 # --- the genus-one differential -----------------------------------------------

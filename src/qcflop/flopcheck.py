@@ -24,6 +24,10 @@ class NotOfFiniteFormError(ValueError):
     """Raised when a series does not fit the finite polynomial-in-G form."""
 
 
+class NonUniqueFitError(ValueError):
+    """Raised when a series fits the finite form in more than one way."""
+
+
 def q_var() -> RatFunc:
     return RatFunc.monomial(Q, 1, 1)
 
@@ -312,8 +316,11 @@ def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int)
     """Fit a q^l-series to the form sum_j q^(j l) p_j(G), j = 0..d2.
 
     The linear system in the (d2+1)(degree_bound+1) unknown coefficients is
-    solved exactly; extra series coefficients must be consistent.  Unknowns
-    that the series leaves free come out as zero.
+    solved exactly; extra series coefficients must be consistent, else
+    NotOfFiniteFormError.  The fit must be unique: when the series leaves an
+    unknown free, NonUniqueFitError names the free ones.  That is always the
+    case for d2 >= 1 with degree_bound >= 1, since q (1 + (-1)^(r+1) G) = G
+    relates the blocks q G, q and G.
     """
     width = degree_bound + 1
     unknowns = [(j, k) for j in range(d2 + 1) for k in range(width)]
@@ -326,7 +333,11 @@ def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int)
     matrix = [[powers[k][i - j] if i >= j else Fraction(0) for (j, k) in unknowns]
               for i in range(rows)]
     try:
-        x, _ = linalg.solve(matrix, [Fraction(c) for c in series], Fraction(1))
+        x, pivots = linalg.solve(matrix, [Fraction(c) for c in series], Fraction(1))
     except linalg.InconsistentSystemError:
         raise NotOfFiniteFormError("series is not of the finite polynomial-in-G form") from None
+    if len(pivots) < len(unknowns):
+        free = [unknowns[col] for col in sorted(set(range(len(unknowns))) - set(pivots))]
+        raise NonUniqueFitError(f"the fit is not unique: rank {len(pivots)} of {len(unknowns)}, "
+                                f"free unknowns (j, k) = {', '.join(map(str, free))}")
     return [_gpoly_trim(x[j * width:(j + 1) * width]) for j in range(d2 + 1)]

@@ -543,7 +543,7 @@ def test_r1_diagonal_matches_the_ordered_pair_reference(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_first_order_is_derived_once_per_branch(r):
+def test_first_order_keeps_only_the_default_branch(r):
     frame = can.build_spectrum(r)
     for branch in branches(r):
         off, diag = can.first_order(frame, **branch)
@@ -552,10 +552,13 @@ def test_first_order_is_derived_once_per_branch(r):
         want_off = can.r1_offdiagonal(frame, **branch)
         assert [list(row) for row in off] == want_off
         assert list(diag) == can.r1_diagonal(frame, want_off)
-        assert can.first_order(frame, **branch) is can.first_order(frame, **branch)
-    # the default signs written out are the default branch
+        # another call derives the same values afresh, except on the default branch
+        again = can.first_order(frame, **branch)
+        assert again == (off, diag)
+        assert (again is can.first_order(frame)) == (branch == {})
+    # the default signs written out are the default branch, the one kept
     assert can.first_order(frame, signs=[1] * (r + 1)) is can.first_order(frame)
-    assert len(frame.stages["first_order"]) == 3
+    assert frame.stages["first_order"] is can.first_order(frame)
     with pytest.raises(ValueError):
         can.first_order(frame, pair_flip=(1, 1))
     with pytest.raises(ValueError):

@@ -193,14 +193,34 @@ def test_g_polynomial_fit_identity():
 
 
 def test_g_polynomial_fit_two_block():
-    # q + G^2 with d2 = 1: p_0 = G^2, p_1 = 1
+    # 2 + 3q with d2 = 1 and constant blocks: p_0 = 2, p_1 = 3, the only fit
+    for r in (1, 2):
+        target = fc.q_var() * 3 + 2
+        series = [c.as_rational() for c in target.series_expand(8)]
+        assert fc.g_polynomial_fit(series, 1, 0, r) == [[Fraction(2)], [Fraction(3)]]
+    # q + G^2 with d2 = 1 and degree 2: p_0 = G^2, p_1 = 1 is one fit of many,
+    # since q G, q and G are dependent; the unknowns q G and q G^2 are free
     r = 1
     g2 = fc.evaluate_g_polynomial([Fraction(0), Fraction(0), Fraction(1)], r)
     target = fc.q_var() + g2
     series = [c.as_rational() for c in target.series_expand(14)]
-    polys = fc.g_polynomial_fit(series, 1, 2, r)
-    assert polys[0] == [Fraction(0), Fraction(0), Fraction(1)]
-    assert polys[1] == [Fraction(1)]
+    with pytest.raises(fc.NonUniqueFitError, match=r"rank 4 of 6, free unknowns \(j, k\) = \(1, 1\), \(1, 2\)"):
+        fc.g_polynomial_fit(series, 1, 2, r)
+
+
+def test_g_polynomial_fit_free_unknowns_raise_whatever_the_solver_returns(monkeypatch):
+    # a solver reporting one pivot short makes the otherwise unique fit raise
+    r = 1
+    series = [Fraction(c) for c in fc.g_series(r, 12)]
+    solve = fc.linalg.solve
+
+    def short_solve(matrix, rhs, one):
+        x, pivots = solve(matrix, rhs, one)
+        return x, pivots[:-1]
+
+    monkeypatch.setattr(fc.linalg, "solve", short_solve)
+    with pytest.raises(fc.NonUniqueFitError, match=r"rank 3 of 4, free unknowns \(j, k\) = \(0, 3\)"):
+        fc.g_polynomial_fit(series, 0, 3, r)
 
 
 def test_g_polynomial_fit_rejects_outside_span():
@@ -214,23 +234,20 @@ def test_g_polynomial_fit_rejects_outside_span():
 
 
 def test_g_polynomial_fit_roundtrip_ring_element():
-    # build a finite-form element, expand, fit, and compare as functions;
-    # the blocks q^j G^k are linearly dependent (q G differs from G - q by a
-    # sign), so only the function is pinned down, not the representation
+    # build a finite-form element, expand and fit: with one block the fit is
+    # unique and gives the element's polynomial back; with three blocks of
+    # degree 2 the blocks q^j G^k are linearly dependent (q G differs from
+    # G - q by a sign), so the fit is not unique and raises
     r = 2
-    polys = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0), Fraction(3)],
-             [Fraction(5)]]
-    elt = fc.RingRElement.finite_form(r, 2, polys)
-    assert elt.contact_weight() == 2
-    series_by_weight = fc.ring_element_series(elt, 16)
-    series = series_by_weight[2]
-    got = fc.g_polynomial_fit(series, 2, 2, r)
-
-    def as_function(blocks):
-        q = fc.q_var()
-        acc = fc.RatFunc.zero(fc.Q, 1)
-        for j, p in enumerate(blocks):
-            acc = acc + (q ** j) * fc.evaluate_g_polynomial(p, r)
-        return acc
-
-    assert as_function(got) == as_function(polys)
+    for d2, polys in ((0, [[Fraction(1), Fraction(2), Fraction(-3)]]),
+                      (2, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0), Fraction(3)],
+                           [Fraction(5)]])):
+        elt = fc.RingRElement.finite_form(r, d2, polys)
+        assert elt.contact_weight() == d2
+        series_by_weight = fc.ring_element_series(elt, 16)
+        series = series_by_weight[d2]
+        if d2 == 0:
+            assert fc.g_polynomial_fit(series, d2, 2, r) == polys
+        else:
+            with pytest.raises(fc.NonUniqueFitError, match="rank 5 of 9"):
+                fc.g_polynomial_fit(series, d2, 2, r)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcflop.algebra import CycField, FracSeries
+from qcflop.algebra import CycField, CycNumber, FracSeries
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -166,3 +166,23 @@ def test_constant_series_equals_its_value_from_another_field():
     assert s == value and hash(s) == hash(value)
     assert not (s + FracSeries.monomial(field, d1, d2, T, 1, 0) == value)
     assert not (s == CycField(3).zeta(2))
+
+
+def test_scalar_product_matches_the_series_product():
+    # a scalar multiplies each term; it equals the product with the constant
+    # series, keeps terms at the truncation order and owns its term dict
+    field, d1, d2, T = make(r=2, trunc=3)
+    s = (FracSeries.one(field, d1, d2, T) + FracSeries.monomial(field, d1, d2, T, 1, 2)
+         ).binomial_power(Fraction(1, 3))
+    assert (3, 6) in s.terms
+    sub = CycField(3)  # a subfield of Q(zeta_12)
+    for c in (field.zeta(5) * Fraction(-2, 7), 3, Fraction(5, 4), sub.zeta(), 0, field.zero):
+        value = field.embed(c) if isinstance(c, CycNumber) else field.from_rational(c)
+        lifted = FracSeries(field, d1, d2, T, {(0, 0): value})
+        for got in (s * c, c * s):
+            assert got.terms == (s * lifted).terms
+            assert got.terms is not s.terms
+            assert all(v.field is field for v in got.terms.values())
+    assert (s * 0).is_zero()
+    copy = s.copy()
+    assert copy == s and copy.terms is not s.terms
