@@ -5,8 +5,8 @@
 Each stage runs at r = 3, 4, 5 with the suite's own arguments: the
 eigenvalue product identity at its default order, the construction of the
 ring at the commutator's sample point (where the embedding matrix is
-inverted), the multiplication matrices of h and x on a ring already built
-there, the exact commutator check (ring construction included, as the suite
+inverted), the multiplication matrices of h and x, as sparse rows, on a
+ring already built there, the exact commutator check (ring construction included, as the suite
 calls it) and the eigen relations at the suite's default order 10.  The
 eigenvalue product and the eigen relations also run at r = 8 and 10, the
 frontier of the per-suite r-ceiling.  Only the public batyrev API is used,
@@ -37,7 +37,8 @@ def test_ring_at_point(benchmark, r):
 @pytest.mark.parametrize("r", RS)
 def test_mult_matrix(benchmark, r):
     ring = batyrev.ring_at_point(r, batyrev.gauss(Q1), batyrev.gauss(Q2))
-    benchmark(lambda: (ring.mult_matrix("h"), ring.mult_matrix("xi")))
+    h, xi = benchmark(lambda: (ring.mult_matrix("h"), ring.mult_matrix("xi")))
+    assert len(h) == len(xi) == (r + 1) * (r + 2)
 
 
 @pytest.mark.parametrize("r", RS)

@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python -m pytest benchmarks/test_l2_verify_all.py --benchmark-only
 
-* ``evaluate_g_polynomial`` of delta^7 G as a polynomial in G, at r = 1..3,
-  the largest m of the flop suite.
+* ``evaluate_g_polynomial`` of delta^7 G as a polynomial in G (a ``Poly``
+  over Q), at r = 1..3, the largest m of the flop suite.
 * R1 on the default branch of a fresh frame at r = 4..8, its connection
   already built: ``first_order(frame)``, or ``r1_offdiagonal`` and then
   ``r1_diagonal`` where a version of the module has no ``first_order``.

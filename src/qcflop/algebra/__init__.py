@@ -5,7 +5,6 @@ equivariant weight, and truncated fractional-exponent series."""
 from qcflop.algebra.cyclotomic import (
     CycField,
     CycNumber,
-    cyc_power_sum,
     cyclotomic_polynomial,
     elementary_symmetric,
     elementary_symmetric_omitting,
@@ -22,7 +21,6 @@ __all__ = [
     "RatFunc",
     "EquivScalar",
     "FracSeries",
-    "cyc_power_sum",
     "cyclotomic_polynomial",
     "elementary_symmetric",
     "elementary_symmetric_omitting",

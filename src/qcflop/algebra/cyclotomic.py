@@ -366,20 +366,6 @@ class CycNumber:
         return " + ".join(parts) if parts else "0"
 
 
-def cyc_power_sum(order: int, k: int) -> CycNumber:
-    """Sum of zeta_N^(k*i) over i = 0..N-1, fully reduced.
-
-    Equals N when k is divisible by N and 0 otherwise.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    field = CycField(order)
-    total = field.zero
-    for i in range(order):
-        total = total + field.zeta(k * i)
-    return total
-
-
 def elementary_symmetric(values: Sequence, ring_one):
     """All elementary symmetric functions e_0..e_n of the given values.
 
@@ -396,12 +382,8 @@ def elementary_symmetric(values: Sequence, ring_one):
     return es
 
 
-def elementary_symmetric_omitting(values: Sequence[CycNumber], omit: int, k: int) -> CycNumber:
-    """k-th elementary symmetric polynomial of the values with one omitted."""
+def elementary_symmetric_omitting(values: Sequence, omit: int, ring_one):
+    """e_0..e_(n-1) of the n values with the one at index ``omit`` left out."""
     if not 0 <= omit < len(values):
         raise IndexError(f"omit index {omit} out of range")
-    if not 0 <= k <= len(values) - 1:
-        raise IndexError(f"symmetric degree {k} out of range")
-    rest = [v for i, v in enumerate(values) if i != omit]
-    one = values[0].field.one
-    return elementary_symmetric(rest, one)[k]
+    return elementary_symmetric(values[:omit] + values[omit + 1:], ring_one)

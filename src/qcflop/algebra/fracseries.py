@@ -153,10 +153,6 @@ class FracSeries:
     def coefficient(self, n1: int, n2: int) -> CycNumber:
         return self.terms.get((n1, n2), self.field.zero)
 
-    def set_q1_zero(self) -> "FracSeries":
-        return FracSeries(self.field, self.den1, self.den2, self.trunc,
-                          {k: c for k, c in self.terms.items() if k[0] == 0})
-
     def binomial_power(self, alpha: Fraction) -> "FracSeries":
         """(1 + x)^alpha for self = 1 + x with x = 0 or one term c q1^(a/den1) q2^(b/den2), a > 0.
 

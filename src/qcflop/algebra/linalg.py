@@ -6,10 +6,11 @@ The scalars may be Fractions, ``CycNumber``s or ``RatFunc``s, anything with
 update touches only the columns where the pivot row is nonzero, so the work
 follows the fill of the matrix rather than its square.
 
-``det``, ``inverse`` and ``solve`` all read the result of ``row_reduce``,
-whose pivot columns give the rank.  ``det`` and ``solve`` take a matrix as
-a list of dense rows; ``inverse`` takes and returns sparse rows.
-``add_term`` is the matching sparse accumulation for Fraction-valued dicts.
+There is one matrix format: ``det``, ``inverse`` and ``solve`` take a
+matrix as a list of such sparse rows, and ``inverse`` returns one.  All three
+read the result of ``row_reduce``, whose pivot columns give the rank.
+``add_term`` is the matching sparse accumulation: it keeps a row, or any
+dict of exact values, free of zero entries.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ class InconsistentSystemError(ValueError):
 
 
 def add_term(target: dict, key, value) -> None:
-    """target[key] += value, dropping the key when the sum is zero."""
+    """target[key] += value, dropping the key when the sum is zero, so a
+    sparse row built by it holds nonzero entries only.  The values need
+    ``+`` and a truth value that is false exactly at zero."""
     cur = target.get(key)
     new = value if cur is None else cur + value
     if new:
@@ -77,14 +80,10 @@ def row_reduce(rows: list[dict], one, ncols: int) -> tuple[list[int], object]:
     return pivots, scale
 
 
-def _sparse(matrix: list[list], zero) -> list[dict]:
-    return [{j: v for j, v in enumerate(row) if v != zero} for row in matrix]
-
-
-def det(matrix: list[list], one):
-    """Determinant of a square matrix given as a list of rows."""
-    n = len(matrix)
-    pivots, scale = row_reduce(_sparse(matrix, one - one), one, n)
+def det(rows: list[dict], one):
+    """Determinant of the square matrix given by its sparse rows."""
+    n = len(rows)
+    pivots, scale = row_reduce([dict(row) for row in rows], one, n)
     return scale if len(pivots) == n else one - one
 
 
@@ -104,16 +103,16 @@ def inverse(rows: list[dict], one) -> list[dict]:
     return [{c - n: v for c, v in row.items() if c >= n} for row in rows]
 
 
-def solve(matrix: list[list], rhs: list, one) -> tuple[list, list[int]]:
-    """A solution x of matrix . x = rhs, and the pivot columns.
+def solve(rows: list[dict], ncols: int, rhs: list, one) -> tuple[list, list[int]]:
+    """A solution x of M . x = rhs, for the matrix M with ``ncols`` columns
+    given by its sparse rows, and the pivot columns.
 
     The number of pivot columns is the rank; unknowns outside them are free
     and come out as zero.  Raises InconsistentSystemError when no solution
     exists.
     """
     zero = one - one
-    ncols = len(matrix[0])
-    rows = _sparse(matrix, zero)
+    rows = [dict(row) for row in rows]
     for row, b in zip(rows, rhs):
         if b != zero:
             row[ncols] = b

@@ -48,6 +48,7 @@ from operator import mul
 
 import numpy as np
 
+from qcflop import cohomology
 from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc, linalg
 
 Vec = dict  # (a, b) in the active monomial frame -> field scalar
@@ -55,10 +56,6 @@ Vec = dict  # (a, b) in the active monomial frame -> field scalar
 
 class SemisimplicityError(ValueError):
     """Raised when the numeric certificate cannot be granted."""
-
-
-def xi_basis(r: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(r + 1) for b in range(r + 2)]
 
 
 def _vec_add(target: Vec, key, value) -> None:
@@ -155,7 +152,7 @@ class QuantumRing:
     def __init__(self, r: int, q1, q2, one):
         self.r = r
         self.engine = ReductionEngine(r, q1, q2, one)
-        self.basis = xi_basis(r)
+        self.basis = cohomology.basis(r)
         self.index = {mono: k for k, mono in enumerate(self.basis)}
         self._embed = [self.engine.xi_monomial(a, b) for (a, b) in self.basis]
         # the embedding matrix, row per (h, y)-monomial, column per basis
@@ -199,25 +196,26 @@ class QuantumRing:
         return {self.basis[k]: coords[k] for k in range(len(coords))
                 if not coords[k].is_zero()}
 
-    def mult_matrix(self, which: str) -> list[list]:
-        """Matrix of multiplication by h or x on the monomial basis (columns
-        indexed by basis monomials)."""
+    def mult_matrix(self, which: str) -> list[dict]:
+        """Matrix of multiplication by h or x on the monomial basis, as the
+        rows {column: nonzero entry}; column k is the image of basis
+        monomial k."""
         if which not in ("h", "xi"):
             raise ValueError("operator must be 'h' or 'xi'")
         op = self.engine.mult_h if which == "h" else self.engine.mult_xi
         da, db = (1, 0) if which == "h" else (0, 1)
-        one, zero = self.engine.one, self.engine.zero
-        n = len(self.basis)
-        cols = []
+        rows: list[dict] = [{} for _ in self.basis]
         for k, (a, b) in enumerate(self.basis):
             image = op(self._embed[k])
             # h^a x^b times h (or x) is often the basis monomial one step up
             target = self.index.get((a + da, b + db))
             if target is not None and image == self._embed[target]:
-                cols.append([one if i == target else zero for i in range(n)])
+                rows[target][k] = self.engine.one
             else:
-                cols.append(self._y_to_xi(image))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+                for i, c in enumerate(self._y_to_xi(image)):
+                    if not c.is_zero():
+                        rows[i][k] = c
+        return rows
 
 
 # --- instantiations -----------------------------------------------------------
@@ -249,15 +247,6 @@ def gauss(re: Fraction, im: Fraction = Fraction(0)) -> CycNumber:
 
 def ring_at_point(r: int, q1: CycNumber, q2: CycNumber) -> QuantumRing:
     return QuantumRing(r, q1, q2, GAUSS.one)
-
-
-def quantum_mult_matrix(r: int, which: str, q1, q2) -> list[list]:
-    """Multiplication matrix at an exact sample point (Gaussian-rational scalars)."""
-    if isinstance(q1, (int, Fraction)):
-        q1 = gauss(Fraction(q1))
-    if isinstance(q2, (int, Fraction)):
-        q2 = gauss(Fraction(q2))
-    return ring_at_point(r, q1, q2).mult_matrix(which)
 
 
 def _lagrange_interpolate(nodes: list[Fraction], values: list, zero) -> list:
@@ -294,24 +283,20 @@ def _poly_eval(poly: list, x, zero):
 def matrices_commute_at(r: int, q1: CycNumber, q2: CycNumber) -> bool:
     """Exact commutator check of the two multiplication matrices at a point."""
     ring = ring_at_point(r, q1, q2)
-    H = _sparse_rows(ring.mult_matrix("h"))
-    X = _sparse_rows(ring.mult_matrix("xi"))
+    H = ring.mult_matrix("h")
+    X = ring.mult_matrix("xi")
     for i in range(len(H)):
         # row i of HX - XH, summed over the nonzero entries only
         acc: Vec = {}
-        for k, c in H[i]:
-            for j, d in X[k]:
+        for k, c in H[i].items():
+            for j, d in X[k].items():
                 _vec_add(acc, j, c * d)
-        for k, c in X[i]:
-            for j, d in H[k]:
+        for k, c in X[i].items():
+            for j, d in H[k].items():
                 _vec_add(acc, j, -(c * d))
         if acc:
             return False
     return True
-
-
-def _sparse_rows(mat) -> list[list[tuple[int, object]]]:
-    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in mat]
 
 
 def det_h_closed_form(r: int) -> tuple[int, RatFunc]:
@@ -536,12 +521,11 @@ def eigenvalues_numeric(r: int, q1: complex, q2: complex, which: str = "h") -> l
     return out
 
 
-def _matrix_to_complex(mat) -> np.ndarray:
-    n = len(mat)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            entry = mat[i][j]
+def _matrix_to_complex(rows: list[dict]) -> np.ndarray:
+    """The square matrix of sparse rows as a complex array."""
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
             out[i, j] = entry.to_complex()
     return out
 

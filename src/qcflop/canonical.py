@@ -58,8 +58,10 @@ from qcflop.algebra import (
     CycField,
     CycNumber,
     EquivScalar,
+    Poly,
     RatFunc,
     elementary_symmetric,
+    elementary_symmetric_omitting,
 )
 from qcflop.algebra.ratfunc import NonIntegrableError
 
@@ -145,21 +147,19 @@ def g_in_w(r: int) -> RatFunc:
     return q / (RatFunc.one(fld, r + 1) - q * Fraction((-1) ** (r + 1)))
 
 
-def as_g_polynomial(f: RatFunc, r: int) -> list[CycNumber] | None:
+def as_g_polynomial(f: RatFunc, r: int) -> Poly | None:
     """Write a rational function of q as a polynomial in G, if possible.
 
     Substitutes the inverse relation q = G/(1 + (-1)^(r+1) G); a polynomial
-    fit exists exactly when the substituted denominator is constant.
+    fit exists exactly when the substituted denominator is constant, and
+    then it is 1, since a reduced denominator is monic.
     """
     fq = f.as_q_function() if f.root_order != 1 else f
     fld = f.field
     g = RatFunc.monomial(fld, 1, 1)
     q_of_g = g / (RatFunc.one(fld, 1) + g * Fraction((-1) ** (r + 1)))
     composed = fq.subs_ratfunc(q_of_g)
-    if composed.den.degree > 0:
-        return None
-    inv = composed.den.constant().inverse()
-    return [c * inv for c in composed.num.coeffs]
+    return composed.num if composed.den.degree == 0 else None
 
 
 def charpoly_coefficients(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -216,7 +216,7 @@ def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
     if "sym_omitting" not in frame.stages:
         one = RatFunc.one(frame.field, frame.u)
         frame.stages["sym_omitting"] = tuple(
-            tuple(elementary_symmetric(frame.a[:i] + frame.a[i + 1:], one)) for i in range(frame.u))
+            tuple(elementary_symmetric_omitting(frame.a, i, one)) for i in range(frame.u))
     return frame.stages["sym_omitting"][omit]
 
 

@@ -119,10 +119,6 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def graded_piece(self, degree: int) -> "CohClass":
-        """The part of total cohomological degree ``degree`` (in divisor units)."""
-        return CohClass(self.r, {k: c for k, c in self.coeffs.items() if k[0] + k[1] == degree})
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -137,6 +133,8 @@ class CohClass:
 
 
 def basis(r: int) -> list[tuple[int, int]]:
+    """The monomial basis h^a x^b, 0 <= a <= r, 0 <= b <= r+1, as (a, b)
+    pairs; the quantum ring uses the same basis."""
     return [(a, b) for a in range(r + 1) for b in range(r + 2)]
 
 
@@ -159,10 +157,6 @@ def total_chern_raw(r: int) -> RawPoly:
     one_x = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
     one_xh = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(-1)}
     return raw_mul(raw_pow(one_h, r + 1), raw_mul(one_x, raw_pow(one_xh, r + 1)))
-
-
-def total_chern(r: int) -> CohClass:
-    return CohClass.reduce(r, total_chern_raw(r))
 
 
 def chern_class(r: int, k: int) -> CohClass:
@@ -213,7 +207,9 @@ def c3_minus_c2c1_swapped(r: int = 1) -> Fraction:
     return integrate_raw(r, substitute_h_by_x_minus_h(diff))
 
 
-def pairing_matrix(r: int) -> list[list[Fraction]]:
-    """Gram matrix of integrate on products of basis monomials."""
+def pairing_matrix(r: int) -> list[dict[int, Fraction]]:
+    """Gram matrix of integrate on products of basis monomials, as the rows
+    {column: nonzero entry}."""
     mons = [monomial(r, a, b) for (a, b) in basis(r)]
-    return [[integrate(m1 * m2) for m2 in mons] for m1 in mons]
+    return [{j: v for j, v in enumerate(integrate(m1 * m2) for m2 in mons) if v}
+            for m1 in mons]

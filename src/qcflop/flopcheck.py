@@ -5,7 +5,8 @@ The carrier of continuation is the rational function G(q) = q/(1-(-1)^(r+1)q)
 acts on generating functions by G -> (-1)^r - G together with inversion of
 the extremal Novikov variable, and all higher structure is controlled by the
 logarithmic derivative delta = q d/dq, for which delta^m G is a polynomial in
-G with integer coefficients.
+G with integer coefficients.  A polynomial in G is a ``Poly`` over Q, whose
+variable is read as G.
 """
 
 from __future__ import annotations
@@ -53,58 +54,38 @@ def verify_reflection(r: int) -> bool:
 
 # --- polynomials in G --------------------------------------------------------
 
-GPoly = list[Fraction]  # ascending coefficients in G
 
-
-def _gpoly_trim(p: GPoly) -> GPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _gpoly_mul(a: GPoly, b: GPoly) -> GPoly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _gpoly_trim(out)
-
-
-def _gpoly_derivative(p: GPoly) -> GPoly:
-    return _gpoly_trim([p[k] * k for k in range(1, len(p))])
-
-
-def delta_g_polynomial(r: int, m: int) -> GPoly:
-    """The polynomial p_m with delta^m G = p_m(G), by the Leibniz recursion.
-
-    Built from delta G = G + (-1)^(r+1) G^2 and the chain rule; coefficients
-    stay integral.
-    """
+def delta_g_polynomial(r: int, m: int) -> Poly:
+    """The polynomial p_m in G with delta^m G = p_m(G), by the chain rule:
+    p_(m+1) = p_m' * (delta G), with delta G = G + (-1)^(r+1) G^2.  The
+    coefficients stay integral."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    delta_g = [Fraction(0), Fraction(1), Fraction((-1) ** (r + 1))]
-    p: GPoly = [Fraction(0), Fraction(1)]
+    delta_g = Poly(Q, [0, 1, (-1) ** (r + 1)])
+    p = Poly.monomial(Q, 1)
     for _ in range(m):
-        p = _gpoly_mul(_gpoly_derivative(p), delta_g)
+        p = p.derivative() * delta_g
     return p
 
 
-def evaluate_g_polynomial(p: GPoly, r: int) -> RatFunc:
-    """p(G), homogenised over the reduced fraction G = a/b.
+def evaluate_g_polynomial(p: Poly, r: int) -> RatFunc:
+    """p(G) for a polynomial p in G, homogenised over the reduced fraction
+    G = a/b.
 
     With n = deg p, p(G) = (sum_k c_k a^k b^(n-k)) / b^n: the numerator is
     summed by Horner in a, each c_k beside its power of b, and the quotient
     is reduced once.
     """
-    if not p:
+    if p.is_zero():
         return RatFunc.zero(Q, 1)
     g = g_function(r)
     a, b = g.num, g.den
+    coeffs = p.coeffs
     num, b_power = Poly.zero(Q), Poly.one(Q)
-    for k in range(len(p) - 1, -1, -1):
+    for k in range(p.degree, -1, -1):
         num = num * a
-        if p[k]:
-            num = num + b_power.scale(p[k])
+        if not coeffs[k].is_zero():
+            num = num + b_power.scale(coeffs[k])
         if k:
             b_power = b_power * b
     return RatFunc(Q, 1, num, b_power)
@@ -220,16 +201,13 @@ class RingRElement:
         return cls(r, {(el, eg, 0): Fraction(1)})
 
     @classmethod
-    def finite_form(cls, r: int, d2: int, polys: list[GPoly]) -> "RingRElement":
-        """q^(d2 g) (p_0(G) + q^l p_1(G) + ... + q^(d2 l) p_d2(G))."""
+    def finite_form(cls, r: int, d2: int, polys: list[Poly]) -> "RingRElement":
+        """q^(d2 g) (p_0(G) + q^l p_1(G) + ... + q^(d2 l) p_d2(G)), for
+        polynomials p_j in G with rational coefficients."""
         if len(polys) != d2 + 1:
             raise ValueError("need exactly d2 + 1 polynomials")
-        terms: dict[tuple[int, int, int], Fraction] = {}
-        for j, p in enumerate(polys):
-            for k, c in enumerate(p):
-                if c:
-                    terms[(j, d2, k)] = terms.get((j, d2, k), Fraction(0)) + c
-        return cls(r, terms)
+        return cls(r, {(j, d2, k): c.as_rational()
+                       for j, p in enumerate(polys) for k, c in enumerate(p.coeffs)})
 
     def __add__(self, other: "RingRElement") -> "RingRElement":
         out = dict(self.terms)
@@ -312,8 +290,9 @@ def ring_element_series(x: RingRElement, order: int) -> dict[int, list[Fraction]
     return out
 
 
-def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int) -> list[GPoly]:
-    """Fit a q^l-series to the form sum_j q^(j l) p_j(G), j = 0..d2.
+def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int) -> list[Poly]:
+    """Fit a q^l-series to the form sum_j q^(j l) p_j(G), j = 0..d2, and
+    return the polynomials p_j in G.
 
     The linear system in the (d2+1)(degree_bound+1) unknown coefficients is
     solved exactly; extra series coefficients must be consistent, else
@@ -330,14 +309,14 @@ def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int)
     g = g_function(r)
     # the unknown (j, k) multiplies q^(j l) G^k
     powers = [[c.as_rational() for c in (g ** k).series_expand(rows - 1)] for k in range(width)]
-    matrix = [[powers[k][i - j] if i >= j else Fraction(0) for (j, k) in unknowns]
-              for i in range(rows)]
+    matrix = [{col: powers[k][i - j] for col, (j, k) in enumerate(unknowns)
+               if i >= j and powers[k][i - j]} for i in range(rows)]
     try:
-        x, pivots = linalg.solve(matrix, [Fraction(c) for c in series], Fraction(1))
+        x, pivots = linalg.solve(matrix, len(unknowns), [Fraction(c) for c in series], Fraction(1))
     except linalg.InconsistentSystemError:
         raise NotOfFiniteFormError("series is not of the finite polynomial-in-G form") from None
     if len(pivots) < len(unknowns):
         free = [unknowns[col] for col in sorted(set(range(len(unknowns))) - set(pivots))]
         raise NonUniqueFitError(f"the fit is not unique: rank {len(pivots)} of {len(unknowns)}, "
                                 f"free unknowns (j, k) = {', '.join(map(str, free))}")
-    return [_gpoly_trim(x[j * width:(j + 1) * width]) for j in range(d2 + 1)]
+    return [Poly(Q, x[j * width:(j + 1) * width]) for j in range(d2 + 1)]

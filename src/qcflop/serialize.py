@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qcflop.algebra import CycNumber, RatFunc
+from qcflop.algebra import RatFunc
 
 
 def fraction_str(x: Fraction | int) -> str:
@@ -12,29 +12,8 @@ def fraction_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def cyc_to_json(x: CycNumber) -> dict:
-    return {"order": x.field.order, "coeffs": [fraction_str(c) for c in x.coeffs]}
-
-
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {
-        "root_order": f.root_order,
-        "num": [cyc_to_json(c) for c in f.num.coeffs],
-        "den": [cyc_to_json(c) for c in f.den.coeffs],
-    }
-
-
 def ratfunc_q_to_json(f: RatFunc) -> dict:
     """Compact form for rational functions of q with rational coefficients."""
     def side(poly):
         return [fraction_str(c.as_rational()) for c in poly.coeffs]
     return {"num": side(f.num), "den": side(f.den)}
-
-
-def cohclass_to_json(c) -> dict:
-    return {"r": c.r, "terms": [[a, b, fraction_str(v)]
-                                for (a, b), v in sorted(c.coeffs.items())]}

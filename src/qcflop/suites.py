@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import product
 
 from qcflop import batyrev, canonical, cohomology, flopcheck, weyl
-from qcflop.algebra import EquivScalar, linalg
+from qcflop.algebra import EquivScalar, Poly, linalg
 from qcflop.report import Report
 
 
@@ -43,11 +44,11 @@ def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -
     rep.add("flop/reflection", {"r": r}, flopcheck.verify_reflection(r))
     p1 = flopcheck.delta_g_polynomial(r, 1)
     rep.add("flop/delta-g-closed-form", {"r": r},
-            p1 == [Fraction(0), Fraction(1), Fraction((-1) ** (r + 1))])
+            p1 == Poly(flopcheck.Q, [0, 1, (-1) ** (r + 1)]))
     base = flopcheck.g_series(r, series_order)
     for m in range(max_m + 1):
         poly = flopcheck.delta_g_polynomial(r, m)
-        integral = all(c.denominator == 1 for c in poly)
+        integral = all(c.as_rational().denominator == 1 for c in poly.coeffs)
         value = flopcheck.evaluate_g_polynomial(poly, r)
         matches = value == flopcheck.delta_g_direct(r, m)
         series_ok = True
@@ -248,15 +249,15 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
               and P.pq == want_pq and not P.pp)
     rep.add("quantization/string-hamiltonian", {"cutoff": K}, cse_ok)
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
-    table_ok = True
-    for v in variables:
-        for w in variables:
-            P1 = weyl.QuadHamiltonian(dim, cutoff, pp={tuple(sorted((v, w))): Fraction(1)})
-            P2 = weyl.QuadHamiltonian(dim, cutoff, qq={tuple(sorted((v, w))): Fraction(1)})
-            got = weyl.commutator_cocycle(P1, P2)
-            if got != 1 + (1 if v == w else 0):
-                table_ok = False
-    rep.add("quantization/cocycle-table", {"dim": dim, "cutoff": cutoff}, table_ok)
+    bad = None
+    for v, w in product(variables, repeat=2):
+        P1 = weyl.QuadHamiltonian(dim, cutoff, pp={tuple(sorted((v, w))): Fraction(1)})
+        P2 = weyl.QuadHamiltonian(dim, cutoff, qq={tuple(sorted((v, w))): Fraction(1)})
+        got, want = weyl.commutator_cocycle(P1, P2), weyl.expected_cocycle(P1, P2)
+        if got != want:
+            bad = f"first failing (v, w) = {(v, w)}: got {got}, want {want}"
+            break
+    rep.add("quantization/cocycle-table", {"dim": dim, "cutoff": cutoff}, bad is None, bad or "0")
     B = [[1, 2], [2, -1]]
     C = [[0, 1], [1, 3]]
     hom_ok = True

@@ -122,25 +122,6 @@ class EndoLaurent:
         return EndoLaurent(self.dim, out)
 
 
-def _pairing(gram, i: int, j: int) -> int | Fraction:
-    return int(i == j) if gram is None else Fraction(gram[i][j])
-
-
-def symplectic_form(f: LoopVector, g: LoopVector, gram: list[list[Fraction]] | None = None) -> Fraction:
-    """Omega(f, g) = Res_(z=0) (f(-z), g(z)), with an optional symmetric metric."""
-    if f.dim != g.dim or f.cutoff != g.cutoff:
-        raise ValueError("incompatible loop vectors")
-    total = Fraction(0)
-    for (i, a), fc in f.coeffs.items():
-        for (j, b), gc in g.coeffs.items():
-            if a + b != -1:
-                continue
-            pairing = _pairing(gram, i, j)
-            if pairing:
-                total += Fraction((-1) ** (a % 2)) * pairing * fc * gc
-    return total
-
-
 def _by_mode(v: LoopVector) -> dict[int, list[tuple[int, Fraction]]]:
     """The terms of v grouped by z-mode: mode -> [(direction, coefficient)]."""
     out: dict[int, list[tuple[int, Fraction]]] = {}
@@ -150,11 +131,13 @@ def _by_mode(v: LoopVector) -> dict[int, list[tuple[int, Fraction]]]:
 
 
 def _omega_to_basis(f: dict, j: int, b: int, gram=None) -> Fraction:
-    """Omega(f, T_j z^b) for f grouped by ``_by_mode``: only the z^(-1-b) term
-    of f counts, with the sign (-1)^(-1-b)."""
+    """Omega(f, T_j z^b) for f grouped by ``_by_mode``, where
+    Omega(f, g) = Res_(z=0) (f(-z), g(z)) with the symmetric metric ``gram``
+    (the identity when None): only the z^(-1-b) term of f counts, with the
+    sign (-1)^(-1-b)."""
     total = Fraction(0)
     for i, c in f.get(-1 - b, ()):
-        pairing = _pairing(gram, i, j)
+        pairing = int(i == j) if gram is None else Fraction(gram[i][j])
         if pairing:
             total += pairing * c
     return total if b % 2 else -total
@@ -362,10 +345,6 @@ class FockPolynomial:
     @classmethod
     def one(cls) -> "FockPolynomial":
         return cls({((), 0): Fraction(1)})
-
-    @classmethod
-    def variable(cls, var: Var) -> "FockPolynomial":
-        return cls({((var,), 0): Fraction(1)})
 
     def __add__(self, other: "FockPolynomial") -> "FockPolynomial":
         out = dict(self.terms)

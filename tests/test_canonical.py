@@ -54,8 +54,8 @@ def test_charpoly_coefficients_are_g_polynomials():
             poly = can.as_g_polynomial(rf, r)
             assert poly is not None
             # degree one in G with no constant term
-            assert len(poly) == 2 and poly[0].is_zero()
-            assert poly[1].as_rational() == Fraction((-1) ** r * comb(r + 1, k))
+            assert poly.degree == 1 and poly.constant().is_zero()
+            assert poly.lead().as_rational() == Fraction((-1) ** r * comb(r + 1, k))
 
 
 def test_equiv_pairing_values():

@@ -108,6 +108,18 @@ def test_poincare_duality_unimodular():
         assert abs(d) == 1
 
 
+def test_pairing_matrix_rows_hold_no_zero_entry():
+    for r in (1, 2, 3):
+        gram = coh.pairing_matrix(r)
+        mons = [coh.monomial(r, a, b) for (a, b) in coh.basis(r)]
+        assert len(gram) == len(mons)
+        for i, row in enumerate(gram):
+            assert all(row.values())
+            # every entry off the row is a zero of the pairing
+            assert all(coh.integrate(mons[i] * mons[j]) == row.get(j, 0)
+                       for j in range(len(mons)))
+
+
 def test_poincare_unimodular_negative_control(monkeypatch, capsys):
     from qcflop import cli, suites
 
@@ -115,7 +127,9 @@ def test_poincare_unimodular_negative_control(monkeypatch, capsys):
 
     def doubled(r):
         gram = real(r)
-        gram[0][-1] *= 2  # <1, h^r x^(r+1)>, the only nonzero entry of its row
+        top = len(gram) - 1
+        assert list(gram[0]) == [top]
+        gram[0][top] *= 2  # <1, h^r x^(r+1)>, the only nonzero entry of its row
         return gram
 
     monkeypatch.setattr(coh, "pairing_matrix", doubled)
@@ -159,10 +173,3 @@ def test_c3_minus_c2c1_value_and_flop_side():
     with pytest.raises(ValueError):
         coh.c3_minus_c2c1(2)
 
-
-def test_grading_consistency():
-    # scaling h -> t h, x -> t x multiplies the degree-3 number by t^3;
-    # this is a pure bookkeeping check of graded_piece
-    c = coh.total_chern(1)
-    deg3 = c.graded_piece(3)
-    assert all(a + b == 3 for (a, b) in deg3.coeffs)

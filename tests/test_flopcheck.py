@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from qcflop import flopcheck as fc
-from qcflop.algebra import RatFunc
+from qcflop.algebra import Poly, RatFunc
+
+
+def g_poly(*coeffs):
+    """The polynomial in G with these ascending coefficients."""
+    return Poly(fc.Q, coeffs)
 
 
 def test_g_function_values():
@@ -34,10 +39,10 @@ def test_reflection():
 
 
 def test_delta_g_polynomial_base_cases():
-    assert fc.delta_g_polynomial(1, 0) == [0, 1]
-    assert fc.delta_g_polynomial(1, 1) == [0, 1, 1]
-    assert fc.delta_g_polynomial(2, 1) == [0, 1, -1]
-    assert fc.delta_g_polynomial(1, 2) == [0, 1, 3, 2]
+    assert fc.delta_g_polynomial(1, 0) == g_poly(0, 1)
+    assert fc.delta_g_polynomial(1, 1) == g_poly(0, 1, 1)
+    assert fc.delta_g_polynomial(2, 1) == g_poly(0, 1, -1)
+    assert fc.delta_g_polynomial(1, 2) == g_poly(0, 1, 3, 2)
 
 
 def reference_evaluate_g_polynomial(p, r):
@@ -45,9 +50,9 @@ def reference_evaluate_g_polynomial(p, r):
     g = fc.g_function(r)
     out = RatFunc.zero(fc.Q, 1)
     power = RatFunc.one(fc.Q, 1)
-    for c in p:
-        if c:
-            out = out + power * c
+    for c in p.coeffs:
+        if not c.is_zero():
+            out = out + power * c.as_rational()
         power = power * g
     return out
 
@@ -55,8 +60,8 @@ def reference_evaluate_g_polynomial(p, r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_evaluate_g_polynomial_matches_the_termwise_reference(r):
     polys = [fc.delta_g_polynomial(r, m) for m in range(10)]
-    polys += [[], [Fraction(0)], [Fraction(-5, 3)], [Fraction(0), Fraction(0), Fraction(1)],
-              [Fraction(1, 2), Fraction(0), Fraction(-2), Fraction(0)]]
+    polys += [g_poly(), g_poly(0), g_poly(Fraction(-5, 3)), g_poly(0, 0, 1),
+              g_poly(Fraction(1, 2), 0, -2, 0)]
     for p in polys:
         got = fc.evaluate_g_polynomial(p, r)
         want = reference_evaluate_g_polynomial(p, r)
@@ -68,7 +73,8 @@ def test_delta_g_polynomial_matches_direct_differentiation():
     for r in (1, 2, 3, 4, 5):
         for m in range(8):
             p = fc.delta_g_polynomial(r, m)
-            assert all(c.denominator == 1 for c in p), "coefficients must be integers"
+            assert all(c.as_rational().denominator == 1 for c in p.coeffs), \
+                "coefficients must be integers"
             assert fc.evaluate_g_polynomial(p, r) == fc.delta_g_direct(r, m)
 
 
@@ -148,7 +154,7 @@ def test_ring_closed_under_delta():
     assert dg == fc.RingRElement(r, {(0, 0, 1): Fraction(1), (0, 0, 2): Fraction(-1)})
     # round-trip through the polynomial recursion
     p2 = fc.delta_g_polynomial(r, 2)
-    elt = fc.RingRElement(r, {(0, 0, k): c for k, c in enumerate(p2) if c})
+    elt = fc.RingRElement(r, {(0, 0, k): c.as_rational() for k, c in enumerate(p2.coeffs)})
     assert g.delta().delta() == elt
 
 
@@ -189,7 +195,7 @@ def test_g_polynomial_fit_identity():
     r = 1
     series = fc.g_series(r, 12)
     polys = fc.g_polynomial_fit([Fraction(c) for c in series], 0, 3, r)
-    assert polys == [[Fraction(0), Fraction(1)]]
+    assert polys == [g_poly(0, 1)]
 
 
 def test_g_polynomial_fit_two_block():
@@ -197,11 +203,11 @@ def test_g_polynomial_fit_two_block():
     for r in (1, 2):
         target = fc.q_var() * 3 + 2
         series = [c.as_rational() for c in target.series_expand(8)]
-        assert fc.g_polynomial_fit(series, 1, 0, r) == [[Fraction(2)], [Fraction(3)]]
+        assert fc.g_polynomial_fit(series, 1, 0, r) == [g_poly(2), g_poly(3)]
     # q + G^2 with d2 = 1 and degree 2: p_0 = G^2, p_1 = 1 is one fit of many,
     # since q G, q and G are dependent; the unknowns q G and q G^2 are free
     r = 1
-    g2 = fc.evaluate_g_polynomial([Fraction(0), Fraction(0), Fraction(1)], r)
+    g2 = fc.evaluate_g_polynomial(g_poly(0, 0, 1), r)
     target = fc.q_var() + g2
     series = [c.as_rational() for c in target.series_expand(14)]
     with pytest.raises(fc.NonUniqueFitError, match=r"rank 4 of 6, free unknowns \(j, k\) = \(1, 1\), \(1, 2\)"):
@@ -214,8 +220,8 @@ def test_g_polynomial_fit_free_unknowns_raise_whatever_the_solver_returns(monkey
     series = [Fraction(c) for c in fc.g_series(r, 12)]
     solve = fc.linalg.solve
 
-    def short_solve(matrix, rhs, one):
-        x, pivots = solve(matrix, rhs, one)
+    def short_solve(matrix, ncols, rhs, one):
+        x, pivots = solve(matrix, ncols, rhs, one)
         return x, pivots[:-1]
 
     monkeypatch.setattr(fc.linalg, "solve", short_solve)
@@ -239,9 +245,8 @@ def test_g_polynomial_fit_roundtrip_ring_element():
     # degree 2 the blocks q^j G^k are linearly dependent (q G differs from
     # G - q by a sign), so the fit is not unique and raises
     r = 2
-    for d2, polys in ((0, [[Fraction(1), Fraction(2), Fraction(-3)]]),
-                      (2, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0), Fraction(3)],
-                           [Fraction(5)]])):
+    for d2, polys in ((0, [g_poly(1, 2, -3)]),
+                      (2, [g_poly(1, 2), g_poly(0, 0, 3), g_poly(5)])):
         elt = fc.RingRElement.finite_form(r, d2, polys)
         assert elt.contact_weight() == d2
         series_by_weight = fc.ring_element_series(elt, 16)

@@ -11,6 +11,11 @@ from qcflop import batyrev as bat
 from qcflop.algebra import linalg
 
 
+def sparse(matrix):
+    """The rows of a dense matrix as {column: nonzero entry}."""
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
 def leibniz_det(matrix):
     """Reference determinant: the signed sum over all permutations."""
     n = len(matrix)
@@ -44,7 +49,9 @@ def square_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
 def test_det_matches_leibniz(matrix):
-    assert linalg.det(matrix, Fraction(1)) == leibniz_det(matrix)
+    rows = sparse(matrix)
+    assert linalg.det(rows, Fraction(1)) == leibniz_det(matrix)
+    assert rows == sparse(matrix)  # the argument is left as it was
 
 
 def embedding_rows(ring):
@@ -69,14 +76,18 @@ def test_inverse_of_embedding_over_gaussian_rationals(r):
     ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3), Fraction(1, 2)),
                              bat.gauss(Fraction(-2, 5)))
     rows = embedding_rows(ring)
-    assert_left_inverse(linalg.inverse(rows, bat.GAUSS.one), rows, bat.GAUSS.one)
+    inv = linalg.inverse(rows, bat.GAUSS.one)
+    assert_left_inverse(inv, rows, bat.GAUSS.one)
+    assert not any(c.is_zero() for row in inv for c in row.values())
 
 
 def test_inverse_of_embedding_over_rational_functions():
     ring = bat.ring_symbolic_q1(2, Fraction(2, 3))
     rows = embedding_rows(ring)
     one = bat.q1_field_one()
-    assert_left_inverse(linalg.inverse(rows, one), rows, one)
+    inv = linalg.inverse(rows, one)
+    assert_left_inverse(inv, rows, one)
+    assert not any(c.is_zero() for row in inv for c in row.values())
 
 
 def test_inverse_of_singular_matrix_raises():
@@ -84,8 +95,8 @@ def test_inverse_of_singular_matrix_raises():
               [Fraction(2), Fraction(4), Fraction(0)],
               [Fraction(0), Fraction(0), Fraction(1)]]
     with pytest.raises(ZeroDivisionError):
-        linalg.inverse([{j: v for j, v in enumerate(row) if v} for row in matrix], Fraction(1))
-    assert linalg.det(matrix, Fraction(1)) == 0
+        linalg.inverse(sparse(matrix), Fraction(1))
+    assert linalg.det(sparse(matrix), Fraction(1)) == 0
 
 
 def test_solve_reports_rank_of_a_deficient_system():
@@ -95,17 +106,23 @@ def test_solve_reports_rank_of_a_deficient_system():
               [Fraction(1), Fraction(1), Fraction(2)],
               [Fraction(2), Fraction(-1), Fraction(1)]]
     rhs = [Fraction(3), Fraction(5), Fraction(8), Fraction(1)]
-    x, pivots = linalg.solve(matrix, rhs, Fraction(1))
+    x, pivots = linalg.solve(sparse(matrix), 3, rhs, Fraction(1))
     assert pivots == [0, 1]
     assert x == [Fraction(3), Fraction(5), Fraction(0)]  # the free unknown is zero
     for row, b in zip(matrix, rhs):
         assert sum(a * v for a, v in zip(row, x)) == b
 
 
+def test_solve_counts_the_columns_that_hold_no_entry():
+    # the second unknown appears in no row: it is free and comes out as zero
+    x, pivots = linalg.solve([{0: Fraction(2)}], 2, [Fraction(6)], Fraction(1))
+    assert (x, pivots) == ([Fraction(3), Fraction(0)], [0])
+
+
 def test_solve_detects_an_inconsistent_system():
     matrix = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     with pytest.raises(linalg.InconsistentSystemError):
-        linalg.solve(matrix, [Fraction(1), Fraction(3)], Fraction(1))
+        linalg.solve(sparse(matrix), 2, [Fraction(1), Fraction(3)], Fraction(1))
 
 
 def test_add_term_drops_cancelled_entries():

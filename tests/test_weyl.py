@@ -1,24 +1,42 @@
 """Tests for the quadratic-hamiltonian quantization toy model."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from qcflop import weyl
+from qcflop import cli, weyl
 
 
 def lower(dim=1, exp=-1, coeff=1):
     return weyl.EndoLaurent.scalar_z_power(dim, exp, coeff)
 
 
+def symplectic_form(f, g, gram=None):
+    """Omega(f, g) = Res_(z=0) (f(-z), g(z)), with an optional symmetric
+    metric, summed over every pair of terms: the dense reference that
+    ``is_infinitesimal_symplectic`` and ``hamiltonian_of`` are checked against."""
+    if f.dim != g.dim or f.cutoff != g.cutoff:
+        raise ValueError("incompatible loop vectors")
+    total = Fraction(0)
+    for (i, a), fc in f.coeffs.items():
+        for (j, b), gc in g.coeffs.items():
+            if a + b != -1:
+                continue
+            pairing = int(i == j) if gram is None else Fraction(gram[i][j])
+            if pairing:
+                total += Fraction((-1) ** (a % 2)) * pairing * fc * gc
+    return total
+
+
 def test_symplectic_form_examples():
     f = weyl.LoopVector.basis(1, 3, 0, 0)
     g = weyl.LoopVector.basis(1, 3, 0, -1)
-    assert weyl.symplectic_form(f, g) == 1
-    assert weyl.symplectic_form(f, f) == 0
+    assert symplectic_form(f, g) == 1
+    assert symplectic_form(f, f) == 0
     f1 = weyl.LoopVector.basis(1, 3, 0, 1)
     g2 = weyl.LoopVector.basis(1, 3, 0, -2)
-    assert weyl.symplectic_form(f1, g2) == -1
+    assert symplectic_form(f1, g2) == -1
 
 
 def test_symplectic_form_antisymmetry_and_nondegeneracy():
@@ -30,7 +48,7 @@ def test_symplectic_form_antisymmetry_and_nondegeneracy():
         for v in basis:
             fu = weyl.LoopVector.basis(dim, K, *u)
             fv = weyl.LoopVector.basis(dim, K, *v)
-            vals[(u, v)] = weyl.symplectic_form(fu, fv, gram)
+            vals[(u, v)] = symplectic_form(fu, fv, gram)
     for u in basis:
         assert any(vals[(u, v)] for v in basis), "degenerate direction"
         for v in basis:
@@ -44,8 +62,8 @@ def test_darboux_normalization():
         for k in range(K + 1):
             p = weyl.darboux_vector(dim, K, "p", (i, k))
             q = weyl.darboux_vector(dim, K, "q", (i, k))
-            assert weyl.symplectic_form(p, q) == 1
-            assert weyl.symplectic_form(q, p) == -1
+            assert symplectic_form(p, q) == 1
+            assert symplectic_form(q, p) == -1
 
 
 def test_is_infinitesimal_symplectic():
@@ -64,8 +82,8 @@ def dense_is_infinitesimal_symplectic(A, dim, cutoff, gram=None):
     basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
     vectors = {f: weyl.LoopVector.basis(dim, cutoff, *f) for f in basis}
     images = {f: A.apply(vec) for f, vec in vectors.items()}
-    return not any(weyl.symplectic_form(images[f], vectors[g], gram)
-                   + weyl.symplectic_form(vectors[f], images[g], gram)
+    return not any(symplectic_form(images[f], vectors[g], gram)
+                   + symplectic_form(vectors[f], images[g], gram)
                    for f in basis for g in basis)
 
 
@@ -80,8 +98,8 @@ def dense_hamiltonian_of(A, dim, cutoff):
     blocks = {"pp": {}, "pq": {}, "qq": {}}
     for idx, u in enumerate(gens):
         for v in gens[idx:]:
-            quad = weyl.symplectic_form(images[u], vectors[v]) \
-                + weyl.symplectic_form(images[v], vectors[u])
+            quad = symplectic_form(images[u], vectors[v]) \
+                + symplectic_form(images[v], vectors[u])
             coeff = quad * Fraction(1, 4) * (2 if u != v else 1)
             (ku, vu), (kv, vv) = u, v
             if ku == kv:
@@ -193,7 +211,7 @@ def test_quantize_table():
     K = 3
     P3 = weyl.hamiltonian_of(lower(1, -1), 1, K)
     op3 = weyl.quantize(P3)
-    x1 = weyl.FockPolynomial.variable((0, 1))
+    x1 = weyl.FockPolynomial({(((0, 1),), 0): Fraction(1)})
     got3 = op3.apply(x1)
     want = weyl.FockPolynomial({(((0, 0), (0, 0), (0, 1)), -1): Fraction(-1, 2),
                                 (((0, 2),), 0): Fraction(-1)})
@@ -230,6 +248,22 @@ def test_cocycle_full_table():
     P1 = weyl.QuadHamiltonian(dim, K, pp={((0, 0), (0, 1)): Fraction(1)})
     P2 = weyl.QuadHamiltonian(dim, K, qq={((0, 0), (0, 2)): Fraction(1)})
     assert weyl.commutator_cocycle(P1, P2) == 0 == weyl.expected_cocycle(P1, P2)
+
+
+def test_cocycle_table_names_its_first_failing_pair(monkeypatch, capsys):
+    real = weyl.commutator_cocycle
+    target = ((0, 1), (1, 2))
+
+    def wrong_at_one_pair(P1, P2):
+        got = real(P1, P2)
+        return got + 1 if set(P1.pp) == {target} else got
+
+    monkeypatch.setattr(weyl, "commutator_cocycle", wrong_at_one_pair)
+    assert cli.main(["verify", "quantization", "--jobs", "1", "--format", "json"]) == 1
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    failed = [e for e in entries if e["status"] == "fail"]
+    assert [e["anchor"] for e in failed] == ["quantization/cocycle-table"]
+    assert failed[0]["residual"] == "first failing (v, w) = ((0, 1), (1, 2)): got 2, want 1"
 
 
 def test_cocycle_against_expected_on_random_quadratics():
