@@ -113,10 +113,15 @@ class EquivScalar:
         return self * o.inverse_simple()
 
     def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        if isinstance(other, (EquivScalar, RatFunc)):
+            o = self._lift(other)
+            if o.root_order != self.root_order:
+                return NotImplemented
+            # RatFunc values compare across fields
+            return self.terms == o.terms
+        if isinstance(other, (int, Fraction, CycNumber)):
+            return self.terms.keys() <= {0} and self.coefficient(0) == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # a scalar with only a lam^0 term hashes like that RatFunc, so like its constant

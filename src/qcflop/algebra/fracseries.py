@@ -131,18 +131,24 @@ class FracSeries:
         return binary_power(self, n, FracSeries.one(self.field, self.den1, self.den2, self.trunc))
 
     def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        # zero terms are dropped and CycNumbers in one field are canonical,
-        # so equal series have equal term dicts
+        if isinstance(other, FracSeries):
+            if (other.den1, other.den2, other.trunc) != (self.den1, self.den2, self.trunc):
+                return NotImplemented
+            o = other
+        else:
+            o = self._lift(other)
+            if o is None:
+                return NotImplemented
+        # zero terms are dropped and CycNumbers compare across fields, so
+        # equal series have equal term dicts
         return self.terms == o.terms
 
     def __hash__(self) -> int:
-        # a constant series equals (and so hashes like) its CycNumber
+        # a constant series equals (and so hashes like) its CycNumber, and
+        # a CycNumber hashes alike in every field that holds it
         if self.terms.keys() <= {(0, 0)}:
             return hash(self.constant_term())
-        return hash(tuple(sorted((k, v.nums, v.den) for k, v in self.terms.items())))
+        return hash(tuple(sorted((k, hash(v)) for k, v in self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -37,7 +37,7 @@ class ExpansionError(ValueError):
 
 
 class NonIntegrableError(ValueError):
-    """Raised by strict integration when a constant term obstructs it."""
+    """Raised by integration when a constant term obstructs it."""
 
 
 class NotLaurentError(ValueError):
@@ -185,10 +185,15 @@ class RatFunc:
         return self._new(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        # a reduced fraction with a monic denominator stays so over an
+        # extension field, so Poly's cross-field equality compares the values
+        if isinstance(other, RatFunc):
+            if other.root_order != self.root_order:
+                return NotImplemented
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction, CycNumber)):
+            return self.is_constant() and self.num.constant() == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_constant():
@@ -235,21 +240,15 @@ class RatFunc:
             out = out + cls.monomial(field, root_order, exp, c)
         return out
 
-    def integrate_in_t(self, mode: str = "strict") -> "RatFunc":
+    def integrate_in_t(self) -> "RatFunc":
         """Inverse of delta on Laurent polynomials: w^a -> (root_order/a) w^a.
 
-        The w^0 term is dropped in ``drop-constant`` mode and is an error in
-        ``strict`` mode.
+        A nonzero w^0 term has no such preimage and raises NonIntegrableError.
         """
-        if mode not in ("strict", "drop-constant"):
-            raise ValueError(f"unknown integration mode {mode!r}")
-        items = self.laurent_items()
         out: dict[int, CycNumber] = {}
-        for a, c in items.items():
+        for a, c in self.laurent_items().items():
             if a == 0:
-                if mode == "strict":
-                    raise NonIntegrableError(f"nonzero constant term {c} is not integrable")
-                continue
+                raise NonIntegrableError(f"nonzero constant term {c} is not integrable")
             out[a] = c * Fraction(self.root_order, a)
         return RatFunc.from_laurent_items(self.field, self.root_order, out)
 

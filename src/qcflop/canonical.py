@@ -33,19 +33,18 @@ Caching (per process, never shared between processes or switched off):
   a fresh, uncached one.
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
   branch signs, each computed at most once per frame: ``delta_i``,
-  ``term_log_delta``, ``power_sums`` (extended on demand), ``term_c_minus_one``,
-  the sign-free base of ``connection_form``, the differences p_i - p_j,
-  the symmetric functions of the a_l shared by the idempotent basis and
-  ``m_inverse``, and the basis factors (``eps_factors``: the pref_i and the
-  s_ik) read by ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
+  ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
+  ``connection_form``, the differences p_i - p_j, the symmetric functions of
+  the a_l shared by the idempotent basis and ``m_inverse``, and the basis
+  factors (``eps_factors``: the pref_i and the s_ik) read by
+  ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
   other branch is derived on each call and not kept.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
-fresh matrix from the base, ``term_c_minus_one`` a fresh ``others`` dict, and
-``first_order`` returns tuples.
+fresh matrix from the base, and ``first_order`` returns tuples.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class CanonicalFrame:
     c: list[RatFunc]
     a: list[RatFunc]
     p: list[EquivScalar]
-    eps: list[list[EquivScalar]] | None = dataclass_field(default=None)
     stages: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -242,9 +240,8 @@ def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """
     prefs, signed = _eps_factors(frame)
     fld, u = frame.field, frame.u
-    frame.eps = [[EquivScalar(fld, u, {-k: pref * s}) for k, s in enumerate(row)]
-                 for pref, row in zip(prefs, signed)]
-    return frame.eps
+    return [[EquivScalar(fld, u, {-k: pref * s}) for k, s in enumerate(row)]
+            for pref, row in zip(prefs, signed)]
 
 
 def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
@@ -318,35 +315,22 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
     return frame.stages["term_log_delta"]
 
 
-def power_sums(frame: CanonicalFrame, kmax: int) -> list[EquivScalar]:
-    """Power sums of the spectrum roots, exactly."""
-    sums = frame.stages.setdefault("power_sums", [])
-    for k in range(len(sums), kmax + 1):
-        acc = EquivScalar.zero(frame.field, frame.u)
-        for p_i in frame.p:
-            acc = acc + p_i**k
-        sums.append(acc)
-    return sums[:kmax + 1]
+def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
+    """The localized first-Chern term (r+1)/(24 lam) sum_i du_i on the t-line:
+    the weight-zero limit of (r+1)/(24 lam) sum_i p_i.
 
-
-def term_c_minus_one(frame: CanonicalFrame) -> tuple[RatFunc, dict[int, RatFunc]]:
-    """The localized first-Chern term (r+1)/(24 lam) sum_i du_i, by flat direction.
-
-    Returns the dt_1-coefficient after the weight goes to zero, together with
-    the limits of the k >= 2 components (all zero).  The k = 0 component is
-    the unit direction; it retains an uncancelled 1/lam (its partner lives in
-    the second-torus bookkeeping, which has no housing here) and is excluded
-    from the t-line restriction.
+    Only the k = 1 flat direction reaches the t-line.  The k >= 2 components
+    (r+1)/(24 lam) sum_i p_i^k are lam^(k-1) times a function of w for every
+    spectrum, so their weight-zero limits vanish by construction and are not
+    formed.  The k = 0 component is the unit direction; it retains an
+    uncancelled 1/lam (its partner lives in the second-torus bookkeeping,
+    which has no housing here) and is excluded from the t-line restriction.
     """
     if "term_c_minus_one" not in frame.stages:
-        r = frame.r
-        sums = power_sums(frame, r)
-        prefactor = frame.lam(-1, Fraction(r + 1, 24))
-        main = (prefactor * sums[1]).nonequivariant_limit()
-        others = {k: (prefactor * sums[k]).nonequivariant_limit() for k in range(2, r + 1)}
-        frame.stages["term_c_minus_one"] = (main, others)
-    main, others = frame.stages["term_c_minus_one"]
-    return main, dict(others)
+        total = sum(frame.p, EquivScalar.zero(frame.field, frame.u))
+        prefactor = frame.lam(-1, Fraction(frame.r + 1, 24))
+        frame.stages["term_c_minus_one"] = (prefactor * total).nonequivariant_limit()
+    return frame.stages["term_c_minus_one"]
 
 
 # --- transition matrix and connection -----------------------------------------
@@ -567,14 +551,23 @@ def xi_constant_pair_identity(r: int) -> bool:
     return total.is_zero()
 
 
-def _integrate_scalar(x: EquivScalar, mode: str = "drop-constant") -> EquivScalar:
-    return EquivScalar(x.field, x.root_order,
-                       {e: f.integrate_in_t(mode) for e, f in x.terms.items()})
+def _integrate_scalar(x: EquivScalar, constant_error: str) -> EquivScalar:
+    """Integrate each weight's coefficient in t.  A constant term there would
+    violate flatness silently, so it raises FlatnessError with
+    ``constant_error`` formatted at that weight ``e``."""
+    out = {}
+    for e, f in x.terms.items():
+        try:
+            out[e] = f.integrate_in_t()
+        except NonIntegrableError as exc:
+            raise FlatnessError(constant_error.format(e=e)) from exc
+    return EquivScalar(x.field, x.root_order, out)
 
 
 def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[EquivScalar]:
     """Integrate the flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j)
-    on the t-line, dropping the integration constant.
+    on the t-line, with integration constant zero; an integrand with a
+    constant term raises FlatnessError.
 
     The term off_ij off_ji (p_i - p_j) is formed once per unordered pair:
     the (j, i) term is its negative, as p_i - p_j is antisymmetric, whatever
@@ -588,17 +581,8 @@ def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[Equ
             term = off[i][j] * off[j][i] * dp[i][j]
             integrands[i] = integrands[i] - term
             integrands[j] = integrands[j] + term
-    out = []
-    for i, integrand in enumerate(integrands):
-        try:
-            out.append(_integrate_scalar(integrand, "drop-constant"))
-        except NonIntegrableError as exc:
-            raise FlatnessError(f"diagonal {i}: {exc}") from exc
-        # a nonzero constant term would violate flatness silently; flag it
-        for e, f in integrand.terms.items():
-            if 0 in f.laurent_items():
-                raise FlatnessError(f"diagonal {i} integrand has a constant term at weight {e}")
-    return out
+    return [_integrate_scalar(f, f"diagonal {i} integrand has a constant term at weight {{e}}")
+            for i, f in enumerate(integrands)]
 
 
 def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -653,7 +637,7 @@ def genus_one_form(r: int, signs: list[int] | None = None,
         return _GENUS_ONE[key]
     frame = frame_for(r)
     t_log = term_log_delta(frame)
-    t_c, _ = term_c_minus_one(frame)
+    t_c = term_c_minus_one(frame)
     _, diag = first_order(frame, signs, pair_flip)
     third = EquivScalar.zero(frame.field, frame.u)
     for i in range(r + 1):
@@ -794,11 +778,8 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
                     new[i][j] = numer / dp[i][j]
         # diagonal from the vanishing-diagonal condition of step n+1
         for i in range(size):
-            integrand = -_conn_entry(conn, new, i, i, zero)
-            for e, f in integrand.terms.items():
-                if 0 in f.laurent_items():
-                    raise FlatnessError(f"order {n}, diagonal {i}: constant term at weight {e}")
-            new[i][i] = _integrate_scalar(integrand, "drop-constant")
+            new[i][i] = _integrate_scalar(-_conn_entry(conn, new, i, i, zero),
+                                          f"order {n}, diagonal {i}: constant term at weight {{e}}")
         if diag_mode == "unitarity" and n % 2 == 0:
             # 2 R_n[i][i] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{ii} must vanish;
             # the recursion fixes R_n[i][i] only up to a constant, so align it

@@ -327,60 +327,9 @@ def poisson_bracket(P1: QuadHamiltonian, P2: QuadHamiltonian) -> QuadHamiltonian
 # --- Fock space -----------------------------------------------------------------
 
 
-class FockPolynomial:
-    """Polynomial in the position variables with Laurent powers of hbar.
-
-    Terms map (sorted variable tuple, hbar exponent) to Fractions.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[tuple, int], Fraction] | None = None):
-        self.terms = {}
-        for (mono, h), c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                self.terms[(tuple(sorted(mono)), h)] = c
-
-    @classmethod
-    def one(cls) -> "FockPolynomial":
-        return cls({((), 0): Fraction(1)})
-
-    def __add__(self, other: "FockPolynomial") -> "FockPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return FockPolynomial(out)
-
-    def __sub__(self, other: "FockPolynomial") -> "FockPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "FockPolynomial") -> "FockPolynomial":
-        out: dict = {}
-        for (m1, h1), c1 in self.terms.items():
-            for (m2, h2), c2 in other.terms.items():
-                add_term(out, (_mono_mul(m1, m2), h1 + h2), c1 * c2)
-        return FockPolynomial(out)
-
-    def scale(self, c) -> "FockPolynomial":
-        c = Fraction(c)
-        return FockPolynomial({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        return f"FockPolynomial({self.terms})"
-
-
 class FockOperator:
-    """Normal-ordered operator: terms (q-monomial, derivative monomial, hbar
-    exponent) -> coefficient, acting on FockPolynomial."""
+    """Normal-ordered operator on polynomials in the position variables:
+    terms (q-monomial, derivative monomial, hbar exponent) -> coefficient."""
 
     __slots__ = ("terms",)
 
@@ -426,24 +375,6 @@ class FockOperator:
 
     def commutator(self, other: "FockOperator") -> "FockOperator":
         return self * other - other * self
-
-    def apply(self, poly: FockPolynomial) -> FockPolynomial:
-        out: dict = {}
-        for (qm, dm, h), c in self.terms.items():
-            for (mono, ph), pc in poly.terms.items():
-                coeff = c * pc
-                current = mono
-                ok = True
-                for v in dm:
-                    count, current = _mono_derivative(current, v)
-                    if count == 0:
-                        ok = False
-                        break
-                    coeff *= count
-                if not ok or not coeff:
-                    continue
-                add_term(out, (_mono_mul(qm, current), h + ph), coeff)
-        return FockPolynomial(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockOperator):

@@ -21,16 +21,16 @@ def _announce(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_genus_one_form():
-    """dG equals ((-1)^(r+1)(r+1)/24) q/(1-(-1)^(r+1)q) dlog q for r = 1..5."""
+    """dG equals ((-1)^(r+1)(r+1)/24) q/(1-(-1)^(r+1)q) dlog q for r = 1..12."""
     worst = 0.0
     ok = True
-    for r in range(1, 6):
+    for r in range(1, 13):
         t0 = time.time()
         form, _ = canonical.genus_one_form(r)
         elapsed = time.time() - t0
         worst = max(worst, elapsed)
         ok = ok and (form == canonical.genus_one_expected(r)) and elapsed < 60.0
-    _announce(1, "genus-one differential closed form r=1..5", ok,
+    _announce(1, "genus-one differential closed form r=1..12", ok,
               f"max {worst:.1f}s per r")
 
 
@@ -108,9 +108,7 @@ def test_criterion_06_appendix_intermediates():
             ok = ok and deltas[i] * canonical.eps_pairing(frame, i, i) == one
         g = canonical.g_in_w(r)
         ok = ok and canonical.term_log_delta(frame) == (1 - g * Fraction(2 * (-1) ** r)) * r
-        t_c, others = canonical.term_c_minus_one(frame)
-        ok = ok and t_c == g * Fraction((-1) ** r * (r + 1) ** 2, 24)
-        ok = ok and all(v.is_zero() for v in others.values())
+        ok = ok and canonical.term_c_minus_one(frame) == g * Fraction((-1) ** r * (r + 1) ** 2, 24)
         conn = canonical.connection_form(frame)
         disp = canonical.connection_display_form(frame)
         for i in range(r + 1):

@@ -152,19 +152,12 @@ def test_term_log_delta():
 def test_term_c_minus_one():
     for r in RS:
         frame = can.build_spectrum(r)
-        main, others = can.term_c_minus_one(frame)
         want = can.g_in_w(r) * Fraction((-1) ** r * (r + 1) ** 2, 24)
-        assert main == want
-        for k, val in others.items():
-            assert val.is_zero(), f"k={k} component must vanish in the limit"
+        assert can.term_c_minus_one(frame) == want
     # r=1: -G/6
-    frame = can.build_spectrum(1)
-    main, _ = can.term_c_minus_one(frame)
-    assert main == can.g_in_w(1) * Fraction(-1, 6)
+    assert can.term_c_minus_one(can.build_spectrum(1)) == can.g_in_w(1) * Fraction(-1, 6)
     # r=2: (9/24) G
-    frame = can.build_spectrum(2)
-    main, _ = can.term_c_minus_one(frame)
-    assert main == can.g_in_w(2) * Fraction(9, 24)
+    assert can.term_c_minus_one(can.build_spectrum(2)) == can.g_in_w(2) * Fraction(9, 24)
 
 
 def test_m_matrix_inverse_exact():
@@ -368,6 +361,11 @@ def test_factored_pairing_and_duality_match_the_expanded_basis(r):
             assert can.du_of_eps(frame, i, j) == substitute_p(frame, eps[i], j)
 
 
+def integrate(x):
+    """Integrate every weight's coefficient of an EquivScalar in t."""
+    return EquivScalar(x.field, x.root_order, {e: f.integrate_in_t() for e, f in x.terms.items()})
+
+
 def plain_r_matrix_recursion(r, order, diag_mode):
     """The recursion with every product a full mat_mul: the connection as a
     matrix of scalars, the whole of both connection products, and each
@@ -396,7 +394,7 @@ def plain_r_matrix_recursion(r, order, diag_mode):
                 for j in range(size)] for i in range(size)]
         follow = can.mat_mul(conn, new)
         for i in range(size):
-            new[i][i] = can._integrate_scalar(-follow[i][i], "drop-constant")
+            new[i][i] = integrate(-follow[i][i])
         if diag_mode == "unitarity" and n % 2 == 0:
             mid = signed_sum(mats, n, 1)
             for i in range(size):
@@ -421,6 +419,21 @@ def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
     assert report["constants"] == want_constants
     assert report["unitarity_exact"] == want_residuals
     assert report["diagonal_mode"] == diag_mode
+
+
+def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
+    # a connection entry off by a factor leaves a constant term in the first
+    # diagonal integrand, which flatness rejects instead of dropping
+    connection_form = can.connection_form
+
+    def corrupted(frame, signs=None, pair_flip=None):
+        conn = connection_form(frame, signs, pair_flip)
+        conn[0][1] = conn[0][1] * 3
+        return conn
+
+    monkeypatch.setattr(can, "connection_form", corrupted)
+    with pytest.raises(can.FlatnessError, match=r"^order 1, diagonal 0: constant term at weight -1$"):
+        can.r_matrix_recursion(2, 2)
 
 
 # --- negative controls of the idempotent anchors ---------------------------------
@@ -507,10 +520,10 @@ def reference_r1_diagonal(frame, off):
         for j in range(r + 1):
             if j != i:
                 integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
-        out.append(can._integrate_scalar(integrand, "drop-constant"))
         for e, f in integrand.terms.items():
             if 0 in f.laurent_items():
                 raise can.FlatnessError(f"diagonal {i} integrand has a constant term at weight {e}")
+        out.append(integrate(integrand))
     return out
 
 

@@ -107,3 +107,16 @@ def test_equal_scalars_compare_by_terms_and_hash_alike(items, e, c):
 def test_zero_scalar_equals_zero():
     z = lam(3) - lam(3)
     assert z == 0 and hash(z) == hash(0) == hash(EquivScalar.zero(Q, 1))
+
+
+def test_equality_across_settings_never_raises():
+    one4, one6 = EquivScalar.one(CycField(4), 1), EquivScalar.one(CycField(6), 1)
+    assert one4 == one6 and hash(one4) == hash(one6) and len({one4, one6}) == 1
+    assert one4 == CycField(6).one and one4 != CycField(6).zeta()
+    assert lam(1) + 1 != 1 and lam(-1) + Q.one != Q.one
+    assert EquivScalar.lam_power(CycField(4), 1, 1) == EquivScalar.lam_power(CycField(6), 1, 1)
+    # another root order is another ring
+    assert EquivScalar.one(Q, 2) != EquivScalar.one(Q, 3)
+    assert EquivScalar.one(Q, 2) != RatFunc.one(Q, 3)
+    with pytest.raises(ValueError):
+        EquivScalar.one(Q, 2) * EquivScalar.lam_power(Q, 3, 1, 2)

@@ -186,3 +186,21 @@ def test_scalar_product_matches_the_series_product():
     assert (s * 0).is_zero()
     copy = s.copy()
     assert copy == s and copy.terms is not s.terms
+
+
+def test_series_of_different_settings_compare_unequal_without_raising():
+    field, d1, d2, _ = make(r=1)
+    short = FracSeries.one(field, d1, d2, 3) + FracSeries.monomial(field, d1, d2, 3, 1, 0)
+    long = FracSeries.one(field, d1, d2, 5) + FracSeries.monomial(field, d1, d2, 5, 1, 0)
+    assert short.terms == long.terms
+    assert short != long and not short == long
+    assert len({short, long}) == 2
+    assert short != FracSeries.one(field, d1 + 1, d2, 3) + FracSeries.monomial(
+        field, d1 + 1, d2, 3, 1, 0)
+    with pytest.raises(ValueError):
+        short + long
+    # the same series over Q(zeta_6) and over Q(zeta_12) is one value
+    big = CycField(12)
+    other = FracSeries.one(big, d1, d2, 3) + FracSeries.monomial(big, d1, d2, 3, 1, 0, big.zeta(2))
+    mine = FracSeries.one(field, d1, d2, 3) + FracSeries.monomial(field, d1, d2, 3, 1, 0, field.zeta())
+    assert mine == other and hash(mine) == hash(other) and len({mine, other}) == 1

@@ -60,7 +60,7 @@ def test_integrate_inverts_delta_on_laurent():
     u = 3
     items = {2: Q.from_rational(5), -1: Q.from_rational(Fraction(1, 2)), 4: Q.from_rational(-3)}
     f = RatFunc.from_laurent_items(Q, u, items)
-    assert f.delta().integrate_in_t("strict") == f
+    assert f.delta().integrate_in_t() == f
 
 
 def test_integrate_examples():
@@ -68,11 +68,11 @@ def test_integrate_examples():
     u = 3
     f = RatFunc.monomial(Q, u, 1)
     assert f.integrate_in_t() == f * 3
-    # constant in drop mode vanishes, strict raises
-    c = const(5, u)
-    assert c.integrate_in_t("drop-constant").is_zero()
+    # a nonzero constant term has no preimage under delta
     with pytest.raises(NonIntegrableError):
-        c.integrate_in_t("strict")
+        const(5, u).integrate_in_t()
+    with pytest.raises(NonIntegrableError):
+        (f + const(5, u)).integrate_in_t()
 
 
 def test_integrate_symmetric_pair():
@@ -384,3 +384,27 @@ def test_equal_functions_hash_alike(fs):
     for h in (f + g - g, (f * g) / g if not g.is_zero() else f, (f**2) / f if not f.is_zero() else f):
         assert h == f and hash(h) == hash(f)
         assert len({h, f}) == 1
+
+
+def test_equality_across_settings_never_raises():
+    # both equal 1 and hash like it, so a set keeps one of them
+    one4, one6 = RatFunc.one(CycField(4), 1), RatFunc.one(CycField(6), 1)
+    assert one4 == one6 and hash(one4) == hash(one6) == hash(1)
+    assert len({one4, one6}) == 1
+    # w/(w - i) over Q(i) and over Q(zeta_8), which contains i
+    f4, f8 = CycField(4), CycField(8)
+    over4 = RatFunc.monomial(f4, 1, 1) / (RatFunc.monomial(f4, 1, 1) - f4.zeta())
+    over8 = RatFunc.monomial(f8, 1, 1) / (RatFunc.monomial(f8, 1, 1) - f8.zeta(2))
+    assert over4 == over8 and hash(over4) == hash(over8)
+    assert over4 != RatFunc.monomial(f8, 1, 1) / (RatFunc.monomial(f8, 1, 1) - f8.zeta())
+    # scalars from a field that does not hold the function's coefficients
+    assert one4 == CycField(6).one and one4 != CycField(6).zeta()
+    assert over4 != CycField(6).one and w() + 1 != 1 and w() + 1 != Q.one
+    # another root order is another ring: unequal, without raising
+    assert not RatFunc.one(Q, 3) == RatFunc.one(Q, 4)
+    assert RatFunc.monomial(Q, 2, 2) != RatFunc.monomial(Q, 1, 1)
+    # arithmetic across settings still raises
+    with pytest.raises(ValueError):
+        one4 + one6
+    with pytest.raises(ValueError):
+        RatFunc.one(Q, 3) * RatFunc.monomial(Q, 4, 1)
