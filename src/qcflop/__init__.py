@@ -4,8 +4,9 @@ The package is organized around exact arithmetic (no floating point except in
 the one numeric eigenvalue certificate):
 
 - ``qcflop.algebra``    -- cyclotomic numbers, rational functions in a root of
-                           the Novikov variable, equivariant Laurent scalars,
-                           truncated fractional-exponent series
+                           the Novikov variable, homogeneous values in the
+                           equivariant weight, truncated fractional-exponent
+                           series
 - ``qcflop.cohomology`` -- the classical cohomology ring of the local model
 - ``qcflop.batyrev``    -- the small quantum (Batyrev) ring and its spectrum
 - ``qcflop.canonical``  -- canonical coordinates, the connection one-form,

@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: cyclotomic numbers, polynomials, rational
-functions in a chosen root of the Novikov variable, Laurent scalars in the
-equivariant weight, and truncated fractional-exponent series."""
+functions in a chosen root of the Novikov variable, homogeneous values in the
+equivariant weight (a weight and a rational function), and truncated
+fractional-exponent series."""
 
 from qcflop.algebra.cyclotomic import (
     CycField,
@@ -11,7 +12,7 @@ from qcflop.algebra.cyclotomic import (
 )
 from qcflop.algebra.poly import Poly
 from qcflop.algebra.ratfunc import ExpansionError, NonIntegrableError, RatFunc
-from qcflop.algebra.equivariant import EquivScalar, LimitError
+from qcflop.algebra.equivariant import EquivScalar, InhomogeneousError, LimitError
 from qcflop.algebra.fracseries import FracSeries
 
 __all__ = [
@@ -26,5 +27,6 @@ __all__ = [
     "elementary_symmetric_omitting",
     "ExpansionError",
     "NonIntegrableError",
+    "InhomogeneousError",
     "LimitError",
 ]

@@ -1,8 +1,12 @@
-"""Finite Laurent polynomials in the equivariant weight with RatFunc coefficients.
+"""Homogeneous values in the equivariant weight with a RatFunc coefficient.
 
-An EquivScalar maps integer exponents of the weight (written lam) to nonzero
-RatFunc values.  This is the value type of the canonical-coordinate pipeline:
-e.g. the quantum spectrum roots are lam^1 times a rational function of w.
+An EquivScalar is lam^weight times a rational function of w, where lam is
+the single torus weight.  This is the value type of the canonical-coordinate
+pipeline, and every quantity it builds is homogeneous: the quantum spectrum
+roots have weight 1, the idempotent pairings weight -(2r+1), R_n weight -n
+and the connection weight 0.  Zero has weight 0 and adds to a value of any
+weight; a sum of two nonzero values of different weights can only come from
+a wrong derivation and raises InhomogeneousError.
 """
 
 from __future__ import annotations
@@ -10,37 +14,41 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qcflop.algebra.cyclotomic import CycField, CycNumber
-from qcflop.algebra.power import binary_power
 from qcflop.algebra.ratfunc import RatFunc
 
 
 class LimitError(ValueError):
-    """Raised when the nonequivariant limit hits surviving negative powers."""
+    """Raised when the nonequivariant limit meets a negative weight."""
+
+
+class InhomogeneousError(ValueError):
+    """Raised when two nonzero values of different weights are added."""
 
 
 class EquivScalar:
-    __slots__ = ("field", "root_order", "terms")
+    __slots__ = ("field", "root_order", "weight", "value")
 
-    def __init__(self, field: CycField, root_order: int, terms: dict[int, RatFunc]):
+    def __init__(self, field: CycField, root_order: int, weight: int, value: RatFunc):
         self.field = field
         self.root_order = root_order
-        self.terms = {e: f for e, f in terms.items() if not f.is_zero()}
+        self.weight = 0 if value.is_zero() else weight
+        self.value = value
 
     @classmethod
     def zero(cls, field: CycField, root_order: int) -> "EquivScalar":
-        return cls(field, root_order, {})
+        return cls(field, root_order, 0, RatFunc.zero(field, root_order))
 
     @classmethod
     def one(cls, field: CycField, root_order: int) -> "EquivScalar":
-        return cls(field, root_order, {0: RatFunc.one(field, root_order)})
+        return cls(field, root_order, 0, RatFunc.one(field, root_order))
 
     @classmethod
-    def from_ratfunc(cls, f: RatFunc, lam_exp: int = 0) -> "EquivScalar":
-        return cls(f.field, f.root_order, {lam_exp: f})
+    def from_ratfunc(cls, f: RatFunc, weight: int = 0) -> "EquivScalar":
+        return cls(f.field, f.root_order, weight, f)
 
     @classmethod
     def lam_power(cls, field: CycField, root_order: int, exp: int, coeff=1) -> "EquivScalar":
-        return cls(field, root_order, {exp: RatFunc.constant(field, root_order, coeff)})
+        return cls(field, root_order, exp, RatFunc.constant(field, root_order, coeff))
 
     def _lift(self, other) -> "EquivScalar | None":
         if isinstance(other, EquivScalar):
@@ -48,18 +56,17 @@ class EquivScalar:
         if isinstance(other, RatFunc):
             return EquivScalar.from_ratfunc(other)
         if isinstance(other, (int, Fraction, CycNumber)):
-            return EquivScalar(self.field, self.root_order,
-                               {0: RatFunc.constant(self.field, self.root_order, other)})
+            return EquivScalar.lam_power(self.field, self.root_order, 0, other)
         return None
 
     def __add__(self, other) -> "EquivScalar":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, f in o.terms.items():
-            out[e] = out[e] + f if e in out else f
-        return EquivScalar(self.field, self.root_order, out)
+        weight = o.weight if self.is_zero() else self.weight
+        if weight != o.weight and not o.is_zero():
+            raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{o.weight}")
+        return EquivScalar(self.field, self.root_order, weight, self.value + o.value)
 
     __radd__ = __add__
 
@@ -73,44 +80,32 @@ class EquivScalar:
         return (-self) + other
 
     def __neg__(self) -> "EquivScalar":
-        return EquivScalar(self.field, self.root_order, {e: -f for e, f in self.terms.items()})
+        return EquivScalar(self.field, self.root_order, self.weight, -self.value)
 
     def __mul__(self, other) -> "EquivScalar":
         if isinstance(other, (int, Fraction, CycNumber)):
-            return EquivScalar(self.field, self.root_order, {e: f * other for e, f in self.terms.items()})
+            return EquivScalar(self.field, self.root_order, self.weight, self.value * other)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        out: dict[int, RatFunc] = {}
-        for e1, f1 in self.terms.items():
-            for e2, f2 in o.terms.items():
-                e = e1 + e2
-                prod = f1 * f2
-                out[e] = out[e] + prod if e in out else prod
-        return EquivScalar(self.field, self.root_order, out)
+        return EquivScalar(self.field, self.root_order, self.weight + o.weight, self.value * o.value)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "EquivScalar":
         if n < 0:
-            return self.inverse_simple() ** (-n)
-        return binary_power(self, n, EquivScalar.one(self.field, self.root_order))
+            return self.inverse() ** (-n)
+        return EquivScalar(self.field, self.root_order, self.weight * n, self.value ** n)
 
-    def is_simple(self) -> bool:
-        """A single lam-power times a rational function (hence invertible)."""
-        return len(self.terms) == 1
-
-    def inverse_simple(self) -> "EquivScalar":
-        if not self.is_simple():
-            raise ValueError("only single-term scalars are invertible here")
-        ((e, f),) = self.terms.items()
-        return EquivScalar(self.field, self.root_order, {-e: f.inverse()})
+    def inverse(self) -> "EquivScalar":
+        """lam^-weight / value; raises ZeroDivisionError on zero."""
+        return EquivScalar(self.field, self.root_order, -self.weight, self.value.inverse())
 
     def __truediv__(self, other) -> "EquivScalar":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse_simple()
+        return self * o.inverse()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (EquivScalar, RatFunc)):
@@ -118,47 +113,31 @@ class EquivScalar:
             if o.root_order != self.root_order:
                 return NotImplemented
             # RatFunc values compare across fields
-            return self.terms == o.terms
+            return self.weight == o.weight and self.value == o.value
         if isinstance(other, (int, Fraction, CycNumber)):
-            return self.terms.keys() <= {0} and self.coefficient(0) == other
+            return self.weight == 0 and self.value == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a scalar with only a lam^0 term hashes like that RatFunc, so like its constant
-        if self.terms.keys() <= {0}:
-            return hash(self.coefficient(0))
-        return hash(tuple(sorted((e, hash(f)) for e, f in self.terms.items())))
+        # a weight-0 value hashes like its RatFunc, so like its constant
+        if self.weight == 0:
+            return hash(self.value)
+        return hash((self.weight, self.value))
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, lam_exp: int) -> RatFunc:
-        return self.terms.get(lam_exp, RatFunc.zero(self.field, self.root_order))
-
-    def lam_degrees(self) -> tuple[int, int]:
-        if not self.terms:
-            return (0, 0)
-        exps = sorted(self.terms)
-        return (exps[0], exps[-1])
+        return self.value.is_zero()
 
     def delta(self) -> "EquivScalar":
-        return EquivScalar(self.field, self.root_order, {e: f.delta() for e, f in self.terms.items()})
+        return EquivScalar(self.field, self.root_order, self.weight, self.value.delta())
 
     def nonequivariant_limit(self) -> RatFunc:
-        """Value at lam -> 0; errors if a negative lam-power survives."""
-        negatives = [e for e in self.terms if e < 0]
-        if negatives:
-            raise LimitError(f"surviving negative weight powers {sorted(negatives)}")
-        return self.coefficient(0)
+        """Value at lam -> 0: the value at weight 0, zero at a positive weight;
+        a negative weight has no limit and raises LimitError."""
+        if self.weight < 0:
+            raise LimitError(f"surviving negative weight power {self.weight}")
+        return self.value if self.weight == 0 else RatFunc.zero(self.field, self.root_order)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            f = self.terms[e]
-            if e == 0:
-                parts.append(f"{f}")
-            else:
-                parts.append(f"{f}*lam^{e}")
-        return " + ".join(parts)
+        if self.weight == 0:
+            return f"{self.value}"
+        return f"{self.value}*lam^{self.weight}"

@@ -156,9 +156,6 @@ class FracSeries:
     def constant_term(self) -> CycNumber:
         return self.terms.get((0, 0), self.field.zero)
 
-    def coefficient(self, n1: int, n2: int) -> CycNumber:
-        return self.terms.get((n1, n2), self.field.zero)
-
     def binomial_power(self, alpha: Fraction) -> "FracSeries":
         """(1 + x)^alpha for self = 1 + x with x = 0 or one term c q1^(a/den1) q2^(b/den2), a > 0.
 

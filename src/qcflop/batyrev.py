@@ -59,6 +59,9 @@ class SemisimplicityError(ValueError):
 
 
 def _vec_add(target: Vec, key, value) -> None:
+    """target[key] += value, dropping the key when the sum is zero.  Unlike
+    ``linalg.add_term`` it tests ``is_zero()``: the scalars are ``CycNumber``s
+    or ``RatFunc``s, which have no truth value, so a cancelled sum is true."""
     cur = target.get(key)
     new = value if cur is None else cur + value
     if new.is_zero():
@@ -503,8 +506,8 @@ def spectrum_structure_match(r: int) -> bool:
 # --- numeric certificate --------------------------------------------------------
 
 
-def eigenvalues_numeric(r: int, q1: complex, q2: complex, which: str = "h") -> list[complex]:
-    """All (r+1)(r+2) closed-form eigenvalues at a numeric point, with
+def eigenvalues_numeric(r: int, q1: complex, q2: complex) -> list[complex]:
+    """All (r+1)(r+2) closed-form eigenvalues of h* at a numeric point, with
     principal fractional powers."""
     out = []
     root1 = q1 ** (1.0 / (r + 1))
@@ -514,10 +517,7 @@ def eigenvalues_numeric(r: int, q1: complex, q2: complex, which: str = "h") -> l
         base = 1 + omega_i * root1
         for j in range(r + 2):
             eta_j = np.exp(2j * np.pi * j / (r + 2))
-            if which == "h":
-                out.append(eta_j * omega_i * root1 * root2 * base ** (-1.0 / (r + 2)))
-            else:
-                out.append(eta_j * root2 * base ** ((r + 1.0) / (r + 2)))
+            out.append(eta_j * omega_i * root1 * root2 * base ** (-1.0 / (r + 2)))
     return out
 
 
@@ -564,7 +564,7 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
     ring = ring_at_point(r, exact_q1, exact_q2)
     H = _matrix_to_complex(ring.mult_matrix("h"))
     X = _matrix_to_complex(ring.mult_matrix("xi"))
-    formula = eigenvalues_numeric(r, q1c, q2c, "h")
+    formula = eigenvalues_numeric(r, q1c, q2c)
     gaps = [abs(a - b) for idx, a in enumerate(formula) for b in formula[idx + 1:]]
     min_gap = min(gaps)
     if min_gap <= gap_tol:

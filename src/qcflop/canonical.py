@@ -112,7 +112,7 @@ def build_spectrum(r: int) -> CanonicalFrame:
     sign = Fraction((-1) ** r)
     c = [RatFunc.monomial(fld, u, -1, xi**i * sign) for i in range(r + 1)]
     a = [RatFunc.one(fld, u) + ci for ci in c]
-    p = [EquivScalar(fld, u, {1: ai.inverse()}) for ai in a]
+    p = [EquivScalar(fld, u, 1, ai.inverse()) for ai in a]
     return CanonicalFrame(r=r, field=fld, zeta=zeta, xi=xi, c=c, a=a, p=p)
 
 
@@ -171,7 +171,7 @@ def charpoly_expected(frame: CanonicalFrame, k: int) -> EquivScalar:
     """(-1)^r C(r+1, k) G lam^k, the closed form of e_k."""
     r = frame.r
     gw = g_in_w(r) * Fraction((-1) ** r * comb(r + 1, k))
-    return EquivScalar(frame.field, frame.u, {k: gw})
+    return EquivScalar(frame.field, frame.u, k, gw)
 
 
 # --- pairing and canonical basis ----------------------------------------------
@@ -240,7 +240,7 @@ def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """
     prefs, signed = _eps_factors(frame)
     fld, u = frame.field, frame.u
-    return [[EquivScalar(fld, u, {-k: pref * s}) for k, s in enumerate(row)]
+    return [[EquivScalar(fld, u, -k, pref * s) for k, s in enumerate(row)]
             for pref, row in zip(prefs, signed)]
 
 
@@ -252,7 +252,7 @@ def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     acc = signed[i][0]
     for s in signed[i][1:]:
         acc = acc * a_j + s
-    return EquivScalar(frame.field, frame.u, {0: prefs[i] * acc / a_j ** frame.r})
+    return EquivScalar(frame.field, frame.u, 0, prefs[i] * acc / a_j ** frame.r)
 
 
 def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
@@ -270,14 +270,14 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
         for l in range(r + 1 - k):
             t_k = t_k + s_j[l] * weights[k + l]
         total = total + s_i[k] * t_k
-    return EquivScalar(frame.field, frame.u, {-(2 * r + 1): prefs[i] * prefs[j] * total})
+    return EquivScalar(frame.field, frame.u, -(2 * r + 1), prefs[i] * prefs[j] * total)
 
 
 def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
     """q c_i a_i^(2r) / ((r+1) lam^(2r+1))."""
     r = frame.r
     rf = frame.q() * frame.c[i] * frame.a[i] ** (2 * r) * Fraction(1, r + 1)
-    return EquivScalar(frame.field, frame.u, {-(2 * r + 1): rf})
+    return EquivScalar(frame.field, frame.u, -(2 * r + 1), rf)
 
 
 def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -286,7 +286,7 @@ def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
         r = frame.r
         qinv = frame.q().inverse()
         frame.stages["delta_i"] = tuple(
-            EquivScalar(frame.field, frame.u, {1: qinv * frame.c[i].inverse() * Fraction(r + 1)})
+            EquivScalar(frame.field, frame.u, 1, qinv * frame.c[i].inverse() * Fraction(r + 1))
             * frame.p[i] ** (2 * r) for i in range(r + 1))
     return list(frame.stages["delta_i"])
 
@@ -296,7 +296,7 @@ def delta_product_closed_form(frame: CanonicalFrame) -> EquivScalar:
     r = frame.r
     coeff = frame.xi ** (-(r * (r + 1)) // 2) * Fraction((r + 1) ** (r + 1))
     rf = g_in_w(r) ** (2 * r) * frame.q() ** (-r) * coeff
-    return EquivScalar(frame.field, frame.u, {(2 * r + 1) * (r + 1): rf})
+    return EquivScalar(frame.field, frame.u, (2 * r + 1) * (r + 1), rf)
 
 
 # --- the three terms of the genus-one differential ----------------------------
@@ -308,9 +308,7 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
         prod = EquivScalar.one(frame.field, frame.u)
         for d in delta_i(frame):
             prod = prod * d
-        if not prod.is_simple():
-            raise ValueError("product of norms is not a pure weight power")
-        ((_, f),) = prod.terms.items()
+        f = prod.value
         frame.stages["term_log_delta"] = f.delta() / f
     return frame.stages["term_log_delta"]
 
@@ -351,7 +349,7 @@ def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     for j in range(r + 1):
         sym = _sym_omitting(frame, j)
         pref = q * frame.c[j] * Fraction(1, r + 1)
-        cols.append([EquivScalar(fld, u, {r - mu: pref * sym[mu] * Fraction((-1) ** mu)})
+        cols.append([EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu))
                      for mu in range(r + 1)])
     return [[cols[j][mu] for j in range(r + 1)] for mu in range(r + 1)]
 
@@ -413,9 +411,9 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
                     entry = core[i][i] - Fraction(r, 2 * (r + 1))
                 else:
                     entry = core[i][j] * frame.zeta ** (i - j)
-                val = entry.coefficient(0)
-                if entry.lam_degrees() != (0, 0) and not entry.is_zero():
+                if entry.weight != 0:
                     raise ValueError("connection entry is not weight-free")
+                val = entry.value
                 if not val.is_constant():
                     raise ValueError("connection entry is not constant in w")
                 row.append(val.constant_value())
@@ -489,8 +487,7 @@ def r1_offdiagonal(frame: CanonicalFrame, signs: list[int] | None = None,
         for j in range(r + 1):
             if i == j:
                 continue
-            out[i][j] = EquivScalar(frame.field, frame.u,
-                                    {0: frame.rat_const(conn[i][j])}) / dp[i][j]
+            out[i][j] = EquivScalar.from_ratfunc(frame.rat_const(conn[i][j])) / dp[i][j]
     return out
 
 
@@ -510,7 +507,7 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
             coeff = frame.zeta ** (j - i) * s * denom.inverse() \
                 * Fraction((-1) ** r, (r + 1) ** 2)
             rf = w * frame.a[i] * frame.a[j] * coeff
-            out[i][j] = EquivScalar(fld, u, {-1: rf})
+            out[i][j] = EquivScalar(fld, u, -1, rf)
     return out
 
 
@@ -552,16 +549,13 @@ def xi_constant_pair_identity(r: int) -> bool:
 
 
 def _integrate_scalar(x: EquivScalar, constant_error: str) -> EquivScalar:
-    """Integrate each weight's coefficient in t.  A constant term there would
-    violate flatness silently, so it raises FlatnessError with
-    ``constant_error`` formatted at that weight ``e``."""
-    out = {}
-    for e, f in x.terms.items():
-        try:
-            out[e] = f.integrate_in_t()
-        except NonIntegrableError as exc:
-            raise FlatnessError(constant_error.format(e=e)) from exc
-    return EquivScalar(x.field, x.root_order, out)
+    """Integrate the value in t.  A constant term there would violate
+    flatness silently, so it raises FlatnessError with ``constant_error``
+    formatted at the weight ``e``."""
+    try:
+        return EquivScalar(x.field, x.root_order, x.weight, x.value.integrate_in_t())
+    except NonIntegrableError as exc:
+        raise FlatnessError(constant_error.format(e=x.weight)) from exc
 
 
 def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[EquivScalar]:
@@ -592,7 +586,7 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     out = []
     for i in range(r + 1):
         rf = (frame.c[i].inverse() + frame.c[i]) * Fraction(xi_r, (r + 1) ** 3)
-        out.append(EquivScalar(frame.field, frame.u, {-1: rf}))
+        out.append(EquivScalar(frame.field, frame.u, -1, rf))
     return out
 
 
@@ -786,16 +780,15 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
             mid = _unitarity_sum(mats, products, n, lo=1)
             for i in range(size):
                 gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
-                for e, f in gap.terms.items():
-                    items = f.laurent_items()
-                    if any(exp != 0 for exp in items):
-                        raise FlatnessError(
-                            f"order {n}, diagonal {i}: unitarity gap is not a constant")
-                    const = items.get(0)
-                    if const is not None and not const.is_zero():
-                        new[i][i] = new[i][i] + EquivScalar(
-                            frame.field, frame.u, {e: frame.rat_const(const)})
-                        constants[(n, i)] = repr(const)
+                items = gap.value.laurent_items()
+                if any(exp != 0 for exp in items):
+                    raise FlatnessError(
+                        f"order {n}, diagonal {i}: unitarity gap is not a constant")
+                const = items.get(0)
+                if const is not None and not const.is_zero():
+                    new[i][i] = new[i][i] + EquivScalar(
+                        frame.field, frame.u, gap.weight, frame.rat_const(const))
+                    constants[(n, i)] = repr(const)
         mats.append(new)
     residuals = {}
     for n in range(1, order + 1):
@@ -805,6 +798,5 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         "diagonal_mode": diag_mode,
         "constants": {f"{n},{i}": v for (n, i), v in sorted(constants.items())},
         "unitarity_exact": residuals,
-        "euler_normalization": "not asserted; constants recorded per order",
     }
     return mats, report

@@ -15,57 +15,45 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from qcflop import canonical, suites
-from qcflop.config import ConfigError, load_config, parse_sample
+from qcflop.config import ConfigError, RunConfig, load_config, parse_sample
 from qcflop.report import Report
 from qcflop.serialize import fraction_str, ratfunc_q_to_json
 
 SUITES = ("appendix", "flop", "batyrev", "cohomology", "quantization")
 
 
-def _run_cell(cell: tuple) -> Report:
+def _run_cell(cell: tuple[str, int, RunConfig]) -> Report:
     """One (suite, r) work unit; top-level so process pools can import it."""
-    name, r, cfg_items = cell
-    cfg = dict(cfg_items)
+    name, r, cfg = cell
     if name == "cohomology":
         return suites.cohomology_suite(r)
     if name == "flop":
-        return suites.flop_suite(r, max_m=cfg["max_m"], max_n=cfg["max_n"])
+        return suites.flop_suite(r, max_m=cfg.max_m, max_n=cfg.max_n)
     if name == "appendix":
-        rep = suites.appendix_suite(r, rmatrix_order=cfg["rmatrix_order"])
-        rep.extend(suites.genus_one_table_suite(r, cfg["dmax"]))
+        rep = suites.appendix_suite(r, rmatrix_order=cfg.rmatrix_order)
+        rep.extend(suites.genus_one_table_suite(r, cfg.dmax))
         return rep
     if name == "batyrev":
-        return suites.batyrev_suite(r, order=cfg["order"], sample=cfg["sample"],
-                                    gap_tol=cfg["gap_tolerance"], match_tol=cfg["tolerance"])
+        return suites.batyrev_suite(r, order=cfg.order, sample=parse_sample(cfg.sample),
+                                    gap_tol=cfg.gap_tolerance, match_tol=cfg.tolerance)
     if name == "quantization":
-        return suites.quantization_suite(dim=cfg["dim"], cutoff=cfg["cutoff"])
+        return suites.quantization_suite(dim=cfg.dim, cutoff=cfg.cutoff)
     raise ValueError(f"unknown suite {name!r}")
 
 
-def run_suite(selection: str, config) -> Report:
+def run_suite(selection: str, config: RunConfig) -> Report:
     """Execute the selected suites over the configured r-range and merge
     the entries in canonical order."""
     names = SUITES if selection == "all" else (selection,)
-    cfg_items = tuple(sorted({
-        "order": config.order,
-        "dmax": config.dmax,
-        "rmatrix_order": config.rmatrix_order,
-        "max_m": config.max_m,
-        "max_n": config.max_n,
-        "gap_tolerance": config.gap_tolerance,
-        "tolerance": config.tolerance,
-        "sample": parse_sample(config.sample),
-        "dim": config.dim,
-        "cutoff": config.cutoff,
-    }.items()))
     cells = []
     for name in names:
         if name == "quantization":
-            cells.append((name, 0, cfg_items))  # r-independent
+            cells.append((name, 0, config))  # r-independent
         else:
-            cells.extend((name, r, cfg_items) for r in config.rs())
+            cells.extend((name, r, config) for r in config.rs())
     merged = Report(suite=selection)
     if config.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -129,10 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = ("r_range", "order", "dmax", "rmatrix_order", "max_m", "max_n",
-            "sample", "dim", "cutoff", "tolerance", "gap_tolerance",
-            "format", "jobs", "out")
-    return {k: getattr(args, k, None) for k in keys}
+    return {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

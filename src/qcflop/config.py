@@ -6,26 +6,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 ENV_VAR = "QCFLOP_CONFIG"
-
-DEFAULTS = {
-    "r_range": (1, 3),
-    "order": 10,
-    "dmax": 10,
-    "rmatrix_order": 2,
-    "max_m": 7,
-    "max_n": 6,
-    "sample": "3/10,0 7/10,0",
-    "dim": 2,
-    "cutoff": 3,
-    "tolerance": 1e-9,
-    "gap_tolerance": 1e-6,
-    "format": "text",
-    "jobs": 1,
-}
 
 
 class ConfigError(ValueError):
@@ -76,28 +60,30 @@ def parse_sample(value: str) -> tuple[tuple[Fraction, Fraction], tuple[Fraction,
 
 @dataclass
 class RunConfig:
-    r_range: tuple[int, int] = DEFAULTS["r_range"]
-    order: int = DEFAULTS["order"]
-    dmax: int = DEFAULTS["dmax"]
-    rmatrix_order: int = DEFAULTS["rmatrix_order"]
-    max_m: int = DEFAULTS["max_m"]
-    max_n: int = DEFAULTS["max_n"]
-    sample: str = DEFAULTS["sample"]
-    dim: int = DEFAULTS["dim"]
-    cutoff: int = DEFAULTS["cutoff"]
-    tolerance: float = DEFAULTS["tolerance"]
-    gap_tolerance: float = DEFAULTS["gap_tolerance"]
-    format: str = DEFAULTS["format"]
-    jobs: int = DEFAULTS["jobs"]
+    """Every setting, with its default.  The config-file keys and the CLI
+    flag destinations are these field names; every ``int`` field must be
+    positive."""
+    r_range: tuple[int, int] = (1, 3)
+    order: int = 10
+    dmax: int = 10
+    rmatrix_order: int = 2
+    max_m: int = 7
+    max_n: int = 6
+    jobs: int = 1
+    sample: str = "3/10,0 7/10,0"
+    dim: int = 2
+    cutoff: int = 3
+    tolerance: float = 1e-9
+    gap_tolerance: float = 1e-6
+    format: str = "text"
     out: str | None = None
 
     def validate(self) -> "RunConfig":
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"format must be json, csv or text, not {self.format!r}")
-        for name in ("order", "dmax", "rmatrix_order", "max_m", "max_n", "jobs",
-                     "dim", "cutoff"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive")
         if not (0 < self.tolerance < 1 and 0 < self.gap_tolerance < 1):
             raise ConfigError("tolerances must lie in (0, 1)")
         parse_sample(self.sample)
@@ -106,6 +92,9 @@ class RunConfig:
     def rs(self) -> list[int]:
         lo, hi = self.r_range
         return list(range(lo, hi + 1))
+
+
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def load_config(cli_overrides: dict) -> RunConfig:
@@ -120,11 +109,10 @@ def load_config(cli_overrides: dict) -> RunConfig:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
-        unknown = set(data) - set(DEFAULTS) - {"out"}
+        unknown = set(data) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(data)
     merged.update({k: v for k, v in cli_overrides.items() if v is not None})
     merged["r_range"] = parse_r_range(merged["r_range"])
-    out = merged.pop("out", None)
-    return RunConfig(**merged, out=out).validate()
+    return RunConfig(**merged).validate()

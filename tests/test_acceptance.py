@@ -89,8 +89,7 @@ def test_criterion_06_appendix_intermediates():
         es = canonical.charpoly_coefficients(frame)
         for k, ek in enumerate(es, start=1):
             ok = ok and ek == canonical.charpoly_expected(frame, k)
-            ((exp, rf),) = ek.terms.items()
-            ok = ok and exp == k and canonical.as_g_polynomial(rf, r) is not None
+            ok = ok and ek.weight == k and canonical.as_g_polynomial(ek.value, r) is not None
         ok = ok and all(canonical.lemma_zero_value(r, k).is_zero() for k in range(r))
         ok = ok and canonical.equiv_pairing(r, r, 1).is_zero()
         canonical.canonical_basis(frame)

@@ -23,8 +23,8 @@ def test_char_residuals_vanish():
 def test_spectrum_lam_degree():
     frame = can.build_spectrum(2)
     for i, p in enumerate(frame.p):
-        assert p.lam_degrees() == (1, 1)
-        assert p.coefficient(1) == frame.a[i].inverse()
+        assert p.weight == 1
+        assert p.value == frame.a[i].inverse()
 
 
 def test_charpoly_coefficients_closed_form():
@@ -49,9 +49,8 @@ def test_charpoly_coefficients_are_g_polynomials():
         frame = can.build_spectrum(r)
         es = can.charpoly_coefficients(frame)
         for k, ek in enumerate(es, start=1):
-            ((exp, rf),) = ek.terms.items()
-            assert exp == k
-            poly = can.as_g_polynomial(rf, r)
+            assert ek.weight == k
+            poly = can.as_g_polynomial(ek.value, r)
             assert poly is not None
             # degree one in G with no constant term
             assert poly.degree == 1 and poly.constant().is_zero()
@@ -119,8 +118,7 @@ def test_delta_i_r1_explicit():
     # r=1, i=0: 2 lam q^-1 c_0^-1 p_0^2
     frame = can.build_spectrum(1)
     deltas = can.delta_i(frame)
-    expected = (EquivScalar(frame.field, frame.u,
-                            {1: frame.q().inverse() * frame.c[0].inverse() * 2})
+    expected = (EquivScalar(frame.field, frame.u, 1, frame.q().inverse() * frame.c[0].inverse() * 2)
                 * frame.p[0] ** 2)
     assert deltas[0] == expected
 
@@ -218,7 +216,7 @@ def test_r1_offdiagonal_matches_display_and_symmetry():
                     continue
                 assert off[i][j] == -disp[i][j]
                 assert off[i][j] == off[j][i]
-                assert off[i][j].lam_degrees() == (-1, -1)
+                assert off[i][j].weight == -1
 
 
 def test_xi_constant():
@@ -258,7 +256,7 @@ def test_r1_diagonal_weight_structure():
     frame = can.build_spectrum(3)
     off = can.r1_offdiagonal(frame)
     for entry in can.r1_diagonal(frame, off):
-        assert entry.lam_degrees() == (-1, -1)
+        assert entry.weight == -1
 
 
 def test_genus_one_form_matches_expected():
@@ -362,8 +360,8 @@ def test_factored_pairing_and_duality_match_the_expanded_basis(r):
 
 
 def integrate(x):
-    """Integrate every weight's coefficient of an EquivScalar in t."""
-    return EquivScalar(x.field, x.root_order, {e: f.integrate_in_t() for e, f in x.terms.items()})
+    """Integrate the value of an EquivScalar in t."""
+    return EquivScalar(x.field, x.root_order, x.weight, x.value.integrate_in_t())
 
 
 def plain_r_matrix_recursion(r, order, diag_mode):
@@ -373,7 +371,7 @@ def plain_r_matrix_recursion(r, order, diag_mode):
     frame = can.build_spectrum(r)
     size = r + 1
     zero = EquivScalar.zero(frame.field, frame.u)
-    conn = [[EquivScalar(frame.field, frame.u, {0: frame.rat_const(c)}) for c in row]
+    conn = [[EquivScalar(frame.field, frame.u, 0, frame.rat_const(c)) for c in row]
             for row in can.connection_form(frame)]
     dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
 
@@ -399,10 +397,10 @@ def plain_r_matrix_recursion(r, order, diag_mode):
             mid = signed_sum(mats, n, 1)
             for i in range(size):
                 gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
-                for e, f in gap.terms.items():
-                    const = f.laurent_items()[0]
-                    new[i][i] = new[i][i] + EquivScalar(frame.field, frame.u,
-                                                        {e: frame.rat_const(const)})
+                if not gap.is_zero():
+                    const = gap.value.laurent_items()[0]
+                    new[i][i] = new[i][i] + EquivScalar(frame.field, frame.u, gap.weight,
+                                                        frame.rat_const(const))
                     constants[f"{n},{i}"] = repr(const)
         mats.append(new)
     residuals = {n: all(x.is_zero() for row in signed_sum(mats, n, 0) for x in row)
@@ -520,9 +518,9 @@ def reference_r1_diagonal(frame, off):
         for j in range(r + 1):
             if j != i:
                 integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
-        for e, f in integrand.terms.items():
-            if 0 in f.laurent_items():
-                raise can.FlatnessError(f"diagonal {i} integrand has a constant term at weight {e}")
+        if 0 in integrand.value.laurent_items():
+            raise can.FlatnessError(
+                f"diagonal {i} integrand has a constant term at weight {integrand.weight}")
         out.append(integrate(integrand))
     return out
 
@@ -623,4 +621,25 @@ def test_control_first_order_display_entry(capsys, monkeypatch):
     assert line.endswith("first failing (i, j) = (2, 1): derived is not minus the display")
     # the connection itself is untouched
     _, entries = verify_appendix_r2(capsys)
+    assert entries["appendix/connection-form"]["status"] == "pass"
+
+
+def test_control_first_order_entry_of_the_wrong_weight(capsys, monkeypatch):
+    # each off-diagonal R1 entry times lam has weight 0; the weight is
+    # checked before the values, so the residual names it
+    real = can.first_order
+
+    def scaled(frame, signs=None, pair_flip=None):
+        off, diag = real(frame, signs, pair_flip)
+        lam = frame.lam()
+        return tuple(tuple(x if i == j else x * lam for j, x in enumerate(row))
+                     for i, row in enumerate(off)), diag
+
+    monkeypatch.setattr(can, "first_order", scaled)
+    code = cli.main(["verify", "appendix", "--r", "2", "--jobs", "1", "--format", "json"])
+    entries = {e["anchor"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert code == 1
+    entry = entries["appendix/first-order-offdiagonal"]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == "first failing (i, j) = (0, 1): the entry is not of weight lam^-1"
     assert entries["appendix/connection-form"]["status"] == "pass"

@@ -72,8 +72,7 @@ def test_poly_power(coeffs, n):
 def test_equiv_scalar_power(coeffs, lam_exp, n):
     num = Poly(FIELD, coeffs)
     den = Poly(FIELD, [FIELD.one, FIELD.zeta()])
-    x = EquivScalar(FIELD, 2, {lam_exp: RatFunc(FIELD, 2, num, den),
-                               lam_exp + 1: RatFunc.one(FIELD, 2)})
+    x = EquivScalar(FIELD, 2, lam_exp, RatFunc(FIELD, 2, num, den) + RatFunc.one(FIELD, 2))
     assert x ** n == repeated(x, n, EquivScalar.one(FIELD, 2))
 
 
