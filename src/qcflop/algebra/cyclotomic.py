@@ -132,6 +132,9 @@ class CycField:
         # Tr(zeta^j): the constant term of the sum of all conjugates
         self._trace = tuple(sum(dict(rows[j * k % order]).get(0, 0) for k in units)
                             for j in range(d))
+        # k by the dense reduced vector of zeta^k, for k < N; that vector is
+        # primitive, since zeta^k is a unit of Z[zeta]
+        self._root_exponents = {tuple(_combine((1,), (rows[k],), d)): k for k in range(order)}
         self._zero_tail = (0,) * (d - 1)
         self.zero = CycNumber(self, (0,) * d)
         self.one = CycNumber(self, (1,) + self._zero_tail)
@@ -156,6 +159,17 @@ class CycField:
     def zeta(self, k: int = 1) -> CycNumber:
         """zeta_N^k, reduced."""
         return CycNumber(self, tuple(_combine((1,), (self._rows[k % self.order],), self.degree)))
+
+    def _root_part(self, nums: tuple[int, ...]) -> tuple[int, int] | None:
+        """(k, g) with nums == g * zeta^k for a nonzero integer vector nums,
+        or None when nums is not an integer multiple of a root of unity."""
+        g = gcd(*nums)
+        prim = tuple(x // g for x in nums)
+        k = self._root_exponents.get(prim)
+        if k is not None:
+            return k, g
+        k = self._root_exponents.get(tuple(-x for x in prim))
+        return None if k is None else (k, -g)
 
     def embed(self, x: "CycNumber") -> "CycNumber":
         """Embed an element of Q(zeta_M) with M | N into this field."""

@@ -27,7 +27,11 @@ Each check does only the exact work its answer reads:
   q1^(1/(r+1)) q2^(1/(r+2)) times a unit series, and the n = (r+1)(r+2)
   monomials multiply to q1^(r+2) q2^(r+1), which takes n steps of the q1
   direction.  So the product identity through order N is the product of the
-  unit parts through order N - n, against -1/(1 + (-1)^r q1).
+  unit parts through order N - n, against -1/(1 + (-1)^r q1).  A unit part
+  is the integer rows of its h-eigenvalue with every key shifted by
+  (-1, -1) (``FracSeries.divide_monomial``), so no coefficient is rebuilt;
+  the products of unit parts are integer convolutions and each scaling by a
+  power of eta only permutes the powers of zeta (see ``algebra.fracseries``).
 * eta-orbit.  The closed forms give h_ij = eta^j h_i0 and xi_ij = eta^j xi_i0,
   with eta^(r+2) = 1.  Every pair is still expanded, and each pair found on
   its orbit by that exact equality costs one scalar multiple: its residuals
@@ -433,7 +437,7 @@ def verify_eigen_relations(r: int, order: int) -> dict:
             for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals):
                 if not res.is_zero():
                     failures.append({"i": i, "j": j, "relation": name,
-                                     "leading_exponent": list(min(res.terms))})
+                                     "leading_exponent": list(min(res.rows))})
     return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
 
 
@@ -443,7 +447,8 @@ def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
 
     The (r+1)(r+2) = n monomials multiply to q1^(r+2) q2^(r+1), which takes n
     steps of the q1 direction, so the unit parts are needed only through
-    order - n: each h_ij is expanded at order - n + 1 and divided exactly.
+    order - n: each h_ij is expanded at order - n + 1 and divided exactly by
+    shifting the keys of its integer rows, with no coefficient rebuilt.
     Returns None when some h_ij has a term the monomial does not divide.
 
     An orbit i whose unit parts satisfy u_ij = eta^j u_i0 for every j
@@ -458,17 +463,15 @@ def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
                          "where both sides of the product identity truncate to zero")
     fld = eigen_field(r)
     eta = fld.zeta(r + 1)
-    d1, d2 = r + 1, r + 2
     trunc = order - n
     on_orbit, factors = [], []
     for i in range(r + 1):
         units = []
         for j in range(r + 2):
-            h = eigen_formulas(r, i, j, trunc + 1).h
-            if any(n1 < 1 or n2 < 1 for (n1, n2) in h.terms):
+            unit = eigen_formulas(r, i, j, trunc + 1).h.divide_monomial(1, 1)
+            if unit is None:
                 return None
-            unit = {(n1 - 1, n2 - 1): c for (n1, n2), c in h.terms.items()}
-            units.append(FracSeries(fld, d1, d2, trunc, unit))
+            units.append(unit)
         if all(units[j] == units[0] * eta**j for j in range(1, r + 2)):
             on_orbit.append(units[0])
         else:
@@ -487,10 +490,8 @@ def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:
     if prod is None:
         return False
     # unit part of the closed form: -sum_k (-(-1)^r q1)^k
-    fld = prod.field
-    want = {(k * (r + 1), 0): fld.from_rational(-((-1) ** ((r + 1) * k)))
-            for k in range(prod.trunc // (r + 1) + 1)}
-    return prod == FracSeries(fld, prod.den1, prod.den2, prod.trunc, want)
+    want = {(k * (r + 1), 0): -((-1) ** ((r + 1) * k)) for k in range(prod.trunc // (r + 1) + 1)}
+    return prod == FracSeries(prod.field, prod.den1, prod.den2, prod.trunc, want)
 
 
 def spectrum_structure_match(r: int) -> bool:

@@ -150,8 +150,8 @@ def test_eigen_formulas_match_the_direct_closed_form(r, order):
 def test_eigen_formulas_hand_out_their_own_series():
     pair = bat.eigen_formulas(2, 1, 0, 6)
     want = direct_eigen_formulas(2, 1, 0, 6)
-    pair.h.terms.clear()
-    pair.xi.terms[(0, 0)] = pair.xi.field.one
+    pair.h.rows.clear()
+    pair.xi.rows[(0, 0)] = pair.xi.field.one.nums
     again = bat.eigen_formulas(2, 1, 0, 6)
     assert (again.h.terms, again.xi.terms) == (want[0].terms, want[1].terms)
 
@@ -441,3 +441,18 @@ def test_commutator_negative_control(monkeypatch):
     for r in (2, 3):
         calls.clear()
         assert not bat.matrices_commute_at(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
+
+
+def test_unit_product_rejects_an_h_the_monomial_does_not_divide(monkeypatch):
+    # a constant term in one h_ij is not divisible by q1^(1/(r+1)) q2^(1/(r+2))
+    real = bat.eigen_formulas
+
+    def formulas(r, i, j, order):
+        pair = real(r, i, j, order)
+        if (i, j) == (1, 1):
+            pair.h = pair.h + 1
+        return pair
+
+    monkeypatch.setattr(bat, "eigen_formulas", formulas)
+    assert bat.eigenvalue_unit_product(2, 21) is None
+    assert not bat.eigenvalue_product_identity(2, 21)

@@ -1,14 +1,154 @@
-"""Tests for truncated fractional-exponent series."""
+"""Tests for truncated fractional-exponent series, and of the integer-matrix
+FracSeries against a schoolbook reference.
+
+The reference works on plain dicts {(n1, n2): CycNumber}, one CycNumber
+operation per pair of terms; it shares no code with FracSeries beyond the
+scalar field arithmetic.
+"""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcflop.algebra import CycField, CycNumber, FracSeries
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+# --- the schoolbook reference over CycNumber dicts ---------------------------------
+
+
+def ref_clean(terms, trunc):
+    return {k: c for k, c in terms.items() if k[0] <= trunc and not c.is_zero()}
+
+
+def ref_add(a, b, trunc):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out[key] + c if key in out else c
+    return ref_clean(out, trunc)
+
+
+def ref_mul(a, b, trunc):
+    out = {}
+    for (a1, a2), c in a.items():
+        for (b1, b2), d in b.items():
+            key = (a1 + b1, a2 + b2)
+            out[key] = out[key] + c * d if key in out else c * d
+    return ref_clean(out, trunc)
+
+
+def ref_scale(a, c, trunc):
+    return ref_clean({k: v * c for k, v in a.items()}, trunc)
+
+
+def ref_pow(a, n, field, trunc):
+    out = {(0, 0): field.one}
+    for _ in range(n):
+        out = ref_mul(out, a, trunc)
+    return out
+
+
+def ref_binomial(a, alpha, field, trunc):
+    """(1 + x)^alpha for a = 1 + x by the binomial series in products of x."""
+    x = ref_add(a, {(0, 0): -field.one}, trunc)
+    out, term, coeff = {(0, 0): field.one}, {(0, 0): field.one}, Fraction(1)
+    for k in range(1, trunc + 1):
+        coeff = coeff * Fraction(alpha - k + 1, k)
+        term = ref_mul(term, x, trunc)
+        if not term or coeff == 0:
+            break
+        out = ref_add(out, ref_scale(term, coeff, trunc), trunc)
+    return out
+
+
+REF_ORDERS = [12, 20, 42]
+REF_TRUNC = 5
+
+# entries with mixed denominators, so terms over different dens meet
+entries = st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                    st.sampled_from([1, 1, 2, 3, 5, 7, 12]))
+
+
+def elements(field):
+    return st.lists(entries, min_size=1, max_size=field.degree).map(field.element)
+
+
+def term_dicts(field, max_size=4):
+    return st.dictionaries(st.tuples(st.integers(0, REF_TRUNC), st.integers(0, 3)),
+                           elements(field), max_size=max_size)
+
+
+@st.composite
+def scalars(draw, field):
+    """A rational, a rational multiple of a root of unity, or a general element."""
+    kind = draw(st.sampled_from(["rational", "root", "general"]))
+    if kind == "rational":
+        return draw(entries)
+    if kind == "root":
+        return field.zeta(draw(st.integers(0, field.order - 1))) * draw(entries)
+    return draw(elements(field))
+
+
+def assert_canonical(s):
+    assert all(n1 <= s.trunc for n1, _ in s.rows)
+    assert all(c.field is s.field for c in s.terms.values())
+    if not s.rows:
+        assert s.den == 1
+        return
+    assert s.den > 0
+    assert all(isinstance(row, tuple) and len(row) == s.field.degree and any(row)
+               for row in s.rows.values())
+    assert gcd(s.den, *(x for row in s.rows.values() for x in row)) == 1
+
+
+def same(s, terms):
+    assert_canonical(s)
+    assert s.terms == terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REF_ORDERS), st.data())
+def test_arithmetic_matches_schoolbook(order, data):
+    field, T = CycField(order), REF_TRUNC
+    a, b = (data.draw(term_dicts(field)) for _ in range(2))
+    sa, sb = (FracSeries(field, 3, 4, T, t) for t in (a, b))
+    a, b = ref_clean(a, T), ref_clean(b, T)
+    same(sa, a)
+    same(sa + sb, ref_add(a, b, T))
+    same(sa - sb, ref_add(a, ref_scale(b, -1, T), T))
+    same(-sa, ref_scale(a, -1, T))
+    same(sa * sb, ref_mul(a, b, T))
+    c = data.draw(scalars(field))
+    same(sa * c, ref_scale(a, c, T))
+    same(c * sa, ref_scale(a, c, T))
+    n = data.draw(st.integers(0, 3))
+    same(sa ** n, ref_pow(a, n, field, T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REF_ORDERS), st.data())
+def test_binomial_power_matches_schoolbook(order, data):
+    field, T = CycField(order), REF_TRUNC
+    c = data.draw(scalars(field).filter(lambda c: c != 0))
+    key = (data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    base = {(0, 0): field.one, key: field.one * c}
+    alpha = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    got = FracSeries(field, 3, 4, T, base).binomial_power(alpha)
+    same(got, ref_binomial(ref_clean(base, T), alpha, field, T))
+
+
+def test_terms_from_a_subfield_are_embedded():
+    big, small = CycField(20), CycField(4)
+    x = FracSeries.monomial(big, 4, 5, 6, 1, 0)
+    for s in (x + small.zeta(), small.zeta() + x, x - small.zeta(), x * small.zeta(),
+              FracSeries(big, 4, 5, 6, {(0, 0): small.zeta(), (2, 1): 3}),
+              FracSeries.monomial(big, 4, 5, 6, 2, 0, small.zeta())):
+        assert_canonical(s)
+    assert (x + small.zeta()).constant_term() == big.zeta(5)
 
 
 def make(r=1, trunc=8):
@@ -170,7 +310,7 @@ def test_constant_series_equals_its_value_from_another_field():
 
 def test_scalar_product_matches_the_series_product():
     # a scalar multiplies each term; it equals the product with the constant
-    # series, keeps terms at the truncation order and owns its term dict
+    # series, keeps terms at the truncation order and owns its row dict
     field, d1, d2, T = make(r=2, trunc=3)
     s = (FracSeries.one(field, d1, d2, T) + FracSeries.monomial(field, d1, d2, T, 1, 2)
          ).binomial_power(Fraction(1, 3))
@@ -181,11 +321,11 @@ def test_scalar_product_matches_the_series_product():
         lifted = FracSeries(field, d1, d2, T, {(0, 0): value})
         for got in (s * c, c * s):
             assert got.terms == (s * lifted).terms
-            assert got.terms is not s.terms
+            assert got.rows is not s.rows
             assert all(v.field is field for v in got.terms.values())
     assert (s * 0).is_zero()
     copy = s.copy()
-    assert copy == s and copy.terms is not s.terms
+    assert copy == s and copy.rows is not s.rows
 
 
 def test_series_of_different_settings_compare_unequal_without_raising():
@@ -204,3 +344,16 @@ def test_series_of_different_settings_compare_unequal_without_raising():
     other = FracSeries.one(big, d1, d2, 3) + FracSeries.monomial(big, d1, d2, 3, 1, 0, big.zeta(2))
     mine = FracSeries.one(field, d1, d2, 3) + FracSeries.monomial(field, d1, d2, 3, 1, 0, field.zeta())
     assert mine == other and hash(mine) == hash(other) and len({mine, other}) == 1
+
+
+def test_divide_monomial_shifts_the_keys_and_the_truncation():
+    field, d1, d2, T = make(r=2, trunc=6)
+    s = (FracSeries.monomial(field, d1, d2, T, 1, 1, field.zeta(5) * Fraction(2, 3))
+         + FracSeries.monomial(field, d1, d2, T, 4, 2, Fraction(-1, 6)))
+    unit = s.divide_monomial(1, 1)
+    assert unit.trunc == T - 1
+    assert unit.terms == {(0, 0): field.zeta(5) * Fraction(2, 3),
+                          (3, 1): field.from_rational(Fraction(-1, 6))}
+    assert_canonical(unit)
+    assert s.divide_monomial(1, 2) is None
+    assert (s + 1).divide_monomial(1, 1) is None
