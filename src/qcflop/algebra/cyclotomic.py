@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -68,6 +69,18 @@ def _combine(coeffs: Iterable[int], rows: Iterable[tuple[tuple[int, int], ...]],
     return out
 
 
+def _reduce(conv: list[int], rows, d: int) -> list[int]:
+    """An integer convolution of length 2d - 1 reduced modulo Phi_N through
+    the table rows of the powers of zeta; conv is cut to length d in place."""
+    for k in range(d, len(conv)):
+        c = conv[k]
+        if c:
+            for i, r in rows[k]:
+                conv[i] += c * r
+    del conv[d:]
+    return conv
+
+
 def _mul_vec(a: Sequence[int], b: Sequence[int], rows, d: int) -> list[int]:
     """Integer product of two coefficient vectors, reduced modulo Phi_N."""
     conv = [0] * (2 * d - 1)
@@ -75,13 +88,16 @@ def _mul_vec(a: Sequence[int], b: Sequence[int], rows, d: int) -> list[int]:
         if x:
             for k, y in enumerate(b, i):
                 conv[k] += x * y
-    out = conv[:d]
-    for k in range(d, 2 * d - 1):
-        c = conv[k]
-        if c:
-            for i, r in rows[k]:
-                out[i] += c * r
-    return out
+    return _reduce(conv, rows, d)
+
+
+def _lowest_terms(rows: Iterable[Sequence[int]], den: int) -> tuple[list[tuple[int, ...]], int]:
+    """Integer rows over den > 0 with one gcd of den with every int divided out."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            return [tuple(x // g for x in row) for row in rows], den // g
+    return [tuple(row) for row in rows], den
 
 
 def _ratio(x) -> tuple[int, int] | None:
@@ -91,6 +107,17 @@ def _ratio(x) -> tuple[int, int] | None:
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return None
+
+
+def _vector(field: "CycField", c) -> tuple[tuple[int, ...], int]:
+    """(nums, den) in canonical form in the field of a scalar: an int, a
+    Fraction, or a CycNumber of the field or of a subfield."""
+    if isinstance(c, CycNumber):
+        if c.field is not field:
+            c = field.embed(c)
+        return c.nums, c.den
+    p, q = _ratio(c) or _ratio(Fraction(c))
+    return (p,) + field._zero_tail, q
 
 
 class CycField:

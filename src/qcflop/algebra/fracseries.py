@@ -32,10 +32,10 @@ Coefficients from a subfield Q(zeta_M), M | N, are embedded on the way in.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
-from qcflop.algebra.cyclotomic import CycField, CycNumber, _mul_vec, _ratio
+from qcflop.algebra.cyclotomic import (CycField, CycNumber, _lowest_terms, _mul_vec, _reduce,
+                                       _vector)
 from qcflop.algebra.power import binary_power
 
 
@@ -279,28 +279,14 @@ class FracSeries:
         return " + ".join(parts) + f" + O(q1^({self.trunc + 1}/{self.den1}))"
 
 
-def _vector(field: CycField, c) -> tuple[tuple[int, ...], int]:
-    """(nums, den) of a scalar in canonical form in the field: an int, a
-    Fraction, or a CycNumber of the field or of a subfield."""
-    if isinstance(c, CycNumber):
-        if c.field is not field:
-            c = field.embed(c)
-        return c.nums, c.den
-    p, q = _ratio(c) or _ratio(Fraction(c))
-    return (p,) + field._zero_tail, q
-
-
 def _canonical(rows: dict, den: int) -> tuple[dict, int]:
     """rows / den in canonical form: zero rows dropped and one gcd of den with
     every int divided out; den must be positive."""
     rows = {k: row for k, row in rows.items() if any(row)}
     if not rows:
         return rows, 1
-    if den != 1:
-        g = gcd(den, *chain.from_iterable(rows.values()))
-        if g != 1:
-            return {k: tuple(x // g for x in row) for k, row in rows.items()}, den // g
-    return {k: tuple(row) for k, row in rows.items()}, den
+    vals, den = _lowest_terms(rows.values(), den)
+    return dict(zip(rows, vals)), den
 
 
 def _convolve(field: CycField, a: dict, b: dict, trunc: int) -> dict:
@@ -327,10 +313,5 @@ def _convolve(field: CycField, a: dict, b: dict, trunc: int) -> dict:
                 for q, y in pairs:
                     acc[p + q] += x * y
     for acc in conv.values():
-        for j in range(d, width):
-            c = acc[j]
-            if c:
-                for i, r in table[j]:
-                    acc[i] += c * r
-        del acc[d:]
+        _reduce(acc, table, d)
     return conv

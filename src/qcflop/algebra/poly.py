@@ -35,11 +35,10 @@ normalised traces of their coefficients, which do not depend on the field.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
-from qcflop.algebra.cyclotomic import CycField, CycNumber, _ratio
+from qcflop.algebra.cyclotomic import CycField, CycNumber, _lowest_terms, _reduce, _vector
 from qcflop.algebra.power import binary_power
 
 
@@ -49,15 +48,7 @@ class Poly:
     def __init__(self, field: CycField, coeffs: Iterable):
         """The polynomial sum_k coeffs[k] w^k; coefficients may be ints,
         Fractions or CycNumbers of this field or of a subfield."""
-        vecs = []
-        for c in coeffs:
-            if isinstance(c, CycNumber):
-                if c.field is not field:
-                    c = field.embed(c)
-                vecs.append((c.nums, c.den))
-            else:
-                p, q = _ratio(c) or _ratio(Fraction(c))
-                vecs.append(((p,) + field._zero_tail, q))
+        vecs = [_vector(field, c) for c in coeffs]
         den = lcm(*(q for _, q in vecs))
         rows = [nums if q == den else tuple(x * (den // q) for x in nums) for nums, q in vecs]
         _canonical(self, field, rows, den)
@@ -159,12 +150,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if isinstance(c, CycNumber):
-            if c.field is not self.field:
-                c = self.field.embed(c)
-            return self._times(c.nums, c.den)
-        p, q = _ratio(c) or _ratio(Fraction(c))
-        return self._times((p,) + self.field._zero_tail, q)
+        return self._times(*_vector(self.field, c))
 
     def _times(self, nums: tuple[int, ...], den: int) -> "Poly":
         """self * (nums / den) for a field element in canonical form."""
@@ -315,14 +301,8 @@ def _canonical(p: Poly, field: CycField, rows: list, den: int) -> None:
     gcd of den with every int divided out; den must be positive."""
     while rows and not any(rows[-1]):
         rows.pop()
-    if not rows:
-        den = 1
-    elif den != 1:
-        g = gcd(den, *chain.from_iterable(rows))
-        if g != 1:
-            rows = [tuple(x // g for x in row) for row in rows]
-            den //= g
-    p.field, p.rows, p.den = field, tuple(map(tuple, rows)), den
+    rows, den = _lowest_terms(rows, den) if rows else ((), 1)
+    p.field, p.rows, p.den = field, tuple(rows), den
 
 
 def _convolve(field: CycField, a, b) -> list[list[int]]:
@@ -340,16 +320,7 @@ def _convolve(field: CycField, a, b) -> list[list[int]]:
             if x:
                 for q, y in flat_b:
                     conv[p + q] += x * y
-    out = []
-    for k in range(0, len(conv), width):
-        row = conv[k:k + d]
-        for j in range(d, width):
-            c = conv[k + j]
-            if c:
-                for i, r in table[j]:
-                    row[i] += c * r
-        out.append(row)
-    return out
+    return [_reduce(conv[k:k + width], table, d) for k in range(0, len(conv), width)]
 
 
 def _scaled(field: CycField, rows, den: int, nums: tuple[int, ...], nden: int) -> Poly:

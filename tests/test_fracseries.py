@@ -141,6 +141,17 @@ def test_binomial_power_matches_schoolbook(order, data):
     same(got, ref_binomial(ref_clean(base, T), alpha, field, T))
 
 
+@pytest.mark.parametrize("order", REF_ORDERS)
+def test_product_reduces_the_top_power_of_zeta(order):
+    # zeta^(d-1) squared puts the one nonzero entry of the convolution at
+    # index 2d - 2, the last one the reduction through the powers of zeta reads
+    field, T = CycField(order), REF_TRUNC
+    top = field.zeta(field.degree - 1)
+    x = FracSeries.monomial(field, 3, 4, T, 1, 0, top)
+    same(x * x, {(2, 0): field.zeta(2 * field.degree - 2)})
+    same(x * x, ref_mul(x.terms, x.terms, T))
+
+
 def test_terms_from_a_subfield_are_embedded():
     big, small = CycField(20), CycField(4)
     x = FracSeries.monomial(big, 4, 5, 6, 1, 0)
