@@ -13,9 +13,11 @@ anchors go to stderr), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import fields
+from fractions import Fraction
 
 from qcflop import canonical, suites
 from qcflop.config import ConfigError, RunConfig, load_config, parse_sample
@@ -46,7 +48,9 @@ def _run_cell(cell: tuple[str, int, RunConfig]) -> Report:
 
 def run_suite(selection: str, config: RunConfig) -> Report:
     """Execute the selected suites over the configured r-range and merge
-    the entries in canonical order."""
+    the entries in canonical order.  The merged report's ``seconds`` is the
+    wall time of the run and its ``cell_seconds`` the summed cell time."""
+    start = time.perf_counter()
     names = SUITES if selection == "all" else (selection,)
     cells = []
     for name in names:
@@ -56,12 +60,18 @@ def run_suite(selection: str, config: RunConfig) -> Report:
             cells.extend((name, r, config) for r in config.rs())
     merged = Report(suite=selection)
     if config.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # imported here: the pool loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a pool starts all its workers at once, so start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
             for rep in pool.map(_run_cell, cells):
                 merged.extend(rep)
     else:
         for cell in cells:
             merged.extend(_run_cell(cell))
+    merged.cell_seconds = merged.seconds  # extend summed the cells' own seconds
+    merged.seconds = time.perf_counter() - start
     return merged
 
 
@@ -146,7 +156,6 @@ def cmd_table(args: argparse.Namespace) -> int:
             lines = ["r,d,invariant"] + [f"{r},{d},{fraction_str(v)}" for (r, d, v) in rows]
         text = "\n".join(lines) + "\n"
     elif config.format == "json":
-        import json
         payload = [{"r": r, "d": d, "invariant": fraction_str(v)} for (r, d, v) in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -156,8 +165,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     config = load_config(_overrides(args))
     payload = []
     for r in config.rs():
@@ -171,7 +178,6 @@ def cmd_dump(args: argparse.Namespace) -> int:
             "closed_form": f"({kappa}) * q/(1 {sign} q)",
         })
     if config.format == "json":
-        import json
         text = json.dumps(payload, indent=2) + "\n"
     else:
         rows = [f"r={item['r']}: dG/dlogq = {item['closed_form']}"

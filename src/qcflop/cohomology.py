@@ -210,6 +210,9 @@ def c3_minus_c2c1_swapped(r: int = 1) -> Fraction:
 def pairing_matrix(r: int) -> list[dict[int, Fraction]]:
     """Gram matrix of integrate on products of basis monomials, as the rows
     {column: nonzero entry}."""
-    mons = [monomial(r, a, b) for (a, b) in basis(r)]
-    return [{j: v for j, v in enumerate(integrate(m1 * m2) for m2 in mons) if v}
-            for m1 in mons]
+    pairs = basis(r)
+    # h^a1 x^b1 . h^a2 x^b2 = h^(a1+a2) x^(b1+b2): integrate each exponent sum once
+    sums = {(a1 + a2, b1 + b2) for (a1, b1) in pairs for (a2, b2) in pairs}
+    value = {(a, b): integrate(monomial(r, a, b)) for (a, b) in sums}
+    return [{j: v for j, (a2, b2) in enumerate(pairs) if (v := value[a1 + a2, b1 + b2])}
+            for (a1, b1) in pairs]

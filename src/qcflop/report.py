@@ -24,6 +24,7 @@ class Report:
     suite: str
     entries: list[Entry] = field(default_factory=list)
     seconds: float = 0.0
+    cell_seconds: float = 0.0
 
     def add(self, anchor: str, params: dict, ok: bool, residual: str = "0") -> None:
         self.entries.append(Entry(anchor, params, "pass" if ok else "fail", residual))
@@ -51,6 +52,7 @@ class Report:
             ],
             "all_pass": self.all_pass(),
             "seconds": round(self.seconds, 6),
+            "cell_seconds": round(self.cell_seconds, 6),
         }
 
     def to_json(self) -> str:

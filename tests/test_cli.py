@@ -1,7 +1,11 @@
 """Tests for the command line front end, configuration and report formats."""
 
+import concurrent.futures
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -10,9 +14,8 @@ from qcflop import cli
 from qcflop.config import ConfigError, load_config, parse_r_range, parse_sample
 from qcflop.report import Report
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report.schema.json")
-    .read_text(encoding="utf-8"))
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="utf-8"))
 
 
 def run_cli(args, capsys):
@@ -166,3 +169,54 @@ def test_parallel_jobs_match_serial(capsys):
     s = json.loads(serial[1])
     p = json.loads(parallel[1])
     assert s["entries"] == p["entries"]
+
+
+def test_jobs_start_no_more_workers_than_cells(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool:
+        """Runs the cells in this process and records the worker count asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run_cli(["verify", "all", "--format", "json", "--jobs", "64"], capsys)
+    assert code == 0 and json.loads(out)["all_pass"]
+    assert started == [13]  # 4 suites at r = 1..3 and quantization once
+
+
+def test_seconds_is_wall_time_and_cell_seconds_sums_cells(monkeypatch, capsys):
+    def slow_on_paper(cell):
+        rep = Report(suite=cell[0])
+        rep.add(f"{cell[0]}/stub", {"r": cell[1]}, True)
+        rep.seconds = 1.0
+        return rep
+
+    monkeypatch.setattr(cli, "_run_cell", slow_on_paper)
+    code, out, _ = run_cli(["verify", "all", "--format", "json", "--jobs", "1"], capsys)
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert code == 0 and len(payload["entries"]) == 13
+    assert payload["cell_seconds"] == 13.0
+    assert payload["seconds"] < 13.0
+
+
+def test_import_cli_loads_no_process_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, qcflop.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent.futures', 'multiprocessing'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
