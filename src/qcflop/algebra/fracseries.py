@@ -172,10 +172,6 @@ class FracSeries:
             rows[k] = tuple(out) if unit else out
         return self._raw(rows, den) if unit else self._of(rows, den)
 
-    def copy(self) -> "FracSeries":
-        """The same series with its own row dict."""
-        return self._raw(dict(self.rows), self.den)
-
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:
             raise ValueError("negative powers of a truncated series")
@@ -257,12 +253,6 @@ class FracSeries:
         den = lcm(*(q for _, q in vecs.values()))
         return self._of({key: [y * (den // q) for y in nums] for key, (nums, q) in vecs.items()},
                         den)
-
-    def to_complex(self, q1: complex, q2: complex) -> complex:
-        """Numeric evaluation with principal fractional powers."""
-        r1 = q1 ** (1.0 / self.den1)
-        r2 = q2 ** (1.0 / self.den2)
-        return sum(c.to_complex() * r1**n1 * r2**n2 for (n1, n2), c in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.rows:

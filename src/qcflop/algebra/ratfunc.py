@@ -316,11 +316,6 @@ class RatFunc:
         d = self.den.eval(x)
         return n / d
 
-    def to_complex(self, w: complex) -> complex:
-        n = sum(c.to_complex() * w**k for k, c in enumerate(self.num.coeffs))
-        d = sum(c.to_complex() * w**k for k, c in enumerate(self.den.coeffs))
-        return n / d
-
     def __repr__(self) -> str:
         if self.den == Poly.one(self.field):
             return f"({self.num})"

@@ -9,10 +9,10 @@ q1 with that sole denominator (they are not polynomial in q1: the determinant
 of h* carries the denominator).
 
 All engine code is generic over an exact coefficient field: elements need
-+, -, *, /, is_zero.  Two instantiations are used: the univariate field
-Q(q1) (RatFunc over the rational base field) with q2 specialized to rational
-interpolation nodes, and the Gaussian rationals Q(i) for exact complex
-sample points feeding the numeric certificate.
++, -, *, /, is_zero.  The checks run it over the Gaussian rationals Q(i),
+at exact complex sample points; it runs as well over the univariate field
+Q(q1) (RatFunc over the rational base field) with q2 a rational value, where
+det(h*) meets ``det_h_closed_form``.
 
 Each check does only the exact work its answer reads:
 
@@ -30,18 +30,17 @@ Each check does only the exact work its answer reads:
   unit parts through order N - n, against -1/(1 + (-1)^r q1).  A unit part
   is the integer rows of its h-eigenvalue with every key shifted by
   (-1, -1) (``FracSeries.divide_monomial``), so no coefficient is rebuilt;
-  the products of unit parts are integer convolutions and each scaling by a
-  power of eta only permutes the powers of zeta (see ``algebra.fracseries``).
-* eta-orbit.  The closed forms give h_ij = eta^j h_i0 and xi_ij = eta^j xi_i0,
-  with eta^(r+2) = 1.  Every pair is still expanded, and each pair found on
-  its orbit by that exact equality costs one scalar multiple: its residuals
-  are those of (i, 0) times a unit, and the r+2 unit parts of a whole orbit
-  multiply to eta^((r+1)(r+2)/2) u_i0^(r+2), one power per orbit.  A pair
-  off its orbit is computed directly.  The j-free factors
-  X Y omega^i base^(-1/(r+2)) and Y base^((r+1)/(r+2)) of an orbit are
-  expanded once per (r, i, order) and kept while the same (r, order) is
-  asked for; ``eigen_formulas`` scales them by eta^j, and every check still
-  calls it for every pair.
+  the products of unit parts are integer convolutions and the one scaling
+  by a power of eta only permutes the powers of zeta (see
+  ``algebra.fracseries``).
+* eta-invariance.  The closed forms give h_ij = eta^j h_i0 and
+  xi_ij = eta^j xi_i0, with eta of order r+2.  Relation 1 at
+  (eta^j h, eta^j xi) is eta^(j(r+1)) times its value at (h, xi), and
+  relation 2 is unchanged, because eta^(r+2) = 1; a unit factor keeps the
+  support, so (i, j) fails exactly where (i, 0) fails.  The unit parts of
+  all n pairs multiply to eta^((r+1) n/2) (prod_i u_i0)^(r+2).  So each check
+  derives the r+1 representatives (i, 0), each once, and covers the other
+  pairs by these identities.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import numpy as np
 
 from qcflop import cohomology
 from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc, linalg
+from qcflop.config import check_sample_point
 
 Vec = dict  # (a, b) in the active monomial frame -> field scalar
 
@@ -238,13 +238,6 @@ def q1_symbol() -> RatFunc:
     return RatFunc.monomial(_QF, 1, 1)
 
 
-def ring_symbolic_q1(r: int, q2_value: Fraction) -> QuantumRing:
-    """Ring over the field Q(q1) with q2 a fixed rational value."""
-    one = q1_field_one()
-    q2 = RatFunc.constant(_QF, 1, q2_value)
-    return QuantumRing(r, q1_symbol(), q2, one)
-
-
 GAUSS = CycField(4)
 
 
@@ -254,37 +247,6 @@ def gauss(re: Fraction, im: Fraction = Fraction(0)) -> CycNumber:
 
 def ring_at_point(r: int, q1: CycNumber, q2: CycNumber) -> QuantumRing:
     return QuantumRing(r, q1, q2, GAUSS.one)
-
-
-def _lagrange_interpolate(nodes: list[Fraction], values: list, zero) -> list:
-    """Coefficient list (ascending) of the interpolating polynomial; values in
-    any field containing the rationals."""
-    n = len(nodes)
-    out = [zero] * n
-    for s in range(n):
-        # numerator polynomial prod_{t != s} (X - node_t), rational coefficients
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for t in range(n):
-            if t == s:
-                continue
-            numer = [Fraction(0)] + numer
-            for k in range(len(numer) - 1):
-                numer[k] -= nodes[t] * numer[k + 1]
-            denom *= nodes[s] - nodes[t]
-        scale = values[s] * (1 / denom)
-        for k in range(n):
-            coeff = numer[k] if k < len(numer) else Fraction(0)
-            if coeff:
-                out[k] = out[k] + scale * coeff
-    return out
-
-
-def _poly_eval(poly: list, x, zero):
-    acc = zero
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
 
 
 def matrices_commute_at(r: int, q1: CycNumber, q2: CycNumber) -> bool:
@@ -312,25 +274,6 @@ def det_h_closed_form(r: int) -> tuple[int, RatFunc]:
     one = q1_field_one()
     denom = one + q1 * Fraction((-1) ** r)
     return r + 1, -(q1 ** (r + 2)) / denom
-
-
-def det_h_symbolic(r: int, q2_degree_bound: int | None = None) -> dict[int, RatFunc]:
-    """Exact det(h*) as a q2-polynomial over Q(q1), by interpolation.
-
-    One extra node validates the degree bound (default r+2, one above the
-    actual degree r+1 of the determinant).
-    """
-    if q2_degree_bound is None:
-        q2_degree_bound = r + 2
-    one = q1_field_one()
-    zero = one - one
-    nodes = [Fraction(k) for k in range(q2_degree_bound + 2)]
-    dets = [linalg.det(ring_symbolic_q1(r, t).mult_matrix("h"), one) for t in nodes]
-    poly = _lagrange_interpolate(nodes[:-1], dets[:-1], zero)
-    check = _poly_eval(poly, RatFunc.constant(_QF, 1, nodes[-1]), zero)
-    if not (check == dets[-1]):
-        raise ArithmeticError("q2-degree bound too small for the determinant")
-    return {k: c for k, c in enumerate(poly) if not c.is_zero()}
 
 
 # --- closed-form eigenvalues ----------------------------------------------------
@@ -364,36 +307,15 @@ def eigen_formulas(r: int, i: int, j: int, order: int) -> EigenPair:
     """
     if not (0 <= i <= r and 0 <= j <= r + 1):
         raise ValueError("eigenvalue indices out of range")
-    h_orbit, xi_orbit = _orbit_factors(r, i, order)
-    if j == 0:
-        return EigenPair(r, i, j, h_orbit.copy(), xi_orbit.copy())
-    eta_j = eigen_field(r).zeta(j * (r + 1))  # eta^j, eta of order r+2
-    return EigenPair(r, i, j, h_orbit * eta_j, xi_orbit * eta_j)
-
-
-# the factors of each orbit i at the last (r, order) asked for: a check reads
-# every pair at one (r, order), so the factors of an earlier one are dropped
-_ORBIT_FACTORS: dict[tuple[int, int], dict[int, tuple[FracSeries, FracSeries]]] = {}
-
-
-def _orbit_factors(r: int, i: int, order: int) -> tuple[FracSeries, FracSeries]:
-    """X Y omega^i base^(-1/(r+2)) and Y base^((r+1)/(r+2)), the factors of
-    the (i, j) eigenvalues that do not depend on j; never handed out."""
-    orbits = _ORBIT_FACTORS.get((r, order))
-    if orbits is None:
-        _ORBIT_FACTORS.clear()
-        orbits = _ORBIT_FACTORS[r, order] = {}
-    if i not in orbits:
-        fld = eigen_field(r)
-        omega = fld.zeta(r + 2)  # order r+1
-        d1, d2 = r + 1, r + 2
-        X = FracSeries.monomial(fld, d1, d2, order, 1, 0)
-        Y = FracSeries.monomial(fld, d1, d2, order, 0, 1)
-        base = FracSeries.one(fld, d1, d2, order) + X * omega**i
-        root = base.binomial_power(Fraction(-1, r + 2))
-        # base^((r+1)/(r+2)) = base * base^(-1/(r+2))
-        orbits[i] = (X * Y * omega**i * root, Y * (base * root))
-    return orbits[i]
+    fld = eigen_field(r)
+    d1, d2 = r + 1, r + 2
+    # omega^i q1^(1/(r+1)) and eta^j q2^(1/(r+2)); zeta has order (r+1)(r+2)
+    omega_x = FracSeries.monomial(fld, d1, d2, order, 1, 0, fld.zeta(d2 * i))
+    eta_y = FracSeries.monomial(fld, d1, d2, order, 0, 1, fld.zeta(d1 * j))
+    base = FracSeries.one(fld, d1, d2, order) + omega_x
+    root = base.binomial_power(Fraction(-1, d2))
+    # base^((r+1)/(r+2)) = base * base^(-1/(r+2))
+    return EigenPair(r, i, j, eta_y * omega_x * root, eta_y * (base * root))
 
 
 def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
@@ -410,35 +332,32 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
 
 
 def verify_eigen_relations(r: int, order: int) -> dict:
-    """Check both quantum relations for every index pair through the order.
+    """Check both quantum relations for every index pair through the order,
+    and count the distinct leading coefficients of the h-eigenvalues.
 
-    The residuals are formed once per orbit i, at j = 0.  A pair with
-    h_ij = eta^j h_i0 and xi_ij = eta^j xi_i0 exactly has the residuals
-    (eta^(j(r+1)) R1_i0, R2_i0), as eta^(r+2) = 1, and a unit factor keeps
-    the support, so it fails exactly where (i, 0) fails.  Any other pair has
-    its residuals computed directly.
+    Each orbit i is derived once, at j = 0.  The residuals at (i, j) are
+    (eta^(j(r+1)) R1_i0, R2_i0), so every pair of the orbit fails where
+    (i, 0) fails, with the same leading exponent; the leading coefficient of
+    h_ij, on q1^(1/(r+1)) q2^(1/(r+2)), is eta^j c_i0.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    eta = eigen_field(r).zeta(r + 1)
+    fld = eigen_field(r)
+    etas = [fld.zeta(j * (r + 1)) for j in range(r + 2)]
     failures = []
-    pairs = 0
+    leading = set()
     for i in range(r + 1):
         orbit = eigen_formulas(r, i, 0, order)
-        orbit_residuals = eigen_relation_residuals(orbit)
+        lead = orbit.h.terms.get((1, 1), fld.zero)
+        leading.update(lead * eta for eta in etas)
+        residuals = eigen_relation_residuals(orbit)
         for j in range(r + 2):
-            pair = orbit if j == 0 else eigen_formulas(r, i, j, order)
-            scale = eta**j
-            if pair is orbit or (pair.h == orbit.h * scale and pair.xi == orbit.xi * scale):
-                residuals = orbit_residuals
-            else:
-                residuals = eigen_relation_residuals(pair)
-            pairs += 1
             for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals):
                 if not res.is_zero():
                     failures.append({"i": i, "j": j, "relation": name,
                                      "leading_exponent": list(min(res.rows))})
-    return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
+    return {"r": r, "order": order, "pairs_checked": (r + 1) * (r + 2),
+            "leading_coefficients": len(leading), "failures": failures}
 
 
 def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
@@ -447,38 +366,23 @@ def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
 
     The (r+1)(r+2) = n monomials multiply to q1^(r+2) q2^(r+1), which takes n
     steps of the q1 direction, so the unit parts are needed only through
-    order - n: each h_ij is expanded at order - n + 1 and divided exactly by
-    shifting the keys of its integer rows, with no coefficient rebuilt.
-    Returns None when some h_ij has a term the monomial does not divide.
-
-    An orbit i whose unit parts satisfy u_ij = eta^j u_i0 for every j
-    contributes prod_j u_ij = eta^((r+1)(r+2)/2) u_i0^(r+2): the u_i0 of the
-    k such orbits are multiplied, raised to the power r+2 once and scaled by
-    eta^(k(r+1)(r+2)/2).  The unit parts of any other orbit are multiplied
-    in one by one.
+    order - n: each h_i0 is expanded at order - n + 1 and divided exactly by
+    shifting the keys of its integer rows, with no coefficient rebuilt.  As
+    u_ij = eta^j u_i0, the product is eta^((r+1) n/2) (prod_i u_i0)^(r+2).
+    Returns None when some h_i0 has a term the monomial does not divide.
     """
     n = (r + 1) * (r + 2)
     if order < n:
         raise ValueError(f"order {order} is below (r+1)(r+2) = {n}, "
                          "where both sides of the product identity truncate to zero")
-    fld = eigen_field(r)
-    eta = fld.zeta(r + 1)
-    trunc = order - n
-    on_orbit, factors = [], []
+    eta = eigen_field(r).zeta(r + 1)
+    units = []
     for i in range(r + 1):
-        units = []
-        for j in range(r + 2):
-            unit = eigen_formulas(r, i, j, trunc + 1).h.divide_monomial(1, 1)
-            if unit is None:
-                return None
-            units.append(unit)
-        if all(units[j] == units[0] * eta**j for j in range(1, r + 2)):
-            on_orbit.append(units[0])
-        else:
-            factors.extend(units)
-    if on_orbit:
-        factors.append(reduce(mul, on_orbit) ** (r + 2) * eta**(len(on_orbit) * n // 2))
-    return reduce(mul, factors)
+        unit = eigen_formulas(r, i, 0, order - n + 1).h.divide_monomial(1, 1)
+        if unit is None:
+            return None
+        units.append(unit)
+    return reduce(mul, units) ** (r + 2) * eta ** ((r + 1) * n // 2)
 
 
 def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:
@@ -548,18 +452,16 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
                                match_tol: float = 1e-9) -> dict:
     """Certify pairwise-distinct eigenvalues and formula-vs-matrix agreement.
 
-    The sample point must be small and nonzero in both variables.  Raises
-    SemisimplicityError when the gap or matching tolerance fails; also checks
-    that the eigenvector frame of h* diagonalizes x* (simultaneous
+    The sample point must be small and nonzero in both variables (a
+    ``ConfigError`` otherwise, a ValueError).  Raises SemisimplicityError
+    when the gap or matching tolerance fails; also checks that the
+    eigenvector frame of h* diagonalizes x* (simultaneous
     diagonalizability, with no branch pairing asserted).
     """
     q1c = complex(Fraction(q1[0]), Fraction(q1[1]))
     q2c = complex(Fraction(q2[0]), Fraction(q2[1]))
-    for name, val in (("q1", q1c), ("q2", q2c)):
-        if val == 0:
-            raise ValueError(f"{name} must be nonzero (the classical ring is not semisimple)")
-        if abs(val) >= 1:
-            raise ValueError(f"{name} must be small (inside the unit disk)")
+    for name, (re, im) in (("q1", q1), ("q2", q2)):
+        check_sample_point(name, Fraction(re), Fraction(im))
     exact_q1 = gauss(Fraction(q1[0]), Fraction(q1[1]))
     exact_q2 = gauss(Fraction(q2[0]), Fraction(q2[1]))
     ring = ring_at_point(r, exact_q1, exact_q2)

@@ -93,9 +93,6 @@ class CohClass:
         work = {k: c for k, c in work.items() if k[0] <= r and c}
         return cls(r, work)
 
-    def raw(self) -> RawPoly:
-        return dict(self.coeffs)
-
     def __add__(self, other: "CohClass") -> "CohClass":
         return CohClass(self.r, raw_add(self.coeffs, other.coeffs))
 

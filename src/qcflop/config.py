@@ -41,8 +41,19 @@ def parse_r_range(value) -> tuple[int, int]:
     return (lo_i, hi_i)
 
 
+def check_sample_point(name: str, re: Fraction, im: Fraction) -> None:
+    """Reject, exactly, a sample coordinate re + i im that is zero or not
+    inside the unit disk: the quantum ring is semisimple only away from 0,
+    and the closed-form eigenvalues are series in small q."""
+    if re == 0 and im == 0:
+        raise ConfigError(f"{name} must be nonzero (the classical ring is not semisimple)")
+    if re * re + im * im >= 1:
+        raise ConfigError(f"{name} must be small (inside the unit disk)")
+
+
 def parse_sample(value: str) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Two complex rationals as 're,im re,im' with rational components."""
+    """Two complex rationals as 're,im re,im' with rational components, each
+    nonzero and inside the unit disk."""
     parts = str(value).split()
     if len(parts) != 2:
         raise ConfigError("sample must be two complex rationals: 're,im re,im'")
@@ -55,6 +66,8 @@ def parse_sample(value: str) -> tuple[tuple[Fraction, Fraction], tuple[Fraction,
             out.append((Fraction(comps[0]), Fraction(comps[1])))
         except ValueError as exc:
             raise ConfigError(f"bad rational in sample {part!r}") from exc
+    for name, (re, im) in zip(("q1", "q2"), out):
+        check_sample_point(name, re, im)
     return out[0], out[1]
 
 

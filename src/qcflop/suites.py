@@ -214,21 +214,22 @@ def batyrev_suite(r: int, order: int = 10,
                      f" leading exponent {tuple(first['leading_exponent'])}")
     rep.add("batyrev/eigen-relations", {"r": r, "order": order},
             not relations["failures"], residual)
-    rep.add("batyrev/eigenvalue-count", {"r": r},
-            relations["pairs_checked"] == (r + 1) * (r + 2))
+    n = (r + 1) * (r + 2)
+    distinct = relations["leading_coefficients"]
+    rep.add("batyrev/eigenvalue-count", {"r": r}, distinct == n,
+            "0" if distinct == n else f"{distinct} distinct leading coefficients of {n}")
     rep.add("batyrev/eigenvalue-product", {"r": r},
             batyrev.eigenvalue_product_identity(r))
     rep.add("batyrev/spectrum-structure-match", {"r": r},
             batyrev.spectrum_structure_match(r))
     q1s, q2s = sample
+    params = {"r": r, "q1": [str(q1s[0]), str(q1s[1])], "q2": [str(q2s[0]), str(q2s[1])]}
     try:
         cert = batyrev.semisimplicity_certificate(r, q1s, q2s, gap_tol, match_tol)
-        rep.add("batyrev/semisimplicity-certificate",
-                {"r": r, "q1": [str(q1s[0]), str(q1s[1])], "q2": [str(q2s[0]), str(q2s[1])]},
-                cert["certified"],
+        rep.add("batyrev/semisimplicity-certificate", params, cert["certified"],
                 f"min gap {cert['min_gap']:.3e}, spectrum match {cert['spectrum_match']:.3e}")
-    except (ValueError, batyrev.SemisimplicityError) as exc:
-        rep.add("batyrev/semisimplicity-certificate", {"r": r}, False, str(exc))
+    except ValueError as exc:  # SemisimplicityError is a ValueError
+        rep.add("batyrev/semisimplicity-certificate", params, False, str(exc))
     commute = batyrev.matrices_commute_at(
         r, batyrev.gauss(Fraction(1, 3)), batyrev.gauss(Fraction(1, 7)))
     rep.add("batyrev/multiplication-commutes", {"r": r}, commute)

@@ -54,6 +54,12 @@ def test_classical_limit_matches_cohomology():
                 assert got_frac[key] == bat.gauss(val)
 
 
+def ring_symbolic_q1(r, q2_value):
+    """The ring over the field Q(q1) with q2 a fixed rational value."""
+    one = bat.q1_field_one()
+    return bat.QuantumRing(r, bat.q1_symbol(), one * q2_value, one)
+
+
 def test_mult_matrix_nilpotent_at_origin():
     import numpy as np
     for r in (1, 2):
@@ -70,10 +76,14 @@ def test_mult_matrices_commute_at_points():
 
 
 def test_det_h_closed_form():
+    # the exact determinant over Q(q1) at the q2 nodes 0..r+3, one more than
+    # a polynomial of degree r+2 in q2 needs
     for r in (1, 2):
-        got = bat.det_h_symbolic(r)
         degree, coeff = bat.det_h_closed_form(r)
-        assert got == {degree: coeff}
+        one = bat.q1_field_one()
+        for t in range(r + 4):
+            det = linalg.det(ring_symbolic_q1(r, Fraction(t)).mult_matrix("h"), one)
+            assert det == coeff * Fraction(t) ** degree
 
 
 def test_det_h_at_points_r3():
@@ -147,15 +157,6 @@ def test_eigen_formulas_match_the_direct_closed_form(r, order):
             assert pair.h.trunc == order
 
 
-def test_eigen_formulas_hand_out_their_own_series():
-    pair = bat.eigen_formulas(2, 1, 0, 6)
-    want = direct_eigen_formulas(2, 1, 0, 6)
-    pair.h.rows.clear()
-    pair.xi.rows[(0, 0)] = pair.xi.field.one.nums
-    again = bat.eigen_formulas(2, 1, 0, 6)
-    assert (again.h.terms, again.xi.terms) == (want[0].terms, want[1].terms)
-
-
 def test_eigen_relations_exact():
     report = bat.verify_eigen_relations(1, 6)
     assert report["pairs_checked"] == 6
@@ -166,69 +167,108 @@ def test_eigen_relations_exact():
 
 
 def reference_eigen_relations(r, order):
-    """Both residuals formed for every pair, one pair at a time."""
+    """Both residuals formed for every pair, one pair at a time, and the
+    leading h-coefficient read off every pair."""
     failures = []
     pairs = 0
+    leading = set()
     for i in range(r + 1):
         for j in range(r + 2):
             pair = bat.eigen_formulas(r, i, j, order)
             first, second = bat.eigen_relation_residuals(pair)
             pairs += 1
+            leading.add(pair.h.terms.get((1, 1), pair.h.field.zero))
             for name, res in (("spectrum-relation-1", first), ("spectrum-relation-2", second)):
                 if not res.is_zero():
                     exps = sorted(res.terms)
                     failures.append({"i": i, "j": j, "relation": name,
                                      "leading_exponent": list(exps[0])})
-    return {"r": r, "order": order, "pairs_checked": pairs, "failures": failures}
+    return {"r": r, "order": order, "pairs_checked": pairs,
+            "leading_coefficients": len(leading), "failures": failures}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_eigen_relations_match_per_pair_reference(r):
     report = bat.verify_eigen_relations(r, 10)
     assert report == reference_eigen_relations(r, 10)
-    assert report["pairs_checked"] == (r + 1) * (r + 2)
+    assert report["pairs_checked"] == report["leading_coefficients"] == (r + 1) * (r + 2)
 
 
-def corrupt_one_pair(monkeypatch, target, which="h"):
-    """eigen_formulas with q1^(3/(r+1)) q2^(1/(r+2)) added to h (or xi) at one
-    pair; returns the list of the (i, j) it was called for."""
+def record_calls(monkeypatch, change=None):
+    """eigen_formulas that records each (i, j) it is called for and, given
+    ``change``, returns change(pair) instead of the pair."""
     real = bat.eigen_formulas
     calls = []
 
     def formulas(r, i, j, order):
         calls.append((i, j))
         pair = real(r, i, j, order)
-        if (i, j) == target:
-            extra = FracSeries.monomial(pair.h.field, r + 1, r + 2, order, 3, 1)
-            setattr(pair, which, getattr(pair, which) + extra)
-        return pair
+        return pair if change is None else change(pair)
 
     monkeypatch.setattr(bat, "eigen_formulas", formulas)
     return calls
 
 
-@pytest.mark.parametrize("target, which", [((1, 2), "h"), ((1, 0), "h"), ((2, 3), "xi")])
-def test_eigen_relations_corrupted_pair_matches_reference(monkeypatch, target, which):
-    # (1, 2) and (2, 3) are off their orbits; (1, 0) corrupts the orbit's own
-    # residuals, which the rest of the orbit must then not inherit
-    calls = corrupt_one_pair(monkeypatch, target, which)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_checks_derive_each_orbit_once(monkeypatch, r):
+    calls = record_calls(monkeypatch)
+    bat.verify_eigen_relations(r, 10)
+    assert calls == [(i, 0) for i in range(r + 1)]
+    calls.clear()
+    bat.eigenvalue_unit_product(r, (r + 5) * (r + 1))
+    assert calls == [(i, 0) for i in range(r + 1)]
+
+
+def corrupt_orbit(monkeypatch, orbit, which="h"):
+    """eigen_formulas with eta^j q1^(3/(r+1)) q2^(1/(r+2)) added to h (or xi)
+    at every pair (orbit, j), so the pairs stay eta^j times (orbit, 0);
+    returns the list of the (i, j) it was called for."""
+    def change(pair):
+        if pair.i == orbit:
+            r, order = pair.r, pair.h.trunc
+            eta_j = pair.h.field.zeta(pair.j * (r + 1))
+            extra = FracSeries.monomial(pair.h.field, r + 1, r + 2, order, 3, 1, eta_j)
+            setattr(pair, which, getattr(pair, which) + extra)
+        return pair
+
+    return record_calls(monkeypatch, change)
+
+
+@pytest.mark.parametrize("orbit, which", [(1, "h"), (0, "h"), (2, "xi")])
+def test_eigen_relations_corrupted_orbit_matches_reference(monkeypatch, orbit, which):
+    # the check reads (orbit, 0) only; the reference reads every pair
+    calls = corrupt_orbit(monkeypatch, orbit, which)
     report = bat.verify_eigen_relations(2, 10)
-    assert sorted(calls) == [(i, j) for i in range(3) for j in range(4)]
-    assert report["failures"]
-    assert {(f["i"], f["j"]) for f in report["failures"]} == {target}
+    assert calls == [(i, 0) for i in range(3)]
+    assert {(f["i"], f["j"]) for f in report["failures"]} == {(orbit, j) for j in range(4)}
     assert report == reference_eigen_relations(2, 10)
 
 
-@pytest.mark.parametrize("target", [(1, 2), (1, 0)])
+@pytest.mark.parametrize("target", [(1, 0), (2, 0)])
 def test_eigen_relations_failure_names_the_pair(monkeypatch, capsys, target):
-    corrupt_one_pair(monkeypatch, target)
-    first = reference_eigen_relations(2, 10)["failures"][0]
+    corrupt_orbit(monkeypatch, target[0])
+    failures = reference_eigen_relations(2, 10)["failures"]
+    first = failures[0]
     assert cli.main(["verify", "batyrev", "--r", "2"]) == 1
     err = capsys.readouterr().err
     line = next(x for x in err.splitlines() if x.startswith("FAIL batyrev/eigen-relations"))
-    assert line.endswith(f"12 pairs checked, 2 residuals nonzero; first at (i, j) = {target},"
+    assert line.endswith(f"12 pairs checked, {len(failures)} residuals nonzero;"
+                         f" first at (i, j) = {target},"
                          f" {first['relation']}, leading exponent"
                          f" {tuple(first['leading_exponent'])}")
+
+
+def test_eigenvalue_count_negative_control(monkeypatch, capsys):
+    # orbit 1 handed the pairs of orbit 0: both relations still hold, but the
+    # leading coefficients eta^j omega^0 now come twice
+    real = bat.eigen_formulas
+    monkeypatch.setattr(bat, "eigen_formulas",
+                        lambda r, i, j, order: real(r, 0 if i == 1 else i, j, order))
+    assert bat.verify_eigen_relations(2, 10)["failures"] == []
+    assert cli.main(["verify", "batyrev", "--r", "2"]) == 1
+    fails = [x for x in capsys.readouterr().err.splitlines() if x.startswith("FAIL")]
+    assert "FAIL batyrev/eigenvalue-count {'r': 2} 8 distinct leading coefficients of 12" in fails
+    assert not any(x.startswith("FAIL batyrev/eigen-relations") for x in fails)
 
 
 def test_eigen_relations_pass_residual(capsys):
@@ -319,7 +359,7 @@ def test_mult_matrix_matches_dense_reference(r):
     points = ((Fraction(1, 3), Fraction(1, 7)), (Fraction(-2, 5), Fraction(3, 4)))
     rings = [bat.ring_at_point(r, bat.gauss(a), bat.gauss(b)) for a, b in points]
     if r <= 2:
-        rings.append(bat.ring_symbolic_q1(r, Fraction(2, 3)))
+        rings.append(ring_symbolic_q1(r, Fraction(2, 3)))
     for ring in rings:
         for which in ("h", "xi"):
             dense = dense_mult_matrix(ring, which)
@@ -378,19 +418,15 @@ def test_unit_product_matches_full_product(r):
         assert bat.eigenvalue_product_identity(r, order)
 
 
-@pytest.mark.parametrize("target", [(1, 2), (1, 0)])
-def test_unit_product_with_an_off_orbit_pair(monkeypatch, target):
-    # a doubled h puts orbit 1 off its eta-orbit; its unit parts are then
-    # multiplied in one by one, beside the power of the other orbits
-    real = bat.eigen_formulas
-
-    def formulas(r, i, j, order):
-        pair = real(r, i, j, order)
-        if (i, j) == target:
+def test_unit_product_with_a_corrupted_orbit(monkeypatch):
+    # h doubled on all of orbit 1: the product read from (1, 0) alone still
+    # equals the product of every pair, and the identity fails by 2^(r+2)
+    def change(pair):
+        if pair.i == 1:
             pair.h = pair.h * 2
         return pair
 
-    monkeypatch.setattr(bat, "eigen_formulas", formulas)
+    record_calls(monkeypatch, change)
     r, order = 2, 21
     n = (r + 1) * (r + 2)
     unit = bat.eigenvalue_unit_product(r, order)
@@ -414,13 +450,16 @@ def test_eigenvalue_product_negative_controls(monkeypatch):
     def corrupt(change):
         def formulas(r, i, j, order):
             pair = real(r, i, j, order)
-            if (i, j) == (0, 1):
+            if (i, j) == (0, 0):
                 pair.h = change(pair.h)
             return pair
         return formulas
 
     monkeypatch.setattr(bat, "eigen_formulas", corrupt(lambda h: -h))
-    assert not bat.eigenvalue_product_identity(2)
+    assert not bat.eigenvalue_product_identity(3)
+    # -1 = eta^((r+2)/2) when r+2 is even, so -h_00 is an eigenvalue of orbit 0
+    # and the orbit, as a set, is unchanged
+    assert bat.eigenvalue_product_identity(2)
     # a term the monomial q1^(1/(r+1)) q2^(1/(r+2)) does not divide
     monkeypatch.setattr(bat, "eigen_formulas", corrupt(lambda h: h + 1))
     assert not bat.eigenvalue_product_identity(2)
@@ -449,7 +488,7 @@ def test_unit_product_rejects_an_h_the_monomial_does_not_divide(monkeypatch):
 
     def formulas(r, i, j, order):
         pair = real(r, i, j, order)
-        if (i, j) == (1, 1):
+        if (i, j) == (1, 0):
             pair.h = pair.h + 1
         return pair
 

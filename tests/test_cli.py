@@ -6,11 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from qcflop import cli
+from qcflop import batyrev, cli
 from qcflop.config import ConfigError, load_config, parse_r_range, parse_sample
 from qcflop.report import Report
 
@@ -43,6 +44,46 @@ def test_parse_sample():
         parse_sample("3/10,0")
     with pytest.raises(ConfigError):
         parse_sample("nope,0 1,0")
+
+
+def test_parse_sample_rejects_zero_and_the_unit_circle_exactly():
+    # 3/5 + 4i/5 lies on the unit circle; a float modulus may round either way
+    for bad in ("0,0 7/10,0", "3/10,0 0,0", "3/10,0 1,0", "3/5,4/5 1/2,0", "3/10,0 -7/10,4/5"):
+        with pytest.raises(ConfigError):
+            parse_sample(bad)
+    assert parse_sample("3/10,0 3/5,79/100")[1] == (Fraction(3, 5), Fraction(79, 100))
+
+
+@pytest.mark.parametrize("sample", ["0,0 7/10,0", "3/10,0 3/5,-4/5"])
+def test_bad_sample_exits_with_a_configuration_error(tmp_path, monkeypatch, capsys, sample):
+    code, out, err = run_cli(["verify", "batyrev", "--r", "1", "--sample", sample], capsys)
+    assert (code, out) == (2, "") and "configuration error" in err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sample": sample}), encoding="utf-8")
+    monkeypatch.setenv("QCFLOP_CONFIG", str(cfg_file))
+    code, out, err = run_cli(["verify", "batyrev", "--r", "1"], capsys)
+    assert (code, out) == (2, "") and "configuration error" in err
+
+
+def test_failed_certificate_keeps_its_params(monkeypatch, capsys):
+    args = ["verify", "batyrev", "--r", "1", "--format", "json"]
+
+    def certificate_entry():
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        return next(e for e in entries if e["anchor"] == "batyrev/semisimplicity-certificate")
+
+    assert cli.main(args) == 0
+    passed = certificate_entry()
+
+    def refuse(*_):
+        raise batyrev.SemisimplicityError("eigenvalue gap below tolerance")
+
+    monkeypatch.setattr(batyrev, "semisimplicity_certificate", refuse)
+    assert cli.main(args) == 1
+    failed = certificate_entry()
+    assert failed["status"] == "fail" and failed["residual"] == "eigenvalue gap below tolerance"
+    assert failed["params"] == passed["params"] == {
+        "r": 1, "q1": ["3/10", "0"], "q2": ["7/10", "0"]}
 
 
 def test_config_precedence(tmp_path, monkeypatch):

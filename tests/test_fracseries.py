@@ -335,8 +335,6 @@ def test_scalar_product_matches_the_series_product():
             assert got.rows is not s.rows
             assert all(v.field is field for v in got.terms.values())
     assert (s * 0).is_zero()
-    copy = s.copy()
-    assert copy == s and copy.rows is not s.rows
 
 
 def test_series_of_different_settings_compare_unequal_without_raising():

@@ -82,9 +82,9 @@ def test_inverse_of_embedding_over_gaussian_rationals(r):
 
 
 def test_inverse_of_embedding_over_rational_functions():
-    ring = bat.ring_symbolic_q1(2, Fraction(2, 3))
-    rows = embedding_rows(ring)
     one = bat.q1_field_one()
+    ring = bat.QuantumRing(2, bat.q1_symbol(), one * Fraction(2, 3), one)
+    rows = embedding_rows(ring)
     inv = linalg.inverse(rows, one)
     assert_left_inverse(inv, rows, one)
     assert not any(c.is_zero() for row in inv for c in row.values())

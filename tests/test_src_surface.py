@@ -19,7 +19,6 @@ SRC = REPO / "src" / "qcflop"
 # the public names that only tests reach, each with the anchor it waits for
 AWAITING_ANCHORS = {
     "batyrev.det_h_closed_form": "ROADMAP 4: batyrev/det-h-closed-form",
-    "batyrev.det_h_symbolic": "ROADMAP 4: batyrev/det-h-closed-form",
     "flopcheck.g_polynomial_fit": "ROADMAP 4: flop/g-normal-form",
     "flopcheck.ring_element_series": "ROADMAP 4: flop/g-normal-form",
     "flopcheck.RingRElement.finite_form": "ROADMAP 4: flop/g-normal-form",
