@@ -7,8 +7,12 @@ Each stage runs at r = 4..8 on the shared frame of that r, with the frame's
 basis and connection built before timing starts, as the suite has them when
 it reaches these checks: ``eps_pairing`` over the upper triangle i <= j (the
 pairing is symmetric), ``du_of_eps`` over every (i, j), and
-``r_matrix_recursion(r, 2)``, the suite's default order.  Only the public
-canonical API is used, so the file times any version of the module.
+``r_matrix_recursion(r, 2)``, the suite's default order.  Two stages run on
+a fresh frame per round instead: ``connection_form`` with nothing built
+before it but the spectrum, and ``first_order`` on the branch the suite's
+branch-independence check reads (the last sign -1), with the connection
+built.  Only the public canonical API is used, so the file times any
+version of the module.
 """
 
 import pytest
@@ -53,3 +57,25 @@ def test_r_matrix_recursion(benchmark, r):
     ready_frame(r)
     _, report = benchmark(canonical.r_matrix_recursion, r, 2)
     assert all(report["unitarity_exact"].values())
+
+
+@pytest.mark.parametrize("r", RS)
+def test_connection_form_fresh_frame(benchmark, r):
+    def fresh_frame():
+        return (canonical.build_spectrum(r),), {}
+
+    conn = benchmark.pedantic(canonical.connection_form, setup=fresh_frame, rounds=5)
+    assert conn == canonical.connection_form(canonical.frame_for(r))
+
+
+@pytest.mark.parametrize("r", RS)
+def test_first_order_signs_branch(benchmark, r):
+    signs = [1] * r + [-1]
+
+    def fresh_frame():
+        frame = canonical.build_spectrum(r)
+        canonical.connection_form(frame)
+        return (frame,), {"signs": signs}
+
+    _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
+    assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))

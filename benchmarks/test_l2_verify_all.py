@@ -10,15 +10,16 @@
 * ``hamiltonian_of`` for the three operator pairs of the quantization
   suite's homomorphism check at dim 2, cutoff 3 (six operators, the
   symplectic test included).
-* ``verify_eigen_relations`` at r = 3..5 and the batyrev suite's order 10:
-  the eigen check that every batyrev cell of ``verify all`` runs.
+
+``verify_eigen_relations`` at the batyrev suite's order 10 is timed in
+``test_l2_batyrev.py``.
 
 The file uses the public API of each module, so it times any version of them.
 """
 
 import pytest
 
-from qcflop import batyrev, canonical, flopcheck, weyl
+from qcflop import canonical, flopcheck, weyl
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -58,9 +59,3 @@ def test_hamiltonian_of(benchmark):
         return [weyl.hamiltonian_of(A, 2, 3) for A in ops]
 
     assert all(not P.is_zero() for P in benchmark(run))
-
-
-@pytest.mark.parametrize("r", [3, 4, 5])
-def test_verify_eigen_relations(benchmark, r):
-    report = benchmark(batyrev.verify_eigen_relations, r, 10)
-    assert report["pairs_checked"] == (r + 1) * (r + 2) and not report["failures"]

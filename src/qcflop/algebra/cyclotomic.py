@@ -91,6 +91,20 @@ def _mul_vec(a: Sequence[int], b: Sequence[int], rows, d: int) -> list[int]:
     return _reduce(conv, rows, d)
 
 
+def _times_root(row: Sequence[int], m: int, g: int, field: "CycField") -> list[int]:
+    """The integer vector g * zeta^m * row, reduced: each zeta^p moves to the
+    table row of zeta^((p + m) mod N), so no convolution is needed.  zeta^m
+    is a unit of Z[zeta], so for g = +-1 the content of the row is kept."""
+    n, table = field.order, field._rows
+    out = [0] * field.degree
+    for p, x in enumerate(row, m):
+        if x:
+            x *= g
+            for i, v in table[p % n]:
+                out[i] += x * v
+    return out
+
+
 def _lowest_terms(rows: Iterable[Sequence[int]], den: int) -> tuple[list[tuple[int, ...]], int]:
     """Integer rows over den > 0 with one gcd of den with every int divided out."""
     if den != 1:

@@ -130,6 +130,10 @@ class EquivScalar:
     def delta(self) -> "EquivScalar":
         return EquivScalar(self.field, self.root_order, self.weight, self.value.delta())
 
+    def rotate(self, i: int) -> "EquivScalar":
+        """sigma^i of the value (see ``RatFunc.rotate``); the weight is fixed."""
+        return EquivScalar(self.field, self.root_order, self.weight, self.value.rotate(i))
+
     def nonequivariant_limit(self) -> RatFunc:
         """Value at lam -> 0: the value at weight 0, zero at a positive weight;
         a negative weight has no limit and raises LimitError."""

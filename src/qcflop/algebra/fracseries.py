@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from qcflop.algebra.cyclotomic import (CycField, CycNumber, _lowest_terms, _mul_vec, _reduce,
-                                       _vector)
+                                       _times_root, _vector)
 from qcflop.algebra.power import binary_power
 
 
@@ -159,18 +159,10 @@ class FracSeries:
             return self._of(_convolve(f, self.rows, {(0, 0): nums}, self.trunc), den)
         m, g = root
         # zeta^m is a unit of Z[zeta], so it keeps each row's content
-        unit = cden == 1 and g in (1, -1)
-        n, d, table = f.order, f.degree, f._rows
-        rows = {}
-        for k, row in self.rows.items():
-            out = [0] * d
-            for p, x in enumerate(row, m):
-                if x:
-                    x *= g
-                    for i, v in table[p % n]:
-                        out[i] += x * v
-            rows[k] = tuple(out) if unit else out
-        return self._raw(rows, den) if unit else self._of(rows, den)
+        if cden == 1 and g in (1, -1):
+            return self._raw({k: tuple(_times_root(row, m, g, f)) for k, row in self.rows.items()},
+                             den)
+        return self._of({k: _times_root(row, m, g, f) for k, row in self.rows.items()}, den)
 
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:
@@ -202,6 +194,17 @@ class FracSeries:
     def constant_term(self) -> CycNumber:
         row = self.rows.get((0, 0))
         return self.field.zero if row is None else CycNumber(self.field, row, self.den)
+
+    def truncate(self, trunc: int) -> "FracSeries":
+        """The series at the lower truncation order ``trunc``, without the
+        terms beyond it."""
+        if trunc > self.trunc:
+            raise ValueError(f"cannot raise the truncation order {self.trunc} to {trunc}")
+        if trunc == self.trunc:
+            return self
+        out = self._of({k: row for k, row in self.rows.items() if k[0] <= trunc}, self.den)
+        out.trunc = trunc
+        return out
 
     def divide_monomial(self, n1: int, n2: int) -> "FracSeries | None":
         """self / (q1^(n1/den1) q2^(n2/den2)), truncated at trunc - n1, or

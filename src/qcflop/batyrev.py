@@ -38,9 +38,12 @@ Each check does only the exact work its answer reads:
   (eta^j h, eta^j xi) is eta^(j(r+1)) times its value at (h, xi), and
   relation 2 is unchanged, because eta^(r+2) = 1; a unit factor keeps the
   support, so (i, j) fails exactly where (i, 0) fails.  The unit parts of
-  all n pairs multiply to eta^((r+1) n/2) (prod_i u_i0)^(r+2).  So each check
-  derives the r+1 representatives (i, 0), each once, and covers the other
-  pairs by these identities.
+  all n pairs multiply to eta^((r+1) n/2) (prod_i u_i0)^(r+2).  So the checks
+  read only the r+1 representatives (i, 0) and cover the other pairs by
+  these identities.  A batyrev cell derives each representative once, at the
+  larger of the two orders the checks read, and each check truncates it to
+  its own order before forming anything; a truncated closed form equals the
+  closed form derived at the lower order.
 """
 
 from __future__ import annotations
@@ -291,6 +294,12 @@ class EigenPair:
         self.h = h
         self.xi = xi
 
+    def truncate(self, order: int) -> "EigenPair":
+        """The pair at a lower truncation order: the same series with the
+        terms beyond ``order`` dropped, which the closed forms at ``order``
+        equal, as no term of a truncated product reads a dropped one."""
+        return EigenPair(self.r, self.i, self.j, self.h.truncate(order), self.xi.truncate(order))
+
 
 def eigen_field(r: int) -> CycField:
     return CycField((r + 1) * (r + 2))
@@ -318,6 +327,16 @@ def eigen_formulas(r: int, i: int, j: int, order: int) -> EigenPair:
     return EigenPair(r, i, j, eta_y * omega_x * root, eta_y * (base * root))
 
 
+def orbit_representatives(r: int, order: int) -> list[EigenPair]:
+    """The pairs (i, 0), i = 0..r, one for each eta-orbit, at the order."""
+    return [eigen_formulas(r, i, 0, order) for i in range(r + 1)]
+
+
+def product_order(r: int) -> int:
+    """The q1-order of the eigenvalue product identity: (r+5)(r+1)."""
+    return (r + 5) * (r + 1)
+
+
 def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
     """(h^(r+1) - q1 (xi-h)^(r+1), xi (xi-h)^(r+1) - q2) at the pair."""
     r = pair.r
@@ -331,23 +350,27 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
     return first, second
 
 
-def verify_eigen_relations(r: int, order: int) -> dict:
+def verify_eigen_relations(r: int, order: int, orbits: list[EigenPair] | None = None) -> dict:
     """Check both quantum relations for every index pair through the order,
     and count the distinct leading coefficients of the h-eigenvalues.
 
-    Each orbit i is derived once, at j = 0.  The residuals at (i, j) are
-    (eta^(j(r+1)) R1_i0, R2_i0), so every pair of the orbit fails where
-    (i, 0) fails, with the same leading exponent; the leading coefficient of
-    h_ij, on q1^(1/(r+1)) q2^(1/(r+2)), is eta^j c_i0.
+    Each orbit i is derived once, at j = 0, or read from ``orbits`` (the
+    ``orbit_representatives`` at an order of at least ``order``) truncated
+    to the order.  The residuals at (i, j) are (eta^(j(r+1)) R1_i0, R2_i0),
+    so every pair of the orbit fails where (i, 0) fails, with the same
+    leading exponent; the leading coefficient of h_ij, on
+    q1^(1/(r+1)) q2^(1/(r+2)), is eta^j c_i0.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    if orbits is None:
+        orbits = orbit_representatives(r, order)
     fld = eigen_field(r)
     etas = [fld.zeta(j * (r + 1)) for j in range(r + 2)]
     failures = []
     leading = set()
-    for i in range(r + 1):
-        orbit = eigen_formulas(r, i, 0, order)
+    for i, orbit in enumerate(orbits):
+        orbit = orbit.truncate(order)
         lead = orbit.h.terms.get((1, 1), fld.zero)
         leading.update(lead * eta for eta in etas)
         residuals = eigen_relation_residuals(orbit)
@@ -360,37 +383,43 @@ def verify_eigen_relations(r: int, order: int) -> dict:
             "leading_coefficients": len(leading), "failures": failures}
 
 
-def eigenvalue_unit_product(r: int, order: int) -> FracSeries | None:
+def eigenvalue_unit_product(r: int, order: int,
+                            orbits: list[EigenPair] | None = None) -> FracSeries | None:
     """prod of the unit parts h_ij / (q1^(1/(r+1)) q2^(1/(r+2))), through the
     q1-order that the product of the h_ij at ``order`` determines.
 
     The (r+1)(r+2) = n monomials multiply to q1^(r+2) q2^(r+1), which takes n
     steps of the q1 direction, so the unit parts are needed only through
-    order - n: each h_i0 is expanded at order - n + 1 and divided exactly by
-    shifting the keys of its integer rows, with no coefficient rebuilt.  As
-    u_ij = eta^j u_i0, the product is eta^((r+1) n/2) (prod_i u_i0)^(r+2).
-    Returns None when some h_i0 has a term the monomial does not divide.
+    order - n: each h_i0 is expanded at order - n + 1 (or read from
+    ``orbits`` and truncated to it) and divided exactly by shifting the keys
+    of its integer rows, with no coefficient rebuilt.  As u_ij = eta^j u_i0,
+    the product is eta^((r+1) n/2) (prod_i u_i0)^(r+2).  Returns None when
+    some h_i0 has a term the monomial does not divide.
     """
     n = (r + 1) * (r + 2)
     if order < n:
         raise ValueError(f"order {order} is below (r+1)(r+2) = {n}, "
                          "where both sides of the product identity truncate to zero")
+    if orbits is None:
+        orbits = orbit_representatives(r, order - n + 1)
     eta = eigen_field(r).zeta(r + 1)
     units = []
-    for i in range(r + 1):
-        unit = eigen_formulas(r, i, 0, order - n + 1).h.divide_monomial(1, 1)
+    for orbit in orbits:
+        unit = orbit.h.truncate(order - n + 1).divide_monomial(1, 1)
         if unit is None:
             return None
         units.append(unit)
     return reduce(mul, units) ** (r + 2) * eta ** ((r + 1) * n // 2)
 
 
-def eigenvalue_product_identity(r: int, order: int | None = None) -> bool:
+def eigenvalue_product_identity(r: int, order: int | None = None,
+                                orbits: list[EigenPair] | None = None) -> bool:
     """prod of all h-eigenvalues equals -q1^(r+2) q2^(r+1)/(1+(-1)^r q1)
-    through the q1-order ``order`` (counted in steps of q1^(1/(r+1)))."""
+    through the q1-order ``order`` (counted in steps of q1^(1/(r+1)), by
+    default ``product_order(r)``), from ``orbits`` when given."""
     if order is None:
-        order = (r + 5) * (r + 1)
-    prod = eigenvalue_unit_product(r, order)
+        order = product_order(r)
+    prod = eigenvalue_unit_product(r, order, orbits)
     if prod is None:
         return False
     # unit part of the closed form: -sum_k (-(-1)^r q1)^k

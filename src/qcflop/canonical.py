@@ -17,6 +17,20 @@ Conventions:
   d_i/d_j = e_i e_j zeta^(i-j), where e in {+-1}^(r+1) is the branch choice.
 - One-forms are restricted to the t-line and stored as their dt-coefficients.
 
+The deck rotation sigma: w -> xi^(-1) w of the cover w -> q = w^(r+1), the
+monodromy of q around 0, fixes q and lam, commutes with delta and sends c_i,
+a_i and p_i to c_(i+1), a_(i+1) and p_(i+1), indices mod r+1
+(``RatFunc.rotate``).  Every matrix of the default branch is equivariant
+under it, with one sign: X[i][j] = (-1)^[j<i] sigma^i(X[0][(j-i) mod (r+1)]),
+since the ratios zeta^(i-j) pick up zeta^(r+1) = -1 when an index wraps past
+r; on the diagonal, X[i][i] = sigma^i(X[0][0]).  This holds for the
+connection base, R1, every R_n of the recursion and every R_a^T R_b, so each
+is derived from its row 0 alone and ``_fill`` gives the other rows.  Another
+branch is a gauge of the default: signs e give E X E with E = diag(e), and
+a ``pair_flip`` negates one pair, so no branch divides anything again.  The
+rule holds for the default branch only, so nothing is filled on another
+branch.
+
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) and s_ik = (-1)^k S^i_k(a), the signed
 elementary symmetric functions of the a_l with l != i.  Since the pairing of
@@ -34,13 +48,14 @@ Caching (per process, never shared between processes or switched off):
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
   branch signs, each computed at most once per frame: ``delta_i``,
   ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
-  ``connection_form``, the differences p_i - p_j, the symmetric functions of
-  the a_l shared by the idempotent basis and ``m_inverse``, and the basis
-  factors (``eps_factors``: the pref_i and the s_ik) read by
-  ``canonical_basis``, ``du_of_eps`` and ``eps_pairing``.
+  ``connection_form``, R1 off the diagonal on the default branch, the
+  differences p_i - p_j, the symmetric functions of the a_l shared by the
+  idempotent basis and ``m_inverse``, and the basis factors
+  (``eps_factors``: the pref_i and the s_ik) read by ``canonical_basis``,
+  ``du_of_eps`` and ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
-  other branch is derived on each call and not kept.
+  other branch is gauged from it on each call and not kept.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
@@ -210,11 +225,13 @@ def lemma_zero_value(r: int, k: int) -> EquivScalar:
 
 def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
     """Elementary symmetric functions S^omit_k(a) of the a_l with l != omit,
-    shared by the idempotent basis and M^-1 and computed once per frame."""
+    shared by the idempotent basis and M^-1 and computed once per frame: at
+    omit = 0, then S^i_k(a) = sigma^i(S^0_k(a)), as sigma sends a_l to a_(l+1)."""
     if "sym_omitting" not in frame.stages:
         one = RatFunc.one(frame.field, frame.u)
-        frame.stages["sym_omitting"] = tuple(
-            tuple(elementary_symmetric_omitting(frame.a, i, one)) for i in range(frame.u))
+        first = tuple(elementary_symmetric_omitting(frame.a, 0, one))
+        frame.stages["sym_omitting"] = (first,) + tuple(
+            tuple(s.rotate(i) for s in first) for i in range(1, frame.u))
     return frame.stages["sym_omitting"][omit]
 
 
@@ -341,38 +358,39 @@ def m_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
 
 
 def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a)."""
+    """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a).
+
+    Column 0 is derived; column j is sigma^j of it, since sigma fixes q and
+    sends c_0 to c_j and S^0_mu(a) to S^j_mu(a).
+    """
     r = frame.r
     fld, u = frame.field, frame.u
-    q = frame.q()
-    cols = []
-    for j in range(r + 1):
-        sym = _sym_omitting(frame, j)
-        pref = q * frame.c[j] * Fraction(1, r + 1)
-        cols.append([EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu))
-                     for mu in range(r + 1)])
-    return [[cols[j][mu] for j in range(r + 1)] for mu in range(r + 1)]
-
-
-def mat_mul(A: list[list[EquivScalar]], B: list[list[EquivScalar]]) -> list[list[EquivScalar]]:
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for k in range(inner):
-                term = A[i][k] * B[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    sym = _sym_omitting(frame, 0)
+    pref = frame.q() * frame.c[0] * Fraction(1, r + 1)
+    col = [EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu)) for mu in range(u)]
+    return [[x.rotate(j) for j in range(u)] for x in col]
 
 
 def mat_transpose(A: list[list]) -> list[list]:
     return [list(row) for row in zip(*A)]
+
+
+# The wrap sign of the deck rotation: zeta^(r+1) = -1, so an entry whose
+# index wraps past r under sigma changes sign.
+_WRAP_SIGN = -1
+
+
+def _fill(row: list, rotate) -> list[list]:
+    """The matrix X with X[i][j] = (-1)^[j<i] sigma^i(row[(j-i) mod u]),
+    where rotate(x, i) is sigma^i(x): the rule every default-branch matrix
+    of the frame satisfies (see the module docstring)."""
+    out = []
+    for i in range(len(row)):
+        moved = [rotate(x, i) for x in row] if i else row
+        # k = j - i; a negative k reads moved[(j - i) mod u], which wrapped
+        out.append([moved[k] if k >= 0 else moved[k] * _WRAP_SIGN
+                    for k in range(-i, len(row) - i)])
+    return out
 
 
 def _branch_signs(r: int, signs: list[int] | None) -> list[int]:
@@ -381,6 +399,20 @@ def _branch_signs(r: int, signs: list[int] | None) -> list[int]:
     if len(signs) != r + 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("branch signs must be a +-1 vector of length r+1")
     return list(signs)
+
+
+def _branch(base, e: list[int], pair_flip: tuple[int, int] | None = None) -> list[list]:
+    """A fresh copy of a default-branch matrix on another square-root branch:
+    E X E with E = diag(e), then a ``pair_flip`` negates the entries (i, j)
+    and (j, i) of one unordered pair."""
+    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)] for i, row in enumerate(base)]
+    if pair_flip is not None:
+        i, j = pair_flip
+        if i == j:
+            raise ValueError("pair flip needs two distinct indices")
+        out[i][j] = -out[i][j]
+        out[j][i] = -out[j][i]
+    return out
 
 
 def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
@@ -393,41 +425,37 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
     ``pair_flip`` flips the square-root branch of one unordered pair only,
     which is still consistent for everything built from pair products.
 
-    The sign-free base (every e_i = 1) is derived and checked once per frame;
-    each call returns a fresh matrix with its own signs applied.
+    The sign-free base (every e_i = 1) is derived and checked once per frame:
+    the core M dM^-1 has constant entries and core[i+1][j+1] =
+    sigma(core[i][j]), so it is circulant and only its column 0 is formed,
+    from all of M and column 0 of dM^-1; row 0 of the base follows and
+    ``_fill`` gives the rest.  Each call returns a fresh matrix with its own
+    signs applied.
     """
     r = frame.r
     e = _branch_signs(r, signs)
     if "connection" not in frame.stages:
         M = m_matrix(frame)
-        Minv = m_inverse(frame)
-        dMinv = [[entry.delta() for entry in row] for row in Minv]
-        core = mat_mul(M, dMinv)
-        base = []
-        for i in range(r + 1):
-            row = []
-            for j in range(r + 1):
-                if i == j:
-                    entry = core[i][i] - Fraction(r, 2 * (r + 1))
-                else:
-                    entry = core[i][j] * frame.zeta ** (i - j)
-                if entry.weight != 0:
-                    raise ValueError("connection entry is not weight-free")
-                val = entry.value
-                if not val.is_constant():
-                    raise ValueError("connection entry is not constant in w")
-                row.append(val.constant_value())
-            base.append(tuple(row))
-        frame.stages["connection"] = tuple(base)
-    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)]
-           for i, row in enumerate(frame.stages["connection"])]
-    if pair_flip is not None:
-        i, j = pair_flip
-        if i == j:
-            raise ValueError("pair flip needs two distinct indices")
-        out[i][j] = -out[i][j]
-        out[j][i] = -out[j][i]
-    return out
+        col = [row[0].delta() for row in m_inverse(frame)]
+        core = []
+        for M_i in M:
+            acc = M_i[0] * col[0]
+            for x, y in zip(M_i[1:], col[1:]):
+                acc = acc + x * y
+            core.append(acc)
+        row = []
+        for k in range(r + 1):
+            # base[0][k] = core[0][k] zeta^(-k), with core[0][k] = core[-k mod u][0]
+            entry = core[-k] * frame.zeta ** (-k) if k else core[0] - Fraction(r, 2 * (r + 1))
+            if entry.weight != 0:
+                raise ValueError("connection entry is not weight-free")
+            val = entry.value
+            if not val.is_constant():
+                raise ValueError("connection entry is not constant in w")
+            row.append(val.constant_value())
+        # sigma fixes the constant entries
+        frame.stages["connection"] = tuple(map(tuple, _fill(row, lambda x, i: x)))
+    return _branch(frame.stages["connection"], e, pair_flip)
 
 
 def _mu_sum(xi: CycNumber, k: int, r: int) -> CycNumber:
@@ -475,20 +503,30 @@ def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]
     return frame.stages["p_differences"]
 
 
+def _r1_default(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
+    """R1 off the diagonal on the default branch, once per frame: row 0
+    divides the connection's row 0 by p_0 - p_j, and ``_fill`` gives the
+    rest."""
+    if "r1_offdiagonal" not in frame.stages:
+        conn = connection_form(frame)
+        dp = _p_differences(frame)
+        row = [EquivScalar.zero(frame.field, frame.u)] + [
+            EquivScalar.from_ratfunc(frame.rat_const(conn[0][j])) / dp[0][j]
+            for j in range(1, frame.u)]
+        frame.stages["r1_offdiagonal"] = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
+    return frame.stages["r1_offdiagonal"]
+
+
 def r1_offdiagonal(frame: CanonicalFrame, signs: list[int] | None = None,
                    pair_flip: tuple[int, int] | None = None) -> list[list[EquivScalar]]:
     """Solve the dt-restricted first-order relation: entry (i,j) is the
-    connection dt-coefficient divided by p_i - p_j; diagonal left zero."""
-    r = frame.r
-    conn = connection_form(frame, signs, pair_flip)
-    dp = _p_differences(frame)
-    out = [[EquivScalar.zero(frame.field, frame.u) for _ in range(r + 1)] for _ in range(r + 1)]
-    for i in range(r + 1):
-        for j in range(r + 1):
-            if i == j:
-                continue
-            out[i][j] = EquivScalar.from_ratfunc(frame.rat_const(conn[i][j])) / dp[i][j]
-    return out
+    connection dt-coefficient divided by p_i - p_j; diagonal left zero.
+
+    Only the r entries of row 0 of the default branch are divided (once per
+    frame); another branch is its gauge E R1 E, with one pair negated by a
+    ``pair_flip``, as the connection's is.
+    """
+    return _branch(_r1_default(frame), _branch_signs(frame.r, signs), pair_flip)
 
 
 def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
@@ -598,15 +636,18 @@ def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
     Derived from ``r1_offdiagonal`` and ``r1_diagonal`` and returned as
     immutable tuples.  The default branch (every sign +1, no pair flipped) is
     derived once per frame, shared by the appendix suite and
-    ``genus_one_form(r)``; any other branch is derived from its own
-    connection on each call and not kept, as only the memoised
-    ``genus_one_form`` asks for one.
+    ``genus_one_form(r)``; any other branch gauges the default's off-diagonal
+    and integrates its own diagonal on each call, not kept, as only the
+    memoised ``genus_one_form`` asks for one.
     """
     default = pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs))
     if default and "first_order" in frame.stages:
         return frame.stages["first_order"]
-    off = r1_offdiagonal(frame, signs, pair_flip)
-    out = (tuple(map(tuple, off)), tuple(r1_diagonal(frame, off)))
+    if default:
+        off = _r1_default(frame)
+    else:
+        off = tuple(map(tuple, r1_offdiagonal(frame, signs, pair_flip)))
+    out = (off, tuple(r1_diagonal(frame, off)))
     if default:
         frame.stages["first_order"] = out
     return out
@@ -693,44 +734,46 @@ def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: in
 
 
 def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, b: int):
-    """R_a^T R_b, memoised by (a, b).
+    """R_a^T R_b of the default branch, memoised by (a, b).
 
-    Only products with 0 < a <= b are multiplied: for a > b the product is
-    the transpose of R_b^T R_a, R_0 = Id makes R_0^T R_b a copy of R_b, and
-    R_a^T R_a is symmetric, so only its upper triangle is formed.
+    Only products with 0 < a <= b are multiplied, and only their row 0,
+    sum_k R_a[k][0] R_b[k][j]; ``_fill`` gives the rest, as the rule holds
+    for R_a^T R_b when it holds for R_a and R_b.  For a > b the product is
+    the transpose of R_b^T R_a, and R_0 = Id makes R_0^T R_b equal to R_b.
     """
     if (a, b) not in memo:
         if a > b:
             memo[a, b] = mat_transpose(_transpose_product(mats, memo, b, a))
         elif a == 0:
-            memo[a, b] = [list(row) for row in mats[b]]
+            memo[a, b] = mats[b]
         else:
             A, B = mats[a], mats[b]
-            size = len(A)
-            out = [[None] * size for _ in range(size)]
-            for i in range(size):
-                for j in range(i if a == b else 0, size):
-                    acc = A[0][i] * B[0][j]
-                    for k in range(1, size):
-                        acc = acc + A[k][i] * B[k][j]
-                    out[i][j] = acc
-                    if a == b:
-                        out[j][i] = acc
-            memo[a, b] = out
+            row = []
+            for j in range(len(A)):
+                acc = A[0][0] * B[0][j]
+                for k in range(1, len(A)):
+                    acc = acc + A[k][0] * B[k][j]
+                row.append(acc)
+            memo[a, b] = _fill(row, EquivScalar.rotate)
     return memo[a, b]
 
 
-def _unitarity_sum(mats: list[list[list[EquivScalar]]], memo: dict, n: int,
-                   lo: int = 0) -> list[list[EquivScalar]]:
-    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a)."""
+def _unitarity_sum(mats: list[list[list[EquivScalar]]], memo: dict,
+                   n: int) -> list[list[EquivScalar]]:
+    """sum_{a=0..n} (-1)^a R_a^T R_(n-a), every entry."""
     acc = None
-    for a_idx in range(lo, n - lo + 1):
+    for a_idx in range(n + 1):
         term = _transpose_product(mats, memo, a_idx, n - a_idx)
         if a_idx % 2 == 1:
             term = [[-x for x in row] for row in term]
         acc = term if acc is None else [[p + t for p, t in zip(pr, tr)]
                                         for pr, tr in zip(acc, term)]
     return acc
+
+
+def _first_nonzero(mat: list[list[EquivScalar]]) -> tuple[int, int] | None:
+    return next(((i, j) for i, row in enumerate(mat) for j, x in enumerate(row)
+                 if not x.is_zero()), None)
 
 
 def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
@@ -743,19 +786,24 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     default) calibrates the even-order constants from the residue pairing so
     that sum_{a+b=n} (-1)^a R_a^T R_b = 0 can hold exactly.
 
-    The connection is a constant matrix, so it scales entries; only the
-    entries of its products that the recursion reads are formed, and each
-    R_a^T R_b is multiplied once for the calibration and the residuals.
+    Each order is derived on the default branch from its row 0, filled by
+    ``_fill``; the diagonal is integrated and calibrated once, at i = 0 (the
+    constant is fixed by sigma), and rotated.  Each R_a^T R_b is formed once
+    (see ``_transpose_product``), and each residual reads every entry of its
+    sum.  Signs e give E R_n E at every order; the branch's R_a^T R_b are
+    E R_a^T R_b E, which vanish exactly where the default branch's do.
 
     Returns ([Id, R_1, ..., R_order], report) where the report collects the
-    diagonal constants and the exact unitarity residual status per order.
+    diagonal constants, the exact unitarity residual status per order and,
+    for each order whose residual is not zero, its first nonzero (i, j).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if diag_mode not in ("unitarity", "zero"):
         raise ValueError(f"unknown diagonal mode {diag_mode!r}")
+    e = _branch_signs(r, signs)
     frame = frame_for(r)
-    conn = connection_form(frame, signs)
+    conn = connection_form(frame)
     dp = _p_differences(frame)
     size = r + 1
     zero = EquivScalar.zero(frame.field, frame.u)
@@ -764,39 +812,42 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
-        new = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                if i != j:
-                    numer = _conn_entry(conn, prev, i, j, zero) + prev[i][j].delta()
-                    new[i][j] = numer / dp[i][j]
+        row = [zero] + [(_conn_entry(conn, prev, 0, j, zero) + prev[0][j].delta()) / dp[0][j]
+                        for j in range(1, size)]
+        new = _fill(row, EquivScalar.rotate)
         # diagonal from the vanishing-diagonal condition of step n+1
-        for i in range(size):
-            new[i][i] = _integrate_scalar(-_conn_entry(conn, new, i, i, zero),
-                                          f"order {n}, diagonal {i}: constant term at weight {{e}}")
+        diag = _integrate_scalar(-_conn_entry(conn, new, 0, 0, zero),
+                                 f"order {n}, diagonal 0: constant term at weight {{e}}")
         if diag_mode == "unitarity" and n % 2 == 0:
-            # 2 R_n[i][i] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{ii} must vanish;
-            # the recursion fixes R_n[i][i] only up to a constant, so align it
-            mid = _unitarity_sum(mats, products, n, lo=1)
-            for i in range(size):
-                gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
-                items = gap.value.laurent_items()
-                if any(exp != 0 for exp in items):
-                    raise FlatnessError(
-                        f"order {n}, diagonal {i}: unitarity gap is not a constant")
-                const = items.get(0)
-                if const is not None and not const.is_zero():
-                    new[i][i] = new[i][i] + EquivScalar(
-                        frame.field, frame.u, gap.weight, frame.rat_const(const))
-                    constants[(n, i)] = repr(const)
+            # 2 R_n[0][0] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{00} must vanish;
+            # the recursion fixes R_n[0][0] only up to a constant, so align it
+            mid = zero
+            for a_idx in range(1, n):
+                term = _transpose_product(mats, products, a_idx, n - a_idx)[0][0]
+                mid = mid - term if a_idx % 2 else mid + term
+            gap = mid * Fraction(-1, 2) - diag
+            items = gap.value.laurent_items()
+            if any(exp != 0 for exp in items):
+                raise FlatnessError(f"order {n}, diagonal 0: unitarity gap is not a constant")
+            const = items.get(0)
+            if const is not None and not const.is_zero():
+                diag = diag + EquivScalar(frame.field, frame.u, gap.weight, frame.rat_const(const))
+                constants.update(((n, i), repr(const)) for i in range(size))
+        for i in range(size):
+            new[i][i] = diag.rotate(i)
         mats.append(new)
-    residuals = {}
+    residuals, first_nonzero = {}, {}
     for n in range(1, order + 1):
-        s = _unitarity_sum(mats, products, n)
-        residuals[n] = all(entry.is_zero() for row in s for entry in row)
+        bad = _first_nonzero(_unitarity_sum(mats, products, n))
+        residuals[n] = bad is None
+        if bad is not None:
+            first_nonzero[n] = bad
     report = {
         "diagonal_mode": diag_mode,
         "constants": {f"{n},{i}": v for (n, i), v in sorted(constants.items())},
         "unitarity_exact": residuals,
+        "unitarity_first_nonzero": first_nonzero,
     }
+    if e != [1] * size:
+        mats = [_branch(mat, e) for mat in mats]
     return mats, report

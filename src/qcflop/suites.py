@@ -177,14 +177,24 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep.add("appendix/genus-one-branch-independence", {"r": r},
             flipped == expected and flipped2 == expected)
     if rmatrix_order >= 1:
-        mats, info = canonical.r_matrix_recursion(r, rmatrix_order)
-        match = all(mats[1][i][j] == (diag[i] if i == j else off[i][j])
-                    for i in range(r + 1) for j in range(r + 1))
-        rep.add("appendix/recursion-first-order-match", {"r": r}, match)
-        for n in range(1, rmatrix_order + 1):
-            rep.add("appendix/recursion-unitarity", {"r": r, "n": n},
-                    info["unitarity_exact"][n],
-                    f"diagonal constants: {info['diagonal_mode']}")
+        try:
+            mats, info = canonical.r_matrix_recursion(r, rmatrix_order)
+        except canonical.FlatnessError as exc:
+            # the recursion stopped at the order and diagonal the error names
+            stopped = f"the recursion stopped: {exc}"
+            rep.add("appendix/recursion-first-order-match", {"r": r}, False, stopped)
+            for n in range(1, rmatrix_order + 1):
+                rep.add("appendix/recursion-unitarity", {"r": r, "n": n}, False, stopped)
+        else:
+            match = all(mats[1][i][j] == (diag[i] if i == j else off[i][j])
+                        for i in range(r + 1) for j in range(r + 1))
+            rep.add("appendix/recursion-first-order-match", {"r": r}, match)
+            note = f"diagonal constants: {info['diagonal_mode']}"
+            for n in range(1, rmatrix_order + 1):
+                bad = info["unitarity_first_nonzero"].get(n)
+                rep.add("appendix/recursion-unitarity", {"r": r, "n": n},
+                        info["unitarity_exact"][n],
+                        note if bad is None else f"first nonzero (i, j) = {bad}; {note}")
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -205,7 +215,10 @@ def batyrev_suite(r: int, order: int = 10,
                   gap_tol: float = 1e-6, match_tol: float = 1e-9) -> Report:
     rep = Report(suite="batyrev")
     t0 = time.perf_counter()
-    relations = batyrev.verify_eigen_relations(r, order)
+    # each eta-orbit is derived once, at the larger order the two checks read
+    n = (r + 1) * (r + 2)
+    orbits = batyrev.orbit_representatives(r, max(order, batyrev.product_order(r) - n + 1))
+    relations = batyrev.verify_eigen_relations(r, order, orbits)
     residual = f"{relations['pairs_checked']} pairs checked"
     if relations["failures"]:
         first = relations["failures"][0]
@@ -214,12 +227,11 @@ def batyrev_suite(r: int, order: int = 10,
                      f" leading exponent {tuple(first['leading_exponent'])}")
     rep.add("batyrev/eigen-relations", {"r": r, "order": order},
             not relations["failures"], residual)
-    n = (r + 1) * (r + 2)
     distinct = relations["leading_coefficients"]
     rep.add("batyrev/eigenvalue-count", {"r": r}, distinct == n,
             "0" if distinct == n else f"{distinct} distinct leading coefficients of {n}")
     rep.add("batyrev/eigenvalue-product", {"r": r},
-            batyrev.eigenvalue_product_identity(r))
+            batyrev.eigenvalue_product_identity(r, orbits=orbits))
     rep.add("batyrev/spectrum-structure-match", {"r": r},
             batyrev.spectrum_structure_match(r))
     q1s, q2s = sample

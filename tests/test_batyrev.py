@@ -8,6 +8,7 @@ import pytest
 from qcflop import batyrev as bat
 from qcflop import cli
 from qcflop import cohomology as coh
+from qcflop import suites
 from qcflop.algebra import FracSeries, linalg
 
 
@@ -217,6 +218,23 @@ def test_checks_derive_each_orbit_once(monkeypatch, r):
     calls.clear()
     bat.eigenvalue_unit_product(r, (r + 5) * (r + 1))
     assert calls == [(i, 0) for i in range(r + 1)]
+    # a batyrev cell runs both checks on one derivation of each orbit
+    calls.clear()
+    assert suites.batyrev_suite(r).all_pass()
+    assert calls == [(i, 0) for i in range(r + 1)]
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_truncated_orbits_equal_orbits_derived_at_the_order(r):
+    high = bat.orbit_representatives(r, 19)
+    for order in (1, 10, 19):
+        low = bat.orbit_representatives(r, order)
+        for a, b in zip(high, low):
+            cut = a.truncate(order)
+            assert (cut.h.rows, cut.h.den, cut.h.trunc) == (b.h.rows, b.h.den, b.h.trunc)
+            assert (cut.xi.rows, cut.xi.den, cut.xi.trunc) == (b.xi.rows, b.xi.den, b.xi.trunc)
+    with pytest.raises(ValueError):
+        high[0].h.truncate(20)
 
 
 def corrupt_orbit(monkeypatch, orbit, which="h"):

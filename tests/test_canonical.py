@@ -8,7 +8,7 @@ import pytest
 
 from qcflop import canonical as can
 from qcflop import cli
-from qcflop.algebra import CycField, EquivScalar, RatFunc
+from qcflop.algebra import CycField, EquivScalar, RatFunc, elementary_symmetric_omitting
 
 RS = (1, 2, 3)
 
@@ -158,10 +158,71 @@ def test_term_c_minus_one():
     assert can.term_c_minus_one(can.build_spectrum(2)) == can.g_in_w(2) * Fraction(9, 24)
 
 
+def mat_mul(A, B):
+    """The schoolbook matrix product, every entry a full sum."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = row[0] * B[0][j]
+            for k in range(1, len(B)):
+                acc = acc + row[k] * B[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def plain_m_inverse(frame):
+    """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a), each
+    column from its own symmetric functions."""
+    r, fld, u = frame.r, frame.field, frame.u
+    one = RatFunc.one(fld, u)
+    cols = []
+    for j in range(u):
+        sym = elementary_symmetric_omitting(frame.a, j, one)
+        pref = frame.q() * frame.c[j] * Fraction(1, u)
+        cols.append([EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu))
+                     for mu in range(u)])
+    return [[cols[j][mu] for j in range(u)] for mu in range(u)]
+
+
+def plain_connection(frame, signs=None, pair_flip=None):
+    """The connection from the whole core M dM^-1, every entry derived:
+    e_i e_j zeta^(i-j) core_ij off the diagonal, core_ii - r/(2(r+1)) on it."""
+    r = frame.r
+    e = signs or [1] * (r + 1)
+    dMinv = [[x.delta() for x in row] for row in plain_m_inverse(frame)]
+    core = mat_mul(can.m_matrix(frame), dMinv)
+    out = []
+    for i in range(r + 1):
+        row = []
+        for j in range(r + 1):
+            if i == j:
+                entry = core[i][i] - Fraction(r, 2 * (r + 1))
+            else:
+                entry = core[i][j] * frame.zeta ** (i - j) * (e[i] * e[j])
+            assert entry.weight == 0 and entry.value.is_constant()
+            row.append(entry.value.constant_value())
+        out.append(row)
+    if pair_flip is not None:
+        i, j = pair_flip
+        out[i][j], out[j][i] = -out[i][j], -out[j][i]
+    return out
+
+
+def plain_r1_offdiagonal(frame, conn):
+    """conn_ij / (p_i - p_j) at every i != j, each divided."""
+    zero = EquivScalar.zero(frame.field, frame.u)
+    return [[zero if i == j else EquivScalar.from_ratfunc(frame.rat_const(c))
+             / (frame.p[i] - frame.p[j]) for j, c in enumerate(row)]
+            for i, row in enumerate(conn)]
+
+
 def test_m_matrix_inverse_exact():
     for r in RS:
         frame = can.build_spectrum(r)
-        prod = can.mat_mul(can.m_matrix(frame), can.m_inverse(frame))
+        assert can.m_inverse(frame) == plain_m_inverse(frame)
+        prod = mat_mul(can.m_matrix(frame), can.m_inverse(frame))
         for i, row in enumerate(prod):
             for j, entry in enumerate(row):
                 assert entry == (1 if i == j else 0)
@@ -365,20 +426,21 @@ def integrate(x):
 
 
 def plain_r_matrix_recursion(r, order, diag_mode):
-    """The recursion with every product a full mat_mul: the connection as a
-    matrix of scalars, the whole of both connection products, and each
-    R_a^T R_b multiplied wherever it is used."""
+    """The recursion with every product a full mat_mul: the plain connection
+    as a matrix of scalars, the whole of both connection products, every
+    entry divided and integrated, and each R_a^T R_b multiplied wherever it
+    is used."""
     frame = can.build_spectrum(r)
     size = r + 1
     zero = EquivScalar.zero(frame.field, frame.u)
     conn = [[EquivScalar(frame.field, frame.u, 0, frame.rat_const(c)) for c in row]
-            for row in can.connection_form(frame)]
+            for row in plain_connection(frame)]
     dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
 
     def signed_sum(mats, n, lo):
         acc = [[zero] * size for _ in range(size)]
         for a in range(lo, n - lo + 1):
-            term = can.mat_mul(can.mat_transpose(mats[a]), mats[n - a])
+            term = mat_mul(can.mat_transpose(mats[a]), mats[n - a])
             acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
         return acc
 
@@ -387,10 +449,10 @@ def plain_r_matrix_recursion(r, order, diag_mode):
     constants = {}
     for n in range(1, order + 1):
         prev = mats[-1]
-        source = can.mat_mul(conn, prev)
+        source = mat_mul(conn, prev)
         new = [[zero if i == j else (source[i][j] + prev[i][j].delta()) / dp[i][j]
                 for j in range(size)] for i in range(size)]
-        follow = can.mat_mul(conn, new)
+        follow = mat_mul(conn, new)
         for i in range(size):
             new[i][i] = integrate(-follow[i][i])
         if diag_mode == "unitarity" and n % 2 == 0:
@@ -409,7 +471,7 @@ def plain_r_matrix_recursion(r, order, diag_mode):
 
 
 @pytest.mark.parametrize("diag_mode", ["unitarity", "zero"])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
     mats, report = can.r_matrix_recursion(r, 3, diag_mode)
     want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, 3, diag_mode)
@@ -417,11 +479,29 @@ def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
     assert report["constants"] == want_constants
     assert report["unitarity_exact"] == want_residuals
     assert report["diagonal_mode"] == diag_mode
+    failing = {n for n, ok in want_residuals.items() if not ok}
+    assert report["unitarity_first_nonzero"].keys() == failing
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_r_matrix_recursion_on_a_signs_branch_is_the_gauge(r):
+    signs = [1] * r + [-1]
+    mats, report = can.r_matrix_recursion(r, 3, signs=signs)
+    base, base_report = can.r_matrix_recursion(r, 3)
+    assert report["unitarity_exact"] == {1: True, 2: True, 3: True}
+    assert report["constants"] == base_report["constants"]
+    for got, want in zip(mats, base):
+        assert got == [[x * (signs[i] * signs[j]) for j, x in enumerate(row)]
+                       for i, row in enumerate(want)]
+    # the gauge shows: an entry with one index on the -1 sign changes sign
+    assert not base[1][0][r].is_zero() and mats[1][0][r] == -base[1][0][r]
 
 
 def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
-    # a connection entry off by a factor leaves a constant term in the first
-    # diagonal integrand, which flatness rejects instead of dropping
+    # a connection entry off by a factor: the fill carries it to the entries
+    # row 0 reads back, so the first diagonal integrand stays integrable, but
+    # the second order's unitarity gap is not a constant, which the
+    # calibration rejects instead of dropping
     connection_form = can.connection_form
 
     def corrupted(frame, signs=None, pair_flip=None):
@@ -430,7 +510,8 @@ def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
         return conn
 
     monkeypatch.setattr(can, "connection_form", corrupted)
-    with pytest.raises(can.FlatnessError, match=r"^order 1, diagonal 0: constant term at weight -1$"):
+    want = r"^order 2, diagonal 0: unitarity gap is not a constant$"
+    with pytest.raises(can.FlatnessError, match=want):
         can.r_matrix_recursion(2, 2)
 
 
@@ -574,6 +655,61 @@ def test_first_order_keeps_only_the_default_branch(r):
         can.first_order(frame, pair_flip=(1, 1))
     with pytest.raises(ValueError):
         can.first_order(frame, signs=[1] * r)
+
+
+# --- the deck rotation's fill against plain derivations ---------------------------
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_filled_connection_and_r1_match_a_plain_derivation(r):
+    frame = can.build_spectrum(r)
+    for branch in branches(r):
+        conn = plain_connection(frame, **branch)
+        assert can.connection_form(frame, **branch) == conn
+        off = plain_r1_offdiagonal(frame, conn)
+        assert can.r1_offdiagonal(frame, **branch) == off
+        got_off, got_diag = can.first_order(frame, **branch)
+        assert [list(row) for row in got_off] == off
+        assert list(got_diag) == reference_r1_diagonal(frame, off)
+
+
+def verify_appendix_r3_json(capsys, *extra):
+    code = cli.main(["verify", "appendix", "--r", "3", "--format", "json", *extra])
+    return code, {(e["anchor"], e["params"].get("n")): e
+                  for e in json.loads(capsys.readouterr().out)["entries"]}
+
+
+def test_control_the_fill_wrap_sign(capsys, monkeypatch):
+    # zeta^(r+1) taken as +1: every row 0 is still derived, but each filled
+    # entry whose index wraps past r has the wrong sign
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    monkeypatch.setattr(can, "_WRAP_SIGN", 1)
+    assert cli.main(["verify", "appendix", "--r", "3"]) == 1
+    fails = [x for x in capsys.readouterr().err.splitlines() if x.startswith("FAIL ")]
+    assert any(x.startswith("FAIL appendix/connection-form ") for x in fails)
+    assert any(x.startswith("FAIL appendix/recursion-unitarity ") for x in fails)
+
+    code, entries = verify_appendix_r3_json(capsys)
+    assert code == 1
+    conn = entries["appendix/connection-form", None]
+    assert conn["status"] == "fail"
+    assert conn["residual"] == "first failing (i, j) = (0, 1): the form is not antisymmetric"
+    # the second order's calibration stops the recursion, and names where
+    stopped = "the recursion stopped: order 2, diagonal 0: unitarity gap is not a constant"
+    for n in (1, 2):
+        entry = entries["appendix/recursion-unitarity", n]
+        assert entry["status"] == "fail" and entry["residual"] == stopped
+    # the idempotent basis does not use the fill
+    assert entries["appendix/idempotent-duality", None]["status"] == "pass"
+
+    # at order 1 the recursion completes, and the residual names the entry
+    code, entries = verify_appendix_r3_json(capsys, "--rmatrix-order", "1")
+    assert code == 1
+    entry = entries["appendix/recursion-unitarity", 1]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == "first nonzero (i, j) = (0, 1); diagonal constants: unitarity"
+    assert entries["appendix/recursion-first-order-match", None]["status"] == "pass"
 
 
 # --- negative controls of the connection and first-order anchors ---------------------
