@@ -13,6 +13,13 @@ before it but the spectrum, and ``first_order`` on the branch the suite's
 branch-independence check reads (the last sign -1), with the connection
 built.  Only the public canonical API is used, so the file times any
 version of the module.
+
+The stages built over the spectrum's known factors run at r = 8, 12 and 16,
+three rounds each: ``charpoly_coefficients`` and ``term_log_delta`` on a
+fresh frame per round, so the factors they share are built in the timed
+call, and ``genus_one_form`` with
+its memo and the shared frame of that r dropped before each round, so each
+round derives the whole chain, as a fresh process does.
 """
 
 import pytest
@@ -79,3 +86,37 @@ def test_first_order_signs_branch(benchmark, r):
 
     _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
     assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
+
+
+LARGE_RS = [8, 12, 16]
+
+
+def fresh_frame_of(r: int):
+    def fresh_frame():
+        return (canonical.build_spectrum(r),), {}
+    return fresh_frame
+
+
+@pytest.mark.parametrize("r", LARGE_RS)
+def test_charpoly_coefficients_fresh_frame(benchmark, r):
+    es = benchmark.pedantic(canonical.charpoly_coefficients, setup=fresh_frame_of(r), rounds=3)
+    frame = canonical.frame_for(r)
+    assert all(ek == canonical.charpoly_expected(frame, k) for k, ek in enumerate(es, start=1))
+
+
+@pytest.mark.parametrize("r", LARGE_RS)
+def test_term_log_delta_fresh_frame(benchmark, r):
+    got = benchmark.pedantic(canonical.term_log_delta, setup=fresh_frame_of(r), rounds=3)
+    g = canonical.g_in_w(r)
+    assert got == (1 - g * (2 * (-1) ** r)) * r
+
+
+@pytest.mark.parametrize("r", LARGE_RS)
+def test_genus_one_form(benchmark, r):
+    def no_memo():
+        canonical._GENUS_ONE.clear()
+        canonical._FRAMES.pop(r, None)
+        return (r,), {}
+
+    form, _ = benchmark.pedantic(canonical.genus_one_form, setup=no_memo, rounds=3)
+    assert form == canonical.genus_one_expected(r)

@@ -31,22 +31,38 @@ a ``pair_flip`` negates one pair, so no branch divides anything again.  The
 rule holds for the default branch only, so nothing is filled on another
 branch.
 
+Known factors.  Every denominator the frame builds splits over w and the
+linear factors L_i = w + (-1)^r xi^i, with a_i = L_i/w and p_i = lam w/L_i;
+their product is D = w^(r+1) + (-1)^r.  So the symmetric functions of the
+spectrum, the idempotent checks and the sums over the spectrum are formed as
+polynomial sums and products over a denominator known in advance (a power of
+w, a power of one L_j, or w^m D), and each result is reduced once, instead of
+reducing every partial sum through a gcd.  ``_linear_factors`` reads the L_i
+off the p_i and forms the e_m(L); ``charpoly_coefficients`` is
+e_k(p) = lam^k w^k e_(r+1-k)(L)/D, ``term_log_delta`` is
+(r D - (2r/(r+1)) w D')/D, and ``_spectrum_sum`` gives sum_i x_i p_i as
+lam w sum_i x_i prod_(l != i) L_l / D for ``term_c_minus_one`` and the R1
+term of ``genus_one_form``.
+
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
-with pref_i = q c_i a_i^r/(r+1) and s_ik = (-1)^k S^i_k(a), the signed
-elementary symmetric functions of the a_l with l != i.  Since the pairing of
-p^k with p^l is C(2r-d, r-d) lam^-(2r+1-d) for d = k + l <= r, every term of
-the pairing of eps_i with eps_j has weight lam^-(2r+1), and ``eps_pairing``
-is pref_i pref_j lam^-(2r+1) sum_d C(2r-d, r-d) [t^d] E_i(t) E_j(t) with
-E_i(t) = sum_k s_ik t^k, one convolution in Q(zeta)(w).  Likewise
-``du_of_eps`` is pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, free of the weight.
-``canonical_basis`` expands the same factors into the coefficient arrays.
+with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
+s_ik = (-1)^k S^i_k(a), the signed elementary symmetric functions of the a_l
+with l != i; s_ik w^k is a polynomial too.  Since the pairing of p^k with p^l
+is C(2r-d, r-d) lam^-(2r+1-d) for d = k + l <= r, every term of the pairing
+of eps_i with eps_j has weight lam^-(2r+1), and ``eps_pairing`` is
+pref_i pref_j lam^-(2r+1) sum_d C(2r-d, r-d) [t^d] E_i(t) E_j(t) with
+E_i(t) = sum_k s_ik t^k, one convolution of polynomials over w^r.  Likewise
+``du_of_eps`` is pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, free of the weight: a
+Horner sum of polynomials over L_j^r.  ``canonical_basis`` expands the same
+factors into the coefficient arrays.
 
 Caching (per process, never shared between processes or switched off):
 
 - ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
   a fresh, uncached one.
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
-  branch signs, each computed at most once per frame: ``delta_i``,
+  branch signs, each computed at most once per frame: the linear factors
+  L_i with their symmetric functions e_m(L), ``delta_i``,
   ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
   ``connection_form``, R1 off the diagonal on the default branch, the
   differences p_i - p_j, the symmetric functions of the a_l shared by the
@@ -72,6 +88,7 @@ from qcflop.algebra import (
     CycField,
     CycNumber,
     EquivScalar,
+    InhomogeneousError,
     Poly,
     RatFunc,
     elementary_symmetric,
@@ -175,11 +192,42 @@ def as_g_polynomial(f: RatFunc, r: int) -> Poly | None:
     return composed.num if composed.den.degree == 0 else None
 
 
+def _linear_factors(frame: CanonicalFrame) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """The linear factors L_i = w + (-1)^r xi^i of the spectrum, p_i = lam w / L_i,
+    and their elementary symmetric functions e_0(L), ..., e_(r+1)(L), built
+    once per frame from polynomial products and sums.  The last is
+    D = prod_i L_i = w^(r+1) + (-1)^r, the one denominator of a sum over the
+    spectrum."""
+    if "linear_factors" not in frame.stages:
+        w = Poly.monomial(frame.field, 1)
+        factors = []
+        for i, p_i in enumerate(frame.p):
+            # the reduced value w / L_i of p_i / lam holds L_i as its denominator
+            if p_i.weight != 1 or p_i.value.num != w or p_i.value.den.degree != 1:
+                raise ValueError(f"spectrum root {i} is not lam w / (w + c)")
+            factors.append(p_i.value.den)
+        es = elementary_symmetric(factors, Poly.one(frame.field))
+        frame.stages["linear_factors"] = (tuple(factors), tuple(es))
+    return frame.stages["linear_factors"]
+
+
+def _over_w(f: RatFunc, n: int) -> Poly:
+    """The polynomial f w^n, for f = num / w^m with m <= n; a reduced
+    denominator is monic, so a monomial one is w^m."""
+    m = f.den.degree
+    if m > n or not f.den.is_monomial():
+        raise ValueError(f"{f} times w^{n} is not a polynomial")
+    return f.num * Poly.monomial(f.field, n - m) if n > m else f.num
+
+
 def charpoly_coefficients(frame: CanonicalFrame) -> list[EquivScalar]:
-    """Elementary symmetric functions e_1..e_(r+1) of the spectrum roots."""
-    one = EquivScalar.one(frame.field, frame.u)
-    es = elementary_symmetric(frame.p, one)
-    return es[1:]
+    """Elementary symmetric functions e_1..e_(r+1) of the spectrum roots:
+    with p_i = lam w / L_i, e_k(p) = lam^k w^k e_(r+1-k)(L) / D, from the
+    products of the spectrum's own factors."""
+    fld, u = frame.field, frame.u
+    es = _linear_factors(frame)[1]
+    return [EquivScalar(fld, u, k, RatFunc(fld, u, Poly.monomial(fld, k) * es[u - k], es[u]))
+            for k in range(1, u + 1)]
 
 
 def charpoly_expected(frame: CanonicalFrame, k: int) -> EquivScalar:
@@ -238,11 +286,13 @@ def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
 def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
     """The idempotent basis in factored form, computed once per frame:
     eps_i = pref_i sum_k s_ik (p/lam)^k with pref_i = q c_i a_i^r/(r+1) and
-    the signed symmetric functions s_ik = (-1)^k S^i_k(a)."""
+    the signed symmetric functions s_ik = (-1)^k S^i_k(a).  The prefactor is
+    the polynomial (-1)^r xi^i L_i^r/(r+1), and (-1)^r xi^i = L_i(0)."""
     if "eps_factors" not in frame.stages:
         r = frame.r
-        q = frame.q()
-        prefs = tuple(q * frame.c[i] * Fraction(1, r + 1) * frame.a[i] ** r for i in range(r + 1))
+        one = Poly.one(frame.field)
+        prefs = tuple(RatFunc(frame.field, frame.u, L ** r * (L.constant() * Fraction(1, r + 1)),
+                              one, reduce=False) for L in _linear_factors(frame)[0])
         signed = tuple(tuple(s if k % 2 == 0 else -s for k, s in enumerate(_sym_omitting(frame, i)))
                        for i in range(r + 1))
         frame.stages["eps_factors"] = (prefs, signed)
@@ -263,31 +313,39 @@ def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
 
 def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     """du_j applied to eps_i: p -> p_j = lam/a_j cancels the weights, leaving
-    pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, summed by Horner."""
+    pref_i (sum_k s_ik a_j^(r-k)) / a_j^r.  With a_j = L_j/w and s_ik w^k a
+    polynomial, w^r times the sum is sum_k (s_ik w^k) L_j^(r-k), summed by
+    Horner in polynomials, so the value is one reduction over L_j^r."""
+    fld, u = frame.field, frame.u
     prefs, signed = _eps_factors(frame)
-    a_j = frame.a[j]
-    acc = signed[i][0]
-    for s in signed[i][1:]:
-        acc = acc * a_j + s
-    return EquivScalar(frame.field, frame.u, 0, prefs[i] * acc / a_j ** frame.r)
+    L_j = _linear_factors(frame)[0][j]
+    acc = Poly.zero(fld)
+    for k, s in enumerate(signed[i]):
+        acc = acc * L_j + _over_w(s, k)
+    return EquivScalar(fld, u, 0, RatFunc(fld, u, _over_w(prefs[i], 0) * acc, L_j ** frame.r))
 
 
 def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     """The pairing of eps_i with eps_j from the factored basis (see the
     module docstring).  The convolution sum_d C(2r-d, r-d) [t^d] E_i E_j is
     taken as sum_k s_ik T_k with T_k = sum_(l <= r-k) C(2r-k-l, r-k-l) s_jl,
-    so it needs r+1 products."""
-    r = frame.r
+    so it needs r+1 products.  Times w^r it is a polynomial: s_ik w^k is
+    one, and w^(r-k) T_k is summed by Horner in w, so the value is one
+    reduction over w^r."""
+    r, fld, u = frame.r, frame.field, frame.u
     prefs, signed = _eps_factors(frame)
-    s_i, s_j = signed[i], signed[j]
+    t_i = [_over_w(s, k) for k, s in enumerate(signed[i])]
+    t_j = [_over_w(s, k) for k, s in enumerate(signed[j])]
     weights = [_pairing_weight(r, d) for d in range(r + 1)]
-    total = RatFunc.zero(frame.field, frame.u)
+    w = Poly.monomial(fld, 1)
+    total = Poly.zero(fld)
     for k in range(r + 1):
-        t_k = RatFunc.zero(frame.field, frame.u)
+        t_k = Poly.zero(fld)
         for l in range(r + 1 - k):
-            t_k = t_k + s_j[l] * weights[k + l]
-        total = total + s_i[k] * t_k
-    return EquivScalar(frame.field, frame.u, -(2 * r + 1), prefs[i] * prefs[j] * total)
+            t_k = t_k * w + t_j[l] * weights[k + l]
+        total = total + t_i[k] * t_k
+    num = _over_w(prefs[i], 0) * _over_w(prefs[j], 0) * total
+    return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
 
 
 def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
@@ -320,14 +378,36 @@ def delta_product_closed_form(frame: CanonicalFrame) -> EquivScalar:
 
 
 def term_log_delta(frame: CanonicalFrame) -> RatFunc:
-    """dt-coefficient of d log(prod Delta_i); equals r (1 - 2(-1)^r G)."""
+    """dt-coefficient of d log(prod Delta_i); equals r (1 - 2(-1)^r G).
+
+    Delta_i is a constant times lam^(2r+1) w^r / L_i^(2r), so
+    delta log Delta_i = (r - 2r w/L_i)/(r+1), and sum_i w/L_i = w D'/D: the
+    sum is (r D - (2r/(r+1)) w D') / D, with no product of the Delta_i."""
     if "term_log_delta" not in frame.stages:
-        prod = EquivScalar.one(frame.field, frame.u)
-        for d in delta_i(frame):
-            prod = prod * d
-        f = prod.value
-        frame.stages["term_log_delta"] = f.delta() / f
+        r, fld = frame.r, frame.field
+        D = _linear_factors(frame)[1][-1]
+        num = D * r - Poly.monomial(fld, 1, Fraction(2 * r, r + 1)) * D.derivative()
+        frame.stages["term_log_delta"] = RatFunc(fld, frame.u, num, D)
     return frame.stages["term_log_delta"]
+
+
+def _spectrum_sum(frame: CanonicalFrame, xs) -> EquivScalar:
+    """sum_i x_i p_i for Laurent values x_i of one weight, over the known
+    denominator: p_i = lam w / L_i, so the sum is lam w sum_i x_i P_i / D with
+    P_i = prod_(l != i) L_l, the numerator of S^i_r(a) = P_i / w^r.  One
+    reduction, where a sum of rational functions reduces once per term."""
+    fld, u = frame.field, frame.u
+    weights = {x.weight for x in xs if not x.is_zero()}
+    if len(weights) > 1:
+        raise InhomogeneousError(f"adding weights {sorted(weights)} over the spectrum")
+    # each x_i is num_i / w^m_i (``_over_w`` rejects any other denominator),
+    # so with m the largest m_i each w x_i is a polynomial over w^m
+    m = max(x.value.den.degree for x in xs)
+    num = Poly.zero(fld)
+    for i, x in enumerate(xs):
+        num = num + _over_w(x.value, m + 1) * _sym_omitting(frame, i)[frame.r].num
+    value = RatFunc(fld, u, num, Poly.monomial(fld, m) * _linear_factors(frame)[1][-1])
+    return EquivScalar(fld, u, weights.pop() + 1 if weights else 0, value)
 
 
 def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
@@ -342,7 +422,7 @@ def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
     which has no housing here) and is excluded from the t-line restriction.
     """
     if "term_c_minus_one" not in frame.stages:
-        total = sum(frame.p, EquivScalar.zero(frame.field, frame.u))
+        total = _spectrum_sum(frame, [EquivScalar.one(frame.field, frame.u)] * frame.u)
         prefactor = frame.lam(-1, Fraction(frame.r + 1, 24))
         frame.stages["term_c_minus_one"] = (prefactor * total).nonequivariant_limit()
     return frame.stages["term_c_minus_one"]
@@ -674,9 +754,7 @@ def genus_one_form(r: int, signs: list[int] | None = None,
     t_log = term_log_delta(frame)
     t_c = term_c_minus_one(frame)
     _, diag = first_order(frame, signs, pair_flip)
-    third = EquivScalar.zero(frame.field, frame.u)
-    for i in range(r + 1):
-        third = third + diag[i] * frame.p[i]
+    third = _spectrum_sum(frame, diag)
     try:
         third_rf = third.nonequivariant_limit()
     except Exception as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -59,6 +58,9 @@ class Report:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=False) + "\n"
 
     def to_csv(self) -> str:
+        # imported here: only --format csv writes through it
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["anchor", "params", "status", "residual"])

@@ -96,14 +96,16 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     residuals = canonical.char_residuals(frame)
     rep.add("appendix/spectrum-char-residual", {"r": r},
             all(res.is_zero() for res in residuals))
-    es = canonical.charpoly_coefficients(frame)
-    ok = all(ek == canonical.charpoly_expected(frame, k)
-             for k, ek in enumerate(es, start=1))
-    g_ok = True
-    for k, ek in enumerate(es, start=1):
-        if ek.weight != k or canonical.as_g_polynomial(ek.value, r) is None:
-            g_ok = False
-    rep.add("appendix/charpoly-coefficients-in-g", {"r": r}, ok and g_ok)
+    bad = None
+    for k, ek in enumerate(canonical.charpoly_coefficients(frame), start=1):
+        # the closed form has weight k and is linear in G, so it is checked first
+        if ek != canonical.charpoly_expected(frame, k):
+            bad = f"first failing k = {k}: e_{k} is not the closed form"
+        elif ek.weight != k or canonical.as_g_polynomial(ek.value, r) is None:
+            bad = f"first failing k = {k}: e_{k} is not lam^{k} times a polynomial in G"
+        if bad:
+            break
+    rep.add("appendix/charpoly-coefficients-in-g", {"r": r}, bad is None, bad or "0")
     pair_ok = canonical.equiv_pairing(r, r, 0) == EquivScalar.lam_power(
         frame.field, frame.u, -(r + 1), 1) and canonical.equiv_pairing(r, r, 1).is_zero()
     rep.add("appendix/pairing-closed-form", {"r": r}, pair_ok)
@@ -129,11 +131,12 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     deltas = canonical.delta_i(frame)
     one = EquivScalar.one(frame.field, frame.u)
     prod = one
-    delta_ok = True
+    bad = None
     for i in range(r + 1):
-        delta_ok = delta_ok and (deltas[i] * norms[i] == one)
+        if bad is None and deltas[i] * norms[i] != one:
+            bad = f"first failing i = {i}: Delta_i times the norm is not 1"
         prod = prod * deltas[i]
-    rep.add("appendix/norm-inverse-product", {"r": r}, delta_ok)
+    rep.add("appendix/norm-inverse-product", {"r": r}, bad is None, bad or "0")
     rep.add("appendix/norm-product-closed-form", {"r": r},
             prod == canonical.delta_product_closed_form(frame))
     g = canonical.g_in_w(r)
@@ -162,20 +165,21 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep.add("appendix/diagonal-constant", {"r": r},
             xi_val == xi_want and canonical.xi_constant_pair_identity(r), str(xi_val))
     closed = canonical.r1_diagonal_closed_form(frame)
-    rep.add("appendix/first-order-diagonal", {"r": r},
-            all(diag[i] == closed[i] for i in range(r + 1)))
+    bad = next((f"first failing i = {i}: derived is not the closed form"
+                for i in range(r + 1) if diag[i] != closed[i]), None)
+    rep.add("appendix/first-order-diagonal", {"r": r}, bad is None, bad or "0")
     form, const = canonical.genus_one_form(r)
     expected = canonical.genus_one_expected(r)
     rep.add("appendix/genus-one-form", {"r": r}, form == expected,
             f"dropped constant {const}")
     rep.add("appendix/genus-one-dropped-constant", {"r": r},
             const == Fraction(-r * (r + 1), 48), str(const))
-    flipped, _ = canonical.genus_one_form(r, pair_flip=(0, min(1, r)))
     signs = [1] * (r + 1)
     signs[-1] = -1
-    flipped2, _ = canonical.genus_one_form(r, signs=signs)
-    rep.add("appendix/genus-one-branch-independence", {"r": r},
-            flipped == expected and flipped2 == expected)
+    branches = {"pair_flip": (0, min(1, r)), "signs": signs}
+    bad = next((f"first failing branch: {name} = {value}" for name, value in branches.items()
+                if canonical.genus_one_form(r, **{name: value})[0] != expected), None)
+    rep.add("appendix/genus-one-branch-independence", {"r": r}, bad is None, bad or "0")
     if rmatrix_order >= 1:
         try:
             mats, info = canonical.r_matrix_recursion(r, rmatrix_order)
@@ -203,9 +207,10 @@ def genus_one_table_suite(r: int, dmax: int) -> Report:
     rep = Report(suite="genus1-table")
     t0 = time.perf_counter()
     table = canonical.genus_one_table(r, dmax)
-    ok = all(table[d - 1] == Fraction((-1) ** (d * (r + 1)) * (r + 1), 24 * d)
-             for d in range(1, dmax + 1))
-    rep.add("appendix/genus-one-table", {"r": r, "dmax": dmax}, ok)
+    wants = [Fraction((-1) ** (d * (r + 1)) * (r + 1), 24 * d) for d in range(1, dmax + 1)]
+    bad = next((f"first failing d = {d}: got {got}, want {want}"
+                for d, (got, want) in enumerate(zip(table, wants), start=1) if got != want), None)
+    rep.add("appendix/genus-one-table", {"r": r, "dmax": dmax}, bad is None, bad or "0")
     rep.seconds = time.perf_counter() - t0
     return rep
 

@@ -8,7 +8,15 @@ import pytest
 
 from qcflop import canonical as can
 from qcflop import cli
-from qcflop.algebra import CycField, EquivScalar, RatFunc, elementary_symmetric_omitting
+from qcflop.algebra import (
+    CycField,
+    EquivScalar,
+    InhomogeneousError,
+    Poly,
+    RatFunc,
+    elementary_symmetric,
+    elementary_symmetric_omitting,
+)
 
 RS = (1, 2, 3)
 
@@ -779,3 +787,197 @@ def test_control_first_order_entry_of_the_wrong_weight(capsys, monkeypatch):
     assert entry["status"] == "fail"
     assert entry["residual"] == "first failing (i, j) = (0, 1): the entry is not of weight lam^-1"
     assert entries["appendix/connection-form"]["status"] == "pass"
+
+
+# --- the known-factor stages against the plain RatFunc derivations ---------------
+
+
+def plain_charpoly_coefficients(frame):
+    """e_1..e_(r+1) of the spectrum roots, every product and sum reduced."""
+    one = EquivScalar.one(frame.field, frame.u)
+    return elementary_symmetric(frame.p, one)[1:]
+
+
+def plain_term_log_delta(frame):
+    """delta f / f for the product f of the Delta_i."""
+    prod = EquivScalar.one(frame.field, frame.u)
+    for d in can.delta_i(frame):
+        prod = prod * d
+    f = prod.value
+    return f.delta() / f
+
+
+def plain_du_of_eps(frame, i, j):
+    """pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, the Horner sum in rational functions."""
+    prefs, signed = can._eps_factors(frame)
+    a_j = frame.a[j]
+    acc = signed[i][0]
+    for s in signed[i][1:]:
+        acc = acc * a_j + s
+    return EquivScalar(frame.field, frame.u, 0, prefs[i] * acc / a_j ** frame.r)
+
+
+def plain_eps_pairing(frame, i, j):
+    """pref_i pref_j lam^-(2r+1) sum_k s_ik T_k, the convolution in rational functions."""
+    r = frame.r
+    prefs, signed = can._eps_factors(frame)
+    total = RatFunc.zero(frame.field, frame.u)
+    for k in range(r + 1):
+        t_k = RatFunc.zero(frame.field, frame.u)
+        for l in range(r + 1 - k):
+            t_k = t_k + signed[j][l] * comb(2 * r - k - l, r - k - l)
+        total = total + signed[i][k] * t_k
+    return EquivScalar(frame.field, frame.u, -(2 * r + 1), prefs[i] * prefs[j] * total)
+
+
+def plain_spectrum_sum(frame, xs):
+    """sum_i x_i p_i, one reduced sum per term."""
+    out = EquivScalar.zero(frame.field, frame.u)
+    for x, p in zip(xs, frame.p):
+        out = out + x * p
+    return out
+
+
+def plain_term_c_minus_one(frame):
+    total = sum(frame.p, EquivScalar.zero(frame.field, frame.u))
+    return (frame.lam(-1, Fraction(frame.r + 1, 24)) * total).nonequivariant_limit()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_known_factor_stages_match_the_plain_derivations(r):
+    frame = can.build_spectrum(r)
+    assert can.charpoly_coefficients(frame) == plain_charpoly_coefficients(frame)
+    assert can.term_log_delta(frame) == plain_term_log_delta(frame)
+    assert can.term_c_minus_one(frame) == plain_term_c_minus_one(frame)
+    for i in range(r + 1):
+        for j in range(r + 1):
+            assert can.du_of_eps(frame, i, j) == plain_du_of_eps(frame, i, j)
+            assert can.eps_pairing(frame, i, j) == plain_eps_pairing(frame, i, j)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_spectrum_sum_of_the_r1_diagonal_matches_the_plain_sum(r):
+    frame = can.frame_for(r)
+    for branch in branches(r):
+        _, diag = can.first_order(frame, **branch)
+        got = can._spectrum_sum(frame, diag)
+        assert got.weight == 0
+        assert got == plain_spectrum_sum(frame, diag)
+
+
+def test_the_factors_and_the_spectrum_sum_reject_other_shapes():
+    frame = can.build_spectrum(2)
+    one, lam = EquivScalar.one(frame.field, frame.u), frame.lam()
+    with pytest.raises(InhomogeneousError):
+        can._spectrum_sum(frame, [one, lam, one])
+    # a value off the powers of w has no place over the known denominator
+    with pytest.raises(ValueError, match="is not a polynomial"):
+        can._spectrum_sum(frame, [EquivScalar.from_ratfunc(frame.a[0].inverse())] * 3)
+    bent = can.build_spectrum(2)
+    bent.p[1] = bent.p[1] * bent.p[1]
+    with pytest.raises(ValueError, match="spectrum root 1 is not"):
+        can.charpoly_coefficients(bent)
+
+
+# --- negative controls of the known-factor anchors ---------------------------------
+
+
+def install_stage(monkeypatch, name, change):
+    """A fresh r = 2 frame whose stage ``name`` is changed before any use."""
+    frame = can.build_spectrum(2)
+    build = {"linear_factors": can._linear_factors, "delta_i": can.delta_i}[name]
+    frame.stages[name] = change(frame, build(frame))
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+
+
+def change_symmetric(m, change):
+    """A change of the linear-factor stage that replaces e_m(L) by change(frame, e_m(L))."""
+    def apply(frame, stage):
+        factors, es = stage
+        es = list(es)
+        es[m] = change(frame, es[m])
+        return factors, tuple(es)
+    return lambda monkeypatch: install_stage(monkeypatch, "linear_factors", apply)
+
+
+def w_poly(frame):
+    return Poly.monomial(frame.field, 1)
+
+
+def one_pairing_weight(monkeypatch):
+    # C(2r-d, r-d) at d = r is 1; make it 2
+    weight = can._pairing_weight
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_pairing_weight", lambda r, d: weight(r, d) + (d == r))
+
+
+def one_negated_delta(monkeypatch):
+    def negate(frame, deltas):
+        return tuple(-d if i == 1 else d for i, d in enumerate(deltas))
+    install_stage(monkeypatch, "delta_i", negate)
+
+
+# anchor -> (perturbation of one input, the failing residual or None, an anchor
+# that must still pass); every perturbation keeps the values functions of q,
+# so the whole suite still runs
+KNOWN_FACTOR_CONTROLS = {
+    # e_1(L) = 3w gains a w, so e_2(p) = lam^2 w^2 e_1(L) / D is 4/3 of itself
+    "appendix/charpoly-coefficients-in-g": (
+        change_symmetric(1, lambda frame, e: e + w_poly(frame)),
+        "first failing k = 2: e_2 is not the closed form", "appendix/log-norm-term"),
+    # D = w^3 + 1 becomes w^3 + 2, which changes its log-derivative
+    "appendix/log-norm-term": (
+        change_symmetric(3, lambda frame, e: e + Poly.one(frame.field)), None, "appendix/idempotent-duality"),
+    # D doubled leaves w D'/D alone but halves every sum over the spectrum
+    "appendix/chern-localization-term": (
+        change_symmetric(3, lambda frame, e: e * 2), None, "appendix/log-norm-term"),
+    "appendix/genus-one-form": (
+        change_symmetric(3, lambda frame, e: e * 2), None, "appendix/log-norm-term"),
+    "appendix/norm-inverse-product": (
+        one_pairing_weight, "first failing i = 0: Delta_i times the norm is not 1",
+        "appendix/norm-product-closed-form"),
+    # term_log_delta no longer reads the Delta_i, so its anchor still passes
+    "appendix/norm-product-closed-form": (one_negated_delta, None, "appendix/log-norm-term"),
+}
+
+
+def test_known_factor_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 0
+    for anchor in KNOWN_FACTOR_CONTROLS:
+        assert entries[anchor]["status"] == "pass"
+        if anchor != "appendix/genus-one-form":  # that one notes the dropped constant
+            assert entries[anchor]["residual"] == "0"
+
+
+@pytest.mark.parametrize("anchor", sorted(KNOWN_FACTOR_CONTROLS))
+def test_control_known_factor_anchor(capsys, monkeypatch, anchor):
+    perturb, residual, sibling = KNOWN_FACTOR_CONTROLS[anchor]
+    perturb(monkeypatch)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    assert entries[anchor]["status"] == "fail"
+    if residual is not None:
+        assert entries[anchor]["residual"] == residual
+    assert entries[sibling]["status"] == "pass"
+
+
+def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch):
+    # the anchors that read R1's diagonal or the genus-one form name where
+    # they first fail, under the wrong wrap sign of the fill
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    monkeypatch.setattr(can, "_WRAP_SIGN", 1)
+    code, entries = verify_appendix_r3_json(capsys)
+    assert code == 1
+    want = {
+        "appendix/first-order-diagonal": "first failing i = 0: derived is not the closed form",
+        "appendix/genus-one-branch-independence": "first failing branch: pair_flip = (0, 1)",
+        "appendix/genus-one-table": "first failing d = 1: got 17/12, want 1/6",
+    }
+    for anchor, residual in want.items():
+        entry = entries[anchor, None]
+        assert entry["status"] == "fail" and entry["residual"] == residual

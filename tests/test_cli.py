@@ -11,11 +11,12 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from qcflop import batyrev, cli
+from qcflop import batyrev, canonical, cli
 from qcflop.config import ConfigError, load_config, parse_r_range, parse_sample
 from qcflop.report import Report
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="utf-8"))
 
 
@@ -252,12 +253,35 @@ def test_seconds_is_wall_time_and_cell_seconds_sums_cells(monkeypatch, capsys):
     assert payload["seconds"] < 13.0
 
 
-def test_import_cli_loads_no_process_pool():
+def _modules_after_import_cli(prefixes: tuple[str, ...]) -> str:
+    """The sorted modules starting with ``prefixes`` that a fresh interpreter
+    holds after ``import qcflop.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     probe = ("import sys, qcflop.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith(('concurrent.futures', 'multiprocessing'))))")
+             f"if m.startswith({prefixes!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_cli_loads_no_process_pool():
+    assert _modules_after_import_cli(("concurrent.futures", "multiprocessing")) == "[]"
+
+
+def test_import_cli_loads_no_csv_writer(capsys):
+    assert _modules_after_import_cli(("csv", "_csv")) == "[]"
+    code, out, _ = run_cli(["verify", "cohomology", "--r", "1", "--format", "csv"], capsys)
+    assert code == 0 and out.splitlines()[0] == "anchor,params,status,residual"
+
+
+@pytest.mark.parametrize("fmt, recorded", [("text", "dump_dG_r1-7.txt"),
+                                           ("json", "dump_dG_r1-7.json")])
+def test_dump_dg_is_byte_identical_to_the_recorded_output(capsys, monkeypatch, fmt, recorded):
+    # derived afresh, not read from what another test left in the caches
+    monkeypatch.setattr(canonical, "_FRAMES", {})
+    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
+    code, out, _ = run_cli(["dump", "dG", "--r", "1..7", "--format", fmt], capsys)
+    assert code == 0
+    assert out == (DATA / recorded).read_text(encoding="utf-8")
