@@ -31,7 +31,7 @@ RS = [4, 5, 6, 7, 8]
 
 def ready_frame(r: int) -> canonical.CanonicalFrame:
     frame = canonical.frame_for(r)
-    canonical.canonical_basis(frame)
+    canonical.du_of_eps(frame, 0, 0)  # builds the factors of the basis
     canonical.connection_form(frame)
     return frame
 

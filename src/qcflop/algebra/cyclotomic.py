@@ -437,8 +437,21 @@ def elementary_symmetric(values: Sequence, ring_one):
     return es
 
 
-def elementary_symmetric_omitting(values: Sequence, omit: int, ring_one):
-    """e_0..e_(n-1) of the n values with the one at index ``omit`` left out."""
+def elementary_symmetric_omitting(values: Sequence, omit: int, ring_one,
+                                  es: Sequence | None = None):
+    """e_0..e_(n-1) of the n values with the one at index ``omit`` left out.
+
+    They are the e_0..e_n of all the values (``es``, formed here when not
+    given) divided by 1 + v t for the omitted v, so
+    e_k(omitting v) = e_k - v e_(k-1)(omitting v), an exact division over any
+    commutative ring.
+    """
     if not 0 <= omit < len(values):
         raise IndexError(f"omit index {omit} out of range")
-    return elementary_symmetric(values[:omit] + values[omit + 1:], ring_one)
+    if es is None:
+        es = elementary_symmetric(values, ring_one)
+    v = values[omit]
+    out = [es[0]]
+    for e_k in es[1:-1]:
+        out.append(e_k - v * out[-1])
+    return out

@@ -187,25 +187,6 @@ class QuantumRing:
             out.append(acc)
         return out
 
-    def reduce(self, raw: dict[tuple[int, int], Fraction]) -> dict:
-        """Reduce a raw polynomial in (h, x) to the monomial basis.
-
-        Raw keys are (h-exponent, x-exponent) with Fraction coefficients.
-        """
-        engine = self.engine
-        total: Vec = {}
-        for (A, B), c in raw.items():
-            vec: Vec = {(0, 0): engine.one * c}
-            for _ in range(B):
-                vec = engine.mult_xi(vec)
-            for _ in range(A):
-                vec = engine.mult_h(vec)
-            for key, v in vec.items():
-                _vec_add(total, key, v)
-        coords = self._y_to_xi(total)
-        return {self.basis[k]: coords[k] for k in range(len(coords))
-                if not coords[k].is_zero()}
-
     def mult_matrix(self, which: str) -> list[dict]:
         """Matrix of multiplication by h or x on the monomial basis, as the
         rows {column: nonzero entry}; column k is the image of basis
@@ -252,11 +233,20 @@ def ring_at_point(r: int, q1: CycNumber, q2: CycNumber) -> QuantumRing:
     return QuantumRing(r, q1, q2, GAUSS.one)
 
 
-def matrices_commute_at(r: int, q1: CycNumber, q2: CycNumber) -> bool:
-    """Exact commutator check of the two multiplication matrices at a point."""
-    ring = ring_at_point(r, q1, q2)
-    H = ring.mult_matrix("h")
-    X = ring.mult_matrix("xi")
+def multiplication_matrices(r: int, q1: tuple[Fraction, Fraction],
+                            q2: tuple[Fraction, Fraction]) -> tuple[list[dict], list[dict]]:
+    """The exact matrices of multiplication by h and by x, as sparse rows, at
+    the sample point q1 = re + i im (q2 likewise), which must be small and
+    nonzero in both variables (a ``ConfigError`` otherwise, a ValueError)."""
+    for name, (re, im) in (("q1", q1), ("q2", q2)):
+        check_sample_point(name, Fraction(re), Fraction(im))
+    ring = ring_at_point(r, gauss(Fraction(q1[0]), Fraction(q1[1])),
+                         gauss(Fraction(q2[0]), Fraction(q2[1])))
+    return ring.mult_matrix("h"), ring.mult_matrix("xi")
+
+
+def matrices_commute_at(H: list[dict], X: list[dict]) -> bool:
+    """Exact commutator check of the multiplication matrices of one point."""
     for i in range(len(H)):
         # row i of HX - XH, summed over the nonzero entries only
         acc: Vec = {}
@@ -477,25 +467,21 @@ def _multiset_match(a: list[complex], b: list[complex]) -> float:
 
 def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
                                q2: tuple[Fraction, Fraction],
+                               matrices: tuple[list[dict], list[dict]],
                                gap_tol: float = 1e-6,
                                match_tol: float = 1e-9) -> dict:
     """Certify pairwise-distinct eigenvalues and formula-vs-matrix agreement.
 
-    The sample point must be small and nonzero in both variables (a
-    ``ConfigError`` otherwise, a ValueError).  Raises SemisimplicityError
-    when the gap or matching tolerance fails; also checks that the
-    eigenvector frame of h* diagonalizes x* (simultaneous
-    diagonalizability, with no branch pairing asserted).
+    ``matrices`` are the exact (h*, x*) of ``multiplication_matrices`` at
+    this sample point.  Raises SemisimplicityError when the gap or matching
+    tolerance fails; also checks that the eigenvector frame of h*
+    diagonalizes x* (simultaneous diagonalizability, with no branch pairing
+    asserted).
     """
     q1c = complex(Fraction(q1[0]), Fraction(q1[1]))
     q2c = complex(Fraction(q2[0]), Fraction(q2[1]))
-    for name, (re, im) in (("q1", q1), ("q2", q2)):
-        check_sample_point(name, Fraction(re), Fraction(im))
-    exact_q1 = gauss(Fraction(q1[0]), Fraction(q1[1]))
-    exact_q2 = gauss(Fraction(q2[0]), Fraction(q2[1]))
-    ring = ring_at_point(r, exact_q1, exact_q2)
-    H = _matrix_to_complex(ring.mult_matrix("h"))
-    X = _matrix_to_complex(ring.mult_matrix("xi"))
+    H = _matrix_to_complex(matrices[0])
+    X = _matrix_to_complex(matrices[1])
     formula = eigenvalues_numeric(r, q1c, q2c)
     gaps = [abs(a - b) for idx, a in enumerate(formula) for b in formula[idx + 1:]]
     min_gap = min(gaps)

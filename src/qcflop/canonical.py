@@ -9,8 +9,10 @@ Conventions:
 
 - xi is the primitive (r+1)-st root of unity, zeta the primitive 2(r+1)-st
   root with zeta^2 = xi.
-- c_i = (-1)^r xi^i w^(-1), a_i = 1 + c_i, and the quantum spectrum roots are
-  p_i = lam / a_i, which solve q (lam - p)^(r+1) = p^(r+1) identically.
+- c_i = (-1)^r xi^i w^(-1), a_i = 1 + c_i and the quantum spectrum roots
+  p_i = lam / a_i, which solve q (lam - p)^(r+1) = p^(r+1) identically, are
+  built from the linear factors L_i = w + (-1)^r xi^i, the frame's one
+  source: a_i = L_i/w and p_i = lam w/L_i, reduced as written.
 - The normalized frame enters only through the factorization Psi = D M with
   M_{i,mu} = p_i^(mu - r) and diag(D)^2 = q c_i / ((r+1) lam); the square
   roots themselves are never materialized, only the ratios
@@ -32,43 +34,38 @@ rule holds for the default branch only, so nothing is filled on another
 branch.
 
 Known factors.  Every denominator the frame builds splits over w and the
-linear factors L_i = w + (-1)^r xi^i, with a_i = L_i/w and p_i = lam w/L_i;
-their product is D = w^(r+1) + (-1)^r.  So the symmetric functions of the
-spectrum, the idempotent checks and the sums over the spectrum are formed as
-polynomial sums and products over a denominator known in advance (a power of
-w, a power of one L_j, or w^m D), and each result is reduced once, instead of
-reducing every partial sum through a gcd.  ``_linear_factors`` reads the L_i
-off the p_i and forms the e_m(L); ``charpoly_coefficients`` is
-e_k(p) = lam^k w^k e_(r+1-k)(L)/D, ``term_log_delta`` is
-(r D - (2r/(r+1)) w D')/D, and ``_spectrum_sum`` gives sum_i x_i p_i as
-lam w sum_i x_i prod_(l != i) L_l / D for ``term_c_minus_one`` and the R1
-term of ``genus_one_form``.
+L_i, whose product is D = w^(r+1) + (-1)^r, so each quantity of the spectrum
+is a polynomial in w or one over a denominator known in advance (a power of
+w, of one L_j or of L_i L_j, or w^m D), written down reduced or reduced once
+instead of through a gcd per partial sum.  ``_linear_factors`` forms the
+e_m(L) and ``_sym_omitting`` the E^i_k = e_k(L_l : l != i) = w^k S^i_k(a);
+``charpoly_coefficients``, ``term_log_delta``, ``delta_i``,
+``_p_differences``, ``m_inverse`` and ``_spectrum_sum`` are built from them.
 
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
 s_ik = (-1)^k S^i_k(a), the signed elementary symmetric functions of the a_l
-with l != i; s_ik w^k is a polynomial too.  Since the pairing of p^k with p^l
-is C(2r-d, r-d) lam^-(2r+1-d) for d = k + l <= r, every term of the pairing
-of eps_i with eps_j has weight lam^-(2r+1), and ``eps_pairing`` is
-pref_i pref_j lam^-(2r+1) sum_d C(2r-d, r-d) [t^d] E_i(t) E_j(t) with
-E_i(t) = sum_k s_ik t^k, one convolution of polynomials over w^r.  Likewise
-``du_of_eps`` is pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, free of the weight: a
-Horner sum of polynomials over L_j^r.  ``canonical_basis`` expands the same
-factors into the coefficient arrays.
+with l != i, held as the polynomials s_ik w^k = (-1)^k E^i_k.  Since the
+pairing of p^k with p^l is C(2r-d, r-d) lam^-(2r+1-d) for d = k + l <= r,
+every term of the pairing of eps_i with eps_j has weight lam^-(2r+1), and
+``eps_pairing`` is pref_i pref_j lam^-(2r+1) sum_d C(2r-d, r-d) [t^d]
+E_i(t) E_j(t) with E_i(t) = sum_k s_ik t^k, one convolution of polynomials
+over w^r.  Likewise ``du_of_eps`` is pref_i (sum_k s_ik a_j^(r-k)) / a_j^r,
+free of the weight: a Horner sum of polynomials over L_j^r.
 
 Caching (per process, never shared between processes or switched off):
 
 - ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
   a fresh, uncached one.
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
-  branch signs, each computed at most once per frame: the linear factors
-  L_i with their symmetric functions e_m(L), ``delta_i``,
+  branch signs, each computed at most once per frame: the symmetric
+  functions e_m(L) of the linear factors, ``delta_i``,
   ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
   ``connection_form``, R1 off the diagonal on the default branch, the
-  differences p_i - p_j, the symmetric functions of the a_l shared by the
-  idempotent basis and ``m_inverse``, and the basis factors
-  (``eps_factors``: the pref_i and the s_ik) read by ``canonical_basis``,
-  ``du_of_eps`` and ``eps_pairing``.
+  differences p_i - p_j, the E^i_k shared by the idempotent basis,
+  ``m_inverse`` and ``_spectrum_sum``, and the basis factors
+  (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
+  ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
   other branch is gauged from it on each call and not kept.
@@ -114,6 +111,7 @@ class CanonicalFrame:
     field: CycField
     zeta: CycNumber
     xi: CycNumber
+    L: list[Poly]
     c: list[RatFunc]
     a: list[RatFunc]
     p: list[EquivScalar]
@@ -134,7 +132,9 @@ class CanonicalFrame:
 
 
 def build_spectrum(r: int) -> CanonicalFrame:
-    """Spectrum roots p_i = lam/a_i with a_i = 1 + (-1)^r xi^i w^(-1)."""
+    """The linear factors L_i = w + (-1)^r xi^i and, from them, c_i = L_i(0)/w,
+    a_i = L_i/w and the spectrum roots p_i = lam w/L_i, each reduced as
+    written: L_i is monic and L_i(0) is not zero."""
     if r < 1:
         raise ValueError("r must be at least 1")
     fld = CycField(2 * (r + 1))
@@ -142,10 +142,12 @@ def build_spectrum(r: int) -> CanonicalFrame:
     xi = zeta * zeta
     u = r + 1
     sign = Fraction((-1) ** r)
-    c = [RatFunc.monomial(fld, u, -1, xi**i * sign) for i in range(r + 1)]
-    a = [RatFunc.one(fld, u) + ci for ci in c]
-    p = [EquivScalar(fld, u, 1, ai.inverse()) for ai in a]
-    return CanonicalFrame(r=r, field=fld, zeta=zeta, xi=xi, c=c, a=a, p=p)
+    w = Poly.monomial(fld, 1)
+    L = [Poly(fld, [xi**i * sign, 1]) for i in range(u)]
+    c = [RatFunc(fld, u, Poly(fld, [L_i.constant()]), w, reduce=False) for L_i in L]
+    a = [RatFunc(fld, u, L_i, w, reduce=False) for L_i in L]
+    p = [EquivScalar(fld, u, 1, RatFunc(fld, u, w, L_i, reduce=False)) for L_i in L]
+    return CanonicalFrame(r=r, field=fld, zeta=zeta, xi=xi, L=L, c=c, a=a, p=p)
 
 
 _FRAMES: dict[int, CanonicalFrame] = {}
@@ -181,10 +183,14 @@ def as_g_polynomial(f: RatFunc, r: int) -> Poly | None:
     """Write a rational function of q as a polynomial in G, if possible.
 
     Substitutes the inverse relation q = G/(1 + (-1)^(r+1) G); a polynomial
-    fit exists exactly when the substituted denominator is constant, and
-    then it is 1, since a reduced denominator is monic.
+    fit exists exactly when f is a function of q and the substituted
+    denominator is constant, and then it is 1, since a reduced denominator is
+    monic.
     """
-    fq = f.as_q_function() if f.root_order != 1 else f
+    try:
+        fq = f.as_q_function()
+    except ValueError:  # a function of w that is not one of q
+        return None
     fld = f.field
     g = RatFunc.monomial(fld, 1, 1)
     q_of_g = g / (RatFunc.one(fld, 1) + g * Fraction((-1) ** (r + 1)))
@@ -192,32 +198,14 @@ def as_g_polynomial(f: RatFunc, r: int) -> Poly | None:
     return composed.num if composed.den.degree == 0 else None
 
 
-def _linear_factors(frame: CanonicalFrame) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """The linear factors L_i = w + (-1)^r xi^i of the spectrum, p_i = lam w / L_i,
-    and their elementary symmetric functions e_0(L), ..., e_(r+1)(L), built
-    once per frame from polynomial products and sums.  The last is
-    D = prod_i L_i = w^(r+1) + (-1)^r, the one denominator of a sum over the
-    spectrum."""
+def _linear_factors(frame: CanonicalFrame) -> tuple[Poly, ...]:
+    """The elementary symmetric functions e_0(L), ..., e_(r+1)(L) of the
+    linear factors, built once per frame from polynomial products and sums.
+    The last is D = prod_i L_i = w^(r+1) + (-1)^r, the one denominator of a
+    sum over the spectrum."""
     if "linear_factors" not in frame.stages:
-        w = Poly.monomial(frame.field, 1)
-        factors = []
-        for i, p_i in enumerate(frame.p):
-            # the reduced value w / L_i of p_i / lam holds L_i as its denominator
-            if p_i.weight != 1 or p_i.value.num != w or p_i.value.den.degree != 1:
-                raise ValueError(f"spectrum root {i} is not lam w / (w + c)")
-            factors.append(p_i.value.den)
-        es = elementary_symmetric(factors, Poly.one(frame.field))
-        frame.stages["linear_factors"] = (tuple(factors), tuple(es))
+        frame.stages["linear_factors"] = tuple(elementary_symmetric(frame.L, Poly.one(frame.field)))
     return frame.stages["linear_factors"]
-
-
-def _over_w(f: RatFunc, n: int) -> Poly:
-    """The polynomial f w^n, for f = num / w^m with m <= n; a reduced
-    denominator is monic, so a monomial one is w^m."""
-    m = f.den.degree
-    if m > n or not f.den.is_monomial():
-        raise ValueError(f"{f} times w^{n} is not a polynomial")
-    return f.num * Poly.monomial(f.field, n - m) if n > m else f.num
 
 
 def charpoly_coefficients(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -225,7 +213,7 @@ def charpoly_coefficients(frame: CanonicalFrame) -> list[EquivScalar]:
     with p_i = lam w / L_i, e_k(p) = lam^k w^k e_(r+1-k)(L) / D, from the
     products of the spectrum's own factors."""
     fld, u = frame.field, frame.u
-    es = _linear_factors(frame)[1]
+    es = _linear_factors(frame)
     return [EquivScalar(fld, u, k, RatFunc(fld, u, Poly.monomial(fld, k) * es[u - k], es[u]))
             for k in range(1, u + 1)]
 
@@ -271,58 +259,44 @@ def lemma_zero_value(r: int, k: int) -> EquivScalar:
     return out
 
 
-def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[RatFunc, ...]:
-    """Elementary symmetric functions S^omit_k(a) of the a_l with l != omit,
-    shared by the idempotent basis and M^-1 and computed once per frame: at
-    omit = 0, then S^i_k(a) = sigma^i(S^0_k(a)), as sigma sends a_l to a_(l+1)."""
+def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[Poly, ...]:
+    """The polynomials E^omit_k = e_k(L_l : l != omit) = w^k S^omit_k(a),
+    k = 0..r, shared by the idempotent basis, M^-1 and ``_spectrum_sum`` and
+    computed once per frame by dividing the e_m(L) by 1 + L_omit t."""
     if "sym_omitting" not in frame.stages:
-        one = RatFunc.one(frame.field, frame.u)
-        first = tuple(elementary_symmetric_omitting(frame.a, 0, one))
-        frame.stages["sym_omitting"] = (first,) + tuple(
-            tuple(s.rotate(i) for s in first) for i in range(1, frame.u))
+        one, es = Poly.one(frame.field), _linear_factors(frame)
+        frame.stages["sym_omitting"] = tuple(
+            tuple(elementary_symmetric_omitting(frame.L, i, one, es)) for i in range(frame.u))
     return frame.stages["sym_omitting"][omit]
 
 
-def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[RatFunc, ...], tuple[tuple[RatFunc, ...], ...]]:
-    """The idempotent basis in factored form, computed once per frame:
-    eps_i = pref_i sum_k s_ik (p/lam)^k with pref_i = q c_i a_i^r/(r+1) and
-    the signed symmetric functions s_ik = (-1)^k S^i_k(a).  The prefactor is
-    the polynomial (-1)^r xi^i L_i^r/(r+1), and (-1)^r xi^i = L_i(0)."""
+def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[Poly, ...], tuple[tuple[Poly, ...], ...]]:
+    """The idempotent basis in factored form, as polynomials, computed once
+    per frame: eps_i = pref_i sum_k s_ik (p/lam)^k with the prefactor
+    pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), where
+    (-1)^r xi^i = L_i(0), and the signed symmetric functions
+    s_ik = (-1)^k S^i_k(a), held as s_ik w^k = (-1)^k E^i_k."""
     if "eps_factors" not in frame.stages:
         r = frame.r
-        one = Poly.one(frame.field)
-        prefs = tuple(RatFunc(frame.field, frame.u, L ** r * (L.constant() * Fraction(1, r + 1)),
-                              one, reduce=False) for L in _linear_factors(frame)[0])
+        prefs = tuple(L ** r * (L.constant() * Fraction(1, r + 1)) for L in frame.L)
         signed = tuple(tuple(s if k % 2 == 0 else -s for k, s in enumerate(_sym_omitting(frame, i)))
                        for i in range(r + 1))
         frame.stages["eps_factors"] = (prefs, signed)
     return frame.stages["eps_factors"]
 
 
-def canonical_basis(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    """Coefficient arrays of the idempotent basis on 1, p, ..., p^r.
-
-    eps_i = (q c_i/(r+1)) a_i^r prod_{l != i} (1 - a_l p/lam), expanded from
-    the factors of ``_eps_factors``.
-    """
-    prefs, signed = _eps_factors(frame)
-    fld, u = frame.field, frame.u
-    return [[EquivScalar(fld, u, -k, pref * s) for k, s in enumerate(row)]
-            for pref, row in zip(prefs, signed)]
-
-
 def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     """du_j applied to eps_i: p -> p_j = lam/a_j cancels the weights, leaving
-    pref_i (sum_k s_ik a_j^(r-k)) / a_j^r.  With a_j = L_j/w and s_ik w^k a
-    polynomial, w^r times the sum is sum_k (s_ik w^k) L_j^(r-k), summed by
-    Horner in polynomials, so the value is one reduction over L_j^r."""
+    pref_i (sum_k s_ik a_j^(r-k)) / a_j^r.  With a_j = L_j/w, w^r times the
+    sum is sum_k (s_ik w^k) L_j^(r-k), summed by Horner in polynomials, so
+    the value is one reduction over L_j^r."""
     fld, u = frame.field, frame.u
     prefs, signed = _eps_factors(frame)
-    L_j = _linear_factors(frame)[0][j]
+    L_j = frame.L[j]
     acc = Poly.zero(fld)
-    for k, s in enumerate(signed[i]):
-        acc = acc * L_j + _over_w(s, k)
-    return EquivScalar(fld, u, 0, RatFunc(fld, u, _over_w(prefs[i], 0) * acc, L_j ** frame.r))
+    for s in signed[i]:
+        acc = acc * L_j + s
+    return EquivScalar(fld, u, 0, RatFunc(fld, u, prefs[i] * acc, L_j ** frame.r))
 
 
 def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
@@ -334,8 +308,7 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     reduction over w^r."""
     r, fld, u = frame.r, frame.field, frame.u
     prefs, signed = _eps_factors(frame)
-    t_i = [_over_w(s, k) for k, s in enumerate(signed[i])]
-    t_j = [_over_w(s, k) for k, s in enumerate(signed[j])]
+    t_i, t_j = signed[i], signed[j]
     weights = [_pairing_weight(r, d) for d in range(r + 1)]
     w = Poly.monomial(fld, 1)
     total = Poly.zero(fld)
@@ -344,7 +317,7 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
         for l in range(r + 1 - k):
             t_k = t_k * w + t_j[l] * weights[k + l]
         total = total + t_i[k] * t_k
-    num = _over_w(prefs[i], 0) * _over_w(prefs[j], 0) * total
+    num = prefs[i] * prefs[j] * total
     return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
 
 
@@ -356,13 +329,15 @@ def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
 
 
 def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
-    """Norm-square inverses Delta_i = (r+1) lam q^(-1) c_i^(-1) p_i^(2r)."""
+    """Norm-square inverses Delta_i = (r+1) lam q^(-1) c_i^(-1) p_i^(2r), that
+    is (r+1) (-1)^r xi^(-i) lam^(2r+1) w^r / L_i^(2r), reduced as written."""
     if "delta_i" not in frame.stages:
-        r = frame.r
-        qinv = frame.q().inverse()
+        r, fld, u = frame.r, frame.field, frame.u
+        coeff = Fraction((r + 1) * (-1) ** r)
+        nums = [Poly.monomial(fld, r, frame.xi ** (u - i) * coeff) for i in range(u)]
         frame.stages["delta_i"] = tuple(
-            EquivScalar(frame.field, frame.u, 1, qinv * frame.c[i].inverse() * Fraction(r + 1))
-            * frame.p[i] ** (2 * r) for i in range(r + 1))
+            EquivScalar(fld, u, 2 * r + 1, RatFunc(fld, u, num, L ** (2 * r), reduce=False))
+            for num, L in zip(nums, frame.L))
     return list(frame.stages["delta_i"])
 
 
@@ -385,7 +360,7 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
     sum is (r D - (2r/(r+1)) w D') / D, with no product of the Delta_i."""
     if "term_log_delta" not in frame.stages:
         r, fld = frame.r, frame.field
-        D = _linear_factors(frame)[1][-1]
+        D = _linear_factors(frame)[-1]
         num = D * r - Poly.monomial(fld, 1, Fraction(2 * r, r + 1)) * D.derivative()
         frame.stages["term_log_delta"] = RatFunc(fld, frame.u, num, D)
     return frame.stages["term_log_delta"]
@@ -393,20 +368,23 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
 
 def _spectrum_sum(frame: CanonicalFrame, xs) -> EquivScalar:
     """sum_i x_i p_i for Laurent values x_i of one weight, over the known
-    denominator: p_i = lam w / L_i, so the sum is lam w sum_i x_i P_i / D with
-    P_i = prod_(l != i) L_l, the numerator of S^i_r(a) = P_i / w^r.  One
-    reduction, where a sum of rational functions reduces once per term."""
+    denominator: p_i = lam w / L_i, so the sum is lam w sum_i x_i E^i_r / D
+    with E^i_r = prod_(l != i) L_l.  One reduction, where a sum of rational
+    functions reduces once per term."""
     fld, u = frame.field, frame.u
     weights = {x.weight for x in xs if not x.is_zero()}
     if len(weights) > 1:
         raise InhomogeneousError(f"adding weights {sorted(weights)} over the spectrum")
-    # each x_i is num_i / w^m_i (``_over_w`` rejects any other denominator),
-    # so with m the largest m_i each w x_i is a polynomial over w^m
+    # each x_i is num_i / w^m_i (a reduced monomial denominator is monic), so
+    # with m the largest m_i each w x_i is num_i w^(m + 1 - m_i) over w^m
     m = max(x.value.den.degree for x in xs)
     num = Poly.zero(fld)
     for i, x in enumerate(xs):
-        num = num + _over_w(x.value, m + 1) * _sym_omitting(frame, i)[frame.r].num
-    value = RatFunc(fld, u, num, Poly.monomial(fld, m) * _linear_factors(frame)[1][-1])
+        if not x.value.den.is_monomial():
+            raise ValueError(f"{x.value} is not a polynomial over a power of w")
+        shift = Poly.monomial(fld, m + 1 - x.value.den.degree)
+        num = num + x.value.num * shift * _sym_omitting(frame, i)[frame.r]
+    value = RatFunc(fld, u, num, Poly.monomial(fld, m) * _linear_factors(frame)[-1])
     return EquivScalar(fld, u, weights.pop() + 1 if weights else 0, value)
 
 
@@ -440,14 +418,17 @@ def m_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
 def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a).
 
-    Column 0 is derived; column j is sigma^j of it, since sigma fixes q and
-    sends c_0 to c_j and S^0_mu(a) to S^j_mu(a).
+    With q c_0 = L_0(0) w^r and S^0_mu(a) = E^0_mu / w^mu, column 0 is
+    lam^(r - mu) times the polynomial (-1)^mu L_0(0) w^(r - mu) E^0_mu/(r+1);
+    column j is sigma^j of it, since sigma fixes q and sends c_0 to c_j and
+    S^0_mu(a) to S^j_mu(a).
     """
-    r = frame.r
-    fld, u = frame.field, frame.u
-    sym = _sym_omitting(frame, 0)
-    pref = frame.q() * frame.c[0] * Fraction(1, r + 1)
-    col = [EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu)) for mu in range(u)]
+    r, fld, u = frame.r, frame.field, frame.u
+    one = Poly.one(fld)
+    pref = frame.L[0].constant() * Fraction(1, u)
+    col = [EquivScalar(fld, u, r - mu, RatFunc(
+        fld, u, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s, one, reduce=False))
+        for mu, s in enumerate(_sym_omitting(frame, 0))]
     return [[x.rotate(j) for j in range(u)] for x in col]
 
 
@@ -571,13 +552,16 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 
 
 def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
-    """The matrix of p_i - p_j, computed once per frame."""
+    """The matrix of p_i - p_j = lam w (L_j - L_i)/(L_i L_j), computed once
+    per frame; L_j - L_i is a nonzero constant, so each is reduced as written."""
     if "p_differences" not in frame.stages:
-        n = frame.u
-        dp = [[EquivScalar.zero(frame.field, frame.u)] * n for _ in range(n)]
+        fld, n, L = frame.field, frame.u, frame.L
+        w = Poly.monomial(fld, 1)
+        dp = [[EquivScalar.zero(fld, n)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                dp[i][j] = frame.p[i] - frame.p[j]
+                diff = RatFunc(fld, n, w * (L[j] - L[i]), L[i] * L[j], reduce=False)
+                dp[i][j] = EquivScalar(fld, n, 1, diff)
                 dp[j][i] = -dp[i][j]
         frame.stages["p_differences"] = tuple(map(tuple, dp))
     return frame.stages["p_differences"]

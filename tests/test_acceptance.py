@@ -92,7 +92,6 @@ def test_criterion_06_appendix_intermediates():
             ok = ok and ek.weight == k and canonical.as_g_polynomial(ek.value, r) is not None
         ok = ok and all(canonical.lemma_zero_value(r, k).is_zero() for k in range(r))
         ok = ok and canonical.equiv_pairing(r, r, 1).is_zero()
-        canonical.canonical_basis(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 ok = ok and canonical.du_of_eps(frame, i, j) == (1 if i == j else 0)
@@ -148,14 +147,14 @@ def test_criterion_08_quantum_ring_spectrum():
         report = batyrev.verify_eigen_relations(r, 10)
         ok = ok and report["failures"] == []
         ok = ok and report["pairs_checked"] == (r + 1) * (r + 2)
+    q1, q2 = (Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0))
     cert = batyrev.semisimplicity_certificate(
-        1, (Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0)),
-        gap_tol=1e-6, match_tol=1e-9)
+        1, q1, q2, batyrev.multiplication_matrices(1, q1, q2), gap_tol=1e-6, match_tol=1e-9)
     ok = ok and cert["certified"] and cert["min_gap"] > 1e-6
     ok = ok and cert["spectrum_match"] <= 1e-9
+    q1, q2 = (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0))
     cert2 = batyrev.semisimplicity_certificate(
-        2, (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0)),
-        gap_tol=1e-6, match_tol=1e-9)
+        2, q1, q2, batyrev.multiplication_matrices(2, q1, q2), gap_tol=1e-6, match_tol=1e-9)
     ok = ok and cert2["certified"]
     _announce(8, "quantum-ring relations order 10 and numeric certificate", ok,
               f"min gap {min(cert['min_gap'], cert2['min_gap']):.2e}")

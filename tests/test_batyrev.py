@@ -12,24 +12,47 @@ from qcflop import suites
 from qcflop.algebra import FracSeries, linalg
 
 
+def reduce(ring, raw):
+    """Reduce a raw polynomial in (h, x), keys (h-exponent, x-exponent) with
+    Fraction coefficients, to the monomial basis of the ring: the reference
+    that the ring's own multiplication is checked against."""
+    engine = ring.engine
+    total = {}
+    for (A, B), c in raw.items():
+        vec = {(0, 0): engine.one * c}
+        for _ in range(B):
+            vec = engine.mult_xi(vec)
+        for _ in range(A):
+            vec = engine.mult_h(vec)
+        for key, v in vec.items():
+            bat._vec_add(total, key, v)
+    coords = ring._y_to_xi(total)
+    return {ring.basis[k]: c for k, c in enumerate(coords) if not c.is_zero()}
+
+
+def commute_at(r, q1, q2):
+    """The exact commutator check at the real sample point (q1, q2)."""
+    return bat.matrices_commute_at(*bat.multiplication_matrices(r, (q1, 0), (q2, 0)))
+
+
 def test_quantum_relations_reduce_as_stated():
     # h * h^r carries q1: reduce h^(r+1) and check it matches q1 (x-h)^(r+1)
     for r in (1, 2):
         ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 5)))
-        lhs = ring.reduce({(r + 1, 0): Fraction(1)})
+        lhs = reduce(ring, {(r + 1, 0): Fraction(1)})
         # q1 (x - h)^(r+1) expanded raw
         from math import comb
         raw = {}
         for k in range(r + 2):
             raw[(k, r + 1 - k)] = Fraction((-1) ** k * comb(r + 1, k), 3)
-        rhs = ring.reduce(raw)
+        rhs = reduce(ring, raw)
         assert lhs == rhs
         assert any(not v.is_zero() for v in lhs.values())
         # x (x-h)^(r+1) reduces to the scalar q2
         raw2 = {}
         for k in range(r + 2):
             raw2[(k, r + 2 - k)] = Fraction((-1) ** k * comb(r + 1, k))
-        got = ring.reduce(raw2)
+        got = reduce(ring, raw2)
         assert got == {(0, 0): bat.gauss(Fraction(1, 5))}
 
 
@@ -37,7 +60,7 @@ def test_basis_monomials_reduce_to_themselves():
     r = 1
     ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 7)), bat.gauss(Fraction(2, 7)))
     for (a, b) in coh.basis(r):
-        got = ring.reduce({(a, b): Fraction(1)})
+        got = reduce(ring, {(a, b): Fraction(1)})
         assert got == {(a, b): bat.GAUSS.one}
 
 
@@ -47,7 +70,7 @@ def test_classical_limit_matches_cohomology():
         ring = bat.ring_at_point(r, bat.gauss(Fraction(0)), bat.gauss(Fraction(0)))
         for raw in ({(0, r + 2): Fraction(1)}, {(r + 1, 1): Fraction(1)},
                     {(2, r): Fraction(3), (0, 2): Fraction(-1)}):
-            got = ring.reduce(raw)
+            got = reduce(ring, raw)
             want = coh.CohClass.reduce(r, raw).coeffs
             got_frac = {k: v for k, v in got.items() if not v.is_zero()}
             assert set(got_frac) == set(want)
@@ -73,7 +96,7 @@ def test_mult_matrix_nilpotent_at_origin():
 def test_mult_matrices_commute_at_points():
     for r in (1, 2, 3):
         for (a, b) in ((Fraction(1, 3), Fraction(1, 7)), (Fraction(-2, 5), Fraction(3, 4))):
-            assert bat.matrices_commute_at(r, bat.gauss(a), bat.gauss(b))
+            assert commute_at(r, a, b)
 
 
 def test_det_h_closed_form():
@@ -324,9 +347,13 @@ def test_spectrum_structure_match():
         assert bat.spectrum_structure_match(r)
 
 
+def certificate(r, q1, q2):
+    """The certificate at the sample point (q1, q2), on its exact matrices."""
+    return bat.semisimplicity_certificate(r, q1, q2, bat.multiplication_matrices(r, q1, q2))
+
+
 def test_semisimplicity_certificate_r1():
-    report = bat.semisimplicity_certificate(
-        1, (Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0)))
+    report = certificate(1, (Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0)))
     assert report["certified"]
     assert report["eigenvalues"] == 6
     assert report["min_gap"] > 1e-6
@@ -334,16 +361,14 @@ def test_semisimplicity_certificate_r1():
 
 
 def test_semisimplicity_certificate_r2():
-    report = bat.semisimplicity_certificate(
-        2, (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0)))
+    report = certificate(2, (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0)))
     assert report["certified"]
     assert report["eigenvalues"] == 12
 
 
 def test_certificate_rejects_origin():
     with pytest.raises(ValueError):
-        bat.semisimplicity_certificate(1, (Fraction(0), Fraction(0)),
-                                       (Fraction(1, 2), Fraction(0)))
+        certificate(1, (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)))
 
 
 def test_engine_rejects_degeneration_point():
@@ -497,7 +522,36 @@ def test_commutator_negative_control(monkeypatch):
     monkeypatch.setattr(bat.QuantumRing, "_y_to_xi", perturbed)
     for r in (2, 3):
         calls.clear()
-        assert not bat.matrices_commute_at(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
+        assert not commute_at(r, Fraction(1, 3), Fraction(1, 7))
+
+
+def test_a_batyrev_cell_builds_one_ring(monkeypatch):
+    # the certificate and the commutator read the matrices of the sample point
+    real = bat.QuantumRing.__init__
+    points = []
+
+    def counted(self, r, q1, q2, one):
+        points.append((q1, q2))
+        real(self, r, q1, q2, one)
+
+    monkeypatch.setattr(bat.QuantumRing, "__init__", counted)
+    assert suites.batyrev_suite(2).all_pass()
+    assert points == [(bat.gauss(Fraction(3, 10)), bat.gauss(Fraction(7, 10)))]
+
+
+def test_commutator_reads_the_sample_matrices(monkeypatch):
+    # one entry of x* changed at the sample point fails the commutator row
+    real = bat.multiplication_matrices
+
+    def perturbed(r, q1, q2):
+        H, X = real(r, q1, q2)
+        X[0] = dict(X[0])
+        X[0][0] = X[0].get(0, bat.GAUSS.zero) + bat.GAUSS.one
+        return H, X
+
+    monkeypatch.setattr(bat, "multiplication_matrices", perturbed)
+    entries = {e.anchor: e for e in suites.batyrev_suite(2).entries}
+    assert entries["batyrev/multiplication-commutes"].status == "fail"
 
 
 def test_unit_product_rejects_an_h_the_monomial_does_not_divide(monkeypatch):

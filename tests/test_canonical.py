@@ -15,7 +15,6 @@ from qcflop.algebra import (
     Poly,
     RatFunc,
     elementary_symmetric,
-    elementary_symmetric_omitting,
 )
 
 RS = (1, 2, 3)
@@ -65,6 +64,19 @@ def test_charpoly_coefficients_are_g_polynomials():
             assert poly.lead().as_rational() == Fraction((-1) ** r * comb(r + 1, k))
 
 
+def test_as_g_polynomial_is_none_without_a_polynomial_in_g():
+    r = 2
+    frame = can.build_spectrum(r)
+    w = RatFunc.monomial(frame.field, frame.u, 1)
+    # a function of w that is not one of q
+    assert can.as_g_polynomial(w / (w + 1), r) is None
+    # a function of q that is not a polynomial in G = q/(1 + q)
+    q = frame.q()
+    assert can.as_g_polynomial(1 / (q + 2), r) is None
+    g = can.as_g_polynomial(can.g_in_w(r), r)
+    assert g == Poly.monomial(g.field, 1)
+
+
 def test_equiv_pairing_values():
     # r=1, k=l=0: C(2,1)/lam^3
     val = can.equiv_pairing(1, 0, 0)
@@ -88,7 +100,6 @@ def test_lemma_zero():
 def test_canonical_basis_duality():
     for r in RS:
         frame = can.build_spectrum(r)
-        can.canonical_basis(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 want = 1 if i == j else 0
@@ -98,7 +109,6 @@ def test_canonical_basis_duality():
 def test_canonical_basis_orthogonality_and_norm():
     for r in RS:
         frame = can.build_spectrum(r)
-        can.canonical_basis(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 got = can.eps_pairing(frame, i, j)
@@ -111,7 +121,6 @@ def test_canonical_basis_orthogonality_and_norm():
 def test_delta_i_inverse_property_and_closed_form():
     for r in RS:
         frame = can.build_spectrum(r)
-        can.canonical_basis(frame)
         deltas = can.delta_i(frame)
         one = EquivScalar.one(frame.field, frame.u)
         for i in range(r + 1):
@@ -180,14 +189,19 @@ def mat_mul(A, B):
     return out
 
 
+def plain_sym_omitting(frame, i):
+    """S^i_0(a), ..., S^i_r(a): the symmetric functions of the a_l with l != i,
+    multiplied out in rational functions."""
+    return elementary_symmetric(frame.a[:i] + frame.a[i + 1:], RatFunc.one(frame.field, frame.u))
+
+
 def plain_m_inverse(frame):
     """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a), each
     column from its own symmetric functions."""
     r, fld, u = frame.r, frame.field, frame.u
-    one = RatFunc.one(fld, u)
     cols = []
     for j in range(u):
-        sym = elementary_symmetric_omitting(frame.a, j, one)
+        sym = plain_sym_omitting(frame, j)
         pref = frame.q() * frame.c[j] * Fraction(1, u)
         cols.append([EquivScalar(fld, u, r - mu, pref * sym[mu] * Fraction((-1) ** mu))
                      for mu in range(u)])
@@ -418,10 +432,28 @@ def substitute_p(frame, coeffs, j):
     return out
 
 
+def plain_eps_factors(frame):
+    """The prefactors pref_i = q c_i a_i^r/(r+1) and the signed symmetric
+    functions s_ik = (-1)^k S^i_k(a), in rational functions."""
+    r = frame.r
+    prefs = [frame.q() * c * a ** r * Fraction(1, r + 1) for c, a in zip(frame.c, frame.a)]
+    signed = [[s * (-1) ** k for k, s in enumerate(plain_sym_omitting(frame, i))]
+              for i in range(r + 1)]
+    return prefs, signed
+
+
+def expanded_basis(frame):
+    """Coefficient arrays of the idempotent basis on 1, p, ..., p^r:
+    eps_i = (q c_i/(r+1)) a_i^r prod_(l != i) (1 - a_l p/lam)."""
+    prefs, signed = plain_eps_factors(frame)
+    return [[EquivScalar(frame.field, frame.u, -k, pref * s) for k, s in enumerate(row)]
+            for pref, row in zip(prefs, signed)]
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_factored_pairing_and_duality_match_the_expanded_basis(r):
     frame = can.build_spectrum(r)
-    eps = can.canonical_basis(frame)
+    eps = expanded_basis(frame)
     for i in range(r + 1):
         for j in range(r + 1):
             assert can.eps_pairing(frame, i, j) == pair_p_polynomials(r, eps[i], eps[j])
@@ -533,7 +565,8 @@ def verify_appendix_r2(capsys):
 
 
 def install_frame(monkeypatch, change_factors):
-    """A fresh r = 2 frame whose eps_factors stage is changed before any use."""
+    """A fresh r = 2 frame whose eps_factors stage (the polynomials pref_i and
+    s_ik w^k) is changed before any use."""
     frame = can.build_spectrum(2)
     prefs, signed = can._eps_factors(frame)
     frame.stages["eps_factors"] = change_factors([list(prefs), [list(row) for row in signed]])
@@ -551,7 +584,8 @@ def test_idempotent_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
 
 def test_control_one_signed_symmetric_function(capsys, monkeypatch):
     def change(factors):
-        factors[1][1][1] = factors[1][1][1] + 1  # s_11
+        s = factors[1][1][1]  # s_11 w
+        factors[1][1][1] = s + Poly.monomial(s.field, 1)  # s_11 + 1, times w
         return factors
 
     install_frame(monkeypatch, change)
@@ -807,9 +841,10 @@ def plain_term_log_delta(frame):
     return f.delta() / f
 
 
-def plain_du_of_eps(frame, i, j):
-    """pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, the Horner sum in rational functions."""
-    prefs, signed = can._eps_factors(frame)
+def plain_du_of_eps(frame, factors, i, j):
+    """pref_i (sum_k s_ik a_j^(r-k)) / a_j^r, the Horner sum in rational
+    functions, from the ``plain_eps_factors``."""
+    prefs, signed = factors
     a_j = frame.a[j]
     acc = signed[i][0]
     for s in signed[i][1:]:
@@ -817,10 +852,11 @@ def plain_du_of_eps(frame, i, j):
     return EquivScalar(frame.field, frame.u, 0, prefs[i] * acc / a_j ** frame.r)
 
 
-def plain_eps_pairing(frame, i, j):
-    """pref_i pref_j lam^-(2r+1) sum_k s_ik T_k, the convolution in rational functions."""
+def plain_eps_pairing(frame, factors, i, j):
+    """pref_i pref_j lam^-(2r+1) sum_k s_ik T_k, the convolution in rational
+    functions, from the ``plain_eps_factors``."""
     r = frame.r
-    prefs, signed = can._eps_factors(frame)
+    prefs, signed = factors
     total = RatFunc.zero(frame.field, frame.u)
     for k in range(r + 1):
         t_k = RatFunc.zero(frame.field, frame.u)
@@ -849,10 +885,64 @@ def test_known_factor_stages_match_the_plain_derivations(r):
     assert can.charpoly_coefficients(frame) == plain_charpoly_coefficients(frame)
     assert can.term_log_delta(frame) == plain_term_log_delta(frame)
     assert can.term_c_minus_one(frame) == plain_term_c_minus_one(frame)
+    factors = plain_eps_factors(frame)
     for i in range(r + 1):
         for j in range(r + 1):
-            assert can.du_of_eps(frame, i, j) == plain_du_of_eps(frame, i, j)
-            assert can.eps_pairing(frame, i, j) == plain_eps_pairing(frame, i, j)
+            assert can.du_of_eps(frame, i, j) == plain_du_of_eps(frame, factors, i, j)
+            assert can.eps_pairing(frame, i, j) == plain_eps_pairing(frame, factors, i, j)
+
+
+def plain_spectrum(r):
+    """c_i = (-1)^r xi^i w^(-1), a_i = 1 + c_i and p_i = lam/a_i, every sum
+    and inverse reduced."""
+    fld, u = CycField(2 * (r + 1)), r + 1
+    xi = fld.zeta() ** 2
+    c = [RatFunc.monomial(fld, u, -1, xi ** i * (-1) ** r) for i in range(u)]
+    a = [RatFunc.one(fld, u) + c_i for c_i in c]
+    return c, a, [EquivScalar(fld, u, 1, a_i.inverse()) for a_i in a]
+
+
+def plain_delta_i(frame):
+    """Delta_i = (r+1) lam q^(-1) c_i^(-1) p_i^(2r), every product reduced."""
+    r = frame.r
+    qinv = frame.q().inverse()
+    return [EquivScalar(frame.field, frame.u, 1, qinv * c.inverse() * (r + 1)) * p ** (2 * r)
+            for c, p in zip(frame.c, frame.p)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_linear_factor_forms_match_the_plain_derivations(r):
+    frame = can.build_spectrum(r)
+    assert (frame.c, frame.a, frame.p) == plain_spectrum(r)
+    w, one = RatFunc.monomial(frame.field, frame.u, 1), Poly.one(frame.field)
+    for i in range(r + 1):
+        want = [s * w ** k for k, s in enumerate(plain_sym_omitting(frame, i))]
+        assert [RatFunc(frame.field, frame.u, s, one) for s in can._sym_omitting(frame, i)] == want
+    assert can.delta_i(frame) == plain_delta_i(frame)
+    assert can._p_differences(frame) == tuple(
+        tuple(p_i - p_j for p_j in frame.p) for p_i in frame.p)
+    assert can.m_inverse(frame) == plain_m_inverse(frame)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
+    # the spectrum, the E^i_k, the differences p_i - p_j and the Delta_i are
+    # written down reduced, with no gcd
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    frame = can.build_spectrum(r)
+    for i in range(r + 1):
+        can._sym_omitting(frame, i)
+    can._p_differences(frame)
+    can.delta_i(frame)
+    can.m_inverse(frame)
+    assert calls == []
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -865,7 +955,7 @@ def test_spectrum_sum_of_the_r1_diagonal_matches_the_plain_sum(r):
         assert got == plain_spectrum_sum(frame, diag)
 
 
-def test_the_factors_and_the_spectrum_sum_reject_other_shapes():
+def test_the_spectrum_sum_rejects_other_shapes():
     frame = can.build_spectrum(2)
     one, lam = EquivScalar.one(frame.field, frame.u), frame.lam()
     with pytest.raises(InhomogeneousError):
@@ -873,10 +963,6 @@ def test_the_factors_and_the_spectrum_sum_reject_other_shapes():
     # a value off the powers of w has no place over the known denominator
     with pytest.raises(ValueError, match="is not a polynomial"):
         can._spectrum_sum(frame, [EquivScalar.from_ratfunc(frame.a[0].inverse())] * 3)
-    bent = can.build_spectrum(2)
-    bent.p[1] = bent.p[1] * bent.p[1]
-    with pytest.raises(ValueError, match="spectrum root 1 is not"):
-        can.charpoly_coefficients(bent)
 
 
 # --- negative controls of the known-factor anchors ---------------------------------
@@ -892,12 +978,15 @@ def install_stage(monkeypatch, name, change):
 
 
 def change_symmetric(m, change):
-    """A change of the linear-factor stage that replaces e_m(L) by change(frame, e_m(L))."""
-    def apply(frame, stage):
-        factors, es = stage
+    """A change of the linear-factor stage that replaces e_m(L) by
+    change(frame, e_m(L)).  The E^i_k, which divide the e_m(L), are built
+    first from the true ones, so the change reaches only the stages that read
+    the e_m(L) themselves."""
+    def apply(frame, es):
+        can._sym_omitting(frame, 0)
         es = list(es)
         es[m] = change(frame, es[m])
-        return factors, tuple(es)
+        return tuple(es)
     return lambda monkeypatch: install_stage(monkeypatch, "linear_factors", apply)
 
 
@@ -918,9 +1007,9 @@ def one_negated_delta(monkeypatch):
     install_stage(monkeypatch, "delta_i", negate)
 
 
-# anchor -> (perturbation of one input, the failing residual or None, an anchor
-# that must still pass); every perturbation keeps the values functions of q,
-# so the whole suite still runs
+# anchor -> (perturbation of one input, the failing residual, an anchor that
+# must still pass); every perturbation keeps the values functions of q, so the
+# whole suite still runs
 KNOWN_FACTOR_CONTROLS = {
     # e_1(L) = 3w gains a w, so e_2(p) = lam^2 w^2 e_1(L) / D is 4/3 of itself
     "appendix/charpoly-coefficients-in-g": (
@@ -928,17 +1017,21 @@ KNOWN_FACTOR_CONTROLS = {
         "first failing k = 2: e_2 is not the closed form", "appendix/log-norm-term"),
     # D = w^3 + 1 becomes w^3 + 2, which changes its log-derivative
     "appendix/log-norm-term": (
-        change_symmetric(3, lambda frame, e: e + Poly.one(frame.field)), None, "appendix/idempotent-duality"),
+        change_symmetric(3, lambda frame, e: e + Poly.one(frame.field)),
+        "d log prod_i Delta_i is not r (1 - 2 (-1)^r G)", "appendix/idempotent-duality"),
     # D doubled leaves w D'/D alone but halves every sum over the spectrum
     "appendix/chern-localization-term": (
-        change_symmetric(3, lambda frame, e: e * 2), None, "appendix/log-norm-term"),
+        change_symmetric(3, lambda frame, e: e * 2),
+        "the first-Chern term is not (-1)^r (r+1)^2 G / 24", "appendix/log-norm-term"),
     "appendix/genus-one-form": (
-        change_symmetric(3, lambda frame, e: e * 2), None, "appendix/log-norm-term"),
+        change_symmetric(3, lambda frame, e: e * 2),
+        "dropped constant -1/24", "appendix/log-norm-term"),
     "appendix/norm-inverse-product": (
         one_pairing_weight, "first failing i = 0: Delta_i times the norm is not 1",
         "appendix/norm-product-closed-form"),
     # term_log_delta no longer reads the Delta_i, so its anchor still passes
-    "appendix/norm-product-closed-form": (one_negated_delta, None, "appendix/log-norm-term"),
+    "appendix/norm-product-closed-form": (
+        one_negated_delta, "prod_i Delta_i is not the closed form", "appendix/log-norm-term"),
 }
 
 
@@ -960,8 +1053,7 @@ def test_control_known_factor_anchor(capsys, monkeypatch, anchor):
     code, entries = verify_appendix_r2(capsys)
     assert code == 1
     assert entries[anchor]["status"] == "fail"
-    if residual is not None:
-        assert entries[anchor]["residual"] == residual
+    assert entries[anchor]["residual"] == residual
     assert entries[sibling]["status"] == "pass"
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcflop.algebra import (
     CycField,
     cyclotomic_polynomial,
+    elementary_symmetric,
     elementary_symmetric_omitting,
 )
 
@@ -83,6 +84,18 @@ def test_elementary_symmetric_omitting_small_case_by_hand():
     # omit index 0: remaining product zeta * zeta^2 = 1
     assert elementary_symmetric_omitting(roots, 0, field.one)[2] == field.one
     assert elementary_symmetric_omitting(roots, 0, field.one)[0] == field.one
+
+
+def test_elementary_symmetric_omitting_divides_the_full_functions():
+    # dividing the e_m of all values by 1 + v t gives the e_m of the others,
+    # whether the e_m of all values are given or formed
+    field = CycField(5)
+    values = [field.zeta(i) + Fraction(i, 3) for i in range(5)]
+    es = elementary_symmetric(values, field.one)
+    for omit in range(5):
+        want = elementary_symmetric(values[:omit] + values[omit + 1:], field.one)
+        assert elementary_symmetric_omitting(values, omit, field.one, es) == want
+        assert elementary_symmetric_omitting(values, omit, field.one) == want
 
 
 def test_elementary_symmetric_omitting_index_errors():

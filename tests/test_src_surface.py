@@ -29,8 +29,6 @@ AWAITING_ANCHORS = {
 
 # the public names that only the benchmark harness reaches besides tests
 BENCHMARK_SURFACE = {
-    # a stage that perfbench/tracer.py reports by name
-    "canonical.canonical_basis": "perfbench/tracer.py",
     # builds the random field elements of the L0 and L1 benchmarks
     "algebra.cyclotomic.CycField.element": "benchmarks/test_l0_cyclotomic.py",
 }

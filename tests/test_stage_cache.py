@@ -15,7 +15,7 @@ def frame_stages(frame):
         "term_log_delta": can.term_log_delta(frame),
         "term_c_minus_one": can.term_c_minus_one(frame),
         "connection_form": can.connection_form(frame),
-        "canonical_basis": can.canonical_basis(frame),
+        "eps_factors": can._eps_factors(frame),
         "m_inverse": can.m_inverse(frame),
         "r1_offdiagonal": can.r1_offdiagonal(frame),
         "first_order": can.first_order(frame),
