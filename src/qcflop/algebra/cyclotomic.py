@@ -390,6 +390,10 @@ class CycNumber:
         trace = sum(t * n for t, n in zip(f._trace, self.nums))
         return hash(Fraction(trace, self.den * f.degree))
 
+    def __bool__(self) -> bool:
+        """False exactly at zero, as for a Fraction."""
+        return any(self.nums)
+
     def is_zero(self) -> bool:
         return not any(self.nums)
 

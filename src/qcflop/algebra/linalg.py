@@ -9,12 +9,9 @@ follows the fill of the matrix rather than its square.
 There is one matrix format: ``det``, ``inverse`` and ``solve`` take a
 matrix as a list of such sparse rows, and ``inverse`` returns one.  All three
 read the result of ``row_reduce``, whose pivot columns give the rank.
-``add_term`` is the matching sparse accumulation: it keeps a row free of zero
-entries when its values are false exactly at zero, as ``Fraction``s are, and
-every caller passes ``Fraction``s.  ``CycNumber`` and ``RatFunc`` define no
-truth value, so each of them counts as true and a sum that cancels would be
-kept as a zero entry; dicts of those test ``is_zero()`` instead, as
-``batyrev._vec_add`` does.
+``add_term`` is the matching sparse accumulation; it tests zero by the
+truth value, which ``Fraction``, ``CycNumber`` and ``RatFunc`` make false
+exactly at zero.
 """
 
 from __future__ import annotations

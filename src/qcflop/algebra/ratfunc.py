@@ -200,6 +200,10 @@ class RatFunc:
             return hash(self.num.constant())
         return hash((self.num, self.den))
 
+    def __bool__(self) -> bool:
+        """False exactly at zero, as for a Fraction."""
+        return not self.num.is_zero()
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -9,10 +9,11 @@ q1 with that sole denominator (they are not polynomial in q1: the determinant
 of h* carries the denominator).
 
 All engine code is generic over an exact coefficient field: elements need
-+, -, *, /, is_zero.  The checks run it over the Gaussian rationals Q(i),
-at exact complex sample points; it runs as well over the univariate field
-Q(q1) (RatFunc over the rational base field) with q2 a rational value, where
-det(h*) meets ``det_h_closed_form``.
++, -, *, /, is_zero and a truth value that is false exactly at zero.  The
+checks run it over the Gaussian rationals Q(i), at exact complex sample
+points; it runs as well over the univariate field Q(q1) (RatFunc over the
+rational base field) with q2 a rational value, where det(h*) meets
+``det_h_closed_form``.
 
 Each check does only the exact work its answer reads:
 
@@ -56,6 +57,7 @@ import numpy as np
 
 from qcflop import cohomology
 from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc, linalg
+from qcflop.algebra.linalg import add_term
 from qcflop.config import check_sample_point
 
 Vec = dict  # (a, b) in the active monomial frame -> field scalar
@@ -63,18 +65,6 @@ Vec = dict  # (a, b) in the active monomial frame -> field scalar
 
 class SemisimplicityError(ValueError):
     """Raised when the numeric certificate cannot be granted."""
-
-
-def _vec_add(target: Vec, key, value) -> None:
-    """target[key] += value, dropping the key when the sum is zero.  Unlike
-    ``linalg.add_term`` it tests ``is_zero()``: the scalars are ``CycNumber``s
-    or ``RatFunc``s, which have no truth value, so a cancelled sum is true."""
-    cur = target.get(key)
-    new = value if cur is None else cur + value
-    if new.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = new
 
 
 class ReductionEngine:
@@ -95,55 +85,55 @@ class ReductionEngine:
         self.special: Vec = {}
         for m in range(r + 1):
             c = special_coeff if m % 2 == 0 else -special_coeff
-            _vec_add(self.special, (m, r - m), c)
+            add_term(self.special, (m, r - m), c)
         # h^(r+1) y^B for B = 0..r+1
         self.h_carry: list[Vec] = []
         for B in range(r + 2):
             rep: Vec = {}
             if B == 0:
-                _vec_add(rep, (0, r + 1), q1)
+                add_term(rep, (0, r + 1), q1)
             else:
                 for m in range(B):
                     c = q1 * q2 if m % 2 == 0 else -(q1 * q2)
-                    _vec_add(rep, (m, B - 1 - m), c)
+                    add_term(rep, (m, B - 1 - m), c)
                 if B <= r:
                     c = q1 if B % 2 == 0 else -q1
-                    _vec_add(rep, (B, r + 1), c)
+                    add_term(rep, (B, r + 1), c)
                 else:
                     scale = q1 if B % 2 == 0 else -q1
                     for key, c in self.special.items():
-                        _vec_add(rep, key, c * scale)
+                        add_term(rep, key, c * scale)
             self.h_carry.append(rep)
 
     def mult_h(self, vec: Vec) -> Vec:
         out: Vec = {}
         for (a, b), c in vec.items():
             if a < self.r:
-                _vec_add(out, (a + 1, b), c)
+                add_term(out, (a + 1, b), c)
             else:
                 for key, v in self.h_carry[b].items():
-                    _vec_add(out, key, v * c)
+                    add_term(out, key, v * c)
         return out
 
     def mult_y(self, vec: Vec) -> Vec:
         out: Vec = {}
         for (a, b), c in vec.items():
             if b < self.r + 1:
-                _vec_add(out, (a, b + 1), c)
+                add_term(out, (a, b + 1), c)
             else:
                 # y^(r+2) = q2 - h y^(r+1)
-                _vec_add(out, (a, 0), c * self.q2)
+                add_term(out, (a, 0), c * self.q2)
                 if a < self.r:
-                    _vec_add(out, (a + 1, self.r + 1), -c)
+                    add_term(out, (a + 1, self.r + 1), -c)
                 else:
                     for key, v in self.special.items():
-                        _vec_add(out, key, -(v * c))
+                        add_term(out, key, -(v * c))
         return out
 
     def mult_xi(self, vec: Vec) -> Vec:
         out = self.mult_h(vec)
         for key, c in self.mult_y(vec).items():
-            _vec_add(out, key, c)
+            add_term(out, key, c)
         return out
 
     def xi_monomial(self, a: int, b: int) -> Vec:
@@ -252,10 +242,10 @@ def matrices_commute_at(H: list[dict], X: list[dict]) -> bool:
         acc: Vec = {}
         for k, c in H[i].items():
             for j, d in X[k].items():
-                _vec_add(acc, j, c * d)
+                add_term(acc, j, c * d)
         for k, c in X[i].items():
             for j, d in H[k].items():
-                _vec_add(acc, j, -(c * d))
+                add_term(acc, j, -(c * d))
         if acc:
             return False
     return True

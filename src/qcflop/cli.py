@@ -166,6 +166,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     config = load_config(_overrides(args))
+    if config.format == "csv":
+        raise ConfigError("dump writes json or text")
     payload = []
     for r in config.rs():
         form, const = canonical.genus_one_form(r)

@@ -6,6 +6,11 @@ coordinates: q^i_k is the coefficient of T_i z^k and p^i_k the coefficient of
 T_i (-z)^(-k-1) (the sign makes Omega = sum dp^i_k wedge dq^i_k, which is
 what reproduces the standard quadratic hamiltonian of multiplication by 1/z).
 
+A quadratic hamiltonian is one term map (p-monomial, q-monomial) -> Fraction,
+each monomial a sorted tuple of variables and each term of total degree two:
+p_v p_w is ((v, w), ()), p_v q_w is ((v,), (w,)) and q_v q_w is ((), (v, w)).
+The Poisson bracket, the Weyl table and the cocycle all read that one map.
+
 Operators that move vectors outside the cutoff window have that part silently
 truncated; the window is a genuine symplectic subspace, so all identities
 below hold exactly within it.
@@ -130,32 +135,26 @@ def _by_mode(v: LoopVector) -> dict[int, list[tuple[int, Fraction]]]:
     return out
 
 
-def _omega_to_basis(f: dict, j: int, b: int, gram=None) -> Fraction:
+def _omega_to_basis(f: dict, j: int, b: int) -> Fraction:
     """Omega(f, T_j z^b) for f grouped by ``_by_mode``, where
-    Omega(f, g) = Res_(z=0) (f(-z), g(z)) with the symmetric metric ``gram``
-    (the identity when None): only the z^(-1-b) term of f counts, with the
-    sign (-1)^(-1-b)."""
-    total = Fraction(0)
-    for i, c in f.get(-1 - b, ()):
-        pairing = int(i == j) if gram is None else Fraction(gram[i][j])
-        if pairing:
-            total += pairing * c
+    Omega(f, g) = Res_(z=0) (f(-z), g(z)): only the direction-j term of f at
+    z^(-1-b) counts, with the sign (-1)^(-1-b)."""
+    total = sum((c for i, c in f.get(-1 - b, ()) if i == j), Fraction(0))
     return total if b % 2 else -total
 
 
-def is_infinitesimal_symplectic(A: EndoLaurent, dim: int, cutoff: int,
-                                gram: list[list[Fraction]] | None = None) -> bool:
+def is_infinitesimal_symplectic(A: EndoLaurent, dim: int, cutoff: int) -> bool:
     """Omega(Af, g) + Omega(f, Ag) = 0 on all basis pairs within the cutoff.
 
-    Omega(Af, T_j z^b) reads only the z^(-1-b) term of Af, and the metric is
-    symmetric, so the sum for (f, g) is minus that for (g, f): only the pairs
-    where Af reaches the dual mode of g are visited.
+    Omega(Af, T_j z^b) reads only the z^(-1-b) term of Af, and the pairing
+    of directions is symmetric, so the sum for (f, g) is minus that for
+    (g, f): only the pairs where Af reaches the dual mode of g are visited.
     """
     basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
     images = {f: _by_mode(A.apply(LoopVector.basis(dim, cutoff, *f))) for f in basis}
     pairs = {(f, (j, -1 - m)) for f, image in images.items() for m in image for j in range(dim)}
     # Omega(f, Ag) = -Omega(Ag, f)
-    return not any(_omega_to_basis(images[f], *g, gram) - _omega_to_basis(images[g], *f, gram)
+    return not any(_omega_to_basis(images[f], *g) - _omega_to_basis(images[g], *f)
                    for f, g in pairs)
 
 
@@ -163,33 +162,34 @@ def is_infinitesimal_symplectic(A: EndoLaurent, dim: int, cutoff: int,
 
 
 class QuadHamiltonian:
-    """Quadratic form in the Darboux coordinates, split into pp/pq/qq blocks.
+    """Quadratic form in the Darboux coordinates: the term map
+    (p-monomial, q-monomial) -> Fraction of the module docstring.
 
-    Keys of pp and qq are unordered variable pairs (sorted tuples); pq keys
-    are (p-variable, q-variable).  A monomial like p_v^2 is stored under the
-    pair (v, v) with its plain coefficient.
+    The monomials are stored sorted, so p_v^2 is ((v, v), ()) with its plain
+    coefficient; a term of another total degree raises FormalismError.
     """
 
-    __slots__ = ("dim", "cutoff", "pp", "pq", "qq")
+    __slots__ = ("dim", "cutoff", "terms")
 
-    def __init__(self, dim: int, cutoff: int,
-                 pp: dict | None = None, pq: dict | None = None, qq: dict | None = None):
+    def __init__(self, dim: int, cutoff: int, terms: dict | None = None):
         self.dim = dim
         self.cutoff = cutoff
-        self.pp = {k: Fraction(v) for k, v in (pp or {}).items() if v}
-        self.pq = {k: Fraction(v) for k, v in (pq or {}).items() if v}
-        self.qq = {k: Fraction(v) for k, v in (qq or {}).items() if v}
+        self.terms: dict[tuple[tuple, tuple], Fraction] = {}
+        for (pm, qm), c in (terms or {}).items():
+            if len(pm) + len(qm) != 2:
+                raise FormalismError(f"term {(pm, qm)} is not quadratic")
+            add_term(self.terms, (tuple(sorted(pm)), tuple(sorted(qm))), Fraction(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadHamiltonian):
             return NotImplemented
-        return (self.pp, self.pq, self.qq) == (other.pp, other.pq, other.qq)
+        return self.terms == other.terms
 
     def is_zero(self) -> bool:
-        return not (self.pp or self.pq or self.qq)
+        return not self.terms
 
     def __repr__(self) -> str:
-        return f"QuadHamiltonian(pp={self.pp}, pq={self.pq}, qq={self.qq})"
+        return f"QuadHamiltonian({self.terms})"
 
 
 def darboux_vector(dim: int, cutoff: int, kind: str, var: Var) -> LoopVector:
@@ -223,9 +223,7 @@ def hamiltonian_of(A: EndoLaurent, dim: int, cutoff: int) -> QuadHamiltonian:
             for i, _ in terms:
                 other = index[(i, -1 - m)]
                 pairs.add((min(idx, other), max(idx, other)))
-    pp: dict = {}
-    pq: dict = {}
-    qq: dict = {}
+    terms: dict = {}
     for idx_u, idx_v in sorted(pairs):
         (key_u, c_u), (key_v, c_v) = units[idx_u], units[idx_v]
         quad = c_v * _omega_to_basis(images[idx_u], *key_v) \
@@ -233,52 +231,17 @@ def hamiltonian_of(A: EndoLaurent, dim: int, cutoff: int) -> QuadHamiltonian:
         # from (1/2) Omega(Af, f): the x_u^2 coefficient is quad/4 (quad
         # double-counts the diagonal), the x_u x_v one (u != v) is quad/2
         coeff = quad * Fraction(1, 4) * (2 if idx_u != idx_v else 1)
-        if not coeff:
-            continue
-        (ku, vu), (kv, vv) = gens[idx_u], gens[idx_v]
-        if ku == "p" and kv == "p":
-            add_term(pp, tuple(sorted((vu, vv))), coeff)
-        elif ku == "q" and kv == "q":
-            add_term(qq, tuple(sorted((vu, vv))), coeff)
-        else:
-            add_term(pq, (vu, vv) if ku == "p" else (vv, vu), coeff)
-    return QuadHamiltonian(dim, cutoff, pp, pq, qq)
+        # the term's key: the pair's p-variables, then its q-variables
+        pair = (gens[idx_u], gens[idx_v])
+        add_term(terms, tuple(tuple(v for k, v in pair if k == kind) for kind in "pq"), coeff)
+    return QuadHamiltonian(dim, cutoff, terms)
 
 
-# --- classical polynomials and the Poisson bracket -------------------------------
-
-ClassicalPoly = dict  # (p-monomial tuple, q-monomial tuple) -> Fraction
+# --- the Poisson bracket ----------------------------------------------------------
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
-
-
-def hamiltonian_to_classical(P: QuadHamiltonian) -> ClassicalPoly:
-    out: ClassicalPoly = {}
-    for (v, w), c in P.pp.items():
-        add_term(out, ((v, w) if v <= w else (w, v), ()), c)
-    for (pv, qv), c in P.pq.items():
-        add_term(out, ((pv,), (qv,)), c)
-    for (v, w), c in P.qq.items():
-        add_term(out, ((), (v, w) if v <= w else (w, v)), c)
-    return out
-
-
-def classical_to_hamiltonian(poly: ClassicalPoly, dim: int, cutoff: int) -> QuadHamiltonian:
-    pp: dict = {}
-    pq: dict = {}
-    qq: dict = {}
-    for (pm, qm), c in poly.items():
-        if len(pm) + len(qm) != 2:
-            raise FormalismError("Poisson bracket left a non-quadratic term")
-        if len(pm) == 2:
-            add_term(pp, tuple(sorted(pm)), c)
-        elif len(qm) == 2:
-            add_term(qq, tuple(sorted(qm)), c)
-        else:
-            add_term(pq, (pm[0], qm[0]), c)
-    return QuadHamiltonian(dim, cutoff, pp, pq, qq)
 
 
 def _mono_derivative(mono: tuple, var) -> tuple[int, tuple]:
@@ -292,14 +255,13 @@ def _mono_derivative(mono: tuple, var) -> tuple[int, tuple]:
 
 def poisson_bracket(P1: QuadHamiltonian, P2: QuadHamiltonian) -> QuadHamiltonian:
     """{P1, P2} = sum_v dP1/dp_v dP2/dq_v - dP2/dp_v dP1/dq_v."""
-    a = hamiltonian_to_classical(P1)
-    b = hamiltonian_to_classical(P2)
+    a, b = P1.terms, P2.terms
     variables = set()
     for poly in (a, b):
         for (pm, qm) in poly:
             variables.update(pm)
             variables.update(qm)
-    out: ClassicalPoly = {}
+    out: dict = {}
     for v in variables:
         for (pm1, qm1), c1 in a.items():
             n1, dp1 = _mono_derivative(pm1, v)
@@ -321,7 +283,7 @@ def poisson_bracket(P1: QuadHamiltonian, P2: QuadHamiltonian) -> QuadHamiltonian
                     continue
                 key = (_mono_mul(pm1, dp2), _mono_mul(dq1, qm2))
                 add_term(out, key, -Fraction(n1 * n2) * c1 * c2)
-    return classical_to_hamiltonian(out, P1.dim, P1.cutoff)
+    return QuadHamiltonian(P1.dim, P1.cutoff, out)
 
 
 # --- Fock space -----------------------------------------------------------------
@@ -364,10 +326,8 @@ class FockOperator:
                     for (qm, dm), w in pieces.items():
                         count, reduced = _mono_derivative(qm, v)
                         if count:
-                            key = (reduced, dm)
-                            nxt[key] = nxt.get(key, Fraction(0)) + w * count
-                        key = (qm, _mono_mul(dm, (v,)))
-                        nxt[key] = nxt.get(key, Fraction(0)) + w
+                            add_term(nxt, (reduced, dm), w * count)
+                        add_term(nxt, (qm, _mono_mul(dm, (v,))), w)
                     pieces = nxt
                 for (qm, dm), w in pieces.items():
                     add_term(out, (_mono_mul(q1, qm), _mono_mul(dm, d2), h1 + h2), c1 * c2 * w)
@@ -395,15 +355,10 @@ class FockOperator:
 
 
 def quantize(P: QuadHamiltonian) -> FockOperator:
-    """The quantization table: pp -> hbar d d, pq -> q d, qq -> q q / hbar."""
-    terms: dict = {}
-    for (v, w), c in P.pp.items():
-        add_term(terms, ((), tuple(sorted((v, w))), 1), c)
-    for (pv, qv), c in P.pq.items():
-        add_term(terms, ((qv,), (pv,), 0), c)
-    for (v, w), c in P.qq.items():
-        add_term(terms, (tuple(sorted((v, w))), (), -1), c)
-    return FockOperator(terms)
+    """The Weyl table: p_v p_w -> hbar d_v d_w, p_v q_w -> q_w d_v and
+    q_v q_w -> q_v q_w / hbar, so the term (pm, qm) goes to the q-monomial
+    qm, the derivatives pm and hbar^(len(pm) - 1)."""
+    return FockOperator({(qm, pm, len(pm) - 1): c for (pm, qm), c in P.terms.items()})
 
 
 def commutator_cocycle(P1: QuadHamiltonian, P2: QuadHamiltonian) -> Fraction:
@@ -415,35 +370,32 @@ def commutator_cocycle(P1: QuadHamiltonian, P2: QuadHamiltonian) -> Fraction:
 
 
 def expected_cocycle(P1: QuadHamiltonian, P2: QuadHamiltonian) -> Fraction:
-    """The closed-form table: nonzero only on matching (pp, qq) pairs, where
-    it is +-(1 + delta^(ij) delta_(kl))."""
+    """The closed-form table: nonzero only where a pp term of one meets the
+    qq term on the same pair of the other, where it is
+    +-(1 + delta^(ij) delta_(kl)), + for a pp term of P1."""
     total = Fraction(0)
-    for (v, w), c1 in P1.pp.items():
-        c2 = P2.qq.get((v, w) if v <= w else (w, v))
-        if c2:
-            total += c1 * c2 * (1 + (1 if v == w else 0))
-    for (v, w), c1 in P1.qq.items():
-        c2 = P2.pp.get((v, w) if v <= w else (w, v))
-        if c2:
-            total -= c1 * c2 * (1 + (1 if v == w else 0))
+    for (pm, qm), c1 in P1.terms.items():
+        pair = pm or qm
+        c2 = P2.terms.get((qm, pm))
+        if len(pair) == 2 and c2:
+            total += (1 if pm else -1) * (1 + (pair[0] == pair[1])) * c1 * c2
     return total
 
 
 # --- dilaton shift ----------------------------------------------------------------
 
 
-def dilaton_shift(coords: dict[Var, Fraction], dim: int, cutoff: int,
-                  unit_index: int = 0) -> dict[Var, Fraction]:
-    """t^mu_k = q^mu_k + delta^(mu, unit) delta_(k, 1)."""
+def dilaton_shift(coords: dict[Var, Fraction], cutoff: int) -> dict[Var, Fraction]:
+    """t^mu_k = q^mu_k + delta^(mu, 0) delta_(k, 1), with the unit the
+    direction 0."""
     if cutoff < 1:
         raise ValueError("the dilaton shift needs the mode k = 1 inside the cutoff")
     out = {k: Fraction(v) for k, v in coords.items()}
-    add_term(out, (unit_index, 1), Fraction(1))
+    add_term(out, (0, 1), Fraction(1))
     return out
 
 
-def dilaton_unshift(coords: dict[Var, Fraction], dim: int, cutoff: int,
-                    unit_index: int = 0) -> dict[Var, Fraction]:
+def dilaton_unshift(coords: dict[Var, Fraction]) -> dict[Var, Fraction]:
     out = {k: Fraction(v) for k, v in coords.items()}
-    add_term(out, (unit_index, 1), Fraction(-1))
+    add_term(out, (0, 1), Fraction(-1))
     return out

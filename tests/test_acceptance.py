@@ -163,15 +163,15 @@ def test_criterion_08_quantum_ring_spectrum():
 def test_criterion_09_quantization_toy():
     K = 5
     P = weyl.hamiltonian_of(weyl.EndoLaurent.scalar_z_power(1, -1), 1, K)
-    ok = (P.qq == {((0, 0), (0, 0)): Fraction(-1, 2)}
-          and P.pq == {((0, m), (0, m + 1)): Fraction(-1) for m in range(K)}
-          and not P.pp)
+    want = {((), ((0, 0), (0, 0))): Fraction(-1, 2)}
+    want.update({(((0, m),), ((0, m + 1),)): Fraction(-1) for m in range(K)})
+    ok = P.terms == want
     dim, cutoff = 2, 3
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     for v in variables:
         for w in variables:
-            P1 = weyl.QuadHamiltonian(dim, cutoff, pp={tuple(sorted((v, w))): Fraction(1)})
-            P2 = weyl.QuadHamiltonian(dim, cutoff, qq={tuple(sorted((v, w))): Fraction(1)})
+            P1 = weyl.QuadHamiltonian(dim, cutoff, {((v, w), ()): 1})
+            P2 = weyl.QuadHamiltonian(dim, cutoff, {((), (v, w)): 1})
             ok = ok and weyl.commutator_cocycle(P1, P2) == 1 + (1 if v == w else 0)
     _announce(9, "string hamiltonian at K=5 and cocycle table N=2, K=3", ok)
 

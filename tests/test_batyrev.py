@@ -25,7 +25,7 @@ def reduce(ring, raw):
         for _ in range(A):
             vec = engine.mult_h(vec)
         for key, v in vec.items():
-            bat._vec_add(total, key, v)
+            linalg.add_term(total, key, v)
     coords = ring._y_to_xi(total)
     return {ring.basis[k]: c for k, c in enumerate(coords) if not c.is_zero()}
 

@@ -1057,6 +1057,28 @@ def test_control_known_factor_anchor(capsys, monkeypatch, anchor):
     assert entries[sibling]["status"] == "pass"
 
 
+def test_a_diagonal_that_does_not_integrate_fails_its_anchors(capsys, monkeypatch):
+    # moving the root of L_1 by 1 leaves a constant in R1's diagonal
+    # integrand: the FlatnessError fails every anchor that reads R1 or the
+    # genus-one form, with its text as the residual, instead of escaping
+    frame = can.build_spectrum(2)
+    frame.L[1] = frame.L[1] + Poly.one(frame.field)
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    assert cli.main(["verify", "appendix", "--r", "2"]) == 1
+    capsys.readouterr()
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    error = "diagonal 0 integrand has a constant term at weight -1"
+    for anchor in ("appendix/first-order-offdiagonal", "appendix/first-order-diagonal",
+                   "appendix/genus-one-form", "appendix/genus-one-dropped-constant",
+                   "appendix/genus-one-table"):
+        assert entries[anchor]["status"] == "fail" and entries[anchor]["residual"] == error
+    assert entries["appendix/genus-one-branch-independence"]["residual"] == \
+        f"first failing branch: pair_flip = (0, 1): {error}"
+    assert entries["appendix/diagonal-constant"]["status"] == "pass"
+
+
 def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch):
     # the anchors that read R1's diagonal or the genus-one form name where
     # they first fail, under the wrong wrap sign of the fill

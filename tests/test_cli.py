@@ -172,6 +172,12 @@ def test_dump_dg(capsys):
     assert payload[0]["dropped_constant"] == "-1/8"
 
 
+def test_dump_rejects_the_csv_format(capsys):
+    code, out, err = run_cli(["dump", "dG", "--r", "2", "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert "dump writes json or text" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(["verify", "cohomology", "--r", "bad"], capsys)
     assert code == 2

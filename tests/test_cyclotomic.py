@@ -402,6 +402,9 @@ def test_equal_values_in_different_fields_are_equal_and_hash_alike(data):
     if x.is_rational():
         assert xm == x.as_rational()
         assert hash(xm) == hash(x.as_rational())
+    # the truth value is that of a Fraction: false exactly at zero
+    for y in (xm, xm - xm):
+        assert bool(y) == (y != 0)
 
 
 @settings(max_examples=150, deadline=None)

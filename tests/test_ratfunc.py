@@ -384,6 +384,9 @@ def test_equal_functions_hash_alike(fs):
     for h in (f + g - g, (f * g) / g if not g.is_zero() else f, (f**2) / f if not f.is_zero() else f):
         assert h == f and hash(h) == hash(f)
         assert len({h, f}) == 1
+    # the truth value is that of a Fraction: false exactly at zero
+    for h in (f, f - f):
+        assert bool(h) == (h != 0)
 
 
 def test_equality_across_settings_never_raises():

@@ -13,20 +13,17 @@ def lower(dim=1, exp=-1, coeff=1):
     return weyl.EndoLaurent.scalar_z_power(dim, exp, coeff)
 
 
-def symplectic_form(f, g, gram=None):
-    """Omega(f, g) = Res_(z=0) (f(-z), g(z)), with an optional symmetric
-    metric, summed over every pair of terms: the dense reference that
-    ``is_infinitesimal_symplectic`` and ``hamiltonian_of`` are checked against."""
+def symplectic_form(f, g):
+    """Omega(f, g) = Res_(z=0) (f(-z), g(z)), summed over every pair of terms:
+    the dense reference that ``is_infinitesimal_symplectic`` and
+    ``hamiltonian_of`` are checked against."""
     if f.dim != g.dim or f.cutoff != g.cutoff:
         raise ValueError("incompatible loop vectors")
     total = Fraction(0)
     for (i, a), fc in f.coeffs.items():
         for (j, b), gc in g.coeffs.items():
-            if a + b != -1:
-                continue
-            pairing = int(i == j) if gram is None else Fraction(gram[i][j])
-            if pairing:
-                total += Fraction((-1) ** (a % 2)) * pairing * fc * gc
+            if a + b == -1 and i == j:
+                total += Fraction((-1) ** (a % 2)) * fc * gc
     return total
 
 
@@ -66,13 +63,12 @@ def test_symplectic_form_examples():
 def test_symplectic_form_antisymmetry_and_nondegeneracy():
     dim, K = 2, 2
     basis = [(i, m) for i in range(dim) for m in range(-K - 1, K + 1)]
-    gram = None
     vals = {}
     for u in basis:
         for v in basis:
             fu = weyl.LoopVector.basis(dim, K, *u)
             fv = weyl.LoopVector.basis(dim, K, *v)
-            vals[(u, v)] = symplectic_form(fu, fv, gram)
+            vals[(u, v)] = symplectic_form(fu, fv)
     for u in basis:
         assert any(vals[(u, v)] for v in basis), "degenerate direction"
         for v in basis:
@@ -101,38 +97,34 @@ def test_is_infinitesimal_symplectic():
     assert not weyl.is_infinitesimal_symplectic(sym, 2, 3)
 
 
-def dense_is_infinitesimal_symplectic(A, dim, cutoff, gram=None):
+def dense_is_infinitesimal_symplectic(A, dim, cutoff):
     """Omega(Af, g) + Omega(f, Ag) over every basis pair."""
     basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
     vectors = {f: weyl.LoopVector.basis(dim, cutoff, *f) for f in basis}
     images = {f: A.apply(vec) for f, vec in vectors.items()}
-    return not any(symplectic_form(images[f], vectors[g], gram)
-                   + symplectic_form(vectors[f], images[g], gram)
+    return not any(symplectic_form(images[f], vectors[g])
+                   + symplectic_form(vectors[f], images[g])
                    for f in basis for g in basis)
 
 
 def dense_hamiltonian_of(A, dim, cutoff):
-    """P(A) from every pair of Darboux generators."""
+    """P(A) from every pair of Darboux generators, as one term map."""
     if not dense_is_infinitesimal_symplectic(A, dim, cutoff):
         raise weyl.NonSymplecticError("operator fails Omega(Af,g) + Omega(f,Ag) = 0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     gens = [("p", v) for v in variables] + [("q", v) for v in variables]
     vectors = {u: weyl.darboux_vector(dim, cutoff, *u) for u in gens}
     images = {u: A.apply(vec) for u, vec in vectors.items()}
-    blocks = {"pp": {}, "pq": {}, "qq": {}}
+    terms = {}
     for idx, u in enumerate(gens):
         for v in gens[idx:]:
             quad = symplectic_form(images[u], vectors[v]) \
                 + symplectic_form(images[v], vectors[u])
             coeff = quad * Fraction(1, 4) * (2 if u != v else 1)
-            (ku, vu), (kv, vv) = u, v
-            if ku == kv:
-                key = tuple(sorted((vu, vv)))
-            else:
-                key = (vu, vv) if ku == "p" else (vv, vu)
-            block = blocks["pq" if ku != kv else ku + kv]
-            block[key] = block.get(key, Fraction(0)) + coeff
-    return weyl.QuadHamiltonian(dim, cutoff, **blocks)
+            pm = tuple(sorted(var for kind, var in (u, v) if kind == "p"))
+            qm = tuple(sorted(var for kind, var in (u, v) if kind == "q"))
+            terms[pm, qm] = terms.get((pm, qm), Fraction(0)) + coeff
+    return weyl.QuadHamiltonian(dim, cutoff, terms)
 
 
 def operators(dim):
@@ -152,14 +144,11 @@ def operators(dim):
 
 @pytest.mark.parametrize("dim, cutoff", [(1, 3), (2, 2), (2, 3), (3, 1)])
 def test_sparse_pairs_match_the_dense_loops(dim, cutoff):
-    gram = [[2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(dim)]
-            for i in range(dim)]
     verdicts = set()
     for A in operators(dim):
-        for g in (None, gram):
-            want = dense_is_infinitesimal_symplectic(A, dim, cutoff, g)
-            assert weyl.is_infinitesimal_symplectic(A, dim, cutoff, g) == want
-            verdicts.add(want)
+        want = dense_is_infinitesimal_symplectic(A, dim, cutoff)
+        assert weyl.is_infinitesimal_symplectic(A, dim, cutoff) == want
+        verdicts.add(want)
         try:
             want = dense_hamiltonian_of(A, dim, cutoff)
         except weyl.NonSymplecticError:
@@ -170,26 +159,13 @@ def test_sparse_pairs_match_the_dense_loops(dim, cutoff):
     assert verdicts == {True, False}
 
 
-def test_symplectic_check_under_a_gram_that_is_not_the_identity():
-    # with a metric that couples the directions, only a matrix M with
-    # gram M symmetric (odd z-power) passes
-    gram = [[0, 1], [1, 0]]
-    good = weyl.EndoLaurent.matrix_z_power(2, -1, [[1, 0], [0, 1]])
-    bad = weyl.EndoLaurent.matrix_z_power(2, -1, [[1, 0], [0, 2]])
-    assert weyl.is_infinitesimal_symplectic(good, 2, 2, gram)
-    assert not weyl.is_infinitesimal_symplectic(bad, 2, 2, gram)
-    assert dense_is_infinitesimal_symplectic(bad, 2, 2, gram) is False
-    assert weyl.is_infinitesimal_symplectic(bad, 2, 2)
-
-
 def test_hamiltonian_of_z_inverse():
     # P(1/z) = -q_0^2/2 - sum_m q_(m+1) p_m
     K = 5
     P = weyl.hamiltonian_of(lower(1, -1), 1, K)
-    assert P.qq == {(((0, 0)), (0, 0)): Fraction(-1, 2)}
-    want_pq = {((0, m), (0, m + 1)): Fraction(-1) for m in range(K)}
-    assert P.pq == want_pq
-    assert P.pp == {}
+    want = {((), ((0, 0), (0, 0))): Fraction(-1, 2)}
+    want.update({(((0, m),), ((0, m + 1),)): Fraction(-1) for m in range(K)})
+    assert P.terms == want
 
 
 def test_hamiltonian_of_zero_operator():
@@ -208,26 +184,24 @@ def test_hamiltonian_of_matrix_z_minus2():
     K = 3
     anti = weyl.EndoLaurent.matrix_z_power(2, -2, [[0, 1], [-1, 0]])
     P = weyl.hamiltonian_of(anti, 2, K)
-    assert P.pp == {}
-    # qq block: cross terms q^0_k q^1_l with k + l = 1
-    assert P.qq == {((0, 0), (1, 1)): Fraction(-1), ((0, 1), (1, 0)): Fraction(1)}
-    # pq block: q^(1-direction)_(m+2) p^(0-direction)_m shifted pairs
-    want_pq = {}
+    # no p p terms; q q terms: cross terms q^0_k q^1_l with k + l = 1
+    want = {((), ((0, 0), (1, 1))): Fraction(-1), ((), ((0, 1), (1, 0))): Fraction(1)}
+    # p q terms: q^(1-direction)_(m+2) p^(0-direction)_m shifted pairs
     for m in range(K - 1):
-        want_pq[((0, m), (1, m + 2))] = Fraction(-1)
-        want_pq[((1, m), (0, m + 2))] = Fraction(1)
-    assert P.pq == want_pq
+        want[((0, m),), ((1, m + 2),)] = Fraction(-1)
+        want[((1, m),), ((0, m + 2),)] = Fraction(1)
+    assert P.terms == want
 
 
 def test_quantize_table():
     # pp applied to q^2 gives 2 hbar
     v = (0, 0)
-    P = weyl.QuadHamiltonian(1, 3, pp={(v, v): Fraction(1)})
+    P = weyl.QuadHamiltonian(1, 3, {((v, v), ()): 1})
     op = weyl.quantize(P)
     got = apply_operator(op, fock({((v, v), 0): 1}))
     assert got == fock({((), 1): 2})
     # qq applied to 1 gives q^2/hbar
-    P2 = weyl.QuadHamiltonian(1, 3, qq={(v, v): Fraction(1)})
+    P2 = weyl.QuadHamiltonian(1, 3, {((), (v, v)): 1})
     got2 = apply_operator(weyl.quantize(P2), fock({((), 0): 1}))
     assert got2 == fock({((v, v), -1): 1})
     # quantized P(1/z) acts as -q0^2/2 - sum q_(m+1) d/dq_m
@@ -243,11 +217,11 @@ def test_quantize_table():
 def test_cocycle_values():
     v0 = (0, 0)
     v1 = (0, 1)
-    pp_same = weyl.QuadHamiltonian(1, 3, pp={(v0, v0): Fraction(1)})
-    qq_same = weyl.QuadHamiltonian(1, 3, qq={(v0, v0): Fraction(1)})
+    pp_same = weyl.QuadHamiltonian(1, 3, {((v0, v0), ()): 1})
+    qq_same = weyl.QuadHamiltonian(1, 3, {((), (v0, v0)): 1})
     assert weyl.commutator_cocycle(pp_same, qq_same) == 2
-    pp_mixed = weyl.QuadHamiltonian(1, 3, pp={(v0, v1): Fraction(1)})
-    qq_mixed = weyl.QuadHamiltonian(1, 3, qq={(v0, v1): Fraction(1)})
+    pp_mixed = weyl.QuadHamiltonian(1, 3, {((v0, v1), ()): 1})
+    qq_mixed = weyl.QuadHamiltonian(1, 3, {((), (v0, v1)): 1})
     assert weyl.commutator_cocycle(pp_mixed, qq_mixed) == 1
     # pure pp pairs have no defect
     assert weyl.commutator_cocycle(pp_same, pp_mixed) == 0
@@ -261,14 +235,14 @@ def test_cocycle_full_table():
     variables = [(i, k) for i in range(dim) for k in range(K + 1)]
     for v in variables:
         for w in variables:
-            P1 = weyl.QuadHamiltonian(dim, K, pp={tuple(sorted((v, w))): Fraction(1)})
-            P2 = weyl.QuadHamiltonian(dim, K, qq={tuple(sorted((v, w))): Fraction(1)})
+            P1 = weyl.QuadHamiltonian(dim, K, {((v, w), ()): 1})
+            P2 = weyl.QuadHamiltonian(dim, K, {((), (v, w)): 1})
             got = weyl.commutator_cocycle(P1, P2)
             want = 1 + (1 if v == w else 0)
             assert got == want == weyl.expected_cocycle(P1, P2)
     # non-matching pairs vanish
-    P1 = weyl.QuadHamiltonian(dim, K, pp={((0, 0), (0, 1)): Fraction(1)})
-    P2 = weyl.QuadHamiltonian(dim, K, qq={((0, 0), (0, 2)): Fraction(1)})
+    P1 = weyl.QuadHamiltonian(dim, K, {(((0, 0), (0, 1)), ()): 1})
+    P2 = weyl.QuadHamiltonian(dim, K, {((), ((0, 0), (0, 2))): 1})
     assert weyl.commutator_cocycle(P1, P2) == 0 == weyl.expected_cocycle(P1, P2)
 
 
@@ -278,7 +252,7 @@ def test_cocycle_table_names_its_first_failing_pair(monkeypatch, capsys):
 
     def wrong_at_one_pair(P1, P2):
         got = real(P1, P2)
-        return got + 1 if set(P1.pp) == {target} else got
+        return got + 1 if set(P1.terms) == {(target, ())} else got
 
     monkeypatch.setattr(weyl, "commutator_cocycle", wrong_at_one_pair)
     assert cli.main(["verify", "quantization", "--jobs", "1", "--format", "json"]) == 1
@@ -291,14 +265,14 @@ def test_cocycle_table_names_its_first_failing_pair(monkeypatch, capsys):
 def test_cocycle_against_expected_on_random_quadratics():
     dim, K = 2, 2
     v = [(0, 0), (0, 1), (1, 0), (1, 2)]
-    P1 = weyl.QuadHamiltonian(dim, K,
-                              pp={(v[0], v[1]): Fraction(2), (v[2], v[2]): Fraction(1, 3)},
-                              pq={(v[0], v[3]): Fraction(5)},
-                              qq={(v[1], v[3]): Fraction(-7, 2)})
-    P2 = weyl.QuadHamiltonian(dim, K,
-                              pp={(v[1], v[3]): Fraction(4)},
-                              pq={(v[2], v[1]): Fraction(-1)},
-                              qq={(v[0], v[1]): Fraction(6), (v[2], v[2]): Fraction(9)})
+    P1 = weyl.QuadHamiltonian(dim, K, {((v[0], v[1]), ()): 2,
+                                       ((v[2], v[2]), ()): Fraction(1, 3),
+                                       ((v[0],), (v[3],)): 5,
+                                       ((), (v[1], v[3])): Fraction(-7, 2)})
+    P2 = weyl.QuadHamiltonian(dim, K, {((v[1], v[3]), ()): 4,
+                                       ((v[2],), (v[1],)): -1,
+                                       ((), (v[0], v[1])): 6,
+                                       ((), (v[2], v[2])): 9})
     assert weyl.commutator_cocycle(P1, P2) == weyl.expected_cocycle(P1, P2)
 
 
@@ -323,20 +297,30 @@ def test_lie_algebra_homomorphism():
 def test_poisson_bracket_example():
     # {p^2, q^2} = 4 q p
     v = (0, 0)
-    P1 = weyl.QuadHamiltonian(1, 2, pp={(v, v): Fraction(1)})
-    P2 = weyl.QuadHamiltonian(1, 2, qq={(v, v): Fraction(1)})
+    P1 = weyl.QuadHamiltonian(1, 2, {((v, v), ()): 1})
+    P2 = weyl.QuadHamiltonian(1, 2, {((), (v, v)): 1})
     got = weyl.poisson_bracket(P1, P2)
-    assert got == weyl.QuadHamiltonian(1, 2, pq={(v, v): Fraction(4)})
+    assert got.terms == {((v,), (v,)): 4}
+
+
+def test_a_term_of_another_degree_is_rejected():
+    v, w = (0, 0), (0, 1)
+    for term in (((v, w), (v,)), ((), (v, v, w)), ((v,), ()), ((), ())):
+        with pytest.raises(weyl.FormalismError, match="is not quadratic"):
+            weyl.QuadHamiltonian(1, 2, {term: 1})
+    # unsorted monomials are stored sorted, and cancelled terms are dropped
+    P = weyl.QuadHamiltonian(1, 2, {((w, v), ()): 1, ((), (w, v)): 0})
+    assert P.terms == {((v, w), ()): 1}
 
 
 def test_dilaton_shift():
     coords = {}
-    shifted = weyl.dilaton_shift(coords, 2, 3)
+    shifted = weyl.dilaton_shift(coords, 3)
     assert shifted == {(0, 1): Fraction(1)}
-    back = weyl.dilaton_unshift(shifted, 2, 3)
+    back = weyl.dilaton_unshift(shifted)
     assert back == {}
     # only the unit-direction k=1 slot moves
     coords = {(1, 1): Fraction(5), (0, 2): Fraction(-1)}
-    shifted = weyl.dilaton_shift(coords, 2, 3)
+    shifted = weyl.dilaton_shift(coords, 3)
     assert shifted[(1, 1)] == 5 and shifted[(0, 1)] == 1 and shifted[(0, 2)] == -1
-    assert weyl.dilaton_unshift(shifted, 2, 3) == coords
+    assert weyl.dilaton_unshift(shifted) == coords
