@@ -27,11 +27,19 @@ under it, with one sign: X[i][j] = (-1)^[j<i] sigma^i(X[0][(j-i) mod (r+1)]),
 since the ratios zeta^(i-j) pick up zeta^(r+1) = -1 when an index wraps past
 r; on the diagonal, X[i][i] = sigma^i(X[0][0]).  This holds for the
 connection base, R1, every R_n of the recursion and every R_a^T R_b, so each
-is derived from its row 0 alone and ``_fill`` gives the other rows.  Another
+is derived from its row 0 alone and ``_fill`` gives the other rows; R1's
+diagonal is diagonal 0 integrated and rotated, and a unitarity residual
+reads row 0 of its sum, whose first nonzero entry lies there.  Another
 branch is a gauge of the default: signs e give E X E with E = diag(e), and
 a ``pair_flip`` negates one pair, so no branch divides anything again.  The
 rule holds for the default branch only, so nothing is filled on another
-branch.
+branch.  Row i of M_{i,mu} = p_i^(mu - r) is sigma^i of row 0, with no
+index shift.  sigma also sends eps_i to eps_(i+1), with no sign, so
+du_j(eps_i) and the pairing of eps_i with eps_j are sigma^i of their values
+at (0, (j - i) mod (r+1)); ``by_orbit`` derives that row 0 and covers a pair
+by rotation only where it checks that sigma carries the inputs.  The display
+forms depend on i and j through k = (j - i) mod (r+1), and form their sums
+over mu once per k.
 
 Known factors.  Every denominator the frame builds splits over w and the
 L_i, whose product is D = w^(r+1) + (-1)^r, so each quantity of the spectrum
@@ -69,6 +77,8 @@ Caching (per process, never shared between processes or switched off):
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
   other branch is gauged from it on each call and not kept.
+- ``by_orbit`` keeps nothing: the suite calls it once per cell, and the
+  rows 0 it derives live as long as the functions it returns.
 - ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
@@ -321,6 +331,52 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
 
 
+def _twisted(frame: CanonicalFrame, p: Poly, i: int, k: int) -> Poly:
+    """xi^(ik) sigma^i(p) for a polynomial p in w: ``RatFunc.rotate`` of p over
+    w^k multiplies coefficient m by xi^(i(k - m)) and leaves w^k alone."""
+    over = Poly.monomial(frame.field, k)
+    return RatFunc(frame.field, frame.u, p, over, reduce=False).rotate(i).num
+
+
+def by_orbit(frame: CanonicalFrame, *derives) -> list:
+    """For each of ``derives`` (``du_of_eps`` or ``eps_pairing``), a function
+    of (i, j) giving ``derive(frame, i, j)`` that derives row 0 only,
+    j = 0..r, and takes (i, j) as sigma^i of (0, (j - i) mod (r+1)) where the
+    inputs allow.
+
+    sigma^i sends eps_0 to eps_i when pref_i = sigma^i(pref_0) and
+    s_ik w^k = xi^(ik) sigma^i(s_0k w^k) for every k, and L_i =
+    xi^i sigma^i(L_0); each index is checked once, by polynomial rotation,
+    with no reduction.  When i, j and (j - i) mod (r+1) all pass, sigma^i
+    carries the inputs of (0, j - i) onto those of (i, j), and both values
+    are reduced rational functions, so the rotated value is the derived one.
+    Any other pair is derived directly.
+    """
+    u = frame.u
+    prefs, signed = _eps_factors(frame)
+    covariant = [True] + [
+        frame.L[i] == _twisted(frame, frame.L[0], i, 1)
+        and prefs[i] == _twisted(frame, prefs[0], i, 0)
+        and all(s == _twisted(frame, s0, i, k)
+                for k, (s, s0) in enumerate(zip(signed[i], signed[0])))
+        for i in range(1, u)]
+
+    def orbit(derive):
+        row = [derive(frame, 0, k) for k in range(u)]
+
+        def value(i: int, j: int) -> EquivScalar:
+            k = (j - i) % u
+            if i == 0:
+                return row[j]
+            if covariant[i] and covariant[j] and covariant[k]:
+                return row[k].rotate(i)
+            return derive(frame, i, j)
+
+        return value
+
+    return [orbit(derive) for derive in derives]
+
+
 def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
     """q c_i a_i^(2r) / ((r+1) lam^(2r+1))."""
     r = frame.r
@@ -410,9 +466,11 @@ def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
 
 
 def m_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    """M_{i,mu} = p_i^(mu - r)."""
+    """M_{i,mu} = p_i^(mu - r): row 0 from r+1 powers of p_0, row i its
+    rotation sigma^i, since sigma sends p_0 to p_i."""
     r = frame.r
-    return [[frame.p[i] ** (mu - r) for mu in range(r + 1)] for i in range(r + 1)]
+    row = [frame.p[0] ** (mu - r) for mu in range(r + 1)]
+    return [row] + [[x.rotate(i) for x in row] for i in range(1, r + 1)]
 
 
 def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
@@ -532,20 +590,12 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 
     This is the derived connection under the opposite square-root branch of
     each pair (entrywise the negative of the default-branch derived form).
+    The sum depends on k = (j - i) mod (r+1) only, so it is formed once per k.
     """
-    r = frame.r
-    fld = frame.field
-    out = []
-    for i in range(r + 1):
-        row = []
-        for j in range(r + 1):
-            if i == j:
-                row.append(fld.zero)
-                continue
-            s = _mu_sum(frame.xi, j - i, r)
-            row.append(frame.zeta ** (j - i) * s * Fraction(1, (r + 1) ** 2))
-        out.append(row)
-    return out
+    r, u, fld = frame.r, frame.u, frame.field
+    sums = [_mu_sum(frame.xi, k, r) * Fraction(1, u ** 2) for k in range(u)]
+    return [[fld.zero if i == j else fld.zeta(j - i) * sums[(j - i) % u]
+             for j in range(u)] for i in range(u)]
 
 
 # --- first-order asymptotic matrix --------------------------------------------
@@ -598,16 +648,18 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     sum_mu mu xi^(mu(j-i)) / ((r+1)^2 lam (xi^j - xi^i))."""
     r = frame.r
     fld, u = frame.field, frame.u
-    out = [[EquivScalar.zero(fld, u) for _ in range(r + 1)] for _ in range(r + 1)]
+    # with xi^j - xi^i = xi^i (xi^k - 1), k = (j - i) mod (r+1), the sum and
+    # the inverse are formed once per k
+    per_k = [None] + [_mu_sum(frame.xi, k, r) * (frame.xi ** k - fld.one).inverse()
+                      * Fraction((-1) ** r, u ** 2) for k in range(1, u)]
+    out = [[EquivScalar.zero(fld, u) for _ in range(u)] for _ in range(u)]
     w = RatFunc.monomial(fld, u, 1)
-    for i in range(r + 1):
-        for j in range(r + 1):
+    for i in range(u):
+        for j in range(u):
             if i == j:
                 continue
-            s = _mu_sum(frame.xi, j - i, r)
-            denom = frame.xi**j - frame.xi**i
-            coeff = frame.zeta ** (j - i) * s * denom.inverse() \
-                * Fraction((-1) ** r, (r + 1) ** 2)
+            # zeta^(j-i) xi^(-i) = zeta^(j - 3i)
+            coeff = fld.zeta(j - 3 * i) * per_k[(j - i) % u]
             rf = w * frame.a[i] * frame.a[j] * coeff
             out[i][j] = EquivScalar(fld, u, -1, rf)
     return out
@@ -677,8 +729,12 @@ def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[Equ
             term = off[i][j] * off[j][i] * dp[i][j]
             integrands[i] = integrands[i] - term
             integrands[j] = integrands[j] + term
-    return [_integrate_scalar(f, f"diagonal {i} integrand has a constant term at weight {{e}}")
-            for i, f in enumerate(integrands)]
+    return [_integrate_diagonal(f, i) for i, f in enumerate(integrands)]
+
+
+def _integrate_diagonal(f: EquivScalar, i: int) -> EquivScalar:
+    """Diagonal i of R1 from its integrand f (see ``_integrate_scalar``)."""
+    return _integrate_scalar(f, f"diagonal {i} integrand has a constant term at weight {{e}}")
 
 
 def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -697,24 +753,28 @@ def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
                 ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
     """(R1 off the diagonal, R1 on it) on one square-root branch.
 
-    Derived from ``r1_offdiagonal`` and ``r1_diagonal`` and returned as
-    immutable tuples.  The default branch (every sign +1, no pair flipped) is
-    derived once per frame, shared by the appendix suite and
-    ``genus_one_form(r)``; any other branch gauges the default's off-diagonal
-    and integrates its own diagonal on each call, not kept, as only the
-    memoised ``genus_one_form`` asks for one.
+    Derived from ``r1_offdiagonal`` and returned as immutable tuples.  The
+    default branch (every sign +1, no pair flipped) is derived once per
+    frame, shared by the appendix suite and ``genus_one_form(r)``: only
+    diagonal 0 is integrated, from its r pair products, and diagonal i is
+    its rotation sigma^i.  Any other branch gauges the default's
+    off-diagonal and integrates every diagonal by ``r1_diagonal`` on each
+    call, not kept, as only the memoised ``genus_one_form`` asks for one.
     """
     default = pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs))
-    if default and "first_order" in frame.stages:
-        return frame.stages["first_order"]
-    if default:
-        off = _r1_default(frame)
-    else:
+    if not default:
         off = tuple(map(tuple, r1_offdiagonal(frame, signs, pair_flip)))
-    out = (off, tuple(r1_diagonal(frame, off)))
-    if default:
-        frame.stages["first_order"] = out
-    return out
+        return off, tuple(r1_diagonal(frame, off))
+    if "first_order" not in frame.stages:
+        off = _r1_default(frame)
+        dp = _p_differences(frame)
+        integrand = EquivScalar.zero(frame.field, frame.u)
+        for j in range(1, frame.u):
+            integrand = integrand - off[0][j] * off[j][0] * dp[0][j]
+        diag = _integrate_diagonal(integrand, 0)
+        frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
+                                                  for i in range(frame.u)))
+    return frame.stages["first_order"]
 
 
 # --- the genus-one differential -----------------------------------------------
@@ -820,22 +880,18 @@ def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, 
     return memo[a, b]
 
 
-def _unitarity_sum(mats: list[list[list[EquivScalar]]], memo: dict,
-                   n: int) -> list[list[EquivScalar]]:
-    """sum_{a=0..n} (-1)^a R_a^T R_(n-a), every entry."""
+def _unitarity_row(mats: list[list[list[EquivScalar]]], memo: dict, n: int) -> list[EquivScalar]:
+    """Row 0 of sum_{a=0..n} (-1)^a R_a^T R_(n-a).  Each R_a^T R_b obeys the
+    rule of ``_fill``, so every entry of the sum is +-sigma^i of a row-0
+    entry: the sum vanishes exactly when its row 0 does, and its first
+    nonzero (i, j) in row order lies in row 0."""
     acc = None
     for a_idx in range(n + 1):
-        term = _transpose_product(mats, memo, a_idx, n - a_idx)
+        term = _transpose_product(mats, memo, a_idx, n - a_idx)[0]
         if a_idx % 2 == 1:
-            term = [[-x for x in row] for row in term]
-        acc = term if acc is None else [[p + t for p, t in zip(pr, tr)]
-                                        for pr, tr in zip(acc, term)]
+            term = [-x for x in term]
+        acc = term if acc is None else [p + t for p, t in zip(acc, term)]
     return acc
-
-
-def _first_nonzero(mat: list[list[EquivScalar]]) -> tuple[int, int] | None:
-    return next(((i, j) for i, row in enumerate(mat) for j, x in enumerate(row)
-                 if not x.is_zero()), None)
 
 
 def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
@@ -851,9 +907,10 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     Each order is derived on the default branch from its row 0, filled by
     ``_fill``; the diagonal is integrated and calibrated once, at i = 0 (the
     constant is fixed by sigma), and rotated.  Each R_a^T R_b is formed once
-    (see ``_transpose_product``), and each residual reads every entry of its
-    sum.  Signs e give E R_n E at every order; the branch's R_a^T R_b are
-    E R_a^T R_b E, which vanish exactly where the default branch's do.
+    (see ``_transpose_product``), and each residual reads row 0 of its sum
+    (see ``_unitarity_row``).  Signs e give E R_n E at every order; the
+    branch's R_a^T R_b are E R_a^T R_b E, which vanish exactly where the
+    default branch's do.
 
     Returns ([Id, R_1, ..., R_order], report) where the report collects the
     diagonal constants, the exact unitarity residual status per order and,
@@ -900,7 +957,8 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         mats.append(new)
     residuals, first_nonzero = {}, {}
     for n in range(1, order + 1):
-        bad = _first_nonzero(_unitarity_sum(mats, products, n))
+        bad = next(((0, j) for j, x in enumerate(_unitarity_row(mats, products, n))
+                    if not x.is_zero()), None)
         residuals[n] = bad is None
         if bad is not None:
             first_nonzero[n] = bad

@@ -7,7 +7,8 @@ Subcommands:
   qcflop dump dG
 
 Exit codes: 0 when every identity passes, 1 on any failure (the failing
-anchors go to stderr), 2 on usage or configuration errors.
+anchors, or the derivation error of ``table`` or ``dump``, go to stderr), 2 on
+usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -141,11 +142,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class DerivationError(Exception):
+    """A derivation behind ``table`` or ``dump`` failed (exit code 1)."""
+
+
+def _derive(derive, *args):
+    """derive(*args), with the ValueError of a failed derivation (the
+    FlatnessError of a diagonal that does not integrate, a CancellationError)
+    raised again as a DerivationError."""
+    try:
+        return derive(*args)
+    except ValueError as exc:
+        raise DerivationError(f"r = {args[0]}: {exc}") from exc
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     config = load_config(_overrides(args))
     rows = []
     for r in config.rs():
-        table = canonical.genus_one_table(r, config.dmax)
+        table = _derive(canonical.genus_one_table, r, config.dmax)
         for d, value in enumerate(table, start=1):
             rows.append((r, d, value))
     single_r = len(config.rs()) == 1
@@ -170,7 +185,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
         raise ConfigError("dump writes json or text")
     payload = []
     for r in config.rs():
-        form, const = canonical.genus_one_form(r)
+        form, const = _derive(canonical.genus_one_form, r)
         kappa = Fraction((-1) ** (r + 1) * (r + 1), 24)
         sign = "-" if r % 2 == 1 else "+"
         payload.append({
@@ -202,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except DerivationError as exc:
+        print(f"derivation error: {exc}", file=sys.stderr)
+        return 1
     parser.error("unknown command")
     return 2
 

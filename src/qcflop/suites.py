@@ -105,8 +105,9 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     t0 = time.perf_counter()
     frame = canonical.frame_for(r)
     residuals = canonical.char_residuals(frame)
-    rep.add("appendix/spectrum-char-residual", {"r": r},
-            all(res.is_zero() for res in residuals))
+    bad = next((f"first failing i = {i}: q (lam - p_i)^(r+1) is not p_i^(r+1)"
+                for i, res in enumerate(residuals) if not res.is_zero()), None)
+    rep.add("appendix/spectrum-char-residual", {"r": r}, bad is None, bad or "0")
     bad = None
     for k, ek in enumerate(canonical.charpoly_coefficients(frame), start=1):
         # the closed form has weight k and is linear in G, so it is checked first
@@ -117,19 +118,26 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
         if bad:
             break
     rep.add("appendix/charpoly-coefficients-in-g", {"r": r}, bad is None, bad or "0")
-    pair_ok = canonical.equiv_pairing(r, r, 0) == EquivScalar.lam_power(
-        frame.field, frame.u, -(r + 1), 1) and canonical.equiv_pairing(r, r, 1).is_zero()
-    rep.add("appendix/pairing-closed-form", {"r": r}, pair_ok)
-    rep.add("appendix/pairing-vanishing-window", {"r": r},
-            all(canonical.lemma_zero_value(r, k).is_zero() for k in range(r)))
+    if canonical.equiv_pairing(r, r, 0) != EquivScalar.lam_power(frame.field, frame.u, -(r + 1), 1):
+        bad = f"first failing (k, l) = {(r, 0)}: the pairing is not lam^-{r + 1}"
+    elif not canonical.equiv_pairing(r, r, 1).is_zero():
+        bad = f"first failing (k, l) = {(r, 1)}: the pairing is not zero"
+    else:
+        bad = None
+    rep.add("appendix/pairing-closed-form", {"r": r}, bad is None, bad or "0")
+    bad = next((f"first failing k = {k}: the pairing of (p/lam)^k (1 - p/lam)^(2r-k) is not zero"
+                for k in range(r) if not canonical.lemma_zero_value(r, k).is_zero()), None)
+    rep.add("appendix/pairing-vanishing-window", {"r": r}, bad is None, bad or "0")
+    # each check derives its row 0 and covers the other rows by the deck rotation
+    duality, pairing = canonical.by_orbit(frame, canonical.du_of_eps, canonical.eps_pairing)
     bad = _first_failing_pair(r, lambda i, j: (
-        ("du_j(eps_i) is not delta_ij", canonical.du_of_eps(frame, i, j) == (1 if i == j else 0)),))
+        ("du_j(eps_i) is not delta_ij", duality(i, j) == (1 if i == j else 0)),))
     rep.add("appendix/idempotent-duality", {"r": r}, bad is None, bad or "0")
     bad = None
     norms = []
     for i in range(r + 1):
         for j in range(i, r + 1):  # the pairing is symmetric
-            got = canonical.eps_pairing(frame, i, j)
+            got = pairing(i, j)
             if i == j:
                 norms.append(got)
                 ok = got == canonical.eps_norm_closed_form(frame, i)

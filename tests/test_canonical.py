@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from qcflop import canonical as can
-from qcflop import cli
+from qcflop import cli, suites
 from qcflop.algebra import (
     CycField,
     EquivScalar,
@@ -465,6 +465,16 @@ def integrate(x):
     return EquivScalar(x.field, x.root_order, x.weight, x.value.integrate_in_t())
 
 
+def signed_sum(mats, n, lo):
+    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a), every entry of every product."""
+    zero = EquivScalar.zero(mats[0][0][0].field, mats[0][0][0].root_order)
+    acc = [[zero] * len(mats[0]) for _ in mats[0]]
+    for a in range(lo, n - lo + 1):
+        term = mat_mul(can.mat_transpose(mats[a]), mats[n - a])
+        acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
+    return acc
+
+
 def plain_r_matrix_recursion(r, order, diag_mode):
     """The recursion with every product a full mat_mul: the plain connection
     as a matrix of scalars, the whole of both connection products, every
@@ -476,14 +486,6 @@ def plain_r_matrix_recursion(r, order, diag_mode):
     conn = [[EquivScalar(frame.field, frame.u, 0, frame.rat_const(c)) for c in row]
             for row in plain_connection(frame)]
     dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
-
-    def signed_sum(mats, n, lo):
-        acc = [[zero] * size for _ in range(size)]
-        for a in range(lo, n - lo + 1):
-            term = mat_mul(can.mat_transpose(mats[a]), mats[n - a])
-            acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
-        return acc
-
     mats = [[[EquivScalar.one(frame.field, frame.u) if i == j else zero for j in range(size)]
              for i in range(size)]]
     constants = {}
@@ -1095,3 +1097,253 @@ def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch
     for anchor, residual in want.items():
         entry = entries[anchor, None]
         assert entry["status"] == "fail" and entry["residual"] == residual
+
+
+# --- the deck rotation's orbit shortcuts against all-pairs references --------------
+
+
+ORBIT_RS = (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("r", ORBIT_RS)
+def test_the_rotated_r1_diagonal_is_the_integrated_one(r):
+    frame = can.build_spectrum(r)
+    off, diag = can.first_order(frame)
+    assert list(diag) == can.r1_diagonal(frame, off)
+
+
+@pytest.mark.parametrize("r", ORBIT_RS)
+def test_each_idempotent_value_is_the_rotation_of_its_row_0_value(r):
+    frame = can.build_spectrum(r)
+    u = frame.u
+    for derive in (can.du_of_eps, can.eps_pairing):
+        row = [derive(frame, 0, k) for k in range(u)]
+        [by_orbit] = can.by_orbit(frame, derive)
+        for i in range(u):
+            for j in range(u):
+                got = derive(frame, i, j)
+                assert got == row[(j - i) % u].rotate(i)
+                assert by_orbit(i, j) == got
+
+
+def perturbed_frame(r, change):
+    """A fresh frame whose linear factors or basis factors ``change`` edits in
+    place, before anything reads them."""
+    frame = can.build_spectrum(r)
+    change(frame)
+    return frame
+
+
+def moved_root(frame):
+    frame.L[1] = frame.L[1] + Poly.one(frame.field)
+
+
+def moved_root_after_the_factors(frame):
+    # the basis factors keep the true L_1; du_of_eps reads the moved one
+    can._eps_factors(frame)
+    moved_root(frame)
+
+
+def doubled_pref_1(frame):
+    prefs, signed = can._eps_factors(frame)
+    frame.stages["eps_factors"] = ((prefs[0], prefs[1] * 2) + prefs[2:], signed)
+
+
+def s_21_gains_1(frame):
+    prefs, signed = can._eps_factors(frame)
+    row = list(signed[2])
+    row[1] = row[1] + Poly.monomial(frame.field, 1)  # s_21 w + w
+    frame.stages["eps_factors"] = (prefs, signed[:2] + (tuple(row),) + signed[3:])
+
+
+ORBIT_BREAKERS = {
+    "moved root of L_1": moved_root,
+    "moved root of L_1 after the basis factors": moved_root_after_the_factors,
+    "doubled pref_1": doubled_pref_1,
+    "s_21 gains 1": s_21_gains_1,
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(ORBIT_BREAKERS))
+def test_a_pair_off_the_orbit_is_derived_directly(r, name):
+    # inputs that sigma does not carry onto each other: every value is still
+    # the direct derivation, where a rotation of row 0 would not be
+    frame = perturbed_frame(r, ORBIT_BREAKERS[name])
+    rotated_differs = False
+    for derive in (can.du_of_eps, can.eps_pairing):
+        [by_orbit] = can.by_orbit(frame, derive)
+        for i in range(frame.u):
+            for j in range(frame.u):
+                got = derive(frame, i, j)
+                assert by_orbit(i, j) == got
+                rotated_differs |= got != by_orbit(0, (j - i) % frame.u).rotate(i)
+    assert rotated_differs
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(can, name)
+
+    def counted(frame, i, j):
+        calls.append((i, j))
+        return real(frame, i, j)
+
+    monkeypatch.setattr(can, name, counted)
+    return calls
+
+
+def test_the_idempotent_anchors_derive_row_0_only(monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    duality = count_calls(monkeypatch, "du_of_eps")
+    pairing = count_calls(monkeypatch, "eps_pairing")
+    rep = suites.appendix_suite(4)
+    assert rep.all_pass()
+    assert duality == pairing == [(0, k) for k in range(5)]
+
+
+def all_pairs_duality(frame):
+    """The duality anchor's residual from du_of_eps at every (i, j)."""
+    n = frame.u
+    return next((f"first failing (i, j) = {(i, j)}: du_j(eps_i) is not delta_ij"
+                 for i in range(n) for j in range(n)
+                 if can.du_of_eps(frame, i, j) != (1 if i == j else 0)), "0")
+
+
+def all_pairs_orthogonality(frame):
+    """The orthogonality anchor's residual from eps_pairing at every i <= j."""
+    n = frame.u
+    for i in range(n):
+        for j in range(i, n):
+            got = can.eps_pairing(frame, i, j)
+            if i == j and got != can.eps_norm_closed_form(frame, i):
+                return f"first failing (i, j) = {(i, j)}: the norm is not the closed form"
+            if i != j and not got.is_zero():
+                return f"first failing (i, j) = {(i, j)}: the pairing is not zero"
+    return "0"
+
+
+def idempotent_rows(frame, monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {frame.r: frame})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    entries = {e.anchor: e for e in suites.appendix_suite(frame.r).entries}
+    return (entries["appendix/idempotent-duality"].residual,
+            entries["appendix/idempotent-orthogonality"].residual)
+
+
+@pytest.mark.parametrize("r", ORBIT_RS)
+def test_the_idempotent_anchors_match_the_all_pairs_references(r, monkeypatch):
+    frame = can.build_spectrum(r)
+    assert idempotent_rows(frame, monkeypatch) == ("0", "0")
+    assert (all_pairs_duality(frame), all_pairs_orthogonality(frame)) == ("0", "0")
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(ORBIT_BREAKERS))
+def test_the_idempotent_anchors_off_the_orbit_match_the_references(r, name, monkeypatch):
+    frame = perturbed_frame(r, ORBIT_BREAKERS[name])
+    want = (all_pairs_duality(frame), all_pairs_orthogonality(frame))
+    assert want != ("0", "0")
+    assert idempotent_rows(frame, monkeypatch) == want
+
+
+@pytest.mark.parametrize("diag_mode", ["unitarity", "zero"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_the_row_0_unitarity_residual_is_the_full_matrix_residual(r, diag_mode):
+    mats, report = can.r_matrix_recursion(r, 3, diag_mode)
+    for n in (1, 2, 3):
+        full = signed_sum(mats, n, 0)
+        first = next(((i, j) for i, row in enumerate(full) for j, x in enumerate(row)
+                      if not x.is_zero()), None)
+        assert report["unitarity_first_nonzero"].get(n) == first
+        assert report["unitarity_exact"][n] == (first is None)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_the_row_0_unitarity_residual_under_the_wrong_wrap_sign(r, monkeypatch):
+    # zeta^(r+1) taken as +1: each R_a^T R_b still obeys the fill's rule with
+    # that sign, so the full sum's first nonzero entry is still in row 0
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_WRAP_SIGN", 1)
+    mats, report = can.r_matrix_recursion(r, 1)
+    full = signed_sum(mats, 1, 0)
+    first = next((i, j) for i, row in enumerate(full) for j, x in enumerate(row)
+                 if not x.is_zero())
+    assert report["unitarity_first_nonzero"] == {1: first}
+
+
+@pytest.mark.parametrize("shift, failing", [(lambda i: i + 1, 0), (lambda i: 2 * i, 1)])
+def test_control_a_diagonal_rotated_to_the_wrong_index(capsys, monkeypatch, shift, failing):
+    # diagonal i taken as sigma^shift(i) of diagonal 0: the anchor names the
+    # first i whose rotation is wrong, and the off-diagonal still passes
+    real = can.first_order
+
+    def rotated(frame, signs=None, pair_flip=None):
+        off, diag = real(frame, signs, pair_flip)
+        if signs is None and pair_flip is None:
+            diag = tuple(diag[0].rotate(shift(i)) for i in range(frame.u))
+        return off, diag
+
+    monkeypatch.setattr(can, "first_order", rotated)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    entry = entries["appendix/first-order-diagonal"]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == f"first failing i = {failing}: derived is not the closed form"
+    assert entries["appendix/first-order-offdiagonal"]["status"] == "pass"
+
+
+# --- negative controls of the anchors that compare one value or one window ----------
+
+
+def one_spectrum_root(monkeypatch):
+    frame = can.build_spectrum(2)
+    frame.p[1] = frame.p[1] * 2
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+
+
+def one_pairing_weight_at(d0):
+    def perturb(monkeypatch):
+        weight = can._pairing_weight
+        monkeypatch.setattr(can, "_FRAMES", {})
+        monkeypatch.setattr(can, "_pairing_weight", lambda r, d: weight(r, d) + (d == d0))
+    return perturb
+
+
+# anchor -> (perturbation, the failing residual, an anchor that must still pass)
+VALUE_CONTROLS = {
+    # m_matrix reads p_0 only, so the other rows' checks see nothing of it
+    "appendix/spectrum-char-residual": (
+        one_spectrum_root, "first failing i = 1: q (lam - p_i)^(r+1) is not p_i^(r+1)",
+        "appendix/charpoly-coefficients-in-g"),
+    # C(2r-d, r-d) at d = r is 1; make it 2
+    "appendix/pairing-closed-form": (
+        one_pairing_weight_at(2), "first failing (k, l) = (2, 0): the pairing is not lam^-3",
+        "appendix/idempotent-duality"),
+    # at d = 0 the weight enters every window term with k = 0, and not p^r's pairing
+    "appendix/pairing-vanishing-window": (
+        one_pairing_weight_at(0),
+        "first failing k = 0: the pairing of (p/lam)^k (1 - p/lam)^(2r-k) is not zero",
+        "appendix/pairing-closed-form"),
+}
+
+
+def test_value_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
+    monkeypatch.setattr(can, "_FRAMES", {})
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 0
+    for anchor in VALUE_CONTROLS:
+        assert entries[anchor]["status"] == "pass" and entries[anchor]["residual"] == "0"
+
+
+@pytest.mark.parametrize("anchor", sorted(VALUE_CONTROLS))
+def test_control_value_anchor(capsys, monkeypatch, anchor):
+    perturb, residual, sibling = VALUE_CONTROLS[anchor]
+    perturb(monkeypatch)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    assert entries[anchor]["status"] == "fail"
+    assert entries[anchor]["residual"] == residual
+    assert entries[sibling]["status"] == "pass"

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from qcflop import batyrev, canonical, cli
+from qcflop.algebra import Poly
 from qcflop.config import ConfigError, load_config, parse_r_range, parse_sample
 from qcflop.report import Report
 
@@ -291,3 +292,25 @@ def test_dump_dg_is_byte_identical_to_the_recorded_output(capsys, monkeypatch, f
     code, out, _ = run_cli(["dump", "dG", "--r", "1..7", "--format", fmt], capsys)
     assert code == 0
     assert out == (DATA / recorded).read_text(encoding="utf-8")
+
+
+def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
+    # the anchors past the default r range, each row with its residual
+    code, out, _ = run_cli(["verify", "appendix", "--r", "5..8", "--format", "json",
+                            "--jobs", "1"], capsys)
+    assert code == 0
+    recorded = json.loads((DATA / "verify_appendix_r5-8.json").read_text(encoding="utf-8"))
+    assert json.loads(out)["entries"] == recorded
+
+
+@pytest.mark.parametrize("args", [["dump", "dG"], ["table", "genus1"]])
+def test_a_derivation_error_exits_1_with_a_message(capsys, monkeypatch, args):
+    # moving the root of L_1 by 1 leaves a constant in R1's diagonal integrand
+    frame = canonical.build_spectrum(2)
+    frame.L[1] = frame.L[1] + Poly.one(frame.field)
+    monkeypatch.setattr(canonical, "_FRAMES", {2: frame})
+    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
+    code, out, err = run_cli([*args, "--r", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("derivation error: r = 2: diagonal 0 integrand has a constant term"
+                   " at weight -1\n")
