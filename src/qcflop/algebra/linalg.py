@@ -9,12 +9,19 @@ follows the fill of the matrix rather than its square.
 There is one matrix format: ``det``, ``inverse`` and ``solve`` take a
 matrix as a list of such sparse rows, and ``inverse`` returns one.  All three
 read the result of ``row_reduce``, whose pivot columns give the rank.
-``add_term`` is the matching sparse accumulation; it tests zero by the
-truth value, which ``Fraction``, ``CycNumber`` and ``RatFunc`` make false
-exactly at zero.
+
+The sparse exact values (cohomology classes, loop vectors, Fock operators,
+continuation-ring elements) are term maps {key: nonzero coefficient}, built by
+four operations: ``add_term`` accumulates one term into a map in place, and
+``add_terms`` (sum or difference), ``mul_terms`` (keys are exponent tuples,
+added componentwise) and ``scale_terms`` return new maps.  Their one zero
+rule: a coefficient is zero when its truth value is false, which ``Fraction``,
+``CycNumber`` and ``RatFunc`` make exactly at zero, and a zero drops its key.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 class InconsistentSystemError(ValueError):
@@ -31,6 +38,28 @@ def add_term(target: dict, key, value) -> None:
         target[key] = new
     else:
         target.pop(key, None)
+
+
+def add_terms(p: dict, q: dict, sign: int = 1) -> dict:
+    """The term map p + q, or p - q for sign = -1."""
+    out = dict(p)
+    for key, c in q.items():
+        add_term(out, key, -c if sign < 0 else c)
+    return out
+
+
+def mul_terms(p: dict, q: dict) -> dict:
+    """p * q for term maps keyed by exponent tuples, added componentwise."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            add_term(out, tuple(map(add, k1, k2)), c1 * c2)
+    return out
+
+
+def scale_terms(p: dict, c) -> dict:
+    """c times the term map p."""
+    return {key: w for key, v in p.items() if (w := v * c)}
 
 
 def row_reduce(rows: list[dict], one, ncols: int) -> tuple[list[int], object]:

@@ -57,7 +57,7 @@ import numpy as np
 
 from qcflop import cohomology
 from qcflop.algebra import CycField, CycNumber, FracSeries, RatFunc, linalg
-from qcflop.algebra.linalg import add_term
+from qcflop.algebra.linalg import add_term, add_terms
 from qcflop.config import check_sample_point
 
 Vec = dict  # (a, b) in the active monomial frame -> field scalar
@@ -131,10 +131,7 @@ class ReductionEngine:
         return out
 
     def mult_xi(self, vec: Vec) -> Vec:
-        out = self.mult_h(vec)
-        for key, c in self.mult_y(vec).items():
-            add_term(out, key, c)
-        return out
+        return add_terms(self.mult_h(vec), self.mult_y(vec))
 
     def xi_monomial(self, a: int, b: int) -> Vec:
         """The reduced (h, y)-frame representative of h^a x^b."""

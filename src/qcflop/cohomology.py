@@ -5,8 +5,10 @@ of the base projective space and x the relative hyperplane class; the
 monomial basis is h^a x^b with 0 <= a <= r, 0 <= b <= r+1, and integration
 reads off the coefficient of h^r x^(r+1).
 
-Raw (unreduced) polynomials in h, x appear as dicts mapping exponent pairs
-(A, B) to Fractions.
+Raw (unreduced) polynomials in h, x are term maps, dicts mapping exponent
+pairs (A, B) to Fractions.  They are added, multiplied and scaled by
+``linalg.add_terms``, ``mul_terms`` and ``scale_terms``; ``raw_pow`` takes
+their powers by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -14,46 +16,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from qcflop.algebra.linalg import add_term
+from qcflop.algebra.linalg import add_term, add_terms, mul_terms, scale_terms
+from qcflop.algebra.power import binary_power
 
 RawPoly = dict[tuple[int, int], Fraction]
 
 
-def raw_add(p: RawPoly, q: RawPoly) -> RawPoly:
-    out = dict(p)
-    for key, c in q.items():
-        add_term(out, key, c)
-    return out
-
-
-def raw_mul(p: RawPoly, q: RawPoly) -> RawPoly:
-    out: RawPoly = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            add_term(out, (a1 + a2, b1 + b2), c1 * c2)
-    return out
-
-
-def raw_scale(p: RawPoly, c) -> RawPoly:
-    c = Fraction(c)
-    return {k: v * c for k, v in p.items() if v * c}
-
-
 def raw_pow(p: RawPoly, n: int) -> RawPoly:
-    out: RawPoly = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        out = raw_mul(out, p)
-    return out
+    return binary_power(p, n, {(0, 0): Fraction(1)}, mul_terms)
 
 
 def substitute_h_by_x_minus_h(p: RawPoly) -> RawPoly:
-    """The exponent-level substitution h -> x - h, x -> x on a raw polynomial."""
+    """The exponent-level substitution h -> x - h, x -> x on a raw polynomial:
+    h^a x^b goes to sum_k C(a, k) (-1)^k h^k x^(a - k + b)."""
     out: RawPoly = {}
-    base = {(1, 0): Fraction(-1), (0, 1): Fraction(1)}  # x - h
     for (a, b), c in p.items():
-        term = raw_scale(raw_pow(base, a), c)
-        term = raw_mul(term, {(0, b): Fraction(1)})
-        out = raw_add(out, term)
+        for k in range(a + 1):
+            add_term(out, (k, a - k + b), c * (-1) ** k * comb(a, k))
     return out
 
 
@@ -73,37 +52,32 @@ class CohClass:
     def reduce(cls, r: int, raw: RawPoly) -> "CohClass":
         """Canonical form: apply h^(r+1) = 0 and rewrite excess x-powers via
         the relation x(x-h)^(r+1) = 0, one x-power at a time."""
-        work = {k: Fraction(c) for k, c in raw.items() if c}
+        # h^(r+1) = 0, so a term of h-degree above r is dropped as it arises
+        work = {k: Fraction(c) for k, c in raw.items() if k[0] <= r and c}
         # x^(r+2) = -sum_{k>=1} C(r+1,k) (-h)^k x^(r+2-k)
-        rewrite: RawPoly = {}
-        for k in range(1, r + 2):
-            coeff = Fraction(-((-1) ** k * comb(r + 1, k)))
-            rewrite = raw_add(rewrite, {(k, r + 2 - k): coeff})
-        while True:
-            work = {k: c for k, c in work.items() if k[0] <= r and c}
-            high = [key for key in work if key[1] >= r + 2]
-            if not high:
-                break
-            key = max(high, key=lambda t: t[1])
-            a, b = key
-            c = work.pop(key)
-            # h^a x^b = h^a x^(b - r - 2) * x^(r+2)
-            shifted = {(a + da, b - (r + 2) + db): v * c for (da, db), v in rewrite.items()}
-            work = raw_add(work, shifted)
-        work = {k: c for k, c in work.items() if k[0] <= r and c}
+        rewrite = {(k, r + 2 - k): Fraction((-1) ** (k + 1) * comb(r + 1, k))
+                   for k in range(1, r + 2)}
+        # a rewrite lowers the x-power, so one pass from the top x-power down ends
+        for b in range(max((b for _, b in work), default=0), r + 1, -1):
+            for a in [a for a in range(r + 1) if (a, b) in work]:
+                c = work.pop((a, b))
+                # h^a x^b = h^a x^(b - r - 2) * x^(r+2)
+                for (da, db), v in rewrite.items():
+                    if a + da <= r:
+                        add_term(work, (a + da, b - (r + 2) + db), v * c)
         return cls(r, work)
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        return CohClass(self.r, raw_add(self.coeffs, other.coeffs))
+        return CohClass(self.r, add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + other.scale(-1)
+        return CohClass(self.r, add_terms(self.coeffs, other.coeffs, sign=-1))
 
     def __mul__(self, other: "CohClass") -> "CohClass":
-        return CohClass.reduce(self.r, raw_mul(self.coeffs, other.coeffs))
+        return CohClass.reduce(self.r, mul_terms(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "CohClass":
-        return CohClass(self.r, raw_scale(self.coeffs, c))
+        return CohClass(self.r, scale_terms(self.coeffs, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohClass):
@@ -153,7 +127,7 @@ def total_chern_raw(r: int) -> RawPoly:
     one_h = {(0, 0): Fraction(1), (1, 0): Fraction(1)}
     one_x = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
     one_xh = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(-1)}
-    return raw_mul(raw_pow(one_h, r + 1), raw_mul(one_x, raw_pow(one_xh, r + 1)))
+    return mul_terms(raw_pow(one_h, r + 1), mul_terms(one_x, raw_pow(one_xh, r + 1)))
 
 
 def chern_class(r: int, k: int) -> CohClass:
@@ -200,7 +174,7 @@ def c3_minus_c2c1_swapped(r: int = 1) -> Fraction:
     c1 = {k: c for k, c in total.items() if k[0] + k[1] == 1}
     c2 = {k: c for k, c in total.items() if k[0] + k[1] == 2}
     c3 = {k: c for k, c in total.items() if k[0] + k[1] == 3}
-    diff = raw_add(c3, raw_scale(raw_mul(c2, c1), -1))
+    diff = add_terms(c3, mul_terms(c2, c1), sign=-1)
     return integrate_raw(r, substitute_h_by_x_minus_h(diff))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from qcflop.algebra import CycField, Poly, RatFunc, linalg
-from qcflop.algebra.linalg import add_term
+from qcflop.algebra.linalg import add_term, add_terms, mul_terms, scale_terms
 from qcflop import cohomology as coh
 
 Q = CycField(1)
@@ -210,21 +210,13 @@ class RingRElement:
                        for j, p in enumerate(polys) for k, c in enumerate(p.coeffs)})
 
     def __add__(self, other: "RingRElement") -> "RingRElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return RingRElement(self.r, out)
+        return RingRElement(self.r, add_terms(self.terms, other.terms))
 
     def __mul__(self, other: "RingRElement") -> "RingRElement":
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (l1, g1, k1), c1 in self.terms.items():
-            for (l2, g2, k2), c2 in other.terms.items():
-                add_term(out, (l1 + l2, g1 + g2, k1 + k2), c1 * c2)
-        return RingRElement(self.r, out)
+        return RingRElement(self.r, mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "RingRElement":
-        c = Fraction(c)
-        return RingRElement(self.r, {k: v * c for k, v in self.terms.items()})
+        return RingRElement(self.r, scale_terms(self.terms, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingRElement):
@@ -243,31 +235,26 @@ class RingRElement:
 
     def delta(self) -> "RingRElement":
         """q^l d/dq^l; stays inside the ring since delta G = G + (-1)^(r+1) G^2."""
-        sign = Fraction((-1) ** (self.r + 1))
-        out = RingRElement(self.r, {})
+        sign = (-1) ** (self.r + 1)
+        out: dict[tuple[int, int, int], Fraction] = {}
         for (el, eg, k), c in self.terms.items():
-            # product rule on q^(el) * G^k
-            if el:
-                out = out + RingRElement(self.r, {(el, eg, k): c * el})
+            # product rule on q^(el) * G^k, with k G^(k-1) (G + sign G^2) from G^k
+            add_term(out, (el, eg, k), c * (el + k))
             if k:
-                # k G^(k-1) (G + sign G^2)
-                out = out + RingRElement(self.r, {(el, eg, k): c * k,
-                                                  (el, eg, k + 1): c * k * sign})
-        return out
+                add_term(out, (el, eg, k + 1), c * k * sign)
+        return RingRElement(self.r, out)
 
 
 def flop_transform(x: RingRElement) -> RingRElement:
     """The continuation map: G -> (-1)^r - G, with l -> -l' and g -> g' + l'
     on the curve-class exponents."""
-    r = x.r
-    sign = Fraction((-1) ** r)
-    out = RingRElement(r, {})
+    sign = (-1) ** x.r
+    out: dict[tuple[int, int, int], Fraction] = {}
     for (el, eg, k), c in x.terms.items():
         # ((-1)^r - G)^k expanded binomially
         for j in range(k + 1):
-            coeff = c * comb(k, j) * (sign ** (k - j)) * Fraction((-1) ** j)
-            out = out + RingRElement(r, {(eg - el, eg, j): coeff})
-    return out
+            add_term(out, (eg - el, eg, j), c * comb(k, j) * sign ** (k - j) * (-1) ** j)
+    return RingRElement(x.r, out)
 
 
 def ring_element_series(x: RingRElement, order: int) -> dict[int, list[Fraction]]:

@@ -20,8 +20,9 @@ def cohomology_suite(r: int) -> Report:
     gram_det = linalg.det(cohomology.pairing_matrix(r), Fraction(1))
     rep.add("cohomology/poincare-unimodular", {"r": r}, abs(gram_det) == 1, str(gram_det))
     c1 = cohomology.chern_class(r, 1)
-    rep.add("cohomology/first-chern-fiber-class", {"r": r},
-            c1 == cohomology.monomial(r, 0, 1, r + 2))
+    ok = c1 == cohomology.monomial(r, 0, 1, r + 2)
+    rep.add("cohomology/first-chern-fiber-class", {"r": r}, ok,
+            "0" if ok else f"c_1 = {c1}, not {r + 2}*x")
     pairing = cohomology.chern_flop_identity(r)
     rep.add("cohomology/chern-flop-pairing", {"r": r},
             pairing == -(r + 1), str(pairing))
@@ -36,6 +37,13 @@ def cohomology_suite(r: int) -> Report:
                 v == v_swapped, f"{v} vs {v_swapped}")
     rep.seconds = time.perf_counter() - t0
     return rep
+
+
+def _first_differing_term(what: str, got: dict, want: dict) -> str | None:
+    """None when two term maps are equal, else ``what`` with the first key,
+    in sorted order, where they differ and both coefficients there."""
+    return next((f"{what}: first failing term {key}: got {got.get(key, 0)}, want {want.get(key, 0)}"
+                 for key in sorted(got.keys() | want.keys()) if got.get(key) != want.get(key)), None)
 
 
 def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -> Report:
@@ -63,8 +71,9 @@ def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -
         rep.add("flop/reciprocal-antisymmetry", {"r": r, "m": m},
                 flopcheck.reciprocal_antisymmetry(r, m))
     x = flopcheck.RingRElement(r, {(2, 1, 2): Fraction(3), (0, 2, 1): Fraction(-1, 2)})
-    rep.add("flop/transform-involution", {"r": r},
-            flopcheck.flop_transform(flopcheck.flop_transform(x)) == x)
+    twice = flopcheck.flop_transform(flopcheck.flop_transform(x))
+    bad = _first_differing_term("F(F(x)) is not x", twice.terms, x.terms)
+    rep.add("flop/transform-involution", {"r": r}, bad is None, bad or "0")
     kappa = flopcheck.genus1_kappa(r)
     rep.add("flop/genus-one-kappa", {"r": r},
             kappa == Fraction((-1) ** (r + 1) * (r + 1), 24), str(kappa))
@@ -297,7 +306,8 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     # P(1/z) = -q_0^2/2 - sum_m q_(m+1) p_m
     string = {((), ((0, 0), (0, 0))): Fraction(-1, 2)}
     string.update({(((0, m),), ((0, m + 1),)): Fraction(-1) for m in range(K)})
-    rep.add("quantization/string-hamiltonian", {"cutoff": K}, P.terms == string)
+    bad = _first_differing_term("P(1/z) is not the string hamiltonian", P.terms, string)
+    rep.add("quantization/string-hamiltonian", {"cutoff": K}, bad is None, bad or "0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     bad = None
     for v, w in product(variables, repeat=2):
@@ -310,17 +320,23 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     rep.add("quantization/cocycle-table", {"dim": dim, "cutoff": cutoff}, bad is None, bad or "0")
     B = [[1, 2], [2, -1]]
     C = [[0, 1], [1, 3]]
-    hom_ok = True
+    bad = None
     for exp1, exp2 in ((-1, -1), (-1, -3), (1, 1)):
         A1 = weyl.EndoLaurent.matrix_z_power(2, exp1, B)
         A2 = weyl.EndoLaurent.matrix_z_power(2, exp2, C)
         lhs = weyl.hamiltonian_of(A1.commutator(A2), 2, cutoff)
         rhs = weyl.poisson_bracket(weyl.hamiltonian_of(A1, 2, cutoff),
                                    weyl.hamiltonian_of(A2, 2, cutoff))
-        hom_ok = hom_ok and lhs == rhs
-    rep.add("quantization/hamiltonian-lie-homomorphism", {"dim": 2, "cutoff": cutoff}, hom_ok)
+        if lhs != rhs:
+            bad = f"first failing (exp1, exp2) = {(exp1, exp2)}: P([A1, A2]) is not {{P(A1), P(A2)}}"
+            break
+    rep.add("quantization/hamiltonian-lie-homomorphism", {"dim": 2, "cutoff": cutoff},
+            bad is None, bad or "0")
     shifted = weyl.dilaton_shift({}, cutoff)
-    rep.add("quantization/dilaton-shift", {"dim": dim},
-            shifted == {(0, 1): Fraction(1)} and weyl.dilaton_unshift(shifted) == {})
+    if shifted != {(0, 1): Fraction(1)}:
+        bad = "the shift of the origin is not t^0_1 = 1"
+    else:
+        bad = "the unshift of the shift is not the origin" if weyl.dilaton_unshift(shifted) else None
+    rep.add("quantization/dilaton-shift", {"dim": dim}, bad is None, bad or "0")
     rep.seconds = time.perf_counter() - t0
     return rep

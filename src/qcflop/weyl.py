@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from qcflop.algebra.linalg import add_term
+from qcflop.algebra.linalg import add_term, add_terms, scale_terms
 
 Var = tuple[int, int]  # (direction index, z-mode index), mode >= 0
 
@@ -58,14 +58,10 @@ class LoopVector:
         return cls(dim, cutoff, {(i, m): Fraction(1)})
 
     def __add__(self, other: "LoopVector") -> "LoopVector":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            add_term(out, k, c)
-        return LoopVector(self.dim, self.cutoff, out)
+        return LoopVector(self.dim, self.cutoff, add_terms(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "LoopVector":
-        c = Fraction(c)
-        return LoopVector(self.dim, self.cutoff, {k: v * c for k, v in self.coeffs.items()})
+        return LoopVector(self.dim, self.cutoff, scale_terms(self.coeffs, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LoopVector):
@@ -301,17 +297,13 @@ class FockOperator:
             add_term(self.terms, (tuple(sorted(qm)), tuple(sorted(dm)), h), Fraction(c))
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        return FockOperator(out)
+        return FockOperator(add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + other.scale(-1)
+        return FockOperator(add_terms(self.terms, other.terms, sign=-1))
 
     def scale(self, c) -> "FockOperator":
-        c = Fraction(c)
-        return FockOperator({k: v * c for k, v in self.terms.items()})
+        return FockOperator(scale_terms(self.terms, c))
 
     def __mul__(self, other: "FockOperator") -> "FockOperator":
         """Composition self . other, renormal-ordered exactly."""

@@ -303,6 +303,17 @@ def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
     assert json.loads(out)["entries"] == recorded
 
 
+@pytest.mark.parametrize("args, recorded", [
+    (["cohomology", "--r", "1..8"], "verify_cohomology_r1-8.json"),
+    (["flop", "--r", "4..8"], "verify_flop_r4-8.json"),
+    (["quantization", "--dim", "3", "--cutoff", "5"], "verify_quantization_dim3_cutoff5.json")])
+def test_verify_matches_the_recorded_rows(capsys, args, recorded):
+    # the rows of the suites on sparse term maps, each with its residual
+    code, out, _ = run_cli(["verify", *args, "--format", "json", "--jobs", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["entries"] == json.loads((DATA / recorded).read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("args", [["dump", "dG"], ["table", "genus1"]])
 def test_a_derivation_error_exits_1_with_a_message(capsys, monkeypatch, args):
     # moving the root of L_1 by 1 leaves a constant in R1's diagonal integrand

@@ -46,8 +46,27 @@ def test_ring_relations_vanish():
         assert coh.CohClass.reduce(r, {(r + 1, 0): Fraction(1)}).is_zero()
         # x (x-h)^(r+1)
         xh = {(1, 0): Fraction(-1), (0, 1): Fraction(1)}
-        rel = coh.raw_mul({(0, 1): Fraction(1)}, coh.raw_pow(xh, r + 1))
+        rel = linalg.mul_terms({(0, 1): Fraction(1)}, coh.raw_pow(xh, r + 1))
         assert coh.CohClass.reduce(r, rel).is_zero()
+
+
+def test_substitution_matches_the_powers_of_x_minus_h():
+    # the reference expands (x - h)^a by repeated products and multiplies in x^b
+    raw = {(0, 2): Fraction(3), (2, 1): Fraction(-1, 2), (3, 0): Fraction(5), (1, 4): Fraction(2)}
+    want = {}
+    for (a, b), c in raw.items():
+        term = linalg.mul_terms(coh.raw_pow({(1, 0): Fraction(-1), (0, 1): Fraction(1)}, a),
+                                {(0, b): c})
+        want = linalg.add_terms(want, term)
+    assert coh.substitute_h_by_x_minus_h(raw) == want
+
+
+def test_a_class_minus_itself_is_the_empty_class():
+    r = 2
+    a = coh.chern_class(r, 2) + coh.monomial(r, 1, 1, 3)
+    assert (a - a) == coh.CohClass(r, {}) and (a - a).coeffs == {}
+    assert hash(a - a) == hash(coh.CohClass(r, {}))
+    assert a - a.scale(2) == a.scale(-1)
 
 
 def test_reduce_already_reduced_r1():

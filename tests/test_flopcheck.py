@@ -158,6 +158,24 @@ def test_ring_closed_under_delta():
     assert g.delta().delta() == elt
 
 
+def test_delta_obeys_the_product_rule():
+    r = 2
+    x = fc.RingRElement(r, {(2, 1, 3): Fraction(5), (-1, 2, 0): Fraction(1, 2),
+                            (-1, 0, 1): Fraction(3)})
+    y = fc.RingRElement(r, {(1, 0, 2): Fraction(-2), (0, 1, 0): Fraction(7)})
+    assert (x * y).delta() == x.delta() * y + x * y.delta()
+    # q^-1 G: the q-power and the G-power cancel at G, and leave -q^-1 G^2
+    assert fc.RingRElement(r, {(-1, 0, 1): Fraction(1)}).delta() == \
+        fc.RingRElement(r, {(-1, 0, 2): Fraction(-1)})
+
+
+def test_an_element_minus_itself_is_the_empty_element():
+    x = fc.RingRElement(1, {(2, 1, 3): Fraction(5), (0, 0, 2): Fraction(-7)})
+    zero = x + x.scale(-1)
+    assert zero == fc.RingRElement(1, {}) and zero.terms == {}
+    assert hash(zero) == hash(fc.RingRElement(1, {}))
+
+
 def test_genus1_npoint_invariance():
     # r=1, n=2: both sides q/(12 (1-q)^2)
     lhs = fc.delta_g_direct(1, 1) * Fraction(1, 12)

@@ -133,3 +133,44 @@ def test_add_term_drops_cancelled_entries():
     assert acc == {"b": Fraction(2)}
     linalg.add_term(acc, "c", Fraction(0))
     assert acc == {"b": Fraction(2)}
+
+
+def term_maps(arity):
+    """Term maps with exponent tuples of the given length as keys."""
+    keys = st.tuples(*[st.integers(-2, 3)] * arity)
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return st.dictionaries(keys, values, max_size=5)
+
+
+def reference_product(p, q):
+    """The product by a double loop that spells out each key sum."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_maps(2), term_maps(2), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+def test_a_map_minus_itself_and_a_map_times_zero_are_empty(p, q, c):
+    before = (dict(p), dict(q))
+    assert linalg.add_terms(p, linalg.scale_terms(p, -1)) == {}
+    assert linalg.add_terms(p, p, sign=-1) == {}
+    assert linalg.scale_terms(p, 0) == {}
+    total = linalg.add_terms(p, q)
+    assert linalg.add_terms(total, q, sign=-1) == p
+    assert all(linalg.scale_terms(p, c).values()) and all(total.values())
+    linalg.mul_terms(p, q)
+    assert (p, q) == before
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mul_terms_matches_the_double_loop(arity, data):
+    p, q = data.draw(term_maps(arity)), data.draw(term_maps(arity))
+    before = (dict(p), dict(q))
+    assert linalg.mul_terms(p, q) == reference_product(p, q)
+    assert (p, q) == before

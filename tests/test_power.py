@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcflop.algebra import CycField, EquivScalar, FracSeries, Poly, RatFunc
+from qcflop.algebra.linalg import mul_terms
 from qcflop.algebra.power import binary_power
 
 FIELD = CycField(6)
@@ -82,3 +83,26 @@ def test_equiv_scalar_power(coeffs, lam_exp, n):
 def test_frac_series_power(terms, n):
     x = FracSeries(FIELD, 2, 3, 6, terms)
     assert x ** n == repeated(x, n, FracSeries.one(FIELD, 2, 3, 6))
+
+
+def repeated_terms(p, n, one):
+    out = one
+    for _ in range(n):
+        out = mul_terms(out, p)
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), small.filter(bool),
+                       max_size=3), exponents)
+def test_binary_power_under_a_given_product(terms, n):
+    # a term map has no *, so its product is passed: mul_terms, wrapped to count the calls
+    one = {(0, 0): Fraction(1)}
+    log = []
+
+    def counted(a, b):
+        log.append((a, b))
+        return mul_terms(a, b)
+
+    assert binary_power(terms, n, one, counted) == repeated_terms(terms, n, one)
+    assert len(log) == (0 if n == 0 else (n.bit_length() - 1) + (bin(n).count("1") - 1))
