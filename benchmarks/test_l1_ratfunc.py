@@ -1,4 +1,5 @@
-"""L1 micro-benchmark: Poly product, divmod and gcd, and RatFunc mul, add and div.
+"""L1 micro-benchmark: Poly product, divmod and gcd, and RatFunc mul, add, div,
+series_expand, delta and subs_reciprocal.
 
     PYTHONPATH=src python -m pytest benchmarks/test_l1_ratfunc.py --benchmark-only
 
@@ -12,7 +13,11 @@ takes the gcd of a full unreduced product (num_f num_g, den_f den_g), the
 shape a reduction meets.  ``test_poly_mul`` multiplies the cross products
 num_f den_g and num_g den_f of a sum, and ``test_poly_divmod`` divides
 num_f num_g den_f by den_g times the non-rational scalar zeta + 2 (2 + 1 = 3
-at order 1), so the divisor is not monic and a remainder is left.  Order 1 is the rational base field Q, order 10 the
+at order 1), so the divisor is not monic and a remainder is left.  The three
+one-operand rows take the first function f of each pair: ``test_delta`` and
+``test_subs_reciprocal`` apply the operation to f, and ``test_series_expand``
+expands f times the power of w that clears its pole at 0 through w^30, the
+order of the flop suite.  Order 1 is the rational base field Q, order 10 the
 field of the appendix suite at r = 4 and order 14 that of genus_one_form(6).
 Only the public Poly/RatFunc API is used, so the file times any version of
 the kernel.
@@ -28,6 +33,7 @@ from qcflop.algebra import CycField, Poly, RatFunc
 ORDERS = [1, 10, 14]
 PAIRS = 8
 SEED = 20261
+SERIES = 30
 
 
 def operands(order: int) -> list[tuple[RatFunc, RatFunc]]:
@@ -93,3 +99,24 @@ def test_poly_divmod(benchmark, order):
     lead = field.zeta() + 2
     pairs = [(f.num * g.num * f.den, g.den * lead) for f, g in operands(order)]
     benchmark(lambda: [a.divmod(b) for a, b in pairs])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_series_expand(benchmark, order):
+    fs = []
+    for f, _ in operands(order):
+        v = next(k for k, c in enumerate(f.den.coeffs) if not c.is_zero())
+        fs.append(f * RatFunc.monomial(f.field, 1, v))
+    benchmark(lambda: [f.series_expand(SERIES) for f in fs])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_delta(benchmark, order):
+    fs = [f for f, _ in operands(order)]
+    benchmark(lambda: [f.delta() for f in fs])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_subs_reciprocal(benchmark, order):
+    fs = [f for f, _ in operands(order)]
+    benchmark(lambda: [f.subs_reciprocal() for f in fs])

@@ -17,18 +17,24 @@ without reducing a full product (Henrici 1956; Knuth, TAOCP 2, 4.5.1):
   t = a*(d/g) + c*(b/g) and only gcd(t, g) can be common to t and the
   denominator (b/g)*d;
 * a scalar factor scales num, the inverse swaps num and den and makes den
-  monic, and a power raises num and den separately.
+  monic, and a power raises num and den separately;
+* delta of reduced n/d: t = w (n'd - nd') shares with d^2 only what it
+  shares with d, so one gcd g = gcd(t, d) gives (t/g) / (u d (d/g));
+* f(1/w) and the deck rotation move coprime num and den to coprime num and
+  den, so only the denominator is made monic (see the methods).
 
 The constructor with ``reduce=True`` brings any num/den to this form with
-one gcd; the other operations use it only for results not built as above
-(delta, the substitutions, as_q_function).
+one gcd; of the other operations only as_q_function still calls it.
+subs_ratfunc goes through the arithmetic above.  ``series_expand``
+works on the integer rows of num/den(0) and den/den(0), and builds one
+CycNumber per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qcflop.algebra.cyclotomic import CycField, CycNumber, _times_root
+from qcflop.algebra.cyclotomic import CycField, CycNumber, _mul_vec, _times_root
 from qcflop.algebra.poly import Poly
 
 
@@ -218,12 +224,23 @@ class RatFunc:
     # calculus -------------------------------------------------------------
 
     def delta(self) -> "RatFunc":
-        """q d/dq, computed as (w / root_order) d/dw by the quotient rule."""
-        w = Poly.monomial(self.field, 1)
+        """q d/dq, computed as (w / root_order) d/dw by the quotient rule.
+
+        For reduced n/d the numerator t = w (n'd - nd') over u d^2 shares
+        with d^2 only what it shares with d: an irreducible f with f^e || d
+        divides n'd - nd' exactly e - 1 times (f does not divide n, and f'
+        is prime to f), so v_f(t) = e - 1 for f != w and e for f = w, below
+        2e either way.  So g = gcd(t, d) = gcd(t, d^2), and (t/g) / u over
+        d (d/g) is reduced, with a monic denominator.
+        """
+        f, u = self.field, self.root_order
         n, d = self.num, self.den
-        dnum = w * (n.derivative() * d - n * d.derivative())
-        dden = d * d * self.root_order
-        return RatFunc(self.field, self.root_order, dnum, dden)
+        t = n.derivative() * d - n * d.derivative()
+        if t.is_zero():
+            return RatFunc.zero(f, u)
+        # w t is t with its rows moved up by one
+        t, rest = _cancel(Poly._raw(f, (f.zero.nums,) + t.rows, t.den), d)
+        return self._new(t if u == 1 else t.scale(Fraction(1, u)), d * rest)
 
     def is_laurent(self) -> bool:
         return self.den.is_monomial()
@@ -257,20 +274,43 @@ class RatFunc:
         return RatFunc.from_laurent_items(self.field, self.root_order, out)
 
     def series_expand(self, order: int) -> list[CycNumber]:
-        """Taylor coefficients in w through w^order; errors on a pole at 0."""
+        """Taylor coefficients in w through w^order; errors on a pole at 0.
+
+        With num / den(0) = N / n and den / den(0) = D / m as integer rows
+        over integers (so D_0 = m), the coefficient of w^k is C_k / (n m^k)
+        for the integer rows
+
+            C_k = N_k m^k - sum_(j >= 1) D_j C_(k-j) m^(j-1),
+
+        so each coefficient is one CycNumber, reduced once.
+        """
+        f = self.field
         if self.is_zero():
-            return [self.field.zero] * (order + 1)
-        num, den = self.num.coeffs, self.den.coeffs
-        if den[0].is_zero():
+            return [f.zero] * (order + 1)
+        if not any(self.den.rows[0]):
             raise ExpansionError("pole at w = 0")
-        inv0 = den[0].inverse()
+        inv0 = self.den.constant().inverse()
+        num, den = self.num.scale(inv0), self.den.scale(inv0)
+        n, m, size, table = num.den, den.den, f.degree, f._rows
+        # (j, D_j m^(j-1) when D_j is rational, D_j, m^(j-1)) for each D_j != 0
+        terms = [(j, None if any(row[1:]) else row[0] * m ** (j - 1), row, m ** (j - 1))
+                 for j, row in enumerate(den.rows) if j and any(row)]
+        rows: list[list[int]] = []
         out: list[CycNumber] = []
+        m_k = 1
         for k in range(order + 1):
-            acc = num[k] if k < len(num) else self.field.zero
-            for j in range(1, min(k, len(den) - 1) + 1):
-                if not den[j].is_zero():
-                    acc = acc - den[j] * out[k - j]
-            out.append(acc * inv0)
+            acc = [x * m_k for x in num.rows[k]] if k < len(num.rows) else [0] * size
+            for j, c, row, m_j in terms:
+                if j > k:
+                    break
+                if c is not None:
+                    acc = [x - c * y for x, y in zip(acc, rows[k - j])]
+                else:
+                    prod = _mul_vec(row, rows[k - j], table, size)
+                    acc = [x - y * m_j for x, y in zip(acc, prod)]
+            rows.append(acc)
+            out.append(CycNumber(f, tuple(acc), n * m_k))
+            m_k *= m
         return out
 
     # substitutions ---------------------------------------------------------
@@ -297,13 +337,18 @@ class RatFunc:
         return self._new(moved(self.num), moved(self.den))
 
     def subs_reciprocal(self) -> "RatFunc":
-        """The rational function f(1/w)."""
-        n_deg = max(self.num.degree, 0)
-        d_deg = max(self.den.degree, 0)
-        top = max(n_deg, d_deg)
-        num_rev = self.num.reversed_coeffs(top)
-        den_rev = self.den.reversed_coeffs(top)
-        return RatFunc(self.field, self.root_order, num_rev, den_rev)
+        """The rational function f(1/w), as w^top n(1/w) / (w^top d(1/w))
+        with top = max(deg n, deg d).
+
+        The two reversals stay coprime: w divides at most one of them, since
+        n or d has degree top, and any other common irreducible factor would
+        have its reversal divide both n and d.  So making the reversed
+        denominator monic is the whole reduction.
+        """
+        top = max(self.num.degree, self.den.degree)
+        num, den = self.num.reversed_coeffs(top), self.den.reversed_coeffs(top)
+        inv = den.lead().inverse()
+        return self._new(num.scale(inv), den.scale(inv))
 
     def subs_ratfunc(self, value: "RatFunc") -> "RatFunc":
         """Substitute w -> value (value in any compatible RatFunc setting)."""

@@ -7,6 +7,10 @@ the extremal Novikov variable, and all higher structure is controlled by the
 logarithmic derivative delta = q d/dq, for which delta^m G is a polynomial in
 G with integer coefficients.  A polynomial in G is a ``Poly`` over Q, whose
 variable is read as G.
+
+G, its deltas and the chain-rule polynomials depend on r only through the
+sign s = (-1)^(r+1), so the ladder G, delta G, delta^2 G, ... is derived once
+per sign for the process: r = 1, 3, 5, ... share one, r = 2, 4, ... the other.
 """
 
 from __future__ import annotations
@@ -33,17 +37,26 @@ def q_var() -> RatFunc:
     return RatFunc.monomial(Q, 1, 1)
 
 
-def g_function(r: int) -> RatFunc:
-    """The extremal function q/(1 - (-1)^(r+1) q) as an exact rational function."""
+_DELTA_LADDERS: dict[int, list[RatFunc]] = {}
+
+
+def _ladder(r: int) -> list[RatFunc]:
+    """The ladder G, delta G, delta^2 G, ... of the sign (-1)^(r+1), kept
+    for the process and extended on demand by delta_g_direct."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    q = q_var()
     sign = (-1) ** (r + 1)
-    return q / (RatFunc.one(Q, 1) - q * sign)
+    ladder = _DELTA_LADDERS.get(sign)
+    if ladder is None:
+        q = q_var()
+        ladder = _DELTA_LADDERS[sign] = [q / (RatFunc.one(Q, 1) - q * sign)]
+    return ladder
 
 
-def g_series(r: int, order: int) -> list[Fraction]:
-    return [c.as_rational() for c in g_function(r).series_expand(order)]
+def g_function(r: int) -> RatFunc:
+    """The extremal function q/(1 - (-1)^(r+1) q) as an exact rational
+    function: entry 0 of the delta-ladder of its sign."""
+    return _ladder(r)[0]
 
 
 def verify_reflection(r: int) -> bool:
@@ -73,8 +86,9 @@ def evaluate_g_polynomial(p: Poly, r: int) -> RatFunc:
     G = a/b.
 
     With n = deg p, p(G) = (sum_k c_k a^k b^(n-k)) / b^n: the numerator is
-    summed by Horner in a, each c_k beside its power of b, and the quotient
-    is reduced once.
+    summed by Horner in a, each c_k beside its power of b.  The quotient is
+    reduced as built: the numerator is c_n a^n modulo b, with c_n != 0 and
+    gcd(a, b) = 1, so it is prime to b and to b^n, which is monic.
     """
     if p.is_zero():
         return RatFunc.zero(Q, 1)
@@ -88,23 +102,16 @@ def evaluate_g_polynomial(p: Poly, r: int) -> RatFunc:
             num = num + b_power.scale(coeffs[k])
         if k:
             b_power = b_power * b
-    return RatFunc(Q, 1, num, b_power)
-
-
-_DELTA_LADDERS: dict[int, list[RatFunc]] = {}
+    return RatFunc(Q, 1, num, b_power, reduce=False)
 
 
 def delta_g_direct(r: int, m: int) -> RatFunc:
-    """delta^m G by direct rational differentiation (independent route).
-
-    The ladder G, delta G, delta^2 G, ... is kept per r for the process and
-    extended on demand, each entry the delta of the one before.
-    """
+    """delta^m G by direct rational differentiation (independent route):
+    entry m of the ladder of the sign of r, each entry the delta of the
+    one before."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    ladder = _DELTA_LADDERS.get(r)
-    if ladder is None:
-        ladder = _DELTA_LADDERS[r] = [g_function(r)]
+    ladder = _ladder(r)
     while len(ladder) <= m:
         ladder.append(ladder[-1].delta())
     return ladder[m]
@@ -142,18 +149,20 @@ def genus1_npoint_invariance(r: int, n: int, kappa: Fraction | None = None) -> b
     return lhs == rhs
 
 
-def genus1_onepoint_defect(r: int, chern_shift: Fraction | int = 0) -> Fraction:
+def genus1_onepoint_defect(r: int, chern_shift: Fraction | int = 0,
+                           kappa: Fraction | None = None) -> Fraction:
     """Total defect of the genus-one one-point function across the flop.
 
     Combines the classical degree-zero term -(1/24)(c_(2r).(2h - x)) with the
     quantum correction (-1)^r kappa obtained from the genus-one potential;
     vanishes identically.  ``chern_shift`` perturbs the Chern pairing for
-    negative controls.
+    negative controls; ``kappa`` is read from the pipeline when not given.
     """
+    if kappa is None:
+        kappa = genus1_kappa(r)
     chern_pairing = coh.chern_flop_identity(r) + Fraction(chern_shift)
     classical = -Fraction(1, 24) * chern_pairing
-    quantum = Fraction((-1) ** r) * genus1_kappa(r)
-    return classical + quantum
+    return classical + Fraction((-1) ** r) * kappa
 
 
 def fp_generating_invariance(m: int) -> bool:
@@ -169,7 +178,7 @@ def fp_generating_invariance(m: int) -> bool:
         return False
     # degree pattern: the q^d coefficient of delta^m G at r = 1 is d^m
     coeffs = delta_g_direct(1, m).series_expand(10)
-    return all(coeffs[d].as_rational() == Fraction(d**m) for d in range(1, 11))
+    return all(coeffs[d] == d**m for d in range(1, 11))
 
 
 # --- the analytic-continuation ring ------------------------------------------

@@ -306,7 +306,8 @@ def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
 @pytest.mark.parametrize("args, recorded", [
     (["cohomology", "--r", "1..8"], "verify_cohomology_r1-8.json"),
     (["flop", "--r", "4..8"], "verify_flop_r4-8.json"),
-    (["quantization", "--dim", "3", "--cutoff", "5"], "verify_quantization_dim3_cutoff5.json")])
+    (["quantization", "--dim", "3", "--cutoff", "5"], "verify_quantization_dim3_cutoff5.json"),
+    (["flop", "--r", "9..12"], "verify_flop_r9-12.json")])
 def test_verify_matches_the_recorded_rows(capsys, args, recorded):
     # the rows of the suites on sparse term maps, each with its residual
     code, out, _ = run_cli(["verify", *args, "--format", "json", "--jobs", "1"], capsys)

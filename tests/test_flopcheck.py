@@ -13,16 +13,21 @@ def g_poly(*coeffs):
     return Poly(fc.Q, coeffs)
 
 
+def g_series(r, order):
+    """The q-series coefficients of G through q^order, as rationals."""
+    return [c.as_rational() for c in fc.g_function(r).series_expand(order)]
+
+
 def test_g_function_values():
     q = fc.q_var()
     assert fc.g_function(1) == q / (1 - q)
     assert fc.g_function(2) == q / (1 + q)
-    assert fc.g_series(2, 3) == [0, 1, -1, 1]
+    assert g_series(2, 3) == [0, 1, -1, 1]
 
 
 def test_g_function_series_oracle_sign_pattern():
     for r in (1, 2, 3, 4):
-        series = fc.g_series(r, 12)
+        series = g_series(r, 12)
         assert series[0] == 0
         for d in range(1, 13):
             assert series[d] == Fraction((-1) ** ((r + 1) * (d - 1)))
@@ -86,7 +91,7 @@ def test_delta_g_rejects_negative_order():
 
 
 def test_delta_g_ladder_matches_repeated_delta():
-    # r = 6 starts a ladder at a high order; r = 1..3 may be filled already
+    # the ladders are kept per sign, so r = 1..3 may have filled them already
     assert fc.delta_g_direct(6, 5) == fc.g_function(6).delta().delta().delta().delta().delta()
     for r in (1, 2, 3, 6):
         f = fc.g_function(r)
@@ -95,10 +100,43 @@ def test_delta_g_ladder_matches_repeated_delta():
             f = f.delta()
 
 
+def test_one_ladder_per_sign(monkeypatch):
+    # G and its deltas depend on r only through (-1)^(r+1)
+    kept = {r: [fc.delta_g_direct(r, m) for m in range(8)] for r in (1, 2)}
+    for r in (3, 4, 5):
+        assert fc.g_function(r) is kept[2 - r % 2][0]
+        assert all(fc.delta_g_direct(r, m) is kept[2 - r % 2][m] for m in range(8))
+    # a freshly built ladder, and the deltas through the reducing constructor
+    monkeypatch.setattr(fc, "_DELTA_LADDERS", {})
+    w = Poly.monomial(fc.Q, 1)
+    for r in (1, 2):
+        f = fc.q_var() / (1 - fc.q_var() * (-1) ** (r + 1))
+        for m in range(8):
+            fresh = fc.delta_g_direct(r, m)
+            assert fresh is not kept[r][m] and fresh == kept[r][m] == f
+            n, d = f.num, f.den
+            f = RatFunc(fc.Q, 1, w * (n.derivative() * d - n * d.derivative()), d * d)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_evaluate_g_polynomial_equals_the_reduced_fraction(r):
+    # sum_k c_k a^k b^(n-k) over b^n for G = a/b, reduced by the constructor
+    a, b = fc.g_function(r).num, fc.g_function(r).den
+    for m in range(11):
+        p = fc.delta_g_polynomial(r, m)
+        n = p.degree
+        num = Poly.zero(fc.Q)
+        for k, c in enumerate(p.coeffs):
+            num = num + (a ** k * b ** (n - k)).scale(c)
+        want = RatFunc(fc.Q, 1, num, b ** n)
+        got = fc.evaluate_g_polynomial(p, r)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_delta_g_polynomial_series_oracle():
     # series of p_m(G) agrees with term-by-term differentiation of the series
     for r in (1, 2):
-        base = fc.g_series(r, 30)
+        base = g_series(r, 30)
         for m in range(1, 8):
             got = fc.evaluate_g_polynomial(fc.delta_g_polynomial(r, m), r).series_expand(30)
             for d in range(31):
@@ -211,7 +249,7 @@ def test_fp_generating_invariance():
 
 def test_g_polynomial_fit_identity():
     r = 1
-    series = fc.g_series(r, 12)
+    series = g_series(r, 12)
     polys = fc.g_polynomial_fit([Fraction(c) for c in series], 0, 3, r)
     assert polys == [g_poly(0, 1)]
 
@@ -235,7 +273,7 @@ def test_g_polynomial_fit_two_block():
 def test_g_polynomial_fit_free_unknowns_raise_whatever_the_solver_returns(monkeypatch):
     # a solver reporting one pivot short makes the otherwise unique fit raise
     r = 1
-    series = [Fraction(c) for c in fc.g_series(r, 12)]
+    series = [Fraction(c) for c in g_series(r, 12)]
     solve = fc.linalg.solve
 
     def short_solve(matrix, ncols, rhs, one):

@@ -3,7 +3,8 @@ formula, and its failing row names what it compared.
 
 The registry maps an anchor to (perturbation, suite, r, residual).  The
 perturbation monkeypatches one formula that the anchor reads; ``cli.main``
-must then exit 1, with that anchor failing and the residual given.  The
+must then exit 1, with that anchor failing and the residual given; an anchor
+with one row per m or n gives the residual of its first failing row.  The
 quantization suite does not depend on r, so its entries carry r = None.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from qcflop import cli, weyl
 from qcflop import cohomology as coh
 from qcflop import flopcheck as fc
+from qcflop.algebra import Poly, RatFunc
 from qcflop.algebra.linalg import add_term, mul_terms
 
 
@@ -89,6 +91,63 @@ def flop_transform_without_the_sign_of_g(monkeypatch):
     monkeypatch.setattr(fc, "flop_transform", flop_transform)
 
 
+def poisson_bracket_swapped(monkeypatch):
+    # {P1, P2} read as {P2, P1}: the quantization defect is no longer a scalar
+    original = weyl.poisson_bracket
+    monkeypatch.setattr(weyl, "poisson_bracket", lambda P1, P2: original(P2, P1))
+
+
+def commutator_read_as_the_product(monkeypatch):
+    # [A1, A2] read as A1 A2, which is not infinitesimally symplectic
+    def product(a, b):
+        n = a.dim
+        return weyl.EndoLaurent(n, {e1 + e2: [[sum(m1[i][k] * m2[k][j] for k in range(n))
+                                               for j in range(n)] for i in range(n)]
+                                    for e1, m1 in a.terms.items() for e2, m2 in b.terms.items()})
+
+    monkeypatch.setattr(weyl.EndoLaurent, "commutator", product)
+
+
+def g_of_the_wrong_parity(monkeypatch):
+    # G = q/(1 - (-1)^r q) in place of q/(1 - (-1)^(r+1) q)
+    original = fc.g_function
+    monkeypatch.setattr(fc, "g_function", lambda r: original(r + 1))
+
+
+def chain_rule_with_the_wrong_sign(monkeypatch):
+    # delta G = G - (-1)^(r+1) G^2 in place of G + (-1)^(r+1) G^2
+    def delta_g_polynomial(r, m):
+        p = Poly.monomial(fc.Q, 1)
+        for _ in range(m):
+            p = p.derivative() * Poly(fc.Q, [0, 1, (-1) ** r])
+        return p
+
+    monkeypatch.setattr(fc, "delta_g_polynomial", delta_g_polynomial)
+
+
+def reversal_without_the_shift(monkeypatch):
+    # f(1/w) with num and den each reversed at its own degree, which drops
+    # the power of w that balances a numerator of lower degree
+    def subs_reciprocal(self):
+        return RatFunc(self.field, self.root_order, self.num.reversed_coeffs(self.num.degree),
+                       self.den.reversed_coeffs(self.den.degree))
+
+    monkeypatch.setattr(RatFunc, "subs_reciprocal", subs_reciprocal)
+
+
+def ladder_one_rung_up(monkeypatch):
+    # delta^m G read as delta^(m+1) G
+    original = fc.delta_g_direct
+    monkeypatch.setattr(fc, "delta_g_direct", lambda r, m: original(r, m + 1))
+
+
+def ladder_of_the_wrong_parity(monkeypatch):
+    # delta^m G read from the ladder of r + 1: still antisymmetric, but its
+    # q^d coefficients are (-1)^(d-1) d^m
+    original = fc.delta_g_direct
+    monkeypatch.setattr(fc, "delta_g_direct", lambda r, m: original(r + 1, m))
+
+
 CONTROLS = {
     "cohomology/first-chern-fiber-class": (
         wrong_sign_in_the_second_bundle, "cohomology", 2, "c_1 = 4*x + 6*h, not 4*x"),
@@ -106,18 +165,38 @@ CONTROLS = {
     "quantization/dilaton-shift": (
         dilaton_shift_in_mode_zero, "quantization", None,
         "the shift of the origin is not t^0_1 = 1"),
+    "quantization/cocycle-table": (
+        poisson_bracket_swapped, "quantization", None,
+        "first failing (v, w) = ((0, 0), (0, 0)): non-scalar quantization defect:"
+        " FockOperator({((), (), 0): Fraction(2, 1), (((0, 0),), ((0, 0),), 0): Fraction(8, 1)})"),
     "flop/transform-involution": (
         flop_transform_without_the_sign_of_g, "flop", 2,
         "F(F(x)) is not x: first failing term (0, 2, 0): got -1, want 0"),
+    "flop/reflection": (g_of_the_wrong_parity, "flop", 2, "G(q) + G(1/q) = (-1), not 1"),
+    "flop/delta-g-closed-form": (
+        chain_rule_with_the_wrong_sign, "flop", 2, "p_1 has G-coefficients [0, 1, 1], not [0, 1, -1]"),
+    "flop/delta-g-polynomial": (
+        chain_rule_with_the_wrong_sign, "flop", 2, "p_1(G) is not delta^1 G by direct differentiation"),
+    "flop/reciprocal-antisymmetry": (
+        reversal_without_the_shift, "flop", 2, "delta^1 G(1/q) is not (-1)^0 delta^1 G(q)"),
+    "flop/genus-one-npoint-invariance": (
+        ladder_one_rung_up, "flop", 2, "kappa delta^1 G(1/q) is not (-1)^0 kappa delta^1 G(q)"),
+    "flop/zero-point-series-invariance": (
+        ladder_of_the_wrong_parity, "flop", 1,
+        "first failing d = 2: the q^2 coefficient of delta^1 G is -2, not 2"),
 }
 
 
 def verify(suite, r, capsys):
-    """The exit code and the entries, by anchor, of one serial verify run."""
+    """The exit code of one serial verify run and, by anchor, the first
+    failing row of each anchor, or its first row when none fails."""
     args = ["verify", suite, "--format", "json", "--jobs", "1"]
     code = cli.main(args + (["--r", str(r)] if r is not None else []))
-    entries = json.loads(capsys.readouterr().out)["entries"]
-    return code, {e["anchor"]: e for e in entries}
+    rows = {}
+    for e in json.loads(capsys.readouterr().out)["entries"]:
+        if rows.setdefault(e["anchor"], e)["status"] == "pass" and e["status"] == "fail":
+            rows[e["anchor"]] = e
+    return code, rows
 
 
 @pytest.mark.parametrize("anchor", sorted(CONTROLS))
@@ -143,3 +222,41 @@ def test_an_unshift_that_does_not_undo_the_shift_fails_the_dilaton_anchor(capsys
     assert code == 1
     assert entries["quantization/dilaton-shift"]["residual"] == (
         "the unshift of the shift is not the origin")
+
+
+def test_a_commutator_that_is_not_symplectic_fails_the_lie_anchor_with_the_error(
+        capsys, monkeypatch):
+    commutator_read_as_the_product(monkeypatch)
+    code, entries = verify("quantization", None, capsys)
+    assert code == 1
+    assert entries["quantization/hamiltonian-lie-homomorphism"]["residual"] == (
+        "first failing (exp1, exp2) = (-1, -1): operator fails Omega(Af,g) + Omega(f,Ag) = 0")
+
+
+def test_an_operator_test_that_rejects_everything_fails_the_string_hamiltonian(
+        capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "is_infinitesimal_symplectic", lambda A, dim, cutoff: False)
+    code, entries = verify("quantization", None, capsys)
+    assert code == 1
+    assert entries["quantization/string-hamiltonian"]["residual"] == (
+        "P(1/z): operator fails Omega(Af,g) + Omega(f,Ag) = 0")
+
+
+def test_a_series_recurrence_cut_after_one_term_fails_the_series_route(capsys, monkeypatch):
+    # each Taylor coefficient reads only den_1: exact for G, whose denominator
+    # is linear, and wrong for every delta^m G with m >= 1
+    def series_expand(self, order):
+        num, den = self.num.coeffs, self.den.coeffs
+        out = []
+        for k in range(order + 1):
+            acc = num[k] if k < len(num) else self.field.zero
+            if k and len(den) > 1:
+                acc = acc - den[1] * out[k - 1]
+            out.append(acc / den[0])
+        return out
+
+    monkeypatch.setattr(RatFunc, "series_expand", series_expand)
+    code, entries = verify("flop", 2, capsys)
+    assert code == 1
+    assert entries["flop/delta-g-polynomial"]["residual"] == (
+        "first failing d = 3: the q^3 coefficient of p_1(G) is 4, not 3 = d^1 times that of G")

@@ -352,6 +352,97 @@ def test_poly_gcd_examples():
     assert Poly.zero(Q).gcd(Poly.zero(Q)).is_zero()
 
 
+# --- the kernels that skip a reduction, against the reducing constructor -------------
+
+
+def ref_series_expand(f, order):
+    """Taylor coefficients by the recurrence on CycNumbers, dividing by den(0)
+    at every step (reference)."""
+    if f.is_zero():
+        return [f.field.zero] * (order + 1)
+    num, den = f.num.coeffs, f.den.coeffs
+    inv0 = den[0].inverse()
+    out = []
+    for k in range(order + 1):
+        acc = num[k] if k < len(num) else f.field.zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            if not den[j].is_zero():
+                acc = acc - den[j] * out[k - j]
+        out.append(acc * inv0)
+    return out
+
+
+def without_pole(f):
+    """f times the power of w that clears w from its denominator."""
+    v = next(k for k, c in enumerate(f.den.coeffs) if not c.is_zero())
+    return f * RatFunc.monomial(f.field, f.root_order, v) if v else f
+
+
+SERIES_ORDERS = [1, 4, 10, 14]
+
+
+@pytest.mark.parametrize("order", SERIES_ORDERS)
+@pytest.mark.parametrize("u", [1, 3])
+def test_series_expand_matches_the_cyclotomic_recurrence(order, u):
+    # den(0) = zeta + 2 is not rational past Q, and den is not monic in w^0
+    field = CycField(order)
+    zeta = field.zeta()
+    num = Poly(field, [Fraction(1, 3), zeta, 0, -2])
+    den = Poly(field, [zeta + 2, 1]) * Poly(field, [3, 0, 1]) * Poly(field, [-1, 1]) ** 2
+    f = RatFunc(field, u, num, den)
+    assert not f.den.constant().is_rational() or order == 1
+    for k in (0, 1, 9, 20):
+        assert f.series_expand(k) == ref_series_expand(f, k)
+    assert RatFunc.zero(field, u).series_expand(3) == ref_series_expand(RatFunc.zero(field, u), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SERIES_ORDERS), st.sampled_from([1, 2, 3]), st.data())
+def test_series_expand_matches_the_cyclotomic_recurrence_random(order, u, data):
+    f = without_pole(data.draw(ref_ratfuncs(CycField(order), u)))
+    assert f.series_expand(12) == ref_series_expand(f, 12)
+
+
+def reduced_delta(f):
+    """delta through the reducing constructor, over u d^2 (reference)."""
+    w_ = Poly.monomial(f.field, 1)
+    n, d = f.num, f.den
+    return RatFunc(f.field, f.root_order, w_ * (n.derivative() * d - n * d.derivative()),
+                   d * d * f.root_order)
+
+
+def reduced_reciprocal(f):
+    """f(1/w) through the reducing constructor (reference)."""
+    top = max(f.num.degree, f.den.degree)
+    return RatFunc(f.field, f.root_order, f.num.reversed_coeffs(top), f.den.reversed_coeffs(top))
+
+
+def kernel_cases(field, u):
+    """Reduced inputs with w | den, with w | num, and with den not squarefree."""
+    w_, one = Poly.monomial(field, 1), Poly.one(field)
+    zeta = one * field.zeta()
+    nums = [one, w_ + one * 3, w_ * (w_ - zeta), (w_ + zeta) ** 3 - one, w_ ** 5 + w_ * 2 + one]
+    dens = [one, w_ ** 3, (w_ - one) ** 3 * w_ ** 2, (w_ + zeta) ** 2 * (w_ ** 2 + one * 3),
+            (w_ - zeta * 2) * w_]
+    return [RatFunc(field, u, n, d) for n in nums for d in dens]
+
+
+@pytest.mark.parametrize("order", SERIES_ORDERS)
+@pytest.mark.parametrize("u", [1, 2])
+def test_delta_and_reciprocal_equal_the_reduced_fraction(order, u):
+    for f in kernel_cases(CycField(order), u):
+        assert_same(f.delta(), reduced_delta(f))
+        assert_same(f.subs_reciprocal(), reduced_reciprocal(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_setting(1))
+def test_delta_and_reciprocal_equal_the_reduced_fraction_random(fs):
+    (f,) = fs
+    assert_same(f.delta(), reduced_delta(f))
+    assert_same(f.subs_reciprocal(), reduced_reciprocal(f))
+
+
 # --- equality and hashing ---------------------------------------------------------
 
 
