@@ -11,13 +11,18 @@ pairing is symmetric), ``du_of_eps`` over every (i, j), and
 a fresh frame per round instead: ``connection_form`` with nothing built
 before it but the spectrum, and ``first_order`` on the branch the suite's
 branch-independence check reads (the last sign -1), with the connection
-built.  Only the public canonical API is used, so the file times any
-version of the module.
+built.  That branch is timed twice: on the gauge path, which derives the
+default branch's R1 and returns its diagonal, and on the fallback path,
+which integrates every diagonal, forced by a gauge check that always fails
+(``canonical._is_gauge``; a version of the module without it integrates
+every diagonal anyway).  Apart from that check, only the public canonical
+API is used.
 
 The stages built over the spectrum's known factors run at r = 8, 12 and 16,
 three rounds each: ``charpoly_coefficients`` and ``term_log_delta`` on a
 fresh frame per round, so the factors they share are built in the timed
-call, and ``genus_one_form`` with
+call, ``delta_product`` of the shared frame's Delta_i, the norm product of
+the appendix suite, and ``genus_one_form`` with
 its memo and the shared frame of that r dropped before each round, so each
 round derives the whole chain, as a fresh process does.
 """
@@ -75,8 +80,7 @@ def test_connection_form_fresh_frame(benchmark, r):
     assert conn == canonical.connection_form(canonical.frame_for(r))
 
 
-@pytest.mark.parametrize("r", RS)
-def test_first_order_signs_branch(benchmark, r):
+def time_signs_branch(benchmark, r: int):
     signs = [1] * r + [-1]
 
     def fresh_frame():
@@ -86,6 +90,17 @@ def test_first_order_signs_branch(benchmark, r):
 
     _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
     assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
+
+
+@pytest.mark.parametrize("r", RS)
+def test_first_order_signs_branch(benchmark, r):
+    time_signs_branch(benchmark, r)
+
+
+@pytest.mark.parametrize("r", RS)
+def test_first_order_signs_branch_fallback(benchmark, monkeypatch, r):
+    monkeypatch.setattr(canonical, "_is_gauge", lambda off, base: False, raising=False)
+    time_signs_branch(benchmark, r)
 
 
 LARGE_RS = [8, 12, 16]
@@ -109,6 +124,14 @@ def test_term_log_delta_fresh_frame(benchmark, r):
     got = benchmark.pedantic(canonical.term_log_delta, setup=fresh_frame_of(r), rounds=3)
     g = canonical.g_in_w(r)
     assert got == (1 - g * (2 * (-1) ** r)) * r
+
+
+@pytest.mark.parametrize("r", LARGE_RS)
+def test_delta_product(benchmark, r):
+    frame = canonical.frame_for(r)
+    deltas = canonical.delta_i(frame)
+    prod = benchmark.pedantic(canonical.delta_product, args=(frame, deltas), rounds=3)
+    assert prod == canonical.delta_product_closed_form(frame)
 
 
 @pytest.mark.parametrize("r", LARGE_RS)

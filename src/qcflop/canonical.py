@@ -33,13 +33,15 @@ reads row 0 of its sum, whose first nonzero entry lies there.  Another
 branch is a gauge of the default: signs e give E X E with E = diag(e), and
 a ``pair_flip`` negates one pair, so no branch divides anything again.  The
 rule holds for the default branch only, so nothing is filled on another
-branch.  Row i of M_{i,mu} = p_i^(mu - r) is sigma^i of row 0, with no
-index shift.  sigma also sends eps_i to eps_(i+1), with no sign, so
-du_j(eps_i) and the pairing of eps_i with eps_j are sigma^i of their values
-at (0, (j - i) mod (r+1)); ``by_orbit`` derives that row 0 and covers a pair
-by rotation only where it checks that sigma carries the inputs.  The display
-forms depend on i and j through k = (j - i) mod (r+1), and form their sums
-over mu once per k.
+branch.  R1's diagonal reads each pair only through R1_ij R1_ji, which a
+gauge leaves alone, so a branch whose off-diagonal is checked to carry one
+sign per pair reads the default's diagonal and genus-one form.  Row i of
+M_{i,mu} = p_i^(mu - r) is sigma^i of row 0, with no index shift.  sigma
+also sends eps_i to eps_(i+1), with no sign, so du_j(eps_i) and the pairing
+of eps_i with eps_j are sigma^i of their values at (0, (j - i) mod (r+1));
+``by_orbit`` derives that row 0 and covers a pair by rotation only where it
+checks that sigma carries the inputs.  The display forms depend on i and j
+through k = (j - i) mod (r+1), and form their sums over mu once per k.
 
 Known factors.  Every denominator the frame builds splits over w and the
 L_i, whose product is D = w^(r+1) + (-1)^r, so each quantity of the spectrum
@@ -48,7 +50,8 @@ w, of one L_j or of L_i L_j, or w^m D), written down reduced or reduced once
 instead of through a gcd per partial sum.  ``_linear_factors`` forms the
 e_m(L) and ``_sym_omitting`` the E^i_k = e_k(L_l : l != i) = w^k S^i_k(a);
 ``charpoly_coefficients``, ``term_log_delta``, ``delta_i``,
-``_p_differences``, ``m_inverse`` and ``_spectrum_sum`` are built from them.
+``_p_differences``, ``m_inverse`` and ``_spectrum_sum`` are built from them,
+and ``delta_product`` forms prod_i Delta_i over D^(2r).
 
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
@@ -76,10 +79,16 @@ Caching (per process, never shared between processes or switched off):
   ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
-  other branch is gauged from it on each call and not kept.
+  other branch is gauged from it on each call and not kept.  A branch whose
+  off-diagonal passes the gauge check returns the default's diagonal tuple
+  itself; one that fails it integrates every diagonal, as a one-sided flip
+  does.
 - ``by_orbit`` keeps nothing: the suite calls it once per cell, and the
   rows 0 it derives live as long as the functions it returns.
-- ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``.
+- ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``; a branch whose
+  diagonal is the default's tuple shares the default's entry.
+- ``delta_product`` keeps nothing: the suite forms prod_i Delta_i once per
+  cell, over D^(2r).
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
 fresh matrix from the base, and ``first_order`` returns tuples.
@@ -395,6 +404,33 @@ def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
             EquivScalar(fld, u, 2 * r + 1, RatFunc(fld, u, num, L ** (2 * r), reduce=False))
             for num, L in zip(nums, frame.L))
     return list(frame.stages["delta_i"])
+
+
+def delta_product(frame: CanonicalFrame, deltas: list[EquivScalar]) -> EquivScalar:
+    """prod_i Delta_i over its known denominator.
+
+    Where each Delta_i is, as ``delta_i`` writes it, a monomial in w over
+    L_i^(2r), the product is the product of the monomials over D^(2r), with
+    D = prod_i L_i: one monomial, prime to D^(2r) when D(0) is not zero (it
+    is (-1)^r), so reduced as written.  Any other Delta_i takes the running
+    product, which reduces each partial product.
+    """
+    r, fld, u = frame.r, frame.field, frame.u
+    D = _linear_factors(frame)[-1]
+    if not D.constant().is_zero() and all(
+            d.value.num.is_monomial() and d.value.den == L ** (2 * r)
+            for d, L in zip(deltas, frame.L)):
+        coeff, exp = fld.one, 0
+        for d in deltas:
+            coeff = coeff * d.value.num.lead()
+            exp += d.value.num.degree
+        num = Poly.monomial(fld, exp, coeff)
+        return EquivScalar(fld, u, sum(d.weight for d in deltas),
+                           RatFunc(fld, u, num, D ** (2 * r), reduce=False))
+    prod = EquivScalar.one(fld, u)
+    for d in deltas:
+        prod = prod * d
+    return prod
 
 
 def delta_product_closed_form(frame: CanonicalFrame) -> EquivScalar:
@@ -748,23 +784,11 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     return out
 
 
-def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
-                pair_flip: tuple[int, int] | None = None
-                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
-    """(R1 off the diagonal, R1 on it) on one square-root branch.
-
-    Derived from ``r1_offdiagonal`` and returned as immutable tuples.  The
-    default branch (every sign +1, no pair flipped) is derived once per
-    frame, shared by the appendix suite and ``genus_one_form(r)``: only
-    diagonal 0 is integrated, from its r pair products, and diagonal i is
-    its rotation sigma^i.  Any other branch gauges the default's
-    off-diagonal and integrates every diagonal by ``r1_diagonal`` on each
-    call, not kept, as only the memoised ``genus_one_form`` asks for one.
-    """
-    default = pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs))
-    if not default:
-        off = tuple(map(tuple, r1_offdiagonal(frame, signs, pair_flip)))
-        return off, tuple(r1_diagonal(frame, off))
+def _first_order_default(frame: CanonicalFrame
+                         ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
+    """R1 off and on the diagonal on the default branch, once per frame:
+    diagonal 0 is integrated from its r pair products, and diagonal i is
+    its rotation sigma^i."""
     if "first_order" not in frame.stages:
         off = _r1_default(frame)
         dp = _p_differences(frame)
@@ -775,6 +799,39 @@ def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
         frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
                                                   for i in range(frame.u)))
     return frame.stages["first_order"]
+
+
+def _is_gauge(off, base) -> bool:
+    """Whether ``off`` carries one sign s = +-1 per unordered pair against
+    ``base``: off[i][j] == s base[i][j] and off[j][i] == s base[j][i].  Then
+    every product off[i][j] off[j][i] is base's.  Exact equality only."""
+    n = len(base)
+    return all((off[i][j], off[j][i]) in ((base[i][j], base[j][i]), (-base[i][j], -base[j][i]))
+               for i in range(n) for j in range(i + 1, n))
+
+
+def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
+                pair_flip: tuple[int, int] | None = None
+                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
+    """(R1 off the diagonal, R1 on it) on one square-root branch.
+
+    Derived from ``r1_offdiagonal`` and returned as immutable tuples.  The
+    default branch (every sign +1, no pair flipped) is derived once per
+    frame, shared by the appendix suite and ``genus_one_form(r)``: only
+    diagonal 0 is integrated, from its r pair products, and diagonal i is
+    its rotation sigma^i.  Any other branch gauges the default's
+    off-diagonal on each call, not kept.  The diagonal reads each pair only
+    through R1_ij R1_ji, so where the gauged off-diagonal carries one sign
+    per unordered pair against the default's (``_is_gauge``) the branch
+    returns the default's diagonal tuple itself; otherwise, as under a
+    one-sided flip, it integrates every diagonal by ``r1_diagonal``.
+    """
+    if pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs)):
+        return _first_order_default(frame)
+    off = tuple(map(tuple, r1_offdiagonal(frame, signs, pair_flip)))
+    if _is_gauge(off, _r1_default(frame)):
+        return off, _first_order_default(frame)[1]
+    return off, tuple(r1_diagonal(frame, off))
 
 
 # --- the genus-one differential -----------------------------------------------
@@ -789,7 +846,10 @@ def genus_one_form(r: int, signs: list[int] | None = None,
 
     Returns (the dlog q coefficient as a rational function of q, the dropped
     constant).  Negative weight powers surviving the assembly raise
-    CancellationError.  Memoised per process by (r, signs, pair_flip).
+    CancellationError.  Memoised per process by (r, signs, pair_flip).  A
+    branch whose R1 diagonal is the default's tuple (see ``first_order``)
+    returns the default's pair, assembling it only if the default branch has
+    not: the other two terms are branch-free stages of the frame.
     """
     key = (r, tuple(_branch_signs(r, signs)), None if pair_flip is None else tuple(pair_flip))
     if key in _GENUS_ONE:
@@ -798,6 +858,11 @@ def genus_one_form(r: int, signs: list[int] | None = None,
     t_log = term_log_delta(frame)
     t_c = term_c_minus_one(frame)
     _, diag = first_order(frame, signs, pair_flip)
+    # a branch that reads the default's diagonal tuple shares its memo entry
+    shared = (r, (1,) * (r + 1), None) if diag is first_order(frame)[1] else key
+    if shared in _GENUS_ONE:
+        _GENUS_ONE[key] = _GENUS_ONE[shared]
+        return _GENUS_ONE[key]
     third = _spectrum_sum(frame, diag)
     try:
         third_rf = third.nonequivariant_limit()
@@ -809,7 +874,7 @@ def genus_one_form(r: int, signs: list[int] | None = None,
     if not const.is_rational():
         raise CancellationError("constant term is not rational")
     value = total_q - RatFunc.constant(total_q.field, 1, const)
-    _GENUS_ONE[key] = (value, const.as_rational())
+    _GENUS_ONE[key] = _GENUS_ONE[shared] = (value, const.as_rational())
     return _GENUS_ONE[key]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 from qcflop import batyrev, canonical, cohomology, flopcheck, weyl
 from qcflop.algebra import EquivScalar, Poly, linalg
@@ -184,16 +184,11 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
                 bad = f"first failing (i, j) = {(i, j)}: {what}"
     rep.add("appendix/idempotent-orthogonality", {"r": r}, bad is None, bad or "0")
     deltas = canonical.delta_i(frame)
-    one = EquivScalar.one(frame.field, frame.u)
-    prod = one
-    bad = None
-    for i in range(r + 1):
-        if bad is None and deltas[i] * norms[i] != one:
-            bad = f"first failing i = {i}: Delta_i times the norm is not 1"
-        prod = prod * deltas[i]
+    bad = next((f"first failing i = {i}: Delta_i times the norm is not 1"
+                for i in range(r + 1) if deltas[i] * norms[i] != 1), None)
     rep.add("appendix/norm-inverse-product", {"r": r}, bad is None, bad or "0")
     # a failing single-value anchor names what it compared
-    ok = prod == canonical.delta_product_closed_form(frame)
+    ok = canonical.delta_product(frame, deltas) == canonical.delta_product_closed_form(frame)
     rep.add("appendix/norm-product-closed-form", {"r": r}, ok,
             "0" if ok else "prod_i Delta_i is not the closed form")
     g = canonical.g_in_w(r)
@@ -346,7 +341,9 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     rep.add("quantization/string-hamiltonian", {"cutoff": K}, bad is None, bad or "0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     bad = None
-    for v, w in product(variables, repeat=2):
+    # the monomials are stored sorted, so (v, w) and (w, v) build the same P1
+    # and P2; the first failure in product order has v <= w
+    for v, w in combinations_with_replacement(variables, 2):
         P1 = weyl.QuadHamiltonian(dim, cutoff, {((v, w), ()): 1})
         P2 = weyl.QuadHamiltonian(dim, cutoff, {((), (v, w)): 1})
         try:

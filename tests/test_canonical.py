@@ -18,6 +18,8 @@ from qcflop.algebra import (
 )
 
 RS = (1, 2, 3)
+# the r at which a shortcut is compared with the derivation it replaces
+ORBIT_RS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 def test_char_residuals_vanish():
@@ -688,7 +690,7 @@ def test_first_order_keeps_only_the_default_branch(r):
         want_off = can.r1_offdiagonal(frame, **branch)
         assert [list(row) for row in off] == want_off
         assert list(diag) == can.r1_diagonal(frame, want_off)
-        # another call derives the same values afresh, except on the default branch
+        # another call gauges the off-diagonal afresh, except on the default branch
         again = can.first_order(frame, **branch)
         assert again == (off, diag)
         assert (again is can.first_order(frame)) == (branch == {})
@@ -1099,10 +1101,132 @@ def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch
         assert entry["status"] == "fail" and entry["residual"] == residual
 
 
+# --- a gauge branch reads the default diagonal; any other branch integrates ---------
+
+
+def one_sided_branch(base, e, pair_flip=None, branch=can._branch):
+    """``_branch`` with a pair flip that negates (i, j) but not (j, i): no
+    gauge of the default, since the product R1_ij R1_ji changes sign."""
+    out = branch(base, e)
+    if pair_flip is not None:
+        i, j = pair_flip
+        out[i][j] = -out[i][j]
+    return out
+
+
+@pytest.mark.parametrize("r", ORBIT_RS)
+def test_a_gauge_branch_returns_the_default_diagonal(r):
+    frame = can.build_spectrum(r)
+    default = can.first_order(frame)[1]
+    for branch in branches(r)[1:]:
+        off, diag = can.first_order(frame, **branch)
+        assert diag is default
+        assert list(diag) == can.r1_diagonal(frame, off)
+
+
+def test_a_gauge_branch_shares_the_default_genus_one_form(monkeypatch):
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    for r in (1, 2, 3):
+        # assembled once, whichever branch asks first
+        first = can.genus_one_form(r, pair_flip=(0, 1))
+        assert first[0] == can.genus_one_expected(r)
+        for branch in branches(r):
+            assert can.genus_one_form(r, **branch) is first
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_a_one_sided_flip_integrates_every_diagonal(r, monkeypatch):
+    # at r = 1 the flipped product integrates to another diagonal; beyond it
+    # diagonal 0 keeps a constant term, as r1_diagonal finds
+    frame = can.build_spectrum(r)
+    default = can.first_order(frame)[1]
+    monkeypatch.setattr(can, "_branch", one_sided_branch)
+    off = can.r1_offdiagonal(frame, pair_flip=(0, 1))
+    got = outcome(lambda: list(can.first_order(frame, pair_flip=(0, 1))[1]))
+    assert got == outcome(can.r1_diagonal, frame, off)
+    assert got != list(default)
+    assert isinstance(got, list) if r == 1 else got.startswith("diagonal 0 ")
+
+
+def test_control_a_one_sided_pair_flip(capsys, monkeypatch):
+    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    monkeypatch.setattr(can, "_branch", one_sided_branch)
+    code, entries = verify_appendix_r3_json(capsys)
+    assert code == 1
+    entry = entries["appendix/genus-one-branch-independence", None]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == ("first failing branch: pair_flip = (0, 1):"
+                                 " diagonal 0 integrand has a constant term at weight -1")
+    # the default branch never flips a pair
+    for anchor in ("appendix/genus-one-form", "appendix/first-order-diagonal"):
+        assert entries[anchor, None]["status"] == "pass"
+
+
+# --- the norm product over D^(2r) against the running product ---------------------
+
+
+def running_product(frame, deltas):
+    prod = EquivScalar.one(frame.field, frame.u)
+    for d in deltas:
+        prod = prod * d
+    return prod
+
+
+@pytest.mark.parametrize("r", ORBIT_RS)
+def test_the_norm_product_matches_the_running_product(r):
+    frame = can.build_spectrum(r)
+    deltas = can.delta_i(frame)
+    got = can.delta_product(frame, deltas)
+    assert got == running_product(frame, deltas)
+    assert got == can.delta_product_closed_form(frame)
+
+
+def factor_of(frame, p):
+    return EquivScalar.from_ratfunc(RatFunc(frame.field, frame.u, p, Poly.one(frame.field)))
+
+
+# Delta_1 changed -> (the change, whether the product stays over D^(2r))
+DELTA_CHANGES = {
+    "doubled numerator": (lambda frame, d: d * 2, True),
+    "numerator gains 1": (lambda frame, d: EquivScalar(
+        frame.field, frame.u, d.weight,
+        RatFunc(frame.field, frame.u, d.value.num + Poly.one(frame.field), d.value.den)), False),
+    "denominator L_1^(2r-1)": (lambda frame, d: d * factor_of(frame, frame.L[1]), False),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(DELTA_CHANGES))
+def test_the_norm_product_of_a_changed_factor(r, name, monkeypatch):
+    change, over_d = DELTA_CHANGES[name]
+    frame = can.build_spectrum(r)
+    deltas = can.delta_i(frame)
+    deltas[1] = change(frame, deltas[1])
+    want = running_product(frame, deltas)
+    products = []
+    mul = EquivScalar.__mul__
+    monkeypatch.setattr(EquivScalar, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    assert can.delta_product(frame, deltas) == want
+    # the fallback is the running product, r + 1 products
+    assert len(products) == (0 if over_d else r + 1)
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_CHANGES))
+def test_control_a_changed_delta_fails_both_norm_anchors(capsys, monkeypatch, name):
+    change, _ = DELTA_CHANGES[name]
+    install_stage(monkeypatch, "delta_i", lambda frame, deltas: tuple(
+        change(frame, d) if i == 1 else d for i, d in enumerate(deltas)))
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    want = {"appendix/norm-inverse-product": "first failing i = 1: Delta_i times the norm is not 1",
+            "appendix/norm-product-closed-form": "prod_i Delta_i is not the closed form"}
+    for anchor, residual in want.items():
+        assert entries[anchor]["status"] == "fail" and entries[anchor]["residual"] == residual
+    assert entries["appendix/log-norm-term"]["status"] == "pass"
+
+
 # --- the deck rotation's orbit shortcuts against all-pairs references --------------
 
-
-ORBIT_RS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 @pytest.mark.parametrize("r", ORBIT_RS)

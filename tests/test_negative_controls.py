@@ -10,11 +10,12 @@ quantization suite does not depend on r, so its entries carry r = None.
 
 import json
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
-from qcflop import cli, weyl
+from qcflop import canonical, cli, weyl
 from qcflop import cohomology as coh
 from qcflop import flopcheck as fc
 from qcflop.algebra import Poly, RatFunc
@@ -148,6 +149,25 @@ def ladder_of_the_wrong_parity(monkeypatch):
     monkeypatch.setattr(fc, "delta_g_direct", lambda r, m: original(r + 1, m))
 
 
+def chern_term_with_the_wrong_sign(monkeypatch):
+    # dG/dlog q takes + the localized first-Chern term in place of -, which
+    # moves kappa by 2 (r+1)^2 / 24, from -1/8 to 5/8 at r = 2; the genus-one
+    # memo is dropped, so the form is assembled again
+    original = canonical.term_c_minus_one
+    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
+    monkeypatch.setattr(canonical, "term_c_minus_one", lambda frame: -original(frame))
+
+
+def chern_pairing_against_2h_plus_x(monkeypatch):
+    # c_(2r) paired with 2h + x in place of 2h - x: 51 in place of -3 at
+    # r = 2, so the classical term is -17/8 and kappa is untouched
+    def chern_flop_identity(r):
+        probe = coh.monomial(r, 1, 0, 2) + coh.monomial(r, 0, 1, 1)
+        return coh.integrate(coh.chern_class(r, 2 * r) * probe)
+
+    monkeypatch.setattr(coh, "chern_flop_identity", chern_flop_identity)
+
+
 CONTROLS = {
     "cohomology/first-chern-fiber-class": (
         wrong_sign_in_the_second_bundle, "cohomology", 2, "c_1 = 4*x + 6*h, not 4*x"),
@@ -181,6 +201,8 @@ CONTROLS = {
         reversal_without_the_shift, "flop", 2, "delta^1 G(1/q) is not (-1)^0 delta^1 G(q)"),
     "flop/genus-one-npoint-invariance": (
         ladder_one_rung_up, "flop", 2, "kappa delta^1 G(1/q) is not (-1)^0 kappa delta^1 G(q)"),
+    "flop/genus-one-kappa": (chern_term_with_the_wrong_sign, "flop", 2, "5/8"),
+    "flop/genus-one-onepoint-defect": (chern_pairing_against_2h_plus_x, "flop", 2, "-9/4"),
     "flop/zero-point-series-invariance": (
         ladder_of_the_wrong_parity, "flop", 1,
         "first failing d = 2: the q^2 coefficient of delta^1 G is -2, not 2"),
@@ -260,3 +282,29 @@ def test_a_series_recurrence_cut_after_one_term_fails_the_series_route(capsys, m
     assert code == 1
     assert entries["flop/delta-g-polynomial"]["residual"] == (
         "first failing d = 3: the q^3 coefficient of p_1(G) is 4, not 3 = d^1 times that of G")
+
+
+def test_the_cocycle_table_names_the_first_failing_pair_in_product_order(capsys, monkeypatch):
+    # the table derives each unordered pair {v, w} once; a closed form that is
+    # wrong on every pair of two distinct coordinates is named as a loop over
+    # all ordered pairs names it
+    original = weyl.expected_cocycle
+
+    def expected_cocycle(P1, P2):
+        ((pm, _),) = P1.terms
+        return original(P1, P2) + (len(set(pm)) == 2)
+
+    monkeypatch.setattr(weyl, "expected_cocycle", expected_cocycle)
+    variables = [(i, k) for i in range(2) for k in range(4)]
+    want = None
+    for v, w in product(variables, repeat=2):
+        P1 = weyl.QuadHamiltonian(2, 3, {((v, w), ()): 1})
+        P2 = weyl.QuadHamiltonian(2, 3, {((), (v, w)): 1})
+        got, expected = weyl.commutator_cocycle(P1, P2), weyl.expected_cocycle(P1, P2)
+        if got != expected:
+            want = f"first failing (v, w) = {(v, w)}: got {got}, want {expected}"
+            break
+    assert want is not None and want.startswith("first failing (v, w) = ((0, 0), (0, 1)):")
+    code, entries = verify("quantization", None, capsys)
+    assert code == 1
+    assert entries["quantization/cocycle-table"]["residual"] == want
