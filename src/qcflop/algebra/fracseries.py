@@ -24,7 +24,8 @@ one gcd per term; ``terms`` builds the CycNumber coefficients on each read.
 * A rational scalar is an integer multiply.  A root of unity times a
   rational, y zeta^m, sends each zeta^p to the reduced row of
   zeta^((p+m) mod N), so it needs no convolution; any other scalar is one
-  convolution per row.
+  convolution per row.  The substitution q1^(1/den1) -> zeta^m q1^(1/den1)
+  (``twist_q1``) is such a root per row.
 
 Coefficients from a subfield Q(zeta_M), M | N, are embedded on the way in.
 """
@@ -163,6 +164,15 @@ class FracSeries:
             return self._raw({k: tuple(_times_root(row, m, g, f)) for k, row in self.rows.items()},
                              den)
         return self._of({k: _times_root(row, m, g, f) for k, row in self.rows.items()}, den)
+
+    def twist_q1(self, m: int) -> "FracSeries":
+        """The series with q1^(1/den1) replaced by zeta^m q1^(1/den1): the
+        row of key (n1, n2) times zeta^(m n1).  A power of zeta permutes the
+        powers of zeta and keeps each row's content, so the rows stay
+        canonical and no convolution is needed."""
+        f = self.field
+        return self._raw({(n1, n2): tuple(_times_root(row, m * n1, 1, f))
+                          for (n1, n2), row in self.rows.items()}, self.den)
 
     def __pow__(self, n: int) -> "FracSeries":
         if n < 0:

@@ -6,9 +6,10 @@ The scalars may be Fractions, ``CycNumber``s or ``RatFunc``s, anything with
 update touches only the columns where the pivot row is nonzero, so the work
 follows the fill of the matrix rather than its square.
 
-There is one matrix format: ``det``, ``inverse`` and ``solve`` take a
-matrix as a list of such sparse rows, and ``inverse`` returns one.  All three
-read the result of ``row_reduce``, whose pivot columns give the rank.
+There is one matrix format: ``det`` and ``solve`` take a matrix as a list
+of such sparse rows.  Both read the result of ``row_reduce``, whose pivot
+columns give the rank; a caller with several right-hand sides augments the
+rows with all of them and reduces once.
 
 The sparse exact values (cohomology classes, loop vectors, Fock operators,
 continuation-ring elements) are term maps {key: nonzero coefficient}, built by
@@ -115,22 +116,6 @@ def det(rows: list[dict], one):
     n = len(rows)
     pivots, scale = row_reduce([dict(row) for row in rows], one, n)
     return scale if len(pivots) == n else one - one
-
-
-def inverse(rows: list[dict], one) -> list[dict]:
-    """The rows of M^-1, each as {column: nonzero entry}, for the square
-    matrix M given by its rows in the same form.
-
-    Raises ZeroDivisionError when the matrix is singular.
-    """
-    n = len(rows)
-    rows = [dict(row) for row in rows]
-    for i, row in enumerate(rows):
-        row[n + i] = one
-    pivots, _ = row_reduce(rows, one, n)
-    if len(pivots) < n:
-        raise ZeroDivisionError("singular matrix")
-    return [{c - n: v for c, v in row.items() if c >= n} for row in rows]
 
 
 def solve(rows: list[dict], ncols: int, rhs: list, one) -> tuple[list, list[int]]:

@@ -17,13 +17,15 @@ rational base field) with q2 a rational value, where det(h*) meets
 
 Each check does only the exact work its answer reads:
 
-* Unit columns.  A multiplication matrix takes the column of h^a x^b from
-  the (h, y)-frame image op(h^a x^b).  When that image equals, as an exact
-  dict, the embedding of the basis monomial one step up (h^(a+1) x^b for h,
-  h^a x^(b+1) for x), the column is that unit vector; only the other columns
-  (a = r for h, b = r+1 for x) go through the inverse of the embedding, whose
-  rows keep their nonzero entries only.  The commutator then sums over the
-  nonzero entries of each row.
+* Unit columns.  The embedding takes each basis monomial to the (h, y)
+  frame one step from a neighbour, x^b = x x^(b-1) and h^a x^b =
+  h h^(a-1) x^b, so the h-column of h^a x^b is the unit vector of
+  h^(a+1) x^b for a < r by construction; an x-column is the unit vector of
+  h^a x^(b+1) when the image equals, as an exact dict, that monomial's
+  embedding.  The 2r+3 other columns (a = r for h, b = r+1 for x) come from
+  one elimination of the embedding augmented with their images, for both
+  matrices at once, whose rows keep their nonzero entries only.  The
+  commutator then sums over the nonzero entries of each row.
 * Unit-part product.  Every h-eigenvalue is the monomial
   q1^(1/(r+1)) q2^(1/(r+2)) times a unit series, and the n = (r+1)(r+2)
   monomials multiply to q1^(r+2) q2^(r+1), which takes n steps of the q1
@@ -45,6 +47,13 @@ Each check does only the exact work its answer reads:
   larger of the two orders the checks read, and each check truncates it to
   its own order before forming anything; a truncated closed form equals the
   closed form derived at the lower order.
+* omega-orbit.  The closed forms give h_i0 = sigma_i(h_00) and
+  xi_i0 = sigma_i(xi_00) for sigma_i: q1^(1/(r+1)) -> omega^i q1^(1/(r+1)),
+  the monodromy of q1 around 0, which multiplies the term of key (n1, n2)
+  by omega^(i n1) and fixes q1 and q2.  So the residuals of orbit i are
+  sigma_i of those of orbit 0, nonzero at the same keys, and the eigen
+  relations form residuals for orbit 0 only, and for any orbit that does
+  not equal sigma_i of orbit 0 as an exact series.
 """
 
 from __future__ import annotations
@@ -133,15 +142,6 @@ class ReductionEngine:
     def mult_xi(self, vec: Vec) -> Vec:
         return add_terms(self.mult_h(vec), self.mult_y(vec))
 
-    def xi_monomial(self, a: int, b: int) -> Vec:
-        """The reduced (h, y)-frame representative of h^a x^b."""
-        vec: Vec = {(0, 0): self.one}
-        for _ in range(b):
-            vec = self.mult_xi(vec)
-        for _ in range(a):
-            vec = self.mult_h(vec)
-        return vec
-
 
 class QuantumRing:
     """The quantum ring at a fixed exact scalar point (or symbolic q1)."""
@@ -151,49 +151,62 @@ class QuantumRing:
         self.engine = ReductionEngine(r, q1, q2, one)
         self.basis = cohomology.basis(r)
         self.index = {mono: k for k, mono in enumerate(self.basis)}
-        self._embed = [self.engine.xi_monomial(a, b) for (a, b) in self.basis]
-        # the embedding matrix, row per (h, y)-monomial, column per basis
-        # monomial, as the nonzero entries of each row
-        embed_rows: list[dict] = [{} for _ in self.basis]
+        # the (h, y)-frame image of each basis monomial, one step from a
+        # neighbour: x^b = x x^(b-1), h^a x^b = h h^(a-1) x^b
+        embed: dict = {(0, 0): {(0, 0): one}}
+        for b in range(1, r + 2):
+            embed[0, b] = self.engine.mult_xi(embed[0, b - 1])
+        for a in range(1, r + 1):
+            for b in range(r + 2):
+                embed[a, b] = self.engine.mult_h(embed[a - 1, b])
+        self._embed = [embed[mono] for mono in self.basis]
+
+    def mult_matrices(self) -> tuple[list[dict], list[dict]]:
+        """The matrices of multiplication by h and by x on the monomial
+        basis, each as the rows {column: nonzero entry}; column k is the
+        image of basis monomial k.
+
+        h h^a x^b is the basis monomial one step up for a < r, by the
+        construction of the embedding, and so is x h^a x^b whenever its
+        image equals, as an exact dict, the embedding of h^a x^(b+1).  The
+        other columns, the r+2 columns h^r x^b of h and the r+1 columns
+        h^a x^(r+1) of x (with any x-column that fails the comparison),
+        come from one elimination of the embedding augmented with their
+        images."""
+        engine, n = self.engine, len(self.basis)
+        H: list[dict] = [{} for _ in self.basis]
+        X: list[dict] = [{} for _ in self.basis]
+        solved = []  # (matrix, column, (h, y)-frame image) of each non-unit column
+        for k, (a, b) in enumerate(self.basis):
+            if a < self.r:
+                H[self.index[a + 1, b]][k] = engine.one
+            else:
+                solved.append((H, k, engine.mult_h(self._embed[k])))
+            image = engine.mult_xi(self._embed[k])
+            target = self.index.get((a, b + 1))
+            if target is not None and image == self._embed[target]:
+                X[target][k] = engine.one
+            else:
+                solved.append((X, k, image))
+        # the embedding, a row per (h, y)-monomial and a column per basis
+        # monomial, with the image of solved column t in column n + t
+        rows: list[dict] = [{} for _ in self.basis]
         for k, vec in enumerate(self._embed):
             for mono, c in vec.items():
-                embed_rows[self.index[mono]][k] = c
-        # the rows of the inverse, each as its nonzero (h, y)-monomial entries
-        self._from_y = [[(self.basis[j], c) for j, c in row.items()]
-                        for row in linalg.inverse(embed_rows, one)]
-
-    def _y_to_xi(self, vec: Vec) -> list:
-        zero = self.engine.zero
-        out = []
-        for row in self._from_y:
-            acc = zero
-            for mono, c in row:
-                v = vec.get(mono)
-                if v is not None:
-                    acc = acc + c * v
-            out.append(acc)
-        return out
-
-    def mult_matrix(self, which: str) -> list[dict]:
-        """Matrix of multiplication by h or x on the monomial basis, as the
-        rows {column: nonzero entry}; column k is the image of basis
-        monomial k."""
-        if which not in ("h", "xi"):
-            raise ValueError("operator must be 'h' or 'xi'")
-        op = self.engine.mult_h if which == "h" else self.engine.mult_xi
-        da, db = (1, 0) if which == "h" else (0, 1)
-        rows: list[dict] = [{} for _ in self.basis]
-        for k, (a, b) in enumerate(self.basis):
-            image = op(self._embed[k])
-            # h^a x^b times h (or x) is often the basis monomial one step up
-            target = self.index.get((a + da, b + db))
-            if target is not None and image == self._embed[target]:
-                rows[target][k] = self.engine.one
-            else:
-                for i, c in enumerate(self._y_to_xi(image)):
-                    if not c.is_zero():
-                        rows[i][k] = c
-        return rows
+                rows[self.index[mono]][k] = c
+        for t, (_, _, image) in enumerate(solved, n):
+            for mono, c in image.items():
+                rows[self.index[mono]][t] = c
+        pivots, _ = linalg.row_reduce(rows, engine.one, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular embedding of the monomial basis")
+        # row i now holds coordinate i of every solved column
+        for i, row in enumerate(rows):
+            for t, c in row.items():
+                if t >= n:
+                    matrix, k, _ = solved[t - n]
+                    matrix[i][k] = c
+        return H, X
 
 
 # --- instantiations -----------------------------------------------------------
@@ -229,23 +242,25 @@ def multiplication_matrices(r: int, q1: tuple[Fraction, Fraction],
         check_sample_point(name, Fraction(re), Fraction(im))
     ring = ring_at_point(r, gauss(Fraction(q1[0]), Fraction(q1[1])),
                          gauss(Fraction(q2[0]), Fraction(q2[1])))
-    return ring.mult_matrix("h"), ring.mult_matrix("xi")
+    return ring.mult_matrices()
+
+
+def commutator_row(H: list[dict], X: list[dict], i: int) -> Vec:
+    """Row i of HX - XH as {column: nonzero entry}, summed over the nonzero
+    entries of the rows only."""
+    acc: Vec = {}
+    for k, c in H[i].items():
+        for j, d in X[k].items():
+            add_term(acc, j, c * d)
+    for k, c in X[i].items():
+        for j, d in H[k].items():
+            add_term(acc, j, -(c * d))
+    return acc
 
 
 def matrices_commute_at(H: list[dict], X: list[dict]) -> bool:
     """Exact commutator check of the multiplication matrices of one point."""
-    for i in range(len(H)):
-        # row i of HX - XH, summed over the nonzero entries only
-        acc: Vec = {}
-        for k, c in H[i].items():
-            for j, d in X[k].items():
-                add_term(acc, j, c * d)
-        for k, c in X[i].items():
-            for j, d in H[k].items():
-                add_term(acc, j, -(c * d))
-        if acc:
-            return False
-    return True
+    return not any(commutator_row(H, X, i) for i in range(len(H)))
 
 
 def det_h_closed_form(r: int) -> tuple[int, RatFunc]:
@@ -327,6 +342,13 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
     return first, second
 
 
+def _failing_relations(residuals: tuple[FracSeries, FracSeries]) -> list[tuple[str, tuple]]:
+    """(relation name, leading exponent) of each nonzero residual."""
+    return [(name, min(res.rows))
+            for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals)
+            if not res.is_zero()]
+
+
 def verify_eigen_relations(r: int, order: int, orbits: list[EigenPair] | None = None) -> dict:
     """Check both quantum relations for every index pair through the order,
     and count the distinct leading coefficients of the h-eigenvalues.
@@ -336,7 +358,10 @@ def verify_eigen_relations(r: int, order: int, orbits: list[EigenPair] | None = 
     to the order.  The residuals at (i, j) are (eta^(j(r+1)) R1_i0, R2_i0),
     so every pair of the orbit fails where (i, 0) fails, with the same
     leading exponent; the leading coefficient of h_ij, on
-    q1^(1/(r+1)) q2^(1/(r+2)), is eta^j c_i0.
+    q1^(1/(r+1)) q2^(1/(r+2)), is eta^j c_i0.  An orbit i that equals
+    sigma_i of orbit 0, with sigma_i: q1^(1/(r+1)) -> omega^i q1^(1/(r+1)),
+    has the residuals sigma_i R_00, which fail where R_00 fails, so only
+    orbit 0 and an orbit off its omega-orbit form residuals.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -344,18 +369,24 @@ def verify_eigen_relations(r: int, order: int, orbits: list[EigenPair] | None = 
         orbits = orbit_representatives(r, order)
     fld = eigen_field(r)
     etas = [fld.zeta(j * (r + 1)) for j in range(r + 2)]
+    base = orbits[0].truncate(order)
+    base_failures = _failing_relations(eigen_relation_residuals(base))
     failures = []
     leading = set()
     for i, orbit in enumerate(orbits):
         orbit = orbit.truncate(order)
         lead = orbit.h.terms.get((1, 1), fld.zero)
         leading.update(lead * eta for eta in etas)
-        residuals = eigen_relation_residuals(orbit)
+        # omega^i = zeta^((r+2) i), and sigma_i fixes q1 and q2
+        m = (r + 2) * i
+        if orbit.h == base.h.twist_q1(m) and orbit.xi == base.xi.twist_q1(m):
+            failing = base_failures
+        else:
+            failing = _failing_relations(eigen_relation_residuals(orbit))
         for j in range(r + 2):
-            for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals):
-                if not res.is_zero():
-                    failures.append({"i": i, "j": j, "relation": name,
-                                     "leading_exponent": list(min(res.rows))})
+            for name, exponent in failing:
+                failures.append({"i": i, "j": j, "relation": name,
+                                 "leading_exponent": list(exponent)})
     return {"r": r, "order": order, "pairs_checked": (r + 1) * (r + 2),
             "leading_coefficients": len(leading), "failures": failures}
 
@@ -389,6 +420,13 @@ def eigenvalue_unit_product(r: int, order: int,
     return reduce(mul, units) ** (r + 2) * eta ** ((r + 1) * n // 2)
 
 
+def unit_product_closed_form(r: int, like: FracSeries) -> FracSeries:
+    """The unit part -1/(1 + (-1)^r q1) = -sum_k (-(-1)^r q1)^k of the
+    closed-form product, in the setting of the series ``like``."""
+    want = {(k * (r + 1), 0): -((-1) ** ((r + 1) * k)) for k in range(like.trunc // (r + 1) + 1)}
+    return FracSeries(like.field, like.den1, like.den2, like.trunc, want)
+
+
 def eigenvalue_product_identity(r: int, order: int | None = None,
                                 orbits: list[EigenPair] | None = None) -> bool:
     """prod of all h-eigenvalues equals -q1^(r+2) q2^(r+1)/(1+(-1)^r q1)
@@ -397,21 +435,29 @@ def eigenvalue_product_identity(r: int, order: int | None = None,
     if order is None:
         order = product_order(r)
     prod = eigenvalue_unit_product(r, order, orbits)
-    if prod is None:
-        return False
-    # unit part of the closed form: -sum_k (-(-1)^r q1)^k
-    want = {(k * (r + 1), 0): -((-1) ** ((r + 1) * k)) for k in range(prod.trunc // (r + 1) + 1)}
-    return prod == FracSeries(prod.field, prod.den1, prod.den2, prod.trunc, want)
+    return prod is not None and prod == unit_product_closed_form(r, prod)
+
+
+def closed_form_roots(r: int) -> list[CycNumber]:
+    """The leading q1-coefficients omega^i, i = 0..r, of the closed forms,
+    in Q(zeta_(r+1))."""
+    fld = CycField(r + 1)
+    return [fld.zeta(i) for i in range(r + 1)]
+
+
+def equivariant_roots(r: int) -> list[CycNumber]:
+    """The roots (-1)^r xi^(-i), i = 0..r, of the equivariant spectrum in
+    Q(zeta_(r+1))."""
+    fld = CycField(r + 1)
+    sign = Fraction((-1) ** r)
+    return [fld.zeta(-i) * sign for i in range(r + 1)]
 
 
 def spectrum_structure_match(r: int) -> bool:
     """Leading q1-coefficients of the closed forms match the equivariant
     spectrum roots: {omega^i} = {(-1)^r xi^(-i)} as subsets of Q(zeta_(r+1))."""
-    fld = CycField(r + 1)
-    closed_form_side = {fld.zeta(i).coeffs for i in range(r + 1)}
-    sign = Fraction((-1) ** r)
-    root_side = {(fld.zeta(-i) * sign).coeffs for i in range(r + 1)}
-    return closed_form_side == root_side
+    return ({root.coeffs for root in closed_form_roots(r)}
+            == {root.coeffs for root in equivariant_roots(r)})
 
 
 # --- numeric certificate --------------------------------------------------------
@@ -474,13 +520,13 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
     min_gap = min(gaps)
     if min_gap <= gap_tol:
         raise SemisimplicityError(f"eigenvalue gap {min_gap:.3e} below tolerance")
-    matrix_spec = list(np.linalg.eigvals(H))
-    worst = _multiset_match(formula, matrix_spec)
+    # one eigen-decomposition gives the spectrum and the eigenvector frame
+    vals, vecs = np.linalg.eig(H)
+    worst = _multiset_match(formula, list(vals))
     if worst > match_tol:
         raise SemisimplicityError(
             f"formula-vs-matrix spectrum mismatch {worst:.3e} above tolerance")
     # simultaneous diagonalizability: eigenvectors of h* diagonalize x*
-    _, vecs = np.linalg.eig(H)
     conj = np.linalg.solve(vecs, X @ vecs)
     off = conj - np.diag(np.diag(conj))
     off_norm = float(np.max(np.abs(off)))

@@ -281,6 +281,34 @@ def genus_one_table_suite(r: int, dmax: int) -> Report:
     return rep
 
 
+def _product_failure(r: int, orbits: list) -> str:
+    """The first orbit whose h the leading monomial does not divide, or the
+    first term where the product of the unit parts leaves the closed form."""
+    order = batyrev.product_order(r)
+    prod = batyrev.eigenvalue_unit_product(r, order, orbits)
+    if prod is None:
+        unit_order = order - (r + 1) * (r + 2) + 1
+        i = next(i for i, orbit in enumerate(orbits)
+                 if orbit.h.truncate(unit_order).divide_monomial(1, 1) is None)
+        return f"h_{i}0 has a term that q1^(1/(r+1)) q2^(1/(r+2)) does not divide"
+    return _first_differing_term("prod of the unit parts is not -1/(1 + (-1)^r q1)",
+                                 prod.terms, batyrev.unit_product_closed_form(r, prod).terms)
+
+
+def _spectrum_structure_failure(r: int) -> str:
+    """The first omega^i that no equivariant root equals."""
+    roots = {root.coeffs for root in batyrev.equivariant_roots(r)}
+    i = next(i for i, root in enumerate(batyrev.closed_form_roots(r)) if root.coeffs not in roots)
+    return f"omega^{i} is none of the equivariant roots (-1)^r xi^(-k), k = 0..{r}"
+
+
+def _commutator_failure(H: list[dict], X: list[dict]) -> str:
+    """The first nonzero entry of HX - XH, by row and then column."""
+    i, row = next((i, row) for i in range(len(H)) if (row := batyrev.commutator_row(H, X, i)))
+    j = min(row)
+    return f"first nonzero entry of HX - XH at (i, j) = ({i}, {j}): {row[j]}"
+
+
 def batyrev_suite(r: int, order: int = 10,
                   sample=((Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0))),
                   gap_tol: float = 1e-6, match_tol: float = 1e-9) -> Report:
@@ -301,10 +329,12 @@ def batyrev_suite(r: int, order: int = 10,
     distinct = relations["leading_coefficients"]
     rep.add("batyrev/eigenvalue-count", {"r": r}, distinct == n,
             "0" if distinct == n else f"{distinct} distinct leading coefficients of {n}")
-    rep.add("batyrev/eigenvalue-product", {"r": r},
-            batyrev.eigenvalue_product_identity(r, orbits=orbits))
-    rep.add("batyrev/spectrum-structure-match", {"r": r},
-            batyrev.spectrum_structure_match(r))
+    ok = batyrev.eigenvalue_product_identity(r, orbits=orbits)
+    rep.add("batyrev/eigenvalue-product", {"r": r}, ok,
+            "0" if ok else _product_failure(r, orbits))
+    ok = batyrev.spectrum_structure_match(r)
+    rep.add("batyrev/spectrum-structure-match", {"r": r}, ok,
+            "0" if ok else _spectrum_structure_failure(r))
     q1s, q2s = sample
     params = {"r": r, "q1": [str(q1s[0]), str(q1s[1])], "q2": [str(q2s[0]), str(q2s[1])]}
     # one ring per cell: the certificate and the commutator read its matrices
@@ -315,7 +345,9 @@ def batyrev_suite(r: int, order: int = 10,
                 f"min gap {cert['min_gap']:.3e}, spectrum match {cert['spectrum_match']:.3e}")
     except ValueError as exc:  # SemisimplicityError is a ValueError
         rep.add("batyrev/semisimplicity-certificate", params, False, str(exc))
-    rep.add("batyrev/multiplication-commutes", {"r": r}, batyrev.matrices_commute_at(*matrices))
+    ok = batyrev.matrices_commute_at(*matrices)
+    rep.add("batyrev/multiplication-commutes", {"r": r}, ok,
+            "0" if ok else _commutator_failure(*matrices))
     rep.seconds = time.perf_counter() - t0
     return rep
 

@@ -12,21 +12,38 @@ from qcflop import suites
 from qcflop.algebra import FracSeries, linalg
 
 
+def from_one(engine, a, b):
+    """The (h, y)-frame representative of h^a x^b built from 1: b steps of
+    x, then a steps of h."""
+    vec = {(0, 0): engine.one}
+    for _ in range(b):
+        vec = engine.mult_xi(vec)
+    for _ in range(a):
+        vec = engine.mult_h(vec)
+    return vec
+
+
+def y_to_basis(ring, vec):
+    """The coordinates on the monomial basis of an (h, y)-frame vector, from
+    its own solve against the embedding."""
+    zero = ring.engine.zero
+    rows = [{k: image[mono] for k, image in enumerate(ring._embed) if mono in image}
+            for mono in ring.basis]
+    coords, pivots = linalg.solve(rows, len(ring.basis),
+                                  [vec.get(mono, zero) for mono in ring.basis], ring.engine.one)
+    assert len(pivots) == len(ring.basis)
+    return coords
+
+
 def reduce(ring, raw):
     """Reduce a raw polynomial in (h, x), keys (h-exponent, x-exponent) with
     Fraction coefficients, to the monomial basis of the ring: the reference
     that the ring's own multiplication is checked against."""
-    engine = ring.engine
     total = {}
     for (A, B), c in raw.items():
-        vec = {(0, 0): engine.one * c}
-        for _ in range(B):
-            vec = engine.mult_xi(vec)
-        for _ in range(A):
-            vec = engine.mult_h(vec)
-        for key, v in vec.items():
-            linalg.add_term(total, key, v)
-    coords = ring._y_to_xi(total)
+        for key, v in from_one(ring.engine, A, B).items():
+            linalg.add_term(total, key, v * c)
+    coords = y_to_basis(ring, total)
     return {ring.basis[k]: c for k, c in enumerate(coords) if not c.is_zero()}
 
 
@@ -88,7 +105,7 @@ def test_mult_matrix_nilpotent_at_origin():
     import numpy as np
     for r in (1, 2):
         origin = bat.gauss(Fraction(0))
-        arr = bat._matrix_to_complex(bat.ring_at_point(r, origin, origin).mult_matrix("h"))
+        arr = bat._matrix_to_complex(bat.ring_at_point(r, origin, origin).mult_matrices()[0])
         power = np.linalg.matrix_power(arr, 2 * r + 2)
         assert abs(power).max() < 1e-12
 
@@ -106,7 +123,7 @@ def test_det_h_closed_form():
         degree, coeff = bat.det_h_closed_form(r)
         one = bat.q1_field_one()
         for t in range(r + 4):
-            det = linalg.det(ring_symbolic_q1(r, Fraction(t)).mult_matrix("h"), one)
+            det = linalg.det(ring_symbolic_q1(r, Fraction(t)).mult_matrices()[0], one)
             assert det == coeff * Fraction(t) ** degree
 
 
@@ -116,7 +133,7 @@ def test_det_h_at_points_r3():
     one = bat.q1_field_one()
     for (a, b) in ((Fraction(1, 3), Fraction(1, 7)), (Fraction(-2, 5), Fraction(3, 4))):
         ring = bat.ring_at_point(3, bat.gauss(a), bat.gauss(b))
-        det = linalg.det(ring.mult_matrix("h"), bat.GAUSS.one)
+        det = linalg.det(ring.mult_matrices()[0], bat.GAUSS.one)
         want = coeff.eval_rational(a) * bat.gauss(b) ** degree
         assert det == want
 
@@ -285,6 +302,75 @@ def test_eigen_relations_corrupted_orbit_matches_reference(monkeypatch, orbit, w
     assert report == reference_eigen_relations(2, 10)
 
 
+def count_residuals(monkeypatch):
+    """eigen_relation_residuals that records the orbit index of each call."""
+    real = bat.eigen_relation_residuals
+    calls = []
+
+    def counted(pair):
+        calls.append(pair.i)
+        return real(pair)
+
+    monkeypatch.setattr(bat, "eigen_relation_residuals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_a_batyrev_cell_forms_the_residuals_of_orbit_0_only(monkeypatch, r):
+    calls = count_residuals(monkeypatch)
+    assert suites.batyrev_suite(r).all_pass()
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("orbit, which, direct", [(1, "h", [0, 1]), (0, "h", [0, 1, 2]),
+                                                  (2, "xi", [0, 2])])
+def test_an_orbit_off_its_omega_orbit_forms_its_own_residuals(monkeypatch, orbit, which, direct):
+    # orbit i corrupted is not sigma_i of orbit 0; orbit 0 corrupted leaves
+    # no other orbit sigma_i of it
+    corrupt_orbit(monkeypatch, orbit, which)
+    calls = count_residuals(monkeypatch)
+    report = bat.verify_eigen_relations(2, 10)
+    assert calls == direct
+    assert report == reference_eigen_relations(2, 10)
+
+
+def twisted(pair, i):
+    """sigma_i of the pair: q1^(1/(r+1)) -> omega^i q1^(1/(r+1))."""
+    m = (pair.r + 2) * i
+    return bat.EigenPair(pair.r, i, pair.j, pair.h.twist_q1(m), pair.xi.twist_q1(m))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_residuals_of_each_orbit_are_sigma_i_of_orbit_0s(r):
+    order = 10
+    orbits = bat.orbit_representatives(r, order)
+    fld = bat.eigen_field(r)
+    # a family off the closed forms that keeps the omega-orbit: sigma_i of
+    # h_00 + q1^(3/(r+1)) q2^(1/(r+2)), so the residuals are nonzero
+    extra = FracSeries.monomial(fld, r + 1, r + 2, order, 3, 1)
+    off = bat.EigenPair(r, 0, 0, orbits[0].h + extra, orbits[0].xi)
+    base, off_base = bat.eigen_relation_residuals(orbits[0]), bat.eigen_relation_residuals(off)
+    for i, orbit in enumerate(orbits):
+        m = (r + 2) * i
+        assert (orbit.h, orbit.xi) == (twisted(orbits[0], i).h, twisted(orbits[0], i).xi)
+        assert bat.eigen_relation_residuals(orbit) == tuple(res.twist_q1(m) for res in base)
+        direct = bat.eigen_relation_residuals(twisted(off, i))
+        assert not direct[0].is_zero() and not direct[1].is_zero()
+        assert direct == tuple(res.twist_q1(m) for res in off_base)
+        assert [min(res.rows) for res in direct] == [min(res.rows) for res in off_base]
+
+
+def test_twist_q1_scales_each_term_by_its_root():
+    r, order = 3, 8
+    fld = bat.eigen_field(r)
+    series = bat.eigen_formulas(r, 0, 0, order).h + 3
+    for m in (0, 1, 7, (r + 1) * (r + 2) - 1):
+        twist = series.twist_q1(m)
+        assert twist.terms == {(n1, n2): c * fld.zeta(m * n1)
+                               for (n1, n2), c in series.terms.items()}
+        assert twist == FracSeries(fld, r + 1, r + 2, order, twist.terms)
+
+
 @pytest.mark.parametrize("target", [(1, 0), (2, 0)])
 def test_eigen_relations_failure_names_the_pair(monkeypatch, capsys, target):
     corrupt_orbit(monkeypatch, target[0])
@@ -360,6 +446,26 @@ def test_semisimplicity_certificate_r1():
     assert report["spectrum_match"] <= 1e-9
 
 
+def test_the_certificate_makes_one_eigen_decomposition(monkeypatch):
+    np = bat.np
+    real = np.linalg.eig
+    calls = []
+
+    def eig(a):
+        calls.append(a.shape)
+        return real(a)
+
+    def eigvals(a):
+        raise AssertionError("the certificate reads the eigenvalues of its one eig")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for r in (1, 3):
+        calls.clear()
+        assert suites.batyrev_suite(r).all_pass()
+        assert calls == [((r + 1) * (r + 2), (r + 1) * (r + 2))]
+
+
 def test_semisimplicity_certificate_r2():
     report = certificate(2, (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0)))
     assert report["certified"]
@@ -380,20 +486,11 @@ def test_engine_rejects_degeneration_point():
 
 
 def dense_mult_matrix(ring, which):
-    """Every column through the full inverse of the embedding, zeros included,
-    as dense rows."""
+    """Every column from its own solve against the embedding, zeros
+    included, as dense rows."""
     op = ring.engine.mult_h if which == "h" else ring.engine.mult_xi
-    one, zero = ring.engine.one, ring.engine.zero
     n = len(ring.basis)
-    embed_cols = [[ring._embed[k].get(mono, zero) for k in range(n)] for mono in ring.basis]
-    from_y = linalg.inverse([{k: c for k, c in enumerate(row) if c != zero}
-                             for row in embed_cols], one)
-    cols = []
-    for k in range(n):
-        vec = op(ring._embed[k])
-        coords = [vec.get(mono, zero) for mono in ring.basis]
-        cols.append([sum((from_y[i].get(j, zero) * coords[j] for j in range(n)), start=zero)
-                     for i in range(n)])
+    cols = [y_to_basis(ring, op(ring._embed[k])) for k in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -404,10 +501,19 @@ def test_mult_matrix_matches_dense_reference(r):
     if r <= 2:
         rings.append(ring_symbolic_q1(r, Fraction(2, 3)))
     for ring in rings:
-        for which in ("h", "xi"):
+        for which, rows in zip(("h", "xi"), ring.mult_matrices()):
             dense = dense_mult_matrix(ring, which)
-            assert ring.mult_matrix(which) == [
-                {j: c for j, c in enumerate(row) if not c.is_zero()} for row in dense]
+            assert rows == [{j: c for j, c in enumerate(row) if not c.is_zero()} for row in dense]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_embedding_steps_equal_the_monomials_built_from_one(r):
+    one = bat.q1_field_one()
+    rings = [bat.ring_at_point(r, bat.gauss(Fraction(1, 3), Fraction(1, 2)),
+                               bat.gauss(Fraction(-2, 5))),
+             bat.QuantumRing(r, bat.q1_symbol(), one * Fraction(2, 3), one)]
+    for ring in rings:
+        assert ring._embed == [from_one(ring.engine, a, b) for a, b in ring.basis]
 
 
 def test_mult_matrix_rows_hold_no_zero_entry():
@@ -415,28 +521,56 @@ def test_mult_matrix_rows_hold_no_zero_entry():
         rings = [bat.ring_at_point(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7))),
                  bat.ring_at_point(r, bat.gauss(Fraction(0)), bat.gauss(Fraction(0)))]
         for ring in rings:
-            for which in ("h", "xi"):
-                rows = ring.mult_matrix(which)
+            for rows in ring.mult_matrices():
                 assert len(rows) == len(coh.basis(r))
                 assert not any(c.is_zero() for row in rows for c in row.values())
 
 
-def test_mult_matrix_converts_only_the_non_unit_columns(monkeypatch):
-    # h: the r+2 columns h^r x^b; x: the r+1 columns h^a x^(r+1)
-    real = bat.QuantumRing._y_to_xi
+def count_eliminations(monkeypatch):
+    """linalg.row_reduce that records, for each call, the number of pivot
+    columns and the number of augmented columns that hold an entry."""
+    real = linalg.row_reduce
     calls = []
 
-    def counted(self, vec):
-        calls.append(1)
-        return real(self, vec)
+    def counted(rows, one, ncols):
+        calls.append((ncols, len({c for row in rows for c in row if c >= ncols})))
+        return real(rows, one, ncols)
 
-    monkeypatch.setattr(bat.QuantumRing, "_y_to_xi", counted)
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    return calls
+
+
+def test_mult_matrix_converts_only_the_non_unit_columns(monkeypatch):
+    # one elimination per ring, for h: the r+2 columns h^r x^b and x: the
+    # r+1 columns h^a x^(r+1)
+    calls = count_eliminations(monkeypatch)
     for r in (1, 3):
         calls.clear()
         ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
-        ring.mult_matrix("h")
-        ring.mult_matrix("xi")
-        assert len(calls) == 2 * r + 3
+        ring.mult_matrices()
+        assert calls == [((r + 1) * (r + 2), 2 * r + 3)]
+        calls.clear()
+        assert suites.batyrev_suite(r).all_pass()
+        assert calls == [((r + 1) * (r + 2), 2 * r + 3)]
+
+
+def test_an_x_image_off_the_next_monomial_is_solved(monkeypatch):
+    # x * 1 read as x + 1: the dict comparison with the embedding of x fails,
+    # so the column of 1 joins the elimination and holds the coordinates of
+    # x + 1
+    calls = count_eliminations(monkeypatch)
+    r = 2
+    ring = bat.ring_at_point(r, bat.gauss(Fraction(1, 3)), bat.gauss(Fraction(1, 7)))
+    engine = ring.engine
+    unit = {(0, 0): engine.one}
+    real = engine.mult_xi
+    monkeypatch.setattr(engine, "mult_xi",
+                        lambda vec: linalg.add_terms(real(vec), unit) if vec == unit else real(vec))
+    _, X = ring.mult_matrices()
+    assert calls == [((r + 1) * (r + 2), 2 * r + 4)]
+    k = ring.index[0, 0]
+    assert {i: row[k] for i, row in enumerate(X) if k in row} == {
+        k: engine.one, ring.index[0, 1]: engine.one}
 
 
 def full_h_product(r, order):
@@ -508,21 +642,28 @@ def test_eigenvalue_product_negative_controls(monkeypatch):
     assert not bat.eigenvalue_product_identity(2)
 
 
-def test_commutator_negative_control(monkeypatch):
-    real = bat.QuantumRing._y_to_xi
-    calls = []
+def one_solved_entry_plus_one(monkeypatch):
+    """linalg.row_reduce whose result has 1 added to coordinate 0 of the
+    first augmented column: the entry of x* in row 0 and column x^(r+1)."""
+    real = linalg.row_reduce
 
-    def perturbed(self, vec):
-        out = real(self, vec)
-        if not calls:
-            out[0] = out[0] + self.engine.one
-        calls.append(1)
+    def perturbed(rows, one, ncols):
+        out = real(rows, one, ncols)
+        rows[0][ncols] = rows[0].get(ncols, one - one) + one
         return out
 
-    monkeypatch.setattr(bat.QuantumRing, "_y_to_xi", perturbed)
-    for r in (2, 3):
-        calls.clear()
-        assert not commute_at(r, Fraction(1, 3), Fraction(1, 7))
+    monkeypatch.setattr(linalg, "row_reduce", perturbed)
+
+
+def test_commutator_negative_control(monkeypatch):
+    point = ((Fraction(1, 3), 0), (Fraction(1, 7), 0))
+    exact = {r: bat.multiplication_matrices(r, *point) for r in (2, 3)}
+    one_solved_entry_plus_one(monkeypatch)
+    for r, (H0, X0) in exact.items():
+        H, X = bat.multiplication_matrices(r, *point)
+        k = coh.basis(r).index((0, r + 1))
+        assert H == H0 and X[0][k] == X0[0].get(k, bat.GAUSS.zero) + 1
+        assert not bat.matrices_commute_at(H, X)
 
 
 def test_a_batyrev_cell_builds_one_ring(monkeypatch):

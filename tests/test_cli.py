@@ -307,9 +307,11 @@ def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
     (["cohomology", "--r", "1..8"], "verify_cohomology_r1-8.json"),
     (["flop", "--r", "4..8"], "verify_flop_r4-8.json"),
     (["quantization", "--dim", "3", "--cutoff", "5"], "verify_quantization_dim3_cutoff5.json"),
-    (["flop", "--r", "9..12"], "verify_flop_r9-12.json")])
+    (["flop", "--r", "9..12"], "verify_flop_r9-12.json"),
+    (["batyrev", "--r", "6..8"], "verify_batyrev_r6-8.json")])
 def test_verify_matches_the_recorded_rows(capsys, args, recorded):
-    # the rows of the suites on sparse term maps, each with its residual
+    # the rows of the suites past the default r range, each with its
+    # residual; the batyrev rows include the float certificate residuals
     code, out, _ = run_cli(["verify", *args, "--format", "json", "--jobs", "1"], capsys)
     assert code == 0
     assert json.loads(out)["entries"] == json.loads((DATA / recorded).read_text(encoding="utf-8"))

@@ -15,10 +15,11 @@ from math import comb
 
 import pytest
 
+from qcflop import batyrev as bat
 from qcflop import canonical, cli, weyl
 from qcflop import cohomology as coh
 from qcflop import flopcheck as fc
-from qcflop.algebra import Poly, RatFunc
+from qcflop.algebra import CycField, Poly, RatFunc, linalg
 from qcflop.algebra.linalg import add_term, mul_terms
 
 
@@ -168,6 +169,38 @@ def chern_pairing_against_2h_plus_x(monkeypatch):
     monkeypatch.setattr(coh, "chern_flop_identity", chern_flop_identity)
 
 
+def one_solved_entry_plus_one(monkeypatch):
+    # the ring's one elimination returns coordinate 0 of its first solved
+    # column, the entry of x* in row 0 and column x^(r+1), plus 1
+    original = linalg.row_reduce
+
+    def row_reduce(rows, one, ncols):
+        out = original(rows, one, ncols)
+        rows[0][ncols] = rows[0].get(ncols, one - one) + one
+        return out
+
+    monkeypatch.setattr(linalg, "row_reduce", row_reduce)
+
+
+def orbit_1_read_as_orbit_0(monkeypatch):
+    # omega^1 read as omega^0: both relations still hold on every pair, but
+    # the unit part of orbit 0 enters the product twice and that of orbit 1
+    # not at all
+    original = bat.eigen_formulas
+    monkeypatch.setattr(bat, "eigen_formulas",
+                        lambda r, i, j, order: original(r, 0 if i == 1 else i, j, order))
+
+
+def equivariant_roots_with_the_wrong_sign(monkeypatch):
+    # (-1)^(r+1) xi^(-i) in place of (-1)^r xi^(-i); at odd r, -1 is an
+    # (r+1)-th root of unity, so the set is unchanged and only even r fails
+    def equivariant_roots(r):
+        fld = CycField(r + 1)
+        return [fld.zeta(-i) * Fraction((-1) ** (r + 1)) for i in range(r + 1)]
+
+    monkeypatch.setattr(bat, "equivariant_roots", equivariant_roots)
+
+
 CONTROLS = {
     "cohomology/first-chern-fiber-class": (
         wrong_sign_in_the_second_bundle, "cohomology", 2, "c_1 = 4*x + 6*h, not 4*x"),
@@ -203,6 +236,16 @@ CONTROLS = {
         ladder_one_rung_up, "flop", 2, "kappa delta^1 G(1/q) is not (-1)^0 kappa delta^1 G(q)"),
     "flop/genus-one-kappa": (chern_term_with_the_wrong_sign, "flop", 2, "5/8"),
     "flop/genus-one-onepoint-defect": (chern_pairing_against_2h_plus_x, "flop", 2, "-9/4"),
+    "batyrev/multiplication-commutes": (
+        one_solved_entry_plus_one, "batyrev", 2,
+        "first nonzero entry of HX - XH at (i, j) = (0, 8): -3/13"),
+    "batyrev/eigenvalue-product": (
+        orbit_1_read_as_orbit_0, "batyrev", 2,
+        "prod of the unit parts is not -1/(1 + (-1)^r q1): first failing term (0, 0):"
+        " got 1*z12^2, want -1"),
+    "batyrev/spectrum-structure-match": (
+        equivariant_roots_with_the_wrong_sign, "batyrev", 2,
+        "omega^0 is none of the equivariant roots (-1)^r xi^(-k), k = 0..2"),
     "flop/zero-point-series-invariance": (
         ladder_of_the_wrong_parity, "flop", 1,
         "first failing d = 2: the q^2 coefficient of delta^1 G is -2, not 2"),
@@ -308,3 +351,35 @@ def test_the_cocycle_table_names_the_first_failing_pair_in_product_order(capsys,
     code, entries = verify("quantization", None, capsys)
     assert code == 1
     assert entries["quantization/cocycle-table"]["residual"] == want
+
+
+def test_the_wrong_root_sign_passes_the_spectrum_structure_at_odd_r(capsys, monkeypatch):
+    equivariant_roots_with_the_wrong_sign(monkeypatch)
+    code, entries = verify("batyrev", 3, capsys)
+    assert code == 0 and entries["batyrev/spectrum-structure-match"]["status"] == "pass"
+
+
+def test_an_h_the_leading_monomial_does_not_divide_names_its_orbit(capsys, monkeypatch):
+    original = bat.eigen_formulas
+
+    def eigen_formulas(r, i, j, order):
+        pair = original(r, i, j, order)
+        if i == 1:
+            pair.h = pair.h + 1
+        return pair
+
+    monkeypatch.setattr(bat, "eigen_formulas", eigen_formulas)
+    code, entries = verify("batyrev", 2, capsys)
+    assert code == 1
+    assert entries["batyrev/eigenvalue-product"]["residual"] == (
+        "h_10 has a term that q1^(1/(r+1)) q2^(1/(r+2)) does not divide")
+
+
+def test_a_perturbed_solved_entry_fails_only_the_rows_that_read_the_matrices(
+        capsys, monkeypatch):
+    # the exact eigen checks read the closed forms, not x*
+    one_solved_entry_plus_one(monkeypatch)
+    code, entries = verify("batyrev", 2, capsys)
+    assert code == 1
+    assert {a for a, e in entries.items() if e["status"] == "fail"} == {
+        "batyrev/multiplication-commutes", "batyrev/semisimplicity-certificate"}
