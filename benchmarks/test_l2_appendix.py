@@ -15,8 +15,7 @@ built.  That branch is timed twice: on the gauge path, which derives the
 default branch's R1 and returns its diagonal, and on the fallback path,
 which integrates every diagonal, forced by a gauge check that always fails
 (``canonical._is_gauge``; a version of the module without it integrates
-every diagonal anyway).  Apart from that check, only the public canonical
-API is used.
+every diagonal anyway).
 
 The stages built over the spectrum's known factors run at r = 8, 12 and 16,
 three rounds each: ``charpoly_coefficients`` and ``term_log_delta`` on a
@@ -25,11 +24,26 @@ call, ``delta_product`` of the shared frame's Delta_i, the norm product of
 the appendix suite, and ``genus_one_form`` with
 its memo and the shared frame of that r dropped before each round, so each
 round derives the whole chain, as a fresh process does.
+
+The frame's symmetric functions run at r = 12, 20 and 40, three rounds each
+on a fresh frame: ``canonical._linear_factors``, the e_m(L), and
+``canonical._sym_omitting`` at every omit index, the E^i_k, each checked
+against the products multiplied out (the E^i_k by the reference in
+tests/helpers.py); and ``connection_form``, which reads them,
+checked against minus the closed-form display.  Apart from these two
+stages and the gauge check, only the public canonical API is used.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from qcflop import canonical
+from qcflop.algebra import Poly, elementary_symmetric
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import elementary_symmetric_omitting  # noqa: E402
 
 RS = [4, 5, 6, 7, 8]
 
@@ -143,3 +157,34 @@ def test_genus_one_form(benchmark, r):
 
     form, _ = benchmark.pedantic(canonical.genus_one_form, setup=no_memo, rounds=3)
     assert form == canonical.genus_one_expected(r)
+
+
+FACTOR_RS = [12, 20, 40]
+
+
+@pytest.mark.parametrize("r", FACTOR_RS)
+def test_linear_factors_fresh_frame(benchmark, r):
+    es = benchmark.pedantic(canonical._linear_factors, setup=fresh_frame_of(r), rounds=3)
+    frame = canonical.frame_for(r)
+    assert es == tuple(elementary_symmetric(frame.L, Poly.one(frame.field)))
+
+
+def every_omit_index(frame):
+    return [canonical._sym_omitting(frame, i) for i in range(frame.u)]
+
+
+@pytest.mark.parametrize("r", FACTOR_RS)
+def test_sym_omitting_fresh_frame(benchmark, r):
+    got = benchmark.pedantic(every_omit_index, setup=fresh_frame_of(r), rounds=3)
+    frame = canonical.frame_for(r)
+    one = Poly.one(frame.field)
+    es = elementary_symmetric(frame.L, one)
+    assert got == [tuple(elementary_symmetric_omitting(frame.L, i, one, es))
+                   for i in range(frame.u)]
+
+
+@pytest.mark.parametrize("r", FACTOR_RS)
+def test_connection_form_large_fresh_frame(benchmark, r):
+    conn = benchmark.pedantic(canonical.connection_form, setup=fresh_frame_of(r), rounds=3)
+    disp = canonical.connection_display_form(canonical.frame_for(r))
+    assert conn == [[-x for x in row] for row in disp]

@@ -8,7 +8,6 @@ from qcflop.algebra.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
     elementary_symmetric,
-    elementary_symmetric_omitting,
 )
 from qcflop.algebra.poly import Poly
 from qcflop.algebra.ratfunc import ExpansionError, NonIntegrableError, RatFunc
@@ -24,7 +23,6 @@ __all__ = [
     "FracSeries",
     "cyclotomic_polynomial",
     "elementary_symmetric",
-    "elementary_symmetric_omitting",
     "ExpansionError",
     "NonIntegrableError",
     "InhomogeneousError",

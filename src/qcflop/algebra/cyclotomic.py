@@ -426,36 +426,9 @@ class CycNumber:
 
 
 def elementary_symmetric(values: Sequence, ring_one):
-    """All elementary symmetric functions e_0..e_n of the given values.
-
-    Works over any commutative ring; ring_one is the multiplicative unit.
-    """
+    """All elementary symmetric functions e_0..e_n of the given values, over
+    any commutative ring; ring_one is the multiplicative unit."""
     es = [ring_one]
     for v in values:
-        nxt = [es[0]]
-        for k in range(1, len(es) + 1):
-            prev = es[k] if k < len(es) else None
-            term = es[k - 1] * v
-            nxt.append(term if prev is None else prev + term)
-        es = nxt
+        es = [es[0]] + [e + p * v for e, p in zip(es[1:], es)] + [es[-1] * v]
     return es
-
-
-def elementary_symmetric_omitting(values: Sequence, omit: int, ring_one,
-                                  es: Sequence | None = None):
-    """e_0..e_(n-1) of the n values with the one at index ``omit`` left out.
-
-    They are the e_0..e_n of all the values (``es``, formed here when not
-    given) divided by 1 + v t for the omitted v, so
-    e_k(omitting v) = e_k - v e_(k-1)(omitting v), an exact division over any
-    commutative ring.
-    """
-    if not 0 <= omit < len(values):
-        raise IndexError(f"omit index {omit} out of range")
-    if es is None:
-        es = elementary_symmetric(values, ring_one)
-    v = values[omit]
-    out = [es[0]]
-    for e_k in es[1:-1]:
-        out.append(e_k - v * out[-1])
-    return out

@@ -509,7 +509,9 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
     this sample point.  Raises SemisimplicityError when the gap or matching
     tolerance fails; also checks that the eigenvector frame of h*
     diagonalizes x* (simultaneous diagonalizability, with no branch pairing
-    asserted).
+    asserted) and that the float commutator of h* and x* is below its bound.
+    ``failed_bounds`` names each of these two checks that fails, with its
+    value and its bound.
     """
     q1c = complex(Fraction(q1[0]), Fraction(q1[1]))
     q2c = complex(Fraction(q2[0]), Fraction(q2[1]))
@@ -531,6 +533,9 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
     off = conj - np.diag(np.diag(conj))
     off_norm = float(np.max(np.abs(off)))
     commutator = float(np.max(np.abs(H @ X - X @ H)))
+    failed = [f"{name} {value:.3e} not below {bound:g}" for name, value, bound in (
+        ("simultaneous off-diagonal", off_norm, 1e-6),
+        ("commutator norm", commutator, 1e-12)) if not value < bound]
     return {
         "r": r,
         "sample": {"q1": [str(q1[0]), str(q1[1])], "q2": [str(q2[0]), str(q2[1])]},
@@ -539,6 +544,6 @@ def semisimplicity_certificate(r: int, q1: tuple[Fraction, Fraction],
         "spectrum_match": worst,
         "simultaneous_offdiag": off_norm,
         "commutator_norm": commutator,
-        "certified": bool(min_gap > gap_tol and worst <= match_tol
-                          and off_norm < 1e-6 and commutator < 1e-12),
+        "failed_bounds": failed,
+        "certified": bool(min_gap > gap_tol and worst <= match_tol and not failed),
     }

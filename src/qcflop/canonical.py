@@ -47,11 +47,15 @@ Known factors.  Every denominator the frame builds splits over w and the
 L_i, whose product is D = w^(r+1) + (-1)^r, so each quantity of the spectrum
 is a polynomial in w or one over a denominator known in advance (a power of
 w, of one L_j or of L_i L_j, or w^m D), written down reduced or reduced once
-instead of through a gcd per partial sum.  ``_linear_factors`` forms the
-e_m(L) and ``_sym_omitting`` the E^i_k = e_k(L_l : l != i) = w^k S^i_k(a);
-``charpoly_coefficients``, ``term_log_delta``, ``delta_i``,
-``_p_differences``, ``m_inverse`` and ``_spectrum_sum`` are built from them,
-and ``delta_product`` forms prod_i Delta_i over D^(2r).
+instead of through a gcd per partial sum.  The L_i are a full orbit of
+sigma, so with u = r+1, prod_i (1 + L_i t) = (1 + wt)^u - (-(-1)^r t)^u,
+and their symmetric functions are written down with no product:
+``_linear_factors`` gives e_k(L) = C(u, k) w^k for k < u and e_u = D, and
+``_sym_omitting`` E^i_k = e_k(L_l : l != i) = w^k S^i_k(a) =
+sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m).  ``charpoly_coefficients``,
+``term_log_delta``, ``delta_i``, ``_p_differences``, ``m_inverse_column``
+and ``_spectrum_sum`` are built from these factors, and ``delta_product``
+forms prod_i Delta_i over D^(2r).
 
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
@@ -69,12 +73,12 @@ Caching (per process, never shared between processes or switched off):
 - ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
   a fresh, uncached one.
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
-  branch signs, each computed at most once per frame: the symmetric
-  functions e_m(L) of the linear factors, ``delta_i``,
-  ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
-  ``connection_form``, R1 off the diagonal on the default branch, the
-  differences p_i - p_j, the E^i_k shared by the idempotent basis,
-  ``m_inverse`` and ``_spectrum_sum``, and the basis factors
+  branch signs, each computed at most once per frame: the e_m(L) of the
+  linear factors, the E^i_k (which the idempotent basis, column 0 of M^-1
+  and ``_spectrum_sum`` share), ``delta_i``, ``term_log_delta``,
+  ``term_c_minus_one``, the sign-free base of ``connection_form`` (which
+  reads column 0 of M^-1 and does not keep it), R1 off the diagonal on the
+  default branch, the differences p_i - p_j, and the basis factors
   (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
   ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
@@ -89,6 +93,8 @@ Caching (per process, never shared between processes or switched off):
   diagonal is the default's tuple shares the default's entry.
 - ``delta_product`` keeps nothing: the suite forms prod_i Delta_i once per
   cell, over D^(2r).
+- ``xi_g_terms`` keeps nothing: the suite derives the pairs once per cell and
+  passes them to ``xi_constant`` and ``xi_constant_pair_identity``.
 
 Cached values are immutable or copied on return: ``connection_form`` builds a
 fresh matrix from the base, and ``first_order`` returns tuples.
@@ -107,8 +113,7 @@ from qcflop.algebra import (
     InhomogeneousError,
     Poly,
     RatFunc,
-    elementary_symmetric,
-    elementary_symmetric_omitting,
+    elementary_symmetric,  # noqa: F401  the alias check of perfbench/test_bench.py reads it
 )
 from qcflop.algebra.ratfunc import NonIntegrableError
 
@@ -219,11 +224,14 @@ def as_g_polynomial(f: RatFunc, r: int) -> Poly | None:
 
 def _linear_factors(frame: CanonicalFrame) -> tuple[Poly, ...]:
     """The elementary symmetric functions e_0(L), ..., e_(r+1)(L) of the
-    linear factors, built once per frame from polynomial products and sums.
-    The last is D = prod_i L_i = w^(r+1) + (-1)^r, the one denominator of a
+    linear factors, written down once per frame (see "Known factors"):
+    C(u, k) w^k for k < u, and D = w^u + (-1)^r, the one denominator of a
     sum over the spectrum."""
     if "linear_factors" not in frame.stages:
-        frame.stages["linear_factors"] = tuple(elementary_symmetric(frame.L, Poly.one(frame.field)))
+        fld, u = frame.field, frame.u
+        D = Poly(fld, [(-1) ** frame.r] + [0] * frame.r + [1])
+        frame.stages["linear_factors"] = tuple(
+            Poly.monomial(fld, k, comb(u, k)) for k in range(u)) + (D,)
     return frame.stages["linear_factors"]
 
 
@@ -279,13 +287,20 @@ def lemma_zero_value(r: int, k: int) -> EquivScalar:
 
 
 def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[Poly, ...]:
-    """The polynomials E^omit_k = e_k(L_l : l != omit) = w^k S^omit_k(a),
-    k = 0..r, shared by the idempotent basis, M^-1 and ``_spectrum_sum`` and
-    computed once per frame by dividing the e_m(L) by 1 + L_omit t."""
+    """The polynomials E^omit_k = e_k(L_l : l != omit), k = 0..r, shared by
+    the idempotent basis, M^-1 and ``_spectrum_sum`` and written down once
+    per frame: prod_l (1 + L_l t) over 1 + L_i t is
+    sum_m (1 + wt)^(r-m) (-L_i(0) t)^m, with (-L_i(0))^m = (-1)^((r+1)m) xi^(im)."""
     if "sym_omitting" not in frame.stages:
-        one, es = Poly.one(frame.field), _linear_factors(frame)
-        frame.stages["sym_omitting"] = tuple(
-            tuple(elementary_symmetric_omitting(frame.L, i, one, es)) for i in range(frame.u))
+        r, fld = frame.r, frame.field
+        sign = (-1) ** (r + 1)
+        out = []
+        for i in range(frame.u):
+            powers = [fld.zeta(2 * i * m) * sign ** m for m in range(r + 1)]
+            # the coefficient of w^d in E^i_k has m = k - d
+            out.append(tuple(Poly(fld, [powers[k - d] * comb(r - k + d, d) for d in range(k + 1)])
+                             for k in range(r + 1)))
+        frame.stages["sym_omitting"] = tuple(out)
     return frame.stages["sym_omitting"][omit]
 
 
@@ -509,21 +524,20 @@ def m_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     return [row] + [[x.rotate(i) for x in row] for i in range(1, r + 1)]
 
 
-def m_inverse(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a).
+def m_inverse_column(frame: CanonicalFrame) -> list[EquivScalar]:
+    """Column 0 of M^-1, (M^-1)_{mu, 0} = (-1)^mu (q c_0/(r+1)) lam^(r - mu) S^0_mu(a).
 
-    With q c_0 = L_0(0) w^r and S^0_mu(a) = E^0_mu / w^mu, column 0 is
-    lam^(r - mu) times the polynomial (-1)^mu L_0(0) w^(r - mu) E^0_mu/(r+1);
-    column j is sigma^j of it, since sigma fixes q and sends c_0 to c_j and
-    S^0_mu(a) to S^j_mu(a).
+    With q c_0 = L_0(0) w^r and S^0_mu(a) = E^0_mu / w^mu, entry mu is
+    lam^(r - mu) times the polynomial (-1)^mu L_0(0) w^(r - mu) E^0_mu/(r+1).
+    Column j is sigma^j of it, since sigma fixes q and sends c_0 to c_j and
+    S^0_mu(a) to S^j_mu(a); ``connection_form`` reads column 0 only.
     """
     r, fld, u = frame.r, frame.field, frame.u
     one = Poly.one(fld)
     pref = frame.L[0].constant() * Fraction(1, u)
-    col = [EquivScalar(fld, u, r - mu, RatFunc(
+    return [EquivScalar(fld, u, r - mu, RatFunc(
         fld, u, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s, one, reduce=False))
         for mu, s in enumerate(_sym_omitting(frame, 0))]
-    return [[x.rotate(j) for j in range(u)] for x in col]
 
 
 def mat_transpose(A: list[list]) -> list[list]:
@@ -591,7 +605,7 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
     e = _branch_signs(r, signs)
     if "connection" not in frame.stages:
         M = m_matrix(frame)
-        col = [row[0].delta() for row in m_inverse(frame)]
+        col = [x.delta() for x in m_inverse_column(frame)]
         core = []
         for M_i in M:
             acc = M_i[0] * col[0]
@@ -701,8 +715,12 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     return out
 
 
-def _xi_g_terms(r: int) -> list[tuple[CycNumber, CycNumber]]:
-    """The pairs (xi^k, g_k(xi)), k = 1..r, in Q(zeta_(r+1)); see xi_constant."""
+def xi_g_terms(r: int) -> list[tuple[CycNumber, CycNumber]]:
+    """The pairs (xi^k, g_k(xi)), k = 1..r, in Q(zeta_(r+1)), with
+    g_k = (xi^k - 1)^(-1) (sum_mu mu xi^(mu k)) (sum_mu mu xi^(-mu k)),
+    that ``xi_constant`` and ``xi_constant_pair_identity`` sum."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
     fld = CycField(r + 1)
     xi = fld.zeta()
     out = []
@@ -712,28 +730,23 @@ def _xi_g_terms(r: int) -> list[tuple[CycNumber, CycNumber]]:
     return out
 
 
-def xi_constant(r: int) -> Fraction:
-    """Brute-force evaluation of the diagonal combinatorial constant.
-
-    Sums g_k = (xi^k - 1)^(-1) (sum_mu mu xi^(mu k)) (sum_mu mu xi^(-mu k))
-    over k = 1..r in Q(zeta_(r+1)); the result is rational and equals
-    -(r+2)(r+1)^2 r / 24.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    total = CycField(r + 1).zero
-    for _, g_k in _xi_g_terms(r):
+def xi_constant(terms: list[tuple[CycNumber, CycNumber]]) -> Fraction:
+    """Brute-force evaluation of the diagonal combinatorial constant Xi_r:
+    the sum of the g_k of ``xi_g_terms(r)``, in Q(zeta_(r+1)).  The result
+    is rational and equals -(r+2)(r+1)^2 r / 24."""
+    total = terms[0][1].field.zero
+    for _, g_k in terms:
         total = total + g_k
     if not total.is_rational():
         raise ArithmeticError("diagonal constant failed to reduce to a rational")
     return total.as_rational()
 
 
-def xi_constant_pair_identity(r: int) -> bool:
-    """The vanishing sum_k (xi^k + 1) g_k(xi) = 0."""
-    fld = CycField(r + 1)
+def xi_constant_pair_identity(terms: list[tuple[CycNumber, CycNumber]]) -> bool:
+    """The vanishing sum_k (xi^k + 1) g_k(xi) = 0 over ``xi_g_terms(r)``."""
+    fld = terms[0][0].field
     total = fld.zero
-    for xi_k, g_k in _xi_g_terms(r):
+    for xi_k, g_k in terms:
         total = total + (xi_k + fld.one) * g_k
     return total.is_zero()
 
@@ -774,9 +787,10 @@ def _integrate_diagonal(f: EquivScalar, i: int) -> EquivScalar:
 
 
 def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
-    """Xi_r/((r+1)^3 lam) (c_i^(-1) + c_i), the integrated display."""
+    """Xi_r/((r+1)^3 lam) (c_i^(-1) + c_i), the integrated display, with
+    Xi_r = -(r+2)(r+1)^2 r/24 in closed form."""
     r = frame.r
-    xi_r = xi_constant(r)
+    xi_r = Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
     out = []
     for i in range(r + 1):
         rf = (frame.c[i].inverse() + frame.c[i]) * Fraction(xi_r, (r + 1) ** 3)

@@ -216,10 +216,12 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
             ("derived is not minus the display", off[i][j] == -off_disp[i][j]),
             ("R1 is not symmetric", off[i][j] == off[j][i])))
     rep.add("appendix/first-order-offdiagonal", {"r": r}, bad is None, bad or branch_note)
-    xi_val = canonical.xi_constant(r)
+    # the pairs (xi^k, g_k) are derived once per cell, for both checks
+    xi_terms = canonical.xi_g_terms(r)
+    xi_val = canonical.xi_constant(xi_terms)
     xi_want = Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
     rep.add("appendix/diagonal-constant", {"r": r},
-            xi_val == xi_want and canonical.xi_constant_pair_identity(r), str(xi_val))
+            xi_val == xi_want and canonical.xi_constant_pair_identity(xi_terms), str(xi_val))
     closed = canonical.r1_diagonal_closed_form(frame)
     bad = r1_error or next((f"first failing i = {i}: derived is not the closed form"
                             for i in range(r + 1) if diag[i] != closed[i]), None)
@@ -341,8 +343,11 @@ def batyrev_suite(r: int, order: int = 10,
     matrices = batyrev.multiplication_matrices(r, q1s, q2s)
     try:
         cert = batyrev.semisimplicity_certificate(r, q1s, q2s, matrices, gap_tol, match_tol)
+        # a failing row names each bound it failed after the two tolerances
         rep.add("batyrev/semisimplicity-certificate", params, cert["certified"],
-                f"min gap {cert['min_gap']:.3e}, spectrum match {cert['spectrum_match']:.3e}")
+                ", ".join([f"min gap {cert['min_gap']:.3e}",
+                           f"spectrum match {cert['spectrum_match']:.3e}",
+                           *cert["failed_bounds"]]))
     except ValueError as exc:  # SemisimplicityError is a ValueError
         rep.add("batyrev/semisimplicity-certificate", params, False, str(exc))
     ok = batyrev.matrices_commute_at(*matrices)

@@ -46,8 +46,9 @@ def test_criterion_02_genus_one_table():
 def test_criterion_03_diagonal_constant():
     ok = True
     for r in range(1, 9):
-        ok = ok and canonical.xi_constant(r) == Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
-        ok = ok and canonical.xi_constant_pair_identity(r)
+        terms = canonical.xi_g_terms(r)
+        ok = ok and canonical.xi_constant(terms) == Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
+        ok = ok and canonical.xi_constant_pair_identity(terms)
     _announce(3, "brute-force diagonal constant r=1..8", ok)
 
 

@@ -11,6 +11,8 @@ from qcflop import cohomology as coh
 from qcflop import suites
 from qcflop.algebra import FracSeries, linalg
 
+from helpers import corrupt_orbit, record_calls
+
 
 def from_one(engine, a, b):
     """The (h, y)-frame representative of h^a x^b built from 1: b steps of
@@ -235,21 +237,6 @@ def test_eigen_relations_match_per_pair_reference(r):
     assert report["pairs_checked"] == report["leading_coefficients"] == (r + 1) * (r + 2)
 
 
-def record_calls(monkeypatch, change=None):
-    """eigen_formulas that records each (i, j) it is called for and, given
-    ``change``, returns change(pair) instead of the pair."""
-    real = bat.eigen_formulas
-    calls = []
-
-    def formulas(r, i, j, order):
-        calls.append((i, j))
-        pair = real(r, i, j, order)
-        return pair if change is None else change(pair)
-
-    monkeypatch.setattr(bat, "eigen_formulas", formulas)
-    return calls
-
-
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_checks_derive_each_orbit_once(monkeypatch, r):
     calls = record_calls(monkeypatch)
@@ -275,21 +262,6 @@ def test_truncated_orbits_equal_orbits_derived_at_the_order(r):
             assert (cut.xi.rows, cut.xi.den, cut.xi.trunc) == (b.xi.rows, b.xi.den, b.xi.trunc)
     with pytest.raises(ValueError):
         high[0].h.truncate(20)
-
-
-def corrupt_orbit(monkeypatch, orbit, which="h"):
-    """eigen_formulas with eta^j q1^(3/(r+1)) q2^(1/(r+2)) added to h (or xi)
-    at every pair (orbit, j), so the pairs stay eta^j times (orbit, 0);
-    returns the list of the (i, j) it was called for."""
-    def change(pair):
-        if pair.i == orbit:
-            r, order = pair.r, pair.h.trunc
-            eta_j = pair.h.field.zeta(pair.j * (r + 1))
-            extra = FracSeries.monomial(pair.h.field, r + 1, r + 2, order, 3, 1, eta_j)
-            setattr(pair, which, getattr(pair, which) + extra)
-        return pair
-
-    return record_calls(monkeypatch, change)
 
 
 @pytest.mark.parametrize("orbit, which", [(1, "h"), (0, "h"), (2, "xi")])

@@ -17,6 +17,8 @@ from qcflop.algebra import (
     elementary_symmetric,
 )
 
+from helpers import elementary_symmetric_omitting
+
 RS = (1, 2, 3)
 # the r at which a shortcut is compared with the derivation it replaces
 ORBIT_RS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -210,6 +212,13 @@ def plain_m_inverse(frame):
     return [[cols[j][mu] for j in range(u)] for mu in range(u)]
 
 
+def m_inverse(frame):
+    """All of M^-1, column j the rotation sigma^j of column 0
+    (``can.m_inverse_column``): sigma fixes q and sends c_0 to c_j and
+    S^0_mu(a) to S^j_mu(a)."""
+    return [[x.rotate(j) for j in range(frame.u)] for x in can.m_inverse_column(frame)]
+
+
 def plain_connection(frame, signs=None, pair_flip=None):
     """The connection from the whole core M dM^-1, every entry derived:
     e_i e_j zeta^(i-j) core_ij off the diagonal, core_ii - r/(2(r+1)) on it."""
@@ -245,8 +254,8 @@ def plain_r1_offdiagonal(frame, conn):
 def test_m_matrix_inverse_exact():
     for r in RS:
         frame = can.build_spectrum(r)
-        assert can.m_inverse(frame) == plain_m_inverse(frame)
-        prod = mat_mul(can.m_matrix(frame), can.m_inverse(frame))
+        assert m_inverse(frame) == plain_m_inverse(frame)
+        prod = mat_mul(can.m_matrix(frame), m_inverse(frame))
         for i, row in enumerate(prod):
             for j, entry in enumerate(row):
                 assert entry == (1 if i == j else 0)
@@ -304,13 +313,34 @@ def test_r1_offdiagonal_matches_display_and_symmetry():
                 assert off[i][j].weight == -1
 
 
+def xi_constant(r):
+    return can.xi_constant(can.xi_g_terms(r))
+
+
 def test_xi_constant():
-    assert can.xi_constant(1) == Fraction(-1, 2)
-    assert can.xi_constant(2) == -3
-    assert can.xi_constant(8) == -270
+    assert xi_constant(1) == Fraction(-1, 2)
+    assert xi_constant(2) == -3
+    assert xi_constant(8) == -270
     for r in range(1, 9):
-        assert can.xi_constant(r) == Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
-        assert can.xi_constant_pair_identity(r)
+        assert xi_constant(r) == Fraction(-(r + 2) * (r + 1) ** 2 * r, 24)
+        assert can.xi_constant_pair_identity(can.xi_g_terms(r))
+
+
+def test_an_appendix_cell_derives_the_xi_terms_once(monkeypatch):
+    # the diagonal constant and its pair identity read one derivation of the
+    # pairs (xi^k, g_k)
+    real = can.xi_g_terms
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(can, "xi_g_terms", counted)
+    for r in (1, 2, 3):
+        calls.clear()
+        assert suites.appendix_suite(r).all_pass()
+        assert calls == [r]
 
 
 def test_r1_diagonal_closed_form():
@@ -925,7 +955,22 @@ def test_linear_factor_forms_match_the_plain_derivations(r):
     assert can.delta_i(frame) == plain_delta_i(frame)
     assert can._p_differences(frame) == tuple(
         tuple(p_i - p_j for p_j in frame.p) for p_i in frame.p)
-    assert can.m_inverse(frame) == plain_m_inverse(frame)
+    assert m_inverse(frame) == plain_m_inverse(frame)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_closed_form_symmetric_functions_match_the_products(r):
+    # e_k(L) and every E^i_k written down equal the products multiplied out,
+    # and the column of M^-1 that the connection reads is column 0 of the
+    # plain M^-1
+    frame = can.build_spectrum(r)
+    one = Poly.one(frame.field)
+    es = elementary_symmetric(frame.L, one)
+    assert can._linear_factors(frame) == tuple(es)
+    for i in range(r + 1):
+        want = elementary_symmetric_omitting(frame.L, i, one, es)
+        assert can._sym_omitting(frame, i) == tuple(want)
+    assert can.m_inverse_column(frame) == [row[0] for row in plain_m_inverse(frame)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -945,7 +990,7 @@ def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
         can._sym_omitting(frame, i)
     can._p_differences(frame)
     can.delta_i(frame)
-    can.m_inverse(frame)
+    can.m_inverse_column(frame)
     assert calls == []
 
 
@@ -983,11 +1028,9 @@ def install_stage(monkeypatch, name, change):
 
 def change_symmetric(m, change):
     """A change of the linear-factor stage that replaces e_m(L) by
-    change(frame, e_m(L)).  The E^i_k, which divide the e_m(L), are built
-    first from the true ones, so the change reaches only the stages that read
-    the e_m(L) themselves."""
+    change(frame, e_m(L)).  The E^i_k are written down on their own, so the
+    change reaches only the stages that read the e_m(L) themselves."""
     def apply(frame, es):
-        can._sym_omitting(frame, 0)
         es = list(es)
         es[m] = change(frame, es[m])
         return tuple(es)

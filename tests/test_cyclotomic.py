@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcflop.algebra import (
-    CycField,
-    cyclotomic_polynomial,
-    elementary_symmetric,
-    elementary_symmetric_omitting,
-)
+from qcflop.algebra import CycField, cyclotomic_polynomial, elementary_symmetric
+
+from helpers import elementary_symmetric_omitting
 
 
 def cyc_power_sum(order, k):

@@ -22,6 +22,8 @@ from qcflop import flopcheck as fc
 from qcflop.algebra import CycField, Poly, RatFunc, linalg
 from qcflop.algebra.linalg import add_term, mul_terms
 
+from helpers import corrupt_orbit
+
 
 def wrong_sign_in_the_second_bundle(monkeypatch):
     # (1 + x - h)^(r+1) read as (1 + x + h)^(r+1): c_1 gains 2(r+1) h
@@ -33,6 +35,19 @@ def wrong_sign_in_the_second_bundle(monkeypatch):
                          mul_terms(one_x, coh.raw_pow(one_x_plus_h, r + 1)))
 
     monkeypatch.setattr(coh, "total_chern_raw", total_chern_raw)
+
+
+def basis_without_the_top_x_power(monkeypatch):
+    # h^a x^b with b <= r only, the basis of the ring with x (x-h)^r as its
+    # relation: (r+1)^2 monomials in place of (r+1)(r+2)
+    original = coh.basis
+    monkeypatch.setattr(coh, "basis", lambda r: [(a, b) for a, b in original(r) if b <= r])
+
+
+def integration_normalized_to_two(monkeypatch):
+    # integration reads 2 on h^r x^(r+1) in place of 1: every entry of the
+    # Gram matrix doubles, and its determinant gains 2^((r+1)(r+2))
+    monkeypatch.setattr(coh, "integrate", lambda c: 2 * c.coeffs.get((c.r, c.r + 1), Fraction(0)))
 
 
 def genus_one_degree_zero_without_its_sign(monkeypatch):
@@ -191,6 +206,12 @@ def orbit_1_read_as_orbit_0(monkeypatch):
                         lambda r, i, j, order: original(r, 0 if i == 1 else i, j, order))
 
 
+def orbit_1_off_its_closed_form(monkeypatch):
+    # eta^j q1^(3/(r+1)) q2^(1/(r+2)) added to h at every pair (1, j): the
+    # pairs stay eta^j times (1, 0), and the relations fail on each of them
+    corrupt_orbit(monkeypatch, 1)
+
+
 def equivariant_roots_with_the_wrong_sign(monkeypatch):
     # (-1)^(r+1) xi^(-i) in place of (-1)^r xi^(-i); at odd r, -1 is an
     # (r+1)-th root of unity, so the set is unchanged and only even r fails
@@ -202,6 +223,9 @@ def equivariant_roots_with_the_wrong_sign(monkeypatch):
 
 
 CONTROLS = {
+    "cohomology/ring-rank": (basis_without_the_top_x_power, "cohomology", 2, "9"),
+    "cohomology/poincare-unimodular": (integration_normalized_to_two, "cohomology", 2, "4096"),
+    "cohomology/chern-flop-pairing": (chern_pairing_against_2h_plus_x, "cohomology", 2, "51"),
     "cohomology/first-chern-fiber-class": (
         wrong_sign_in_the_second_bundle, "cohomology", 2, "c_1 = 4*x + 6*h, not 4*x"),
     "cohomology/genus-one-degree-zero": (
@@ -239,6 +263,18 @@ CONTROLS = {
     "batyrev/multiplication-commutes": (
         one_solved_entry_plus_one, "batyrev", 2,
         "first nonzero entry of HX - XH at (i, j) = (0, 8): -3/13"),
+    "batyrev/eigen-relations": (
+        orbit_1_off_its_closed_form, "batyrev", 2,
+        "12 pairs checked, 8 residuals nonzero; first at (i, j) = (1, 0), spectrum-relation-1,"
+        " leading exponent (5, 3)"),
+    "batyrev/eigenvalue-count": (
+        orbit_1_read_as_orbit_0, "batyrev", 2, "8 distinct leading coefficients of 12"),
+    # x* off by one entry leaves h* and its spectrum alone, so the row fails
+    # through the two fixed bounds on x*, and names both
+    "batyrev/semisimplicity-certificate": (
+        one_solved_entry_plus_one, "batyrev", 2,
+        "min gap 2.205e-01, spectrum match 2.026e-15, simultaneous off-diagonal 1.756e-01"
+        " not below 1e-06, commutator norm 1.000e+00 not below 1e-12"),
     "batyrev/eigenvalue-product": (
         orbit_1_read_as_orbit_0, "batyrev", 2,
         "prod of the unit parts is not -1/(1 + (-1)^r q1): first failing term (0, 0):"

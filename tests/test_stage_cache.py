@@ -16,7 +16,7 @@ def frame_stages(frame):
         "term_c_minus_one": can.term_c_minus_one(frame),
         "connection_form": can.connection_form(frame),
         "eps_factors": can._eps_factors(frame),
-        "m_inverse": can.m_inverse(frame),
+        "m_inverse_column": can.m_inverse_column(frame),
         "r1_offdiagonal": can.r1_offdiagonal(frame),
         "first_order": can.first_order(frame),
         "first_order pair_flip": can.first_order(frame, pair_flip=(0, 1)),
