@@ -10,6 +10,11 @@
 * ``hamiltonian_of`` for the three operator pairs of the quantization
   suite's homomorphism check at dim 2, cutoff 3 (six operators, the
   symplectic test included).
+* The whole quantization cell, ``quantization_suite(2, 3)``, which does not
+  depend on r.
+* The cohomology cell ``cohomology_suite(r)`` at r = 1..3, each round in the
+  state of a fresh process: a module-level memo of the total Chern class,
+  where the module has one, is emptied before the round.
 
 ``verify_eigen_relations`` at the batyrev suite's order 10 is timed in
 ``test_l2_batyrev.py``.
@@ -19,7 +24,7 @@ The file uses the public API of each module, so it times any version of them.
 
 import pytest
 
-from qcflop import canonical, flopcheck, weyl
+from qcflop import canonical, cohomology, flopcheck, suites, weyl
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -59,3 +64,17 @@ def test_hamiltonian_of(benchmark):
         return [weyl.hamiltonian_of(A, 2, 3) for A in ops]
 
     assert all(not P.is_zero() for P in benchmark(run))
+
+
+def test_quantization_suite(benchmark):
+    assert benchmark(suites.quantization_suite, 2, 3).all_pass()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cohomology_suite(benchmark, r):
+    def cold_memo():
+        vars(cohomology).get("_TOTAL_CHERN", {}).clear()
+        return (r,), {}
+
+    rep = benchmark.pedantic(suites.cohomology_suite, setup=cold_memo, rounds=50)
+    assert rep.all_pass()

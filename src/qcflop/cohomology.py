@@ -6,9 +6,15 @@ monomial basis is h^a x^b with 0 <= a <= r, 0 <= b <= r+1, and integration
 reads off the coefficient of h^r x^(r+1).
 
 Raw (unreduced) polynomials in h, x are term maps, dicts mapping exponent
-pairs (A, B) to Fractions.  They are added, multiplied and scaled by
+pairs (A, B) to coefficients.  They are added, multiplied and scaled by
 ``linalg.add_terms``, ``mul_terms`` and ``scale_terms``; ``raw_pow`` takes
 their powers by square-and-multiply.
+
+The coefficients are Python ints, as the ring is over Z; a Fraction appears
+only where a value is divided (the 1/24 of the genus-one term, or a class
+scaled by a Fraction).  An int class equals, and hashes like, its Fraction
+twin.  The total Chern class is formed once per r and shared by every Chern
+class read from it.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from math import comb
 from qcflop.algebra.linalg import add_term, add_terms, mul_terms, scale_terms
 from qcflop.algebra.power import binary_power
 
-RawPoly = dict[tuple[int, int], Fraction]
+RawPoly = dict[tuple[int, int], int | Fraction]
 
 
 def raw_pow(p: RawPoly, n: int) -> RawPoly:
-    return binary_power(p, n, {(0, 0): Fraction(1)}, mul_terms)
+    return binary_power(p, n, {(0, 0): 1}, mul_terms)
 
 
 def substitute_h_by_x_minus_h(p: RawPoly) -> RawPoly:
@@ -46,16 +52,16 @@ class CohClass:
             if not (0 <= a <= r and 0 <= b <= r + 1):
                 raise ValueError(f"exponent ({a},{b}) outside the monomial basis")
         self.r = r
-        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     @classmethod
     def reduce(cls, r: int, raw: RawPoly) -> "CohClass":
         """Canonical form: apply h^(r+1) = 0 and rewrite excess x-powers via
         the relation x(x-h)^(r+1) = 0, one x-power at a time."""
         # h^(r+1) = 0, so a term of h-degree above r is dropped as it arises
-        work = {k: Fraction(c) for k, c in raw.items() if k[0] <= r and c}
+        work = {k: c for k, c in raw.items() if k[0] <= r and c}
         # x^(r+2) = -sum_{k>=1} C(r+1,k) (-h)^k x^(r+2-k)
-        rewrite = {(k, r + 2 - k): Fraction((-1) ** (k + 1) * comb(r + 1, k))
+        rewrite = {(k, r + 2 - k): (-1) ** (k + 1) * comb(r + 1, k)
                    for k in range(1, r + 2)}
         # a rewrite lowers the x-power, so one pass from the top x-power down ends
         for b in range(max((b for _, b in work), default=0), r + 1, -1):
@@ -110,24 +116,34 @@ def basis(r: int) -> list[tuple[int, int]]:
 
 
 def monomial(r: int, a: int, b: int, c=1) -> CohClass:
-    return CohClass.reduce(r, {(a, b): Fraction(c)})
+    return CohClass.reduce(r, {(a, b): c})
 
 
-def integrate(c: CohClass) -> Fraction:
+def integrate(c: CohClass) -> int | Fraction:
     """Integration normalized by the value 1 on h^r x^(r+1)."""
-    return c.coeffs.get((c.r, c.r + 1), Fraction(0))
+    return c.coeffs.get((c.r, c.r + 1), 0)
 
 
-def integrate_raw(r: int, raw: RawPoly) -> Fraction:
+def integrate_raw(r: int, raw: RawPoly) -> int | Fraction:
     return integrate(CohClass.reduce(r, raw))
 
 
-def total_chern_raw(r: int) -> RawPoly:
-    """(1+h)^(r+1) (1+x) (1+x-h)^(r+1) as a raw polynomial."""
-    one_h = {(0, 0): Fraction(1), (1, 0): Fraction(1)}
-    one_x = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
-    one_xh = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(-1)}
+_TOTAL_CHERN: dict[int, RawPoly] = {}
+
+
+def _total_chern(r: int) -> RawPoly:
+    one_h = {(0, 0): 1, (1, 0): 1}
+    one_x = {(0, 0): 1, (0, 1): 1}
+    one_xh = {(0, 0): 1, (0, 1): 1, (1, 0): -1}
     return mul_terms(raw_pow(one_h, r + 1), mul_terms(one_x, raw_pow(one_xh, r + 1)))
+
+
+def total_chern_raw(r: int) -> RawPoly:
+    """(1+h)^(r+1) (1+x) (1+x-h)^(r+1) as a raw polynomial, formed once per
+    r and shared by every caller, who must not change it in place."""
+    if r not in _TOTAL_CHERN:
+        _TOTAL_CHERN[r] = _total_chern(r)
+    return _TOTAL_CHERN[r]
 
 
 def chern_class(r: int, k: int) -> CohClass:
@@ -136,7 +152,7 @@ def chern_class(r: int, k: int) -> CohClass:
     return CohClass.reduce(r, raw)
 
 
-def chern_flop_identity(r: int) -> Fraction:
+def chern_flop_identity(r: int) -> int:
     """The pairing of c_(2r) against 2h - x; equals -(r+1) for every r."""
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -151,7 +167,7 @@ def genus1_degree0(r: int, alpha: CohClass) -> Fraction:
     return -Fraction(1, 24) * integrate(c2r * alpha)
 
 
-def c3_minus_c2c1(r: int = 1) -> Fraction:
+def c3_minus_c2c1(r: int = 1) -> int:
     """Integral of c_3 - c_2 c_1 on the threefold local model (r = 1 only)."""
     if r != 1:
         raise ValueError("the threefold Chern number is defined only for r = 1")
@@ -161,7 +177,7 @@ def c3_minus_c2c1(r: int = 1) -> Fraction:
     return integrate(c3) - integrate(c2 * c1)
 
 
-def c3_minus_c2c1_swapped(r: int = 1) -> Fraction:
+def c3_minus_c2c1_swapped(r: int = 1) -> int:
     """Same number recomputed after the raw substitution h -> x - h.
 
     The substitution is not a ring map on the quotient, but integration is
@@ -178,12 +194,13 @@ def c3_minus_c2c1_swapped(r: int = 1) -> Fraction:
     return integrate_raw(r, substitute_h_by_x_minus_h(diff))
 
 
-def pairing_matrix(r: int) -> list[dict[int, Fraction]]:
+def pairing_matrix(r: int) -> list[dict[int, int]]:
     """Gram matrix of integrate on products of basis monomials, as the rows
     {column: nonzero entry}."""
     pairs = basis(r)
-    # h^a1 x^b1 . h^a2 x^b2 = h^(a1+a2) x^(b1+b2): integrate each exponent sum once
-    sums = {(a1 + a2, b1 + b2) for (a1, b1) in pairs for (a2, b2) in pairs}
-    value = {(a, b): integrate(monomial(r, a, b)) for (a, b) in sums}
-    return [{j: v for j, (a2, b2) in enumerate(pairs) if (v := value[a1 + a2, b1 + b2])}
+    # h^a1 x^b1 . h^a2 x^b2 = h^(a1+a2) x^(b1+b2): integrate each exponent
+    # sum once, and only those of the top degree 2r + 1, since the relations
+    # are homogeneous and integration reads a class of that degree
+    value = {(a, 2 * r + 1 - a): integrate(monomial(r, a, 2 * r + 1 - a)) for a in range(2 * r + 1)}
+    return [{j: v for j, (a2, b2) in enumerate(pairs) if (v := value.get((a1 + a2, b1 + b2)))}
             for (a1, b1) in pairs]

@@ -160,7 +160,7 @@ def genus1_onepoint_defect(r: int, chern_shift: Fraction | int = 0,
     """
     if kappa is None:
         kappa = genus1_kappa(r)
-    chern_pairing = coh.chern_flop_identity(r) + Fraction(chern_shift)
+    chern_pairing = coh.chern_flop_identity(r) + chern_shift
     classical = -Fraction(1, 24) * chern_pairing
     return classical + Fraction((-1) ** r) * kappa
 

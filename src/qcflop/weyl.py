@@ -11,6 +11,12 @@ each monomial a sorted tuple of variables and each term of total degree two:
 p_v p_w is ((v, w), ()), p_v q_w is ((v,), (w,)) and q_v q_w is ((), (v, w)).
 The Poisson bracket, the Weyl table and the cocycle all read that one map.
 
+An operator A, an End(H)-valued Laurent polynomial in z, enters through one
+sparse table T[f, g] = Omega(A b_f, b_g) on the basis b_(i, m) = T_i z^m of
+the window, read straight off its z-power matrices: A is infinitesimally
+symplectic exactly when T is symmetric, and each Darboux generator is a
+signed basis vector, so its hamiltonian P(A) reads its coefficients off T.
+
 Operators that move vectors outside the cutoff window have that part silently
 truncated; the window is a genuine symplectic subspace, so all identities
 below hold exactly within it.
@@ -24,6 +30,12 @@ from typing import Iterable
 from qcflop.algebra.linalg import add_term, add_terms, scale_terms
 
 Var = tuple[int, int]  # (direction index, z-mode index), mode >= 0
+Key = tuple[int, int]  # (direction index, z-exponent) of the basis vector T_i z^m
+
+
+def _fraction(c) -> Fraction:
+    """c as a Fraction; one already a Fraction is kept, not rebuilt."""
+    return c if type(c) is Fraction else Fraction(c)
 
 
 class NonSymplecticError(ValueError):
@@ -32,44 +44,6 @@ class NonSymplecticError(ValueError):
 
 class FormalismError(ValueError):
     """Raised when a commutator defect is not a central scalar."""
-
-
-class LoopVector:
-    """Rational coefficient vector on the basis T_i z^m, -K-1 <= m <= K."""
-
-    __slots__ = ("dim", "cutoff", "coeffs")
-
-    def __init__(self, dim: int, cutoff: int, coeffs: dict[tuple[int, int], Fraction] | None = None):
-        self.dim = dim
-        self.cutoff = cutoff
-        clean = {}
-        for (i, m), c in (coeffs or {}).items():
-            if not (0 <= i < dim):
-                raise ValueError(f"direction {i} out of range")
-            if not (-cutoff - 1 <= m <= cutoff):
-                continue  # silently truncate to the window
-            c = Fraction(c)
-            if c:
-                clean[(i, m)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def basis(cls, dim: int, cutoff: int, i: int, m: int) -> "LoopVector":
-        return cls(dim, cutoff, {(i, m): Fraction(1)})
-
-    def __add__(self, other: "LoopVector") -> "LoopVector":
-        return LoopVector(self.dim, self.cutoff, add_terms(self.coeffs, other.coeffs))
-
-    def scale(self, c) -> "LoopVector":
-        return LoopVector(self.dim, self.cutoff, scale_terms(self.coeffs, c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LoopVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"LoopVector({self.coeffs})"
 
 
 class EndoLaurent:
@@ -95,16 +69,6 @@ class EndoLaurent:
     def matrix_z_power(cls, dim: int, exp: int, mat) -> "EndoLaurent":
         return cls(dim, {exp: mat})
 
-    def apply(self, v: LoopVector) -> LoopVector:
-        out: dict[tuple[int, int], Fraction] = {}
-        for exp, mat in self.terms.items():
-            for (j, m), c in v.coeffs.items():
-                for i in range(self.dim):
-                    entry = mat[i][j]
-                    if entry:
-                        add_term(out, (i, m + exp), entry * c)
-        return LoopVector(v.dim, v.cutoff, out)
-
     def commutator(self, other: "EndoLaurent") -> "EndoLaurent":
         out: dict[int, list[list[Fraction]]] = {}
 
@@ -123,35 +87,30 @@ class EndoLaurent:
         return EndoLaurent(self.dim, out)
 
 
-def _by_mode(v: LoopVector) -> dict[int, list[tuple[int, Fraction]]]:
-    """The terms of v grouped by z-mode: mode -> [(direction, coefficient)]."""
-    out: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, m), c in v.coeffs.items():
-        out.setdefault(m, []).append((i, c))
-    return out
+def omega_table(A: EndoLaurent, cutoff: int) -> dict[tuple[Key, Key], Fraction]:
+    """The nonzero entries T[f, g] = Omega(A b_f, b_g) on the basis
+    b_(i, m) = T_i z^m of the cutoff window.
 
-
-def _omega_to_basis(f: dict, j: int, b: int) -> Fraction:
-    """Omega(f, T_j z^b) for f grouped by ``_by_mode``, where
-    Omega(f, g) = Res_(z=0) (f(-z), g(z)): only the direction-j term of f at
-    z^(-1-b) counts, with the sign (-1)^(-1-b)."""
-    total = sum((c for i, c in f.get(-1 - b, ()) if i == j), Fraction(0))
-    return total if b % 2 else -total
-
-
-def is_infinitesimal_symplectic(A: EndoLaurent, dim: int, cutoff: int) -> bool:
-    """Omega(Af, g) + Omega(f, Ag) = 0 on all basis pairs within the cutoff.
-
-    Omega(Af, T_j z^b) reads only the z^(-1-b) term of Af, and the pairing
-    of directions is symmetric, so the sum for (f, g) is minus that for
-    (g, f): only the pairs where Af reaches the dual mode of g are visited.
+    A b_(j, m) has the term A_e[i][j] T_i z^(m+e) for each z-power e, kept
+    when m + e lies in the window, and it pairs only with b_(i, -1-m-e), with
+    the sign (-1)^(m+e); the window is closed under m -> -1-m.
     """
-    basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
-    images = {f: _by_mode(A.apply(LoopVector.basis(dim, cutoff, *f))) for f in basis}
-    pairs = {(f, (j, -1 - m)) for f, image in images.items() for m in image for j in range(dim)}
-    # Omega(f, Ag) = -Omega(Ag, f)
-    return not any(_omega_to_basis(images[f], *g) - _omega_to_basis(images[g], *f)
-                   for f, g in pairs)
+    table: dict[tuple[Key, Key], Fraction] = {}
+    for e, mat in A.terms.items():
+        for m in range(max(-cutoff - 1, -cutoff - 1 - e), min(cutoff, cutoff - e) + 1):
+            odd = (m + e) % 2
+            for i, row in enumerate(mat):
+                for j, c in enumerate(row):
+                    if c:
+                        add_term(table, ((j, m), (i, -1 - m - e)), -c if odd else c)
+    return table
+
+
+def is_infinitesimal_symplectic(table: dict[tuple[Key, Key], Fraction]) -> bool:
+    """Omega(Af, g) + Omega(f, Ag) = 0 on all basis pairs, read from the Omega
+    table of A: Omega(f, Ag) = -Omega(Ag, f), so the identity says that the
+    table is symmetric."""
+    return all(table.get((g, f)) == c for (f, g), c in table.items())
 
 
 # --- quadratic hamiltonians -----------------------------------------------------
@@ -174,7 +133,7 @@ class QuadHamiltonian:
         for (pm, qm), c in (terms or {}).items():
             if len(pm) + len(qm) != 2:
                 raise FormalismError(f"term {(pm, qm)} is not quadratic")
-            add_term(self.terms, (tuple(sorted(pm)), tuple(sorted(qm))), Fraction(c))
+            add_term(self.terms, (tuple(sorted(pm)), tuple(sorted(qm))), _fraction(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadHamiltonian):
@@ -188,48 +147,44 @@ class QuadHamiltonian:
         return f"QuadHamiltonian({self.terms})"
 
 
-def darboux_vector(dim: int, cutoff: int, kind: str, var: Var) -> LoopVector:
-    """The loop vector of a unit Darboux coordinate: q^i_k -> T_i z^k and
-    p^i_k -> (-1)^(k+1) T_i z^(-k-1)."""
+def darboux_unit(kind: str, var: Var) -> tuple[Key, int]:
+    """The signed basis vector of a unit Darboux coordinate, as its basis key
+    and sign: q^i_k -> T_i z^k and p^i_k -> (-1)^(k+1) T_i z^(-k-1)."""
     i, k = var
     if kind == "q":
-        return LoopVector.basis(dim, cutoff, i, k)
+        return (i, k), 1
     if kind == "p":
-        return LoopVector.basis(dim, cutoff, i, -k - 1).scale(Fraction((-1) ** (k + 1)))
+        return (i, -k - 1), (-1) ** (k + 1)
     raise ValueError(f"unknown coordinate kind {kind!r}")
 
 
 def hamiltonian_of(A: EndoLaurent, dim: int, cutoff: int) -> QuadHamiltonian:
     """P(A)(f) = (1/2) Omega(Af, f) as a quadratic form; rejects operators
-    that are not infinitesimally symplectic."""
-    if not is_infinitesimal_symplectic(A, dim, cutoff):
+    that are not infinitesimally symplectic.
+
+    With f = sum_u x_u c_u b_u over the Darboux generators x_u, each the basis
+    vector b_u with the sign c_u, the form is (1/2) sum_(u, v) x_u x_v c_u c_v
+    T[u, v] for the symmetric Omega table T: the x_u x_v coefficient is
+    c_u c_v T[u, v] for u != v and T[u, u]/2 on the diagonal.
+    """
+    table = omega_table(A, cutoff)
+    if not is_infinitesimal_symplectic(table):
         raise NonSymplecticError("operator fails Omega(Af,g) + Omega(f,Ag) = 0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     gens = [("p", v) for v in variables] + [("q", v) for v in variables]
-    vectors = [darboux_vector(dim, cutoff, *u) for u in gens]
-    images = [_by_mode(A.apply(vec)) for vec in vectors]
-    # each generator is a signed basis vector: its (direction, mode) and sign
-    units = [next(iter(vec.coeffs.items())) for vec in vectors]
-    index = {key: idx for idx, (key, _) in enumerate(units)}
-    # Omega(Ax_u, x_v) needs a term of Ax_u at the dual mode of x_v; the
-    # window is closed under m -> -1-m, so that x_v is a generator
-    pairs = set()
-    for idx, image in enumerate(images):
-        for m, terms in image.items():
-            for i, _ in terms:
-                other = index[(i, -1 - m)]
-                pairs.add((min(idx, other), max(idx, other)))
+    # the generators run over the window once: basis key -> (position, generator, sign)
+    units = {}
+    for idx, gen in enumerate(gens):
+        key, sign = darboux_unit(*gen)
+        units[key] = (idx, gen, sign)
     terms: dict = {}
-    for idx_u, idx_v in sorted(pairs):
-        (key_u, c_u), (key_v, c_v) = units[idx_u], units[idx_v]
-        quad = c_v * _omega_to_basis(images[idx_u], *key_v) \
-            + c_u * _omega_to_basis(images[idx_v], *key_u)
-        # from (1/2) Omega(Af, f): the x_u^2 coefficient is quad/4 (quad
-        # double-counts the diagonal), the x_u x_v one (u != v) is quad/2
-        coeff = quad * Fraction(1, 4) * (2 if idx_u != idx_v else 1)
+    for (f, g), t in table.items():
+        (idx_u, u, c_u), (idx_v, v, c_v) = units[f], units[g]
+        if idx_u > idx_v:
+            continue  # the table is symmetric: each unordered pair once
+        coeff = c_u * c_v * t if idx_u != idx_v else t / 2
         # the term's key: the pair's p-variables, then its q-variables
-        pair = (gens[idx_u], gens[idx_v])
-        add_term(terms, tuple(tuple(v for k, v in pair if k == kind) for kind in "pq"), coeff)
+        add_term(terms, tuple(tuple(w for kind, w in (u, v) if kind == k) for k in "pq"), coeff)
     return QuadHamiltonian(dim, cutoff, terms)
 
 
@@ -294,7 +249,7 @@ class FockOperator:
     def __init__(self, terms: dict | None = None):
         self.terms = {}
         for (qm, dm, h), c in (terms or {}).items():
-            add_term(self.terms, (tuple(sorted(qm)), tuple(sorted(dm)), h), Fraction(c))
+            add_term(self.terms, (tuple(sorted(qm)), tuple(sorted(dm)), h), _fraction(c))
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         return FockOperator(add_terms(self.terms, other.terms))
@@ -311,10 +266,11 @@ class FockOperator:
         for (q1, d1, h1), c1 in self.terms.items():
             for (q2, d2, h2), c2 in other.terms.items():
                 # move the derivatives d1 across the position monomial q2:
-                # start from (q2, ()) and apply one derivative at a time
-                pieces: dict[tuple[tuple, tuple], Fraction] = {(q2, ()): Fraction(1)}
+                # start from (q2, ()) and apply one derivative at a time; the
+                # weights are counts, so they stay ints
+                pieces: dict[tuple[tuple, tuple], int] = {(q2, ()): 1}
                 for v in d1:
-                    nxt: dict[tuple[tuple, tuple], Fraction] = {}
+                    nxt: dict[tuple[tuple, tuple], int] = {}
                     for (qm, dm), w in pieces.items():
                         count, reduced = _mono_derivative(qm, v)
                         if count:

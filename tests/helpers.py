@@ -1,8 +1,12 @@
 """Helpers that more than one test module reads: the product reference for
-the symmetric functions the canonical frame writes in closed form, and the
-perturbations of the Batyrev eigen formulas.  Not a test module, so pytest
-collects nothing here.
+the symmetric functions the canonical frame writes in closed form, the
+Fraction-valued references for the cohomology ring, and the perturbations of
+the Batyrev eigen formulas.  Not a test module, so pytest collects nothing
+here.
 """
+
+from fractions import Fraction
+from math import comb
 
 from qcflop import batyrev as bat
 from qcflop.algebra import FracSeries, elementary_symmetric
@@ -25,6 +29,56 @@ def elementary_symmetric_omitting(values, omit, ring_one, es=None):
     for e_k in es[1:-1]:
         out.append(e_k - v * out[-1])
     return out
+
+
+def poly_division_reduce_oracle(r, raw):
+    """Independent reduction: substitute x-powers by long division data.
+
+    Reduces via a different route than CohClass.reduce: first push every
+    x-power above r+1 down one at a time using the expanded relation written
+    with lowest x first, then drop h-powers, iterating until stable.
+    """
+    work = {k: Fraction(v) for k, v in raw.items() if v}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), c in sorted(work.items()):
+            if a > r:
+                work.pop((a, b))
+                changed = True
+                break
+            if b > r + 1:
+                work.pop((a, b))
+                # x^b = x^(b-r-2) * x^(r+2), x^(r+2) = sum_k (-1)^(k+1) C(r+1,k) h^k x^(r+2-k)
+                for k in range(1, r + 2):
+                    coeff = Fraction((-1) ** (k + 1) * comb(r + 1, k)) * c
+                    key = (a + k, b - k)
+                    val = work.get(key, Fraction(0)) + coeff
+                    if val:
+                        work[key] = val
+                    else:
+                        work.pop(key, None)
+                changed = True
+                break
+    return {k: v for k, v in work.items() if v}
+
+
+def chern_class_reference(r, k):
+    """c_k of (1+h)^(r+1) (1+x) (1+x-h)^(r+1) in Fractions, reduced by
+    ``poly_division_reduce_oracle``: the coefficient of h^a x^b comes from
+    h^i in (1+h)^u, x^e in (1+x) and x^j (-h)^l in (1+x-h)^u, u = r+1, with
+    the binomial and the multinomial coefficient."""
+    u = r + 1
+    raw = {}
+    for i in range(u + 1):
+        for e in (0, 1):
+            for j in range(u + 1):
+                l = k - i - e - j
+                if 0 <= l <= u - j:
+                    multinomial = comb(u, j) * comb(u - j, l)
+                    key = (i + l, e + j)
+                    raw[key] = raw.get(key, Fraction(0)) + comb(u, i) * multinomial * (-1) ** l
+    return poly_division_reduce_oracle(r, raw)
 
 
 def record_calls(monkeypatch, change=None):

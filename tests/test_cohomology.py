@@ -1,44 +1,13 @@
 """Tests for the cohomology ring of the local model."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from qcflop import cohomology as coh
 from qcflop.algebra import linalg
 
-
-def poly_division_reduce_oracle(r, raw):
-    """Independent reduction: substitute x-powers by long division data.
-
-    Reduces via a different route than CohClass.reduce: first push every
-    x-power above r+1 down one at a time using the expanded relation written
-    with lowest x first, then drop h-powers, iterating until stable.
-    """
-    work = {k: Fraction(v) for k, v in raw.items() if v}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), c in sorted(work.items()):
-            if a > r:
-                work.pop((a, b))
-                changed = True
-                break
-            if b > r + 1:
-                work.pop((a, b))
-                # x^b = x^(b-r-2) * x^(r+2), x^(r+2) = sum_k (-1)^(k+1) C(r+1,k) h^k x^(r+2-k)
-                for k in range(1, r + 2):
-                    coeff = Fraction((-1) ** (k + 1) * comb(r + 1, k)) * c
-                    key = (a + k, b - k)
-                    val = work.get(key, Fraction(0)) + coeff
-                    if val:
-                        work[key] = val
-                    else:
-                        work.pop(key, None)
-                changed = True
-                break
-    return {k: v for k, v in work.items() if v}
+from helpers import chern_class_reference, poly_division_reduce_oracle
 
 
 def test_ring_relations_vanish():
@@ -192,3 +161,36 @@ def test_c3_minus_c2c1_value_and_flop_side():
     with pytest.raises(ValueError):
         coh.c3_minus_c2c1(2)
 
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_chern_classes_are_integral_and_match_the_fraction_reference(r):
+    for k in range(2 * r + 4):
+        got = coh.chern_class(r, k)
+        assert got.coeffs == chern_class_reference(r, k)
+        assert all(type(c) is int for c in got.coeffs.values())
+
+
+def test_no_cohomology_value_is_a_float():
+    def exact(c):
+        return type(c) in (int, Fraction)
+
+    for r in (1, 2, 3, 4):
+        classes = [coh.chern_class(r, k) for k in range(2 * r + 4)]
+        classes += [classes[1] * classes[2], classes[2] - classes[1].scale(Fraction(1, 3)),
+                    coh.monomial(r, 0, r + 3, 5)]
+        assert all(exact(c) for cls in classes for c in cls.coeffs.values())
+        assert all(exact(coh.integrate(cls)) for cls in classes)
+        assert all(exact(c) for c in coh.total_chern_raw(r).values())
+        assert all(exact(v) for row in coh.pairing_matrix(r) for v in row.values())
+        probe = coh.monomial(r, 1, 0, 2) + coh.monomial(r, 0, 1, -1)
+        assert exact(coh.chern_flop_identity(r)) and exact(coh.genus1_degree0(r, probe))
+    assert exact(coh.c3_minus_c2c1(1)) and exact(coh.c3_minus_c2c1_swapped(1))
+
+
+def test_an_int_class_equals_and_hashes_like_its_fraction_twin():
+    for r in (1, 2, 3):
+        for k in range(2 * r + 2):
+            c = coh.chern_class(r, k)
+            twin = coh.CohClass(r, {key: Fraction(v) for key, v in c.coeffs.items()})
+            assert c == twin and hash(c) == hash(twin)
+            assert {c: k}[twin] == k

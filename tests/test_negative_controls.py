@@ -71,13 +71,13 @@ def substitute_h_by_x_plus_h(monkeypatch):
 
 def darboux_p_without_its_sign(monkeypatch):
     # p^i_k -> (-1)^k T_i z^(-k-1): every p q term of a hamiltonian flips sign
-    original = weyl.darboux_vector
+    original = weyl.darboux_unit
 
-    def darboux_vector(dim, cutoff, kind, var):
-        vec = original(dim, cutoff, kind, var)
-        return vec.scale(-1) if kind == "p" else vec
+    def darboux_unit(kind, var):
+        key, sign = original(kind, var)
+        return key, -sign if kind == "p" else sign
 
-    monkeypatch.setattr(weyl, "darboux_vector", darboux_vector)
+    monkeypatch.setattr(weyl, "darboux_unit", darboux_unit)
 
 
 def commutator_reversed(monkeypatch):
@@ -336,7 +336,7 @@ def test_a_commutator_that_is_not_symplectic_fails_the_lie_anchor_with_the_error
 
 def test_an_operator_test_that_rejects_everything_fails_the_string_hamiltonian(
         capsys, monkeypatch):
-    monkeypatch.setattr(weyl, "is_infinitesimal_symplectic", lambda A, dim, cutoff: False)
+    monkeypatch.setattr(weyl, "is_infinitesimal_symplectic", lambda table: False)
     code, entries = verify("quantization", None, capsys)
     assert code == 1
     assert entries["quantization/string-hamiltonian"]["residual"] == (
@@ -419,3 +419,36 @@ def test_a_perturbed_solved_entry_fails_only_the_rows_that_read_the_matrices(
     assert code == 1
     assert {a for a, e in entries.items() if e["status"] == "fail"} == {
         "batyrev/multiplication-commutes", "batyrev/semisimplicity-certificate"}
+
+
+WARM_MEMO_ANCHORS = ("cohomology/chern-flop-pairing", "cohomology/first-chern-fiber-class",
+                     "flop/genus-one-onepoint-defect")
+
+
+@pytest.mark.parametrize("anchor", WARM_MEMO_ANCHORS)
+def test_a_warm_memo_does_not_hide_a_perturbation(capsys, monkeypatch, anchor):
+    # verify all fills the per-r memos (the total Chern class among them)
+    # before the formula is perturbed
+    assert cli.main(["verify", "all", "--format", "json", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    perturb, suite, r, residual = CONTROLS[anchor]
+    perturb(monkeypatch)
+    code, entries = verify(suite, r, capsys)
+    assert code == 1
+    assert entries[anchor]["status"] == "fail"
+    assert entries[anchor]["residual"] == residual
+
+
+def test_verify_all_forms_the_total_chern_class_once_per_r(capsys, monkeypatch):
+    formed = []
+    original = coh._total_chern
+
+    def total_chern(r):
+        formed.append(r)
+        return original(r)
+
+    monkeypatch.setattr(coh, "_TOTAL_CHERN", {})
+    monkeypatch.setattr(coh, "_total_chern", total_chern)
+    assert cli.main(["verify", "all", "--r", "1..8", "--format", "json", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert sorted(formed) == list(range(1, 9))

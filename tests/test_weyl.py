@@ -1,6 +1,7 @@
 """Tests for the quadratic-hamiltonian quantization toy model."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,46 @@ def lower(dim=1, exp=-1, coeff=1):
     return weyl.EndoLaurent.scalar_z_power(dim, exp, coeff)
 
 
+class LoopVector:
+    """Rational coefficient vector on the basis T_i z^m, -K-1 <= m <= K, its
+    terms outside the window dropped: the dense reference that the Omega
+    table is checked against."""
+
+    def __init__(self, dim, cutoff, coeffs=None):
+        self.dim = dim
+        self.cutoff = cutoff
+        self.coeffs = {(i, m): Fraction(c) for (i, m), c in (coeffs or {}).items()
+                       if -cutoff - 1 <= m <= cutoff and c}
+
+    @classmethod
+    def basis(cls, dim, cutoff, i, m):
+        return cls(dim, cutoff, {(i, m): 1})
+
+
+def apply(A, v):
+    """A v for the EndoLaurent A, term by term."""
+    out = {}
+    for exp, mat in A.terms.items():
+        for (j, m), c in v.coeffs.items():
+            for i in range(A.dim):
+                add_term(out, (i, m + exp), mat[i][j] * c)
+    return LoopVector(v.dim, v.cutoff, out)
+
+
+def darboux_vector(dim, cutoff, kind, var):
+    """The loop vector of the unit Darboux coordinate ``weyl.darboux_unit`` names."""
+    key, sign = weyl.darboux_unit(kind, var)
+    return LoopVector(dim, cutoff, {key: sign})
+
+
+def symplectic(A, cutoff):
+    return weyl.is_infinitesimal_symplectic(weyl.omega_table(A, cutoff))
+
+
 def symplectic_form(f, g):
     """Omega(f, g) = Res_(z=0) (f(-z), g(z)), summed over every pair of terms:
-    the dense reference that ``is_infinitesimal_symplectic`` and
-    ``hamiltonian_of`` are checked against."""
+    the dense reference that ``omega_table`` and ``hamiltonian_of`` are
+    checked against."""
     if f.dim != g.dim or f.cutoff != g.cutoff:
         raise ValueError("incompatible loop vectors")
     total = Fraction(0)
@@ -51,12 +88,12 @@ def apply_operator(op, poly):
 
 
 def test_symplectic_form_examples():
-    f = weyl.LoopVector.basis(1, 3, 0, 0)
-    g = weyl.LoopVector.basis(1, 3, 0, -1)
+    f = LoopVector.basis(1, 3, 0, 0)
+    g = LoopVector.basis(1, 3, 0, -1)
     assert symplectic_form(f, g) == 1
     assert symplectic_form(f, f) == 0
-    f1 = weyl.LoopVector.basis(1, 3, 0, 1)
-    g2 = weyl.LoopVector.basis(1, 3, 0, -2)
+    f1 = LoopVector.basis(1, 3, 0, 1)
+    g2 = LoopVector.basis(1, 3, 0, -2)
     assert symplectic_form(f1, g2) == -1
 
 
@@ -66,8 +103,8 @@ def test_symplectic_form_antisymmetry_and_nondegeneracy():
     vals = {}
     for u in basis:
         for v in basis:
-            fu = weyl.LoopVector.basis(dim, K, *u)
-            fv = weyl.LoopVector.basis(dim, K, *v)
+            fu = LoopVector.basis(dim, K, *u)
+            fv = LoopVector.basis(dim, K, *v)
             vals[(u, v)] = symplectic_form(fu, fv)
     for u in basis:
         assert any(vals[(u, v)] for v in basis), "degenerate direction"
@@ -75,33 +112,41 @@ def test_symplectic_form_antisymmetry_and_nondegeneracy():
             assert vals[(u, v)] == -vals[(v, u)]
 
 
+def test_darboux_unit_names_the_coordinate_kinds():
+    assert weyl.darboux_unit("q", (1, 2)) == ((1, 2), 1)
+    assert weyl.darboux_unit("p", (1, 2)) == ((1, -3), -1)
+    assert weyl.darboux_unit("p", (0, 1)) == ((0, -2), 1)
+    with pytest.raises(ValueError):
+        weyl.darboux_unit("r", (0, 0))
+
+
 def test_darboux_normalization():
     # Omega(p-vector, q-vector) = 1 on matching indices
     dim, K = 2, 3
     for i in range(dim):
         for k in range(K + 1):
-            p = weyl.darboux_vector(dim, K, "p", (i, k))
-            q = weyl.darboux_vector(dim, K, "q", (i, k))
+            p = darboux_vector(dim, K, "p", (i, k))
+            q = darboux_vector(dim, K, "q", (i, k))
             assert symplectic_form(p, q) == 1
             assert symplectic_form(q, p) == -1
 
 
 def test_is_infinitesimal_symplectic():
-    assert weyl.is_infinitesimal_symplectic(lower(1, -1), 1, 3)
-    assert weyl.is_infinitesimal_symplectic(lower(1, 1), 1, 3)
-    assert not weyl.is_infinitesimal_symplectic(lower(1, 0), 1, 3)
+    assert symplectic(lower(1, -1), 3)
+    assert symplectic(lower(1, 1), 3)
+    assert not symplectic(lower(1, 0), 3)
     # even powers need antisymmetric matrices, odd powers symmetric ones
     anti = weyl.EndoLaurent.matrix_z_power(2, -2, [[0, 1], [-1, 0]])
-    assert weyl.is_infinitesimal_symplectic(anti, 2, 3)
+    assert symplectic(anti, 3)
     sym = weyl.EndoLaurent.matrix_z_power(2, -2, [[0, 1], [1, 0]])
-    assert not weyl.is_infinitesimal_symplectic(sym, 2, 3)
+    assert not symplectic(sym, 3)
 
 
 def dense_is_infinitesimal_symplectic(A, dim, cutoff):
     """Omega(Af, g) + Omega(f, Ag) over every basis pair."""
     basis = [(i, a) for i in range(dim) for a in range(-cutoff - 1, cutoff + 1)]
-    vectors = {f: weyl.LoopVector.basis(dim, cutoff, *f) for f in basis}
-    images = {f: A.apply(vec) for f, vec in vectors.items()}
+    vectors = {f: LoopVector.basis(dim, cutoff, *f) for f in basis}
+    images = {f: apply(A, vec) for f, vec in vectors.items()}
     return not any(symplectic_form(images[f], vectors[g])
                    + symplectic_form(vectors[f], images[g])
                    for f in basis for g in basis)
@@ -113,8 +158,8 @@ def dense_hamiltonian_of(A, dim, cutoff):
         raise weyl.NonSymplecticError("operator fails Omega(Af,g) + Omega(f,Ag) = 0")
     variables = [(i, k) for i in range(dim) for k in range(cutoff + 1)]
     gens = [("p", v) for v in variables] + [("q", v) for v in variables]
-    vectors = {u: weyl.darboux_vector(dim, cutoff, *u) for u in gens}
-    images = {u: A.apply(vec) for u, vec in vectors.items()}
+    vectors = {u: darboux_vector(dim, cutoff, *u) for u in gens}
+    images = {u: apply(A, vec) for u, vec in vectors.items()}
     terms = {}
     for idx, u in enumerate(gens):
         for v in gens[idx:]:
@@ -147,7 +192,7 @@ def test_sparse_pairs_match_the_dense_loops(dim, cutoff):
     verdicts = set()
     for A in operators(dim):
         want = dense_is_infinitesimal_symplectic(A, dim, cutoff)
-        assert weyl.is_infinitesimal_symplectic(A, dim, cutoff) == want
+        assert symplectic(A, cutoff) == want
         verdicts.add(want)
         try:
             want = dense_hamiltonian_of(A, dim, cutoff)
@@ -157,6 +202,66 @@ def test_sparse_pairs_match_the_dense_loops(dim, cutoff):
         else:
             assert weyl.hamiltonian_of(A, dim, cutoff) == want
     assert verdicts == {True, False}
+
+
+def random_operator(rng, dim, symplectic_by_construction):
+    """An operator with 1-3 distinct z-powers in -3..3 and rational entries;
+    made symplectic by symmetrizing the matrix of an odd power and
+    antisymmetrizing that of an even one."""
+    terms = {}
+    for exp in rng.sample(range(-3, 4), rng.randint(1, 3)):
+        mat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+               for _ in range(dim)]
+        if symplectic_by_construction:
+            sign = 1 if exp % 2 else -1
+            mat = [[mat[i][j] + sign * mat[j][i] for j in range(dim)] for i in range(dim)]
+        terms[exp] = mat
+    return terms
+
+
+def perturbed_in_one_entry(rng, dim, terms):
+    """The terms with one matrix entry of one z-power in -3..3 moved by a
+    nonzero rational.  An off-diagonal entry breaks the (anti)symmetry of its
+    power, and so does a diagonal entry of an even power; the diagonal of an
+    odd power may be anything, so it is never chosen."""
+    exp, i, j = rng.choice([(e, i, j) for e in range(-3, 4) for i in range(dim)
+                            for j in range(dim) if i != j or e % 2 == 0])
+    out = {e: [list(row) for row in mat] for e, mat in terms.items()}
+    mat = out.setdefault(exp, [[Fraction(0)] * dim for _ in range(dim)])
+    mat[i][j] += Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_the_omega_table_path_matches_the_dense_form_on_random_operators(dim, cutoff):
+    rng = random.Random(1000 * dim + cutoff)
+    for trial in range(8):
+        by_construction = trial % 2 == 0
+        terms = random_operator(rng, dim, by_construction)
+        A = weyl.EndoLaurent(dim, terms)
+        try:
+            want = dense_hamiltonian_of(A, dim, cutoff)
+        except weyl.NonSymplecticError:
+            assert not by_construction
+            with pytest.raises(weyl.NonSymplecticError):
+                weyl.hamiltonian_of(A, dim, cutoff)
+            continue
+        assert weyl.hamiltonian_of(A, dim, cutoff) == want
+        broken = weyl.EndoLaurent(dim, perturbed_in_one_entry(rng, dim, terms))
+        with pytest.raises(weyl.NonSymplecticError):
+            weyl.hamiltonian_of(broken, dim, cutoff)
+
+
+def test_the_omega_table_is_omega_of_the_image():
+    rng = random.Random(5)
+    for dim, cutoff in ((1, 2), (2, 1), (3, 2)):
+        A = weyl.EndoLaurent(dim, random_operator(rng, dim, False))
+        basis = [(i, m) for i in range(dim) for m in range(-cutoff - 1, cutoff + 1)]
+        vectors = {f: LoopVector.basis(dim, cutoff, *f) for f in basis}
+        dense = {(f, g): v for f in basis for g in basis
+                 if (v := symplectic_form(apply(A, vectors[f]), vectors[g]))}
+        assert weyl.omega_table(A, cutoff) == dense
 
 
 def test_hamiltonian_of_z_inverse():
@@ -285,8 +390,8 @@ def test_lie_algebra_homomorphism():
     for exp1, exp2 in ((-1, -1), (-1, -3), (1, 1)):
         A1 = weyl.EndoLaurent.matrix_z_power(dim, exp1, B)
         A2 = weyl.EndoLaurent.matrix_z_power(dim, exp2, C)
-        assert weyl.is_infinitesimal_symplectic(A1, dim, K)
-        assert weyl.is_infinitesimal_symplectic(A2, dim, K)
+        assert symplectic(A1, K)
+        assert symplectic(A2, K)
         bracket = A1.commutator(A2)
         lhs = weyl.hamiltonian_of(bracket, dim, K)
         rhs = weyl.poisson_bracket(weyl.hamiltonian_of(A1, dim, K),
