@@ -78,7 +78,8 @@ Caching (per process, never shared between processes or switched off):
   and ``_spectrum_sum`` share), ``delta_i``, ``term_log_delta``,
   ``term_c_minus_one``, the sign-free base of ``connection_form`` (which
   reads column 0 of M^-1 and does not keep it), R1 off the diagonal on the
-  default branch, the differences p_i - p_j, and the basis factors
+  default branch, the differences p_i - p_j, the r+1 sums
+  sum_mu mu xi^(mu k) that both display forms read, and the basis factors
   (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
   ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
@@ -627,12 +628,26 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
     return _branch(frame.stages["connection"], e, pair_flip)
 
 
-def _mu_sum(xi: CycNumber, k: int, r: int) -> CycNumber:
-    """sum_{mu=1..r} mu xi^(mu k) for a root of unity xi of its field's order."""
-    s = xi.field.zero
-    for mu in range(1, r + 1):
-        s = s + xi ** (mu * k % xi.field.order) * Fraction(mu)
-    return s
+def _mu_sums(fld: CycField, u: int) -> tuple[CycNumber, ...]:
+    """sum_{mu=1..u-1} mu xi^(mu k) for k = 0..u-1, with xi = zeta^(N/u) the
+    root of order u of fld = Q(zeta_N); each sum is one element of fld."""
+    n = fld.order
+    step = n // u
+    out = []
+    for k in range(u):
+        coeffs = [0] * n
+        for mu in range(1, u):
+            coeffs[step * mu * k % n] += mu
+        out.append(fld.element(coeffs))
+    return tuple(out)
+
+
+def _frame_mu_sums(frame: CanonicalFrame) -> tuple[CycNumber, ...]:
+    """The r+1 sums of ``_mu_sums`` in the frame's field, once per frame;
+    both display forms read them."""
+    if "mu_sums" not in frame.stages:
+        frame.stages["mu_sums"] = _mu_sums(frame.field, frame.u)
+    return frame.stages["mu_sums"]
 
 
 def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
@@ -640,10 +655,10 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 
     This is the derived connection under the opposite square-root branch of
     each pair (entrywise the negative of the default-branch derived form).
-    The sum depends on k = (j - i) mod (r+1) only, so it is formed once per k.
+    The sum depends on k = (j - i) mod (r+1) only, so it is scaled once per k.
     """
-    r, u, fld = frame.r, frame.u, frame.field
-    sums = [_mu_sum(frame.xi, k, r) * Fraction(1, u ** 2) for k in range(u)]
+    u, fld = frame.u, frame.field
+    sums = [s * Fraction(1, u ** 2) for s in _frame_mu_sums(frame)]
     return [[fld.zero if i == j else fld.zeta(j - i) * sums[(j - i) % u]
              for j in range(u)] for i in range(u)]
 
@@ -698,9 +713,10 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     sum_mu mu xi^(mu(j-i)) / ((r+1)^2 lam (xi^j - xi^i))."""
     r = frame.r
     fld, u = frame.field, frame.u
-    # with xi^j - xi^i = xi^i (xi^k - 1), k = (j - i) mod (r+1), the sum and
-    # the inverse are formed once per k
-    per_k = [None] + [_mu_sum(frame.xi, k, r) * (frame.xi ** k - fld.one).inverse()
+    sums = _frame_mu_sums(frame)
+    # with xi^j - xi^i = xi^i (xi^k - 1), k = (j - i) mod (r+1), the inverse
+    # is formed once per k
+    per_k = [None] + [sums[k] * (frame.xi ** k - fld.one).inverse()
                       * Fraction((-1) ** r, u ** 2) for k in range(1, u)]
     out = [[EquivScalar.zero(fld, u) for _ in range(u)] for _ in range(u)]
     w = RatFunc.monomial(fld, u, 1)
@@ -722,11 +738,12 @@ def xi_g_terms(r: int) -> list[tuple[CycNumber, CycNumber]]:
     if r < 1:
         raise ValueError("r must be at least 1")
     fld = CycField(r + 1)
-    xi = fld.zeta()
+    # sum_mu mu xi^(-mu k) is the sum at (-k) mod (r+1)
+    sums = _mu_sums(fld, r + 1)
     out = []
     for k in range(1, r + 1):
         xi_k = fld.zeta(k)
-        out.append((xi_k, (xi_k - fld.one).inverse() * _mu_sum(xi, k, r) * _mu_sum(xi, -k, r)))
+        out.append((xi_k, (xi_k - fld.one).inverse() * sums[k] * sums[-k]))
     return out
 
 

@@ -6,6 +6,10 @@ Subcommands:
   qcflop table genus1
   qcflop dump dG
 
+A run is one serial pass over the (suite, r) cells in this process, so the
+cells of one r share the frame, R1 and the genus-one memo.  ``--jobs``
+accepts only 1; any other value is a usage error.
+
 Exit codes: 0 when every identity passes, 1 on any failure (the failing
 anchors, or the derivation error of ``table`` or ``dump``, go to stderr), 2 on
 usage or configuration errors.
@@ -28,9 +32,8 @@ from qcflop.serialize import fraction_str, ratfunc_q_to_json
 SUITES = ("appendix", "flop", "batyrev", "cohomology", "quantization")
 
 
-def _run_cell(cell: tuple[str, int, RunConfig]) -> Report:
-    """One (suite, r) work unit; top-level so process pools can import it."""
-    name, r, cfg = cell
+def _run_cell(name: str, r: int, cfg: RunConfig) -> Report:
+    """One (suite, r) cell; quantization does not depend on r."""
     if name == "cohomology":
         return suites.cohomology_suite(r)
     if name == "flop":
@@ -48,30 +51,15 @@ def _run_cell(cell: tuple[str, int, RunConfig]) -> Report:
 
 
 def run_suite(selection: str, config: RunConfig) -> Report:
-    """Execute the selected suites over the configured r-range and merge
-    the entries in canonical order.  The merged report's ``seconds`` is the
-    wall time of the run and its ``cell_seconds`` the summed cell time."""
+    """Run the (suite, r) cells of the selected suites over the configured
+    r-range one after another in this process, so that the cells of one r
+    share the per-process stages (the frame, R1, the genus-one memo).  The
+    report's ``seconds`` is the wall time of the run."""
     start = time.perf_counter()
-    names = SUITES if selection == "all" else (selection,)
-    cells = []
-    for name in names:
-        if name == "quantization":
-            cells.append((name, 0, config))  # r-independent
-        else:
-            cells.extend((name, r, config) for r in config.rs())
     merged = Report(suite=selection)
-    if config.jobs > 1 and len(cells) > 1:
-        # imported here: the pool loads multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a pool starts all its workers at once, so start no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(cells))) as pool:
-            for rep in pool.map(_run_cell, cells):
-                merged.extend(rep)
-    else:
-        for cell in cells:
-            merged.extend(_run_cell(cell))
-    merged.cell_seconds = merged.seconds  # extend summed the cells' own seconds
+    for name in SUITES if selection == "all" else (selection,):
+        for r in (0,) if name == "quantization" else config.rs():
+            merged.extend(_run_cell(name, r, config))
     merged.seconds = time.perf_counter() - start
     return merged
 
@@ -102,7 +90,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="eigenvalue distinctness tolerance")
     parser.add_argument("--format", choices=("json", "csv", "text"))
     parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--jobs", type=int, help="parallel worker count")
+    # runs are serial; the flag stays so that command lines passing --jobs 1 still run
+    parser.add_argument("--jobs", type=int, choices=(1,),
+                        help="runs are serial: only 1 is accepted")
 
 
 def build_parser() -> argparse.ArgumentParser:

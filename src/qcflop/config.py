@@ -17,25 +17,20 @@ class ConfigError(ValueError):
 
 
 def parse_r_range(value) -> tuple[int, int]:
-    if isinstance(value, int):
-        return (value, value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        lo_i, hi_i = int(value[0]), int(value[1])
-        if lo_i < 1 or hi_i < lo_i:
-            raise ConfigError(f"r-range {value!r} must be positive and increasing")
-        return (lo_i, hi_i)
-    text = str(value).strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+    """A single r, 'lo..hi', or a pair [lo, hi] of ints, as (lo, hi)."""
+    if isinstance(value, (tuple, list)) and len(value) == 2 and all(type(v) is int for v in value):
+        lo_i, hi_i = value
+    elif type(value) is int:
+        lo_i = hi_i = value
+    elif isinstance(value, str):
+        lo, sep, hi = value.strip().partition("..")
         try:
-            lo_i, hi_i = int(lo), int(hi)
+            lo_i = int(lo)
+            hi_i = int(hi) if sep else lo_i
         except ValueError as exc:
             raise ConfigError(f"bad r-range {value!r}") from exc
     else:
-        try:
-            lo_i = hi_i = int(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad r value {value!r}") from exc
+        raise ConfigError(f"r-range must be an int, 'lo..hi' or [lo, hi], not {value!r}")
     if lo_i < 1 or hi_i < lo_i:
         raise ConfigError(f"r-range {value!r} must be positive and increasing")
     return (lo_i, hi_i)
@@ -71,18 +66,22 @@ def parse_sample(value: str) -> tuple[tuple[Fraction, Fraction], tuple[Fraction,
     return out[0], out[1]
 
 
+# the JSON values each field type accepts; r_range is parsed by parse_r_range
+_ACCEPTED = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+
+
 @dataclass
 class RunConfig:
     """Every setting, with its default.  The config-file keys and the CLI
-    flag destinations are these field names; every ``int`` field must be
-    positive."""
+    flag destinations are these field names.  Each value must have its
+    field's type (an int field takes no bool, a float field takes an int),
+    and every ``int`` field must be positive."""
     r_range: tuple[int, int] = (1, 3)
     order: int = 10
     dmax: int = 10
     rmatrix_order: int = 2
     max_m: int = 7
     max_n: int = 6
-    jobs: int = 1
     sample: str = "3/10,0 7/10,0"
     dim: int = 2
     cutoff: int = 3
@@ -92,11 +91,14 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(f.type, object)):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"format must be json, csv or text, not {self.format!r}")
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be positive")
         if not (0 < self.tolerance < 1 and 0 < self.gap_tolerance < 1):
             raise ConfigError("tolerances must lie in (0, 1)")
         parse_sample(self.sample)

@@ -22,15 +22,13 @@ class Entry:
 class Report:
     suite: str
     entries: list[Entry] = field(default_factory=list)
-    seconds: float = 0.0
-    cell_seconds: float = 0.0
+    seconds: float = 0.0  # wall time of the run, set by cli.run_suite
 
     def add(self, anchor: str, params: dict, ok: bool, residual: str = "0") -> None:
         self.entries.append(Entry(anchor, params, "pass" if ok else "fail", residual))
 
     def extend(self, other: "Report") -> None:
         self.entries.extend(other.entries)
-        self.seconds += other.seconds
 
     def sorted_entries(self) -> list[Entry]:
         return sorted(self.entries, key=Entry.sort_key)
@@ -51,7 +49,6 @@ class Report:
             ],
             "all_pass": self.all_pass(),
             "seconds": round(self.seconds, 6),
-            "cell_seconds": round(self.cell_seconds, 6),
         }
 
     def to_json(self) -> str:

@@ -3,7 +3,6 @@ and returns report entries carrying stable anchors."""
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -14,7 +13,6 @@ from qcflop.report import Report
 
 def cohomology_suite(r: int) -> Report:
     rep = Report(suite="cohomology")
-    t0 = time.perf_counter()
     rank = len(cohomology.basis(r))
     rep.add("cohomology/ring-rank", {"r": r}, rank == (r + 1) * (r + 2), str(rank))
     gram_det = linalg.det(cohomology.pairing_matrix(r), Fraction(1))
@@ -35,7 +33,6 @@ def cohomology_suite(r: int) -> Report:
         v_swapped = cohomology.c3_minus_c2c1_swapped(1)
         rep.add("cohomology/threefold-chern-number", {"r": 1},
                 v == v_swapped, f"{v} vs {v_swapped}")
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -48,7 +45,6 @@ def _first_differing_term(what: str, got: dict, want: dict) -> str | None:
 
 def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -> Report:
     rep = Report(suite="flop")
-    t0 = time.perf_counter()
     sign = (-1) ** (r + 1)
     g = flopcheck.g_function(r)
     ok = flopcheck.verify_reflection(r)
@@ -94,7 +90,6 @@ def flop_suite(r: int, max_m: int = 7, max_n: int = 6, series_order: int = 30) -
             ok = flopcheck.fp_generating_invariance(m)
             rep.add("flop/zero-point-series-invariance", {"r": 1, "m": m}, ok,
                     "0" if ok else _zero_point_failure(m))
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -138,7 +133,6 @@ def _derived(derive, *args, **kwargs):
 
 def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
     rep = Report(suite="appendix")
-    t0 = time.perf_counter()
     frame = canonical.frame_for(r)
     residuals = canonical.char_residuals(frame)
     bad = next((f"first failing i = {i}: q (lam - p_i)^(r+1) is not p_i^(r+1)"
@@ -256,30 +250,27 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
                 rep.add("appendix/recursion-unitarity", {"r": r, "n": n}, False, stopped)
         else:
             mats, info = recursion
-            match = r1_error is None and all(
-                mats[1][i][j] == (diag[i] if i == j else off[i][j])
-                for i in range(r + 1) for j in range(r + 1))
-            rep.add("appendix/recursion-first-order-match", {"r": r}, match, r1_error or "0")
+            bad = r1_error or _first_failing_pair(r, lambda i, j: (
+                ("R_1 of the recursion is not the first-order R1",
+                 mats[1][i][j] == (diag[i] if i == j else off[i][j])),))
+            rep.add("appendix/recursion-first-order-match", {"r": r}, bad is None, bad or "0")
             note = f"diagonal constants: {info['diagonal_mode']}"
             for n in range(1, rmatrix_order + 1):
                 bad = info["unitarity_first_nonzero"].get(n)
                 rep.add("appendix/recursion-unitarity", {"r": r, "n": n},
                         info["unitarity_exact"][n],
                         note if bad is None else f"first nonzero (i, j) = {bad}; {note}")
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def genus_one_table_suite(r: int, dmax: int) -> Report:
     rep = Report(suite="genus1-table")
-    t0 = time.perf_counter()
     table, error = _derived(canonical.genus_one_table, r, dmax)
     wants = [Fraction((-1) ** (d * (r + 1)) * (r + 1), 24 * d) for d in range(1, dmax + 1)]
     bad = error or next((f"first failing d = {d}: got {got}, want {want}"
                          for d, (got, want) in enumerate(zip(table, wants), start=1)
                          if got != want), None)
     rep.add("appendix/genus-one-table", {"r": r, "dmax": dmax}, bad is None, bad or "0")
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -315,7 +306,6 @@ def batyrev_suite(r: int, order: int = 10,
                   sample=((Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0))),
                   gap_tol: float = 1e-6, match_tol: float = 1e-9) -> Report:
     rep = Report(suite="batyrev")
-    t0 = time.perf_counter()
     # each eta-orbit is derived once, at the larger order the two checks read
     n = (r + 1) * (r + 2)
     orbits = batyrev.orbit_representatives(r, max(order, batyrev.product_order(r) - n + 1))
@@ -353,7 +343,6 @@ def batyrev_suite(r: int, order: int = 10,
     ok = batyrev.matrices_commute_at(*matrices)
     rep.add("batyrev/multiplication-commutes", {"r": r}, ok,
             "0" if ok else _commutator_failure(*matrices))
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -364,7 +353,6 @@ _QUANTIZATION_ERRORS = (weyl.FormalismError, weyl.NonSymplecticError)
 
 def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     rep = Report(suite="quantization")
-    t0 = time.perf_counter()
     K = 5
     try:
         P = weyl.hamiltonian_of(weyl.EndoLaurent.scalar_z_power(1, -1), 1, K)
@@ -417,5 +405,4 @@ def quantization_suite(dim: int = 2, cutoff: int = 3) -> Report:
     else:
         bad = "the unshift of the shift is not the origin" if weyl.dilaton_unshift(shifted) else None
     rep.add("quantization/dilaton-shift", {"dim": dim}, bad is None, bad or "0")
-    rep.seconds = time.perf_counter() - t0
     return rep

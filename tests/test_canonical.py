@@ -788,6 +788,42 @@ def test_control_the_fill_wrap_sign(capsys, monkeypatch):
     assert entries["appendix/recursion-first-order-match", None]["status"] == "pass"
 
 
+def test_control_one_recursion_entry(capsys, monkeypatch):
+    # R_1 of the recursion with (0, 1) negated; its unitarity was checked first
+    real = can.r_matrix_recursion
+
+    def negated(r, order, *args, **kwargs):
+        mats, info = real(r, order, *args, **kwargs)
+        r1 = [list(row) for row in mats[1]]
+        r1[0][1] = -r1[0][1]
+        return [mats[0], r1, *mats[2:]], info
+
+    monkeypatch.setattr(can, "r_matrix_recursion", negated)
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    entry = entries["appendix/recursion-first-order-match"]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == ("first failing (i, j) = (0, 1):"
+                                 " R_1 of the recursion is not the first-order R1")
+    assert entries["appendix/recursion-unitarity"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("change, residual", [
+    # every g_k doubled: the pair identity still holds, Xi_2 = -3 does not
+    (lambda xi_k, g_k: (xi_k, g_k * 2), "-6"),
+    # xi^k squared: Xi_2 still holds, the pair identity does not
+    (lambda xi_k, g_k: (xi_k * xi_k, g_k), "-3")])
+def test_control_the_diagonal_constant_terms(capsys, monkeypatch, change, residual):
+    real = can.xi_g_terms
+    monkeypatch.setattr(can, "xi_g_terms", lambda r: [change(*pair) for pair in real(r)])
+    code, entries = verify_appendix_r2(capsys)
+    assert code == 1
+    entry = entries["appendix/diagonal-constant"]
+    assert entry["status"] == "fail" and entry["residual"] == residual
+    # the closed-form diagonal reads Xi_r in closed form
+    assert entries["appendix/first-order-diagonal"]["status"] == "pass"
+
+
 # --- negative controls of the connection and first-order anchors ---------------------
 
 
@@ -848,7 +884,7 @@ def test_control_first_order_entry_of_the_wrong_weight(capsys, monkeypatch):
                      for i, row in enumerate(off)), diag
 
     monkeypatch.setattr(can, "first_order", scaled)
-    code = cli.main(["verify", "appendix", "--r", "2", "--jobs", "1", "--format", "json"])
+    code = cli.main(["verify", "appendix", "--r", "2", "--format", "json"])
     entries = {e["anchor"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
     assert code == 1
     entry = entries["appendix/first-order-offdiagonal"]

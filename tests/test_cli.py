@@ -1,11 +1,11 @@
 """Tests for the command line front end, configuration and report formats."""
 
-import concurrent.futures
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -107,6 +107,37 @@ def test_config_rejects_unknown_keys(tmp_path, monkeypatch):
     monkeypatch.setenv("QCFLOP_CONFIG", str(cfg_file))
     with pytest.raises(ConfigError):
         load_config({})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("jobs", 1, "unknown config keys: ['jobs']"),  # runs are serial
+    ("order", "10", "order must be int, not '10'"),
+    ("tolerance", "1e-9", "tolerance must be float, not '1e-9'"),
+    ("order", 2.5, "order must be int, not 2.5"),
+    ("out", 5, "out must be str | None, not 5"),
+    ("dmax", True, "dmax must be int, not True"),
+    ("format", ["json"], "format must be str, not ['json']"),
+    ("r_range", True, "r-range must be an int, 'lo..hi' or [lo, hi], not True"),
+    ("r_range", [1, 2.5], "r-range must be an int, 'lo..hi' or [lo, hi], not [1, 2.5]")])
+def test_a_removed_key_or_a_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
+                                                            key, value, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}), encoding="utf-8")
+    monkeypatch.setenv("QCFLOP_CONFIG", str(cfg_file))
+    code, out, err = run_cli(["verify", "batyrev"], capsys)
+    assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+
+
+def test_config_values_of_the_field_types_are_accepted(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"order": 8, "tolerance": 1, "gap_tolerance": 0.5,
+                                    "out": None, "r_range": [1, 2], "format": "csv"}),
+                        encoding="utf-8")
+    monkeypatch.setenv("QCFLOP_CONFIG", str(cfg_file))
+    with pytest.raises(ConfigError, match="tolerances must lie in"):
+        load_config({})  # an int tolerance passes the type check, then the range check
+    cfg = load_config({"tolerance": 1e-9})
+    assert (cfg.order, cfg.gap_tolerance, cfg.out, cfg.r_range) == (8, 0.5, None, (1, 2))
 
 
 def test_verify_exit_zero_and_schema(capsys):
@@ -211,53 +242,33 @@ def test_quantization_dim_cutoff_flags(capsys):
     assert entries["quantization/cocycle-table"]["params"] == {"dim": 1, "cutoff": 2}
 
 
-def test_parallel_jobs_match_serial(capsys):
-    serial = run_cli(["verify", "cohomology", "--r", "1..3", "--format", "json"], capsys)
-    parallel = run_cli(["verify", "cohomology", "--r", "1..3", "--format", "json",
-                        "--jobs", "2"], capsys)
-    s = json.loads(serial[1])
-    p = json.loads(parallel[1])
-    assert s["entries"] == p["entries"]
-
-
-def test_jobs_start_no_more_workers_than_cells(monkeypatch, capsys):
-    started = []
-
-    class RecordingPool:
-        """Runs the cells in this process and records the worker count asked for."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells):
-            return map(fn, cells)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run_cli(["verify", "all", "--format", "json", "--jobs", "64"], capsys)
-    assert code == 0 and json.loads(out)["all_pass"]
-    assert started == [13]  # 4 suites at r = 1..3 and quantization once
-
-
-def test_seconds_is_wall_time_and_cell_seconds_sums_cells(monkeypatch, capsys):
-    def slow_on_paper(cell):
-        rep = Report(suite=cell[0])
-        rep.add(f"{cell[0]}/stub", {"r": cell[1]}, True)
-        rep.seconds = 1.0
+def test_the_report_holds_suite_entries_all_pass_and_wall_seconds(monkeypatch, capsys):
+    def slow_stub(name, r, cfg):
+        time.sleep(0.01)
+        rep = Report(suite=name)
+        rep.add(f"{name}/stub", {"r": r}, True)
         return rep
 
-    monkeypatch.setattr(cli, "_run_cell", slow_on_paper)
-    code, out, _ = run_cli(["verify", "all", "--format", "json", "--jobs", "1"], capsys)
+    monkeypatch.setattr(cli, "_run_cell", slow_stub)
+    code, out, _ = run_cli(["verify", "all", "--format", "json"], capsys)
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
-    assert code == 0 and len(payload["entries"]) == 13
-    assert payload["cell_seconds"] == 13.0
-    assert payload["seconds"] < 13.0
+    assert code == 0 and list(payload) == ["suite", "entries", "all_pass", "seconds"]
+    assert set(SCHEMA["properties"]) == set(SCHEMA["required"]) == set(payload)
+    # 4 suites at r = 1..3 and quantization once, one after another
+    assert len(payload["entries"]) == 13
+    assert payload["seconds"] >= 0.13
+
+
+@pytest.mark.parametrize("jobs, code", [("1", 0), ("2", 2), ("0", 2)])
+def test_jobs_accepts_only_1(capsys, jobs, code):
+    args = ["verify", "cohomology", "--r", "1", "--jobs", jobs]
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == code
+    else:
+        assert cli.main(args) == 0
 
 
 def _modules_after_import_cli(prefixes: tuple[str, ...]) -> str:
@@ -296,8 +307,7 @@ def test_dump_dg_is_byte_identical_to_the_recorded_output(capsys, monkeypatch, f
 
 def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
     # the anchors past the default r range, each row with its residual
-    code, out, _ = run_cli(["verify", "appendix", "--r", "5..8", "--format", "json",
-                            "--jobs", "1"], capsys)
+    code, out, _ = run_cli(["verify", "appendix", "--r", "5..8", "--format", "json"], capsys)
     assert code == 0
     recorded = json.loads((DATA / "verify_appendix_r5-8.json").read_text(encoding="utf-8"))
     assert json.loads(out)["entries"] == recorded
@@ -312,7 +322,7 @@ def test_verify_appendix_r5_to_8_matches_the_recorded_rows(capsys):
 def test_verify_matches_the_recorded_rows(capsys, args, recorded):
     # the rows of the suites past the default r range, each with its
     # residual; the batyrev rows include the float certificate residuals
-    code, out, _ = run_cli(["verify", *args, "--format", "json", "--jobs", "1"], capsys)
+    code, out, _ = run_cli(["verify", *args, "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["entries"] == json.loads((DATA / recorded).read_text(encoding="utf-8"))
 

@@ -124,7 +124,7 @@ def test_poincare_unimodular_negative_control(monkeypatch, capsys):
     entry = next(e for e in suites.cohomology_suite(1).entries
                  if e.anchor == "cohomology/poincare-unimodular")
     assert entry.status == "fail" and abs(Fraction(entry.residual)) == 2
-    assert cli.main(["verify", "cohomology", "--r", "1", "--jobs", "1"]) == 1
+    assert cli.main(["verify", "cohomology", "--r", "1"]) == 1
     capsys.readouterr()
 
 

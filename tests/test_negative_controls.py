@@ -6,8 +6,13 @@ perturbation monkeypatches one formula that the anchor reads; ``cli.main``
 must then exit 1, with that anchor failing and the residual given; an anchor
 with one row per m or n gives the residual of its first failing row.  The
 quantization suite does not depend on r, so its entries carry r = None.
+
+Every anchor that ``verify all`` emits has a control here, in
+``KNOWN_FACTOR_CONTROLS`` or ``VALUE_CONTROLS`` of ``test_canonical``, or in
+``EXEMPT``, which names the ``test_canonical`` test that perturbs it.
 """
 
+import inspect
 import json
 from fractions import Fraction
 from itertools import product
@@ -22,6 +27,7 @@ from qcflop import flopcheck as fc
 from qcflop.algebra import CycField, Poly, RatFunc, linalg
 from qcflop.algebra.linalg import add_term, mul_terms
 
+import test_canonical
 from helpers import corrupt_orbit
 
 
@@ -289,9 +295,9 @@ CONTROLS = {
 
 
 def verify(suite, r, capsys):
-    """The exit code of one serial verify run and, by anchor, the first
+    """The exit code of one verify run and, by anchor, the first
     failing row of each anchor, or its first row when none fails."""
-    args = ["verify", suite, "--format", "json", "--jobs", "1"]
+    args = ["verify", suite, "--format", "json"]
     code = cli.main(args + (["--r", str(r)] if r is not None else []))
     rows = {}
     for e in json.loads(capsys.readouterr().out)["entries"]:
@@ -429,7 +435,7 @@ WARM_MEMO_ANCHORS = ("cohomology/chern-flop-pairing", "cohomology/first-chern-fi
 def test_a_warm_memo_does_not_hide_a_perturbation(capsys, monkeypatch, anchor):
     # verify all fills the per-r memos (the total Chern class among them)
     # before the formula is perturbed
-    assert cli.main(["verify", "all", "--format", "json", "--jobs", "1"]) == 0
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
     capsys.readouterr()
     perturb, suite, r, residual = CONTROLS[anchor]
     perturb(monkeypatch)
@@ -449,6 +455,38 @@ def test_verify_all_forms_the_total_chern_class_once_per_r(capsys, monkeypatch):
 
     monkeypatch.setattr(coh, "_TOTAL_CHERN", {})
     monkeypatch.setattr(coh, "_total_chern", total_chern)
-    assert cli.main(["verify", "all", "--r", "1..8", "--format", "json", "--jobs", "1"]) == 0
+    assert cli.main(["verify", "all", "--r", "1..8", "--format", "json"]) == 0
     capsys.readouterr()
     assert sorted(formed) == list(range(1, 9))
+
+
+# The appendix anchors in none of the three registries, each with the test of
+# tests/test_canonical.py that perturbs it and reads the failing row.
+EXEMPT = {
+    "appendix/connection-form": "test_control_connection_display_entry",
+    "appendix/diagonal-constant": "test_control_the_diagonal_constant_terms",
+    "appendix/first-order-diagonal": "test_control_a_diagonal_rotated_to_the_wrong_index",
+    "appendix/first-order-offdiagonal": "test_control_first_order_display_entry",
+    "appendix/genus-one-branch-independence": "test_control_a_one_sided_pair_flip",
+    "appendix/genus-one-dropped-constant":
+        "test_a_diagonal_that_does_not_integrate_fails_its_anchors",
+    "appendix/genus-one-table": "test_control_the_fill_wrap_sign_names_each_failing_index",
+    "appendix/idempotent-duality": "test_control_one_signed_symmetric_function",
+    "appendix/idempotent-orthogonality": "test_control_pairing_weight_off_by_one",
+    "appendix/recursion-first-order-match": "test_control_one_recursion_entry",
+    "appendix/recursion-unitarity": "test_control_the_fill_wrap_sign",
+}
+
+
+def test_every_emitted_anchor_can_fail(capsys):
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
+    emitted = {e["anchor"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    registered = (set(CONTROLS) | set(test_canonical.KNOWN_FACTOR_CONTROLS)
+                  | set(test_canonical.VALUE_CONTROLS))
+    assert sorted(emitted - registered - set(EXEMPT)) == []
+    # no exemption is stale: each is emitted, unregistered, and its test reads it
+    assert sorted(set(EXEMPT) - (emitted - registered)) == []
+    for anchor, name in EXEMPT.items():
+        test = getattr(test_canonical, name, None)
+        assert callable(test), name
+        assert f'"{anchor}' in inspect.getsource(test), (anchor, name)

@@ -29,8 +29,6 @@ AWAITING_ANCHORS = {
 
 # the public names that only the benchmark harness reaches besides tests
 BENCHMARK_SURFACE = {
-    # builds the random field elements of the L0 and L1 benchmarks
-    "algebra.cyclotomic.CycField.element": "benchmarks/test_l0_cyclotomic.py",
     # the tracer's alias check reads it through qcflop.algebra and
     # qcflop.canonical; the frame writes its symmetric functions in closed form
     "algebra.cyclotomic.elementary_symmetric": "perfbench/test_bench.py",

@@ -360,7 +360,7 @@ def test_cocycle_table_names_its_first_failing_pair(monkeypatch, capsys):
         return got + 1 if set(P1.terms) == {(target, ())} else got
 
     monkeypatch.setattr(weyl, "commutator_cocycle", wrong_at_one_pair)
-    assert cli.main(["verify", "quantization", "--jobs", "1", "--format", "json"]) == 1
+    assert cli.main(["verify", "quantization", "--format", "json"]) == 1
     entries = json.loads(capsys.readouterr().out)["entries"]
     failed = [e for e in entries if e["status"] == "fail"]
     assert [e["anchor"] for e in failed] == ["quantization/cocycle-table"]
