@@ -7,7 +7,9 @@ Each stage runs at r = 4..8 on the shared frame of that r, with the frame's
 basis and connection built before timing starts, as the suite has them when
 it reaches these checks: ``eps_pairing`` over the upper triangle i <= j (the
 pairing is symmetric), ``du_of_eps`` over every (i, j), and
-``r_matrix_recursion(r, 2)``, the suite's default order.  Two stages run on
+``r_matrix_recursion(r, 2)``, the suite's default order; the recursion also
+runs to order 6 at r = 4 and 8, where the Laurent products of its later
+orders dominate.  Two stages run on
 a fresh frame per round instead: ``connection_form`` with nothing built
 before it but the spectrum, and ``first_order`` on the branch the suite's
 branch-independence check reads (the last sign -1), with the connection
@@ -15,7 +17,9 @@ built.  That branch is timed twice: on the gauge path, which derives the
 default branch's R1 and returns its diagonal, and on the fallback path,
 which integrates every diagonal, forced by a gauge check that always fails
 (``canonical._is_gauge``; a version of the module without it integrates
-every diagonal anyway).
+every diagonal anyway).  ``first_order`` also runs on the default branch
+of a fresh frame at r = 20, with nothing built before it but the spectrum,
+so the connection and R1 are derived in the timed call.
 
 The stages built over the spectrum's known factors run at r = 8, 12 and 16,
 three rounds each: ``charpoly_coefficients`` and ``term_log_delta`` on a
@@ -85,6 +89,13 @@ def test_r_matrix_recursion(benchmark, r):
     assert all(report["unitarity_exact"].values())
 
 
+@pytest.mark.parametrize("r", [4, 8])
+def test_r_matrix_recursion_order_6(benchmark, r):
+    ready_frame(r)
+    _, report = benchmark.pedantic(canonical.r_matrix_recursion, args=(r, 6), rounds=3)
+    assert all(report["unitarity_exact"].values())
+
+
 @pytest.mark.parametrize("r", RS)
 def test_connection_form_fresh_frame(benchmark, r):
     def fresh_frame():
@@ -115,6 +126,14 @@ def test_first_order_signs_branch(benchmark, r):
 def test_first_order_signs_branch_fallback(benchmark, monkeypatch, r):
     monkeypatch.setattr(canonical, "_is_gauge", lambda off, base: False, raising=False)
     time_signs_branch(benchmark, r)
+
+
+def test_first_order_fresh_frame_r20(benchmark):
+    def fresh_frame():
+        return (canonical.build_spectrum(20),), {}
+
+    _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=3)
+    assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(20))
 
 
 LARGE_RS = [8, 12, 16]

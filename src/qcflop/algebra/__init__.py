@@ -10,7 +10,7 @@ from qcflop.algebra.cyclotomic import (
     elementary_symmetric,
 )
 from qcflop.algebra.poly import Poly
-from qcflop.algebra.ratfunc import ExpansionError, NonIntegrableError, RatFunc
+from qcflop.algebra.ratfunc import ExpansionError, RatFunc
 from qcflop.algebra.equivariant import EquivScalar, InhomogeneousError, LimitError
 from qcflop.algebra.fracseries import FracSeries
 
@@ -24,7 +24,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "elementary_symmetric",
     "ExpansionError",
-    "NonIntegrableError",
     "InhomogeneousError",
     "LimitError",
 ]

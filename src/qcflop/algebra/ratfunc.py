@@ -42,14 +42,6 @@ class ExpansionError(ValueError):
     """Raised when a power-series expansion hits a pole at w = 0."""
 
 
-class NonIntegrableError(ValueError):
-    """Raised by integration when a constant term obstructs it."""
-
-
-class NotLaurentError(ValueError):
-    """Raised when a rational function is not a Laurent polynomial."""
-
-
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     """(p/g, q/g) for g = gcd(p, q), with q nonzero; a zero p leaves q/g a constant."""
     g = p.gcd(q)
@@ -241,37 +233,6 @@ class RatFunc:
         # w t is t with its rows moved up by one
         t, rest = _cancel(Poly._raw(f, (f.zero.nums,) + t.rows, t.den), d)
         return self._new(t if u == 1 else t.scale(Fraction(1, u)), d * rest)
-
-    def is_laurent(self) -> bool:
-        return self.den.is_monomial()
-
-    def laurent_items(self) -> dict[int, CycNumber]:
-        """Exponent -> coefficient map; requires a monomial denominator."""
-        if not self.is_laurent():
-            raise NotLaurentError(f"denominator {self.den} is not a monomial")
-        shift = self.den.monomial_exponent()
-        lead = self.den.coeffs[shift]
-        inv = lead.inverse()
-        return {k - shift: c * inv for k, c in enumerate(self.num.coeffs) if not c.is_zero()}
-
-    @classmethod
-    def from_laurent_items(cls, field: CycField, root_order: int, items: dict[int, CycNumber]) -> "RatFunc":
-        out = cls.zero(field, root_order)
-        for exp, c in items.items():
-            out = out + cls.monomial(field, root_order, exp, c)
-        return out
-
-    def integrate_in_t(self) -> "RatFunc":
-        """Inverse of delta on Laurent polynomials: w^a -> (root_order/a) w^a.
-
-        A nonzero w^0 term has no such preimage and raises NonIntegrableError.
-        """
-        out: dict[int, CycNumber] = {}
-        for a, c in self.laurent_items().items():
-            if a == 0:
-                raise NonIntegrableError(f"nonzero constant term {c} is not integrable")
-            out[a] = c * Fraction(self.root_order, a)
-        return RatFunc.from_laurent_items(self.field, self.root_order, out)
 
     def series_expand(self, order: int) -> list[CycNumber]:
         """Taylor coefficients in w through w^order; errors on a pole at 0.

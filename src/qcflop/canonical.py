@@ -35,8 +35,7 @@ a ``pair_flip`` negates one pair, so no branch divides anything again.  The
 rule holds for the default branch only, so nothing is filled on another
 branch.  R1's diagonal reads each pair only through R1_ij R1_ji, which a
 gauge leaves alone, so a branch whose off-diagonal is checked to carry one
-sign per pair reads the default's diagonal and genus-one form.  Row i of
-M_{i,mu} = p_i^(mu - r) is sigma^i of row 0, with no index shift.  sigma
+sign per pair reads the default's diagonal and genus-one form.  sigma
 also sends eps_i to eps_(i+1), with no sign, so du_j(eps_i) and the pairing
 of eps_i with eps_j are sigma^i of their values at (0, (j - i) mod (r+1));
 ``by_orbit`` derives that row 0 and covers a pair by rotation only where it
@@ -52,10 +51,27 @@ sigma, so with u = r+1, prod_i (1 + L_i t) = (1 + wt)^u - (-(-1)^r t)^u,
 and their symmetric functions are written down with no product:
 ``_linear_factors`` gives e_k(L) = C(u, k) w^k for k < u and e_u = D, and
 ``_sym_omitting`` E^i_k = e_k(L_l : l != i) = w^k S^i_k(a) =
-sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m).  ``charpoly_coefficients``,
+sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m), whose last, E^i_r = D/L_i,
+``_product_omitting`` writes down alone.  ``charpoly_coefficients``,
 ``term_log_delta``, ``delta_i``, ``_p_differences``, ``m_inverse_column``
 and ``_spectrum_sum`` are built from these factors, and ``delta_product``
 forms prod_i Delta_i over D^(2r).
+
+Laurent values.  The entries of M, column 0 of dM^-1, the connection's
+core, R1 off the diagonal and every R_n of the recursion are Laurent
+polynomials in w, each lam^a times a polynomial over a known power of w, and
+they are held so (``_Laurent``: a ``Poly`` numerator, the weight a and the
+power of w), not as reduced rational functions.  The denominators are known:
+M_{i,mu} = p_i^(mu - r) = L_i^(r-mu) / (lam w)^(r-mu); M^-1 has polynomial
+entries, which delta keeps polynomial; and L_j - L_i is a nonzero constant,
+so 1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) is the polynomial L_0 L_j
+times a constant over one more power of lam w.  So a product is a product of
+numerators, a sum a shift by rows and a sum of numerators, delta and the
+integration in t act coefficient by coefficient, the deck rotation is a root
+shift per coefficient, and no step takes a gcd.  A value becomes an
+EquivScalar only where a stage returns it: the power of w that divides its
+numerator is cancelled then, by the numerator's valuation, which leaves it
+reduced.
 
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
@@ -74,14 +90,14 @@ Caching (per process, never shared between processes or switched off):
   a fresh, uncached one.
 - A frame holds, in ``frame.stages``, the stages that do not depend on the
   branch signs, each computed at most once per frame: the e_m(L) of the
-  linear factors, the E^i_k (which the idempotent basis, column 0 of M^-1
-  and ``_spectrum_sum`` share), ``delta_i``, ``term_log_delta``,
-  ``term_c_minus_one``, the sign-free base of ``connection_form`` (which
-  reads column 0 of M^-1 and does not keep it), R1 off the diagonal on the
-  default branch, the differences p_i - p_j, the r+1 sums
-  sum_mu mu xi^(mu k) that both display forms read, and the basis factors
-  (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
-  ``eps_pairing``.
+  linear factors, the E^i_k of each omit index i read so far (the idempotent
+  basis reads every i, column 0 of M^-1 only i = 0), ``delta_i``,
+  ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
+  ``connection_form`` (which reads column 0 of M^-1 and does not keep it),
+  R1 off the diagonal on the default branch, the differences p_i - p_j, the
+  r+1 sums sum_mu mu xi^(mu k) that both display forms read, and the basis
+  factors (``eps_factors``: the pref_i and the s_ik w^k) read by
+  ``du_of_eps`` and ``eps_pairing``.
 - ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
   per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
   other branch is gauged from it on each call and not kept.  A branch whose
@@ -105,7 +121,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from qcflop.algebra import (
     CycField,
@@ -116,7 +132,7 @@ from qcflop.algebra import (
     RatFunc,
     elementary_symmetric,  # noqa: F401  the alias check of perfbench/test_bench.py reads it
 )
-from qcflop.algebra.ratfunc import NonIntegrableError
+from qcflop.algebra.cyclotomic import _times_root
 
 
 class FlatnessError(ValueError):
@@ -125,6 +141,123 @@ class FlatnessError(ValueError):
 
 class CancellationError(ValueError):
     """Raised when negative weight powers survive an announced limit."""
+
+
+# --- Laurent values ------------------------------------------------------------
+
+
+class _Laurent:
+    """lam^weight num / w^low for a polynomial num in w, a Laurent value of
+    the frame over its known denominator (see "Laurent values").
+
+    A product multiplies the numerators and adds the exponents; a sum moves
+    the numerator of smaller ``low`` up by rows and adds; delta, integration
+    and the deck rotation act row by row.  No operation takes a gcd, so the
+    numerator may keep a power of w that the denominator could cancel;
+    ``scalar`` cancels it, by the valuation of the numerator.  The field is
+    the frame's Q(zeta_(2u)), so u is half its order.  Zero has weight 0 and
+    adds to a value of any weight; two nonzero values of different weights
+    do not add.
+    """
+
+    __slots__ = ("weight", "num", "low")
+
+    def __init__(self, weight: int, num: Poly, low: int = 0):
+        self.weight = weight if num.rows else 0
+        self.num = num
+        self.low = low
+
+    @classmethod
+    def of(cls, x: EquivScalar) -> "_Laurent":
+        """x as a Laurent value; its reduced denominator must be a power of w."""
+        den = x.value.den
+        if not den.is_monomial():
+            raise ValueError(f"{x.value} is not a polynomial over a power of w")
+        return cls(x.weight, x.value.num, den.degree)
+
+    def scalar(self) -> EquivScalar:
+        """The value as an EquivScalar: num / w^low with the power of w that
+        divides num cancelled, which is reduced, with a monic denominator."""
+        num, f = self.num, self.num.field
+        v = min(self.low, num.monomial_exponent()) if num.rows else self.low
+        if v:
+            num = Poly._raw(f, num.rows[v:], num.den)
+        den = Poly._raw(f, (f.zero.nums,) * (self.low - v) + (f.one.nums,), 1)
+        u = f.order // 2
+        return EquivScalar(f, u, self.weight, RatFunc(f, u, num, den, reduce=False))
+
+    def is_zero(self) -> bool:
+        return not self.num.rows
+
+    def constant(self) -> CycNumber | None:
+        """The coefficient of w^0 when the value is constant in w, else None;
+        the weight is the caller's to check."""
+        num, low = self.num, self.low
+        if any(any(row) for k, row in enumerate(num.rows) if k != low):
+            return None
+        return CycNumber(num.field, num.rows[low], num.den) if low < len(num.rows) else num.field.zero
+
+    def __add__(self, other: "_Laurent") -> "_Laurent":
+        if not other.num.rows:
+            return self
+        if not self.num.rows:
+            return other
+        if self.weight != other.weight:
+            raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{other.weight}")
+        a, b = (self, other) if self.low >= other.low else (other, self)
+        shift = a.low - b.low
+        low_rows = b.num
+        if shift:
+            f = b.num.field
+            low_rows = Poly._raw(f, (f.zero.nums,) * shift + b.num.rows, b.num.den)
+        return _Laurent(a.weight, a.num + low_rows, a.low)
+
+    def __neg__(self) -> "_Laurent":
+        return _Laurent(self.weight, -self.num, self.low)
+
+    def __sub__(self, other: "_Laurent") -> "_Laurent":
+        return self + (-other)
+
+    def __mul__(self, other) -> "_Laurent":
+        """The product with another Laurent value, or with a constant."""
+        if isinstance(other, _Laurent):
+            return _Laurent(self.weight + other.weight, self.num * other.num, self.low + other.low)
+        return _Laurent(self.weight, self.num.scale(other), self.low)
+
+    def _rows_times(self, factor) -> list:
+        """The numerator's rows, row k times the int factor(k - low)."""
+        low = self.low
+        return [[x * factor(k - low) for x in row] for k, row in enumerate(self.num.rows)]
+
+    def delta(self) -> "_Laurent":
+        """q d/dq = (w/u) d/dw: the coefficient of w^e times e/u."""
+        f = self.num.field
+        rows = self._rows_times(lambda e: e)
+        return _Laurent(self.weight, Poly._of(f, rows, self.num.den * (f.order // 2)), self.low)
+
+    def integrate(self, constant_error: str) -> "_Laurent":
+        """The inverse of delta: the coefficient of w^e times u/e.  A nonzero
+        w^0 term has no preimage and raises FlatnessError with
+        ``constant_error`` formatted at the weight ``e``."""
+        num, low = self.num, self.low
+        if low < len(num.rows) and any(num.rows[low]):
+            raise FlatnessError(constant_error.format(e=self.weight))
+        f = num.field
+        # over m = lcm of the exponents e, the factor u/e is the int u m/e
+        m = lcm(*(k - low for k, row in enumerate(num.rows) if any(row))) if num.rows else 1
+        u = f.order // 2
+        rows = self._rows_times(lambda e: u * m // e if e else 0)
+        return _Laurent(self.weight, Poly._of(f, rows, num.den * m), low)
+
+    def rotate(self, i: int) -> "_Laurent":
+        """sigma^i, w -> xi^(-i) w: the coefficient of w^e times
+        xi^(-ie) = zeta^(-2ie), a root shift per row (see ``RatFunc.rotate``)."""
+        num, low = self.num, self.low
+        f = num.field
+        u = f.order // 2
+        rows = tuple(row if (k - low) * i % u == 0 else tuple(_times_root(row, 2 * i * (low - k), 1, f))
+                     for k, row in enumerate(num.rows))
+        return _Laurent(self.weight, Poly._raw(f, rows, num.den), low)
 
 
 # --- frame -------------------------------------------------------------------
@@ -148,9 +281,6 @@ class CanonicalFrame:
 
     def lam(self, exp: int = 1, coeff=1) -> EquivScalar:
         return EquivScalar.lam_power(self.field, self.u, exp, coeff)
-
-    def rat_const(self, c) -> RatFunc:
-        return RatFunc.constant(self.field, self.u, c)
 
     def q(self) -> RatFunc:
         return RatFunc.q_power(self.field, self.u, 1)
@@ -187,14 +317,23 @@ def frame_for(r: int) -> CanonicalFrame:
 
 
 def char_residuals(frame: CanonicalFrame) -> list[EquivScalar]:
-    """q (lam - p_i)^(r+1) - p_i^(r+1) for each i; all must vanish exactly."""
+    """q (lam - p_i)^(r+1) - p_i^(r+1) for each i; all must vanish exactly.
+
+    The residual is formed at i = 0.  sigma fixes q and lam, so where
+    p_i = sigma^i(p_0) the residual at i is sigma^i of it; any other i is
+    formed directly, as ``by_orbit`` derives a pair its check does not cover.
+    """
     r = frame.r
     q = EquivScalar.from_ratfunc(frame.q())
     lam = frame.lam()
-    out = []
-    for p_i in frame.p:
-        out.append(q * (lam - p_i) ** (r + 1) - p_i ** (r + 1))
-    return out
+
+    def residual(p_i: EquivScalar) -> EquivScalar:
+        return q * (lam - p_i) ** (r + 1) - p_i ** (r + 1)
+
+    p_0 = frame.p[0]
+    first = residual(p_0)
+    return [first] + [first.rotate(i) if p_i == p_0.rotate(i) else residual(p_i)
+                      for i, p_i in enumerate(frame.p[1:], 1)]
 
 
 def g_in_w(r: int) -> RatFunc:
@@ -287,22 +426,36 @@ def lemma_zero_value(r: int, k: int) -> EquivScalar:
     return out
 
 
+def _omitted_powers(frame: CanonicalFrame, omit: int) -> list[CycNumber]:
+    """(-L_omit(0))^m = (-1)^((r+1)m) xi^(omit m) for m = 0..r."""
+    r, fld = frame.r, frame.field
+    sign = (-1) ** (r + 1)
+    return [fld.zeta(2 * omit * m) * sign ** m for m in range(r + 1)]
+
+
 def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[Poly, ...]:
     """The polynomials E^omit_k = e_k(L_l : l != omit), k = 0..r, shared by
-    the idempotent basis, M^-1 and ``_spectrum_sum`` and written down once
-    per frame: prod_l (1 + L_l t) over 1 + L_i t is
-    sum_m (1 + wt)^(r-m) (-L_i(0) t)^m, with (-L_i(0))^m = (-1)^((r+1)m) xi^(im)."""
-    if "sym_omitting" not in frame.stages:
+    the idempotent basis and M^-1, written down once per frame and omit
+    index, on its first read: prod_l (1 + L_l t) over 1 + L_i t is
+    sum_m (1 + wt)^(r-m) (-L_i(0) t)^m."""
+    rows = frame.stages.setdefault("sym_omitting", {})
+    if omit not in rows:
         r, fld = frame.r, frame.field
-        sign = (-1) ** (r + 1)
-        out = []
-        for i in range(frame.u):
-            powers = [fld.zeta(2 * i * m) * sign ** m for m in range(r + 1)]
-            # the coefficient of w^d in E^i_k has m = k - d
-            out.append(tuple(Poly(fld, [powers[k - d] * comb(r - k + d, d) for d in range(k + 1)])
-                             for k in range(r + 1)))
-        frame.stages["sym_omitting"] = tuple(out)
-    return frame.stages["sym_omitting"][omit]
+        powers = _omitted_powers(frame, omit)
+        # the coefficient of w^d in E^i_k has m = k - d
+        rows[omit] = tuple(Poly(fld, [powers[k - d] * comb(r - k + d, d) for d in range(k + 1)])
+                           for k in range(r + 1))
+    return rows[omit]
+
+
+def _product_omitting(frame: CanonicalFrame, omit: int) -> Poly:
+    """E^omit_r = D / L_omit = sum_m (-L_omit(0))^m w^(r-m), the last of
+    ``_sym_omitting(frame, omit)``: read from it once it is built, else
+    written down without the rest of it."""
+    built = frame.stages.get("sym_omitting", {})
+    if omit in built:
+        return built[omit][-1]
+    return Poly(frame.field, _omitted_powers(frame, omit)[::-1])
 
 
 def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[Poly, ...], tuple[tuple[Poly, ...], ...]]:
@@ -491,7 +644,7 @@ def _spectrum_sum(frame: CanonicalFrame, xs) -> EquivScalar:
         if not x.value.den.is_monomial():
             raise ValueError(f"{x.value} is not a polynomial over a power of w")
         shift = Poly.monomial(fld, m + 1 - x.value.den.degree)
-        num = num + x.value.num * shift * _sym_omitting(frame, i)[frame.r]
+        num = num + x.value.num * shift * _product_omitting(frame, i)
     value = RatFunc(fld, u, num, Poly.monomial(fld, m) * _linear_factors(frame)[-1])
     return EquivScalar(fld, u, weights.pop() + 1 if weights else 0, value)
 
@@ -515,14 +668,6 @@ def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
 
 
 # --- transition matrix and connection -----------------------------------------
-
-
-def m_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    """M_{i,mu} = p_i^(mu - r): row 0 from r+1 powers of p_0, row i its
-    rotation sigma^i, since sigma sends p_0 to p_i."""
-    r = frame.r
-    row = [frame.p[0] ** (mu - r) for mu in range(r + 1)]
-    return [row] + [[x.rotate(i) for x in row] for i in range(1, r + 1)]
 
 
 def m_inverse_column(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -595,37 +740,68 @@ def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
     ``pair_flip`` flips the square-root branch of one unordered pair only,
     which is still consistent for everything built from pair products.
 
-    The sign-free base (every e_i = 1) is derived and checked once per frame:
-    the core M dM^-1 has constant entries and core[i+1][j+1] =
-    sigma(core[i][j]), so it is circulant and only its column 0 is formed,
-    from all of M and column 0 of dM^-1; row 0 of the base follows and
-    ``_fill`` gives the rest.  Each call returns a fresh matrix with its own
+    The sign-free base (every e_i = 1) is derived and checked once per frame
+    (``_connection_base``); each call returns a fresh matrix with its own
     signs applied.
     """
+    e = _branch_signs(frame.r, signs)
+    return _branch(_connection_base(frame), e, pair_flip)
+
+
+def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]:
+    """The connection on the default branch, derived and checked once per
+    frame.  The core M dM^-1 has constant entries and core[i+1][j+1] =
+    sigma(core[i][j]), so it is circulant and only its column 0 is formed,
+    from all of M and column 0 of dM^-1; row 0 of the base follows and
+    ``_fill`` gives the rest.
+
+    The core is formed in Laurent values.  With m = r - mu, M_{i,mu} =
+    p_i^(mu - r) is (a_i / lam)^m, where a_i = L_i/w = 1 + c_i/w for the
+    constant c_i = L_i(0), and delta of (M^-1)_{mu,0} is lam^m times a
+    polynomial; call their product Q_m.  Expanding (1 + c_i/w)^m,
+
+        core_i = sum_m (1 + c_i/w)^m Q_m = sum_e c_i^e G_e,
+        G_e = sum_(m >= e) C(m, e) Q_m / w^e,
+
+    with one set of G_e for every i.  Every core_i is constant in w exactly
+    when every G_e is, since a polynomial in c of degree <= r that vanishes
+    at the r+1 distinct c_i is zero; so the G_e are checked, and core_i is
+    sum_e G_e c_i^e, by Horner in the field.
+    """
     r = frame.r
-    e = _branch_signs(r, signs)
     if "connection" not in frame.stages:
-        M = m_matrix(frame)
-        col = [x.delta() for x in m_inverse_column(frame)]
-        core = []
-        for M_i in M:
-            acc = M_i[0] * col[0]
-            for x, y in zip(M_i[1:], col[1:]):
-                acc = acc + x * y
-            core.append(acc)
-        row = []
+        one = Poly.one(frame.field)
+        # Q_m from the entry mu = r - m of column 0
+        q = [_Laurent(-m, one) * _Laurent.of(x).delta()
+             for m, x in enumerate(reversed(m_inverse_column(frame)))]
+        # times the lcm of their denominators the Q_m have integer rows, so
+        # the sums below take no gcd; each g_e is divided by it at the end
+        den = lcm(*(x.num.den for x in q))
+        q = [x * den for x in q]
+        g = []
+        for e in range(r + 1):
+            acc = _Laurent(0, Poly.zero(frame.field))
+            for m in range(e, r + 1):
+                acc = acc + q[m] * comb(m, e)
+            if acc.weight != 0:
+                raise ValueError("connection entry is not weight-free")
+            val = _Laurent(0, acc.num, acc.low + e).constant()  # G_e, over w^e
+            if val is None:
+                raise ValueError("connection entry is not constant in w")
+            g.append(val * Fraction(1, den))
+        row, core = [], []
+        for L_i in frame.L:
+            c_i, val = L_i.constant(), g[-1]
+            for g_e in reversed(g[:-1]):
+                # c_i, a root of unity, goes first: a product skips its zeros
+                val = c_i * val + g_e
+            core.append(val)
         for k in range(r + 1):
             # base[0][k] = core[0][k] zeta^(-k), with core[0][k] = core[-k mod u][0]
-            entry = core[-k] * frame.zeta ** (-k) if k else core[0] - Fraction(r, 2 * (r + 1))
-            if entry.weight != 0:
-                raise ValueError("connection entry is not weight-free")
-            val = entry.value
-            if not val.is_constant():
-                raise ValueError("connection entry is not constant in w")
-            row.append(val.constant_value())
+            row.append(core[-k] * frame.field.zeta(-k) if k else core[0] - Fraction(r, 2 * (r + 1)))
         # sigma fixes the constant entries
         frame.stages["connection"] = tuple(map(tuple, _fill(row, lambda x, i: x)))
-    return _branch(frame.stages["connection"], e, pair_flip)
+    return frame.stages["connection"]
 
 
 def _mu_sums(fld: CycField, u: int) -> tuple[CycNumber, ...]:
@@ -682,16 +858,24 @@ def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]
     return frame.stages["p_differences"]
 
 
+def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
+    """1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) for j = 1..r, each a
+    Laurent value of weight -1 over w: L_j - L_0 is a nonzero constant.
+    Entry 0 is None."""
+    L_0 = frame.L[0]
+    return [None] + [_Laurent(-1, (L_0 * L_j).scale((L_j - L_0).constant().inverse()), 1)
+                     for L_j in frame.L[1:]]
+
+
 def _r1_default(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
     """R1 off the diagonal on the default branch, once per frame: row 0
-    divides the connection's row 0 by p_0 - p_j, and ``_fill`` gives the
-    rest."""
+    divides the connection's row 0 by p_0 - p_j, a product with the Laurent
+    value 1/(p_0 - p_j), and ``_fill`` gives the rest."""
     if "r1_offdiagonal" not in frame.stages:
-        conn = connection_form(frame)
-        dp = _p_differences(frame)
+        conn = _connection_base(frame)
+        inv = _inverse_differences(frame)
         row = [EquivScalar.zero(frame.field, frame.u)] + [
-            EquivScalar.from_ratfunc(frame.rat_const(conn[0][j])) / dp[0][j]
-            for j in range(1, frame.u)]
+            (inv[j] * conn[0][j]).scalar() for j in range(1, frame.u)]
         frame.stages["r1_offdiagonal"] = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
     return frame.stages["r1_offdiagonal"]
 
@@ -719,14 +903,15 @@ def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     per_k = [None] + [sums[k] * (frame.xi ** k - fld.one).inverse()
                       * Fraction((-1) ** r, u ** 2) for k in range(1, u)]
     out = [[EquivScalar.zero(fld, u) for _ in range(u)] for _ in range(u)]
-    w = RatFunc.monomial(fld, u, 1)
+    w, L = Poly.monomial(fld, 1), frame.L
     for i in range(u):
         for j in range(u):
             if i == j:
                 continue
             # zeta^(j-i) xi^(-i) = zeta^(j - 3i)
             coeff = fld.zeta(j - 3 * i) * per_k[(j - i) % u]
-            rf = w * frame.a[i] * frame.a[j] * coeff
+            # w a_i a_j = L_i L_j / w, reduced as written: L_i(0) L_j(0) is not 0
+            rf = RatFunc(fld, u, (L[i] * L[j]).scale(coeff), w, reduce=False)
             out[i][j] = EquivScalar(fld, u, -1, rf)
     return out
 
@@ -768,16 +953,6 @@ def xi_constant_pair_identity(terms: list[tuple[CycNumber, CycNumber]]) -> bool:
     return total.is_zero()
 
 
-def _integrate_scalar(x: EquivScalar, constant_error: str) -> EquivScalar:
-    """Integrate the value in t.  A constant term there would violate
-    flatness silently, so it raises FlatnessError with ``constant_error``
-    formatted at the weight ``e``."""
-    try:
-        return EquivScalar(x.field, x.root_order, x.weight, x.value.integrate_in_t())
-    except NonIntegrableError as exc:
-        raise FlatnessError(constant_error.format(e=x.weight)) from exc
-
-
 def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[EquivScalar]:
     """Integrate the flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j)
     on the t-line, with integration constant zero; an integrand with a
@@ -795,12 +970,13 @@ def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[Equ
             term = off[i][j] * off[j][i] * dp[i][j]
             integrands[i] = integrands[i] - term
             integrands[j] = integrands[j] + term
-    return [_integrate_diagonal(f, i) for i, f in enumerate(integrands)]
+    return [_integrate_diagonal(_Laurent.of(f), i).scalar() for i, f in enumerate(integrands)]
 
 
-def _integrate_diagonal(f: EquivScalar, i: int) -> EquivScalar:
-    """Diagonal i of R1 from its integrand f (see ``_integrate_scalar``)."""
-    return _integrate_scalar(f, f"diagonal {i} integrand has a constant term at weight {{e}}")
+def _integrate_diagonal(f: _Laurent, i: int) -> _Laurent:
+    """Diagonal i of R1 from its integrand f.  A constant term there would
+    violate flatness silently, so it raises FlatnessError."""
+    return f.integrate(f"diagonal {i} integrand has a constant term at weight {{e}}")
 
 
 def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
@@ -819,14 +995,15 @@ def _first_order_default(frame: CanonicalFrame
                          ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
     """R1 off and on the diagonal on the default branch, once per frame:
     diagonal 0 is integrated from its r pair products, and diagonal i is
-    its rotation sigma^i."""
+    its rotation sigma^i.  Row 0 solves R1_0j (p_0 - p_j) = conn_0j, so the
+    pair product R1_0j R1_j0 (p_0 - p_j) is conn_0j R1_j0, a Laurent value."""
     if "first_order" not in frame.stages:
         off = _r1_default(frame)
-        dp = _p_differences(frame)
-        integrand = EquivScalar.zero(frame.field, frame.u)
+        conn = _connection_base(frame)
+        integrand = _Laurent(0, Poly.zero(frame.field))
         for j in range(1, frame.u):
-            integrand = integrand - off[0][j] * off[j][0] * dp[0][j]
-        diag = _integrate_diagonal(integrand, 0)
+            integrand = integrand - _Laurent.of(off[j][0]) * conn[0][j]
+        diag = _integrate_diagonal(integrand, 0).scalar()
         frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
                                                   for i in range(frame.u)))
     return frame.stages["first_order"]
@@ -935,14 +1112,8 @@ def genus_one_table(r: int, dmax: int) -> list[Fraction]:
 # --- the full order-by-order recursion -----------------------------------------
 
 
-def _identity_matrix(frame: CanonicalFrame) -> list[list[EquivScalar]]:
-    n = frame.r + 1
-    return [[EquivScalar.one(frame.field, frame.u) if i == j
-             else EquivScalar.zero(frame.field, frame.u) for j in range(n)] for i in range(n)]
-
-
-def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: int, j: int,
-                zero: EquivScalar) -> EquivScalar:
+def _conn_entry(conn: list[list[CycNumber]], mat: list[list[_Laurent]], i: int, j: int,
+                zero: _Laurent) -> _Laurent:
     """(conn mat)_{ij} for a constant matrix conn: entries are scaled, zeros skipped."""
     acc = zero
     for k, c in enumerate(conn[i]):
@@ -951,7 +1122,7 @@ def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: in
     return acc
 
 
-def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, b: int):
+def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: int):
     """R_a^T R_b of the default branch, memoised by (a, b).
 
     Only products with 0 < a <= b are multiplied, and only their row 0,
@@ -972,11 +1143,11 @@ def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, 
                 for k in range(1, len(A)):
                     acc = acc + A[k][0] * B[k][j]
                 row.append(acc)
-            memo[a, b] = _fill(row, EquivScalar.rotate)
+            memo[a, b] = _fill(row, _Laurent.rotate)
     return memo[a, b]
 
 
-def _unitarity_row(mats: list[list[list[EquivScalar]]], memo: dict, n: int) -> list[EquivScalar]:
+def _unitarity_row(mats: list[list[list[_Laurent]]], memo: dict, n: int) -> list[_Laurent]:
     """Row 0 of sum_{a=0..n} (-1)^a R_a^T R_(n-a).  Each R_a^T R_b obeys the
     rule of ``_fill``, so every entry of the sum is +-sigma^i of a row-0
     entry: the sum vanishes exactly when its row 0 does, and its first
@@ -1004,7 +1175,10 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     ``_fill``; the diagonal is integrated and calibrated once, at i = 0 (the
     constant is fixed by sigma), and rotated.  Each R_a^T R_b is formed once
     (see ``_transpose_product``), and each residual reads row 0 of its sum
-    (see ``_unitarity_row``).  Signs e give E R_n E at every order; the
+    (see ``_unitarity_row``).  Every entry is a Laurent value of weight -n
+    while the recursion runs (dividing by p_0 - p_j is a product with the
+    Laurent value of ``_inverse_differences``), and becomes an EquivScalar
+    only in the returned matrices.  Signs e give E R_n E at every order; the
     branch's R_a^T R_b are E R_a^T R_b E, which vanish exactly where the
     default branch's do.
 
@@ -1019,20 +1193,21 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     e = _branch_signs(r, signs)
     frame = frame_for(r)
     conn = connection_form(frame)
-    dp = _p_differences(frame)
-    size = r + 1
-    zero = EquivScalar.zero(frame.field, frame.u)
-    mats: list[list[list[EquivScalar]]] = [_identity_matrix(frame)]
-    products: dict[tuple[int, int], list[list[EquivScalar]]] = {}
+    inv = _inverse_differences(frame)
+    size, fld = r + 1, frame.field
+    zero, one = _Laurent(0, Poly.zero(fld)), _Laurent(0, Poly.one(fld))
+    mats: list[list[list[_Laurent]]] = [[[one if i == j else zero for j in range(size)]
+                                         for i in range(size)]]
+    products: dict[tuple[int, int], list[list[_Laurent]]] = {}
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
-        row = [zero] + [(_conn_entry(conn, prev, 0, j, zero) + prev[0][j].delta()) / dp[0][j]
+        row = [zero] + [(_conn_entry(conn, prev, 0, j, zero) + prev[0][j].delta()) * inv[j]
                         for j in range(1, size)]
-        new = _fill(row, EquivScalar.rotate)
+        new = _fill(row, _Laurent.rotate)
         # diagonal from the vanishing-diagonal condition of step n+1
-        diag = _integrate_scalar(-_conn_entry(conn, new, 0, 0, zero),
-                                 f"order {n}, diagonal 0: constant term at weight {{e}}")
+        diag = (-_conn_entry(conn, new, 0, 0, zero)).integrate(
+            f"order {n}, diagonal 0: constant term at weight {{e}}")
         if diag_mode == "unitarity" and n % 2 == 0:
             # 2 R_n[0][0] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{00} must vanish;
             # the recursion fixes R_n[0][0] only up to a constant, so align it
@@ -1041,12 +1216,11 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
                 term = _transpose_product(mats, products, a_idx, n - a_idx)[0][0]
                 mid = mid - term if a_idx % 2 else mid + term
             gap = mid * Fraction(-1, 2) - diag
-            items = gap.value.laurent_items()
-            if any(exp != 0 for exp in items):
+            const = gap.constant()
+            if const is None:
                 raise FlatnessError(f"order {n}, diagonal 0: unitarity gap is not a constant")
-            const = items.get(0)
-            if const is not None and not const.is_zero():
-                diag = diag + EquivScalar(frame.field, frame.u, gap.weight, frame.rat_const(const))
+            if not const.is_zero():
+                diag = diag + _Laurent(gap.weight, Poly(fld, [const]))
                 constants.update(((n, i), repr(const)) for i in range(size))
         for i in range(size):
             new[i][i] = diag.rotate(i)
@@ -1064,6 +1238,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         "unitarity_exact": residuals,
         "unitarity_first_nonzero": first_nonzero,
     }
+    out = [[[x.scalar() for x in row] for row in mat] for mat in mats]
     if e != [1] * size:
-        mats = [_branch(mat, e) for mat in mats]
-    return mats, report
+        out = [_branch(mat, e) for mat in out]
+    return out, report

@@ -1,5 +1,6 @@
 """Helpers that more than one test module reads: the product reference for
 the symmetric functions the canonical frame writes in closed form, the
+Laurent-polynomial reference for rational functions in w, the
 Fraction-valued references for the cohomology ring, and the perturbations of
 the Batyrev eigen formulas.  Not a test module, so pytest collects nothing
 here.
@@ -9,7 +10,49 @@ from fractions import Fraction
 from math import comb
 
 from qcflop import batyrev as bat
-from qcflop.algebra import FracSeries, elementary_symmetric
+from qcflop.algebra import FracSeries, RatFunc, elementary_symmetric
+
+
+class NonIntegrableError(ValueError):
+    """Raised by ``integrate_in_t`` when a constant term obstructs it."""
+
+
+class NotLaurentError(ValueError):
+    """Raised when a rational function is not a Laurent polynomial."""
+
+
+def is_laurent(f):
+    """Whether the reduced denominator of the RatFunc f is a monomial."""
+    return f.den.is_monomial()
+
+
+def laurent_items(f):
+    """Exponent -> coefficient map of a RatFunc with a monomial denominator;
+    the reference for the Laurent values of ``canonical``."""
+    if not is_laurent(f):
+        raise NotLaurentError(f"denominator {f.den} is not a monomial")
+    shift = f.den.monomial_exponent()
+    inv = f.den.coeffs[shift].inverse()
+    return {k - shift: c * inv for k, c in enumerate(f.num.coeffs) if not c.is_zero()}
+
+
+def from_laurent_items(field, root_order, items):
+    """The RatFunc sum of coeff * w^exp over ``items``, one reduced sum per term."""
+    out = RatFunc.zero(field, root_order)
+    for exp, c in items.items():
+        out = out + RatFunc.monomial(field, root_order, exp, c)
+    return out
+
+
+def integrate_in_t(f):
+    """Inverse of delta on Laurent polynomials: w^a -> (root_order/a) w^a.
+    A nonzero w^0 term has no such preimage and raises NonIntegrableError."""
+    out = {}
+    for a, c in laurent_items(f).items():
+        if a == 0:
+            raise NonIntegrableError(f"nonzero constant term {c} is not integrable")
+        out[a] = c * Fraction(f.root_order, a)
+    return from_laurent_items(f.field, f.root_order, out)
 
 
 def elementary_symmetric_omitting(values, omit, ring_one, es=None):

@@ -17,7 +17,7 @@ from qcflop.algebra import (
     elementary_symmetric,
 )
 
-from helpers import elementary_symmetric_omitting
+from helpers import elementary_symmetric_omitting, integrate_in_t, laurent_items
 
 RS = (1, 2, 3)
 # the r at which a shortcut is compared with the derivation it replaces
@@ -199,6 +199,12 @@ def plain_sym_omitting(frame, i):
     return elementary_symmetric(frame.a[:i] + frame.a[i + 1:], RatFunc.one(frame.field, frame.u))
 
 
+def plain_m_matrix(frame):
+    """M_{i,mu} = p_i^(mu - r), each entry a power of p_i."""
+    r = frame.r
+    return [[p_i ** (mu - r) for mu in range(r + 1)] for p_i in frame.p]
+
+
 def plain_m_inverse(frame):
     """(M^-1)_{mu, j} = (-1)^mu (q c_j/(r+1)) lam^(r - mu) S^j_mu(a), each
     column from its own symmetric functions."""
@@ -225,7 +231,7 @@ def plain_connection(frame, signs=None, pair_flip=None):
     r = frame.r
     e = signs or [1] * (r + 1)
     dMinv = [[x.delta() for x in row] for row in plain_m_inverse(frame)]
-    core = mat_mul(can.m_matrix(frame), dMinv)
+    core = mat_mul(plain_m_matrix(frame), dMinv)
     out = []
     for i in range(r + 1):
         row = []
@@ -246,8 +252,8 @@ def plain_connection(frame, signs=None, pair_flip=None):
 def plain_r1_offdiagonal(frame, conn):
     """conn_ij / (p_i - p_j) at every i != j, each divided."""
     zero = EquivScalar.zero(frame.field, frame.u)
-    return [[zero if i == j else EquivScalar.from_ratfunc(frame.rat_const(c))
-             / (frame.p[i] - frame.p[j]) for j, c in enumerate(row)]
+    return [[zero if i == j else frame.lam(0, c) / (frame.p[i] - frame.p[j])
+             for j, c in enumerate(row)]
             for i, row in enumerate(conn)]
 
 
@@ -255,7 +261,7 @@ def test_m_matrix_inverse_exact():
     for r in RS:
         frame = can.build_spectrum(r)
         assert m_inverse(frame) == plain_m_inverse(frame)
-        prod = mat_mul(can.m_matrix(frame), m_inverse(frame))
+        prod = mat_mul(plain_m_matrix(frame), m_inverse(frame))
         for i, row in enumerate(prod):
             for j, entry in enumerate(row):
                 assert entry == (1 if i == j else 0)
@@ -494,7 +500,7 @@ def test_factored_pairing_and_duality_match_the_expanded_basis(r):
 
 def integrate(x):
     """Integrate the value of an EquivScalar in t."""
-    return EquivScalar(x.field, x.root_order, x.weight, x.value.integrate_in_t())
+    return EquivScalar(x.field, x.root_order, x.weight, integrate_in_t(x.value))
 
 
 def signed_sum(mats, n, lo):
@@ -507,16 +513,15 @@ def signed_sum(mats, n, lo):
     return acc
 
 
-def plain_r_matrix_recursion(r, order, diag_mode):
+def plain_r_matrix_recursion(r, order, diag_mode, signs=None):
     """The recursion with every product a full mat_mul: the plain connection
-    as a matrix of scalars, the whole of both connection products, every
-    entry divided and integrated, and each R_a^T R_b multiplied wherever it
-    is used."""
+    as a matrix of scalars on the branch of ``signs``, the whole of both
+    connection products, every entry divided and integrated, and each
+    R_a^T R_b multiplied wherever it is used."""
     frame = can.build_spectrum(r)
     size = r + 1
     zero = EquivScalar.zero(frame.field, frame.u)
-    conn = [[EquivScalar(frame.field, frame.u, 0, frame.rat_const(c)) for c in row]
-            for row in plain_connection(frame)]
+    conn = [[frame.lam(0, c) for c in row] for row in plain_connection(frame, signs)]
     dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
     mats = [[[EquivScalar.one(frame.field, frame.u) if i == j else zero for j in range(size)]
              for i in range(size)]]
@@ -534,9 +539,8 @@ def plain_r_matrix_recursion(r, order, diag_mode):
             for i in range(size):
                 gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
                 if not gap.is_zero():
-                    const = gap.value.laurent_items()[0]
-                    new[i][i] = new[i][i] + EquivScalar(frame.field, frame.u, gap.weight,
-                                                        frame.rat_const(const))
+                    const = laurent_items(gap.value)[0]
+                    new[i][i] = new[i][i] + frame.lam(gap.weight, const)
                     constants[f"{n},{i}"] = repr(const)
         mats.append(new)
     residuals = {n: all(x.is_zero() for row in signed_sum(mats, n, 0) for x in row)
@@ -544,17 +548,66 @@ def plain_r_matrix_recursion(r, order, diag_mode):
     return mats, constants, residuals
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_laurent_values_match_the_reduced_scalars(r):
+    # the entries of R_1 and R_2, a product of two and a sum of two Laurent
+    # values, against the same operations on reduced rational functions
+    laurent = can._Laurent
+    mats, _ = can.r_matrix_recursion(r, 2)
+    xs = [x for mat in mats[1:] for row in mat for x in row if not x.is_zero()]
+    w = Poly.monomial(xs[0].field, 1)
+    for k, x in enumerate(xs):
+        lx = laurent.of(x)
+        assert lx.scalar() == x
+        # a power of w left in the numerator is cancelled on the way out
+        assert laurent(lx.weight, lx.num * w ** 2, lx.low + 2).scalar() == x
+        assert lx.delta().scalar() == x.delta()
+        assert lx.rotate(k % (r + 1)).scalar() == x.rotate(k % (r + 1))
+        assert (-lx).scalar() == -x
+        assert (lx * Fraction(3, 2)).scalar() == x * Fraction(3, 2)
+        y = xs[(7 * k + 3) % len(xs)]
+        assert (lx * laurent.of(y)).scalar() == x * y
+        if x.weight == y.weight:
+            assert (lx + laurent.of(y)).scalar() == x + y
+            assert (lx - laurent.of(y)).scalar() == x - y
+        else:
+            with pytest.raises(InhomogeneousError):
+                lx + laurent.of(y)
+        if 0 in laurent_items(x.value):
+            with pytest.raises(can.FlatnessError, match="^at weight -[12]$"):
+                lx.integrate("at weight {e}")
+        else:
+            assert lx.integrate("").scalar() == integrate(x)
+        assert lx.constant() is None
+    one = EquivScalar.one(xs[0].field, xs[0].root_order)
+    assert laurent.of(one * 5).constant() == 5
+    with pytest.raises(ValueError, match="is not a polynomial over a power of w"):
+        laurent.of(can.build_spectrum(r).p[0])
+
+
 @pytest.mark.parametrize("diag_mode", ["unitarity", "zero"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
-    mats, report = can.r_matrix_recursion(r, 3, diag_mode)
-    want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, 3, diag_mode)
+    order = 6 if r <= 4 else 3
+    mats, report = can.r_matrix_recursion(r, order, diag_mode)
+    want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, order, diag_mode)
     assert mats == want_mats
     assert report["constants"] == want_constants
     assert report["unitarity_exact"] == want_residuals
     assert report["diagonal_mode"] == diag_mode
     failing = {n for n, ok in want_residuals.items() if not ok}
     assert report["unitarity_first_nonzero"].keys() == failing
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_r_matrix_shortcuts_match_a_plain_recursion_on_a_signs_branch(r):
+    # the plain recursion runs on the branch's own connection, not a gauge
+    signs = [1] * r + [-1]
+    mats, report = can.r_matrix_recursion(r, 6, signs=signs)
+    want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, 6, "unitarity", signs)
+    assert mats == want_mats
+    assert report["constants"] == want_constants
+    assert report["unitarity_exact"] == want_residuals
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -675,7 +728,7 @@ def reference_r1_diagonal(frame, off):
         for j in range(r + 1):
             if j != i:
                 integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
-        if 0 in integrand.value.laurent_items():
+        if 0 in laurent_items(integrand.value):
             raise can.FlatnessError(
                 f"diagonal {i} integrand has a constant term at weight {integrand.weight}")
         out.append(integrate(integrand))
@@ -1005,7 +1058,10 @@ def test_closed_form_symmetric_functions_match_the_products(r):
     assert can._linear_factors(frame) == tuple(es)
     for i in range(r + 1):
         want = elementary_symmetric_omitting(frame.L, i, one, es)
+        # E^i_r written down alone, then the whole row, then E^i_r read from it
+        assert can._product_omitting(frame, i) == want[-1]
         assert can._sym_omitting(frame, i) == tuple(want)
+        assert can._product_omitting(frame, i) is can._sym_omitting(frame, i)[-1]
     assert can.m_inverse_column(frame) == [row[0] for row in plain_m_inverse(frame)]
 
 
@@ -1500,11 +1556,13 @@ def test_control_a_diagonal_rotated_to_the_wrong_index(capsys, monkeypatch, shif
 # --- negative controls of the anchors that compare one value or one window ----------
 
 
-def one_spectrum_root(monkeypatch):
-    frame = can.build_spectrum(2)
-    frame.p[1] = frame.p[1] * 2
-    monkeypatch.setattr(can, "_FRAMES", {2: frame})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
+def one_spectrum_root(i):
+    def perturb(monkeypatch):
+        frame = can.build_spectrum(2)
+        frame.p[i] = frame.p[i] * 2
+        monkeypatch.setattr(can, "_FRAMES", {2: frame})
+        monkeypatch.setattr(can, "_GENUS_ONE", {})
+    return perturb
 
 
 def one_pairing_weight_at(d0):
@@ -1515,21 +1573,24 @@ def one_pairing_weight_at(d0):
     return perturb
 
 
-# anchor -> (perturbation, the failing residual, an anchor that must still pass)
+# anchor -> [(perturbation, the failing residual, an anchor that must still pass), ...]
 VALUE_CONTROLS = {
-    # m_matrix reads p_0 only, so the other rows' checks see nothing of it
-    "appendix/spectrum-char-residual": (
-        one_spectrum_root, "first failing i = 1: q (lam - p_i)^(r+1) is not p_i^(r+1)",
-        "appendix/charpoly-coefficients-in-g"),
+    # only the residual reads the roots p_i, so the other checks see nothing
+    # of a changed root; the residual is formed at i = 0 and rotated to each
+    # i whose root is sigma^i(p_0), so a changed p_0 fails at 0 and a
+    # changed p_1 at 1
+    "appendix/spectrum-char-residual": [
+        (one_spectrum_root(i), f"first failing i = {i}: q (lam - p_i)^(r+1) is not p_i^(r+1)",
+         "appendix/charpoly-coefficients-in-g") for i in (0, 1)],
     # C(2r-d, r-d) at d = r is 1; make it 2
-    "appendix/pairing-closed-form": (
+    "appendix/pairing-closed-form": [(
         one_pairing_weight_at(2), "first failing (k, l) = (2, 0): the pairing is not lam^-3",
-        "appendix/idempotent-duality"),
+        "appendix/idempotent-duality")],
     # at d = 0 the weight enters every window term with k = 0, and not p^r's pairing
-    "appendix/pairing-vanishing-window": (
+    "appendix/pairing-vanishing-window": [(
         one_pairing_weight_at(0),
         "first failing k = 0: the pairing of (p/lam)^k (1 - p/lam)^(2r-k) is not zero",
-        "appendix/pairing-closed-form"),
+        "appendix/pairing-closed-form")],
 }
 
 
@@ -1543,10 +1604,11 @@ def test_value_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
 
 @pytest.mark.parametrize("anchor", sorted(VALUE_CONTROLS))
 def test_control_value_anchor(capsys, monkeypatch, anchor):
-    perturb, residual, sibling = VALUE_CONTROLS[anchor]
-    perturb(monkeypatch)
-    code, entries = verify_appendix_r2(capsys)
-    assert code == 1
-    assert entries[anchor]["status"] == "fail"
-    assert entries[anchor]["residual"] == residual
-    assert entries[sibling]["status"] == "pass"
+    for perturb, residual, sibling in VALUE_CONTROLS[anchor]:
+        with monkeypatch.context() as patch:
+            perturb(patch)
+            code, entries = verify_appendix_r2(capsys)
+        assert code == 1
+        assert entries[anchor]["status"] == "fail"
+        assert entries[anchor]["residual"] == residual
+        assert entries[sibling]["status"] == "pass"
