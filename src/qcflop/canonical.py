@@ -53,7 +53,7 @@ and their symmetric functions are written down with no product:
 ``_sym_omitting`` E^i_k = e_k(L_l : l != i) = w^k S^i_k(a) =
 sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m), whose last, E^i_r = D/L_i,
 ``_product_omitting`` writes down alone.  ``charpoly_coefficients``,
-``term_log_delta``, ``delta_i``, ``_p_differences``, ``m_inverse_column``
+``term_log_delta``, ``delta_i``, ``_p_differences``, ``_m_inverse_column``
 and ``_spectrum_sum`` are built from these factors, and ``delta_product``
 forms prod_i Delta_i over D^(2r).
 
@@ -450,11 +450,7 @@ def _sym_omitting(frame: CanonicalFrame, omit: int) -> tuple[Poly, ...]:
 
 def _product_omitting(frame: CanonicalFrame, omit: int) -> Poly:
     """E^omit_r = D / L_omit = sum_m (-L_omit(0))^m w^(r-m), the last of
-    ``_sym_omitting(frame, omit)``: read from it once it is built, else
-    written down without the rest of it."""
-    built = frame.stages.get("sym_omitting", {})
-    if omit in built:
-        return built[omit][-1]
+    ``_sym_omitting(frame, omit)``, written down without the rest of it."""
     return Poly(frame.field, _omitted_powers(frame, omit)[::-1])
 
 
@@ -630,23 +626,15 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
 def _spectrum_sum(frame: CanonicalFrame, xs) -> EquivScalar:
     """sum_i x_i p_i for Laurent values x_i of one weight, over the known
     denominator: p_i = lam w / L_i, so the sum is lam w sum_i x_i E^i_r / D
-    with E^i_r = prod_(l != i) L_l.  One reduction, where a sum of rational
-    functions reduces once per term."""
+    with E^i_r = prod_(l != i) L_l.  The sum is taken in Laurent values and
+    reduced once, where a sum of rational functions reduces once per term."""
     fld, u = frame.field, frame.u
-    weights = {x.weight for x in xs if not x.is_zero()}
-    if len(weights) > 1:
-        raise InhomogeneousError(f"adding weights {sorted(weights)} over the spectrum")
-    # each x_i is num_i / w^m_i (a reduced monomial denominator is monic), so
-    # with m the largest m_i each w x_i is num_i w^(m + 1 - m_i) over w^m
-    m = max(x.value.den.degree for x in xs)
-    num = Poly.zero(fld)
+    total = _Laurent(0, Poly.zero(fld))
     for i, x in enumerate(xs):
-        if not x.value.den.is_monomial():
-            raise ValueError(f"{x.value} is not a polynomial over a power of w")
-        shift = Poly.monomial(fld, m + 1 - x.value.den.degree)
-        num = num + x.value.num * shift * _product_omitting(frame, i)
-    value = RatFunc(fld, u, num, Poly.monomial(fld, m) * _linear_factors(frame)[-1])
-    return EquivScalar(fld, u, weights.pop() + 1 if weights else 0, value)
+        total = total + _Laurent.of(x) * _Laurent(0, _product_omitting(frame, i))
+    num = total.num * Poly.monomial(fld, 1)
+    value = RatFunc(fld, u, num, Poly.monomial(fld, total.low) * _linear_factors(frame)[-1])
+    return EquivScalar(fld, u, total.weight + 1, value)
 
 
 def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
@@ -670,20 +658,19 @@ def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
 # --- transition matrix and connection -----------------------------------------
 
 
-def m_inverse_column(frame: CanonicalFrame) -> list[EquivScalar]:
-    """Column 0 of M^-1, (M^-1)_{mu, 0} = (-1)^mu (q c_0/(r+1)) lam^(r - mu) S^0_mu(a).
+def _m_inverse_column(frame: CanonicalFrame) -> list[_Laurent]:
+    """Column 0 of M^-1 in Laurent values,
+    (M^-1)_{mu, 0} = (-1)^mu (q c_0/(r+1)) lam^(r - mu) S^0_mu(a).
 
     With q c_0 = L_0(0) w^r and S^0_mu(a) = E^0_mu / w^mu, entry mu is
     lam^(r - mu) times the polynomial (-1)^mu L_0(0) w^(r - mu) E^0_mu/(r+1).
     Column j is sigma^j of it, since sigma fixes q and sends c_0 to c_j and
     S^0_mu(a) to S^j_mu(a); ``connection_form`` reads column 0 only.
     """
-    r, fld, u = frame.r, frame.field, frame.u
-    one = Poly.one(fld)
-    pref = frame.L[0].constant() * Fraction(1, u)
-    return [EquivScalar(fld, u, r - mu, RatFunc(
-        fld, u, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s, one, reduce=False))
-        for mu, s in enumerate(_sym_omitting(frame, 0))]
+    r, fld = frame.r, frame.field
+    pref = frame.L[0].constant() * Fraction(1, frame.u)
+    return [_Laurent(r - mu, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s)
+            for mu, s in enumerate(_sym_omitting(frame, 0))]
 
 
 def mat_transpose(A: list[list]) -> list[list]:
@@ -772,8 +759,7 @@ def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]
     if "connection" not in frame.stages:
         one = Poly.one(frame.field)
         # Q_m from the entry mu = r - m of column 0
-        q = [_Laurent(-m, one) * _Laurent.of(x).delta()
-             for m, x in enumerate(reversed(m_inverse_column(frame)))]
+        q = [_Laurent(-m, one) * x.delta() for m, x in enumerate(reversed(_m_inverse_column(frame)))]
         # times the lcm of their denominators the Q_m have integer rows, so
         # the sums below take no gcd; each g_e is divided by it at the end
         den = lcm(*(x.num.den for x in q))

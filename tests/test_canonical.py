@@ -218,11 +218,16 @@ def plain_m_inverse(frame):
     return [[cols[j][mu] for j in range(u)] for mu in range(u)]
 
 
+def m_inverse_column(frame):
+    """Column 0 of M^-1 as ``can._m_inverse_column`` holds it, as EquivScalars."""
+    return [x.scalar() for x in can._m_inverse_column(frame)]
+
+
 def m_inverse(frame):
     """All of M^-1, column j the rotation sigma^j of column 0
-    (``can.m_inverse_column``): sigma fixes q and sends c_0 to c_j and
+    (``can._m_inverse_column``): sigma fixes q and sends c_0 to c_j and
     S^0_mu(a) to S^j_mu(a)."""
-    return [[x.rotate(j) for j in range(frame.u)] for x in can.m_inverse_column(frame)]
+    return [[x.rotate(j) for j in range(frame.u)] for x in m_inverse_column(frame)]
 
 
 def plain_connection(frame, signs=None, pair_flip=None):
@@ -1058,11 +1063,9 @@ def test_closed_form_symmetric_functions_match_the_products(r):
     assert can._linear_factors(frame) == tuple(es)
     for i in range(r + 1):
         want = elementary_symmetric_omitting(frame.L, i, one, es)
-        # E^i_r written down alone, then the whole row, then E^i_r read from it
         assert can._product_omitting(frame, i) == want[-1]
         assert can._sym_omitting(frame, i) == tuple(want)
-        assert can._product_omitting(frame, i) is can._sym_omitting(frame, i)[-1]
-    assert can.m_inverse_column(frame) == [row[0] for row in plain_m_inverse(frame)]
+    assert m_inverse_column(frame) == [row[0] for row in plain_m_inverse(frame)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -1082,7 +1085,7 @@ def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
         can._sym_omitting(frame, i)
     can._p_differences(frame)
     can.delta_i(frame)
-    can.m_inverse_column(frame)
+    can._m_inverse_column(frame)
     assert calls == []
 
 
