@@ -6,14 +6,14 @@ The scalars may be Fractions, ``CycNumber``s or ``RatFunc``s, anything with
 update touches only the columns where the pivot row is nonzero, so the work
 follows the fill of the matrix rather than its square.
 
-There is one matrix format: ``det`` and ``solve`` take a matrix as a list
-of such sparse rows.  Both read the result of ``row_reduce``, whose pivot
-columns give the rank; a caller with several right-hand sides augments the
-rows with all of them and reduces once.
+There is one matrix format, a list of such sparse rows, and one elimination,
+``row_reduce``, whose pivot columns give the rank.  ``det`` reads its scale;
+a caller that solves for several right-hand sides augments the rows with all
+of them and reduces once.
 
-The sparse exact values (cohomology classes, loop vectors, Fock operators,
-continuation-ring elements) are term maps {key: nonzero coefficient}, built by
-four operations: ``add_term`` accumulates one term into a map in place, and
+The sparse exact values (cohomology classes, Fock operators, continuation-ring
+elements) are term maps {key: nonzero coefficient}, built by four
+operations: ``add_term`` accumulates one term into a map in place, and
 ``add_terms`` (sum or difference), ``mul_terms`` (keys are exponent tuples,
 added componentwise) and ``scale_terms`` return new maps.  Their one zero
 rule: a coefficient is zero when its truth value is false, which ``Fraction``,
@@ -23,10 +23,6 @@ rule: a coefficient is zero when its truth value is false, which ``Fraction``,
 from __future__ import annotations
 
 from operator import add
-
-
-class InconsistentSystemError(ValueError):
-    """Raised when a linear system has no solution."""
 
 
 def add_term(target: dict, key, value) -> None:
@@ -116,25 +112,3 @@ def det(rows: list[dict], one):
     n = len(rows)
     pivots, scale = row_reduce([dict(row) for row in rows], one, n)
     return scale if len(pivots) == n else one - one
-
-
-def solve(rows: list[dict], ncols: int, rhs: list, one) -> tuple[list, list[int]]:
-    """A solution x of M . x = rhs, for the matrix M with ``ncols`` columns
-    given by its sparse rows, and the pivot columns.
-
-    The number of pivot columns is the rank; unknowns outside them are free
-    and come out as zero.  Raises InconsistentSystemError when no solution
-    exists.
-    """
-    zero = one - one
-    rows = [dict(row) for row in rows]
-    for row, b in zip(rows, rhs):
-        if b != zero:
-            row[ncols] = b
-    pivots, _ = row_reduce(rows, one, ncols)
-    if any(rows[len(pivots):]):
-        raise InconsistentSystemError("the right-hand side is outside the column span")
-    x = [zero] * ncols
-    for row, col in zip(rows, pivots):
-        x[col] = row.get(ncols, zero)
-    return x, pivots

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from qcflop.algebra.cyclotomic import CycField, CycNumber, _lowest_terms, _reduce, _vector
+from qcflop.algebra.cyclotomic import CycField, CycNumber, _lowest_terms, _reduce, _times_root, _vector
 from qcflop.algebra.power import binary_power
 
 
@@ -261,6 +261,18 @@ class Poly:
         for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
+
+    def deck_rotate(self, i: int, ref: int) -> "Poly":
+        """xi^(i ref) p(xi^(-i) w) over Q(zeta_(2u)), xi = zeta^2, u half the
+        field order: row k times zeta^(2i(ref - k)), a root shift per row.
+        The deck rotation moves a quotient with one ``ref`` for both parts:
+        deg den in ``RatFunc.rotate``, which keeps den monic, and the power
+        of w of a Laurent value of the canonical frame."""
+        f = self.field
+        u = f.order // 2
+        rows = tuple(row if (ref - k) * i % u == 0 else tuple(_times_root(row, 2 * i * (ref - k), 1, f))
+                     for k, row in enumerate(self.rows))
+        return Poly._raw(f, rows, self.den)
 
     def reversed_coeffs(self, upto: int) -> "Poly":
         """The polynomial w^upto * p(1/w); requires upto >= degree."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qcflop.algebra.cyclotomic import CycField, CycNumber, _mul_vec, _times_root
+from qcflop.algebra.cyclotomic import CycField, CycNumber, _mul_vec
 from qcflop.algebra.poly import Poly
 
 
@@ -281,21 +281,14 @@ class RatFunc:
         sigma: w -> xi^(-1) w of the cover w -> q = w^u, over Q(zeta_(2u)).
 
         Coefficient k of num and den is multiplied by zeta^(2i(D - k)),
-        D = deg den, so den stays monic; sigma is an automorphism and
-        zeta^m a unit, so the form stays canonical with no gcd.
+        D = deg den, so den stays monic (``Poly.deck_rotate``); sigma is an
+        automorphism and zeta^m a unit, so the form stays canonical with no
+        gcd.
         """
-        f = self.field
-        if f.order != 2 * self.root_order:
+        if self.field.order != 2 * self.root_order:
             raise ValueError("the deck rotation needs the field Q(zeta_(2u))")
         top = self.den.degree
-
-        def moved(poly: Poly) -> Poly:
-            rows = tuple(row if (top - k) * i % self.root_order == 0
-                         else tuple(_times_root(row, 2 * i * (top - k), 1, f))
-                         for k, row in enumerate(poly.rows))
-            return Poly._raw(f, rows, poly.den)
-
-        return self._new(moved(self.num), moved(self.den))
+        return self._new(self.num.deck_rotate(i, top), self.den.deck_rotate(i, top))
 
     def subs_reciprocal(self) -> "RatFunc":
         """The rational function f(1/w), as w^top n(1/w) / (w^top d(1/w))

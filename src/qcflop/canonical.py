@@ -132,7 +132,6 @@ from qcflop.algebra import (
     RatFunc,
     elementary_symmetric,  # noqa: F401  the alias check of perfbench/test_bench.py reads it
 )
-from qcflop.algebra.cyclotomic import _times_root
 
 
 class FlatnessError(ValueError):
@@ -251,13 +250,9 @@ class _Laurent:
 
     def rotate(self, i: int) -> "_Laurent":
         """sigma^i, w -> xi^(-i) w: the coefficient of w^e times
-        xi^(-ie) = zeta^(-2ie), a root shift per row (see ``RatFunc.rotate``)."""
-        num, low = self.num, self.low
-        f = num.field
-        u = f.order // 2
-        rows = tuple(row if (k - low) * i % u == 0 else tuple(_times_root(row, 2 * i * (low - k), 1, f))
-                     for k, row in enumerate(num.rows))
-        return _Laurent(self.weight, Poly._raw(f, rows, num.den), low)
+        xi^(-ie) = zeta^(-2ie), a root shift per row of the numerator with
+        ``low`` as its reference exponent (``Poly.deck_rotate``)."""
+        return _Laurent(self.weight, self.num.deck_rotate(i, self.low), self.low)
 
 
 # --- frame -------------------------------------------------------------------
@@ -505,13 +500,6 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
 
 
-def _twisted(frame: CanonicalFrame, p: Poly, i: int, k: int) -> Poly:
-    """xi^(ik) sigma^i(p) for a polynomial p in w: ``RatFunc.rotate`` of p over
-    w^k multiplies coefficient m by xi^(i(k - m)) and leaves w^k alone."""
-    over = Poly.monomial(frame.field, k)
-    return RatFunc(frame.field, frame.u, p, over, reduce=False).rotate(i).num
-
-
 def by_orbit(frame: CanonicalFrame, *derives) -> list:
     """For each of ``derives`` (``du_of_eps`` or ``eps_pairing``), a function
     of (i, j) giving ``derive(frame, i, j)`` that derives row 0 only,
@@ -520,18 +508,19 @@ def by_orbit(frame: CanonicalFrame, *derives) -> list:
 
     sigma^i sends eps_0 to eps_i when pref_i = sigma^i(pref_0) and
     s_ik w^k = xi^(ik) sigma^i(s_0k w^k) for every k, and L_i =
-    xi^i sigma^i(L_0); each index is checked once, by polynomial rotation,
-    with no reduction.  When i, j and (j - i) mod (r+1) all pass, sigma^i
-    carries the inputs of (0, j - i) onto those of (i, j), and both values
-    are reduced rational functions, so the rotated value is the derived one.
+    xi^i sigma^i(L_0); each index is checked once, by polynomial rotation
+    (xi^(ik) sigma^i(p) is ``p.deck_rotate(i, k)``), with no reduction.
+    When i, j and (j - i) mod (r+1) all pass, sigma^i carries the inputs of
+    (0, j - i) onto those of (i, j), and both values are reduced rational
+    functions, so the rotated value is the derived one.
     Any other pair is derived directly.
     """
     u = frame.u
     prefs, signed = _eps_factors(frame)
     covariant = [True] + [
-        frame.L[i] == _twisted(frame, frame.L[0], i, 1)
-        and prefs[i] == _twisted(frame, prefs[0], i, 0)
-        and all(s == _twisted(frame, s0, i, k)
+        frame.L[i] == frame.L[0].deck_rotate(i, 1)
+        and prefs[i] == prefs[0].deck_rotate(i, 0)
+        and all(s == s0.deck_rotate(i, k)
                 for k, (s, s0) in enumerate(zip(signed[i], signed[0])))
         for i in range(1, u)]
 
@@ -846,11 +835,16 @@ def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]
 
 def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
     """1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) for j = 1..r, each a
-    Laurent value of weight -1 over w: L_j - L_0 is a nonzero constant.
-    Entry 0 is None."""
-    L_0 = frame.L[0]
-    return [None] + [_Laurent(-1, (L_0 * L_j).scale((L_j - L_0).constant().inverse()), 1)
-                     for L_j in frame.L[1:]]
+    Laurent value of weight -1 over w.  Entry 0 is None.
+
+    L_j - L_0 = (-1)^r (xi^j - 1) is a nonzero constant, and for x^u = 1 != x,
+    sum_(mu=1..u-1) mu x^mu = u/(x - 1), so 1/(L_j - L_0) = (-1)^r
+    ``_frame_mu_sums(frame)[j]`` / u: the frame holds the inverse, and no
+    field inverse is taken."""
+    L_0, sums = frame.L[0], _frame_mu_sums(frame)
+    scale = Fraction((-1) ** frame.r, frame.u)
+    return [None] + [_Laurent(-1, (L_0 * L_j).scale(sums[j] * scale), 1)
+                     for j, L_j in enumerate(frame.L[1:], 1)]
 
 
 def _r1_default(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:

@@ -11,6 +11,11 @@ variable is read as G.
 G, its deltas and the chain-rule polynomials depend on r only through the
 sign s = (-1)^(r+1), so the ladder G, delta G, delta^2 G, ... is derived once
 per sign for the process: r = 1, 3, 5, ... share one, r = 2, 4, ... the other.
+
+The continuation ring (``RingRElement``) is what the continuation map
+``flop_transform`` reads and returns: polynomials in a formal symbol G over
+monomials in the two curve classes.  The map acts on those terms alone, so
+the ring holds only the terms and their equality.
 """
 
 from __future__ import annotations
@@ -18,19 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from qcflop.algebra import CycField, Poly, RatFunc, linalg
-from qcflop.algebra.linalg import add_term, add_terms, mul_terms, scale_terms
+from qcflop.algebra import CycField, Poly, RatFunc
+from qcflop.algebra.linalg import add_term
 from qcflop import cohomology as coh
 
 Q = CycField(1)
-
-
-class NotOfFiniteFormError(ValueError):
-    """Raised when a series does not fit the finite polynomial-in-G form."""
-
-
-class NonUniqueFitError(ValueError):
-    """Raised when a series fits the finite form in more than one way."""
 
 
 def q_var() -> RatFunc:
@@ -185,11 +182,13 @@ def fp_generating_invariance(m: int) -> bool:
 
 
 class RingRElement:
-    """Polynomial in the formal symbol G over Laurent-in-q^l, poly-in-q^g terms.
+    """An element of the continuation ring, as ``flop_transform`` reads it:
+    a polynomial in the formal symbol G over Laurent monomials in q^l and
+    monomials in q^g.
 
-    Terms map (l_exponent, g_exponent, G_degree) -> Fraction with
-    g_exponent >= 0; G is transcendental here, its relation to q enters only
-    at evaluation time.
+    Terms map (l_exponent, g_exponent, G_degree) -> Fraction, with
+    g_exponent >= 0 and G_degree >= 0; a zero coefficient drops its term.
+    G is transcendental here: the map never evaluates it as a function of q.
     """
 
     __slots__ = ("r", "terms")
@@ -201,32 +200,6 @@ class RingRElement:
         self.r = r
         self.terms = {key: Fraction(c) for key, c in terms.items() if c}
 
-    @classmethod
-    def g_symbol(cls, r: int) -> "RingRElement":
-        return cls(r, {(0, 0, 1): Fraction(1)})
-
-    @classmethod
-    def q_monomial(cls, r: int, el: int, eg: int = 0) -> "RingRElement":
-        return cls(r, {(el, eg, 0): Fraction(1)})
-
-    @classmethod
-    def finite_form(cls, r: int, d2: int, polys: list[Poly]) -> "RingRElement":
-        """q^(d2 g) (p_0(G) + q^l p_1(G) + ... + q^(d2 l) p_d2(G)), for
-        polynomials p_j in G with rational coefficients."""
-        if len(polys) != d2 + 1:
-            raise ValueError("need exactly d2 + 1 polynomials")
-        return cls(r, {(j, d2, k): c.as_rational()
-                       for j, p in enumerate(polys) for k, c in enumerate(p.coeffs)})
-
-    def __add__(self, other: "RingRElement") -> "RingRElement":
-        return RingRElement(self.r, add_terms(self.terms, other.terms))
-
-    def __mul__(self, other: "RingRElement") -> "RingRElement":
-        return RingRElement(self.r, mul_terms(self.terms, other.terms))
-
-    def scale(self, c) -> "RingRElement":
-        return RingRElement(self.r, scale_terms(self.terms, c))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingRElement):
             return NotImplemented
@@ -234,24 +207,6 @@ class RingRElement:
 
     def __hash__(self):
         return hash((self.r, tuple(sorted(self.terms.items()))))
-
-    def contact_weight(self) -> int:
-        """The common fiber-class exponent d2, when it is uniform."""
-        weights = {eg for (_, eg, _) in self.terms}
-        if len(weights) != 1:
-            raise ValueError("element mixes contact weights")
-        return weights.pop()
-
-    def delta(self) -> "RingRElement":
-        """q^l d/dq^l; stays inside the ring since delta G = G + (-1)^(r+1) G^2."""
-        sign = (-1) ** (self.r + 1)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (el, eg, k), c in self.terms.items():
-            # product rule on q^(el) * G^k, with k G^(k-1) (G + sign G^2) from G^k
-            add_term(out, (el, eg, k), c * (el + k))
-            if k:
-                add_term(out, (el, eg, k + 1), c * k * sign)
-        return RingRElement(self.r, out)
 
 
 def flop_transform(x: RingRElement) -> RingRElement:
@@ -264,55 +219,3 @@ def flop_transform(x: RingRElement) -> RingRElement:
         for j in range(k + 1):
             add_term(out, (eg - el, eg, j), c * comb(k, j) * sign ** (k - j) * (-1) ** j)
     return RingRElement(x.r, out)
-
-
-def ring_element_series(x: RingRElement, order: int) -> dict[int, list[Fraction]]:
-    """Expansion in q^l through the given order, grouped by fiber exponent.
-
-    Returns eg -> dense coefficient list in q^l (index = l-exponent); requires
-    all l-exponents to be nonnegative after evaluation (true for effective
-    elements at d2 >= 0).
-    """
-    g = g_function(x.r)
-    out: dict[int, list[Fraction]] = {}
-    for (el, eg, k), c in x.terms.items():
-        if el < 0:
-            raise ValueError("series expansion needs nonnegative extremal exponents")
-        series = (g ** k).series_expand(order)
-        row = out.setdefault(eg, [Fraction(0)] * (order + 1))
-        for d, coeff in enumerate(series):
-            if el + d <= order:
-                row[el + d] += c * coeff.as_rational()
-    return out
-
-
-def g_polynomial_fit(series: list[Fraction], d2: int, degree_bound: int, r: int) -> list[Poly]:
-    """Fit a q^l-series to the form sum_j q^(j l) p_j(G), j = 0..d2, and
-    return the polynomials p_j in G.
-
-    The linear system in the (d2+1)(degree_bound+1) unknown coefficients is
-    solved exactly; extra series coefficients must be consistent, else
-    NotOfFiniteFormError.  The fit must be unique: when the series leaves an
-    unknown free, NonUniqueFitError names the free ones.  That is always the
-    case for d2 >= 1 with degree_bound >= 1, since q (1 + (-1)^(r+1) G) = G
-    relates the blocks q G, q and G.
-    """
-    width = degree_bound + 1
-    unknowns = [(j, k) for j in range(d2 + 1) for k in range(width)]
-    rows = len(series)
-    if rows < len(unknowns):
-        raise ValueError("not enough series coefficients to determine the fit")
-    g = g_function(r)
-    # the unknown (j, k) multiplies q^(j l) G^k
-    powers = [[c.as_rational() for c in (g ** k).series_expand(rows - 1)] for k in range(width)]
-    matrix = [{col: powers[k][i - j] for col, (j, k) in enumerate(unknowns)
-               if i >= j and powers[k][i - j]} for i in range(rows)]
-    try:
-        x, pivots = linalg.solve(matrix, len(unknowns), [Fraction(c) for c in series], Fraction(1))
-    except linalg.InconsistentSystemError:
-        raise NotOfFiniteFormError("series is not of the finite polynomial-in-G form") from None
-    if len(pivots) < len(unknowns):
-        free = [unknowns[col] for col in sorted(set(range(len(unknowns))) - set(pivots))]
-        raise NonUniqueFitError(f"the fit is not unique: rank {len(pivots)} of {len(unknowns)}, "
-                                f"free unknowns (j, k) = {', '.join(map(str, free))}")
-    return [Poly(Q, x[j * width:(j + 1) * width]) for j in range(d2 + 1)]

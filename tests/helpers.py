@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from qcflop import batyrev as bat
-from qcflop.algebra import FracSeries, RatFunc, elementary_symmetric
+from qcflop.algebra import FracSeries, Poly, RatFunc, elementary_symmetric
 
 
 class NonIntegrableError(ValueError):
@@ -42,6 +42,21 @@ def from_laurent_items(field, root_order, items):
     for exp, c in items.items():
         out = out + RatFunc.monomial(field, root_order, exp, c)
     return out
+
+
+def scaled_variable(p, c):
+    """p(c w) for a Poly p, coefficient k times c^k: the substitution that
+    the deck rotation w -> xi^(-i) w is checked against."""
+    return Poly(p.field, [coeff * c ** k for k, coeff in enumerate(p.coeffs)])
+
+
+def mixed_numerators(field):
+    """Polynomials over ``field`` with rational and irrational coefficients,
+    and zero rows between them, for the deck-rotation tests."""
+    z = field.zeta()
+    return [Poly(field, [1, z, 0, Fraction(-2, 3), z ** 3 + 2]),
+            Poly(field, [0, 0, z * 5 - 1]),
+            Poly(field, [Fraction(1, 2)])]
 
 
 def integrate_in_t(f):

@@ -27,14 +27,17 @@ def from_one(engine, a, b):
 
 def y_to_basis(ring, vec):
     """The coordinates on the monomial basis of an (h, y)-frame vector, from
-    its own solve against the embedding."""
-    zero = ring.engine.zero
+    its own elimination of the embedding augmented with the vector in column
+    n, the way ``QuantumRing.mult_matrices`` reduces its columns."""
+    zero, n = ring.engine.zero, len(ring.basis)
     rows = [{k: image[mono] for k, image in enumerate(ring._embed) if mono in image}
             for mono in ring.basis]
-    coords, pivots = linalg.solve(rows, len(ring.basis),
-                                  [vec.get(mono, zero) for mono in ring.basis], ring.engine.one)
-    assert len(pivots) == len(ring.basis)
-    return coords
+    for row, mono in zip(rows, ring.basis):
+        if vec.get(mono, zero) != zero:
+            row[n] = vec[mono]
+    pivots, _ = linalg.row_reduce(rows, ring.engine.one, n)
+    assert len(pivots) == n
+    return [row.get(n, zero) for row in rows]
 
 
 def reduce(ring, raw):

@@ -17,7 +17,13 @@ from qcflop.algebra import (
     elementary_symmetric,
 )
 
-from helpers import elementary_symmetric_omitting, integrate_in_t, laurent_items
+from helpers import (
+    elementary_symmetric_omitting,
+    integrate_in_t,
+    laurent_items,
+    mixed_numerators,
+    scaled_variable,
+)
 
 RS = (1, 2, 3)
 # the r at which a shortcut is compared with the derivation it replaces
@@ -588,6 +594,31 @@ def test_laurent_values_match_the_reduced_scalars(r):
     assert laurent.of(one * 5).constant() == 5
     with pytest.raises(ValueError, match="is not a polynomial over a power of w"):
         laurent.of(can.build_spectrum(r).p[0])
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_laurent_rotate_is_the_substitution_w_to_xi_inverse_w(r):
+    # lam^a num / w^low at xi^(-i) w is lam^a xi^(i low) num(xi^(-i) w) / w^low
+    fld = CycField(2 * (r + 1))
+    for num in mixed_numerators(fld):
+        for low in (0, 1, 3):
+            x = can._Laurent(2, num, low)
+            for i in range(r + 1):
+                got = x.rotate(i)
+                want = scaled_variable(num, fld.zeta(-2 * i)).scale(fld.zeta(2 * i * low))
+                assert (got.weight, got.num, got.low) == (2, want, low)
+
+
+@pytest.mark.parametrize("r", range(1, 21))
+def test_inverse_differences_are_the_field_inverses(r):
+    # 1/(L_j - L_0) read from the frame's mu-sums, against the field inverse
+    frame = can.build_spectrum(r)
+    L_0 = frame.L[0]
+    inv = can._inverse_differences(frame)
+    assert inv[0] is None
+    for j, L_j in enumerate(frame.L[1:], 1):
+        want = (L_0 * L_j).scale((L_j - L_0).constant().inverse())
+        assert (inv[j].weight, inv[j].num, inv[j].low) == (-1, want, 1)
 
 
 @pytest.mark.parametrize("diag_mode", ["unitarity", "zero"])

@@ -114,30 +114,17 @@ def test_inverse_of_singular_matrix_raises():
     assert linalg.det(sparse(matrix), Fraction(1)) == 0
 
 
-def test_solve_reports_rank_of_a_deficient_system():
-    # the third column is the sum of the first two: rank 2 of 3 unknowns
-    matrix = [[Fraction(1), Fraction(0), Fraction(1)],
-              [Fraction(0), Fraction(1), Fraction(1)],
-              [Fraction(1), Fraction(1), Fraction(2)],
-              [Fraction(2), Fraction(-1), Fraction(1)]]
-    rhs = [Fraction(3), Fraction(5), Fraction(8), Fraction(1)]
-    x, pivots = linalg.solve(sparse(matrix), 3, rhs, Fraction(1))
+def test_row_reduce_of_a_deficient_augmented_matrix():
+    # the third column is the sum of the first two: rank 2 of 3, and the
+    # augmented column 3 is carried along, never pivoted on
+    matrix = [[Fraction(1), Fraction(0), Fraction(1), Fraction(3)],
+              [Fraction(0), Fraction(1), Fraction(1), Fraction(5)],
+              [Fraction(1), Fraction(1), Fraction(2), Fraction(8)],
+              [Fraction(2), Fraction(-1), Fraction(1), Fraction(1)]]
+    rows = sparse(matrix)
+    pivots, _ = linalg.row_reduce(rows, Fraction(1), 3)
     assert pivots == [0, 1]
-    assert x == [Fraction(3), Fraction(5), Fraction(0)]  # the free unknown is zero
-    for row, b in zip(matrix, rhs):
-        assert sum(a * v for a, v in zip(row, x)) == b
-
-
-def test_solve_counts_the_columns_that_hold_no_entry():
-    # the second unknown appears in no row: it is free and comes out as zero
-    x, pivots = linalg.solve([{0: Fraction(2)}], 2, [Fraction(6)], Fraction(1))
-    assert (x, pivots) == ([Fraction(3), Fraction(0)], [0])
-
-
-def test_solve_detects_an_inconsistent_system():
-    matrix = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    with pytest.raises(linalg.InconsistentSystemError):
-        linalg.solve(sparse(matrix), 2, [Fraction(1), Fraction(3)], Fraction(1))
+    assert rows == [{0: 1, 2: 1, 3: 3}, {1: 1, 2: 1, 3: 5}, {}, {}]
 
 
 def test_add_term_drops_cancelled_entries():

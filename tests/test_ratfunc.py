@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from qcflop.algebra import CycField, ExpansionError, Poly, RatFunc
 
-from helpers import NonIntegrableError, from_laurent_items, integrate_in_t, is_laurent
+from helpers import (
+    NonIntegrableError,
+    from_laurent_items,
+    integrate_in_t,
+    is_laurent,
+    mixed_numerators,
+    scaled_variable,
+)
 
 Q = CycField(1)
 
@@ -504,3 +511,21 @@ def test_equality_across_settings_never_raises():
         one4 + one6
     with pytest.raises(ValueError):
         RatFunc.one(Q, 3) * RatFunc.monomial(Q, 4, 1)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_rotate_is_the_substitution_w_to_xi_inverse_w(r):
+    # sigma^i(f) = f(xi^(-i) w) against the substitution in numerator and
+    # denominator, reduced afresh; the source denominator is not monic
+    u = r + 1
+    fld = CycField(2 * u)
+    den = Poly(fld, [fld.zeta() + 1, 0, 3])
+    for num in mixed_numerators(fld):
+        f = RatFunc(fld, u, num, den)
+        assert f.rotate(0) == f
+        for i in range(u):
+            c = fld.zeta(-2 * i)
+            want = RatFunc(fld, u, scaled_variable(num, c), scaled_variable(den, c))
+            got = f.rotate(i)
+            assert got == want
+            assert (got.num.rows, got.den.rows) == (want.num.rows, want.den.rows)

@@ -4,7 +4,7 @@ A public top-level function or public method whose name appears nowhere in
 the package outside its own definition is reached only from tests or from
 the benchmarks.  Test-only code either becomes an anchor of
 ``qcflop verify``, moves into tests/ as a reference, or is deleted; the names
-in AWAITING_ANCHORS wait for the anchors that ROADMAP item 4 names.  A
+in AWAITING_ANCHORS wait for the anchors that ROADMAP item A names.  A
 reference is an identifier or an attribute with the name, so two definitions
 that share a name count as used together.
 """
@@ -18,13 +18,7 @@ SRC = REPO / "src" / "qcflop"
 
 # the public names that only tests reach, each with the anchor it waits for
 AWAITING_ANCHORS = {
-    "batyrev.det_h_closed_form": "ROADMAP 4: batyrev/det-h-closed-form",
-    "flopcheck.g_polynomial_fit": "ROADMAP 4: flop/g-normal-form",
-    "flopcheck.ring_element_series": "ROADMAP 4: flop/g-normal-form",
-    "flopcheck.RingRElement.finite_form": "ROADMAP 4: flop/g-normal-form",
-    "flopcheck.RingRElement.g_symbol": "ROADMAP 4: flop/g-normal-form",
-    "flopcheck.RingRElement.q_monomial": "ROADMAP 4: flop/g-normal-form",
-    "flopcheck.RingRElement.contact_weight": "ROADMAP 4: flop/g-normal-form",
+    "batyrev.det_h_closed_form": "ROADMAP A: batyrev/charpoly-closed-form",
 }
 
 # the public names that only the benchmark harness reaches besides tests
