@@ -9,25 +9,21 @@ it reaches these checks: ``eps_pairing`` over the upper triangle i <= j (the
 pairing is symmetric), ``du_of_eps`` over every (i, j), and
 ``r_matrix_recursion(r, 2)``, the suite's default order; the recursion also
 runs to order 6 at r = 4 and 8, where the Laurent products of its later
-orders dominate.  Two stages run on
-a fresh frame per round instead: ``connection_form`` with nothing built
-before it but the spectrum, and ``first_order`` on the branch the suite's
-branch-independence check reads (the last sign -1), with the connection
-built.  That branch is timed twice: on the gauge path, which derives the
-default branch's R1 and returns its diagonal, and on the fallback path,
-which integrates every diagonal, forced by a gauge check that always fails
-(``canonical._is_gauge``; a version of the module without it integrates
-every diagonal anyway).  ``first_order`` also runs on the default branch
-of a fresh frame at r = 20, with nothing built before it but the spectrum,
-so the connection and R1 are derived in the timed call.
+orders dominate.  ``branch_failure`` runs on the shared frame, with R1
+built, over the two branches that the suite's branch-independence check
+reads (the pair (0, 1) flipped, and the last sign -1): the one place a
+branch is read.  ``connection_form`` runs on a fresh frame per round, with
+nothing built before it but the spectrum, and ``first_order`` on the
+default branch of a fresh frame at r = 20, with nothing built before it but
+the spectrum, so the connection and R1 are derived in the timed call.
 
 The stages built over the spectrum's known factors run at r = 8, 12 and 16,
 three rounds each: ``charpoly_coefficients`` and ``term_log_delta`` on a
 fresh frame per round, so the factors they share are built in the timed
 call, ``delta_product`` of the shared frame's Delta_i, the norm product of
-the appendix suite, and ``genus_one_form`` with
-its memo and the shared frame of that r dropped before each round, so each
-round derives the whole chain, as a fresh process does.
+the appendix suite, and ``genus_one_form`` with the shared frame of that
+r, which keeps the form, dropped before each round, so each round derives
+the whole chain, as a fresh process does.
 
 The frame's symmetric functions run at r = 12, 20 and 40, three rounds each
 on a fresh frame: ``canonical._linear_factors``, the e_m(L), and
@@ -35,7 +31,7 @@ on a fresh frame: ``canonical._linear_factors``, the e_m(L), and
 against the products multiplied out (the E^i_k by the reference in
 tests/helpers.py); and ``connection_form``, which reads them,
 checked against minus the closed-form display.  Apart from these two
-stages and the gauge check, only the public canonical API is used.
+stages, only the public canonical API is used.
 """
 
 import sys
@@ -105,27 +101,16 @@ def test_connection_form_fresh_frame(benchmark, r):
     assert conn == canonical.connection_form(canonical.frame_for(r))
 
 
-def time_signs_branch(benchmark, r: int):
-    signs = [1] * r + [-1]
-
-    def fresh_frame():
-        frame = canonical.build_spectrum(r)
-        canonical.connection_form(frame)
-        return (frame,), {"signs": signs}
-
-    _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
-    assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
-
-
 @pytest.mark.parametrize("r", RS)
-def test_first_order_signs_branch(benchmark, r):
-    time_signs_branch(benchmark, r)
+def test_branch_failure_on_the_suite_branches(benchmark, r):
+    frame = ready_frame(r)
+    canonical.first_order(frame)
+    branches = [([1] * (r + 1), (0, 1)), ([1] * r + [-1], None)]
 
+    def run():
+        return [canonical.branch_failure(frame, e, flip) for e, flip in branches]
 
-@pytest.mark.parametrize("r", RS)
-def test_first_order_signs_branch_fallback(benchmark, monkeypatch, r):
-    monkeypatch.setattr(canonical, "_is_gauge", lambda off, base: False, raising=False)
-    time_signs_branch(benchmark, r)
+    assert benchmark(run) == [None, None]
 
 
 def test_first_order_fresh_frame_r20(benchmark):
@@ -170,7 +155,6 @@ def test_delta_product(benchmark, r):
 @pytest.mark.parametrize("r", LARGE_RS)
 def test_genus_one_form(benchmark, r):
     def no_memo():
-        canonical._GENUS_ONE.clear()
         canonical._FRAMES.pop(r, None)
         return (r,), {}
 

@@ -5,8 +5,7 @@
 * ``evaluate_g_polynomial`` of delta^7 G as a polynomial in G (a ``Poly``
   over Q), at r = 1..3, the largest m of the flop suite.
 * R1 on the default branch of a fresh frame at r = 4..8, its connection
-  already built: ``first_order(frame)``, or ``r1_offdiagonal`` and then
-  ``r1_diagonal`` where a version of the module has no ``first_order``.
+  already built: ``first_order(frame)``, off the diagonal and on it.
 * ``hamiltonian_of`` for the three operator pairs of the quantization
   suite's homomorphism check at dim 2, cutoff 3 (six operators, the
   symplectic test included).
@@ -34,13 +33,6 @@ def test_evaluate_g_polynomial(benchmark, r):
     assert value == flopcheck.delta_g_direct(r, 7)
 
 
-def default_first_order(frame):
-    if hasattr(canonical, "first_order"):
-        return canonical.first_order(frame)
-    off = canonical.r1_offdiagonal(frame)
-    return off, canonical.r1_diagonal(frame, off)
-
-
 @pytest.mark.parametrize("r", [4, 5, 6, 7, 8])
 def test_first_order(benchmark, r):
     def fresh_frame():
@@ -48,7 +40,7 @@ def test_first_order(benchmark, r):
         canonical.connection_form(frame)
         return (frame,), {}
 
-    _, diag = benchmark.pedantic(default_first_order, setup=fresh_frame, rounds=5)
+    _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
     assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
 
 

@@ -29,13 +29,12 @@ r; on the diagonal, X[i][i] = sigma^i(X[0][0]).  This holds for the
 connection base, R1, every R_n of the recursion and every R_a^T R_b, so each
 is derived from its row 0 alone and ``_fill`` gives the other rows; R1's
 diagonal is diagonal 0 integrated and rotated, and a unitarity residual
-reads row 0 of its sum, whose first nonzero entry lies there.  Another
-branch is a gauge of the default: signs e give E X E with E = diag(e), and
-a ``pair_flip`` negates one pair, so no branch divides anything again.  The
-rule holds for the default branch only, so nothing is filled on another
-branch.  R1's diagonal reads each pair only through R1_ij R1_ji, which a
-gauge leaves alone, so a branch whose off-diagonal is checked to carry one
-sign per pair reads the default's diagonal and genus-one form.  sigma
+reads row 0 of its sum, whose first nonzero entry lies there.  Every stage
+computes the default branch only.  Another branch is the gauge E X E with
+E = diag(e), and a pair flip negates one pair (``_branch``); R1's diagonal
+and the genus-one form read each pair only through R1_ij R1_ji, which a
+gauge leaves alone, so ``branch_failure``, which checks that a branch of R1
+carries one sign per pair, is the one place a branch is read.  sigma
 also sends eps_i to eps_(i+1), with no sign, so du_j(eps_i) and the pairing
 of eps_i with eps_j are sigma^i of their values at (0, (j - i) mod (r+1));
 ``by_orbit`` derives that row 0 and covers a pair by rotation only where it
@@ -53,8 +52,8 @@ and their symmetric functions are written down with no product:
 ``_sym_omitting`` E^i_k = e_k(L_l : l != i) = w^k S^i_k(a) =
 sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m), whose last, E^i_r = D/L_i,
 ``_product_omitting`` writes down alone.  ``charpoly_coefficients``,
-``term_log_delta``, ``delta_i``, ``_p_differences``, ``_m_inverse_column``
-and ``_spectrum_sum`` are built from these factors, and ``delta_product``
+``term_log_delta``, ``delta_i``, ``_m_inverse_column`` and
+``_spectrum_sum`` are built from these factors, and ``delta_product``
 forms prod_i Delta_i over D^(2r).
 
 Laurent values.  The entries of M, column 0 of dM^-1, the connection's
@@ -88,33 +87,27 @@ Caching (per process, never shared between processes or switched off):
 
 - ``frame_for(r)`` keeps one frame per r; ``build_spectrum(r)`` always builds
   a fresh, uncached one.
-- A frame holds, in ``frame.stages``, the stages that do not depend on the
-  branch signs, each computed at most once per frame: the e_m(L) of the
-  linear factors, the E^i_k of each omit index i read so far (the idempotent
-  basis reads every i, column 0 of M^-1 only i = 0), ``delta_i``,
-  ``term_log_delta``, ``term_c_minus_one``, the sign-free base of
-  ``connection_form`` (which reads column 0 of M^-1 and does not keep it),
-  R1 off the diagonal on the default branch, the differences p_i - p_j, the
-  r+1 sums sum_mu mu xi^(mu k) that both display forms read, and the basis
-  factors (``eps_factors``: the pref_i and the s_ik w^k) read by
-  ``du_of_eps`` and ``eps_pairing``.
-- ``first_order`` keeps R1 (off the diagonal and on it) of the default branch
-  per frame, so the appendix suite and ``genus_one_form(r)`` share it; any
-  other branch is gauged from it on each call and not kept.  A branch whose
-  off-diagonal passes the gauge check returns the default's diagonal tuple
-  itself; one that fails it integrates every diagonal, as a one-sided flip
-  does.
+- A frame holds, in ``frame.stages``, its stages, each computed at most
+  once per frame: the e_m(L) of the linear factors, the E^i_k of each omit
+  index i read so far (the idempotent basis reads every i, column 0 of M^-1
+  only i = 0), ``delta_i``, ``term_log_delta``, ``term_c_minus_one``, the
+  base of ``connection_form`` (which reads column 0 of M^-1 and does not
+  keep it), R1 off the diagonal and on it (``first_order``, shared by the
+  appendix suite and ``genus_one_form(r)``), the genus-one form of
+  ``genus_one_form(r)`` on the frame ``frame_for(r)``, the r+1 sums
+  sum_mu mu xi^(mu k) that both display forms read, and the basis factors
+  (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
+  ``eps_pairing``.
 - ``by_orbit`` keeps nothing: the suite calls it once per cell, and the
   rows 0 it derives live as long as the functions it returns.
-- ``genus_one_form`` is memoised by ``(r, signs, pair_flip)``; a branch whose
-  diagonal is the default's tuple shares the default's entry.
 - ``delta_product`` keeps nothing: the suite forms prod_i Delta_i once per
   cell, over D^(2r).
 - ``xi_g_terms`` keeps nothing: the suite derives the pairs once per cell and
   passes them to ``xi_constant`` and ``xi_constant_pair_identity``.
 
-Cached values are immutable or copied on return: ``connection_form`` builds a
-fresh matrix from the base, and ``first_order`` returns tuples.
+Cached values are immutable or copied on return: ``connection_form`` returns
+a fresh copy of the base, and ``first_order`` and ``genus_one_form`` return
+tuples.
 """
 
 from __future__ import annotations
@@ -128,6 +121,7 @@ from qcflop.algebra import (
     CycNumber,
     EquivScalar,
     InhomogeneousError,
+    LimitError,
     Poly,
     RatFunc,
     elementary_symmetric,  # noqa: F401  the alias check of perfbench/test_bench.py reads it
@@ -684,44 +678,16 @@ def _fill(row: list, rotate) -> list[list]:
     return out
 
 
-def _branch_signs(r: int, signs: list[int] | None) -> list[int]:
-    if signs is None:
-        return [1] * (r + 1)
-    if len(signs) != r + 1 or any(s not in (1, -1) for s in signs):
-        raise ValueError("branch signs must be a +-1 vector of length r+1")
-    return list(signs)
-
-
-def _branch(base, e: list[int], pair_flip: tuple[int, int] | None = None) -> list[list]:
-    """A fresh copy of a default-branch matrix on another square-root branch:
-    E X E with E = diag(e), then a ``pair_flip`` negates the entries (i, j)
-    and (j, i) of one unordered pair."""
-    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)] for i, row in enumerate(base)]
-    if pair_flip is not None:
-        i, j = pair_flip
-        if i == j:
-            raise ValueError("pair flip needs two distinct indices")
-        out[i][j] = -out[i][j]
-        out[j][i] = -out[j][i]
-    return out
-
-
-def connection_form(frame: CanonicalFrame, signs: list[int] | None = None,
-                    pair_flip: tuple[int, int] | None = None) -> list[list[CycNumber]]:
+def connection_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
     """dt-coefficients of the connection one-form, from the D*M factorization.
 
-    Entry (i, j) is e_i e_j zeta^(i-j) (M dM^-1)_{ij} off the diagonal and
-    (M dM^-1)_{ii} - r/(2(r+1)) on it (the d log d_i term); entries come out
-    constant, the diagonal vanishes and the matrix is antisymmetric.  A
-    ``pair_flip`` flips the square-root branch of one unordered pair only,
-    which is still consistent for everything built from pair products.
-
-    The sign-free base (every e_i = 1) is derived and checked once per frame
-    (``_connection_base``); each call returns a fresh matrix with its own
-    signs applied.
+    Entry (i, j) is zeta^(i-j) (M dM^-1)_{ij} off the diagonal and
+    (M dM^-1)_{ii} - r/(2(r+1)) on it (the d log d_i term), on the default
+    branch; entries come out constant, the diagonal vanishes and the matrix
+    is antisymmetric.  The base is derived and checked once per frame
+    (``_connection_base``); each call returns a fresh copy of it.
     """
-    e = _branch_signs(frame.r, signs)
-    return _branch(_connection_base(frame), e, pair_flip)
+    return [list(row) for row in _connection_base(frame)]
 
 
 def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]:
@@ -817,22 +783,6 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 # --- first-order asymptotic matrix --------------------------------------------
 
 
-def _p_differences(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
-    """The matrix of p_i - p_j = lam w (L_j - L_i)/(L_i L_j), computed once
-    per frame; L_j - L_i is a nonzero constant, so each is reduced as written."""
-    if "p_differences" not in frame.stages:
-        fld, n, L = frame.field, frame.u, frame.L
-        w = Poly.monomial(fld, 1)
-        dp = [[EquivScalar.zero(fld, n)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = RatFunc(fld, n, w * (L[j] - L[i]), L[i] * L[j], reduce=False)
-                dp[i][j] = EquivScalar(fld, n, 1, diff)
-                dp[j][i] = -dp[i][j]
-        frame.stages["p_differences"] = tuple(map(tuple, dp))
-    return frame.stages["p_differences"]
-
-
 def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
     """1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) for j = 1..r, each a
     Laurent value of weight -1 over w.  Entry 0 is None.
@@ -847,34 +797,13 @@ def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
                      for j, L_j in enumerate(frame.L[1:], 1)]
 
 
-def _r1_default(frame: CanonicalFrame) -> tuple[tuple[EquivScalar, ...], ...]:
-    """R1 off the diagonal on the default branch, once per frame: row 0
-    divides the connection's row 0 by p_0 - p_j, a product with the Laurent
-    value 1/(p_0 - p_j), and ``_fill`` gives the rest."""
-    if "r1_offdiagonal" not in frame.stages:
-        conn = _connection_base(frame)
-        inv = _inverse_differences(frame)
-        row = [EquivScalar.zero(frame.field, frame.u)] + [
-            (inv[j] * conn[0][j]).scalar() for j in range(1, frame.u)]
-        frame.stages["r1_offdiagonal"] = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
-    return frame.stages["r1_offdiagonal"]
-
-
-def r1_offdiagonal(frame: CanonicalFrame, signs: list[int] | None = None,
-                   pair_flip: tuple[int, int] | None = None) -> list[list[EquivScalar]]:
-    """Solve the dt-restricted first-order relation: entry (i,j) is the
-    connection dt-coefficient divided by p_i - p_j; diagonal left zero.
-
-    Only the r entries of row 0 of the default branch are divided (once per
-    frame); another branch is its gauge E R1 E, with one pair negated by a
-    ``pair_flip``, as the connection's is.
-    """
-    return _branch(_r1_default(frame), _branch_signs(frame.r, signs), pair_flip)
-
-
 def r1_offdiagonal_display(frame: CanonicalFrame) -> list[list[EquivScalar]]:
     """Closed form (-1)^r zeta^(j-i) q^(1/(r+1)) a_i a_j
-    sum_mu mu xi^(mu(j-i)) / ((r+1)^2 lam (xi^j - xi^i))."""
+    sum_mu mu xi^(mu(j-i)) / ((r+1)^2 lam (xi^j - xi^i)).
+
+    The inverses 1/(xi^k - 1) are field inverses on purpose: derived R1 reads
+    them from the mu-sums (``_inverse_differences``), so the anchor that
+    compares the two is the independent check of that mu-sum identity."""
     r = frame.r
     fld, u = frame.field, frame.u
     sums = _frame_mu_sums(frame)
@@ -933,32 +862,6 @@ def xi_constant_pair_identity(terms: list[tuple[CycNumber, CycNumber]]) -> bool:
     return total.is_zero()
 
 
-def r1_diagonal(frame: CanonicalFrame, off: list[list[EquivScalar]]) -> list[EquivScalar]:
-    """Integrate the flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j)
-    on the t-line, with integration constant zero; an integrand with a
-    constant term raises FlatnessError.
-
-    The term off_ij off_ji (p_i - p_j) is formed once per unordered pair:
-    the (j, i) term is its negative, as p_i - p_j is antisymmetric, whatever
-    ``off`` holds.
-    """
-    n = frame.u
-    dp = _p_differences(frame)
-    integrands = [EquivScalar.zero(frame.field, frame.u) for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            term = off[i][j] * off[j][i] * dp[i][j]
-            integrands[i] = integrands[i] - term
-            integrands[j] = integrands[j] + term
-    return [_integrate_diagonal(_Laurent.of(f), i).scalar() for i, f in enumerate(integrands)]
-
-
-def _integrate_diagonal(f: _Laurent, i: int) -> _Laurent:
-    """Diagonal i of R1 from its integrand f.  A constant term there would
-    violate flatness silently, so it raises FlatnessError."""
-    return f.integrate(f"diagonal {i} integrand has a constant term at weight {{e}}")
-
-
 def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     """Xi_r/((r+1)^3 lam) (c_i^(-1) + c_i), the integrated display, with
     Xi_r = -(r+2)(r+1)^2 r/24 in closed form."""
@@ -971,99 +874,97 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     return out
 
 
-def _first_order_default(frame: CanonicalFrame
-                         ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
-    """R1 off and on the diagonal on the default branch, once per frame:
-    diagonal 0 is integrated from its r pair products, and diagonal i is
-    its rotation sigma^i.  Row 0 solves R1_0j (p_0 - p_j) = conn_0j, so the
-    pair product R1_0j R1_j0 (p_0 - p_j) is conn_0j R1_j0, a Laurent value."""
+def first_order(frame: CanonicalFrame
+                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
+    """(R1 off the diagonal, R1 on it) on the default branch, once per frame,
+    as immutable tuples.
+
+    Off the diagonal, entry (i, j) solves the dt-restricted first-order
+    relation R1_ij (p_i - p_j) = conn_ij: row 0 is the connection's row 0
+    times the Laurent value 1/(p_0 - p_j), and ``_fill`` gives the rest.
+    The diagonal integrates the flatness condition
+    d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j) on the t-line, with integration
+    constant zero: diagonal 0 is integrated from its r pair products, each
+    R1_0j R1_j0 (p_0 - p_j) = conn_0j R1_j0 a Laurent value, and diagonal i
+    is its rotation sigma^i.  An integrand with a constant term would
+    violate flatness silently, so it raises FlatnessError.
+    """
     if "first_order" not in frame.stages:
-        off = _r1_default(frame)
         conn = _connection_base(frame)
+        inv = _inverse_differences(frame)
+        row = [EquivScalar.zero(frame.field, frame.u)] + [
+            (inv[j] * conn[0][j]).scalar() for j in range(1, frame.u)]
+        off = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
         integrand = _Laurent(0, Poly.zero(frame.field))
         for j in range(1, frame.u):
             integrand = integrand - _Laurent.of(off[j][0]) * conn[0][j]
-        diag = _integrate_diagonal(integrand, 0).scalar()
+        diag = integrand.integrate("diagonal 0 integrand has a constant term at weight {e}").scalar()
         frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
                                                   for i in range(frame.u)))
     return frame.stages["first_order"]
 
 
-def _is_gauge(off, base) -> bool:
-    """Whether ``off`` carries one sign s = +-1 per unordered pair against
-    ``base``: off[i][j] == s base[i][j] and off[j][i] == s base[j][i].  Then
-    every product off[i][j] off[j][i] is base's.  Exact equality only."""
-    n = len(base)
-    return all((off[i][j], off[j][i]) in ((base[i][j], base[j][i]), (-base[i][j], -base[j][i]))
-               for i in range(n) for j in range(i + 1, n))
+def _branch(base, e: list[int], pair_flip: tuple[int, int] | None = None) -> list[list]:
+    """A default-branch matrix on another square-root branch: E X E with
+    E = diag(e), then a ``pair_flip`` negates the entries (i, j) and (j, i)
+    of one unordered pair."""
+    if len(e) != len(base) or any(s not in (1, -1) for s in e):
+        raise ValueError("branch signs must be a +-1 vector of length r+1")
+    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)] for i, row in enumerate(base)]
+    if pair_flip is not None:
+        i, j = pair_flip
+        if i == j:
+            raise ValueError("pair flip needs two distinct indices")
+        out[i][j] = -out[i][j]
+        out[j][i] = -out[j][i]
+    return out
 
 
-def first_order(frame: CanonicalFrame, signs: list[int] | None = None,
-                pair_flip: tuple[int, int] | None = None
-                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
-    """(R1 off the diagonal, R1 on it) on one square-root branch.
+def branch_failure(frame: CanonicalFrame, e: list[int],
+                   pair_flip: tuple[int, int] | None = None) -> tuple[int, int] | None:
+    """The first unordered pair (i, j), i < j, at which R1 off the diagonal on
+    the branch of signs ``e`` and ``pair_flip`` does not carry one sign
+    s = +-1 against the default's at both (i, j) and (j, i), or None.
 
-    Derived from ``r1_offdiagonal`` and returned as immutable tuples.  The
-    default branch (every sign +1, no pair flipped) is derived once per
-    frame, shared by the appendix suite and ``genus_one_form(r)``: only
-    diagonal 0 is integrated, from its r pair products, and diagonal i is
-    its rotation sigma^i.  Any other branch gauges the default's
-    off-diagonal on each call, not kept.  The diagonal reads each pair only
-    through R1_ij R1_ji, so where the gauged off-diagonal carries one sign
-    per unordered pair against the default's (``_is_gauge``) the branch
-    returns the default's diagonal tuple itself; otherwise, as under a
-    one-sided flip, it integrates every diagonal by ``r1_diagonal``.
+    When it is None, every product R1_ij R1_ji is the default's, and R1's
+    diagonal and the genus-one form read R1 only through these products, so
+    the branch has the default's.  Exact equality only.
     """
-    if pair_flip is None and all(s == 1 for s in _branch_signs(frame.r, signs)):
-        return _first_order_default(frame)
-    off = tuple(map(tuple, r1_offdiagonal(frame, signs, pair_flip)))
-    if _is_gauge(off, _r1_default(frame)):
-        return off, _first_order_default(frame)[1]
-    return off, tuple(r1_diagonal(frame, off))
+    base = first_order(frame)[0]
+    off = _branch(base, e, pair_flip)
+    n = len(base)
+    return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                 if (off[i][j], off[j][i]) not in ((base[i][j], base[j][i]),
+                                                  (-base[i][j], -base[j][i]))), None)
 
 
 # --- the genus-one differential -----------------------------------------------
 
 
-_GENUS_ONE: dict[tuple, tuple[RatFunc, Fraction]] = {}
-
-
-def genus_one_form(r: int, signs: list[int] | None = None,
-                   pair_flip: tuple[int, int] | None = None) -> tuple[RatFunc, Fraction]:
+def genus_one_form(r: int) -> tuple[RatFunc, Fraction]:
     """Assemble dG/dlog q from the three terms and remove the constant.
 
     Returns (the dlog q coefficient as a rational function of q, the dropped
-    constant).  Negative weight powers surviving the assembly raise
-    CancellationError.  Memoised per process by (r, signs, pair_flip).  A
-    branch whose R1 diagonal is the default's tuple (see ``first_order``)
-    returns the default's pair, assembling it only if the default branch has
-    not: the other two terms are branch-free stages of the frame.
+    constant), kept in the stages of ``frame_for(r)``.  Negative weight
+    powers surviving the assembly raise CancellationError.
     """
-    key = (r, tuple(_branch_signs(r, signs)), None if pair_flip is None else tuple(pair_flip))
-    if key in _GENUS_ONE:
-        return _GENUS_ONE[key]
     frame = frame_for(r)
-    t_log = term_log_delta(frame)
-    t_c = term_c_minus_one(frame)
-    _, diag = first_order(frame, signs, pair_flip)
-    # a branch that reads the default's diagonal tuple shares its memo entry
-    shared = (r, (1,) * (r + 1), None) if diag is first_order(frame)[1] else key
-    if shared in _GENUS_ONE:
-        _GENUS_ONE[key] = _GENUS_ONE[shared]
-        return _GENUS_ONE[key]
-    third = _spectrum_sum(frame, diag)
-    try:
-        third_rf = third.nonequivariant_limit()
-    except Exception as exc:
-        raise CancellationError(f"weight powers survive the R-matrix term: {exc}") from exc
-    total = t_log * Fraction(1, 48) - t_c + third_rf * Fraction(1, 2)
-    total_q = total.as_q_function()
-    const = total_q.eval_rational(0)
-    if not const.is_rational():
-        raise CancellationError("constant term is not rational")
-    value = total_q - RatFunc.constant(total_q.field, 1, const)
-    _GENUS_ONE[key] = _GENUS_ONE[shared] = (value, const.as_rational())
-    return _GENUS_ONE[key]
+    if "genus_one" not in frame.stages:
+        t_log = term_log_delta(frame)
+        t_c = term_c_minus_one(frame)
+        third = _spectrum_sum(frame, first_order(frame)[1])
+        try:
+            third_rf = third.nonequivariant_limit()
+        except LimitError as exc:
+            raise CancellationError(f"weight powers survive the R-matrix term: {exc}") from exc
+        total = t_log * Fraction(1, 48) - t_c + third_rf * Fraction(1, 2)
+        total_q = total.as_q_function()
+        const = total_q.eval_rational(0)
+        if not const.is_rational():
+            raise CancellationError("constant term is not rational")
+        value = total_q - RatFunc.constant(total_q.field, 1, const)
+        frame.stages["genus_one"] = (value, const.as_rational())
+    return frame.stages["genus_one"]
 
 
 def genus_one_expected(r: int) -> RatFunc:
@@ -1141,8 +1042,7 @@ def _unitarity_row(mats: list[list[list[_Laurent]]], memo: dict, n: int) -> list
     return acc
 
 
-def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
-                       signs: list[int] | None = None) -> tuple[list, dict]:
+def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tuple[list, dict]:
     """R_1..R_order on the t-line from the order-lowering recursion.
 
     Off-diagonals solve [(connection + d) R_(n-1)]_{ij} = (R_n)_{ij} (p_i - p_j);
@@ -1158,9 +1058,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
     (see ``_unitarity_row``).  Every entry is a Laurent value of weight -n
     while the recursion runs (dividing by p_0 - p_j is a product with the
     Laurent value of ``_inverse_differences``), and becomes an EquivScalar
-    only in the returned matrices.  Signs e give E R_n E at every order; the
-    branch's R_a^T R_b are E R_a^T R_b E, which vanish exactly where the
-    default branch's do.
+    only in the returned matrices.
 
     Returns ([Id, R_1, ..., R_order], report) where the report collects the
     diagonal constants, the exact unitarity residual status per order and,
@@ -1170,7 +1068,6 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         raise ValueError("order must be at least 1")
     if diag_mode not in ("unitarity", "zero"):
         raise ValueError(f"unknown diagonal mode {diag_mode!r}")
-    e = _branch_signs(r, signs)
     frame = frame_for(r)
     conn = connection_form(frame)
     inv = _inverse_differences(frame)
@@ -1218,7 +1115,4 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity",
         "unitarity_exact": residuals,
         "unitarity_first_nonzero": first_nonzero,
     }
-    out = [[[x.scalar() for x in row] for row in mat] for mat in mats]
-    if e != [1] * size:
-        out = [_branch(mat, e) for mat in out]
-    return out, report
+    return [[[x.scalar() for x in row] for row in mat] for mat in mats], report

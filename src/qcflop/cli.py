@@ -7,8 +7,8 @@ Subcommands:
   qcflop dump dG
 
 A run is one serial pass over the (suite, r) cells in this process, so the
-cells of one r share the frame, R1 and the genus-one memo.  ``--jobs``
-accepts only 1; any other value is a usage error.
+cells of one r share the frame and the stages it keeps, R1 and the genus-one
+form among them.  ``--jobs`` accepts only 1; any other value is a usage error.
 
 Exit codes: 0 when every identity passes, 1 on any failure (the failing
 anchors, or the derivation error of ``table`` or ``dump``, go to stderr), 2 on
@@ -53,8 +53,8 @@ def _run_cell(name: str, r: int, cfg: RunConfig) -> Report:
 def run_suite(selection: str, config: RunConfig) -> Report:
     """Run the (suite, r) cells of the selected suites over the configured
     r-range one after another in this process, so that the cells of one r
-    share the per-process stages (the frame, R1, the genus-one memo).  The
-    report's ``seconds`` is the wall time of the run."""
+    share the per-process stages (the frame and what it keeps: R1, the
+    genus-one form).  The report's ``seconds`` is the wall time of the run."""
     start = time.perf_counter()
     merged = Report(suite=selection)
     for name in SUITES if selection == "all" else (selection,):

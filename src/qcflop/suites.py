@@ -231,11 +231,17 @@ def appendix_suite(r: int, rmatrix_order: int = 2) -> Report:
                 f"dropped constant {const}")
         rep.add("appendix/genus-one-dropped-constant", {"r": r},
                 const == Fraction(-r * (r + 1), 48), str(const))
-    signs = [1] * (r + 1)
-    signs[-1] = -1
+    # the one reader of another square-root branch: each must be a gauge of
+    # the default branch, which makes its genus-one form the default's
+    flip, signs = (0, min(1, r)), [1] * r + [-1]
     bad = None
-    for name, value in {"pair_flip": (0, min(1, r)), "signs": signs}.items():
-        genus_one, error = _derived(canonical.genus_one_form, r, **{name: value})
+    for name, value, branch in (("pair_flip", flip, ([1] * (r + 1), flip)),
+                                ("signs", signs, (signs,))):
+        pair, error = _derived(canonical.branch_failure, frame, *branch)
+        if pair is not None:
+            error = f"R1 at the pair {pair} is not a gauge of the default branch"
+        elif error is None:
+            genus_one, error = _derived(canonical.genus_one_form, r)
         if error or genus_one[0] != expected:
             bad = f"first failing branch: {name} = {value}" + (f": {error}" if error else "")
             break

@@ -115,13 +115,12 @@ def test_criterion_06_appendix_intermediates():
             for j in range(r + 1):
                 ok = ok and (conn[i][j] + conn[j][i]).is_zero()
                 ok = ok and conn[i][j] == -disp[i][j]
-        off = canonical.r1_offdiagonal(frame)
+        off, diag = canonical.first_order(frame)
         off_disp = canonical.r1_offdiagonal_display(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 if i != j:
                     ok = ok and off[i][j] == -off_disp[i][j]
-        diag = canonical.r1_diagonal(frame, off)
         closed = canonical.r1_diagonal_closed_form(frame)
         ok = ok and all(diag[i] == closed[i] for i in range(r + 1))
     _announce(6, "appendix intermediate identities r=1..5", ok)
@@ -132,8 +131,7 @@ def test_criterion_07_recursion_unitarity():
     for r in range(1, 4):
         frame = canonical.build_spectrum(r)
         mats, info = canonical.r_matrix_recursion(r, 3)
-        off = canonical.r1_offdiagonal(frame)
-        diag = canonical.r1_diagonal(frame, off)
+        off, diag = canonical.first_order(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 want = diag[i] if i == j else off[i][j]

@@ -309,8 +309,10 @@ def test_connection_display_example_r1():
     frame = can.build_spectrum(1)
     disp = can.connection_display_form(frame)
     assert disp[0][1] == -frame.zeta * Fraction(1, 4)
-    # and the genuine branch e = (1, -1) reproduces the display exactly
-    flipped = can.connection_form(frame, signs=[1, -1])
+    # and the genuine branch e = (1, -1) reproduces the display exactly, as
+    # does the gauge of the default
+    flipped = plain_connection(frame, [1, -1])
+    assert can._branch(can.connection_form(frame), [1, -1]) == flipped
     for i in range(2):
         for j in range(2):
             assert flipped[i][j] == disp[i][j]
@@ -319,7 +321,7 @@ def test_connection_display_example_r1():
 def test_r1_offdiagonal_matches_display_and_symmetry():
     for r in (1, 2, 3, 4, 5):
         frame = can.build_spectrum(r)
-        off = can.r1_offdiagonal(frame)
+        off, _ = can.first_order(frame)
         disp = can.r1_offdiagonal_display(frame)
         for i in range(r + 1):
             for j in range(r + 1):
@@ -363,8 +365,7 @@ def test_an_appendix_cell_derives_the_xi_terms_once(monkeypatch):
 def test_r1_diagonal_closed_form():
     for r in (1, 2, 3, 4, 5):
         frame = can.build_spectrum(r)
-        off = can.r1_offdiagonal(frame)
-        diag = can.r1_diagonal(frame, off)
+        _, diag = can.first_order(frame)
         closed = can.r1_diagonal_closed_form(frame)
         for i in range(r + 1):
             assert diag[i] == closed[i]
@@ -373,8 +374,7 @@ def test_r1_diagonal_closed_form():
 def test_r1_diagonal_round_trip():
     r = 2
     frame = can.build_spectrum(r)
-    off = can.r1_offdiagonal(frame)
-    diag = can.r1_diagonal(frame, off)
+    off, diag = can.first_order(frame)
     for i in range(r + 1):
         integrand = EquivScalar.zero(frame.field, frame.u)
         for j in range(r + 1):
@@ -386,8 +386,7 @@ def test_r1_diagonal_round_trip():
 def test_r1_diagonal_weight_structure():
     # lam * R1_ii is weight-free, so the nonequivariant limit of lam*R1_ii exists
     frame = can.build_spectrum(3)
-    off = can.r1_offdiagonal(frame)
-    for entry in can.r1_diagonal(frame, off):
+    for entry in can.first_order(frame)[1]:
         assert entry.weight == -1
 
 
@@ -399,15 +398,43 @@ def test_genus_one_form_matches_expected():
         assert const == Fraction(-r * (r + 1), 48)
 
 
+def test_a_diagonal_of_weight_minus_two_raises_a_cancellation_error(monkeypatch):
+    # a diagonal one power of lam too low leaves lam^-1 in the R-matrix term,
+    # which has no nonequivariant limit
+    frame = can.build_spectrum(2)
+    off, diag = can.first_order(frame)
+    frame.stages["first_order"] = (off, tuple(x * frame.lam(-1) for x in diag))
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    want = "^weight powers survive the R-matrix term: surviving negative weight power -1$"
+    with pytest.raises(can.CancellationError, match=want):
+        can.genus_one_form(2)
+
+
+def test_genus_one_form_lets_an_error_other_than_the_limit_escape(monkeypatch):
+    # only the LimitError of the limit becomes a CancellationError
+    class Broken:
+        def nonequivariant_limit(self):
+            raise TypeError("not a limit")
+
+    frame = can.build_spectrum(2)
+    can.term_c_minus_one(frame)  # the other reader of the spectrum sum
+    monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    monkeypatch.setattr(can, "_spectrum_sum", lambda frame, xs: Broken())
+    with pytest.raises(TypeError, match="^not a limit$"):
+        can.genus_one_form(2)
+
+
 def test_genus_one_form_branch_independence():
+    # every branch is a gauge of the default: the diagonal integrated from
+    # the branch's own R1 is the default's, which the genus-one form reads
     r = 2
-    base, _ = can.genus_one_form(r)
-    for signs in ([1, -1, 1], [-1, -1, 1]):
-        got, _ = can.genus_one_form(r, signs=signs)
-        assert got == base
-    for flip in ((0, 1), (0, 2), (1, 2)):
-        got, _ = can.genus_one_form(r, pair_flip=flip)
-        assert got == base
+    frame = can.frame_for(r)
+    off, diag = can.first_order(frame)
+    branch_list = [([1, -1, 1], None), ([-1, -1, 1], None)] + [
+        ([1, 1, 1], flip) for flip in ((0, 1), (0, 2), (1, 2))]
+    for e, flip in branch_list:
+        assert can.branch_failure(frame, e, flip) is None
+        assert reference_r1_diagonal(frame, can._branch(off, e, flip)) == list(diag)
 
 
 def test_genus_one_table():
@@ -424,8 +451,7 @@ def test_recursion_r1_consistency():
     for r in (1, 2):
         frame = can.build_spectrum(r)
         mats, report = can.r_matrix_recursion(r, 2)
-        off = can.r1_offdiagonal(frame)
-        diag = can.r1_diagonal(frame, off)
+        off, diag = can.first_order(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 want = diag[i] if i == j else off[i][j]
@@ -454,8 +480,9 @@ def test_recursion_zero_mode_documented_failure():
 
 
 def test_recursion_branch_independent_diagonal():
+    # the plain recursion on the branch's own connection
     mats_a, _ = can.r_matrix_recursion(2, 2)
-    mats_b, _ = can.r_matrix_recursion(2, 2, signs=[1, -1, 1])
+    mats_b, _, _ = plain_r_matrix_recursion(2, 2, "unitarity", [1, -1, 1])
     for i in range(3):
         assert mats_a[1][i][i] == mats_b[1][i][i]
         assert mats_a[2][i][i] == mats_b[2][i][i]
@@ -637,22 +664,24 @@ def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_r_matrix_shortcuts_match_a_plain_recursion_on_a_signs_branch(r):
-    # the plain recursion runs on the branch's own connection, not a gauge
+    # the plain recursion runs on the branch's own connection, the shortcuts
+    # on the default branch, gauged afterwards
     signs = [1] * r + [-1]
-    mats, report = can.r_matrix_recursion(r, 6, signs=signs)
+    mats, report = can.r_matrix_recursion(r, 6)
     want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, 6, "unitarity", signs)
-    assert mats == want_mats
+    assert [can._branch(mat, signs) for mat in mats] == want_mats
     assert report["constants"] == want_constants
     assert report["unitarity_exact"] == want_residuals
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_r_matrix_recursion_on_a_signs_branch_is_the_gauge(r):
+    # the plain recursion on the branch's own connection is E R_n E
     signs = [1] * r + [-1]
-    mats, report = can.r_matrix_recursion(r, 3, signs=signs)
+    mats, constants, residuals = plain_r_matrix_recursion(r, 3, "unitarity", signs)
     base, base_report = can.r_matrix_recursion(r, 3)
-    assert report["unitarity_exact"] == {1: True, 2: True, 3: True}
-    assert report["constants"] == base_report["constants"]
+    assert residuals == {1: True, 2: True, 3: True}
+    assert constants == base_report["constants"]
     for got, want in zip(mats, base):
         assert got == [[x * (signs[i] * signs[j]) for j, x in enumerate(row)]
                        for i, row in enumerate(want)]
@@ -667,8 +696,8 @@ def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
     # calibration rejects instead of dropping
     connection_form = can.connection_form
 
-    def corrupted(frame, signs=None, pair_flip=None):
-        conn = connection_form(frame, signs, pair_flip)
+    def corrupted(frame):
+        conn = connection_form(frame)
         conn[0][1] = conn[0][1] * 3
         return conn
 
@@ -694,7 +723,6 @@ def install_frame(monkeypatch, change_factors):
     prefs, signed = can._eps_factors(frame)
     frame.stages["eps_factors"] = change_factors([list(prefs), [list(row) for row in signed]])
     monkeypatch.setattr(can, "_FRAMES", {2: frame})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
 
 
 def test_idempotent_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
@@ -752,7 +780,7 @@ def test_control_pairing_weight_off_by_one(capsys, monkeypatch):
     assert entries["appendix/idempotent-duality"]["status"] == "pass"
 
 
-# --- R1 once per unordered pair and once per branch ---------------------------------
+# --- R1 on the default branch, and its gauges against the plain derivations ----------
 
 
 def reference_r1_diagonal(frame, off):
@@ -779,47 +807,39 @@ def outcome(fn, *args):
 
 
 def branches(r):
-    signs = [1] * r + [-1]
-    return [{}, {"pair_flip": (0, 1)}, {"signs": signs}]
+    """(signs e, pair flip) of the default branch, a pair flip and a sign vector."""
+    return [([1] * (r + 1), None), ([1] * (r + 1), (0, 1)), ([1] * r + [-1], None)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_r1_diagonal_matches_the_ordered_pair_reference(r):
+    # the diagonal integrated once and rotated equals the reference on every
+    # branch, each of which integrates every diagonal from its own R1
     frame = can.frame_for(r)
+    off, diag = can.first_order(frame)
     for branch in branches(r):
-        off = can.r1_offdiagonal(frame, **branch)
-        assert can.r1_diagonal(frame, off) == reference_r1_diagonal(frame, off)
-    # a corrupted entry: at r = 1 a different diagonal, beyond it a constant
-    # term that flatness rejects at the same diagonal
-    off = [list(row) for row in can.r1_offdiagonal(frame)]
-    off[0][1] = off[0][1] * 3
-    got = outcome(can.r1_diagonal, frame, off)
-    assert got == outcome(reference_r1_diagonal, frame, off)
-    assert got != can.r1_diagonal(frame, can.r1_offdiagonal(frame))
-    assert isinstance(got, list) if r == 1 else got.startswith("diagonal 0 ")
+        assert reference_r1_diagonal(frame, can._branch(off, *branch)) == list(diag)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_first_order_keeps_only_the_default_branch(r):
     frame = can.build_spectrum(r)
+    off, diag = can.first_order(frame)
+    assert isinstance(off, tuple) and all(isinstance(row, tuple) for row in off)
+    assert isinstance(diag, tuple)
+    assert can.first_order(frame) is frame.stages["first_order"]
     for branch in branches(r):
-        off, diag = can.first_order(frame, **branch)
-        assert isinstance(off, tuple) and all(isinstance(row, tuple) for row in off)
-        assert isinstance(diag, tuple)
-        want_off = can.r1_offdiagonal(frame, **branch)
-        assert [list(row) for row in off] == want_off
-        assert list(diag) == can.r1_diagonal(frame, want_off)
-        # another call gauges the off-diagonal afresh, except on the default branch
-        again = can.first_order(frame, **branch)
-        assert again == (off, diag)
-        assert (again is can.first_order(frame)) == (branch == {})
-    # the default signs written out are the default branch, the one kept
-    assert can.first_order(frame, signs=[1] * (r + 1)) is can.first_order(frame)
-    assert frame.stages["first_order"] is can.first_order(frame)
+        # a branch is the gauge of the default, derived on no call
+        want_off = plain_r1_offdiagonal(frame, plain_connection(frame, *branch))
+        assert can._branch(off, *branch) == want_off
+        assert can.branch_failure(frame, *branch) is None
+        assert can.first_order(frame) is frame.stages["first_order"]
     with pytest.raises(ValueError):
-        can.first_order(frame, pair_flip=(1, 1))
+        can.branch_failure(frame, [1] * (r + 1), (1, 1))
     with pytest.raises(ValueError):
-        can.first_order(frame, signs=[1] * r)
+        can.branch_failure(frame, [1] * r)
+    with pytest.raises(ValueError):
+        can.branch_failure(frame, [1, 2] + [1] * (r - 1))
 
 
 # --- the deck rotation's fill against plain derivations ---------------------------
@@ -828,13 +848,12 @@ def test_first_order_keeps_only_the_default_branch(r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_filled_connection_and_r1_match_a_plain_derivation(r):
     frame = can.build_spectrum(r)
+    got_off, got_diag = can.first_order(frame)
     for branch in branches(r):
-        conn = plain_connection(frame, **branch)
-        assert can.connection_form(frame, **branch) == conn
+        conn = plain_connection(frame, *branch)
+        assert can._branch(can.connection_form(frame), *branch) == conn
         off = plain_r1_offdiagonal(frame, conn)
-        assert can.r1_offdiagonal(frame, **branch) == off
-        got_off, got_diag = can.first_order(frame, **branch)
-        assert [list(row) for row in got_off] == off
+        assert can._branch(got_off, *branch) == off
         assert list(got_diag) == reference_r1_diagonal(frame, off)
 
 
@@ -848,7 +867,6 @@ def test_control_the_fill_wrap_sign(capsys, monkeypatch):
     # zeta^(r+1) taken as +1: every row 0 is still derived, but each filled
     # entry whose index wraps past r has the wrong sign
     monkeypatch.setattr(can, "_FRAMES", {})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     monkeypatch.setattr(can, "_WRAP_SIGN", 1)
     assert cli.main(["verify", "appendix", "--r", "3"]) == 1
     fails = [x for x in capsys.readouterr().err.splitlines() if x.startswith("FAIL ")]
@@ -966,8 +984,8 @@ def test_control_first_order_entry_of_the_wrong_weight(capsys, monkeypatch):
     # checked before the values, so the residual names it
     real = can.first_order
 
-    def scaled(frame, signs=None, pair_flip=None):
-        off, diag = real(frame, signs, pair_flip)
+    def scaled(frame):
+        off, diag = real(frame)
         lam = frame.lam()
         return tuple(tuple(x if i == j else x * lam for j, x in enumerate(row))
                      for i, row in enumerate(off)), diag
@@ -1078,8 +1096,6 @@ def test_linear_factor_forms_match_the_plain_derivations(r):
         want = [s * w ** k for k, s in enumerate(plain_sym_omitting(frame, i))]
         assert [RatFunc(frame.field, frame.u, s, one) for s in can._sym_omitting(frame, i)] == want
     assert can.delta_i(frame) == plain_delta_i(frame)
-    assert can._p_differences(frame) == tuple(
-        tuple(p_i - p_j for p_j in frame.p) for p_i in frame.p)
     assert m_inverse(frame) == plain_m_inverse(frame)
 
 
@@ -1101,8 +1117,8 @@ def test_closed_form_symmetric_functions_match_the_products(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
-    # the spectrum, the E^i_k, the differences p_i - p_j and the Delta_i are
-    # written down reduced, with no gcd
+    # the spectrum, the E^i_k and the Delta_i are written down reduced, with
+    # no gcd
     calls = []
     gcd = Poly.gcd
 
@@ -1114,7 +1130,6 @@ def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
     frame = can.build_spectrum(r)
     for i in range(r + 1):
         can._sym_omitting(frame, i)
-    can._p_differences(frame)
     can.delta_i(frame)
     can._m_inverse_column(frame)
     assert calls == []
@@ -1123,11 +1138,10 @@ def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_spectrum_sum_of_the_r1_diagonal_matches_the_plain_sum(r):
     frame = can.frame_for(r)
-    for branch in branches(r):
-        _, diag = can.first_order(frame, **branch)
-        got = can._spectrum_sum(frame, diag)
-        assert got.weight == 0
-        assert got == plain_spectrum_sum(frame, diag)
+    _, diag = can.first_order(frame)
+    got = can._spectrum_sum(frame, diag)
+    assert got.weight == 0
+    assert got == plain_spectrum_sum(frame, diag)
 
 
 def test_the_spectrum_sum_rejects_other_shapes():
@@ -1149,7 +1163,6 @@ def install_stage(monkeypatch, name, change):
     build = {"linear_factors": can._linear_factors, "delta_i": can.delta_i}[name]
     frame.stages[name] = change(frame, build(frame))
     monkeypatch.setattr(can, "_FRAMES", {2: frame})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
 
 
 def change_symmetric(m, change):
@@ -1210,7 +1223,6 @@ KNOWN_FACTOR_CONTROLS = {
 
 def test_known_factor_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
     monkeypatch.setattr(can, "_FRAMES", {})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     code, entries = verify_appendix_r2(capsys)
     assert code == 0
     for anchor in KNOWN_FACTOR_CONTROLS:
@@ -1237,7 +1249,6 @@ def test_a_diagonal_that_does_not_integrate_fails_its_anchors(capsys, monkeypatc
     frame = can.build_spectrum(2)
     frame.L[1] = frame.L[1] + Poly.one(frame.field)
     monkeypatch.setattr(can, "_FRAMES", {2: frame})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     assert cli.main(["verify", "appendix", "--r", "2"]) == 1
     capsys.readouterr()
     code, entries = verify_appendix_r2(capsys)
@@ -1256,7 +1267,6 @@ def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch
     # the anchors that read R1's diagonal or the genus-one form name where
     # they first fail, under the wrong wrap sign of the fill
     monkeypatch.setattr(can, "_FRAMES", {})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     monkeypatch.setattr(can, "_WRAP_SIGN", 1)
     code, entries = verify_appendix_r3_json(capsys)
     assert code == 1
@@ -1270,7 +1280,7 @@ def test_control_the_fill_wrap_sign_names_each_failing_index(capsys, monkeypatch
         assert entry["status"] == "fail" and entry["residual"] == residual
 
 
-# --- a gauge branch reads the default diagonal; any other branch integrates ---------
+# --- a gauge branch reads the default diagonal; any other branch would not ------------
 
 
 def one_sided_branch(base, e, pair_flip=None, branch=can._branch):
@@ -1286,46 +1296,48 @@ def one_sided_branch(base, e, pair_flip=None, branch=can._branch):
 @pytest.mark.parametrize("r", ORBIT_RS)
 def test_a_gauge_branch_returns_the_default_diagonal(r):
     frame = can.build_spectrum(r)
-    default = can.first_order(frame)[1]
+    off, default = can.first_order(frame)
     for branch in branches(r)[1:]:
-        off, diag = can.first_order(frame, **branch)
-        assert diag is default
-        assert list(diag) == can.r1_diagonal(frame, off)
+        assert can.branch_failure(frame, *branch) is None
+        assert reference_r1_diagonal(frame, can._branch(off, *branch)) == list(default)
 
 
 def test_a_gauge_branch_shares_the_default_genus_one_form(monkeypatch):
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    monkeypatch.setattr(can, "_FRAMES", {})
     for r in (1, 2, 3):
-        # assembled once, whichever branch asks first
-        first = can.genus_one_form(r, pair_flip=(0, 1))
+        # assembled once, on the frame, and read by every branch that passes
+        # the gauge check
+        first = can.genus_one_form(r)
         assert first[0] == can.genus_one_expected(r)
+        assert can.frame_for(r).stages["genus_one"] is first
         for branch in branches(r):
-            assert can.genus_one_form(r, **branch) is first
+            assert can.branch_failure(can.frame_for(r), *branch) is None
+            assert can.genus_one_form(r) is first
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_a_one_sided_flip_integrates_every_diagonal(r, monkeypatch):
-    # at r = 1 the flipped product integrates to another diagonal; beyond it
-    # diagonal 0 keeps a constant term, as r1_diagonal finds
+    # the gauge check names the flipped pair; integrated from every ordered
+    # pair, the flipped R1 gives another diagonal at r = 1, and beyond it a
+    # constant term at diagonal 0
     frame = can.build_spectrum(r)
-    default = can.first_order(frame)[1]
+    off, default = can.first_order(frame)
     monkeypatch.setattr(can, "_branch", one_sided_branch)
-    off = can.r1_offdiagonal(frame, pair_flip=(0, 1))
-    got = outcome(lambda: list(can.first_order(frame, pair_flip=(0, 1))[1]))
-    assert got == outcome(can.r1_diagonal, frame, off)
+    assert can.branch_failure(frame, [1] * (r + 1), (0, 1)) == (0, 1)
+    got = outcome(reference_r1_diagonal, frame, can._branch(off, [1] * (r + 1), (0, 1)))
     assert got != list(default)
     assert isinstance(got, list) if r == 1 else got.startswith("diagonal 0 ")
 
 
 def test_control_a_one_sided_pair_flip(capsys, monkeypatch):
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
+    monkeypatch.setattr(can, "_FRAMES", {})
     monkeypatch.setattr(can, "_branch", one_sided_branch)
     code, entries = verify_appendix_r3_json(capsys)
     assert code == 1
     entry = entries["appendix/genus-one-branch-independence", None]
     assert entry["status"] == "fail"
     assert entry["residual"] == ("first failing branch: pair_flip = (0, 1):"
-                                 " diagonal 0 integrand has a constant term at weight -1")
+                                 " R1 at the pair (0, 1) is not a gauge of the default branch")
     # the default branch never flips a pair
     for anchor in ("appendix/genus-one-form", "appendix/first-order-diagonal"):
         assert entries[anchor, None]["status"] == "pass"
@@ -1402,7 +1414,7 @@ def test_control_a_changed_delta_fails_both_norm_anchors(capsys, monkeypatch, na
 def test_the_rotated_r1_diagonal_is_the_integrated_one(r):
     frame = can.build_spectrum(r)
     off, diag = can.first_order(frame)
-    assert list(diag) == can.r1_diagonal(frame, off)
+    assert list(diag) == reference_r1_diagonal(frame, off)
 
 
 @pytest.mark.parametrize("r", ORBIT_RS)
@@ -1488,7 +1500,6 @@ def count_calls(monkeypatch, name):
 
 def test_the_idempotent_anchors_derive_row_0_only(monkeypatch):
     monkeypatch.setattr(can, "_FRAMES", {})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     duality = count_calls(monkeypatch, "du_of_eps")
     pairing = count_calls(monkeypatch, "eps_pairing")
     rep = suites.appendix_suite(4)
@@ -1519,7 +1530,6 @@ def all_pairs_orthogonality(frame):
 
 def idempotent_rows(frame, monkeypatch):
     monkeypatch.setattr(can, "_FRAMES", {frame.r: frame})
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
     entries = {e.anchor: e for e in suites.appendix_suite(frame.r).entries}
     return (entries["appendix/idempotent-duality"].residual,
             entries["appendix/idempotent-orthogonality"].residual)
@@ -1572,11 +1582,9 @@ def test_control_a_diagonal_rotated_to_the_wrong_index(capsys, monkeypatch, shif
     # first i whose rotation is wrong, and the off-diagonal still passes
     real = can.first_order
 
-    def rotated(frame, signs=None, pair_flip=None):
-        off, diag = real(frame, signs, pair_flip)
-        if signs is None and pair_flip is None:
-            diag = tuple(diag[0].rotate(shift(i)) for i in range(frame.u))
-        return off, diag
+    def rotated(frame):
+        off, diag = real(frame)
+        return off, tuple(diag[0].rotate(shift(i)) for i in range(frame.u))
 
     monkeypatch.setattr(can, "first_order", rotated)
     code, entries = verify_appendix_r2(capsys)
@@ -1595,7 +1603,6 @@ def one_spectrum_root(i):
         frame = can.build_spectrum(2)
         frame.p[i] = frame.p[i] * 2
         monkeypatch.setattr(can, "_FRAMES", {2: frame})
-        monkeypatch.setattr(can, "_GENUS_ONE", {})
     return perturb
 
 

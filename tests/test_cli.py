@@ -299,7 +299,6 @@ def test_import_cli_loads_no_csv_writer(capsys):
 def test_dump_dg_is_byte_identical_to_the_recorded_output(capsys, monkeypatch, fmt, recorded):
     # derived afresh, not read from what another test left in the caches
     monkeypatch.setattr(canonical, "_FRAMES", {})
-    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
     code, out, _ = run_cli(["dump", "dG", "--r", "1..7", "--format", fmt], capsys)
     assert code == 0
     assert out == (DATA / recorded).read_text(encoding="utf-8")
@@ -333,7 +332,6 @@ def test_a_derivation_error_exits_1_with_a_message(capsys, monkeypatch, args):
     frame = canonical.build_spectrum(2)
     frame.L[1] = frame.L[1] + Poly.one(frame.field)
     monkeypatch.setattr(canonical, "_FRAMES", {2: frame})
-    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
     code, out, err = run_cli([*args, "--r", "2"], capsys)
     assert code == 1 and out == ""
     assert err == ("derivation error: r = 2: diagonal 0 integrand has a constant term"

@@ -173,10 +173,10 @@ def ladder_of_the_wrong_parity(monkeypatch):
 
 def chern_term_with_the_wrong_sign(monkeypatch):
     # dG/dlog q takes + the localized first-Chern term in place of -, which
-    # moves kappa by 2 (r+1)^2 / 24, from -1/8 to 5/8 at r = 2; the genus-one
-    # memo is dropped, so the form is assembled again
+    # moves kappa by 2 (r+1)^2 / 24, from -1/8 to 5/8 at r = 2; the frames,
+    # which keep the genus-one form, are dropped, so it is assembled again
     original = canonical.term_c_minus_one
-    monkeypatch.setattr(canonical, "_GENUS_ONE", {})
+    monkeypatch.setattr(canonical, "_FRAMES", {})
     monkeypatch.setattr(canonical, "term_c_minus_one", lambda frame: -original(frame))
 
 

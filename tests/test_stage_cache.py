@@ -17,9 +17,7 @@ def frame_stages(frame):
         "connection_form": can.connection_form(frame),
         "eps_factors": can._eps_factors(frame),
         "m_inverse_column": [x.scalar() for x in can._m_inverse_column(frame)],
-        "r1_offdiagonal": can.r1_offdiagonal(frame),
         "first_order": can.first_order(frame),
-        "first_order pair_flip": can.first_order(frame, pair_flip=(0, 1)),
     }
 
 
@@ -39,24 +37,11 @@ def test_genus_one_memo_equals_a_fresh_computation(monkeypatch):
     memo = {r: can.genus_one_form(r) for r in (1, 2, 3, 4)}
     for r, value in memo.items():
         assert can.genus_one_form(r) is value
-        assert can.genus_one_form(r, signs=[1] * (r + 1)) is value
-    monkeypatch.setattr(can, "_GENUS_ONE", {})
+        assert can.frame_for(r).stages["genus_one"] is value
     monkeypatch.setattr(can, "_FRAMES", {})
     for r, value in memo.items():
         assert can.genus_one_form(r) == value
         assert can.genus_one_form(r) == (can.genus_one_expected(r), value[1])
-
-
-def test_genus_one_memo_keys_on_the_branch():
-    # a memo hit must not skip the branch arguments' own checks
-    can.genus_one_form(2)
-    can.genus_one_form(2, pair_flip=(0, 1))
-    with pytest.raises(ValueError):
-        can.genus_one_form(2, pair_flip=(1, 1))
-    with pytest.raises(ValueError):
-        can.genus_one_form(2, signs=[1, 1])
-    with pytest.raises(ValueError):
-        can.genus_one_form(2, signs=[1, 2, 1])
 
 
 def test_mutating_a_result_leaves_the_cache_alone():
@@ -77,11 +62,12 @@ def test_mutating_a_result_leaves_the_cache_alone():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_branch_signs_apply_to_the_cached_base(r):
+    # a gauge of the cached base is a fresh matrix, and leaves the base alone
     frame = can.frame_for(r)
     default = can.connection_form(frame)
-    flipped = can.connection_form(frame, pair_flip=(0, 1))
+    flipped = can._branch(default, [1] * (r + 1), (0, 1))
     signs = [1] * r + [-1]
-    signed = can.connection_form(frame, signs=signs)
+    signed = can._branch(default, signs)
     for i in range(r + 1):
         for j in range(r + 1):
             if i != j:
@@ -91,8 +77,8 @@ def test_branch_signs_apply_to_the_cached_base(r):
             sign = -1 if (i == r) != (j == r) else 1
             assert signed[i][j] == default[i][j] * sign
     fresh = can.build_spectrum(r)
-    assert signed == can.connection_form(fresh, signs=signs)
-    assert flipped == can.connection_form(fresh, pair_flip=(0, 1))
+    assert signed == can._branch(can.connection_form(fresh), signs)
+    assert flipped == can._branch(can.connection_form(fresh), [1] * (r + 1), (0, 1))
     assert can.connection_form(frame) == default
 
 
