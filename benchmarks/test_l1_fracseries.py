@@ -1,5 +1,8 @@
 """L1 micro-benchmark: FracSeries product, scaling by a root of unity, and power.
 
+A FracSeries is one Poly in q1^(1/(r+1)) per power of q2^(1/(r+2)), so these
+time Poly's cut product (``Poly.mul_upto``) and its root shift per row.
+
     PYTHONPATH=src python -m pytest benchmarks/test_l1_fracseries.py --benchmark-only
 
 The operands are the closed-form eigenvalue series of the batyrev suite over

@@ -1,7 +1,8 @@
 """Exact coefficient arithmetic: cyclotomic numbers, polynomials, rational
 functions in a chosen root of the Novikov variable, homogeneous values in the
 equivariant weight (a weight and a rational function), and truncated
-fractional-exponent series."""
+fractional-exponent series, one polynomial per power of q2^(1/(r+2)).  Poly
+is the one integer-row kernel under the polynomial types."""
 
 from qcflop.algebra.cyclotomic import (
     CycField,

@@ -13,10 +13,12 @@ one gcd per coefficient; ``coeffs`` builds the CycNumber coefficients on each
 read.
 
 * A product is one integer convolution per output row, of length 2d - 1,
-  reduced once through the field's table ``_rows`` of the powers of zeta.
-* A sum works row by row over the lcm of the two denominators; a scalar
-  factor is one such convolution per row, or an integer multiply when it is
-  rational.
+  reduced once through the field's table ``_rows`` of the powers of zeta;
+  ``mul_upto`` stops at a degree, and ``sum_of_products`` sums in one buffer.
+* A sum works row by row over the lcm of the two denominators.  A scalar is
+  an integer multiply when rational, a root shift per row (zeta^p goes to the
+  reduced row of zeta^(p+m)) for y zeta^m, else one convolution per row.
+  ``twist``, w -> zeta^m w, is a root shift per row.
 * ``divmod`` makes the divisor monic with one inverse of its lead, then
   divides row by row in integers; each step multiplies the remainder by the
   monic divisor's denominator (pseudo-division), and one gcd per result
@@ -34,6 +36,7 @@ normalised traces of their coefficients, which do not depend on the field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -98,7 +101,12 @@ class Poly:
         return len(self.rows) <= 1
 
     def constant(self) -> CycNumber:
-        return CycNumber(self.field, self.rows[0], self.den) if self.rows else self.field.zero
+        return self.coefficient(0)
+
+    def coefficient(self, k: int) -> CycNumber:
+        """The coefficient of w^k, built from its row alone."""
+        rows = self.rows
+        return CycNumber(self.field, rows[k], self.den) if k < len(rows) else self.field.zero
 
     def lead(self) -> CycNumber:
         if not self.rows:
@@ -145,9 +153,29 @@ class Poly:
             return self._times(b[0], other.den)
         if len(a) == 1:
             return other._times(a[0], self.den)
-        return Poly._of(f, _convolve(f, a, b), self.den * other.den)
+        return Poly._of(f, _convolve(f, [(a, b)]), self.den * other.den)
 
     __rmul__ = __mul__
+
+    def mul_upto(self, other: "Poly", top: int) -> "Poly":
+        """The product without its terms of degree above ``top``, which the
+        convolution never forms; both factors lie over one field."""
+        if self.degree + other.degree <= top:
+            return self * other
+        return Poly._of(self.field, _convolve(self.field, [(self.rows, other.rows)], top),
+                        self.den * other.den)
+
+    @classmethod
+    def sum_of_products(cls, field: CycField, pairs, den: int) -> "Poly":
+        """sum_k a_k b_k / den over a nonempty list of pairs of integer rows:
+        one convolution buffer, one reduction and one gcd."""
+        return cls._of(field, _convolve(field, pairs), den)
+
+    def truncate(self, top: int) -> "Poly":
+        """The polynomial without its terms of degree above ``top``."""
+        if len(self.rows) <= top + 1:
+            return self
+        return Poly._of(self.field, list(self.rows[:max(top + 1, 0)]), self.den)
 
     def scale(self, c) -> "Poly":
         return self._times(*_vector(self.field, c))
@@ -205,7 +233,7 @@ class Poly:
             if dm != 1:
                 for j in range(shift):
                     rem[j] = [x * dm for x in rem[j]]
-            for j, sub in enumerate(_convolve(f, [top], m[:dd]), shift):
+            for j, sub in enumerate(_convolve(f, [([top], m[:dd])]), shift):
                 rem[j] = [x * dm - y for x, y in zip(rem[j], sub)]
         zero_row = (0,) * f.degree
         quo = [zero_row if t is None else [x * dm ** (k - 1 - t[1]) for x in t[0]] for t in tops]
@@ -219,8 +247,9 @@ class Poly:
         if self.is_zero() or other.is_zero():
             g = other if self.is_zero() else self
             return g if g.is_zero() else g._monic()
-        va, a = self._split_w()
-        vb, b = other._split_w()
+        # the largest powers of w dividing each side, split off by shifting rows
+        va, vb = self.monomial_exponent(), other.monomial_exponent()
+        a, b = self.shift(-va), other.shift(-vb)
         if a.degree >= 1 and b.degree >= 1:
             while not b.is_zero():
                 _, r = a.divmod(b)
@@ -228,25 +257,27 @@ class Poly:
             a = a._monic()
         else:
             a = Poly.one(self.field)
-        v = min(va, vb)
-        return Poly._raw(self.field, (self.field.zero.nums,) * v + a.rows, a.den) if v else a
+        return a.shift(min(va, vb))
 
     def _monic(self) -> "Poly":
         inv = self.lead().inverse()
         return self._times(inv.nums, inv.den)
-
-    def _split_w(self) -> tuple[int, "Poly"]:
-        """(v, self / w^v) for the largest v with w^v dividing self, which is nonzero."""
-        v = self.monomial_exponent()
-        return v, (Poly._raw(self.field, self.rows[v:], self.den) if v else self)
 
     def _exquo(self, divisor: "Poly") -> "Poly":
         """The quotient self / divisor, for a monic divisor known to divide self."""
         if divisor.degree <= 0:
             return self
         if divisor.is_monomial():
-            return Poly._raw(self.field, self.rows[divisor.degree:], self.den)
+            return self.shift(-divisor.degree)
         return self.divmod(divisor)[0]
+
+    def shift(self, k: int) -> "Poly":
+        """w^k p by moving the rows, which keeps the form canonical; for
+        k < 0, w^-k must divide p."""
+        if not k or not self.rows:
+            return self
+        rows = (self.field.zero.nums,) * k + self.rows if k > 0 else self.rows[-k:]
+        return Poly._raw(self.field, rows, self.den)
 
     def derivative(self) -> "Poly":
         return Poly._of(self.field, [tuple(x * k for x in row)
@@ -262,15 +293,13 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def deck_rotate(self, i: int, ref: int) -> "Poly":
-        """xi^(i ref) p(xi^(-i) w) over Q(zeta_(2u)), xi = zeta^2, u half the
-        field order: row k times zeta^(2i(ref - k)), a root shift per row.
-        The deck rotation moves a quotient with one ``ref`` for both parts:
-        deg den in ``RatFunc.rotate``, which keeps den monic, and the power
-        of w of a Laurent value of the canonical frame."""
+    def twist(self, m: int, ref: int = 0) -> "Poly":
+        """zeta^(-m ref) p(zeta^m w): row k times zeta^(m (k - ref)), a unit,
+        so each row keeps its content.  ``ref`` keeps a monic denominator
+        monic (``RatFunc.rotate``) or fixes a Laurent value's power of w."""
         f = self.field
-        u = f.order // 2
-        rows = tuple(row if (ref - k) * i % u == 0 else tuple(_times_root(row, 2 * i * (ref - k), 1, f))
+        rows = tuple(row if m * (k - ref) % f.order == 0
+                     else tuple(_times_root(row, m * (k - ref), 1, f))
                      for k, row in enumerate(self.rows))
         return Poly._raw(f, rows, self.den)
 
@@ -278,10 +307,7 @@ class Poly:
         """The polynomial w^upto * p(1/w); requires upto >= degree."""
         if upto < self.degree:
             raise ValueError("reversal bound below degree")
-        rows = (self.field.zero.nums,) * (upto - self.degree) + self.rows[::-1]
-        while rows and not any(rows[-1]):
-            rows = rows[:-1]
-        return Poly._raw(self.field, rows, self.den if rows else 1)
+        return Poly._of(self.field, list(self.rows[::-1]), self.den).shift(upto - self.degree)
 
     def is_monomial(self) -> bool:
         return sum(1 for row in self.rows if any(row)) == 1
@@ -317,34 +343,43 @@ def _canonical(p: Poly, field: CycField, rows: list, den: int) -> None:
     p.field, p.rows, p.den = field, tuple(rows), den
 
 
-def _convolve(field: CycField, a, b) -> list[list[int]]:
-    """The integer rows of the product of the rows a and b: one convolution
-    of length 2d - 1 per output row, accumulated over every pair of rows and
-    then reduced once through the field's table of the powers of zeta.  The
-    convolutions lie end to end in one list, so a pair of entries adds at
-    the sum of their offsets."""
+def _convolve(field: CycField, pairs, top: int | None = None) -> list[list[int]]:
+    """The integer rows of sum_k a_k b_k over pairs of integer rows, up to
+    degree ``top``: one convolution of length 2d - 1 per output row,
+    accumulated over every pair and reduced once through the field's table
+    of the powers of zeta.  The convolutions lie end to end in one list, so
+    a pair of entries adds at the sum of their offsets."""
     d, table = field.degree, field._rows
     width = 2 * d - 1
-    flat_b = [(j * width + q, y) for j, row in enumerate(b) for q, y in enumerate(row) if y]
-    conv = [0] * ((len(a) + len(b) - 1) * width)
-    for i, row in enumerate(a):
-        for p, x in enumerate(row, i * width):
-            if x:
-                for q, y in flat_b:
-                    conv[p + q] += x * y
+    n = max([len(a) + len(b) for a, b in pairs]) - 1
+    if top is not None:
+        n = min(n, top + 1)
+    conv = [0] * (n * width)
+    for a, b in pairs:
+        flat_b = [(j * width + q, y) for j, row in enumerate(b) for q, y in enumerate(row) if y]
+        for i, row in enumerate(a[:n]):
+            # the entries of b that land in a row below n
+            below = flat_b if i + len(b) <= n else flat_b[:bisect_left(flat_b, ((n - i) * width,))]
+            for p, x in enumerate(row, i * width):
+                if x:
+                    for q, y in below:
+                        conv[p + q] += x * y
     return [_reduce(conv[k:k + width], table, d) for k in range(0, len(conv), width)]
 
 
 def _scaled(field: CycField, rows, den: int, nums: tuple[int, ...], nden: int) -> Poly:
-    """(rows / den) * (nums / nden), made canonical: an integer multiply per
-    row for a rational factor, one convolution per row otherwise."""
+    """(rows / den) * (nums / nden), made canonical: per row an integer
+    multiply for a rational factor, a root shift for g zeta^m, one
+    convolution otherwise."""
     if not rows:
         return Poly.zero(field)
-    if any(nums[1:]):
-        out = _convolve(field, rows, [nums])
-    elif nums[0] == 1:
-        out = list(rows)
+    if not any(nums[1:]):
+        out = list(rows) if nums[0] == 1 else [[x * nums[0] for x in row] for row in rows]
+    elif (root := field._root_part(nums)) is None:
+        out = _convolve(field, [(rows, [nums])])
     else:
-        c = nums[0]
-        out = [[x * c for x in row] for row in rows]
+        out = [_times_root(row, *root, field) for row in rows]
+        # zeta^m is a unit of Z[zeta], so each row keeps its content
+        if nden == 1 and root[1] in (1, -1):
+            return Poly._raw(field, tuple(map(tuple, out)), den)
     return Poly._of(field, out, den * nden)

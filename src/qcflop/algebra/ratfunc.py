@@ -230,8 +230,7 @@ class RatFunc:
         t = n.derivative() * d - n * d.derivative()
         if t.is_zero():
             return RatFunc.zero(f, u)
-        # w t is t with its rows moved up by one
-        t, rest = _cancel(Poly._raw(f, (f.zero.nums,) + t.rows, t.den), d)
+        t, rest = _cancel(t.shift(1), d)
         return self._new(t if u == 1 else t.scale(Fraction(1, u)), d * rest)
 
     def series_expand(self, order: int) -> list[CycNumber]:
@@ -281,14 +280,14 @@ class RatFunc:
         sigma: w -> xi^(-1) w of the cover w -> q = w^u, over Q(zeta_(2u)).
 
         Coefficient k of num and den is multiplied by zeta^(2i(D - k)),
-        D = deg den, so den stays monic (``Poly.deck_rotate``); sigma is an
+        D = deg den, so den stays monic (``Poly.twist(-2i, D)``); sigma is an
         automorphism and zeta^m a unit, so the form stays canonical with no
         gcd.
         """
         if self.field.order != 2 * self.root_order:
             raise ValueError("the deck rotation needs the field Q(zeta_(2u))")
         top = self.den.degree
-        return self._new(self.num.deck_rotate(i, top), self.den.deck_rotate(i, top))
+        return self._new(self.num.twist(-2 * i, top), self.den.twist(-2 * i, top))
 
     def subs_reciprocal(self) -> "RatFunc":
         """The rational function f(1/w), as w^top n(1/w) / (w^top d(1/w))

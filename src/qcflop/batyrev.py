@@ -31,11 +31,11 @@ Each check does only the exact work its answer reads:
   monomials multiply to q1^(r+2) q2^(r+1), which takes n steps of the q1
   direction.  So the product identity through order N is the product of the
   unit parts through order N - n, against -1/(1 + (-1)^r q1).  A unit part
-  is the integer rows of its h-eigenvalue with every key shifted by
-  (-1, -1) (``FracSeries.divide_monomial``), so no coefficient is rebuilt;
-  the products of unit parts are integer convolutions and the one scaling
-  by a power of eta only permutes the powers of zeta (see
-  ``algebra.fracseries``).
+  is its h-eigenvalue with the rows of its one q1-polynomial moved down by
+  one and its q2-power lowered by one (``FracSeries.divide_monomial``), so
+  no coefficient is rebuilt; the products of unit parts are polynomial
+  products cut at the truncation, and the one scaling by a power of eta
+  only permutes the powers of zeta (see ``algebra.fracseries``).
 * eta-invariance.  The closed forms give h_ij = eta^j h_i0 and
   xi_ij = eta^j xi_i0, with eta of order r+2.  Relation 1 at
   (eta^j h, eta^j xi) is eta^(j(r+1)) times its value at (h, xi), and
@@ -344,7 +344,7 @@ def eigen_relation_residuals(pair: EigenPair) -> tuple[FracSeries, FracSeries]:
 
 def _failing_relations(residuals: tuple[FracSeries, FracSeries]) -> list[tuple[str, tuple]]:
     """(relation name, leading exponent) of each nonzero residual."""
-    return [(name, min(res.rows))
+    return [(name, res.leading_exponent())
             for name, res in zip(("spectrum-relation-1", "spectrum-relation-2"), residuals)
             if not res.is_zero()]
 
@@ -375,7 +375,7 @@ def verify_eigen_relations(r: int, order: int, orbits: list[EigenPair] | None = 
     leading = set()
     for i, orbit in enumerate(orbits):
         orbit = orbit.truncate(order)
-        lead = orbit.h.terms.get((1, 1), fld.zero)
+        lead = orbit.h.coefficient(1, 1)
         leading.update(lead * eta for eta in etas)
         # omega^i = zeta^((r+2) i), and sigma_i fixes q1 and q2
         m = (r + 2) * i
@@ -399,10 +399,10 @@ def eigenvalue_unit_product(r: int, order: int,
     The (r+1)(r+2) = n monomials multiply to q1^(r+2) q2^(r+1), which takes n
     steps of the q1 direction, so the unit parts are needed only through
     order - n: each h_i0 is expanded at order - n + 1 (or read from
-    ``orbits`` and truncated to it) and divided exactly by shifting the keys
-    of its integer rows, with no coefficient rebuilt.  As u_ij = eta^j u_i0,
-    the product is eta^((r+1) n/2) (prod_i u_i0)^(r+2).  Returns None when
-    some h_i0 has a term the monomial does not divide.
+    ``orbits`` and truncated to it) and divided exactly by dropping the
+    leading zero rows of its polynomial, with no coefficient rebuilt.  As
+    u_ij = eta^j u_i0, the product is eta^((r+1) n/2) (prod_i u_i0)^(r+2).
+    Returns None when some h_i0 has a term the monomial does not divide.
     """
     n = (r + 1) * (r + 2)
     if order < n:

@@ -173,9 +173,7 @@ class _Laurent:
         divides num cancelled, which is reduced, with a monic denominator."""
         num, f = self.num, self.num.field
         v = min(self.low, num.monomial_exponent()) if num.rows else self.low
-        if v:
-            num = Poly._raw(f, num.rows[v:], num.den)
-        den = Poly._raw(f, (f.zero.nums,) * (self.low - v) + (f.one.nums,), 1)
+        num, den = num.shift(-v), Poly.one(f).shift(self.low - v)
         u = f.order // 2
         return EquivScalar(f, u, self.weight, RatFunc(f, u, num, den, reduce=False))
 
@@ -188,7 +186,7 @@ class _Laurent:
         num, low = self.num, self.low
         if any(any(row) for k, row in enumerate(num.rows) if k != low):
             return None
-        return CycNumber(num.field, num.rows[low], num.den) if low < len(num.rows) else num.field.zero
+        return num.coefficient(low)
 
     def __add__(self, other: "_Laurent") -> "_Laurent":
         if not other.num.rows:
@@ -198,12 +196,7 @@ class _Laurent:
         if self.weight != other.weight:
             raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{other.weight}")
         a, b = (self, other) if self.low >= other.low else (other, self)
-        shift = a.low - b.low
-        low_rows = b.num
-        if shift:
-            f = b.num.field
-            low_rows = Poly._raw(f, (f.zero.nums,) * shift + b.num.rows, b.num.den)
-        return _Laurent(a.weight, a.num + low_rows, a.low)
+        return _Laurent(a.weight, a.num + b.num.shift(a.low - b.low), a.low)
 
     def __neg__(self) -> "_Laurent":
         return _Laurent(self.weight, -self.num, self.low)
@@ -245,8 +238,8 @@ class _Laurent:
     def rotate(self, i: int) -> "_Laurent":
         """sigma^i, w -> xi^(-i) w: the coefficient of w^e times
         xi^(-ie) = zeta^(-2ie), a root shift per row of the numerator with
-        ``low`` as its reference exponent (``Poly.deck_rotate``)."""
-        return _Laurent(self.weight, self.num.deck_rotate(i, self.low), self.low)
+        ``low`` as its reference exponent (``Poly.twist``)."""
+        return _Laurent(self.weight, self.num.twist(-2 * i, self.low), self.low)
 
 
 # --- frame -------------------------------------------------------------------
@@ -477,20 +470,26 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     module docstring).  The convolution sum_d C(2r-d, r-d) [t^d] E_i E_j is
     taken as sum_k s_ik T_k with T_k = sum_(l <= r-k) C(2r-k-l, r-k-l) s_jl,
     so it needs r+1 products.  Times w^r it is a polynomial: s_ik w^k is
-    one, and w^(r-k) T_k is summed by Horner in w, so the value is one
-    reduction over w^r."""
+    one, and w^(r-k) T_k is an int-weighted sum of the integer rows of the
+    s_jl w^l moved up by r-k-l.  The r+1 products share one convolution
+    buffer, so the value is one gcd and one reduction over w^r."""
     r, fld, u = frame.r, frame.field, frame.u
     prefs, signed = _eps_factors(frame)
     t_i, t_j = signed[i], signed[j]
-    weights = [_pairing_weight(r, d) for d in range(r + 1)]
-    w = Poly.monomial(fld, 1)
-    total = Poly.zero(fld)
-    for k in range(r + 1):
-        t_k = Poly.zero(fld)
-        for l in range(r + 1 - k):
-            t_k = t_k * w + t_j[l] * weights[k + l]
-        total = total + t_i[k] * t_k
-    num = prefs[i] * prefs[j] * total
+    den_i, den_j = lcm(*(s.den for s in t_i)), lcm(*(s.den for s in t_j))
+    pairs = []
+    for k, s in enumerate(t_i):
+        terms = t_j[:r + 1 - k]
+        t_k = [[0] * fld.degree
+               for _ in range(max(r - k - l + len(x.rows) for l, x in enumerate(terms)))]
+        for l, x in enumerate(terms):
+            c = _pairing_weight(r, k + l) * (den_j // x.den)
+            for acc, row in zip(t_k[r - k - l:], x.rows):
+                for p, y in enumerate(row):
+                    if y:
+                        acc[p] += c * y
+        pairs.append(([[y * (den_i // s.den) for y in row] for row in s.rows], t_k))
+    num = prefs[i] * prefs[j] * Poly.sum_of_products(fld, pairs, den_i * den_j)
     return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
 
 
@@ -503,7 +502,7 @@ def by_orbit(frame: CanonicalFrame, *derives) -> list:
     sigma^i sends eps_0 to eps_i when pref_i = sigma^i(pref_0) and
     s_ik w^k = xi^(ik) sigma^i(s_0k w^k) for every k, and L_i =
     xi^i sigma^i(L_0); each index is checked once, by polynomial rotation
-    (xi^(ik) sigma^i(p) is ``p.deck_rotate(i, k)``), with no reduction.
+    (xi^(ik) sigma^i(p) is ``p.twist(-2i, k)``), with no reduction.
     When i, j and (j - i) mod (r+1) all pass, sigma^i carries the inputs of
     (0, j - i) onto those of (i, j), and both values are reduced rational
     functions, so the rotated value is the derived one.
@@ -512,9 +511,9 @@ def by_orbit(frame: CanonicalFrame, *derives) -> list:
     u = frame.u
     prefs, signed = _eps_factors(frame)
     covariant = [True] + [
-        frame.L[i] == frame.L[0].deck_rotate(i, 1)
-        and prefs[i] == prefs[0].deck_rotate(i, 0)
-        and all(s == s0.deck_rotate(i, k)
+        frame.L[i] == frame.L[0].twist(-2 * i, 1)
+        and prefs[i] == prefs[0].twist(-2 * i)
+        and all(s == s0.twist(-2 * i, k)
                 for k, (s, s0) in enumerate(zip(signed[i], signed[0])))
         for i in range(1, u)]
 

@@ -72,47 +72,44 @@ def _emit(report_text: str, out_path: str | None) -> None:
         sys.stdout.write(report_text)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--r", dest="r_range", help="single r or a range like 1..3")
-    parser.add_argument("--order", type=int, help="series truncation order")
-    parser.add_argument("--dmax", type=int, help="largest degree in tables")
-    parser.add_argument("--rmatrix-order", dest="rmatrix_order", type=int,
+def build_parser() -> argparse.ArgumentParser:
+    # the flags that verify, table and dump share, built once as their parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--r", dest="r_range", help="single r or a range like 1..3")
+    common.add_argument("--order", type=int, help="series truncation order")
+    common.add_argument("--dmax", type=int, help="largest degree in tables")
+    common.add_argument("--rmatrix-order", dest="rmatrix_order", type=int,
                         help="number of recursion orders to verify")
-    parser.add_argument("--max-m", dest="max_m", type=int,
+    common.add_argument("--max-m", dest="max_m", type=int,
                         help="largest derivative order in the flop sweeps")
-    parser.add_argument("--max-n", dest="max_n", type=int,
+    common.add_argument("--max-n", dest="max_n", type=int,
                         help="largest point count in the genus-one sweeps")
-    parser.add_argument("--sample", help="numeric sample: 're,im re,im' rationals")
-    parser.add_argument("--dim", type=int, help="toy loop-space dimension")
-    parser.add_argument("--cutoff", type=int, help="toy loop-space mode cutoff")
-    parser.add_argument("--tolerance", type=float, help="spectrum matching tolerance")
-    parser.add_argument("--gap-tolerance", dest="gap_tolerance", type=float,
+    common.add_argument("--sample", help="numeric sample: 're,im re,im' rationals")
+    common.add_argument("--dim", type=int, help="toy loop-space dimension")
+    common.add_argument("--cutoff", type=int, help="toy loop-space mode cutoff")
+    common.add_argument("--tolerance", type=float, help="spectrum matching tolerance")
+    common.add_argument("--gap-tolerance", dest="gap_tolerance", type=float,
                         help="eigenvalue distinctness tolerance")
-    parser.add_argument("--format", choices=("json", "csv", "text"))
-    parser.add_argument("--out", help="write the report to this path")
+    common.add_argument("--format", choices=("json", "csv", "text"))
+    common.add_argument("--out", help="write the report to this path")
     # runs are serial; the flag stays so that command lines passing --jobs 1 still run
-    parser.add_argument("--jobs", type=int, choices=(1,),
+    common.add_argument("--jobs", type=int, choices=(1,),
                         help="runs are serial: only 1 is accepted")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcflop",
         description="Exact verification of quantum cohomology identities for "
                     "local flop models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a verification suite")
+    verify = sub.add_parser("verify", help="run a verification suite", parents=[common])
     verify.add_argument("suite", choices=SUITES + ("all",))
-    _add_common_flags(verify)
 
-    table = sub.add_parser("table", help="emit invariant tables")
+    table = sub.add_parser("table", help="emit invariant tables", parents=[common])
     table.add_argument("which", choices=("genus1",))
-    _add_common_flags(table)
 
-    dump = sub.add_parser("dump", help="emit closed-form data")
+    dump = sub.add_parser("dump", help="emit closed-form data", parents=[common])
     dump.add_argument("which", choices=("dG",))
-    _add_common_flags(dump)
 
     return parser
 

@@ -119,6 +119,45 @@ def test_sum_product_and_scale_match_schoolbook(order, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ORDERS), st.data())
+def test_mul_upto_is_the_product_cut_at_top(order, data):
+    field = CycField(order)
+    a, b = (data.draw(coeff_lists(field)) for _ in range(2))
+    top = data.draw(st.integers(min_value=-1, max_value=9))
+    pa, pb = Poly(field, a), Poly(field, b)
+    same(pa.mul_upto(pb, top), trim(ref_mul(field, a, b)[:top + 1]))
+    assert pa.mul_upto(pb, top) == (pa * pb).truncate(top)
+    # one buffer for a sum of products, over a common denominator
+    den = pa.den * pb.den
+    same(Poly.sum_of_products(field, [(pa.rows, pb.rows), (pb.rows, pa.rows)], den),
+         trim(c * 2 for c in ref_mul(field, a, b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), st.data())
+def test_scale_by_a_root_of_unity_matches_schoolbook(order, data):
+    # a rational multiple of zeta^k permutes the powers of zeta in each row
+    field = CycField(order)
+    a = data.draw(coeff_lists(field))
+    c = field.zeta(data.draw(st.integers(0, order - 1))) * data.draw(entries)
+    same(Poly(field, a).scale(c), trim(y * c for y in a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), st.data())
+def test_twist_is_the_root_substitution(order, data):
+    # twist(m, ref) is zeta^(-m ref) p(zeta^m w), read by eval at field points
+    field = CycField(order)
+    p = Poly(field, data.draw(coeff_lists(field)))
+    m = data.draw(st.integers(-2 * order, 2 * order))
+    ref = data.draw(st.integers(0, 6))
+    got = p.twist(m, ref)
+    assert_canonical(got)
+    for x in (field.zero, field.one, field.zeta(), field.element([Fraction(1, 3), 2])):
+        assert got.eval(x) == field.zeta(-m * ref) * p.eval(field.zeta(m) * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS), st.data())
 def test_divmod_matches_schoolbook(order, data):
     field = CycField(order)
     a = data.draw(coeff_lists(field, max_size=7))
