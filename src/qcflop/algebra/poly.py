@@ -153,7 +153,7 @@ class Poly:
             return self._times(b[0], other.den)
         if len(a) == 1:
             return other._times(a[0], self.den)
-        return Poly._of(f, _convolve(f, [(a, b)]), self.den * other.den)
+        return Poly._of(f, _convolve(f, [(a, b)], len(a) + len(b) - 1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -162,14 +162,15 @@ class Poly:
         convolution never forms; both factors lie over one field."""
         if self.degree + other.degree <= top:
             return self * other
-        return Poly._of(self.field, _convolve(self.field, [(self.rows, other.rows)], top),
+        return Poly._of(self.field, _convolve(self.field, [(self.rows, other.rows)], top + 1),
                         self.den * other.den)
 
     @classmethod
     def sum_of_products(cls, field: CycField, pairs, den: int) -> "Poly":
         """sum_k a_k b_k / den over a nonempty list of pairs of integer rows:
         one convolution buffer, one reduction and one gcd."""
-        return cls._of(field, _convolve(field, pairs), den)
+        n = max(len(a) + len(b) for a, b in pairs) - 1
+        return cls._of(field, _convolve(field, pairs, n), den)
 
     def truncate(self, top: int) -> "Poly":
         """The polynomial without its terms of degree above ``top``."""
@@ -233,7 +234,7 @@ class Poly:
             if dm != 1:
                 for j in range(shift):
                     rem[j] = [x * dm for x in rem[j]]
-            for j, sub in enumerate(_convolve(f, [([top], m[:dd])]), shift):
+            for j, sub in enumerate(_convolve(f, [([top], m[:dd])], dd), shift):
                 rem[j] = [x * dm - y for x, y in zip(rem[j], sub)]
         zero_row = (0,) * f.degree
         quo = [zero_row if t is None else [x * dm ** (k - 1 - t[1]) for x in t[0]] for t in tops]
@@ -343,17 +344,14 @@ def _canonical(p: Poly, field: CycField, rows: list, den: int) -> None:
     p.field, p.rows, p.den = field, tuple(rows), den
 
 
-def _convolve(field: CycField, pairs, top: int | None = None) -> list[list[int]]:
-    """The integer rows of sum_k a_k b_k over pairs of integer rows, up to
-    degree ``top``: one convolution of length 2d - 1 per output row,
-    accumulated over every pair and reduced once through the field's table
-    of the powers of zeta.  The convolutions lie end to end in one list, so
-    a pair of entries adds at the sum of their offsets."""
+def _convolve(field: CycField, pairs, n: int) -> list[list[int]]:
+    """The first n integer rows of sum_k a_k b_k over pairs of integer rows:
+    one convolution of length 2d - 1 per output row, accumulated over every
+    pair and reduced once through the field's table of the powers of zeta.
+    The convolutions lie end to end in one list, so a pair of entries adds
+    at the sum of their offsets."""
     d, table = field.degree, field._rows
     width = 2 * d - 1
-    n = max([len(a) + len(b) for a, b in pairs]) - 1
-    if top is not None:
-        n = min(n, top + 1)
     conv = [0] * (n * width)
     for a, b in pairs:
         flat_b = [(j * width + q, y) for j, row in enumerate(b) for q, y in enumerate(row) if y]
@@ -376,7 +374,7 @@ def _scaled(field: CycField, rows, den: int, nums: tuple[int, ...], nden: int) -
     if not any(nums[1:]):
         out = list(rows) if nums[0] == 1 else [[x * nums[0] for x in row] for row in rows]
     elif (root := field._root_part(nums)) is None:
-        out = _convolve(field, [(rows, [nums])])
+        out = _convolve(field, [(rows, [nums])], len(rows))
     else:
         out = [_times_root(row, *root, field) for row in rows]
         # zeta^m is a unit of Z[zeta], so each row keeps its content
