@@ -35,7 +35,7 @@ Each check does only the exact work its answer reads:
   one and its q2-power lowered by one (``FracSeries.divide_monomial``), so
   no coefficient is rebuilt; the products of unit parts are polynomial
   products cut at the truncation, and the one scaling by a power of eta
-  only permutes the powers of zeta (see ``algebra.fracseries``).
+  only permutes the powers of zeta (see ``algebra.poly``).
 * eta-invariance.  The closed forms give h_ij = eta^j h_i0 and
   xi_ij = eta^j xi_i0, with eta of order r+2.  Relation 1 at
   (eta^j h, eta^j xi) is eta^(j(r+1)) times its value at (h, xi), and
