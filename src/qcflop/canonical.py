@@ -655,26 +655,22 @@ def _m_inverse_column(frame: CanonicalFrame) -> list[_Laurent]:
             for mu, s in enumerate(_sym_omitting(frame, 0))]
 
 
-def mat_transpose(A: list[list]) -> list[list]:
-    return [list(row) for row in zip(*A)]
-
-
 # The wrap sign of the deck rotation: zeta^(r+1) = -1, so an entry whose
 # index wraps past r under sigma changes sign.
 _WRAP_SIGN = -1
 
 
+def _entry(row: list, rotate, i: int, j: int):
+    """X[i][j] = (-1)^[j<i] sigma^i(row[(j-i) mod u]) of the matrix X with
+    row 0 ``row``, where rotate(x, i) is sigma^i(x): the rule every
+    default-branch matrix of the frame satisfies (see the module docstring)."""
+    x = rotate(row[(j - i) % len(row)], i) if i else row[j]
+    return x * _WRAP_SIGN if j < i else x
+
+
 def _fill(row: list, rotate) -> list[list]:
-    """The matrix X with X[i][j] = (-1)^[j<i] sigma^i(row[(j-i) mod u]),
-    where rotate(x, i) is sigma^i(x): the rule every default-branch matrix
-    of the frame satisfies (see the module docstring)."""
-    out = []
-    for i in range(len(row)):
-        moved = [rotate(x, i) for x in row] if i else row
-        # k = j - i; a negative k reads moved[(j - i) mod u], which wrapped
-        out.append([moved[k] if k >= 0 else moved[k] * _WRAP_SIGN
-                    for k in range(-i, len(row) - i)])
-    return out
+    """The matrix whose entries ``_entry`` reads off its row 0."""
+    return [[_entry(row, rotate, i, j) for j in range(len(row))] for i in range(len(row))]
 
 
 def connection_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
@@ -1003,18 +999,19 @@ def _conn_entry(conn: list[list[CycNumber]], mat: list[list[_Laurent]], i: int, 
 
 
 def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: int):
-    """R_a^T R_b of the default branch, memoised by (a, b).
+    """Row 0 of R_a^T R_b of the default branch, memoised by (a, b).
 
-    Only products with 0 < a <= b are multiplied, and only their row 0,
-    sum_k R_a[k][0] R_b[k][j]; ``_fill`` gives the rest, as the rule holds
-    for R_a^T R_b when it holds for R_a and R_b.  For a > b the product is
-    the transpose of R_b^T R_a, and R_0 = Id makes R_0^T R_b equal to R_b.
+    Only products with 0 < a <= b are multiplied, sum_k R_a[k][0] R_b[k][j],
+    and R_0 = Id makes R_0^T R_b equal to R_b.  The rule of ``_fill`` holds
+    for R_a^T R_b when it holds for R_a and R_b, so for a > b the row is
+    column 0 of R_b^T R_a, read off its row 0 by ``_entry``.
     """
     if (a, b) not in memo:
         if a > b:
-            memo[a, b] = mat_transpose(_transpose_product(mats, memo, b, a))
+            row = _transpose_product(mats, memo, b, a)
+            memo[a, b] = [_entry(row, _Laurent.rotate, i, 0) for i in range(len(row))]
         elif a == 0:
-            memo[a, b] = mats[b]
+            memo[a, b] = mats[b][0]
         else:
             A, B = mats[a], mats[b]
             row = []
@@ -1023,7 +1020,7 @@ def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: 
                 for k in range(1, len(A)):
                     acc = acc + A[k][0] * B[k][j]
                 row.append(acc)
-            memo[a, b] = _fill(row, _Laurent.rotate)
+            memo[a, b] = row
     return memo[a, b]
 
 
@@ -1034,7 +1031,7 @@ def _unitarity_row(mats: list[list[list[_Laurent]]], memo: dict, n: int) -> list
     nonzero (i, j) in row order lies in row 0."""
     acc = None
     for a_idx in range(n + 1):
-        term = _transpose_product(mats, memo, a_idx, n - a_idx)[0]
+        term = _transpose_product(mats, memo, a_idx, n - a_idx)
         if a_idx % 2 == 1:
             term = [-x for x in term]
         acc = term if acc is None else [p + t for p, t in zip(acc, term)]
@@ -1074,7 +1071,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
     zero, one = _Laurent(0, Poly.zero(fld)), _Laurent(0, Poly.one(fld))
     mats: list[list[list[_Laurent]]] = [[[one if i == j else zero for j in range(size)]
                                          for i in range(size)]]
-    products: dict[tuple[int, int], list[list[_Laurent]]] = {}
+    products: dict[tuple[int, int], list[_Laurent]] = {}
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
@@ -1089,7 +1086,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
             # the recursion fixes R_n[0][0] only up to a constant, so align it
             mid = zero
             for a_idx in range(1, n):
-                term = _transpose_product(mats, products, a_idx, n - a_idx)[0][0]
+                term = _transpose_product(mats, products, a_idx, n - a_idx)[0]
                 mid = mid - term if a_idx % 2 else mid + term
             gap = mid * Fraction(-1, 2) - diag
             const = gap.constant()

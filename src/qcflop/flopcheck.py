@@ -146,19 +146,16 @@ def genus1_npoint_invariance(r: int, n: int, kappa: Fraction | None = None) -> b
     return lhs == rhs
 
 
-def genus1_onepoint_defect(r: int, chern_shift: Fraction | int = 0,
-                           kappa: Fraction | None = None) -> Fraction:
+def genus1_onepoint_defect(r: int, kappa: Fraction | None = None) -> Fraction:
     """Total defect of the genus-one one-point function across the flop.
 
     Combines the classical degree-zero term -(1/24)(c_(2r).(2h - x)) with the
     quantum correction (-1)^r kappa obtained from the genus-one potential;
-    vanishes identically.  ``chern_shift`` perturbs the Chern pairing for
-    negative controls; ``kappa`` is read from the pipeline when not given.
+    vanishes identically.  ``kappa`` is read from the pipeline when not given.
     """
     if kappa is None:
         kappa = genus1_kappa(r)
-    chern_pairing = coh.chern_flop_identity(r) + chern_shift
-    classical = -Fraction(1, 24) * chern_pairing
+    classical = -Fraction(1, 24) * coh.chern_flop_identity(r)
     return classical + Fraction((-1) ** r) * kappa
 
 

@@ -410,13 +410,13 @@ def test_spectrum_structure_match():
 
 
 def certificate(r, q1, q2):
-    """The certificate at the sample point (q1, q2), on its exact matrices."""
-    return bat.semisimplicity_certificate(r, q1, q2, bat.multiplication_matrices(r, q1, q2))
+    """The certificate at the sample point (q1, q2), on its exact h*; a call
+    that returns certifies the point."""
+    return bat.semisimplicity_certificate(r, q1, q2, bat.multiplication_matrices(r, q1, q2)[0])
 
 
 def test_semisimplicity_certificate_r1():
     report = certificate(1, (Fraction(3, 10), Fraction(0)), (Fraction(7, 10), Fraction(0)))
-    assert report["certified"]
     assert report["eigenvalues"] == 6
     assert report["min_gap"] > 1e-6
     assert report["spectrum_match"] <= 1e-9
@@ -444,8 +444,14 @@ def test_the_certificate_makes_one_eigen_decomposition(monkeypatch):
 
 def test_semisimplicity_certificate_r2():
     report = certificate(2, (Fraction(1, 5), Fraction(1, 10)), (Fraction(1, 4), Fraction(0)))
-    assert report["certified"]
     assert report["eigenvalues"] == 12
+
+
+def test_verify_batyrev_passes_at_r_17(capsys):
+    # the float checks of x* crossed fixed bounds at r = 17; the certificate
+    # reads h* only, under the configured tolerances
+    assert cli.main(["verify", "batyrev", "--r", "17"]) == 0
+    capsys.readouterr()
 
 
 def test_certificate_rejects_origin():

@@ -546,7 +546,7 @@ def signed_sum(mats, n, lo):
     zero = EquivScalar.zero(mats[0][0][0].field, mats[0][0][0].root_order)
     acc = [[zero] * len(mats[0]) for _ in mats[0]]
     for a in range(lo, n - lo + 1):
-        term = mat_mul(can.mat_transpose(mats[a]), mats[n - a])
+        term = mat_mul([list(row) for row in zip(*mats[a])], mats[n - a])
         acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
     return acc
 

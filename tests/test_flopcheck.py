@@ -215,12 +215,14 @@ def test_genus1_kappa_from_pipeline():
     assert fc.genus1_kappa(2) == Fraction(-1, 8)
 
 
-def test_genus1_onepoint_defect():
+def test_genus1_onepoint_defect(monkeypatch):
     for r in (1, 2):
         assert fc.genus1_onepoint_defect(r) == 0
     # negative control: shifting the Chern pairing by -1 leaves +1/24
-    assert fc.genus1_onepoint_defect(1, chern_shift=-1) == Fraction(1, 24)
-    assert fc.genus1_onepoint_defect(1, chern_shift=1) == Fraction(-1, 24)
+    pairing = fc.coh.chern_flop_identity(1)
+    for shift, defect in ((-1, Fraction(1, 24)), (1, Fraction(-1, 24))):
+        monkeypatch.setattr(fc.coh, "chern_flop_identity", lambda r, s=shift: pairing + s)
+        assert fc.genus1_onepoint_defect(1) == defect
 
 
 def test_fp_generating_invariance():

@@ -190,17 +190,27 @@ def chern_pairing_against_2h_plus_x(monkeypatch):
     monkeypatch.setattr(coh, "chern_flop_identity", chern_flop_identity)
 
 
-def one_solved_entry_plus_one(monkeypatch):
-    # the ring's one elimination returns coordinate 0 of its first solved
-    # column, the entry of x* in row 0 and column x^(r+1), plus 1
+def solved_entry_plus_one(monkeypatch, t):
+    # the ring's one elimination returns coordinate 0 of its solved column t
+    # plus 1
     original = linalg.row_reduce
 
     def row_reduce(rows, one, ncols):
         out = original(rows, one, ncols)
-        rows[0][ncols] = rows[0].get(ncols, one - one) + one
+        rows[0][ncols + t] = rows[0].get(ncols + t, one - one) + one
         return out
 
     monkeypatch.setattr(linalg, "row_reduce", row_reduce)
+
+
+def one_solved_entry_plus_one(monkeypatch):
+    # solved column 0 is the entry of x* in row 0 and column x^(r+1)
+    solved_entry_plus_one(monkeypatch, 0)
+
+
+def one_solved_entry_of_h_plus_one(monkeypatch):
+    # solved column 2 at r = 2 is the entry of h* in row 0 and column h^r x^0
+    solved_entry_plus_one(monkeypatch, 2)
 
 
 def orbit_1_read_as_orbit_0(monkeypatch):
@@ -275,12 +285,10 @@ CONTROLS = {
         " leading exponent (5, 3)"),
     "batyrev/eigenvalue-count": (
         orbit_1_read_as_orbit_0, "batyrev", 2, "8 distinct leading coefficients of 12"),
-    # x* off by one entry leaves h* and its spectrum alone, so the row fails
-    # through the two fixed bounds on x*, and names both
+    # h* off by one entry moves its spectrum off the closed forms
     "batyrev/semisimplicity-certificate": (
-        one_solved_entry_plus_one, "batyrev", 2,
-        "min gap 2.205e-01, spectrum match 2.026e-15, simultaneous off-diagonal 1.756e-01"
-        " not below 1e-06, commutator norm 1.000e+00 not below 1e-12"),
+        one_solved_entry_of_h_plus_one, "batyrev", 2,
+        "formula-vs-matrix spectrum mismatch 4.914e-01 above tolerance"),
     "batyrev/eigenvalue-product": (
         orbit_1_read_as_orbit_0, "batyrev", 2,
         "prod of the unit parts is not -1/(1 + (-1)^r q1): first failing term (0, 0):"
@@ -417,14 +425,14 @@ def test_an_h_the_leading_monomial_does_not_divide_names_its_orbit(capsys, monke
         "h_10 has a term that q1^(1/(r+1)) q2^(1/(r+2)) does not divide")
 
 
-def test_a_perturbed_solved_entry_fails_only_the_rows_that_read_the_matrices(
-        capsys, monkeypatch):
-    # the exact eigen checks read the closed forms, not x*
+def test_a_perturbed_entry_of_x_fails_only_the_commutator(capsys, monkeypatch):
+    # the exact eigen checks read the closed forms and the certificate reads
+    # h*, none of them x*
     one_solved_entry_plus_one(monkeypatch)
     code, entries = verify("batyrev", 2, capsys)
     assert code == 1
     assert {a for a, e in entries.items() if e["status"] == "fail"} == {
-        "batyrev/multiplication-commutes", "batyrev/semisimplicity-certificate"}
+        "batyrev/multiplication-commutes"}
 
 
 WARM_MEMO_ANCHORS = ("cohomology/chern-flop-pairing", "cohomology/first-chern-fiber-class",
