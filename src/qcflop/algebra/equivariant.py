@@ -1,8 +1,18 @@
-"""Homogeneous values in the equivariant weight with a RatFunc coefficient.
+"""Homogeneous values in the equivariant weight, held as unreduced fractions.
 
-An EquivScalar is lam^weight times a rational function of w, where lam is
-the single torus weight.  This is the value type of the canonical-coordinate
-pipeline, and every quantity it builds is homogeneous: the quantum spectrum
+An EquivScalar is lam^weight num / (w^low den), lam the single torus weight
+and num, den polynomials in w (``Poly``); den is one for a Laurent value.
+It is the value type of the canonical-coordinate pipeline, whose
+denominators are known in advance, so no operation reduces or takes a gcd:
+a product multiplies numerators and dens and adds weights and lows; a sum
+over equal dens shifts and adds the numerators, and any other sum, like an
+equality, cross-multiplies; delta, the integration in t and the constant
+act row by row on a Laurent value, and the deck rotation also twists den.
+``value`` is the reduced RatFunc, formed on each read (a Laurent value
+cancels its power of w by valuation, any other value is reduced once); a
+hash, and an equality across fields, read it.
+
+Every quantity the pipeline builds is homogeneous: the quantum spectrum
 roots have weight 1, the idempotent pairings weight -(2r+1), R_n weight -n
 and the connection weight 0.  Zero has weight 0 and adds to a value of any
 weight; a sum of two nonzero values of different weights can only come from
@@ -12,8 +22,10 @@ a wrong derivation and raises InhomogeneousError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from qcflop.algebra.cyclotomic import CycField, CycNumber
+from qcflop.algebra.poly import Poly
 from qcflop.algebra.ratfunc import RatFunc
 
 
@@ -25,48 +37,84 @@ class InhomogeneousError(ValueError):
     """Raised when two nonzero values of different weights are added."""
 
 
+class FlatnessError(ValueError):
+    """Raised when a diagonal integrand carries a non-integrable constant."""
+
+
+def _is_one(p: Poly) -> bool:
+    return p.den == 1 and len(p.rows) == 1 and p.rows[0] == p.field.one.nums
+
+
 class EquivScalar:
-    __slots__ = ("field", "root_order", "weight", "value")
+    __slots__ = ("field", "root_order", "weight", "num", "low", "den")
 
     def __init__(self, field: CycField, root_order: int, weight: int, value: RatFunc):
-        self.field = field
-        self.root_order = root_order
-        self.weight = 0 if value.is_zero() else weight
-        self.value = value
+        """lam^weight value, with the power of w in value.den held as ``low``."""
+        low = value.den.monomial_exponent()
+        self.field, self.root_order = field, root_order
+        self.weight = weight if value.num.rows else 0
+        self.num, self.low, self.den = value.num, low, value.den.shift(-low)
+
+    @classmethod
+    def fraction(cls, field: CycField, root_order: int, weight: int, num: Poly, low: int = 0,
+                 den: Poly | None = None) -> "EquivScalar":
+        """lam^weight num / (w^low den) as written, low >= 0 and den one by default."""
+        x = object.__new__(cls)
+        x.field, x.root_order = field, root_order
+        x.weight = weight if num.rows else 0
+        x.num, x.low, x.den = num, low, Poly.one(field) if den is None else den
+        return x
 
     @classmethod
     def zero(cls, field: CycField, root_order: int) -> "EquivScalar":
-        return cls(field, root_order, 0, RatFunc.zero(field, root_order))
+        return cls.fraction(field, root_order, 0, Poly.zero(field))
 
     @classmethod
     def one(cls, field: CycField, root_order: int) -> "EquivScalar":
-        return cls(field, root_order, 0, RatFunc.one(field, root_order))
-
-    @classmethod
-    def from_ratfunc(cls, f: RatFunc, weight: int = 0) -> "EquivScalar":
-        return cls(f.field, f.root_order, weight, f)
+        return cls.fraction(field, root_order, 0, Poly.one(field))
 
     @classmethod
     def lam_power(cls, field: CycField, root_order: int, exp: int, coeff=1) -> "EquivScalar":
-        return cls(field, root_order, exp, RatFunc.constant(field, root_order, coeff))
+        return cls.fraction(field, root_order, exp, Poly(field, [coeff]))
+
+    def _new(self, weight: int, num: Poly, low: int, den: Poly) -> "EquivScalar":
+        return EquivScalar.fraction(self.field, self.root_order, weight, num, low, den)
 
     def _lift(self, other) -> "EquivScalar | None":
-        if isinstance(other, EquivScalar):
-            return other
-        if isinstance(other, RatFunc):
-            return EquivScalar.from_ratfunc(other)
         if isinstance(other, (int, Fraction, CycNumber)):
             return EquivScalar.lam_power(self.field, self.root_order, 0, other)
-        return None
+        if isinstance(other, RatFunc):
+            other = EquivScalar(other.field, other.root_order, 0, other)
+        elif not isinstance(other, EquivScalar):
+            return None
+        if other.field is not self.field or other.root_order != self.root_order:
+            raise ValueError("mixing values over different settings")
+        return other
+
+    @property
+    def value(self) -> RatFunc:
+        """The reduced rational function num / (w^low den), formed on each read."""
+        f, num, low = self.field, self.num, self.low
+        if not _is_one(self.den):
+            return RatFunc(f, self.root_order, num, self.den.shift(low))
+        v = min(low, num.monomial_exponent()) if num.rows else low
+        return RatFunc(f, self.root_order, num.shift(-v), Poly.one(f).shift(low - v), reduce=False)
 
     def __add__(self, other) -> "EquivScalar":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        weight = o.weight if self.is_zero() else self.weight
-        if weight != o.weight and not o.is_zero():
+        if not o.num.rows:
+            return self
+        if not self.num.rows:
+            return o
+        if self.weight != o.weight:
             raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{o.weight}")
-        return EquivScalar(self.field, self.root_order, weight, self.value + o.value)
+        a, b = (self, o) if self.low >= o.low else (o, self)
+        if a.den is b.den or a.den == b.den:
+            return self._new(a.weight, a.num + b.num.shift(a.low - b.low), a.low, a.den)
+        num = a.num * b.den + (b.num * a.den).shift(a.low - b.low)
+        return self._new(a.weight, num, a.low, a.den * b.den)
 
     __radd__ = __add__
 
@@ -80,59 +128,96 @@ class EquivScalar:
         return (-self) + other
 
     def __neg__(self) -> "EquivScalar":
-        return EquivScalar(self.field, self.root_order, self.weight, -self.value)
+        return self._new(self.weight, -self.num, self.low, self.den)
 
     def __mul__(self, other) -> "EquivScalar":
         if isinstance(other, (int, Fraction, CycNumber)):
-            return EquivScalar(self.field, self.root_order, self.weight, self.value * other)
+            return self._new(self.weight, self.num.scale(other), self.low, self.den)
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return EquivScalar(self.field, self.root_order, self.weight + o.weight, self.value * o.value)
+        return self._new(self.weight + o.weight, self.num * o.num, self.low + o.low, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "EquivScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return EquivScalar(self.field, self.root_order, self.weight * n, self.value ** n)
-
-    def inverse(self) -> "EquivScalar":
-        """lam^-weight / value; raises ZeroDivisionError on zero."""
-        return EquivScalar(self.field, self.root_order, -self.weight, self.value.inverse())
-
-    def __truediv__(self, other) -> "EquivScalar":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        """A nonnegative power, of the numerator and the denominator apart."""
+        return self._new(self.weight * n, self.num ** n, self.low * n, self.den ** n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (EquivScalar, RatFunc)):
-            o = self._lift(other)
-            if o.root_order != self.root_order:
-                return NotImplemented
-            # RatFunc values compare across fields
-            return self.weight == o.weight and self.value == o.value
-        if isinstance(other, (int, Fraction, CycNumber)):
+        if isinstance(other, CycNumber) and other.field is not self.field:
             return self.weight == 0 and self.value == other
-        return NotImplemented
+        if isinstance(other, RatFunc):
+            other = EquivScalar(other.field, other.root_order, 0, other)
+        elif isinstance(other, (int, Fraction, CycNumber)):
+            other = self._lift(other)
+        elif not isinstance(other, EquivScalar):
+            return NotImplemented
+        if other.root_order != self.root_order:
+            return NotImplemented
+        if self.weight != other.weight:
+            return False
+        if other.field is not self.field:
+            # values over two fields compare as reduced rational functions
+            return self.value == other.value
+        # a = b when num_a den_b w^low_b = num_b den_a w^low_a
+        a, b = (self, other) if self.low >= other.low else (other, self)
+        if a.den is b.den or a.den == b.den:
+            return a.num == b.num.shift(a.low - b.low)
+        return a.num * b.den == (b.num * a.den).shift(a.low - b.low)
 
     def __hash__(self) -> int:
         # a weight-0 value hashes like its RatFunc, so like its constant
-        if self.weight == 0:
-            return hash(self.value)
-        return hash((self.weight, self.value))
+        value = self.value
+        return hash(value) if self.weight == 0 else hash((self.weight, value))
 
     def is_zero(self) -> bool:
-        return self.value.is_zero()
+        return not self.num.rows
+
+    def _laurent(self) -> tuple[Poly, int]:
+        """(num, low) of a Laurent value, which the row-by-row operations read."""
+        if not _is_one(self.den):
+            raise ValueError("only a Laurent value acts row by row")
+        return self.num, self.low
+
+    def constant(self) -> CycNumber | None:
+        """The coefficient of w^0 when the value is constant in w, else None;
+        the weight is the caller's to check."""
+        num, low = self._laurent()
+        if any(any(row) for k, row in enumerate(num.rows) if k != low):
+            return None
+        return num.coefficient(low)
 
     def delta(self) -> "EquivScalar":
-        return EquivScalar(self.field, self.root_order, self.weight, self.value.delta())
+        """q d/dq = (w/u) d/dw, u the root order: the coefficient of w^e times e/u."""
+        num, low = self._laurent()
+        rows = [[x * (k - low) for x in row] for k, row in enumerate(num.rows)]
+        return self._new(self.weight, Poly._of(self.field, rows, num.den * self.root_order),
+                         low, self.den)
+
+    def integrate(self, constant_error: str) -> "EquivScalar":
+        """The inverse of delta: the coefficient of w^e times u/e.  A nonzero
+        w^0 term has no preimage and raises FlatnessError with
+        ``constant_error`` formatted at the weight ``e``."""
+        num, low = self._laurent()
+        if low < len(num.rows) and any(num.rows[low]):
+            raise FlatnessError(constant_error.format(e=self.weight))
+        # over m = lcm of the exponents e, the factor u/e is the int u m/e
+        m = lcm(*(k - low for k, row in enumerate(num.rows) if any(row))) if num.rows else 1
+        um = self.root_order * m
+        rows = [[x * (um // (k - low)) for x in row] if k != low else row
+                for k, row in enumerate(num.rows)]
+        return self._new(self.weight, Poly._of(self.field, rows, num.den * m), low, self.den)
 
     def rotate(self, i: int) -> "EquivScalar":
-        """sigma^i of the value (see ``RatFunc.rotate``); the weight is fixed."""
-        return EquivScalar(self.field, self.root_order, self.weight, self.value.rotate(i))
+        """sigma^i, w -> xi^(-i) w with xi = zeta^2, over Q(zeta_(2u)): a
+        root shift per row (``Poly.twist``).  den keeps its top coefficient,
+        so a monic den stays monic, and num twists about low + deg den."""
+        if self.field.order != 2 * self.root_order:
+            raise ValueError("the deck rotation needs the field Q(zeta_(2u))")
+        top = self.den.degree
+        return self._new(self.weight, self.num.twist(-2 * i, self.low + top), self.low,
+                         self.den.twist(-2 * i, top))
 
     def nonequivariant_limit(self) -> RatFunc:
         """Value at lam -> 0: the value at weight 0, zero at a positive weight;
@@ -142,6 +227,4 @@ class EquivScalar:
         return self.value if self.weight == 0 else RatFunc.zero(self.field, self.root_order)
 
     def __repr__(self) -> str:
-        if self.weight == 0:
-            return f"{self.value}"
-        return f"{self.value}*lam^{self.weight}"
+        return f"{self.value}" if self.weight == 0 else f"{self.value}*lam^{self.weight}"

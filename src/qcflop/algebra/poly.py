@@ -297,7 +297,7 @@ class Poly:
     def twist(self, m: int, ref: int = 0) -> "Poly":
         """zeta^(-m ref) p(zeta^m w): row k times zeta^(m (k - ref)), a unit,
         so each row keeps its content.  ``ref`` keeps a monic denominator
-        monic (``RatFunc.rotate``) or fixes a Laurent value's power of w."""
+        monic or fixes a value's power of w (``EquivScalar.rotate``)."""
         f = self.field
         rows = tuple(row if m * (k - ref) % f.order == 0
                      else tuple(_times_root(row, m * (k - ref), 1, f))

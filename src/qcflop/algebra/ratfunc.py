@@ -20,8 +20,8 @@ without reducing a full product (Henrici 1956; Knuth, TAOCP 2, 4.5.1):
   monic, and a power raises num and den separately;
 * delta of reduced n/d: t = w (n'd - nd') shares with d^2 only what it
   shares with d, so one gcd g = gcd(t, d) gives (t/g) / (u d (d/g));
-* f(1/w) and the deck rotation move coprime num and den to coprime num and
-  den, so only the denominator is made monic (see the methods).
+* f(1/w) moves coprime num and den to coprime num and den, so only the
+  denominator is made monic (see ``subs_reciprocal``).
 
 The constructor with ``reduce=True`` brings any num/den to this form with
 one gcd; of the other operations only as_q_function still calls it.
@@ -274,20 +274,6 @@ class RatFunc:
         return out
 
     # substitutions ---------------------------------------------------------
-
-    def rotate(self, i: int) -> "RatFunc":
-        """sigma^i(f) = f(xi^(-i) w), xi = zeta^2, for the deck rotation
-        sigma: w -> xi^(-1) w of the cover w -> q = w^u, over Q(zeta_(2u)).
-
-        Coefficient k of num and den is multiplied by zeta^(2i(D - k)),
-        D = deg den, so den stays monic (``Poly.twist(-2i, D)``); sigma is an
-        automorphism and zeta^m a unit, so the form stays canonical with no
-        gcd.
-        """
-        if self.field.order != 2 * self.root_order:
-            raise ValueError("the deck rotation needs the field Q(zeta_(2u))")
-        top = self.den.degree
-        return self._new(self.num.twist(-2 * i, top), self.den.twist(-2 * i, top))
 
     def subs_reciprocal(self) -> "RatFunc":
         """The rational function f(1/w), as w^top n(1/w) / (w^top d(1/w))

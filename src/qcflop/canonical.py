@@ -22,7 +22,7 @@ Conventions:
 The deck rotation sigma: w -> xi^(-1) w of the cover w -> q = w^(r+1), the
 monodromy of q around 0, fixes q and lam, commutes with delta and sends c_i,
 a_i and p_i to c_(i+1), a_(i+1) and p_(i+1), indices mod r+1
-(``RatFunc.rotate``).  Every matrix of the default branch is equivariant
+(``EquivScalar.rotate``).  Every matrix of the default branch is equivariant
 under it, with one sign: X[i][j] = (-1)^[j<i] sigma^i(X[0][(j-i) mod (r+1)]),
 since the ratios zeta^(i-j) pick up zeta^(r+1) = -1 when an index wraps past
 r; on the diagonal, X[i][i] = sigma^i(X[0][0]).  This holds for the
@@ -42,12 +42,14 @@ checks that sigma carries the inputs.  The display forms depend on i and j
 through k = (j - i) mod (r+1), and form their sums over mu once per k.
 
 Known factors.  Every denominator the frame builds splits over w and the
-L_i, whose product is D = w^(r+1) + (-1)^r, so each quantity of the spectrum
-is a polynomial in w or one over a denominator known in advance (a power of
-w, of one L_j or of L_i L_j, or w^m D), written down reduced or reduced once
-instead of through a gcd per partial sum.  The L_i are a full orbit of
-sigma, so with u = r+1, prod_i (1 + L_i t) = (1 + wt)^u - (-(-1)^r t)^u,
-and their symmetric functions are written down with no product:
+L_i, whose product is D = w^(r+1) + (-1)^r, and is known in advance: L_i
+for p_i, L_j^r in ``du_of_eps``, L_i^(2r) in Delta_i, w^r in
+``eps_pairing``, D in the spectrum sums and D^(2r) in their product.  So
+every stage builds, combines and returns EquivScalars over the denominator
+it knows, with no gcd, and a reduced RatFunc is formed only where a caller
+reads ``.value``.  The L_i are a full orbit of sigma, so with u = r+1,
+prod_i (1 + L_i t) = (1 + wt)^u - (-(-1)^r t)^u, and their symmetric
+functions are written down with no product:
 ``_linear_factors`` gives e_k(L) = C(u, k) w^k for k < u and e_u = D, and
 ``_sym_omitting`` E^i_k = e_k(L_l : l != i) = w^k S^i_k(a) =
 sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m), whose last, E^i_r = D/L_i,
@@ -57,20 +59,13 @@ sum_m C(r-m, k-m) (-L_i(0))^m w^(k-m), whose last, E^i_r = D/L_i,
 forms prod_i Delta_i over D^(2r).
 
 Laurent values.  The entries of M, column 0 of dM^-1, the connection's
-core, R1 off the diagonal and every R_n of the recursion are Laurent
-polynomials in w, each lam^a times a polynomial over a known power of w, and
-they are held so (``_Laurent``: a ``Poly`` numerator, the weight a and the
-power of w), not as reduced rational functions.  The denominators are known:
+core, R1 and every R_n of the recursion have den one, over a power of w:
 M_{i,mu} = p_i^(mu - r) = L_i^(r-mu) / (lam w)^(r-mu); M^-1 has polynomial
 entries, which delta keeps polynomial; and L_j - L_i is a nonzero constant,
 so 1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) is the polynomial L_0 L_j
-times a constant over one more power of lam w.  So a product is a product of
-numerators, a sum a shift by rows and a sum of numerators, delta and the
-integration in t act coefficient by coefficient, the deck rotation is a root
-shift per coefficient, and no step takes a gcd.  A value becomes an
-EquivScalar only where a stage returns it: the power of w that divides its
-numerator is cancelled then, by the numerator's valuation, which leaves it
-reduced.
+times a constant over one more power of lam w.  So a sum of them is a shift
+by rows, and delta, the integration in t and the deck rotation act row by
+row.
 
 The idempotent basis is kept factored: eps_i = pref_i sum_k s_ik (p/lam)^k
 with pref_i = q c_i a_i^r/(r+1) = (-1)^r xi^i L_i^r/(r+1), a polynomial, and
@@ -120,7 +115,7 @@ from qcflop.algebra import (
     CycField,
     CycNumber,
     EquivScalar,
-    InhomogeneousError,
+    FlatnessError,
     LimitError,
     Poly,
     RatFunc,
@@ -128,118 +123,8 @@ from qcflop.algebra import (
 )
 
 
-class FlatnessError(ValueError):
-    """Raised when a diagonal integrand carries a non-integrable constant."""
-
-
 class CancellationError(ValueError):
     """Raised when negative weight powers survive an announced limit."""
-
-
-# --- Laurent values ------------------------------------------------------------
-
-
-class _Laurent:
-    """lam^weight num / w^low for a polynomial num in w, a Laurent value of
-    the frame over its known denominator (see "Laurent values").
-
-    A product multiplies the numerators and adds the exponents; a sum moves
-    the numerator of smaller ``low`` up by rows and adds; delta, integration
-    and the deck rotation act row by row.  No operation takes a gcd, so the
-    numerator may keep a power of w that the denominator could cancel;
-    ``scalar`` cancels it, by the valuation of the numerator.  The field is
-    the frame's Q(zeta_(2u)), so u is half its order.  Zero has weight 0 and
-    adds to a value of any weight; two nonzero values of different weights
-    do not add.
-    """
-
-    __slots__ = ("weight", "num", "low")
-
-    def __init__(self, weight: int, num: Poly, low: int = 0):
-        self.weight = weight if num.rows else 0
-        self.num = num
-        self.low = low
-
-    @classmethod
-    def of(cls, x: EquivScalar) -> "_Laurent":
-        """x as a Laurent value; its reduced denominator must be a power of w."""
-        den = x.value.den
-        if not den.is_monomial():
-            raise ValueError(f"{x.value} is not a polynomial over a power of w")
-        return cls(x.weight, x.value.num, den.degree)
-
-    def scalar(self) -> EquivScalar:
-        """The value as an EquivScalar: num / w^low with the power of w that
-        divides num cancelled, which is reduced, with a monic denominator."""
-        num, f = self.num, self.num.field
-        v = min(self.low, num.monomial_exponent()) if num.rows else self.low
-        num, den = num.shift(-v), Poly.one(f).shift(self.low - v)
-        u = f.order // 2
-        return EquivScalar(f, u, self.weight, RatFunc(f, u, num, den, reduce=False))
-
-    def is_zero(self) -> bool:
-        return not self.num.rows
-
-    def constant(self) -> CycNumber | None:
-        """The coefficient of w^0 when the value is constant in w, else None;
-        the weight is the caller's to check."""
-        num, low = self.num, self.low
-        if any(any(row) for k, row in enumerate(num.rows) if k != low):
-            return None
-        return num.coefficient(low)
-
-    def __add__(self, other: "_Laurent") -> "_Laurent":
-        if not other.num.rows:
-            return self
-        if not self.num.rows:
-            return other
-        if self.weight != other.weight:
-            raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{other.weight}")
-        a, b = (self, other) if self.low >= other.low else (other, self)
-        return _Laurent(a.weight, a.num + b.num.shift(a.low - b.low), a.low)
-
-    def __neg__(self) -> "_Laurent":
-        return _Laurent(self.weight, -self.num, self.low)
-
-    def __sub__(self, other: "_Laurent") -> "_Laurent":
-        return self + (-other)
-
-    def __mul__(self, other) -> "_Laurent":
-        """The product with another Laurent value, or with a constant."""
-        if isinstance(other, _Laurent):
-            return _Laurent(self.weight + other.weight, self.num * other.num, self.low + other.low)
-        return _Laurent(self.weight, self.num.scale(other), self.low)
-
-    def _rows_times(self, factor) -> list:
-        """The numerator's rows, row k times the int factor(k - low)."""
-        low = self.low
-        return [[x * factor(k - low) for x in row] for k, row in enumerate(self.num.rows)]
-
-    def delta(self) -> "_Laurent":
-        """q d/dq = (w/u) d/dw: the coefficient of w^e times e/u."""
-        f = self.num.field
-        rows = self._rows_times(lambda e: e)
-        return _Laurent(self.weight, Poly._of(f, rows, self.num.den * (f.order // 2)), self.low)
-
-    def integrate(self, constant_error: str) -> "_Laurent":
-        """The inverse of delta: the coefficient of w^e times u/e.  A nonzero
-        w^0 term has no preimage and raises FlatnessError with
-        ``constant_error`` formatted at the weight ``e``."""
-        num, low = self.num, self.low
-        if low < len(num.rows) and any(num.rows[low]):
-            raise FlatnessError(constant_error.format(e=self.weight))
-        f = num.field
-        # over m = lcm of the exponents e, the factor u/e is the int u m/e
-        m = lcm(*(k - low for k, row in enumerate(num.rows) if any(row))) if num.rows else 1
-        u = f.order // 2
-        rows = self._rows_times(lambda e: u * m // e if e else 0)
-        return _Laurent(self.weight, Poly._of(f, rows, num.den * m), low)
-
-    def rotate(self, i: int) -> "_Laurent":
-        """sigma^i, w -> xi^(-i) w: the coefficient of w^e times
-        xi^(-ie) = zeta^(-2ie), a root shift per row of the numerator with
-        ``low`` as its reference exponent (``Poly.twist``)."""
-        return _Laurent(self.weight, self.num.twist(-2 * i, self.low), self.low)
 
 
 # --- frame -------------------------------------------------------------------
@@ -283,7 +168,7 @@ def build_spectrum(r: int) -> CanonicalFrame:
     L = [Poly(fld, [xi**i * sign, 1]) for i in range(u)]
     c = [RatFunc(fld, u, Poly(fld, [L_i.constant()]), w, reduce=False) for L_i in L]
     a = [RatFunc(fld, u, L_i, w, reduce=False) for L_i in L]
-    p = [EquivScalar(fld, u, 1, RatFunc(fld, u, w, L_i, reduce=False)) for L_i in L]
+    p = [EquivScalar.fraction(fld, u, 1, w, 0, L_i) for L_i in L]
     return CanonicalFrame(r=r, field=fld, zeta=zeta, xi=xi, L=L, c=c, a=a, p=p)
 
 
@@ -306,7 +191,7 @@ def char_residuals(frame: CanonicalFrame) -> list[EquivScalar]:
     formed directly, as ``by_orbit`` derives a pair its check does not cover.
     """
     r = frame.r
-    q = EquivScalar.from_ratfunc(frame.q())
+    q = EquivScalar(frame.field, frame.u, 0, frame.q())
     lam = frame.lam()
 
     def residual(p_i: EquivScalar) -> EquivScalar:
@@ -363,8 +248,7 @@ def charpoly_coefficients(frame: CanonicalFrame) -> list[EquivScalar]:
     products of the spectrum's own factors."""
     fld, u = frame.field, frame.u
     es = _linear_factors(frame)
-    return [EquivScalar(fld, u, k, RatFunc(fld, u, Poly.monomial(fld, k) * es[u - k], es[u]))
-            for k in range(1, u + 1)]
+    return [EquivScalar.fraction(fld, u, k, es[u - k].shift(k), 0, es[u]) for k in range(1, u + 1)]
 
 
 def charpoly_expected(frame: CanonicalFrame, k: int) -> EquivScalar:
@@ -454,15 +338,15 @@ def _eps_factors(frame: CanonicalFrame) -> tuple[tuple[Poly, ...], tuple[tuple[P
 def du_of_eps(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     """du_j applied to eps_i: p -> p_j = lam/a_j cancels the weights, leaving
     pref_i (sum_k s_ik a_j^(r-k)) / a_j^r.  With a_j = L_j/w, w^r times the
-    sum is sum_k (s_ik w^k) L_j^(r-k), summed by Horner in polynomials, so
-    the value is one reduction over L_j^r."""
+    sum is sum_k (s_ik w^k) L_j^(r-k), summed by Horner in polynomials, over
+    L_j^r."""
     fld, u = frame.field, frame.u
     prefs, signed = _eps_factors(frame)
     L_j = frame.L[j]
     acc = Poly.zero(fld)
     for s in signed[i]:
         acc = acc * L_j + s
-    return EquivScalar(fld, u, 0, RatFunc(fld, u, prefs[i] * acc, L_j ** frame.r))
+    return EquivScalar.fraction(fld, u, 0, prefs[i] * acc, 0, L_j ** frame.r)
 
 
 def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
@@ -472,7 +356,7 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
     so it needs r+1 products.  Times w^r it is a polynomial: s_ik w^k is
     one, and w^(r-k) T_k is an int-weighted sum of the integer rows of the
     s_jl w^l moved up by r-k-l.  The r+1 products share one convolution
-    buffer, so the value is one gcd and one reduction over w^r."""
+    buffer, over w^r."""
     r, fld, u = frame.r, frame.field, frame.u
     prefs, signed = _eps_factors(frame)
     t_i, t_j = signed[i], signed[j]
@@ -490,7 +374,7 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
                         acc[p] += c * y
         pairs.append(([[y * (den_i // s.den) for y in row] for row in s.rows], t_k))
     num = prefs[i] * prefs[j] * Poly.sum_of_products(fld, pairs, den_i * den_j)
-    return EquivScalar(fld, u, -(2 * r + 1), RatFunc(fld, u, num, Poly.monomial(fld, r)))
+    return EquivScalar.fraction(fld, u, -(2 * r + 1), num, r)
 
 
 def by_orbit(frame: CanonicalFrame, *derives) -> list:
@@ -504,8 +388,8 @@ def by_orbit(frame: CanonicalFrame, *derives) -> list:
     xi^i sigma^i(L_0); each index is checked once, by polynomial rotation
     (xi^(ik) sigma^i(p) is ``p.twist(-2i, k)``), with no reduction.
     When i, j and (j - i) mod (r+1) all pass, sigma^i carries the inputs of
-    (0, j - i) onto those of (i, j), and both values are reduced rational
-    functions, so the rotated value is the derived one.
+    (0, j - i) onto those of (i, j), and the rotation is exact, so the
+    rotated value is the derived one.
     Any other pair is derived directly.
     """
     u = frame.u
@@ -542,13 +426,13 @@ def eps_norm_closed_form(frame: CanonicalFrame, i: int) -> EquivScalar:
 
 def delta_i(frame: CanonicalFrame) -> list[EquivScalar]:
     """Norm-square inverses Delta_i = (r+1) lam q^(-1) c_i^(-1) p_i^(2r), that
-    is (r+1) (-1)^r xi^(-i) lam^(2r+1) w^r / L_i^(2r), reduced as written."""
+    is (r+1) (-1)^r xi^(-i) lam^(2r+1) w^r / L_i^(2r)."""
     if "delta_i" not in frame.stages:
         r, fld, u = frame.r, frame.field, frame.u
         coeff = Fraction((r + 1) * (-1) ** r)
         nums = [Poly.monomial(fld, r, frame.xi ** (u - i) * coeff) for i in range(u)]
         frame.stages["delta_i"] = tuple(
-            EquivScalar(fld, u, 2 * r + 1, RatFunc(fld, u, num, L ** (2 * r), reduce=False))
+            EquivScalar.fraction(fld, u, 2 * r + 1, num, 0, L ** (2 * r))
             for num, L in zip(nums, frame.L))
     return list(frame.stages["delta_i"])
 
@@ -557,23 +441,19 @@ def delta_product(frame: CanonicalFrame, deltas: list[EquivScalar]) -> EquivScal
     """prod_i Delta_i over its known denominator.
 
     Where each Delta_i is, as ``delta_i`` writes it, a monomial in w over
-    L_i^(2r), the product is the product of the monomials over D^(2r), with
-    D = prod_i L_i: one monomial, prime to D^(2r) when D(0) is not zero (it
-    is (-1)^r), so reduced as written.  Any other Delta_i takes the running
-    product, which reduces each partial product.
+    w^low L_i^(2r), the product is the product of the monomials over
+    w^low D^(2r), with D = prod_i L_i: one monomial.  Any other Delta_i
+    takes the running product.
     """
     r, fld, u = frame.r, frame.field, frame.u
-    D = _linear_factors(frame)[-1]
-    if not D.constant().is_zero() and all(
-            d.value.num.is_monomial() and d.value.den == L ** (2 * r)
-            for d, L in zip(deltas, frame.L)):
+    if all(d.num.is_monomial() and d.den == L ** (2 * r) for d, L in zip(deltas, frame.L)):
         coeff, exp = fld.one, 0
         for d in deltas:
-            coeff = coeff * d.value.num.lead()
-            exp += d.value.num.degree
-        num = Poly.monomial(fld, exp, coeff)
-        return EquivScalar(fld, u, sum(d.weight for d in deltas),
-                           RatFunc(fld, u, num, D ** (2 * r), reduce=False))
+            coeff = coeff * d.num.lead()
+            exp += d.num.degree
+        num, low = Poly.monomial(fld, exp, coeff), sum(d.low for d in deltas)
+        return EquivScalar.fraction(fld, u, sum(d.weight for d in deltas), num, low,
+                                    _linear_factors(frame)[-1] ** (2 * r))
     prod = EquivScalar.one(fld, u)
     for d in deltas:
         prod = prod * d
@@ -606,17 +486,16 @@ def term_log_delta(frame: CanonicalFrame) -> RatFunc:
 
 
 def _spectrum_sum(frame: CanonicalFrame, xs) -> EquivScalar:
-    """sum_i x_i p_i for Laurent values x_i of one weight, over the known
+    """sum_i x_i p_i for values x_i of one weight, over the known
     denominator: p_i = lam w / L_i, so the sum is lam w sum_i x_i E^i_r / D
-    with E^i_r = prod_(l != i) L_l.  The sum is taken in Laurent values and
-    reduced once, where a sum of rational functions reduces once per term."""
+    with E^i_r = prod_(l != i) L_l.  Laurent x_i add as numerators over a
+    power of w, and the total takes one product, with lam w / D."""
     fld, u = frame.field, frame.u
-    total = _Laurent(0, Poly.zero(fld))
+    total = EquivScalar.zero(fld, u)
     for i, x in enumerate(xs):
-        total = total + _Laurent.of(x) * _Laurent(0, _product_omitting(frame, i))
-    num = total.num * Poly.monomial(fld, 1)
-    value = RatFunc(fld, u, num, Poly.monomial(fld, total.low) * _linear_factors(frame)[-1])
-    return EquivScalar(fld, u, total.weight + 1, value)
+        total = total + x * EquivScalar.fraction(fld, u, 0, _product_omitting(frame, i))
+    return total * EquivScalar.fraction(fld, u, 1, Poly.monomial(fld, 1), 0,
+                                        _linear_factors(frame)[-1])
 
 
 def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
@@ -640,7 +519,7 @@ def term_c_minus_one(frame: CanonicalFrame) -> RatFunc:
 # --- transition matrix and connection -----------------------------------------
 
 
-def _m_inverse_column(frame: CanonicalFrame) -> list[_Laurent]:
+def _m_inverse_column(frame: CanonicalFrame) -> list[EquivScalar]:
     """Column 0 of M^-1 in Laurent values,
     (M^-1)_{mu, 0} = (-1)^mu (q c_0/(r+1)) lam^(r - mu) S^0_mu(a).
 
@@ -649,9 +528,9 @@ def _m_inverse_column(frame: CanonicalFrame) -> list[_Laurent]:
     Column j is sigma^j of it, since sigma fixes q and sends c_0 to c_j and
     S^0_mu(a) to S^j_mu(a); ``connection_form`` reads column 0 only.
     """
-    r, fld = frame.r, frame.field
-    pref = frame.L[0].constant() * Fraction(1, frame.u)
-    return [_Laurent(r - mu, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s)
+    r, fld, u = frame.r, frame.field, frame.u
+    pref = frame.L[0].constant() * Fraction(1, u)
+    return [EquivScalar.fraction(fld, u, r - mu, Poly.monomial(fld, r - mu, pref * (-1) ** mu) * s)
             for mu, s in enumerate(_sym_omitting(frame, 0))]
 
 
@@ -705,23 +584,22 @@ def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]
     at the r+1 distinct c_i is zero; so the G_e are checked, and core_i is
     sum_e G_e c_i^e, by Horner in the field.
     """
-    r = frame.r
+    r, fld, u = frame.r, frame.field, frame.u
     if "connection" not in frame.stages:
-        one = Poly.one(frame.field)
         # Q_m from the entry mu = r - m of column 0
-        q = [_Laurent(-m, one) * x.delta() for m, x in enumerate(reversed(_m_inverse_column(frame)))]
+        q = [frame.lam(-m) * x.delta() for m, x in enumerate(reversed(_m_inverse_column(frame)))]
         # times the lcm of their denominators the Q_m have integer rows, so
         # the sums below take no gcd; each g_e is divided by it at the end
         den = lcm(*(x.num.den for x in q))
         q = [x * den for x in q]
         g = []
         for e in range(r + 1):
-            acc = _Laurent(0, Poly.zero(frame.field))
+            acc = EquivScalar.zero(fld, u)
             for m in range(e, r + 1):
                 acc = acc + q[m] * comb(m, e)
             if acc.weight != 0:
                 raise ValueError("connection entry is not weight-free")
-            val = _Laurent(0, acc.num, acc.low + e).constant()  # G_e, over w^e
+            val = EquivScalar.fraction(fld, u, 0, acc.num, acc.low + e).constant()  # G_e, over w^e
             if val is None:
                 raise ValueError("connection entry is not constant in w")
             g.append(val * Fraction(1, den))
@@ -778,7 +656,7 @@ def connection_display_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
 # --- first-order asymptotic matrix --------------------------------------------
 
 
-def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
+def _inverse_differences(frame: CanonicalFrame) -> list[EquivScalar | None]:
     """1/(p_0 - p_j) = L_0 L_j / (lam w (L_j - L_0)) for j = 1..r, each a
     Laurent value of weight -1 over w.  Entry 0 is None.
 
@@ -788,7 +666,8 @@ def _inverse_differences(frame: CanonicalFrame) -> list[_Laurent | None]:
     field inverse is taken."""
     L_0, sums = frame.L[0], _frame_mu_sums(frame)
     scale = Fraction((-1) ** frame.r, frame.u)
-    return [None] + [_Laurent(-1, (L_0 * L_j).scale(sums[j] * scale), 1)
+    return [None] + [EquivScalar.fraction(frame.field, frame.u, -1,
+                                          (L_0 * L_j).scale(sums[j] * scale), 1)
                      for j, L_j in enumerate(frame.L[1:], 1)]
 
 
@@ -887,13 +766,13 @@ def first_order(frame: CanonicalFrame
     if "first_order" not in frame.stages:
         conn = _connection_base(frame)
         inv = _inverse_differences(frame)
-        row = [EquivScalar.zero(frame.field, frame.u)] + [
-            (inv[j] * conn[0][j]).scalar() for j in range(1, frame.u)]
+        zero = EquivScalar.zero(frame.field, frame.u)
+        row = [zero] + [inv[j] * conn[0][j] for j in range(1, frame.u)]
         off = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
-        integrand = _Laurent(0, Poly.zero(frame.field))
+        integrand = zero
         for j in range(1, frame.u):
-            integrand = integrand - _Laurent.of(off[j][0]) * conn[0][j]
-        diag = integrand.integrate("diagonal 0 integrand has a constant term at weight {e}").scalar()
+            integrand = integrand - off[j][0] * conn[0][j]
+        diag = integrand.integrate("diagonal 0 integrand has a constant term at weight {e}")
         frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
                                                   for i in range(frame.u)))
     return frame.stages["first_order"]
@@ -988,8 +867,8 @@ def genus_one_table(r: int, dmax: int) -> list[Fraction]:
 # --- the full order-by-order recursion -----------------------------------------
 
 
-def _conn_entry(conn: list[list[CycNumber]], mat: list[list[_Laurent]], i: int, j: int,
-                zero: _Laurent) -> _Laurent:
+def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: int, j: int,
+                zero: EquivScalar) -> EquivScalar:
     """(conn mat)_{ij} for a constant matrix conn: entries are scaled, zeros skipped."""
     acc = zero
     for k, c in enumerate(conn[i]):
@@ -998,7 +877,7 @@ def _conn_entry(conn: list[list[CycNumber]], mat: list[list[_Laurent]], i: int, 
     return acc
 
 
-def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: int):
+def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, b: int):
     """Row 0 of R_a^T R_b of the default branch, memoised by (a, b).
 
     Only products with 0 < a <= b are multiplied, sum_k R_a[k][0] R_b[k][j],
@@ -1009,7 +888,7 @@ def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: 
     if (a, b) not in memo:
         if a > b:
             row = _transpose_product(mats, memo, b, a)
-            memo[a, b] = [_entry(row, _Laurent.rotate, i, 0) for i in range(len(row))]
+            memo[a, b] = [_entry(row, EquivScalar.rotate, i, 0) for i in range(len(row))]
         elif a == 0:
             memo[a, b] = mats[b][0]
         else:
@@ -1024,7 +903,7 @@ def _transpose_product(mats: list[list[list[_Laurent]]], memo: dict, a: int, b: 
     return memo[a, b]
 
 
-def _unitarity_row(mats: list[list[list[_Laurent]]], memo: dict, n: int) -> list[_Laurent]:
+def _unitarity_row(mats: list[list[list[EquivScalar]]], memo: dict, n: int) -> list[EquivScalar]:
     """Row 0 of sum_{a=0..n} (-1)^a R_a^T R_(n-a).  Each R_a^T R_b obeys the
     rule of ``_fill``, so every entry of the sum is +-sigma^i of a row-0
     entry: the sum vanishes exactly when its row 0 does, and its first
@@ -1052,9 +931,8 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
     constant is fixed by sigma), and rotated.  Each R_a^T R_b is formed once
     (see ``_transpose_product``), and each residual reads row 0 of its sum
     (see ``_unitarity_row``).  Every entry is a Laurent value of weight -n
-    while the recursion runs (dividing by p_0 - p_j is a product with the
-    Laurent value of ``_inverse_differences``), and becomes an EquivScalar
-    only in the returned matrices.
+    (dividing by p_0 - p_j is a product with the Laurent value of
+    ``_inverse_differences``), returned as the recursion derives it.
 
     Returns ([Id, R_1, ..., R_order], report) where the report collects the
     diagonal constants, the exact unitarity residual status per order and,
@@ -1068,16 +946,16 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
     conn = connection_form(frame)
     inv = _inverse_differences(frame)
     size, fld = r + 1, frame.field
-    zero, one = _Laurent(0, Poly.zero(fld)), _Laurent(0, Poly.one(fld))
-    mats: list[list[list[_Laurent]]] = [[[one if i == j else zero for j in range(size)]
+    zero, one = EquivScalar.zero(fld, size), EquivScalar.one(fld, size)
+    mats: list[list[list[EquivScalar]]] = [[[one if i == j else zero for j in range(size)]
                                          for i in range(size)]]
-    products: dict[tuple[int, int], list[_Laurent]] = {}
+    products: dict[tuple[int, int], list[EquivScalar]] = {}
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
         row = [zero] + [(_conn_entry(conn, prev, 0, j, zero) + prev[0][j].delta()) * inv[j]
                         for j in range(1, size)]
-        new = _fill(row, _Laurent.rotate)
+        new = _fill(row, EquivScalar.rotate)
         # diagonal from the vanishing-diagonal condition of step n+1
         diag = (-_conn_entry(conn, new, 0, 0, zero)).integrate(
             f"order {n}, diagonal 0: constant term at weight {{e}}")
@@ -1093,7 +971,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
             if const is None:
                 raise FlatnessError(f"order {n}, diagonal 0: unitarity gap is not a constant")
             if not const.is_zero():
-                diag = diag + _Laurent(gap.weight, Poly(fld, [const]))
+                diag = diag + frame.lam(gap.weight, const)
                 constants.update(((n, i), repr(const)) for i in range(size))
         for i in range(size):
             new[i][i] = diag.rotate(i)
@@ -1111,4 +989,4 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
         "unitarity_exact": residuals,
         "unitarity_first_nonzero": first_nonzero,
     }
-    return [[[x.scalar() for x in row] for row in mat] for mat in mats], report
+    return mats, report

@@ -50,6 +50,14 @@ def scaled_variable(p, c):
     return Poly(p.field, [coeff * c ** k for k, coeff in enumerate(p.coeffs)])
 
 
+def rotated(f, i):
+    """sigma^i(f) = f(xi^(-i) w), xi = zeta^2, for a RatFunc f over
+    Q(zeta_(2u)): the substitution in numerator and denominator, reduced
+    afresh; the reference for the deck rotation."""
+    c = f.field.zeta(-2 * i)
+    return RatFunc(f.field, f.root_order, scaled_variable(f.num, c), scaled_variable(f.den, c))
+
+
 def mixed_numerators(field):
     """Polynomials over ``field`` with rational and irrational coefficients,
     and zero rows between them, for the deck-rotation tests."""

@@ -22,6 +22,7 @@ from helpers import (
     integrate_in_t,
     laurent_items,
     mixed_numerators,
+    rotated,
     scaled_variable,
 )
 
@@ -205,10 +206,17 @@ def plain_sym_omitting(frame, i):
     return elementary_symmetric(frame.a[:i] + frame.a[i + 1:], RatFunc.one(frame.field, frame.u))
 
 
+def quotient(x, y):
+    """x / y for two values, divided as reduced rational functions."""
+    return EquivScalar(x.field, x.root_order, x.weight - y.weight, x.value / y.value)
+
+
 def plain_m_matrix(frame):
-    """M_{i,mu} = p_i^(mu - r), each entry a power of p_i."""
-    r = frame.r
-    return [[p_i ** (mu - r) for mu in range(r + 1)] for p_i in frame.p]
+    """M_{i,mu} = p_i^(mu - r), each entry a power of p_i, taken as a reduced
+    rational function."""
+    r, fld, u = frame.r, frame.field, frame.u
+    return [[EquivScalar(fld, u, mu - r, p_i.value ** (mu - r)) for mu in range(r + 1)]
+            for p_i in frame.p]
 
 
 def plain_m_inverse(frame):
@@ -225,8 +233,8 @@ def plain_m_inverse(frame):
 
 
 def m_inverse_column(frame):
-    """Column 0 of M^-1 as ``can._m_inverse_column`` holds it, as EquivScalars."""
-    return [x.scalar() for x in can._m_inverse_column(frame)]
+    """Column 0 of M^-1 as ``can._m_inverse_column`` holds it."""
+    return can._m_inverse_column(frame)
 
 
 def m_inverse(frame):
@@ -263,7 +271,7 @@ def plain_connection(frame, signs=None, pair_flip=None):
 def plain_r1_offdiagonal(frame, conn):
     """conn_ij / (p_i - p_j) at every i != j, each divided."""
     zero = EquivScalar.zero(frame.field, frame.u)
-    return [[zero if i == j else frame.lam(0, c) / (frame.p[i] - frame.p[j])
+    return [[zero if i == j else quotient(frame.lam(0, c), frame.p[i] - frame.p[j])
              for j, c in enumerate(row)]
             for i, row in enumerate(conn)]
 
@@ -567,7 +575,7 @@ def plain_r_matrix_recursion(r, order, diag_mode, signs=None):
     for n in range(1, order + 1):
         prev = mats[-1]
         source = mat_mul(conn, prev)
-        new = [[zero if i == j else (source[i][j] + prev[i][j].delta()) / dp[i][j]
+        new = [[zero if i == j else quotient(source[i][j] + prev[i][j].delta(), dp[i][j])
                 for j in range(size)] for i in range(size)]
         follow = mat_mul(conn, new)
         for i in range(size):
@@ -589,51 +597,56 @@ def plain_r_matrix_recursion(r, order, diag_mode, signs=None):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_laurent_values_match_the_reduced_scalars(r):
     # the entries of R_1 and R_2, a product of two and a sum of two Laurent
-    # values, against the same operations on reduced rational functions
-    laurent = can._Laurent
+    # values, against the same operations on their reduced rational functions
     mats, _ = can.r_matrix_recursion(r, 2)
     xs = [x for mat in mats[1:] for row in mat for x in row if not x.is_zero()]
-    w = Poly.monomial(xs[0].field, 1)
+    fld, u = xs[0].field, xs[0].root_order
+    w = Poly.monomial(fld, 1)
     for k, x in enumerate(xs):
-        lx = laurent.of(x)
-        assert lx.scalar() == x
+        assert (x.den, x.value.den) == (Poly.one(fld), Poly.monomial(fld, x.value.den.degree))
         # a power of w left in the numerator is cancelled on the way out
-        assert laurent(lx.weight, lx.num * w ** 2, lx.low + 2).scalar() == x
-        assert lx.delta().scalar() == x.delta()
-        assert lx.rotate(k % (r + 1)).scalar() == x.rotate(k % (r + 1))
-        assert (-lx).scalar() == -x
-        assert (lx * Fraction(3, 2)).scalar() == x * Fraction(3, 2)
+        padded = EquivScalar.fraction(fld, u, x.weight, x.num * w ** 2, x.low + 2)
+        assert padded.value == x.value and padded == x
+        assert x.delta().value == x.value.delta()
+        assert x.rotate(k % (r + 1)).value == rotated(x.value, k % (r + 1))
+        assert (-x).value == -x.value
+        assert (x * Fraction(3, 2)).value == x.value * Fraction(3, 2)
         y = xs[(7 * k + 3) % len(xs)]
-        assert (lx * laurent.of(y)).scalar() == x * y
+        assert (x * y).value == x.value * y.value and (x * y).weight == x.weight + y.weight
         if x.weight == y.weight:
-            assert (lx + laurent.of(y)).scalar() == x + y
-            assert (lx - laurent.of(y)).scalar() == x - y
+            assert (x + y).value == x.value + y.value
+            assert (x - y).value == x.value - y.value
         else:
             with pytest.raises(InhomogeneousError):
-                lx + laurent.of(y)
+                x + y
         if 0 in laurent_items(x.value):
             with pytest.raises(can.FlatnessError, match="^at weight -[12]$"):
-                lx.integrate("at weight {e}")
+                x.integrate("at weight {e}")
         else:
-            assert lx.integrate("").scalar() == integrate(x)
-        assert lx.constant() is None
-    one = EquivScalar.one(xs[0].field, xs[0].root_order)
-    assert laurent.of(one * 5).constant() == 5
-    with pytest.raises(ValueError, match="is not a polynomial over a power of w"):
-        laurent.of(can.build_spectrum(r).p[0])
+            assert x.integrate("").value == integrate_in_t(x.value)
+        assert x.constant() is None
+    assert (EquivScalar.one(fld, u) * 5).constant() == 5
+    # a value off the powers of w has no row-by-row integral
+    with pytest.raises(ValueError, match="^only a Laurent value acts row by row$"):
+        can.build_spectrum(r).p[0].integrate("")
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_laurent_rotate_is_the_substitution_w_to_xi_inverse_w(r):
     # lam^a num / w^low at xi^(-i) w is lam^a xi^(i low) num(xi^(-i) w) / w^low
-    fld = CycField(2 * (r + 1))
+    fld, u = CycField(2 * (r + 1)), r + 1
+    frame = can.build_spectrum(r)
     for num in mixed_numerators(fld):
         for low in (0, 1, 3):
-            x = can._Laurent(2, num, low)
+            x = EquivScalar.fraction(fld, u, 2, num, low)
+            over_l = EquivScalar.fraction(fld, u, 2, num, low, frame.L[1] ** 2)
             for i in range(r + 1):
                 got = x.rotate(i)
                 want = scaled_variable(num, fld.zeta(-2 * i)).scale(fld.zeta(2 * i * low))
-                assert (got.weight, got.num, got.low) == (2, want, low)
+                assert (got.weight, got.num, got.low, got.den) == (2, want, low, Poly.one(fld))
+                assert got.value == rotated(x.value, i)
+                # a den of known factors is rotated with the numerator
+                assert over_l.rotate(i).value == rotated(over_l.value, i)
 
 
 @pytest.mark.parametrize("r", range(1, 21))
@@ -1149,9 +1162,9 @@ def test_the_spectrum_sum_rejects_other_shapes():
     one, lam = EquivScalar.one(frame.field, frame.u), frame.lam()
     with pytest.raises(InhomogeneousError):
         can._spectrum_sum(frame, [one, lam, one])
-    # a value off the powers of w has no place over the known denominator
-    with pytest.raises(ValueError, match="is not a polynomial"):
-        can._spectrum_sum(frame, [EquivScalar.from_ratfunc(frame.a[0].inverse())] * 3)
+    # a value off the powers of w sums over the product of the dens
+    xs = [EquivScalar(frame.field, frame.u, 0, frame.a[0].inverse())] * 3
+    assert can._spectrum_sum(frame, xs) == plain_spectrum_sum(frame, xs)
 
 
 # --- negative controls of the known-factor anchors ---------------------------------
@@ -1363,7 +1376,8 @@ def test_the_norm_product_matches_the_running_product(r):
 
 
 def factor_of(frame, p):
-    return EquivScalar.from_ratfunc(RatFunc(frame.field, frame.u, p, Poly.one(frame.field)))
+    return EquivScalar(frame.field, frame.u, 0,
+                       RatFunc(frame.field, frame.u, p, Poly.one(frame.field)))
 
 
 # Delta_1 changed -> (the change, whether the product stays over D^(2r))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcflop.algebra import CycField, ExpansionError, Poly, RatFunc
+from qcflop.algebra import CycField, EquivScalar, ExpansionError, Poly, RatFunc
 
 from helpers import (
     NonIntegrableError,
@@ -516,16 +516,17 @@ def test_equality_across_settings_never_raises():
 @pytest.mark.parametrize("r", range(1, 7))
 def test_rotate_is_the_substitution_w_to_xi_inverse_w(r):
     # sigma^i(f) = f(xi^(-i) w) against the substitution in numerator and
-    # denominator, reduced afresh; the source denominator is not monic
+    # denominator, reduced afresh; the source denominator is not monic.  The
+    # deck rotation of a rational function is that of its EquivScalar.
     u = r + 1
     fld = CycField(2 * u)
     den = Poly(fld, [fld.zeta() + 1, 0, 3])
     for num in mixed_numerators(fld):
         f = RatFunc(fld, u, num, den)
-        assert f.rotate(0) == f
+        assert EquivScalar(fld, u, 0, f).rotate(0) == f
         for i in range(u):
             c = fld.zeta(-2 * i)
             want = RatFunc(fld, u, scaled_variable(num, c), scaled_variable(den, c))
-            got = f.rotate(i)
+            got = EquivScalar(fld, u, 0, f).rotate(i).value
             assert got == want
             assert (got.num.rows, got.den.rows) == (want.num.rows, want.den.rows)

@@ -16,7 +16,7 @@ def frame_stages(frame):
         "term_c_minus_one": can.term_c_minus_one(frame),
         "connection_form": can.connection_form(frame),
         "eps_factors": can._eps_factors(frame),
-        "m_inverse_column": [x.scalar() for x in can._m_inverse_column(frame)],
+        "m_inverse_column": can._m_inverse_column(frame),
         "first_order": can.first_order(frame),
     }
 
