@@ -8,9 +8,8 @@ a product multiplies numerators and dens and adds weights and lows; a sum
 over equal dens shifts and adds the numerators, and any other sum, like an
 equality, cross-multiplies; delta, the integration in t and the constant
 act row by row on a Laurent value, and the deck rotation also twists den.
-``value`` is the reduced RatFunc, formed on each read (a Laurent value
-cancels its power of w by valuation, any other value is reduced once); a
-hash, and an equality across fields, read it.
+``value`` is the reduced RatFunc, formed on each read by one reducing
+construction; a hash, and an equality across fields, read it.
 
 Every quantity the pipeline builds is homogeneous: the quantum spectrum
 roots have weight 1, the idempotent pairings weight -(2r+1), R_n weight -n
@@ -80,25 +79,36 @@ class EquivScalar:
     def _new(self, weight: int, num: Poly, low: int, den: Poly) -> "EquivScalar":
         return EquivScalar.fraction(self.field, self.root_order, weight, num, low, den)
 
-    def _lift(self, other) -> "EquivScalar | None":
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return EquivScalar.lam_power(self.field, self.root_order, 0, other)
-        if isinstance(other, RatFunc):
+    def _lift(self, other, across: bool = False) -> "EquivScalar | None":
+        """other as an EquivScalar, None when it is no value; a value over
+        another setting raises, unless ``across`` lets an equality read it."""
+        if isinstance(other, (int, Fraction)):
+            other = EquivScalar.lam_power(self.field, self.root_order, 0, other)
+        elif isinstance(other, CycNumber):
+            other = EquivScalar.lam_power(other.field, self.root_order, 0, other)
+        elif isinstance(other, RatFunc):
             other = EquivScalar(other.field, other.root_order, 0, other)
         elif not isinstance(other, EquivScalar):
             return None
-        if other.field is not self.field or other.root_order != self.root_order:
+        if not across and (other.field is not self.field or other.root_order != self.root_order):
             raise ValueError("mixing values over different settings")
         return other
+
+    def _aligned(self, o: "EquivScalar") -> tuple[Poly, Poly, int, bool]:
+        """(x, y, low, same): self = x / (w^low D) and o = y / (w^low D), with
+        D the one den when ``same`` and the product of the dens otherwise."""
+        x, y, shift = self.num, o.num, self.low - o.low
+        same = self.den is o.den or self.den == o.den
+        if not same:
+            x, y = x * o.den, y * self.den
+        if shift >= 0:
+            return x, y.shift(shift), self.low, same
+        return x.shift(-shift), y, o.low, same
 
     @property
     def value(self) -> RatFunc:
         """The reduced rational function num / (w^low den), formed on each read."""
-        f, num, low = self.field, self.num, self.low
-        if not _is_one(self.den):
-            return RatFunc(f, self.root_order, num, self.den.shift(low))
-        v = min(low, num.monomial_exponent()) if num.rows else low
-        return RatFunc(f, self.root_order, num.shift(-v), Poly.one(f).shift(low - v), reduce=False)
+        return RatFunc(self.field, self.root_order, self.num, self.den.shift(self.low))
 
     def __add__(self, other) -> "EquivScalar":
         o = self._lift(other)
@@ -110,11 +120,8 @@ class EquivScalar:
             return o
         if self.weight != o.weight:
             raise InhomogeneousError(f"adding weights lam^{self.weight} and lam^{o.weight}")
-        a, b = (self, o) if self.low >= o.low else (o, self)
-        if a.den is b.den or a.den == b.den:
-            return self._new(a.weight, a.num + b.num.shift(a.low - b.low), a.low, a.den)
-        num = a.num * b.den + (b.num * a.den).shift(a.low - b.low)
-        return self._new(a.weight, num, a.low, a.den * b.den)
+        x, y, low, same = self._aligned(o)
+        return self._new(self.weight, x + y, low, self.den if same else self.den * o.den)
 
     __radd__ = __add__
 
@@ -145,26 +152,17 @@ class EquivScalar:
         return self._new(self.weight * n, self.num ** n, self.low * n, self.den ** n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycNumber) and other.field is not self.field:
-            return self.weight == 0 and self.value == other
-        if isinstance(other, RatFunc):
-            other = EquivScalar(other.field, other.root_order, 0, other)
-        elif isinstance(other, (int, Fraction, CycNumber)):
-            other = self._lift(other)
-        elif not isinstance(other, EquivScalar):
+        o = self._lift(other, across=True)
+        if o is None or o.root_order != self.root_order:
             return NotImplemented
-        if other.root_order != self.root_order:
-            return NotImplemented
-        if self.weight != other.weight:
+        if self.weight != o.weight:
             return False
-        if other.field is not self.field:
+        if o.field is not self.field:
             # values over two fields compare as reduced rational functions
-            return self.value == other.value
-        # a = b when num_a den_b w^low_b = num_b den_a w^low_a
-        a, b = (self, other) if self.low >= other.low else (other, self)
-        if a.den is b.den or a.den == b.den:
-            return a.num == b.num.shift(a.low - b.low)
-        return a.num * b.den == (b.num * a.den).shift(a.low - b.low)
+            return self.value == o.value
+        # equal dens compare shifted numerators; any other pair cross-multiplies
+        x, y, _, _ = self._aligned(o)
+        return x == y
 
     def __hash__(self) -> int:
         # a weight-0 value hashes like its RatFunc, so like its constant

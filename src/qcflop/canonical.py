@@ -599,7 +599,7 @@ def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]
                 acc = acc + q[m] * comb(m, e)
             if acc.weight != 0:
                 raise ValueError("connection entry is not weight-free")
-            val = EquivScalar.fraction(fld, u, 0, acc.num, acc.low + e).constant()  # G_e, over w^e
+            val = EquivScalar.fraction(fld, u, 0, acc.num, acc.low + e, acc.den).constant()  # G_e, over w^e
             if val is None:
                 raise ValueError("connection entry is not constant in w")
             g.append(val * Fraction(1, den))

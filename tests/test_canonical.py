@@ -186,15 +186,29 @@ def test_term_c_minus_one():
     assert can.term_c_minus_one(can.build_spectrum(2)) == can.g_in_w(2) * Fraction(9, 24)
 
 
+def plain_add(x, y):
+    """x + y for two values, added as reduced rational functions."""
+    if x.value and y.value and x.weight != y.weight:
+        raise InhomogeneousError(f"adding weights lam^{x.weight} and lam^{y.weight}")
+    weight = x.weight if x.value else y.weight
+    return EquivScalar(x.field, x.root_order, weight, x.value + y.value)
+
+
+def plain_mul(x, y):
+    """x y for two values, multiplied as reduced rational functions."""
+    return EquivScalar(x.field, x.root_order, x.weight + y.weight, x.value * y.value)
+
+
 def mat_mul(A, B):
-    """The schoolbook matrix product, every entry a full sum."""
+    """The schoolbook matrix product, every entry a full sum, in reduced
+    rational functions."""
     out = []
     for row in A:
         out_row = []
         for j in range(len(B[0])):
-            acc = row[0] * B[0][j]
+            acc = plain_mul(row[0], B[0][j])
             for k in range(1, len(B)):
-                acc = acc + row[k] * B[k][j]
+                acc = plain_add(acc, plain_mul(row[k], B[k][j]))
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -549,13 +563,20 @@ def integrate(x):
     return EquivScalar(x.field, x.root_order, x.weight, integrate_in_t(x.value))
 
 
+def differentiate(x):
+    """q d/dq of the value of an EquivScalar."""
+    return EquivScalar(x.field, x.root_order, x.weight, x.value.delta())
+
+
 def signed_sum(mats, n, lo):
-    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a), every entry of every product."""
+    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a), every entry of every product,
+    in reduced rational functions."""
     zero = EquivScalar.zero(mats[0][0][0].field, mats[0][0][0].root_order)
     acc = [[zero] * len(mats[0]) for _ in mats[0]]
     for a in range(lo, n - lo + 1):
         term = mat_mul([list(row) for row in zip(*mats[a])], mats[n - a])
-        acc = [[x + (-t if a % 2 else t) for x, t in zip(xr, tr)] for xr, tr in zip(acc, term)]
+        acc = [[plain_add(x, -t if a % 2 else t) for x, t in zip(xr, tr)]
+               for xr, tr in zip(acc, term)]
     return acc
 
 
@@ -563,19 +584,20 @@ def plain_r_matrix_recursion(r, order, diag_mode, signs=None):
     """The recursion with every product a full mat_mul: the plain connection
     as a matrix of scalars on the branch of ``signs``, the whole of both
     connection products, every entry divided and integrated, and each
-    R_a^T R_b multiplied wherever it is used."""
+    R_a^T R_b multiplied wherever it is used, all in reduced rational
+    functions."""
     frame = can.build_spectrum(r)
     size = r + 1
     zero = EquivScalar.zero(frame.field, frame.u)
     conn = [[frame.lam(0, c) for c in row] for row in plain_connection(frame, signs)]
-    dp = [[frame.p[i] - frame.p[j] for j in range(size)] for i in range(size)]
+    dp = [[plain_add(frame.p[i], -frame.p[j]) for j in range(size)] for i in range(size)]
     mats = [[[EquivScalar.one(frame.field, frame.u) if i == j else zero for j in range(size)]
              for i in range(size)]]
     constants = {}
     for n in range(1, order + 1):
         prev = mats[-1]
         source = mat_mul(conn, prev)
-        new = [[zero if i == j else quotient(source[i][j] + prev[i][j].delta(), dp[i][j])
+        new = [[zero if i == j else quotient(plain_add(source[i][j], differentiate(prev[i][j])), dp[i][j])
                 for j in range(size)] for i in range(size)]
         follow = mat_mul(conn, new)
         for i in range(size):
@@ -583,10 +605,10 @@ def plain_r_matrix_recursion(r, order, diag_mode, signs=None):
         if diag_mode == "unitarity" and n % 2 == 0:
             mid = signed_sum(mats, n, 1)
             for i in range(size):
-                gap = mid[i][i] * Fraction(-1, 2) - new[i][i]
+                gap = plain_add(mid[i][i] * Fraction(-1, 2), -new[i][i])
                 if not gap.is_zero():
                     const = laurent_items(gap.value)[0]
-                    new[i][i] = new[i][i] + frame.lam(gap.weight, const)
+                    new[i][i] = plain_add(new[i][i], frame.lam(gap.weight, const))
                     constants[f"{n},{i}"] = repr(const)
         mats.append(new)
     residuals = {n: all(x.is_zero() for row in signed_sum(mats, n, 0) for x in row)
@@ -1060,7 +1082,7 @@ def plain_spectrum_sum(frame, xs):
     """sum_i x_i p_i, one reduced sum per term."""
     out = EquivScalar.zero(frame.field, frame.u)
     for x, p in zip(xs, frame.p):
-        out = out + x * p
+        out = plain_add(out, plain_mul(x, p))
     return out
 
 
@@ -1155,16 +1177,17 @@ def test_spectrum_sum_of_the_r1_diagonal_matches_the_plain_sum(r):
     got = can._spectrum_sum(frame, diag)
     assert got.weight == 0
     assert got == plain_spectrum_sum(frame, diag)
+    # a value off the powers of w sums over the product of the dens
+    xs = [EquivScalar(frame.field, frame.u, 0, frame.a[0].inverse())] * (r + 1)
+    assert can._spectrum_sum(frame, xs) == plain_spectrum_sum(frame, xs)
 
 
 def test_the_spectrum_sum_rejects_other_shapes():
+    # summands of mixed weights
     frame = can.build_spectrum(2)
     one, lam = EquivScalar.one(frame.field, frame.u), frame.lam()
     with pytest.raises(InhomogeneousError):
         can._spectrum_sum(frame, [one, lam, one])
-    # a value off the powers of w sums over the product of the dens
-    xs = [EquivScalar(frame.field, frame.u, 0, frame.a[0].inverse())] * 3
-    assert can._spectrum_sum(frame, xs) == plain_spectrum_sum(frame, xs)
 
 
 # --- negative controls of the known-factor anchors ---------------------------------
@@ -1360,9 +1383,10 @@ def test_control_a_one_sided_pair_flip(capsys, monkeypatch):
 
 
 def running_product(frame, deltas):
+    """prod_i Delta_i, one reduced product per factor."""
     prod = EquivScalar.one(frame.field, frame.u)
     for d in deltas:
-        prod = prod * d
+        prod = plain_mul(prod, d)
     return prod
 
 

@@ -154,12 +154,18 @@ def test_a_common_known_factor_changes_neither_the_value_nor_its_hash(u, kind, i
     # a sum with another low, over the same den and over another den
     other = EquivScalar.fraction(fld, u, weight, poly(data.draw(coeffs)), 2 - low, den)
     assert (plain + other).value == (padded + other).value == plain.value + other.value
+    # a product with a value over yet another den
+    factor_den = poly(data.draw(coeffs))
+    assume(not factor_den.is_zero())
+    factor = EquivScalar.fraction(fld, u, 1 - weight, poly(data.draw(coeffs)), 1, factor_den)
+    assert (padded * factor).value == (plain * factor).value == plain.value * factor.value
+    assert padded * factor == plain * factor
     value = padded.value
     assert value == plain.value == RatFunc(fld, u, num, den.shift(low))
     # the reduced value: a monic denominator prime to the numerator
     assert value.den.lead() == 1 and value.num.gcd(value.den).degree == 0
     if kind == "w" and den.is_constant():
-        # a power of w in the numerator of a Laurent value cancels by its valuation
+        # a power of w in the numerator of a Laurent value cancels on reduction
         laurent = EquivScalar.fraction(fld, u, weight, (num * f).scale(den.lead().inverse()), low + k)
         assert laurent == plain and laurent.value == value and hash(laurent) == hash(plain)
 
