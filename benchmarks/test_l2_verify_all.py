@@ -5,7 +5,8 @@
 * ``evaluate_g_polynomial`` of delta^7 G as a polynomial in G (a ``Poly``
   over Q), at r = 1..3, the largest m of the flop suite.
 * R1 on the default branch of a fresh frame at r = 4..8, its connection
-  already built: ``first_order(frame)``, off the diagonal and on it.
+  already built: ``first_order(frame)``, row 0 of R1, checked on its
+  diagonal.
 * ``hamiltonian_of`` for the three operator pairs of the quantization
   suite's homomorphism check at dim 2, cutoff 3 (six operators, the
   symplectic test included).
@@ -40,8 +41,9 @@ def test_first_order(benchmark, r):
         canonical.connection_form(frame)
         return (frame,), {}
 
-    _, diag = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
-    assert list(diag) == canonical.r1_diagonal_closed_form(canonical.frame_for(r))
+    r1 = benchmark.pedantic(canonical.first_order, setup=fresh_frame, rounds=5)
+    assert [r1[i, i] for i in range(r + 1)] == canonical.r1_diagonal_closed_form(
+        canonical.frame_for(r))
 
 
 def test_hamiltonian_of(benchmark):

@@ -26,20 +26,23 @@ a_i and p_i to c_(i+1), a_(i+1) and p_(i+1), indices mod r+1
 under it, with one sign: X[i][j] = (-1)^[j<i] sigma^i(X[0][(j-i) mod (r+1)]),
 since the ratios zeta^(i-j) pick up zeta^(r+1) = -1 when an index wraps past
 r; on the diagonal, X[i][i] = sigma^i(X[0][0]).  This holds for the
-connection base, R1, every R_n of the recursion and every R_a^T R_b, so each
-is derived from its row 0 alone and ``_fill`` gives the other rows; R1's
-diagonal is diagonal 0 integrated and rotated, and a unitarity residual
-reads row 0 of its sum, whose first nonzero entry lies there.  Every stage
-computes the default branch only.  Another branch is the gauge E X E with
+connection, R1, every R_n of the recursion and every R_a^T R_b, so each is
+derived from its row 0 alone and held as that row, a ``DeckMatrix``, which
+forms an entry or a column by this rule only when it is read; R1's diagonal
+is diagonal 0 integrated and rotated, and a unitarity residual reads row 0
+of its sum, whose first nonzero entry lies there.  Every stage computes the
+default branch only.  Another branch is the gauge E X E with
 E = diag(e), and a pair flip negates one pair (``_branch``); R1's diagonal
 and the genus-one form read each pair only through R1_ij R1_ji, which a
 gauge leaves alone, so ``branch_failure``, which checks that a branch of R1
-carries one sign per pair, is the one place a branch is read.  sigma
-also sends eps_i to eps_(i+1), with no sign, so du_j(eps_i) and the pairing
-of eps_i with eps_j are sigma^i of their values at (0, (j - i) mod (r+1));
-``by_orbit`` derives that row 0 and covers a pair by rotation only where it
-checks that sigma carries the inputs.  The display forms depend on i and j
-through k = (j - i) mod (r+1), and form their sums over mu once per k.
+carries one sign per pair, is the one place a branch is read, and ``_branch``
+the one place a matrix is formed in full.  sigma also sends eps_i to
+eps_(i+1), with no sign, so du_j(eps_i) and the pairing of eps_i with eps_j
+are sigma^i of their values at (0, (j - i) mod (r+1)); ``by_orbit`` derives
+that row 0, a ``DeckMatrix`` with wrap 1, and covers a pair by rotation
+only where it checks that sigma carries the inputs.  The display forms
+depend on i and j through k = (j - i) mod (r+1), and form their sums over mu
+once per k.
 
 Known factors.  Every denominator the frame builds splits over w and the
 L_i, whose product is D = w^(r+1) + (-1)^r, and is known in advance: L_i
@@ -86,9 +89,9 @@ Caching (per process, never shared between processes or switched off):
   once per frame: the e_m(L) of the linear factors, the E^i_k of each omit
   index i read so far (the idempotent basis reads every i, column 0 of M^-1
   only i = 0), ``delta_i``, ``term_log_delta``, ``term_c_minus_one``, the
-  base of ``connection_form`` (which reads column 0 of M^-1 and does not
-  keep it), R1 off the diagonal and on it (``first_order``, shared by the
-  appendix suite and ``genus_one_form(r)``), the genus-one form of
+  row 0 of ``connection_form`` (which reads column 0 of M^-1 and does not
+  keep it), the row 0 of R1 (``first_order``, shared by the appendix suite
+  and ``genus_one_form(r)``), the genus-one form of
   ``genus_one_form(r)`` on the frame ``frame_for(r)``, the r+1 sums
   sum_mu mu xi^(mu k) that both display forms read, and the basis factors
   (``eps_factors``: the pref_i and the s_ik w^k) read by ``du_of_eps`` and
@@ -100,9 +103,9 @@ Caching (per process, never shared between processes or switched off):
 - ``xi_g_terms`` keeps nothing: the suite derives the pairs once per cell and
   passes them to ``xi_constant`` and ``xi_constant_pair_identity``.
 
-Cached values are immutable or copied on return: ``connection_form`` returns
-a fresh copy of the base, and ``first_order`` and ``genus_one_form`` return
-tuples.
+Cached values are immutable or copied on return: ``connection_form`` and
+``first_order`` return the cached ``DeckMatrix``, whose row 0 is a tuple and
+which has no item assignment, and ``genus_one_form`` returns a tuple.
 """
 
 from __future__ import annotations
@@ -380,8 +383,9 @@ def eps_pairing(frame: CanonicalFrame, i: int, j: int) -> EquivScalar:
 def by_orbit(frame: CanonicalFrame, *derives) -> list:
     """For each of ``derives`` (``du_of_eps`` or ``eps_pairing``), a function
     of (i, j) giving ``derive(frame, i, j)`` that derives row 0 only,
-    j = 0..r, and takes (i, j) as sigma^i of (0, (j - i) mod (r+1)) where the
-    inputs allow.
+    j = 0..r, held as a ``DeckMatrix`` with wrap 1 (sigma sends eps_i to
+    eps_(i+1) with no sign), and reads (i, j) from it, as sigma^i of
+    (0, (j - i) mod (r+1)), where the inputs allow.
 
     sigma^i sends eps_0 to eps_i when pref_i = sigma^i(pref_0) and
     s_ik w^k = xi^(ik) sigma^i(s_0k w^k) for every k, and L_i =
@@ -402,14 +406,11 @@ def by_orbit(frame: CanonicalFrame, *derives) -> list:
         for i in range(1, u)]
 
     def orbit(derive):
-        row = [derive(frame, 0, k) for k in range(u)]
+        m = DeckMatrix([derive(frame, 0, k) for k in range(u)], wrap=1)
 
         def value(i: int, j: int) -> EquivScalar:
-            k = (j - i) % u
-            if i == 0:
-                return row[j]
-            if covariant[i] and covariant[j] and covariant[k]:
-                return row[k].rotate(i)
+            if i == 0 or covariant[i] and covariant[j] and covariant[(j - i) % u]:
+                return m[i, j]
             return derive(frame, i, j)
 
         return value
@@ -539,37 +540,43 @@ def _m_inverse_column(frame: CanonicalFrame) -> list[EquivScalar]:
 _WRAP_SIGN = -1
 
 
-def _entry(row: list, rotate, i: int, j: int):
-    """X[i][j] = (-1)^[j<i] sigma^i(row[(j-i) mod u]) of the matrix X with
-    row 0 ``row``, where rotate(x, i) is sigma^i(x): the rule every
-    default-branch matrix of the frame satisfies (see the module docstring)."""
-    x = rotate(row[(j - i) % len(row)], i) if i else row[j]
-    return x * _WRAP_SIGN if j < i else x
+class DeckMatrix:
+    """A sigma-equivariant (r+1) x (r+1) matrix held as its row 0: m[i, j] is
+    wrap^[j<i] sigma^i(row[(j-i) mod (r+1)]), formed when read, where
+    rotate(x, i) is sigma^i(x) and wrap = +-1.  Every default-branch matrix
+    of the frame obeys this rule with ``_WRAP_SIGN``, read when it is built
+    (see the module docstring); the idempotent values of ``by_orbit`` obey
+    it with wrap 1."""
+
+    __slots__ = ("row", "rotate", "wrap")
+
+    def __init__(self, row, rotate=None, wrap=None):
+        self.row = tuple(row)
+        self.rotate = EquivScalar.rotate if rotate is None else rotate
+        self.wrap = _WRAP_SIGN if wrap is None else wrap
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __getitem__(self, key: tuple[int, int]):
+        i, j = key
+        if not i:
+            return self.row[j]
+        x = self.rotate(self.row[(j - i) % len(self.row)], i)
+        return -x if j < i and self.wrap < 0 else x
+
+    def column(self, j: int) -> list:
+        return [self[i, j] for i in range(len(self.row))]
 
 
-def _fill(row: list, rotate) -> list[list]:
-    """The matrix whose entries ``_entry`` reads off its row 0."""
-    return [[_entry(row, rotate, i, j) for j in range(len(row))] for i in range(len(row))]
-
-
-def connection_form(frame: CanonicalFrame) -> list[list[CycNumber]]:
-    """dt-coefficients of the connection one-form, from the D*M factorization.
-
-    Entry (i, j) is zeta^(i-j) (M dM^-1)_{ij} off the diagonal and
-    (M dM^-1)_{ii} - r/(2(r+1)) on it (the d log d_i term), on the default
-    branch; entries come out constant, the diagonal vanishes and the matrix
-    is antisymmetric.  The base is derived and checked once per frame
-    (``_connection_base``); each call returns a fresh copy of it.
-    """
-    return [list(row) for row in _connection_base(frame)]
-
-
-def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]:
-    """The connection on the default branch, derived and checked once per
-    frame.  The core M dM^-1 has constant entries and core[i+1][j+1] =
-    sigma(core[i][j]), so it is circulant and only its column 0 is formed,
-    from all of M and column 0 of dM^-1; row 0 of the base follows and
-    ``_fill`` gives the rest.
+def connection_form(frame: CanonicalFrame) -> DeckMatrix:
+    """dt-coefficients of the connection one-form, from the D*M factorization,
+    derived and checked once per frame.  Entry (i, j) is zeta^(i-j)
+    (M dM^-1)_{ij} off the diagonal and (M dM^-1)_{ii} - r/(2(r+1)) on it
+    (the d log d_i term), on the default branch; entries come out constant,
+    the diagonal vanishes and the matrix is antisymmetric.  The core M dM^-1
+    is constant and core[i+1][j+1] = sigma(core[i][j]), so only its column 0
+    is formed, from all of M and column 0 of dM^-1; row 0 follows.
 
     The core is formed in Laurent values.  With m = r - mu, M_{i,mu} =
     p_i^(mu - r) is (a_i / lam)^m, where a_i = L_i/w = 1 + c_i/w for the
@@ -611,10 +618,9 @@ def _connection_base(frame: CanonicalFrame) -> tuple[tuple[CycNumber, ...], ...]
                 val = c_i * val + g_e
             core.append(val)
         for k in range(r + 1):
-            # base[0][k] = core[0][k] zeta^(-k), with core[0][k] = core[-k mod u][0]
+            # entry k of row 0 is core[0][k] zeta^(-k), with core[0][k] = core[-k mod u][0]
             row.append(core[-k] * frame.field.zeta(-k) if k else core[0] - Fraction(r, 2 * (r + 1)))
-        # sigma fixes the constant entries
-        frame.stages["connection"] = tuple(map(tuple, _fill(row, lambda x, i: x)))
+        frame.stages["connection"] = DeckMatrix(row, lambda x, i: x)
     return frame.stages["connection"]
 
 
@@ -748,43 +754,39 @@ def r1_diagonal_closed_form(frame: CanonicalFrame) -> list[EquivScalar]:
     return out
 
 
-def first_order(frame: CanonicalFrame
-                ) -> tuple[tuple[tuple[EquivScalar, ...], ...], tuple[EquivScalar, ...]]:
-    """(R1 off the diagonal, R1 on it) on the default branch, once per frame,
-    as immutable tuples.
+def first_order(frame: CanonicalFrame) -> DeckMatrix:
+    """R1 on the default branch, once per frame.
 
     Off the diagonal, entry (i, j) solves the dt-restricted first-order
     relation R1_ij (p_i - p_j) = conn_ij: row 0 is the connection's row 0
-    times the Laurent value 1/(p_0 - p_j), and ``_fill`` gives the rest.
-    The diagonal integrates the flatness condition
-    d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j) on the t-line, with integration
-    constant zero: diagonal 0 is integrated from its r pair products, each
-    R1_0j R1_j0 (p_0 - p_j) = conn_0j R1_j0 a Laurent value, and diagonal i
-    is its rotation sigma^i.  An integrand with a constant term would
-    violate flatness silently, so it raises FlatnessError.
+    times the Laurent value 1/(p_0 - p_j).  The diagonal integrates the
+    flatness condition d R1_ii = -sum_j R1_ij R1_ji d(u_i - u_j) on the
+    t-line, with integration constant zero: diagonal 0 is integrated from
+    its r pair products, each R1_0j R1_j0 (p_0 - p_j) = conn_0j R1_j0 a
+    Laurent value: the integrand is -(conn R1)_00, read from column 0 of R1
+    off the diagonal, and diagonal i is its rotation sigma^i.  An integrand
+    with a constant term would violate flatness silently, so it raises
+    FlatnessError.
     """
     if "first_order" not in frame.stages:
-        conn = _connection_base(frame)
+        conn = connection_form(frame)
         inv = _inverse_differences(frame)
         zero = EquivScalar.zero(frame.field, frame.u)
-        row = [zero] + [inv[j] * conn[0][j] for j in range(1, frame.u)]
-        off = tuple(map(tuple, _fill(row, EquivScalar.rotate)))
-        integrand = zero
-        for j in range(1, frame.u):
-            integrand = integrand - off[j][0] * conn[0][j]
-        diag = integrand.integrate("diagonal 0 integrand has a constant term at weight {e}")
-        frame.stages["first_order"] = (off, tuple(diag.rotate(i) if i else diag
-                                                  for i in range(frame.u)))
+        off = DeckMatrix([zero] + [inv[j] * conn[0, j] for j in range(1, frame.u)])
+        diag = (-_conn_entry(conn, off, 0, zero)).integrate(
+            "diagonal 0 integrand has a constant term at weight {e}")
+        frame.stages["first_order"] = DeckMatrix((diag,) + off.row[1:])
     return frame.stages["first_order"]
 
 
-def _branch(base, e: list[int], pair_flip: tuple[int, int] | None = None) -> list[list]:
-    """A default-branch matrix on another square-root branch: E X E with
-    E = diag(e), then a ``pair_flip`` negates the entries (i, j) and (j, i)
-    of one unordered pair."""
-    if len(e) != len(base) or any(s not in (1, -1) for s in e):
+def _branch(base: DeckMatrix, e: list[int], pair_flip: tuple[int, int] | None = None) -> list:
+    """A default-branch matrix on another square-root branch, in full: E X E
+    with E = diag(e), then a ``pair_flip`` negates the entries (i, j) and
+    (j, i) of one unordered pair."""
+    n = len(base)
+    if len(e) != n or any(s not in (1, -1) for s in e):
         raise ValueError("branch signs must be a +-1 vector of length r+1")
-    out = [[x if e[i] == e[j] else -x for j, x in enumerate(row)] for i, row in enumerate(base)]
+    out = [[base[i, j] if e[i] == e[j] else -base[i, j] for j in range(n)] for i in range(n)]
     if pair_flip is not None:
         i, j = pair_flip
         if i == j:
@@ -796,17 +798,17 @@ def _branch(base, e: list[int], pair_flip: tuple[int, int] | None = None) -> lis
 
 def branch_failure(frame: CanonicalFrame, e: list[int],
                    pair_flip: tuple[int, int] | None = None) -> tuple[int, int] | None:
-    """The first unordered pair (i, j), i < j, at which R1 off the diagonal on
-    the branch of signs ``e`` and ``pair_flip`` does not carry one sign
-    s = +-1 against the default's at both (i, j) and (j, i), or None.
+    """The first unordered pair (i, j), i < j, at which R1 on the branch of
+    signs ``e`` and ``pair_flip`` does not carry one sign s = +-1 against the
+    default's at both (i, j) and (j, i), or None.
 
     When it is None, every product R1_ij R1_ji is the default's, and R1's
     diagonal and the genus-one form read R1 only through these products, so
     the branch has the default's.  Exact equality only.
     """
-    base = first_order(frame)[0]
-    off = _branch(base, e, pair_flip)
-    n = len(base)
+    r1 = first_order(frame)
+    n = len(r1)
+    base, off = _branch(r1, [1] * n), _branch(r1, e, pair_flip)
     return next(((i, j) for i in range(n) for j in range(i + 1, n)
                  if (off[i][j], off[j][i]) not in ((base[i][j], base[j][i]),
                                                   (-base[i][j], -base[j][i]))), None)
@@ -826,7 +828,8 @@ def genus_one_form(r: int) -> tuple[RatFunc, Fraction]:
     if "genus_one" not in frame.stages:
         t_log = term_log_delta(frame)
         t_c = term_c_minus_one(frame)
-        third = _spectrum_sum(frame, first_order(frame)[1])
+        r1 = first_order(frame)
+        third = _spectrum_sum(frame, [r1[i, i] for i in range(frame.u)])
         try:
             third_rf = third.nonequivariant_limit()
         except LimitError as exc:
@@ -867,51 +870,42 @@ def genus_one_table(r: int, dmax: int) -> list[Fraction]:
 # --- the full order-by-order recursion -----------------------------------------
 
 
-def _conn_entry(conn: list[list[CycNumber]], mat: list[list[EquivScalar]], i: int, j: int,
-                zero: EquivScalar) -> EquivScalar:
-    """(conn mat)_{ij} for a constant matrix conn: entries are scaled, zeros skipped."""
+def _conn_entry(conn: DeckMatrix, mat: DeckMatrix, j: int, zero: EquivScalar) -> EquivScalar:
+    """Entry (0, j) of conn mat for the constant connection conn: an entry of
+    column j of mat is read only where row 0 of conn is not zero, and scaled."""
     acc = zero
-    for k, c in enumerate(conn[i]):
-        if not c.is_zero() and not mat[k][j].is_zero():
-            acc = acc + mat[k][j] * c
+    for k, c in enumerate(conn.row):
+        if not c.is_zero() and not (x := mat[k, j]).is_zero():
+            acc = acc + x * c
     return acc
 
 
-def _transpose_product(mats: list[list[list[EquivScalar]]], memo: dict, a: int, b: int):
-    """Row 0 of R_a^T R_b of the default branch, memoised by (a, b).
-
-    Only products with 0 < a <= b are multiplied, sum_k R_a[k][0] R_b[k][j],
-    and R_0 = Id makes R_0^T R_b equal to R_b.  The rule of ``_fill`` holds
-    for R_a^T R_b when it holds for R_a and R_b, so for a > b the row is
-    column 0 of R_b^T R_a, read off its row 0 by ``_entry``.
-    """
+def _transpose_product(mats: list[DeckMatrix], memo: dict, a: int, b: int) -> DeckMatrix:
+    """R_a^T R_b of the default branch for a <= b, memoised by (a, b): R_b
+    for a = 0 (R_0 = Id), else row 0 sum_k R_a[k, 0] R_b[k, j], which obeys
+    the rule of ``DeckMatrix`` since R_a and R_b do.  For a > b, R_a^T R_b
+    is the transpose of R_b^T R_a, with the same entry (0, 0)."""
     if (a, b) not in memo:
-        if a > b:
-            row = _transpose_product(mats, memo, b, a)
-            memo[a, b] = [_entry(row, EquivScalar.rotate, i, 0) for i in range(len(row))]
-        elif a == 0:
-            memo[a, b] = mats[b][0]
+        if a == 0:
+            memo[a, b] = mats[b]
         else:
-            A, B = mats[a], mats[b]
-            row = []
-            for j in range(len(A)):
-                acc = A[0][0] * B[0][j]
-                for k in range(1, len(A)):
-                    acc = acc + A[k][0] * B[k][j]
-                row.append(acc)
-            memo[a, b] = row
+            col, B = mats[a].column(0), mats[b]
+            memo[a, b] = DeckMatrix([sum((col[k] * B[k, j] for k in range(1, len(col))),
+                                         col[0] * B[0, j]) for j in range(len(col))])
     return memo[a, b]
 
 
-def _unitarity_row(mats: list[list[list[EquivScalar]]], memo: dict, n: int) -> list[EquivScalar]:
-    """Row 0 of sum_{a=0..n} (-1)^a R_a^T R_(n-a).  Each R_a^T R_b obeys the
-    rule of ``_fill``, so every entry of the sum is +-sigma^i of a row-0
-    entry: the sum vanishes exactly when its row 0 does, and its first
+def _unitarity_row(mats: list[DeckMatrix], memo: dict, n: int) -> list[EquivScalar]:
+    """Row 0 of sum_{a=0..n} (-1)^a R_a^T R_(n-a), where a term with
+    a > n - a is read as column 0 of R_(n-a)^T R_a.  Each R_a^T R_b obeys
+    the rule of ``DeckMatrix``, so every entry of the sum is +-sigma^i of a
+    row-0 entry: the sum vanishes exactly when its row 0 does, and its first
     nonzero (i, j) in row order lies in row 0."""
     acc = None
-    for a_idx in range(n + 1):
-        term = _transpose_product(mats, memo, a_idx, n - a_idx)
-        if a_idx % 2 == 1:
+    for a in range(n + 1):
+        term = (_transpose_product(mats, memo, a, n - a).row if 2 * a <= n
+                else _transpose_product(mats, memo, n - a, a).column(0))
+        if a % 2 == 1:
             term = [-x for x in term]
         acc = term if acc is None else [p + t for p, t in zip(acc, term)]
     return acc
@@ -926,17 +920,20 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
     default) calibrates the even-order constants from the residue pairing so
     that sum_{a+b=n} (-1)^a R_a^T R_b = 0 can hold exactly.
 
-    Each order is derived on the default branch from its row 0, filled by
-    ``_fill``; the diagonal is integrated and calibrated once, at i = 0 (the
-    constant is fixed by sigma), and rotated.  Each R_a^T R_b is formed once
-    (see ``_transpose_product``), and each residual reads row 0 of its sum
-    (see ``_unitarity_row``).  Every entry is a Laurent value of weight -n
+    Each order is derived on the default branch from its row 0, which reads
+    the columns of the order before it entry by entry, and held as a
+    ``DeckMatrix``; the diagonal is integrated and calibrated once, at i = 0
+    (the constant is fixed by sigma), and diagonal i is its rotation.  Each
+    R_a^T R_b with a <= b is formed once, as its row 0 (see
+    ``_transpose_product``), and each residual reads row 0 of its sum (see
+    ``_unitarity_row``).  Every entry is a Laurent value of weight -n
     (dividing by p_0 - p_j is a product with the Laurent value of
     ``_inverse_differences``), returned as the recursion derives it.
 
-    Returns ([Id, R_1, ..., R_order], report) where the report collects the
-    diagonal constants, the exact unitarity residual status per order and,
-    for each order whose residual is not zero, its first nonzero (i, j).
+    Returns ([Id, R_1, ..., R_order], report), each a ``DeckMatrix``, where
+    the report collects the diagonal constants, the exact unitarity residual
+    status per order and, for each order whose residual is not zero, its
+    first nonzero (i, j).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -947,24 +944,22 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
     inv = _inverse_differences(frame)
     size, fld = r + 1, frame.field
     zero, one = EquivScalar.zero(fld, size), EquivScalar.one(fld, size)
-    mats: list[list[list[EquivScalar]]] = [[[one if i == j else zero for j in range(size)]
-                                         for i in range(size)]]
-    products: dict[tuple[int, int], list[EquivScalar]] = {}
+    mats = [DeckMatrix([one] + [zero] * r)]
+    products: dict[tuple[int, int], DeckMatrix] = {}
     constants: dict[tuple[int, int], str] = {}
     for n in range(1, order + 1):
         prev = mats[n - 1]
-        row = [zero] + [(_conn_entry(conn, prev, 0, j, zero) + prev[0][j].delta()) * inv[j]
+        row = [zero] + [(_conn_entry(conn, prev, j, zero) + prev[0, j].delta()) * inv[j]
                         for j in range(1, size)]
-        new = _fill(row, EquivScalar.rotate)
         # diagonal from the vanishing-diagonal condition of step n+1
-        diag = (-_conn_entry(conn, new, 0, 0, zero)).integrate(
+        diag = (-_conn_entry(conn, DeckMatrix(row), 0, zero)).integrate(
             f"order {n}, diagonal 0: constant term at weight {{e}}")
         if diag_mode == "unitarity" and n % 2 == 0:
             # 2 R_n[0][0] + [sum_{0<a<n} (-1)^a R_a^T R_(n-a)]_{00} must vanish;
             # the recursion fixes R_n[0][0] only up to a constant, so align it
             mid = zero
             for a_idx in range(1, n):
-                term = _transpose_product(mats, products, a_idx, n - a_idx)[0]
+                term = _transpose_product(mats, products, *sorted((a_idx, n - a_idx)))[0, 0]
                 mid = mid - term if a_idx % 2 else mid + term
             gap = mid * Fraction(-1, 2) - diag
             const = gap.constant()
@@ -973,9 +968,7 @@ def r_matrix_recursion(r: int, order: int, diag_mode: str = "unitarity") -> tupl
             if not const.is_zero():
                 diag = diag + frame.lam(gap.weight, const)
                 constants.update(((n, i), repr(const)) for i in range(size))
-        for i in range(size):
-            new[i][i] = diag.rotate(i)
-        mats.append(new)
+        mats.append(DeckMatrix([diag] + row[1:]))
     residuals, first_nonzero = {}, {}
     for n in range(1, order + 1):
         bad = next(((0, j) for j, x in enumerate(_unitarity_row(mats, products, n))

@@ -65,9 +65,13 @@ def run_suite(selection: str, config: RunConfig) -> Report:
 
 
 def _emit(report_text: str, out_path: str | None) -> None:
+    """Write the report to ``out_path``, or to stdout; an unwritable path is a ConfigError."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(report_text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(report_text)
 

@@ -198,19 +198,19 @@ def appendix_suite(r: int, rmatrix_order: int = DEFAULTS["rmatrix_order"]) -> Re
     conn = canonical.connection_form(frame)
     disp = canonical.connection_display_form(frame)
     bad = _first_failing_pair(r, lambda i, j: (
-        ("the diagonal is not zero", i != j or conn[i][i].is_zero()),
-        ("the form is not antisymmetric", (conn[i][j] + conn[j][i]).is_zero()),
-        ("derived is not minus the display", conn[i][j] == -disp[i][j])))
+        ("the diagonal is not zero", i != j or conn[i, i].is_zero()),
+        ("the form is not antisymmetric", (conn[i, j] + conn[j, i]).is_zero()),
+        ("derived is not minus the display", conn[i, j] == -disp[i][j])))
     rep.add("appendix/connection-form", {"r": r}, bad is None, bad or branch_note)
-    first, r1_error = _derived(canonical.first_order, frame)
+    r1, r1_error = _derived(canonical.first_order, frame)
     bad = r1_error
-    if first is not None:
-        off, diag = first
+    if r1 is not None:
         off_disp = canonical.r1_offdiagonal_display(frame)
+        # an entry is formed by a deck rotation when read, so x holds r1[i, j] once
         bad = _first_failing_pair(r, lambda i, j: () if i == j else (
-            ("the entry is not of weight lam^-1", off[i][j].weight == -1),
-            ("derived is not minus the display", off[i][j] == -off_disp[i][j]),
-            ("R1 is not symmetric", off[i][j] == off[j][i])))
+            ("the entry is not of weight lam^-1", (x := r1[i, j]).weight == -1),
+            ("derived is not minus the display", x == -off_disp[i][j]),
+            ("R1 is not symmetric", x == r1[j, i])))
     rep.add("appendix/first-order-offdiagonal", {"r": r}, bad is None, bad or branch_note)
     # the pairs (xi^k, g_k) are derived once per cell, for both checks
     xi_terms = canonical.xi_g_terms(r)
@@ -220,7 +220,7 @@ def appendix_suite(r: int, rmatrix_order: int = DEFAULTS["rmatrix_order"]) -> Re
             xi_val == xi_want and canonical.xi_constant_pair_identity(xi_terms), str(xi_val))
     closed = canonical.r1_diagonal_closed_form(frame)
     bad = r1_error or next((f"first failing i = {i}: derived is not the closed form"
-                            for i in range(r + 1) if diag[i] != closed[i]), None)
+                            for i in range(r + 1) if r1[i, i] != closed[i]), None)
     rep.add("appendix/first-order-diagonal", {"r": r}, bad is None, bad or "0")
     genus_one, error = _derived(canonical.genus_one_form, r)
     expected = canonical.genus_one_expected(r)
@@ -260,7 +260,7 @@ def appendix_suite(r: int, rmatrix_order: int = DEFAULTS["rmatrix_order"]) -> Re
             mats, info = recursion
             bad = r1_error or _first_failing_pair(r, lambda i, j: (
                 ("R_1 of the recursion is not the first-order R1",
-                 mats[1][i][j] == (diag[i] if i == j else off[i][j])),))
+                 mats[1][i, j] == r1[i, j]),))
             rep.add("appendix/recursion-first-order-match", {"r": r}, bad is None, bad or "0")
             note = f"diagonal constants: {info['diagonal_mode']}"
             for n in range(1, rmatrix_order + 1):

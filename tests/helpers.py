@@ -1,9 +1,9 @@
 """Helpers that more than one test module reads: the product reference for
 the symmetric functions the canonical frame writes in closed form, the
-Laurent-polynomial reference for rational functions in w, the
-Fraction-valued references for the cohomology ring, and the perturbations of
-the Batyrev eigen formulas.  Not a test module, so pytest collects nothing
-here.
+Laurent-polynomial reference for rational functions in w, the full form of
+a matrix held as its row 0, the Fraction-valued references for the
+cohomology ring, and the perturbations of the Batyrev eigen formulas.  Not a
+test module, so pytest collects nothing here.
 """
 
 from fractions import Fraction
@@ -65,6 +65,18 @@ def mixed_numerators(field):
     return [Poly(field, [1, z, 0, Fraction(-2, 3), z ** 3 + 2]),
             Poly(field, [0, 0, z * 5 - 1]),
             Poly(field, [Fraction(1, 2)])]
+
+
+def filled(m):
+    """Every entry of a ``canonical.DeckMatrix``, read one by one, as a list
+    of rows: the full form the tests compare with the plain derivations."""
+    n = len(m)
+    return [[m[i, j] for j in range(n)] for i in range(n)]
+
+
+def diagonal(m):
+    """The diagonal entries of a ``canonical.DeckMatrix``."""
+    return [m[i, i] for i in range(len(m))]
 
 
 def integrate_in_t(f):

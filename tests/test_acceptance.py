@@ -111,18 +111,18 @@ def test_criterion_06_appendix_intermediates():
         conn = canonical.connection_form(frame)
         disp = canonical.connection_display_form(frame)
         for i in range(r + 1):
-            ok = ok and conn[i][i].is_zero()
+            ok = ok and conn[i, i].is_zero()
             for j in range(r + 1):
-                ok = ok and (conn[i][j] + conn[j][i]).is_zero()
-                ok = ok and conn[i][j] == -disp[i][j]
-        off, diag = canonical.first_order(frame)
+                ok = ok and (conn[i, j] + conn[j, i]).is_zero()
+                ok = ok and conn[i, j] == -disp[i][j]
+        r1 = canonical.first_order(frame)
         off_disp = canonical.r1_offdiagonal_display(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 if i != j:
-                    ok = ok and off[i][j] == -off_disp[i][j]
+                    ok = ok and r1[i, j] == -off_disp[i][j]
         closed = canonical.r1_diagonal_closed_form(frame)
-        ok = ok and all(diag[i] == closed[i] for i in range(r + 1))
+        ok = ok and all(r1[i, i] == closed[i] for i in range(r + 1))
     _announce(6, "appendix intermediate identities r=1..5", ok)
 
 
@@ -131,11 +131,10 @@ def test_criterion_07_recursion_unitarity():
     for r in range(1, 4):
         frame = canonical.build_spectrum(r)
         mats, info = canonical.r_matrix_recursion(r, 3)
-        off, diag = canonical.first_order(frame)
+        r1 = canonical.first_order(frame)
         for i in range(r + 1):
             for j in range(r + 1):
-                want = diag[i] if i == j else off[i][j]
-                ok = ok and mats[1][i][j] == want
+                ok = ok and mats[1][i, j] == r1[i, j]
         ok = ok and all(info["unitarity_exact"][n] for n in (1, 2, 3))
     _announce(7, "recursion first-order match and unitarity n<=3, r<=3", ok)
 

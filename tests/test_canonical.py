@@ -18,7 +18,9 @@ from qcflop.algebra import (
 )
 
 from helpers import (
+    diagonal,
     elementary_symmetric_omitting,
+    filled,
     integrate_in_t,
     laurent_items,
     mixed_numerators,
@@ -282,12 +284,16 @@ def plain_connection(frame, signs=None, pair_flip=None):
     return out
 
 
-def plain_r1_offdiagonal(frame, conn):
-    """conn_ij / (p_i - p_j) at every i != j, each divided."""
+def plain_r1(frame, conn):
+    """conn_ij / (p_i - p_j) at every i != j, each divided, and the diagonal
+    integrated from them by ``reference_r1_diagonal``."""
     zero = EquivScalar.zero(frame.field, frame.u)
-    return [[zero if i == j else quotient(frame.lam(0, c), frame.p[i] - frame.p[j])
-             for j, c in enumerate(row)]
-            for i, row in enumerate(conn)]
+    out = [[zero if i == j else quotient(frame.lam(0, c), frame.p[i] - frame.p[j])
+            for j, c in enumerate(row)]
+           for i, row in enumerate(conn)]
+    for i, x in enumerate(reference_r1_diagonal(frame, out)):
+        out[i][i] = x
+    return out
 
 
 def test_m_matrix_inverse_exact():
@@ -307,10 +313,10 @@ def test_connection_zero_diagonal_and_antisymmetry():
         disp = can.connection_display_form(frame)
         n = r + 1
         for i in range(n):
-            assert conn[i][i].is_zero()
+            assert conn[i, i].is_zero()
             assert disp[i][i].is_zero()
             for j in range(n):
-                assert (conn[i][j] + conn[j][i]).is_zero()
+                assert (conn[i, j] + conn[j, i]).is_zero()
                 assert (disp[i][j] + disp[j][i]).is_zero()
 
 
@@ -323,7 +329,7 @@ def test_connection_matches_display_up_to_branch():
         disp = can.connection_display_form(frame)
         for i in range(r + 1):
             for j in range(r + 1):
-                assert conn[i][j] == -disp[i][j]
+                assert conn[i, j] == -disp[i][j]
 
 
 def test_connection_display_example_r1():
@@ -343,15 +349,15 @@ def test_connection_display_example_r1():
 def test_r1_offdiagonal_matches_display_and_symmetry():
     for r in (1, 2, 3, 4, 5):
         frame = can.build_spectrum(r)
-        off, _ = can.first_order(frame)
+        r1 = can.first_order(frame)
         disp = can.r1_offdiagonal_display(frame)
         for i in range(r + 1):
             for j in range(r + 1):
                 if i == j:
                     continue
-                assert off[i][j] == -disp[i][j]
-                assert off[i][j] == off[j][i]
-                assert off[i][j].weight == -1
+                assert r1[i, j] == -disp[i][j]
+                assert r1[i, j] == r1[j, i]
+                assert r1[i, j].weight == -1
 
 
 def xi_constant(r):
@@ -387,28 +393,28 @@ def test_an_appendix_cell_derives_the_xi_terms_once(monkeypatch):
 def test_r1_diagonal_closed_form():
     for r in (1, 2, 3, 4, 5):
         frame = can.build_spectrum(r)
-        _, diag = can.first_order(frame)
+        r1 = can.first_order(frame)
         closed = can.r1_diagonal_closed_form(frame)
         for i in range(r + 1):
-            assert diag[i] == closed[i]
+            assert r1[i, i] == closed[i]
 
 
 def test_r1_diagonal_round_trip():
     r = 2
     frame = can.build_spectrum(r)
-    off, diag = can.first_order(frame)
+    r1 = can.first_order(frame)
     for i in range(r + 1):
         integrand = EquivScalar.zero(frame.field, frame.u)
         for j in range(r + 1):
             if j != i:
-                integrand = integrand - off[i][j] * off[j][i] * (frame.p[i] - frame.p[j])
-        assert diag[i].delta() == integrand
+                integrand = integrand - r1[i, j] * r1[j, i] * (frame.p[i] - frame.p[j])
+        assert r1[i, i].delta() == integrand
 
 
 def test_r1_diagonal_weight_structure():
     # lam * R1_ii is weight-free, so the nonequivariant limit of lam*R1_ii exists
     frame = can.build_spectrum(3)
-    for entry in can.first_order(frame)[1]:
+    for entry in diagonal(can.first_order(frame)):
         assert entry.weight == -1
 
 
@@ -424,8 +430,8 @@ def test_a_diagonal_of_weight_minus_two_raises_a_cancellation_error(monkeypatch)
     # a diagonal one power of lam too low leaves lam^-1 in the R-matrix term,
     # which has no nonequivariant limit
     frame = can.build_spectrum(2)
-    off, diag = can.first_order(frame)
-    frame.stages["first_order"] = (off, tuple(x * frame.lam(-1) for x in diag))
+    r1 = can.first_order(frame)
+    frame.stages["first_order"] = can.DeckMatrix((r1.row[0] * frame.lam(-1),) + r1.row[1:])
     monkeypatch.setattr(can, "_FRAMES", {2: frame})
     want = "^weight powers survive the R-matrix term: surviving negative weight power -1$"
     with pytest.raises(can.CancellationError, match=want):
@@ -451,12 +457,12 @@ def test_genus_one_form_branch_independence():
     # the branch's own R1 is the default's, which the genus-one form reads
     r = 2
     frame = can.frame_for(r)
-    off, diag = can.first_order(frame)
+    r1 = can.first_order(frame)
     branch_list = [([1, -1, 1], None), ([-1, -1, 1], None)] + [
         ([1, 1, 1], flip) for flip in ((0, 1), (0, 2), (1, 2))]
     for e, flip in branch_list:
         assert can.branch_failure(frame, e, flip) is None
-        assert reference_r1_diagonal(frame, can._branch(off, e, flip)) == list(diag)
+        assert reference_r1_diagonal(frame, can._branch(r1, e, flip)) == diagonal(r1)
 
 
 def test_genus_one_table():
@@ -473,11 +479,10 @@ def test_recursion_r1_consistency():
     for r in (1, 2):
         frame = can.build_spectrum(r)
         mats, report = can.r_matrix_recursion(r, 2)
-        off, diag = can.first_order(frame)
+        r1 = can.first_order(frame)
         for i in range(r + 1):
             for j in range(r + 1):
-                want = diag[i] if i == j else off[i][j]
-                assert mats[1][i][j] == want
+                assert mats[1][i, j] == r1[i, j]
 
 
 def test_recursion_unitarity_exact():
@@ -491,7 +496,7 @@ def test_recursion_unitarity_n1_symmetry():
     r1 = mats[1]
     for i in range(3):
         for j in range(3):
-            assert r1[i][j] == r1[j][i]
+            assert r1[i, j] == r1[j, i]
 
 
 def test_recursion_zero_mode_documented_failure():
@@ -506,8 +511,8 @@ def test_recursion_branch_independent_diagonal():
     mats_a, _ = can.r_matrix_recursion(2, 2)
     mats_b, _, _ = plain_r_matrix_recursion(2, 2, "unitarity", [1, -1, 1])
     for i in range(3):
-        assert mats_a[1][i][i] == mats_b[1][i][i]
-        assert mats_a[2][i][i] == mats_b[2][i][i]
+        assert mats_a[1][i, i] == mats_b[1][i][i]
+        assert mats_a[2][i, i] == mats_b[2][i][i]
 
 
 # --- the factored idempotent basis against the schoolbook forms ----------------
@@ -569,8 +574,8 @@ def differentiate(x):
 
 
 def signed_sum(mats, n, lo):
-    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a), every entry of every product,
-    in reduced rational functions."""
+    """sum_{a=lo..n-lo} (-1)^a R_a^T R_(n-a) of matrices given in full, every
+    entry of every product, in reduced rational functions."""
     zero = EquivScalar.zero(mats[0][0][0].field, mats[0][0][0].root_order)
     acc = [[zero] * len(mats[0]) for _ in mats[0]]
     for a in range(lo, n - lo + 1):
@@ -621,7 +626,7 @@ def test_laurent_values_match_the_reduced_scalars(r):
     # the entries of R_1 and R_2, a product of two and a sum of two Laurent
     # values, against the same operations on their reduced rational functions
     mats, _ = can.r_matrix_recursion(r, 2)
-    xs = [x for mat in mats[1:] for row in mat for x in row if not x.is_zero()]
+    xs = [x for mat in mats[1:] for row in filled(mat) for x in row if not x.is_zero()]
     fld, u = xs[0].field, xs[0].root_order
     w = Poly.monomial(fld, 1)
     for k, x in enumerate(xs):
@@ -689,7 +694,7 @@ def test_r_matrix_shortcuts_match_a_plain_recursion(r, diag_mode):
     order = 6 if r <= 4 else 3
     mats, report = can.r_matrix_recursion(r, order, diag_mode)
     want_mats, want_constants, want_residuals = plain_r_matrix_recursion(r, order, diag_mode)
-    assert mats == want_mats
+    assert [filled(m) for m in mats] == want_mats
     assert report["constants"] == want_constants
     assert report["unitarity_exact"] == want_residuals
     assert report["diagonal_mode"] == diag_mode
@@ -719,13 +724,13 @@ def test_r_matrix_recursion_on_a_signs_branch_is_the_gauge(r):
     assert constants == base_report["constants"]
     for got, want in zip(mats, base):
         assert got == [[x * (signs[i] * signs[j]) for j, x in enumerate(row)]
-                       for i, row in enumerate(want)]
+                       for i, row in enumerate(filled(want))]
     # the gauge shows: an entry with one index on the -1 sign changes sign
-    assert not base[1][0][r].is_zero() and mats[1][0][r] == -base[1][0][r]
+    assert not base[1][0, r].is_zero() and mats[1][0][r] == -base[1][0, r]
 
 
 def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
-    # a connection entry off by a factor: the fill carries it to the entries
+    # a connection entry off by a factor: the rule carries it to the entries
     # row 0 reads back, so the first diagonal integrand stays integrable, but
     # the second order's unitarity gap is not a constant, which the
     # calibration rejects instead of dropping
@@ -733,8 +738,7 @@ def test_r_matrix_recursion_names_a_diagonal_constant_term(monkeypatch):
 
     def corrupted(frame):
         conn = connection_form(frame)
-        conn[0][1] = conn[0][1] * 3
-        return conn
+        return can.DeckMatrix((conn.row[0], conn.row[1] * 3) + conn.row[2:], conn.rotate)
 
     monkeypatch.setattr(can, "connection_form", corrupted)
     want = r"^order 2, diagonal 0: unitarity gap is not a constant$"
@@ -819,7 +823,8 @@ def test_control_pairing_weight_off_by_one(capsys, monkeypatch):
 
 
 def reference_r1_diagonal(frame, off):
-    """The diagonal integrated from every ordered (i, j) term, one i at a time."""
+    """The diagonal integrated from every ordered (i, j) term of R1 given in
+    full, one i at a time."""
     r = frame.r
     out = []
     for i in range(r + 1):
@@ -851,22 +856,20 @@ def test_r1_diagonal_matches_the_ordered_pair_reference(r):
     # the diagonal integrated once and rotated equals the reference on every
     # branch, each of which integrates every diagonal from its own R1
     frame = can.frame_for(r)
-    off, diag = can.first_order(frame)
+    r1 = can.first_order(frame)
     for branch in branches(r):
-        assert reference_r1_diagonal(frame, can._branch(off, *branch)) == list(diag)
+        assert reference_r1_diagonal(frame, can._branch(r1, *branch)) == diagonal(r1)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_first_order_keeps_only_the_default_branch(r):
     frame = can.build_spectrum(r)
-    off, diag = can.first_order(frame)
-    assert isinstance(off, tuple) and all(isinstance(row, tuple) for row in off)
-    assert isinstance(diag, tuple)
+    r1 = can.first_order(frame)
+    assert isinstance(r1, can.DeckMatrix) and isinstance(r1.row, tuple) and len(r1.row) == r + 1
     assert can.first_order(frame) is frame.stages["first_order"]
     for branch in branches(r):
         # a branch is the gauge of the default, derived on no call
-        want_off = plain_r1_offdiagonal(frame, plain_connection(frame, *branch))
-        assert can._branch(off, *branch) == want_off
+        assert can._branch(r1, *branch) == plain_r1(frame, plain_connection(frame, *branch))
         assert can.branch_failure(frame, *branch) is None
         assert can.first_order(frame) is frame.stages["first_order"]
     with pytest.raises(ValueError):
@@ -877,19 +880,35 @@ def test_first_order_keeps_only_the_default_branch(r):
         can.branch_failure(frame, [1, 2] + [1] * (r - 1))
 
 
-# --- the deck rotation's fill against plain derivations ---------------------------
+def test_no_stage_forms_a_matrix_it_does_not_read(monkeypatch):
+    # genus one reads R1's column 0, to integrate diagonal 0, and its
+    # diagonal: r rotations each, where filling R1 takes r (r+1)
+    r = 8
+    monkeypatch.setattr(can, "_FRAMES", {})
+    calls = []
+    real = EquivScalar.rotate
+    monkeypatch.setattr(EquivScalar, "rotate", lambda x, i: calls.append(i) or real(x, i))
+    assert can.genus_one_form(r)[0] == can.genus_one_expected(r)
+    assert len(calls) <= 2 * (r + 1)
+    # the cached connection and R1 hold row 0 only
+    frame = can.frame_for(r)
+    for stage in ("connection", "first_order"):
+        m = frame.stages[stage]
+        assert isinstance(m, can.DeckMatrix) and isinstance(m.row, tuple), stage
+        assert len(m.row) == r + 1 and not any(isinstance(x, (tuple, list)) for x in m.row)
+
+
+# --- the deck rotation's rule against plain derivations ---------------------------
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_filled_connection_and_r1_match_a_plain_derivation(r):
     frame = can.build_spectrum(r)
-    got_off, got_diag = can.first_order(frame)
+    r1 = can.first_order(frame)
     for branch in branches(r):
         conn = plain_connection(frame, *branch)
         assert can._branch(can.connection_form(frame), *branch) == conn
-        off = plain_r1_offdiagonal(frame, conn)
-        assert can._branch(got_off, *branch) == off
-        assert list(got_diag) == reference_r1_diagonal(frame, off)
+        assert can._branch(r1, *branch) == plain_r1(frame, conn)
 
 
 def verify_appendix_r3_json(capsys, *extra):
@@ -936,8 +955,8 @@ def test_control_one_recursion_entry(capsys, monkeypatch):
 
     def negated(r, order, *args, **kwargs):
         mats, info = real(r, order, *args, **kwargs)
-        r1 = [list(row) for row in mats[1]]
-        r1[0][1] = -r1[0][1]
+        row = mats[1].row
+        r1 = can.DeckMatrix((row[0], -row[1]) + row[2:])
         return [mats[0], r1, *mats[2:]], info
 
     monkeypatch.setattr(can, "r_matrix_recursion", negated)
@@ -1020,10 +1039,9 @@ def test_control_first_order_entry_of_the_wrong_weight(capsys, monkeypatch):
     real = can.first_order
 
     def scaled(frame):
-        off, diag = real(frame)
+        r1 = real(frame)
         lam = frame.lam()
-        return tuple(tuple(x if i == j else x * lam for j, x in enumerate(row))
-                     for i, row in enumerate(off)), diag
+        return can.DeckMatrix(r1.row[:1] + tuple(x * lam for x in r1.row[1:]))
 
     monkeypatch.setattr(can, "first_order", scaled)
     code = cli.main(["verify", "appendix", "--r", "2", "--format", "json"])
@@ -1173,7 +1191,7 @@ def test_the_linear_factor_forms_run_no_euclid(monkeypatch, r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_spectrum_sum_of_the_r1_diagonal_matches_the_plain_sum(r):
     frame = can.frame_for(r)
-    _, diag = can.first_order(frame)
+    diag = diagonal(can.first_order(frame))
     got = can._spectrum_sum(frame, diag)
     assert got.weight == 0
     assert got == plain_spectrum_sum(frame, diag)
@@ -1332,10 +1350,10 @@ def one_sided_branch(base, e, pair_flip=None, branch=can._branch):
 @pytest.mark.parametrize("r", ORBIT_RS)
 def test_a_gauge_branch_returns_the_default_diagonal(r):
     frame = can.build_spectrum(r)
-    off, default = can.first_order(frame)
+    r1 = can.first_order(frame)
     for branch in branches(r)[1:]:
         assert can.branch_failure(frame, *branch) is None
-        assert reference_r1_diagonal(frame, can._branch(off, *branch)) == list(default)
+        assert reference_r1_diagonal(frame, can._branch(r1, *branch)) == diagonal(r1)
 
 
 def test_a_gauge_branch_shares_the_default_genus_one_form(monkeypatch):
@@ -1357,11 +1375,11 @@ def test_a_one_sided_flip_integrates_every_diagonal(r, monkeypatch):
     # pair, the flipped R1 gives another diagonal at r = 1, and beyond it a
     # constant term at diagonal 0
     frame = can.build_spectrum(r)
-    off, default = can.first_order(frame)
+    r1 = can.first_order(frame)
     monkeypatch.setattr(can, "_branch", one_sided_branch)
     assert can.branch_failure(frame, [1] * (r + 1), (0, 1)) == (0, 1)
-    got = outcome(reference_r1_diagonal, frame, can._branch(off, [1] * (r + 1), (0, 1)))
-    assert got != list(default)
+    got = outcome(reference_r1_diagonal, frame, can._branch(r1, [1] * (r + 1), (0, 1)))
+    assert got != diagonal(r1)
     assert isinstance(got, list) if r == 1 else got.startswith("diagonal 0 ")
 
 
@@ -1451,8 +1469,8 @@ def test_control_a_changed_delta_fails_both_norm_anchors(capsys, monkeypatch, na
 @pytest.mark.parametrize("r", ORBIT_RS)
 def test_the_rotated_r1_diagonal_is_the_integrated_one(r):
     frame = can.build_spectrum(r)
-    off, diag = can.first_order(frame)
-    assert list(diag) == reference_r1_diagonal(frame, off)
+    r1 = can.first_order(frame)
+    assert diagonal(r1) == reference_r1_diagonal(frame, filled(r1))
 
 
 @pytest.mark.parametrize("r", ORBIT_RS)
@@ -1593,6 +1611,7 @@ def test_the_idempotent_anchors_off_the_orbit_match_the_references(r, name, monk
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_the_row_0_unitarity_residual_is_the_full_matrix_residual(r, diag_mode):
     mats, report = can.r_matrix_recursion(r, 3, diag_mode)
+    mats = [filled(m) for m in mats]
     for n in (1, 2, 3):
         full = signed_sum(mats, n, 0)
         first = next(((i, j) for i, row in enumerate(full) for j, x in enumerate(row)
@@ -1603,15 +1622,29 @@ def test_the_row_0_unitarity_residual_is_the_full_matrix_residual(r, diag_mode):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_the_row_0_unitarity_residual_under_the_wrong_wrap_sign(r, monkeypatch):
-    # zeta^(r+1) taken as +1: each R_a^T R_b still obeys the fill's rule with
-    # that sign, so the full sum's first nonzero entry is still in row 0
+    # zeta^(r+1) taken as +1: each R_a^T R_b still obeys the rule with that
+    # sign, so the full sum's first nonzero entry is still in row 0
     monkeypatch.setattr(can, "_FRAMES", {})
     monkeypatch.setattr(can, "_WRAP_SIGN", 1)
     mats, report = can.r_matrix_recursion(r, 1)
-    full = signed_sum(mats, 1, 0)
+    full = signed_sum([filled(m) for m in mats], 1, 0)
     first = next((i, j) for i, row in enumerate(full) for j, x in enumerate(row)
                  if not x.is_zero())
     assert report["unitarity_first_nonzero"] == {1: first}
+
+
+class DiagonalReplaced:
+    """R1 read through its rule off the diagonal, and from ``diag`` on it."""
+
+    def __init__(self, r1, diag):
+        self.r1, self.diag = r1, diag
+
+    def __len__(self):
+        return len(self.r1)
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.diag[i] if i == j else self.r1[i, j]
 
 
 @pytest.mark.parametrize("shift, failing", [(lambda i: i + 1, 0), (lambda i: 2 * i, 1)])
@@ -1621,8 +1654,8 @@ def test_control_a_diagonal_rotated_to_the_wrong_index(capsys, monkeypatch, shif
     real = can.first_order
 
     def rotated(frame):
-        off, diag = real(frame)
-        return off, tuple(diag[0].rotate(shift(i)) for i in range(frame.u))
+        r1 = real(frame)
+        return DiagonalReplaced(r1, [r1[0, 0].rotate(shift(i)) for i in range(frame.u)])
 
     monkeypatch.setattr(can, "first_order", rotated)
     code, entries = verify_appendix_r2(capsys)
@@ -1652,6 +1685,34 @@ def one_pairing_weight_at(d0):
     return perturb
 
 
+def changed_matrix(stage, k, change):
+    """A fresh r = 2 frame whose cached matrix ``stage`` (the connection or
+    R1) has entry k of its row 0 changed, and with it every entry the rule
+    reads from that one."""
+    def perturb(monkeypatch):
+        frame = can.build_spectrum(2)
+        m = {"connection": can.connection_form, "first_order": can.first_order}[stage](frame)
+        row = list(m.row)
+        row[k] = change(row[k])
+        frame.stages[stage] = can.DeckMatrix(row, m.rotate, m.wrap)
+        monkeypatch.setattr(can, "_FRAMES", {2: frame})
+    return perturb
+
+
+def wrap_sign_plus_one(monkeypatch):
+    # zeta^(r+1) taken as +1 by every matrix built from here on
+    monkeypatch.setattr(can, "_FRAMES", {})
+    monkeypatch.setattr(can, "_WRAP_SIGN", 1)
+
+
+def even_diagonal_constants_dropped(monkeypatch):
+    # the recursion with diag_mode "zero": R_1 is unchanged, and R_2 loses
+    # the constant that unitarity calibrates
+    real = can.r_matrix_recursion
+    monkeypatch.setattr(can, "r_matrix_recursion",
+                        lambda r, order: real(r, order, diag_mode="zero"))
+
+
 # anchor -> [(perturbation, the failing residual, an anchor that must still pass), ...]
 VALUE_CONTROLS = {
     # only the residual reads the roots p_i, so the other checks see nothing
@@ -1670,6 +1731,35 @@ VALUE_CONTROLS = {
         one_pairing_weight_at(0),
         "first failing k = 0: the pairing of (p/lam)^k (1 - p/lam)^(2r-k) is not zero",
         "appendix/pairing-closed-form")],
+    # the idempotent values do not read the connection, and carry no wrap sign
+    "appendix/connection-form": [
+        (perturb, "first failing (i, j) = (0, 1): the form is not antisymmetric",
+         "appendix/idempotent-duality")
+        for perturb in (changed_matrix("connection", 1, lambda x: x * 2), wrap_sign_plus_one)],
+    # R1's row 0 holds diagonal 0 at entry 0 and the off-diagonal after it
+    "appendix/first-order-offdiagonal": [(
+        changed_matrix("first_order", 1, lambda x: -x),
+        "first failing (i, j) = (0, 1): derived is not minus the display",
+        "appendix/first-order-diagonal")],
+    "appendix/first-order-diagonal": [(
+        changed_matrix("first_order", 0, lambda x: x * 2),
+        "first failing i = 0: derived is not the closed form", "appendix/first-order-offdiagonal")],
+    # the recursion derives its R_1 from the connection, not from first_order
+    "appendix/recursion-first-order-match": [(
+        changed_matrix("first_order", 1, lambda x: -x),
+        "first failing (i, j) = (0, 1): R_1 of the recursion is not the first-order R1",
+        "appendix/recursion-unitarity")],
+    "appendix/recursion-unitarity": [(
+        even_diagonal_constants_dropped,
+        "first nonzero (i, j) = (0, 0); diagonal constants: zero",
+        "appendix/recursion-first-order-match")],
+}
+
+# the residual of each registered anchor that passes with a note, not "0"
+PASS_NOTES = {
+    "appendix/connection-form": BRANCH_NOTE,
+    "appendix/first-order-offdiagonal": BRANCH_NOTE,
+    "appendix/recursion-unitarity": "diagonal constants: unitarity",
 }
 
 
@@ -1678,7 +1768,8 @@ def test_value_anchors_pass_with_a_zero_residual(capsys, monkeypatch):
     code, entries = verify_appendix_r2(capsys)
     assert code == 0
     for anchor in VALUE_CONTROLS:
-        assert entries[anchor]["status"] == "pass" and entries[anchor]["residual"] == "0"
+        assert entries[anchor]["status"] == "pass"
+        assert entries[anchor]["residual"] == PASS_NOTES.get(anchor, "0")
 
 
 @pytest.mark.parametrize("anchor", sorted(VALUE_CONTROLS))

@@ -178,6 +178,15 @@ def test_verify_out_file(tmp_path, capsys):
     jsonschema.validate(payload, SCHEMA)
 
 
+@pytest.mark.parametrize("args", [["verify", "cohomology"], ["table", "genus1"], ["dump", "dG"]])
+def test_an_unwritable_out_path_is_a_configuration_error(tmp_path, capsys, args):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(args + ["--r", "1", "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_table_genus1_csv(capsys):
     code, out, _ = run_cli(["table", "genus1", "--r", "1", "--dmax", "5",
                             "--format", "csv"], capsys)

@@ -471,18 +471,13 @@ def test_verify_all_forms_the_total_chern_class_once_per_r(capsys, monkeypatch):
 # The appendix anchors in none of the three registries, each with the test of
 # tests/test_canonical.py that perturbs it and reads the failing row.
 EXEMPT = {
-    "appendix/connection-form": "test_control_connection_display_entry",
     "appendix/diagonal-constant": "test_control_the_diagonal_constant_terms",
-    "appendix/first-order-diagonal": "test_control_a_diagonal_rotated_to_the_wrong_index",
-    "appendix/first-order-offdiagonal": "test_control_first_order_display_entry",
     "appendix/genus-one-branch-independence": "test_control_a_one_sided_pair_flip",
     "appendix/genus-one-dropped-constant":
         "test_a_diagonal_that_does_not_integrate_fails_its_anchors",
     "appendix/genus-one-table": "test_control_the_fill_wrap_sign_names_each_failing_index",
     "appendix/idempotent-duality": "test_control_one_signed_symmetric_function",
     "appendix/idempotent-orthogonality": "test_control_pairing_weight_off_by_one",
-    "appendix/recursion-first-order-match": "test_control_one_recursion_entry",
-    "appendix/recursion-unitarity": "test_control_the_fill_wrap_sign",
 }
 
 
